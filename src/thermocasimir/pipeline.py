@@ -45,6 +45,8 @@ def compute_plate_brackets(config: RunConfig, geometry: scr.SlabGeometry,
 
     Identical slabs are mirror images of each other through the gap, so the
     second bracket is reused from the first; otherwise both are solved.
+    "screening" holds, per solved slab, the basis size and the operator's
+    pair counts per assembly class.
     """
     numerics = config.numerics
     kappa = np.sqrt(profile.kappa2("a"))
@@ -60,13 +62,16 @@ def compute_plate_brackets(config: RunConfig, geometry: scr.SlabGeometry,
             seed=config.seed if slab == "a" else config.seed + 1)
         src = loops_mod.point_loop(0.0, border,
                                    n_steps=int(numerics["n_steps_kernel"]))
-        return scr.check_perfect_screening(basis, src, k_seq)
+        diagnostics = {"basis_size": basis.size,
+                       "pairs": basis.pair_class_counts()}
+        return scr.check_perfect_screening(basis, src, k_seq), diagnostics
 
-    res_a = solve_side("a")
+    res_a, diag_a = solve_side("a")
     mirror = (abs(config.a - config.b) < 1e-12 * config.a
               and geometry.nx_a == geometry.nx_b)
-    res_b = res_a if mirror else solve_side("b")
+    res_b, diag_b = (res_a, None) if mirror else solve_side("b")
     return {
+        "screening": {"a": diag_a} if mirror else {"a": diag_a, "b": diag_b},
         "bracket_a": float(np.real(res_a["bracket"])),
         "bracket_b": float(np.real(res_b["bracket"])),
         "residual_a": res_a["residual_rel"],
@@ -180,7 +185,9 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "kappa": float(kappa),
         "lambda_screen": float(lam_s),
         "hierarchy": geometry.hierarchy_report(config.thermo, mean_mass, lam_s),
-        "brackets": {k: v for k, v in brackets.items() if k != "k_sequence"},
+        "brackets": {k: v for k, v in brackets.items()
+                     if k not in ("k_sequence", "screening")},
+        "screening": brackets["screening"],
         "k_sequence": brackets["k_sequence"],
         "capacitor": {"electrostatic": 2.0 * np.pi * sigma_a * sigma_b,
                       "magnetic_exponent": mag_exponent},

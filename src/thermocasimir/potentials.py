@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import fixed_quad, quad
-from scipy.special import j0, jn_zeros
+from scipy.special import j0, jn_zeros, roots_legendre
 
 from .errors import ContractViolationError, ParameterError, SingularArgumentError
 from .loops import Loop, ThermoState
@@ -547,7 +547,7 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     x_values = np.asarray(x_values, dtype=float)
     if k_max is None:
         k_max = 4.0 * form_factor.k_cut
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = roots_legendre(n_quad)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights
     wm = np.array([wm_pair_fourier(loop_i, loop_j, np.array([k, 0.0, 0.0]),

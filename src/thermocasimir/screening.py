@@ -5,7 +5,15 @@ that stays bounded at vanishing in-plane wavenumber.  This module discretizes
 that integral equation (midpoint cells along the slab normal, the kernel
 integrated exactly over each cell, internal degrees of freedom summed over
 species and charge number with Monte Carlo path cells), solves it densely,
-and builds everything the force assembly needs downstream:
+and builds everything the force assembly needs downstream.
+
+The kernel matrix is assembled exactly without a loop over pairs.  Each
+pair of loops is classified by the interval that their normal separation
+sweeps relative to the source cell: entirely above or below it (the kernel
+splits into a product of per-loop time sums), entirely inside it (an exactly
+separable closed form in the same sums), or straddling a face (an exact
+double time sum, batched over pairs).  The classes depend only on the basis,
+not on the wavenumber.  The module also provides:
 
 * perfect-screening residuals, with the wavenumber sequence extrapolated
   to zero by iterated Richardson steps;
@@ -26,7 +34,6 @@ from scipy.integrate import quad
 from .errors import (DependencyError, ParameterError, SingularArgumentError,
                      SolverError)
 from .loops import Loop, SpeciesParams, ThermoState, point_loop, sample_bridge
-from .potentials import vel_fourier
 
 __all__ = [
     "SlabGeometry",
@@ -204,10 +211,99 @@ def _exp_cell_integral(u, c, h, k):
     return np.where(inside, inner, outer)
 
 
+_ROW_BLOCK = 128            # operator rows classified or filled at a time
+_STRADDLE_BLOCK = 1 << 18   # node pairs (s, t) per batch of straddling pairs
+
+
+def _row_blocks(n: int) -> list:
+    return [slice(r0, min(r0 + _ROW_BLOCK, n)) for r0 in range(0, n, _ROW_BLOCK)]
+
+
+@dataclass(frozen=True)
+class _PathArrays:
+    """Struct-of-arrays view of a list of loops.
+
+    x, xi_lo and xi_hi give each loop's slab-normal position and the range of
+    its normal excursion xi = lambda X_1 (0 lies in it: paths are pinned).
+    The open-grid node arrays are stacked per (p, node count) group:
+    groups[g] = (loop indices, xi (n_g, N), in-plane positions (n_g, N, 2),
+    ds); group[n] and slot[n] locate loop n in them.  Within each loop the
+    nodes are sorted by xi (every kernel here is a sum over all nodes, so
+    their time order does not enter).
+    """
+
+    x: np.ndarray
+    xi_lo: np.ndarray
+    xi_hi: np.ndarray
+    groups: tuple
+    group: np.ndarray
+    slot: np.ndarray
+
+
+def _path_arrays(loops) -> _PathArrays:
+    n = len(loops)
+    xi_lo, xi_hi = np.empty(n), np.empty(n)
+    group, slot = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    by_shape = {}
+    for idx, lp in enumerate(loops):
+        by_shape.setdefault((lp.p, lp.n_nodes), []).append(idx)
+    groups = []
+    for g, ((p, nodes), members) in enumerate(sorted(by_shape.items())):
+        idx = np.array(members)
+        lam = np.array([loops[i].species.lambda_ for i in members])
+        path = np.stack([loops[i].path[:-1] for i in members])
+        xi = lam[:, None] * path[:, :, 0]
+        y = (np.stack([loops[i].y for i in members])[:, None, :]
+             + lam[:, None, None] * path[:, :, 1:])
+        order = np.argsort(xi, axis=1, kind="stable")
+        xi = np.take_along_axis(xi, order, axis=1)
+        y = np.take_along_axis(y, order[:, :, None], axis=1)
+        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
+        group[idx], slot[idx] = g, np.arange(idx.size)
+        groups.append((idx, xi, y, p / (nodes - 1)))
+    return _PathArrays(x=np.array([float(lp.x) for lp in loops]), xi_lo=xi_lo,
+                       xi_hi=xi_hi, groups=tuple(groups), group=group, slot=slot)
+
+
+@dataclass(frozen=True)
+class _PairPlan:
+    """Class of every (row, column) pair of a wire-kernel matrix.
+
+    The separation w = x_i + xi_i(s) - xi_l(t) sweeps a known interval per
+    pair, tested against the source cell [x_l - half, x_l + half] (the point
+    x_l when half = 0).  above[i, l]: w lies entirely above it; inside and
+    straddling: (row, column) index arrays of the pairs entirely inside it
+    and of those crossing a face.  All other pairs lie entirely below.
+    """
+
+    above: np.ndarray
+    inside: tuple
+    straddling: tuple
+
+
+def _pair_plan(rows: _PathArrays, cols: _PathArrays, half) -> _PairPlan:
+    above = np.empty((rows.x.size, cols.x.size), dtype=bool)
+    near = np.empty_like(above)        # neither entirely above nor below
+    within = np.empty_like(above)
+    for block in _row_blocks(rows.x.size):
+        w_lo = (rows.x + rows.xi_lo)[block, None] - cols.xi_hi
+        w_hi = (rows.x + rows.xi_hi)[block, None] - cols.xi_lo
+        above[block] = w_lo >= cols.x + half
+        near[block] = ~above[block] & (w_hi > cols.x - half)
+        within[block] = near[block] & (w_lo >= cols.x - half) & (w_hi <= cols.x + half)
+    return _PairPlan(above=above, inside=np.nonzero(within),
+                     straddling=np.nonzero(near & ~within))
+
+
 @dataclass
 class LoopBasis:
     """Discretized phase space for the dense solve: one entry per
-    (x-cell, species, charge number, path sample)."""
+    (x-cell, species, charge number, path sample).
+
+    The path arrays are stacked once here; the pair classes of each kernel
+    (cell-integrated or pointwise) do not depend on the wavenumber and are
+    kept after their first use.
+    """
 
     loops: list
     x: np.ndarray            # cell centers
@@ -217,6 +313,11 @@ class LoopBasis:
     pnum: np.ndarray
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
+    paths: _PathArrays = field(init=False, repr=False)
+    _plans: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.paths = _path_arrays(self.loops)
 
     @property
     def size(self) -> int:
@@ -227,9 +328,19 @@ class LoopBasis:
         """kappa^2(1)/(4 pi) measure without the cell width: beta e^2 rho / n_paths."""
         return self.beta * self.charge**2 * self.measure / self.h
 
-    def excursions(self) -> np.ndarray:
-        return np.array([lp.species.lambda_ * np.max(np.abs(lp.path[:, 0]))
-                         for lp in self.loops])
+    def _plan(self, cell_integrated: bool) -> _PairPlan:
+        half = 0.5 * self.h if cell_integrated else 0.0
+        if half not in self._plans:
+            self._plans[half] = _pair_plan(self.paths, self.paths, half)
+        return self._plans[half]
+
+    def pair_class_counts(self) -> dict:
+        """Number of operator pairs in each class of the cell-integrated
+        assembly (see _pair_matrix)."""
+        plan = self._plan(cell_integrated=True)
+        inside, straddling = plan.inside[0].size, plan.straddling[0].size
+        return {"above_below": self.size**2 - inside - straddling,
+                "inside": inside, "straddling": straddling}
 
 
 def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
@@ -266,19 +377,112 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
                      measure=np.array(meas), beta=thermo.beta)
 
 
-def _loop_side_factors(loop: Loop, kvec, k):
-    """Per-loop time sums entering the x-separated factorization of the
-    transverse-Fourier wire kernel.  Returns (row-, row+, col-, col+)."""
-    lam = loop.species.lambda_
-    y = loop.y[None, :] + lam * loop.path[:-1, 1:]
-    xfluct = lam * loop.path[:-1, 0]
-    ds = loop.ds
-    row_phase = np.exp(1j * (y @ kvec))
-    col_phase = np.conj(row_phase)
-    em = np.exp(-k * xfluct)
-    ep = np.exp(+k * xfluct)
-    return (ds * np.sum(row_phase * em), ds * np.sum(row_phase * ep),
-            ds * np.sum(col_phase * em), ds * np.sum(col_phase * ep))
+def _wavenumber(kvec):
+    kvec = np.asarray(kvec, dtype=float)
+    k = float(np.hypot(kvec[0], kvec[1]))
+    if k <= 0.0:
+        raise SingularArgumentError("kernel assembly needs k > 0")
+    return kvec, k
+
+
+def _side_sums(paths: _PathArrays, kvec, k):
+    """Per-loop time sums of the transverse-Fourier wire kernel at wavenumber k.
+
+    Returns (sums, nodes): sums[:, n] = ds sum_s a(s) (1, expm1(-k xi(s)),
+    expm1(k xi(s))) with the row phase a = e^{i k.y}, and per group
+    nodes[g] = (a, expm1(-k xi), expm1(k xi)).  Column sums are the complex
+    conjugates.  Exponents are taken relative to each loop's own position,
+    so nothing overflows at large k times the slab width.
+    """
+    sums = np.empty((3, paths.x.size), dtype=complex)
+    nodes = []
+    for idx, xi, y, ds in paths.groups:
+        a = np.exp(1j * (y @ kvec))
+        em, ep = np.expm1(-k * xi), np.expm1(k * xi)
+        sums[0, idx] = ds * np.sum(a, axis=1)
+        sums[1, idx] = ds * np.sum(a * em, axis=1)
+        sums[2, idx] = ds * np.sum(a * ep, axis=1)
+        nodes.append((a, em, ep))
+    return sums, nodes
+
+
+def _wire_kernel(rows: _PathArrays, cols: _PathArrays, plan: _PairPlan, kvec, k,
+                 half) -> np.ndarray:
+    """Double time sums of e^{i k.(y_i - y_l)} e^{-k |w - x'|} over every
+    (row, column) pair, with x' integrated over the column's cell
+    [x_l - half, x_l + half] (x' = x_l when half = 0); 2 pi / k left out."""
+    sums_r, nodes_r = _side_sums(rows, kvec, k)
+    sums_c, nodes_c = (sums_r, nodes_r) if cols is rows else _side_sums(cols, kvec, k)
+    p_r, rm, rp = sums_r
+    q_c, cm, cp = np.conj(sums_c)
+    cell = 2.0 * np.sinh(k * half) / k if half > 0.0 else 1.0
+    out = np.empty((rows.x.size, cols.x.size), dtype=complex)
+    for block in _row_blocks(rows.x.size):
+        view = out[block]
+        np.multiply((p_r + rp)[block, None], q_c + cm, out=view)
+        np.multiply((p_r + rm)[block, None], q_c + cp, out=view,
+                    where=plan.above[block])
+        view *= cell * np.exp(-k * np.abs(rows.x[block, None] - cols.x))
+    i, l = plan.inside
+    gap_lo = rows.x[i] - (cols.x[l] - half)
+    gap_hi = (cols.x[l] + half) - rows.x[i]
+    out[i, l] = (-(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p_r[i] * q_c[l]
+                 - np.exp(-k * gap_lo) * (p_r[i] * cp[l] + rm[i] * (q_c[l] + cp[l]))
+                 - np.exp(-k * gap_hi) * (p_r[i] * cm[l] + rp[i] * (q_c[l] + cm[l]))
+                 ) / k
+    i, l = plan.straddling
+    out[i, l] = _straddling_entries(rows, cols, nodes_r, nodes_c, i, l, k, half, cell)
+    return out
+
+
+def _straddling_entries(rows, cols, nodes_r, nodes_c, ii, ll, k, half, cell):
+    """Exact double time sums for the pairs (ii, ll) whose separation crosses
+    a face of the source cell, batched per pair of path groups.
+
+    Column nodes are sorted by xi, so for each row node s the column nodes
+    with w = x_i + xi_i(s) - xi_l(t) above, inside and below the cell form
+    three contiguous runs.  On each run the kernel is a row-node factor times
+    a column-node factor, so a run contributes a difference of prefix sums;
+    node pairs are only compared to find where the runs end.
+    """
+    vals = np.empty(ii.size, dtype=complex)
+    prefix = {}
+    key = rows.group[ii] * len(cols.groups) + cols.group[ll]
+    for g in np.unique(key):
+        gr, gc = divmod(int(g), len(cols.groups))
+        xi_r, ds_r = rows.groups[gr][1], rows.groups[gr][3]
+        xi_c, ds_c = cols.groups[gc][1], cols.groups[gc][3]
+        a_r = nodes_r[gr][0]
+        if gc not in prefix:
+            # running sums over t of b, b expm1(k xi), b expm1(-k xi)
+            a_c, em_c, ep_c = nodes_c[gc]
+            b = np.conj(a_c)
+            runs = np.zeros((b.shape[0], 3, b.shape[1] + 1), dtype=complex)
+            np.cumsum(np.stack([b, b * ep_c, b * em_c], axis=1), axis=2,
+                      out=runs[:, :, 1:])
+            prefix[gc] = runs
+        sel = np.nonzero(key == g)[0]
+        step = max(1, _STRADDLE_BLOCK // (xi_r.shape[1] * xi_c.shape[1]))
+        for c0 in range(0, sel.size, step):
+            batch = sel[c0:c0 + step]
+            s, t = rows.slot[ii[batch]], cols.slot[ll[batch]]
+            gap = (rows.x[ii[batch]] - cols.x[ll[batch]])[:, None] + xi_r[s]
+            off = xi_c[t][:, None, :]
+            n_above = np.sum(off < (gap - half)[:, :, None], axis=2)
+            n_below = (np.sum(off <= (gap + half)[:, :, None], axis=2)
+                       if half > 0.0 else n_above)
+            runs = prefix[gc][t]
+            s_above = np.take_along_axis(runs, n_above[:, None, :], axis=2)
+            upto_below = np.take_along_axis(runs, n_below[:, None, :], axis=2)
+            s_in = upto_below - s_above
+            s_below = runs[:, :, -1:] - upto_below
+            e_lo, e_hi = np.expm1(-k * (gap + half)), np.expm1(-k * (half - gap))
+            total = (cell * np.exp(-k * gap) * (s_above[:, 0] + s_above[:, 1])
+                     + cell * np.exp(k * gap) * (s_below[:, 0] + s_below[:, 2])
+                     - ((e_lo + e_hi) * s_in[:, 0] + (1.0 + e_lo) * s_in[:, 1]
+                        + (1.0 + e_hi) * s_in[:, 2]) / k)
+            vals[batch] = ds_r * ds_c * np.sum(a_r[s] * total, axis=1)
+    return vals
 
 
 def _pair_matrix(basis: LoopBasis, kvec, cell_integrated: bool) -> np.ndarray:
@@ -286,35 +490,22 @@ def _pair_matrix(basis: LoopBasis, kvec, cell_integrated: bool) -> np.ndarray:
 
     cell_integrated=True integrates the kernel exactly over the source cell
     (the operator of the screened equation); False evaluates it pointwise
-    (source columns for the dressing solve).  x-separated pairs use the exact
-    two-factor split of the kernel; pairs whose path excursions may straddle
-    the gap fall back to the exact double time sum.
+    (source columns for the dressing solve).  Each pair is classified by the
+    interval its separation w = x_i + lam_i X_i(s) - lam_l X_l(t) sweeps:
+
+    * entirely above or below the source cell: the exact two-factor split
+      row(-/+) col(+/-) e^{-k|x_i - x_l|} times the cell factor;
+    * entirely inside it: the exactly separable
+      (2 P_i Q_l - e^{-k(x_i - lo)} row- col+ - e^{-k(hi - x_i)} row+ col-) / k,
+      formed from per-loop expm1 sums against the small-k cancellation;
+    * straddling a face: the exact double time sum, batched over pairs
+      (_straddling_entries).
     """
-    kvec = np.asarray(kvec, dtype=float)
-    k = float(np.hypot(kvec[0], kvec[1]))
-    if k <= 0.0:
-        raise SingularArgumentError("kernel assembly needs k > 0")
-    h = basis.h
-    fac = np.array([_loop_side_factors(lp, kvec, k) for lp in basis.loops])
-    row_m, row_p, col_m, col_p = fac[:, 0], fac[:, 1], fac[:, 2], fac[:, 3]
-
-    x = basis.x
-    dx = x[:, None] - x[None, :]
-    radii = basis.excursions()
-    margin = 0.5 * h if cell_integrated else 0.0
-    near = np.abs(dx) <= (radii[:, None] + radii[None, :] + margin + 1e-12)
-
-    cell_factor = 2.0 * np.sinh(0.5 * k * h) / k if cell_integrated else 1.0
-    decay = np.exp(-k * np.abs(dx))
-    above = dx > 0
-    m = np.where(above, row_m[:, None] * col_p[None, :],
-                 row_p[:, None] * col_m[None, :]) * decay * cell_factor
-
-    ii, ll = np.nonzero(near)
-    for i, l in zip(ii, ll):
-        m[i, l] = _near_pair_entry(basis.loops[i], basis.loops[l],
-                                   x[l], h, kvec, k, cell_integrated)
-    return (2.0 * np.pi / k) * m
+    kvec, k = _wavenumber(kvec)
+    half = 0.5 * basis.h if cell_integrated else 0.0
+    return (2.0 * np.pi / k) * _wire_kernel(basis.paths, basis.paths,
+                                            basis._plan(cell_integrated),
+                                            kvec, k, half)
 
 
 def assemble_kernel_matrix(basis: LoopBasis, kvec) -> np.ndarray:
@@ -323,25 +514,15 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> np.ndarray:
     return _pair_matrix(basis, kvec, cell_integrated=True) * basis.matrix_weight[None, :]
 
 
-def _near_pair_entry(loop_i: Loop, loop_l: Loop, c_l, h, kvec, k, cell_integrated):
-    lam_i = loop_i.species.lambda_
-    lam_l = loop_l.species.lambda_
-    u = loop_i.x + lam_i * loop_i.path[:-1, 0]
-    off = lam_l * loop_l.path[:-1, 0]
-    yi = loop_i.y[None, :] + lam_i * loop_i.path[:-1, 1:]
-    yl = loop_l.y[None, :] + lam_l * loop_l.path[:-1, 1:]
-    ph = np.exp(1j * (yi @ kvec))[:, None] * np.exp(-1j * (yl @ kvec))[None, :]
-    if cell_integrated:
-        core = _exp_cell_integral(u[:, None] - off[None, :], c_l, h, k)
-    else:
-        core = np.exp(-k * np.abs(u[:, None] - (c_l + off)[None, :]))
-    return loop_i.ds * loop_l.ds * np.sum(ph * core)
-
-
 def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
     """Right-hand-side column V^el(i, src, k) for an external source loop
-    (not part of the integration measure, e.g. the border charge)."""
-    return np.array([vel_fourier(lp, src, kvec) for lp in basis.loops])
+    (not part of the integration measure, e.g. the border charge), with the
+    pairs classified against the source as in _pair_matrix."""
+    kvec, k = _wavenumber(kvec)
+    src_paths = _path_arrays([src])
+    plan = _pair_plan(basis.paths, src_paths, 0.0)
+    col = _wire_kernel(basis.paths, src_paths, plan, kvec, k, 0.0)[:, 0]
+    return (2.0 * np.pi / k) * col
 
 
 def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray,

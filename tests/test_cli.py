@@ -1,8 +1,12 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thermocasimir
 from thermocasimir import cli
 from thermocasimir.config import load_config
 from thermocasimir.errors import ConfigError, SolverError
@@ -121,6 +125,44 @@ def test_pipeline_report_keys(fast_report):
         assert key in row
     assert "config_hash" in fast_report["report"]
     assert fast_report["report"]["capacitor"]["electrostatic"] == 0.0
+
+
+def test_pipeline_screening_diagnostics(fast_report):
+    # identical slabs: only slab a is solved, and every operator pair of its
+    # basis falls in exactly one assembly class
+    screening = fast_report["report"]["screening"]
+    assert list(screening) == ["a"]
+    size = screening["a"]["basis_size"]
+    assert size > 0
+    assert sorted(screening["a"]["pairs"]) == ["above_below", "inside",
+                                               "straddling"]
+    assert sum(screening["a"]["pairs"].values()) == size**2
+
+
+_REPORT_HASH = """
+import hashlib, json, sys
+from thermocasimir.config import load_config
+from thermocasimir.pipeline import run_pipeline
+out = run_pipeline(load_config(json.loads(sys.argv[1])), magnetic_check=False)
+print(hashlib.sha256(json.dumps(out["report"], sort_keys=True).encode()).hexdigest())
+"""
+
+
+def test_report_hash_independent_of_blas_threads(fast_config):
+    # tiny config: at a few hundred operator rows threaded OpenBLAS LU already
+    # changes the last bits of the brackets
+    cfg = copy.deepcopy(fast_config)
+    src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", _REPORT_HASH, json.dumps(cfg)],
+                              env=env, capture_output=True, text=True,
+                              timeout=600, check=True)
+        hashes.append(proc.stdout.split()[-1])
+    assert hashes[0] == hashes[1]
 
 
 def test_pipeline_reproducibility(fast_config):

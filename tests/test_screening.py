@@ -44,6 +44,84 @@ def test_density_profile_neutrality_and_kappa(thermo, species_pair):
     assert np.allclose(field.kappa, 1.0)
 
 
+# ------------------------------------------------------- kernel assembly
+
+def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
+    """Exact double time sum of one wire-kernel entry, node pair by node pair."""
+    lam_i = loop_i.species.lambda_
+    lam_l = loop_l.species.lambda_
+    u = loop_i.x + lam_i * loop_i.path[:-1, 0]
+    off = lam_l * loop_l.path[:-1, 0]
+    yi = loop_i.y[None, :] + lam_i * loop_i.path[:-1, 1:]
+    yl = loop_l.y[None, :] + lam_l * loop_l.path[:-1, 1:]
+    ph = np.exp(1j * (yi @ kvec))[:, None] * np.exp(-1j * (yl @ kvec))[None, :]
+    if cell_integrated:
+        core = scr._exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
+    else:
+        core = np.exp(-k * np.abs(u[:, None] - (loop_l.x + off)[None, :]))
+    return loop_i.ds * loop_l.ds * np.sum(ph * core)
+
+
+def _oracle_pair_matrix(basis, kvec, cell_integrated):
+    k = float(np.hypot(*kvec))
+    return (2.0 * np.pi / k) * np.array(
+        [[_oracle_pair_entry(li, ll, basis.h, kvec, k, cell_integrated)
+          for ll in basis.loops] for li in basis.loops])
+
+
+def _mixed_basis(hbar, nx):
+    # two p = 1 species and one p = 2 species, so path groups of two lengths
+    th = lo.ThermoState(beta=1.0, hbar=hbar, c=100.0)
+    plus = lo.SpeciesParams.from_thermo("plus", +1.0, 1.0, th)
+    minus = lo.SpeciesParams.from_thermo("minus", -1.0, 2.0, th)
+    rho = 1.0 / (8.0 * np.pi)
+    cells = (scr.SpeciesDensity(plus, 1, rho), scr.SpeciesDensity(minus, 1, rho),
+             scr.SpeciesDensity(plus, 2, 0.1 * rho))
+    prof = scr.DensityProfile(beta=th.beta, slab_a=cells, slab_b=cells)
+    geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=nx, nx_b=nx)
+    return scr.build_loop_basis(geo, prof, th, "a", n_paths=3, n_steps=8, seed=9)
+
+
+# (0.25, 4) has pairs of every class; (0.6, 10) has wide paths in fine
+# cells, so most near pairs straddle and none stays inside a cell
+@pytest.mark.parametrize("hbar, nx, classes", [
+    (0.25, 4, ("above_below", "inside", "straddling")),
+    (0.6, 10, ("above_below", "straddling"))])
+@pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
+@pytest.mark.parametrize("cell_integrated", [True, False])
+def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k,
+                                               cell_integrated):
+    basis = _mixed_basis(hbar, nx)
+    counts = basis.pair_class_counts()
+    assert sum(counts.values()) == basis.size**2
+    assert {name for name, n in counts.items() if n > 0} == set(classes)
+    kvec = k * np.array([0.8, 0.6])
+    got = scr._pair_matrix(basis, kvec, cell_integrated)
+    ref = _oracle_pair_matrix(basis, kvec, cell_integrated)
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+def test_pair_classes_of_point_basis(thermo, neutral_profile):
+    # degenerate paths: same-cell pairs are inside, all others far
+    geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=6, nx_b=6)
+    basis = scr.build_loop_basis(geo, neutral_profile, thermo, "a",
+                                 point_paths=True, n_steps=4)
+    assert basis.pair_class_counts() == {"above_below": 144 - 24,
+                                         "inside": 24, "straddling": 0}
+
+
+@pytest.mark.parametrize("x_src, hbar", [(0.0, 0.25), (-0.9, 0.6)])
+def test_source_column_matches_vel_fourier(x_src, hbar):
+    basis = _mixed_basis(hbar, 4)
+    sp = basis.loops[0].species
+    src = lo.Loop(x_src, sp, 1, lo.sample_bridge(1, 8, [9, 999]), y=(0.3, -0.2))
+    for k in (0.2, 0.2 / 2**5):
+        kvec = k * np.array([0.8, 0.6])
+        got = scr.source_column(basis, src, kvec)
+        ref = np.array([pot.vel_fourier(lp, src, kvec) for lp in basis.loops])
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
 # --------------------------------------------------------- classical solver
 
 def test_bulk_limit_matches_analytic():
