@@ -5,24 +5,22 @@ photon field: pinned Brownian paths, their pair kernels, Debye-Hueckel-type
 screening in slab geometry, perfect-screening sum rules, and the universal
 large-separation force assembly.
 """
-from .errors import (CertificationError, ConfigError, ContractViolationError,
-                     DependencyError, ParameterError, SingularArgumentError,
-                     SolverError)
-from .loops import (BridgeSampler, Loop, SpeciesParams, ThermoState,
-                    bridge_covariance, line_integral, loop_activity,
-                    point_loop, sample_bridge, sample_bridge_ensemble,
-                    shift_origin)
+from .errors import (ConfigError, ContractViolationError, DependencyError,
+                     ParameterError, SingularArgumentError, SolverError)
+from .loops import (Loop, SpeciesParams, ThermoState, bridge_covariance,
+                    line_integral, loop_activity, point_loop, sample_bridge,
+                    sample_bridge_ensemble, shift_origin)
 from .potentials import (FormFactor, coulomb_force_kernel,
                          coulomb_force_kernel_oracle, eval_Q,
                          loop_self_energy, transverse_delta,
                          v_transverse_partial, v_transverse_partial_oracle,
                          vc_pair, vel_fourier, vel_pair, wab_asymptotic,
                          wc_pair, wm_pair_fourier)
-from .screening import (DensityProfile, LoopBasis, ScreeningField,
-                        SlabGeometry, SpeciesDensity, build_F_bond,
-                        build_FR_bond, build_loop_basis,
-                        check_perfect_screening, factorize_phi_ab,
-                        leading_ursell, solve_screened_potential)
+from .screening import (DensityProfile, LoopBasis, SlabGeometry,
+                        SpeciesDensity, build_F_bond, build_FR_bond,
+                        build_loop_basis, check_perfect_screening,
+                        factorize_phi_ab, leading_ursell,
+                        solve_screened_potential)
 from .force import (ZETA3, ForceBreakdown, ForceRegimeParams, assemble_force,
                     capacitor_force, leading_force, lifshitz_reference,
                     zeta3_quadrature, zeta3_series_oracle)
@@ -32,10 +30,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "CertificationError", "ConfigError", "ContractViolationError",
-    "DependencyError", "ParameterError", "SingularArgumentError", "SolverError",
+    "ConfigError", "ContractViolationError", "DependencyError",
+    "ParameterError", "SingularArgumentError", "SolverError",
     # loops
-    "BridgeSampler", "Loop", "SpeciesParams", "ThermoState",
+    "Loop", "SpeciesParams", "ThermoState",
     "bridge_covariance", "line_integral", "loop_activity", "point_loop",
     "sample_bridge", "sample_bridge_ensemble", "shift_origin",
     # potentials
@@ -44,7 +42,7 @@ __all__ = [
     "v_transverse_partial_oracle", "vc_pair", "vel_fourier", "vel_pair",
     "wab_asymptotic", "wc_pair", "wm_pair_fourier",
     # screening
-    "DensityProfile", "LoopBasis", "ScreeningField", "SlabGeometry",
+    "DensityProfile", "LoopBasis", "SlabGeometry",
     "SpeciesDensity", "build_F_bond", "build_FR_bond", "build_loop_basis",
     "check_perfect_screening", "factorize_phi_ab", "leading_ursell",
     "solve_screened_potential",

@@ -16,7 +16,6 @@ _ALLOWED_UNITS = ("reduced", "gaussian-cgs")
 _CGS = {"kB": 1.380649e-16, "hbar": 1.054571817e-27, "c": 2.99792458e10}
 
 DEFAULT_NUMERICS = {
-    "n_steps": 64,            # path nodes per unit of s for sampled ensembles
     "n_steps_kernel": 16,     # path resolution inside the dense solve
     "p_max": 3,
     "n_paths": 256,           # Monte Carlo paths per (species, p) cell
@@ -27,6 +26,10 @@ DEFAULT_NUMERICS = {
     "residual_tolerance": 1e-2,
     "quad_abs_tol": 1e-12,
 }
+
+# integer knobs and their smallest meaningful value
+_INTEGER_MIN = {"n_steps_kernel": 2, "p_max": 1, "n_paths": 1,
+                "n_paths_kernel": 1, "nx": 2, "n_k": 2}
 
 
 @dataclass
@@ -117,6 +120,10 @@ def load_config(path_or_dict) -> RunConfig:
             raise ConfigError(f"unknown numerics knob '{key}'")
         if isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
             raise ConfigError(f"numerics knob '{key}' must be a positive number")
+        if key in _INTEGER_MIN and not (isinstance(val, int)
+                                        and val >= _INTEGER_MIN[key]):
+            raise ConfigError(f"numerics knob '{key}' must be an integer "
+                              f">= {_INTEGER_MIN[key]}")
     for entry in species_raw:
         name = _need(entry, "name", str, "species")
         charge = _need(entry, "charge", float, "species")

@@ -27,7 +27,3 @@ class SolverError(RuntimeError):
 
 class ConfigError(ValueError):
     """Run configuration failed schema validation."""
-
-
-class CertificationError(RuntimeError):
-    """A certification gate (sum rule residual above tolerance) failed."""

@@ -75,28 +75,28 @@ def leading_force(thermo, d: float) -> float:
     return -ZETA3 / (8.0 * np.pi * beta * d**3)
 
 
+_ALPHA_HIGH, _ALPHA_LOW = 10.0, 0.1
+
+
 @dataclass(frozen=True)
 class ForceRegimeParams:
-    """Dimensionless regime parameter alpha = photon thermal length / separation,
-    with the configured classification thresholds."""
+    """Dimensionless regime parameter alpha = photon thermal length / separation."""
 
     alpha: float
-    high_threshold: float = 10.0
-    low_threshold: float = 0.1
 
     def __post_init__(self):
         if self.alpha <= 0.0:
             raise ParameterError("alpha must be positive")
 
     @classmethod
-    def from_state(cls, thermo: ThermoState, d: float, **kw):
-        return cls(alpha=thermo.lambda_ph / d, **kw)
+    def from_state(cls, thermo: ThermoState, d: float):
+        return cls(alpha=thermo.lambda_ph / d)
 
     @property
     def label(self) -> str:
-        if self.alpha > self.high_threshold:
+        if self.alpha > _ALPHA_HIGH:
             return "low-T/small-d"
-        if self.alpha < self.low_threshold:
+        if self.alpha < _ALPHA_LOW:
             return "high-T/large-d"
         return "crossover"
 
@@ -171,8 +171,7 @@ def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
                    capacitor_el: float = 0.0,
                    capacitor_mag_exponent: float | None = None,
                    wab_scale: float | None = None,
-                   quad_abs_tol: float = 1e-12,
-                   n_integrand_samples: int = 121) -> ForceBreakdown:
+                   quad_abs_tol: float = 1e-12) -> ForceBreakdown:
     """Assemble the fluctuation force from the factorized leading correlation.
 
     The scaled-wavenumber integral of the monopole force kernel against the
@@ -187,7 +186,7 @@ def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
     amplitude = zeta3_quadrature(eps_abs=quad_abs_tol)
     f_assembled = -(amplitude / (4.0 * np.pi * beta * d**3)) * bracket_a * bracket_b
     f_lead = leading_force(thermo, d)
-    qgrid = np.linspace(0.0, 12.0, n_integrand_samples)
+    qgrid = np.linspace(0.0, 12.0, 121)
     integrand = (_force_integrand(qgrid) * bracket_a * bracket_b
                  / (-4.0 * np.pi * beta * d**3))
     residual_max = max(abs(v) for v in sumrule_residuals.values()) \
@@ -207,9 +206,9 @@ def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
     alpha = thermo.lambda_ph / d
     lifshitz = {
         "eq2": lifshitz_reference(thermo, d, "rTE1", "low-T/small-d")
-        if alpha > 10.0 else None,
+        if alpha > _ALPHA_HIGH else None,
         "eq3": lifshitz_reference(thermo, d, "rTE0", "low-T/small-d")
-        if alpha > 10.0 else None,
+        if alpha > _ALPHA_HIGH else None,
         "eq4": -ZETA3 / (4.0 * np.pi * beta * d**3),
         "eq5": -ZETA3 / (8.0 * np.pi * beta * d**3),
         "alpha": alpha,

@@ -8,7 +8,6 @@ kernels, screening, force assembly) consumes these objects.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "ThermoState",
     "SpeciesParams",
     "Loop",
-    "BridgeSampler",
     "sample_bridge",
     "sample_bridge_ensemble",
     "bridge_covariance",
@@ -27,8 +25,6 @@ __all__ = [
     "loop_activity",
     "shift_origin",
     "point_loop",
-    "path_to_bytes",
-    "path_from_bytes",
 ]
 
 
@@ -189,27 +185,6 @@ def bridge_covariance(p: int, s: float, sp: float) -> float:
     return min(s, sp) - s * sp / p
 
 
-@dataclass(frozen=True)
-class BridgeSampler:
-    """Deterministic bridge factory: fixed (n_steps, seed), loops drawn by index."""
-
-    n_steps: int
-    seed: int
-    p: int = 1
-
-    def __post_init__(self):
-        if self.n_steps < 2:
-            raise ParameterError("n_steps must be >= 2")
-        if self.p < 1:
-            raise ParameterError("p must be >= 1")
-
-    def draw(self, index: int = 0) -> np.ndarray:
-        return sample_bridge(self.p, self.n_steps, [self.seed, index])
-
-    def draw_many(self, count: int, stream: int = 0) -> np.ndarray:
-        return sample_bridge_ensemble(self.p, self.n_steps, [self.seed, stream], count)
-
-
 def line_integral(path: np.ndarray, integrand, times=None) -> float:
     """Stochastic line integral  sum_k f(m_k) . (X_{k+1} - X_k)  along a closed path.
 
@@ -280,21 +255,3 @@ def shift_origin(loop: Loop, u: float) -> Loop:
         path=new_path,
         y=loop.y + lam * origin[1:],
     )
-
-
-_HEADER = struct.Struct("<qq")
-
-
-def path_to_bytes(path: np.ndarray, p: int) -> bytes:
-    """Flat binary fixture layout: int64 n_steps, int64 p, then f64 xyz triplets."""
-    path = np.ascontiguousarray(path, dtype="<f8")
-    n_steps = (path.shape[0] - 1) // p
-    return _HEADER.pack(n_steps, p) + path.tobytes()
-
-
-def path_from_bytes(blob: bytes):
-    n_steps, p = _HEADER.unpack_from(blob)
-    arr = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(-1, 3).copy()
-    if arr.shape[0] != p * n_steps + 1:
-        raise ContractViolationError("corrupt path blob: node count mismatch")
-    return arr, int(p), int(n_steps)

@@ -110,8 +110,7 @@ def _grid_doubling_table(config: RunConfig, profile) -> dict:
     return deltas
 
 
-def standard_magnetic_probe(seed: int = 7, n_steps: int = 48, n_quad: int = 3000,
-                            x_window=(5.0, 50.0), n_x: int = 12):
+def standard_magnetic_probe(seed: int = 7):
     """Fixed dimensionless probe for the interplate magnetic capacitor kernel.
 
     The decay-exponent statement is scale-free, so the probe runs in its own
@@ -121,11 +120,11 @@ def standard_magnetic_probe(seed: int = 7, n_steps: int = 48, n_quad: int = 3000
     thermo = loops_mod.ThermoState(beta=1.0, hbar=0.5, c=12.0)
     sp1 = loops_mod.SpeciesParams.from_thermo("probe1", 1.0, 1.0, thermo)
     sp2 = loops_mod.SpeciesParams.from_thermo("probe2", -1.0, 0.6, thermo)
-    l1 = loops_mod.Loop(0.0, sp1, 1, loops_mod.sample_bridge(1, n_steps, [seed, 0]))
-    l2 = loops_mod.Loop(0.0, sp2, 1, loops_mod.sample_bridge(1, n_steps, [seed, 1]))
+    l1 = loops_mod.Loop(0.0, sp1, 1, loops_mod.sample_bridge(1, 48, [seed, 0]))
+    l2 = loops_mod.Loop(0.0, sp2, 1, loops_mod.sample_bridge(1, 48, [seed, 1]))
     ff = pot.FormFactor(k_cut=2.5)
-    xv = np.geomspace(x_window[0], x_window[1], n_x)
-    mv = pot.magnetic_capacitor_integrand(l1, l2, thermo, ff, xv, n_quad=n_quad)
+    xv = np.geomspace(5.0, 50.0, 12)
+    mv = pot.magnetic_capacitor_integrand(l1, l2, thermo, ff, xv, n_quad=3000)
     return {"x_values": xv.tolist(), "m_values": mv.tolist(),
             "loops": (l1, l2), "thermo": thermo, "form_factor": ff}
 

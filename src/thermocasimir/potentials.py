@@ -8,7 +8,6 @@ Each closed form ships with an independent quadrature oracle.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "coulomb_force_full",
     "coulomb_force_monopole_shifted",
     "magnetic_capacitor_integrand",
-    "dump_kernel_table_csv",
 ]
 
 COINCIDENCE_EPS = 1e-8  # fraction of the de Broglie length, caps 1/r at grid collisions
@@ -558,11 +556,3 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     for idx, X in enumerate(x_values):
         out[idx] = np.sum(wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag)) / np.pi
     return out
-
-
-def dump_kernel_table_csv(path, header, rows):
-    """Regression fixture dump: one CSV row per kernel evaluation (arguments + value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

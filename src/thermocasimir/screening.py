@@ -15,8 +15,9 @@ separable closed form in the same sums), or straddling a face (an exact
 double time sum, batched over pairs).  The classes depend only on the basis,
 not on the wavenumber.  The module also provides:
 
-* perfect-screening residuals, with the wavenumber sequence extrapolated
-  to zero by iterated Richardson steps;
+* the k-sweep: solves along the wavenumber sequence extrapolated to zero
+  by iterated Richardson steps, giving the perfect-screening residuals and
+  the solved columns the leading interplate correlation is built from;
 * the resummed bonds F and F^R;
 * the coupled two-slab solve and the factorized large-separation closed form
   of the interplate screened potential;
@@ -39,7 +40,6 @@ __all__ = [
     "SlabGeometry",
     "SpeciesDensity",
     "DensityProfile",
-    "ScreeningField",
     "LoopBasis",
     "build_loop_basis",
     "assemble_kernel_matrix",
@@ -61,12 +61,11 @@ __all__ = [
     "leading_ursell",
     "disc_integral_of_difference",
     "multipole_integrability_check",
-    "export_phi_table_csv",
 ]
 
 
 # ----------------------------------------------------------------------------
-# geometry, densities, screening field
+# geometry and densities
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -169,31 +168,6 @@ class DensityProfile:
         if k2 == 0.0:
             return np.inf
         return 1.0 / np.sqrt(k2)
-
-
-@dataclass(frozen=True)
-class ScreeningField:
-    """Local inverse screening length on the cell grid (constant per slab for
-    step profiles).
-
-    This is the monopole-sector aggregate over species and charge numbers;
-    the loop-resolved per-cell weights 4 pi beta e^2 rho that enter the dense
-    operator live in LoopBasis.matrix_weight.
-    """
-
-    x: np.ndarray
-    kappa: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.kappa < 0.0):
-            raise ParameterError("kappa must be >= 0")
-
-    @classmethod
-    def from_profile(cls, geometry: SlabGeometry, profile: DensityProfile):
-        xa, xb = geometry.cells_a(), geometry.cells_b()
-        ka = np.full(xa.size, np.sqrt(profile.kappa2("a")))
-        kb = np.full(xb.size, np.sqrt(profile.kappa2("b")))
-        return cls(x=np.concatenate([xa, xb]), kappa=np.concatenate([ka, kb]))
 
 
 # ----------------------------------------------------------------------------
@@ -525,15 +499,14 @@ def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
     return (2.0 * np.pi / k) * col
 
 
-def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray,
-                             kappa_zero: bool = False) -> np.ndarray:
+def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + T) Phi = V for the given right-hand-side columns.
 
-    kappa_zero switches the medium off, returning the bare columns (the
-    no-screening limit Phi = V^el holds exactly).
+    A basis without medium (every measure zero) returns the bare columns:
+    the no-screening limit Phi = V^el holds exactly.
     """
     rhs = np.asarray(rhs)
-    if kappa_zero or not np.any(basis.measure > 0.0):
+    if not np.any(basis.measure > 0.0):
         return rhs.copy()
     t = assemble_kernel_matrix(basis, kvec)
     a = np.eye(basis.size, dtype=complex) + t
@@ -629,18 +602,19 @@ def bulk_phi_analytic(x1, x2, k, kappa):
 # sum rules
 # ----------------------------------------------------------------------------
 
-def richardson_extrapolate(values, ratio: float = 2.0):
-    """Iterated Richardson (Neville) limit of a sequence sampled at
-    k_n = k_0 / ratio^n, assuming a power-series error in k.
+def richardson_extrapolate(values):
+    """Iterated Richardson (Neville) limit of a sequence sampled at the
+    halving wavenumbers k_n = k_0 / 2^n, assuming a power-series error in k.
 
-    Returns (limit, correction) where correction is the size of the final
+    The values may be scalars or arrays (extrapolated elementwise).  Returns
+    (limit, correction) where correction is the largest size of the final
     Neville step, a practical error estimate."""
     v = [np.asarray(x, dtype=complex) for x in values]
     if len(v) < 2:
         raise ParameterError("need at least two values to extrapolate")
     diags = [v[-1]]
     for j in range(1, len(v)):
-        fac = ratio**j
+        fac = 2.0**j
         v = [(fac * v[i + 1] - v[i]) / (fac - 1.0) for i in range(len(v) - 1)]
         diags.append(v[-1])
     return v[0], float(np.max(np.abs(diags[-1] - diags[-2])))
@@ -654,18 +628,28 @@ def screening_bracket(basis: LoopBasis, phi_column: np.ndarray) -> complex:
 
 
 def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence,
-                            solver=solve_screened_potential):
-    """Residual of the perfect-screening rule for the F bond.
+                            dressing_roots=()):
+    """The k-sweep: screened solves along the wavenumber sequence,
+    extrapolated to k = 0, and the residual of the perfect-screening rule.
 
-    Solves at the descending wavenumber sequence, extrapolates the bracket to
-    k = 0, and reports |bracket + 1| (relative to the unit source value).
+    At each k of the descending sequence one solve of (I + T) takes the
+    source column of src plus, for each basis index in dressing_roots, the
+    pointwise wire-kernel column of that loop.  The F-bond bracket against
+    src is extrapolated to k = 0 and reported as |bracket + 1| (relative to
+    the unit source value); "columns" holds the k -> 0 limits of all solved
+    columns (source first, then one per root, in order).
     """
+    roots = list(dressing_roots)
     vals = []
-    for k in k_sequence:
+    cols = np.empty((len(k_sequence), basis.size, 1 + len(roots)), dtype=complex)
+    for n, k in enumerate(k_sequence):
         kvec = np.array([float(k), 0.0])
-        rhs = source_column(basis, src, kvec)
-        phi = solver(basis, kvec, rhs)
-        vals.append(screening_bracket(basis, phi))
+        rhs = [source_column(basis, src, kvec)]
+        if roots:
+            pair = _pair_matrix(basis, kvec, cell_integrated=False)
+            rhs.extend(pair[:, r] for r in roots)
+        cols[n] = solve_screened_potential(basis, kvec, np.column_stack(rhs))
+        vals.append(screening_bracket(basis, cols[n, :, 0]))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
     return {
@@ -674,6 +658,7 @@ def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence,
         "per_k": [complex(v) for v in vals],
         "extrapolation_correction": float(correction),
         "converged": bool(correction < 0.1),
+        "columns": richardson_extrapolate(cols)[0],
     }
 
 
@@ -809,50 +794,32 @@ class UrsellLeading:
 
 def leading_ursell(basis_a: LoopBasis, basis_b: LoopBasis, border_species,
                    k_sequence, dressing_roots=()) -> UrsellLeading:
-    """Solve both single-plate systems along the wavenumber sequence and build
-    the leading interplate correlation pieces.
+    """Build the leading interplate correlation pieces from one k-sweep
+    (check_perfect_screening) per slab.
 
     The border charge of each slab sits at its inner face; the dressed border
     correlation reduces, under the chain closure, to the F bond against that
     charge, extrapolated to zero wavenumber.  dressing_roots selects basis
-    indices for which internal columns are also solved (they anchor the
-    nonlinear-bond piece).
+    indices whose internal columns are solved in the same sweep (they anchor
+    the nonlinear-bond piece).
     """
     roots = list(dressing_roots)
     out = {}
     for tag, basis in (("a", basis_a), ("b", basis_b)):
         src = point_loop(0.0, border_species, n_steps=basis.loops[0].n_steps)
-        cols, root_cols, brackets = [], [], []
-        for k in k_sequence:
-            kvec = np.array([float(k), 0.0])
-            t = assemble_kernel_matrix(basis, kvec)
-            a = np.eye(basis.size, dtype=complex) + t
-            rhs = [source_column(basis, src, kvec)]
-            if roots:
-                pair = _pair_matrix(basis, kvec, cell_integrated=False)
-                rhs.extend(pair[:, r] for r in roots)
-            sol = np.linalg.solve(a, np.column_stack(rhs))
-            cols.append(sol[:, 0])
-            root_cols.append(sol[:, 1:])
-            brackets.append(screening_bracket(basis, sol[:, 0]))
-        phi0, _ = richardson_extrapolate(cols)
-        bracket0, corr = richardson_extrapolate(brackets)
-        dress = {}
-        if roots:
-            mat0, _ = richardson_extrapolate(root_cols)
-            dress = {r: mat0[:, idx] for idx, r in enumerate(roots)}
-        out[tag] = (np.real(phi0), float(np.real(bracket0)), dress,
-                    abs(complex(bracket0) + 1.0), float(corr))
-    g_a = -basis_a.beta * basis_a.charge * out["a"][0]
-    g_b = -basis_b.beta * basis_b.charge * out["b"][0]
+        out[tag] = check_perfect_screening(basis, src, k_sequence, roots)
+    dress = {tag: {r: res["columns"][:, idx + 1] for idx, r in enumerate(roots)}
+             for tag, res in out.items()}
     return UrsellLeading(
         basis_a=basis_a, basis_b=basis_b,
-        g_over_e0_a=g_a, g_over_e0_b=g_b,
-        bracket_a=out["a"][1], bracket_b=out["b"][1],
-        dressing_columns_a=out["a"][2], dressing_columns_b=out["b"][2],
+        g_over_e0_a=-basis_a.beta * basis_a.charge * np.real(out["a"]["columns"][:, 0]),
+        g_over_e0_b=-basis_b.beta * basis_b.charge * np.real(out["b"]["columns"][:, 0]),
+        bracket_a=out["a"]["bracket"].real, bracket_b=out["b"]["bracket"].real,
+        dressing_columns_a=dress["a"], dressing_columns_b=dress["b"],
         sum_rule_residuals={
-            "a": out["a"][3], "b": out["b"][3],
-            "extrapolation_a": out["a"][4], "extrapolation_b": out["b"][4],
+            "a": out["a"]["residual_rel"], "b": out["b"]["residual_rel"],
+            "extrapolation_a": out["a"]["extrapolation_correction"],
+            "extrapolation_b": out["b"]["extrapolation_correction"],
         },
     )
 
@@ -918,18 +885,3 @@ def multipole_integrability_check(phi_k_eval, kappa, x1, x2, dx_shift, dy_shift,
         "passed": bool(np.all(deltas < tol)),
         "tolerance": tol,
     }
-
-
-def export_phi_table_csv(path, basis_i: LoopBasis, basis_j_labels, phi, k):
-    """CSV dump of a solved table keyed by (x_i, species_i, p_i, x_j, species_j,
-    p_j, k)."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x_i", "species_i", "p_i", "x_j", "species_j", "p_j", "k",
-                    "re_phi", "im_phi"])
-        for i, lp in enumerate(basis_i.loops):
-            for j, (xj, spj, pj) in enumerate(basis_j_labels):
-                val = phi[i, j]
-                w.writerow([lp.x, lp.species.name, lp.p, xj, spj, pj, k,
-                            np.real(val), np.imag(val)])

@@ -254,6 +254,19 @@ def test_cli_config_error_exit_code(tmp_path, fast_config):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("nx", 4.7), ("nx", 1), ("n_k", 1), ("n_steps_kernel", 1),
+    ("n_paths", 2.5), ("n_paths_kernel", 1.5), ("p_max", 2.0), ("n_k", 3.5),
+])
+def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value):
+    bad = copy.deepcopy(fast_config)
+    bad["numerics"][knob] = value
+    assert cli.main(["run", _write(tmp_path, bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and knob in err
+    assert "Traceback" not in err
+
+
 def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch):
     path = _write(tmp_path, fast_config)
 

@@ -55,9 +55,6 @@ def test_sampler_determinism():
     a = lo.sample_bridge(2, 32, [9, 4])
     b = lo.sample_bridge(2, 32, [9, 4])
     assert np.array_equal(a, b)
-    sampler = lo.BridgeSampler(n_steps=32, seed=9, p=2)
-    c = sampler.draw(4)
-    assert np.array_equal(a, c)
 
 
 def test_sampler_parameter_errors():
@@ -163,14 +160,6 @@ def test_shift_invariance_of_activity(thermo):
         z = lo.loop_activity(shifted, sp.charge**2 * loop_self_energy(shifted),
                              thermo.beta)
         assert z == pytest.approx(z0, rel=1e-10)
-
-
-def test_path_serialization_roundtrip():
-    path = lo.sample_bridge(2, 16, 99)
-    blob = lo.path_to_bytes(path, 2)
-    back, p, n_steps = lo.path_from_bytes(blob)
-    assert p == 2 and n_steps == 16
-    assert np.array_equal(back, path)
 
 
 def test_thermo_and_species_invariants(thermo):

@@ -437,17 +437,3 @@ def test_monopole_reduction_identity(big_thermo):
                for li in l_a for lj in l_b)
     assert abs(full - mono) < 1e-4
     assert abs(full - mono) < 1e-12      # exact on coprime charge numbers
-
-
-# ------------------------------------------------------------------ fixtures
-
-def test_kernel_table_csv_dump(tmp_path, thermo):
-    sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
-    l1 = lo.point_loop(-1.0, sp, n_steps=4)
-    l2 = lo.point_loop(1.0, sp, n_steps=4)
-    rows = [[l1.x, l2.x, 0.5, pot.vel_fourier(l1, l2, [0.5, 0.0]).real]]
-    out = tmp_path / "kernels.csv"
-    pot.dump_kernel_table_csv(out, ["x1", "x2", "k", "vel"], rows)
-    text = out.read_text().splitlines()
-    assert text[0] == "x1,x2,k,vel"
-    assert len(text) == 2

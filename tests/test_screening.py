@@ -4,7 +4,7 @@ import pytest
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
-from thermocasimir.errors import DependencyError, ParameterError
+from thermocasimir.errors import DependencyError, ParameterError, SolverError
 from thermocasimir.force import fit_loglog_slope
 
 
@@ -39,9 +39,6 @@ def test_density_profile_neutrality_and_kappa(thermo, species_pair):
     lopsided = scr.DensityProfile(
         beta=thermo.beta, slab_a=(scr.SpeciesDensity(plus, 1, rho),), slab_b=())
     assert not lopsided.is_neutral("a")
-    field = scr.ScreeningField.from_profile(
-        scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=4, nx_b=4), prof)
-    assert np.allclose(field.kappa, 1.0)
 
 
 # ------------------------------------------------------- kernel assembly
@@ -479,6 +476,28 @@ def test_dressing_requires_solved_roots(ursell):
         ursell.dressed_weights(0, "b")
 
 
+def test_leading_ursell_is_the_perfect_screening_sweep(ursell, thermo):
+    # the same basis, border and k-sequence, solved for the border column
+    # alone instead of together with the two dressing roots
+    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
+    src = lo.point_loop(0.0, border, n_steps=16)
+    res = scr.check_perfect_screening(ursell.basis_a, src, _kseq(1.0))
+    assert abs(ursell.bracket_a - res["bracket"].real) < 1e-13
+    assert abs(ursell.sum_rule_residuals["a"] - res["residual_rel"]) < 1e-13
+    assert res["columns"].shape == (ursell.basis_a.size, 1)
+
+
+def test_leading_ursell_singular_operator_raises_solver_error(ursell, thermo,
+                                                              monkeypatch):
+    # T = -I makes I + T exactly singular
+    monkeypatch.setattr(scr, "assemble_kernel_matrix",
+                        lambda basis, kvec: -np.eye(basis.size))
+    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
+    with pytest.raises(SolverError):
+        scr.leading_ursell(ursell.basis_a, ursell.basis_b, border,
+                           _kseq(1.0, n=2))
+
+
 def test_h_ab_scales_as_inverse_separation(ursell, thermo):
     root_a = ursell.basis_a.size - 1
     root_b = ursell.basis_b.size - 1
@@ -540,21 +559,3 @@ def test_multipole_integrability_slab_tail():
                                             r_checks=(30.0, 45.0, 60.0))
     assert rep["passed"]
     assert all(d < 1e-3 for d in rep["cauchy_deltas"])
-
-
-# ---------------------------------------------------------------- CSV export
-
-def test_phi_table_export(tmp_path, thermo, neutral_profile):
-    geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=3, nx_b=3)
-    basis = scr.build_loop_basis(geo, neutral_profile, thermo, "a",
-                                 point_paths=True, n_steps=4)
-    kvec = np.array([0.5, 0.0])
-    rhs = scr.source_column(
-        basis, lo.point_loop(0.0, basis.loops[0].species, n_steps=4), kvec)
-    phi = scr.solve_screened_potential(basis, kvec, rhs)
-    out = tmp_path / "phi.csv"
-    scr.export_phi_table_csv(out, basis, [(0.0, "border", 1)],
-                             phi[:, None], 0.5)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("x_i,species_i,p_i,x_j")
-    assert len(lines) == basis.size + 1
