@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import load_config
@@ -61,9 +62,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args.config, args)
     if args.d_list:
-        config.d_values = [float(d) for d in args.d_list]
-        if any(d <= 0 for d in config.d_values):
-            raise ConfigError("--d-list values must be positive")
+        config.d_values = list(args.d_list)
+        if not all(0 < d < math.inf for d in config.d_values):
+            raise ConfigError("--d-list values must be finite and positive")
     report = run_pipeline(config)
     path = write_sweep_csv(report, config.out_dir)
     fit = report["report"]["sweep_fit"]
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="force sweep over separations")
     common(p_sweep)
-    p_sweep.add_argument("--d-list", nargs="*", default=None,
+    p_sweep.add_argument("--d-list", nargs="*", type=float, default=None,
                          help="override the sweep separations")
     p_sweep.set_defaults(func=_cmd_sweep)
 

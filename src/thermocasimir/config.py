@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -145,7 +146,6 @@ def load_config(path_or_dict) -> RunConfig:
         densities[name] = density
 
     if neutral:
-        import math
         net = math.fsum(sp.charge * densities[sp.name] for sp in species)
         scale = sum(abs(sp.charge) * densities[sp.name] for sp in species) or 1.0
         if abs(net) > 1e-12 * scale:
@@ -153,9 +153,10 @@ def load_config(path_or_dict) -> RunConfig:
 
     sweep = _need(raw, "sweep", dict, "config")
     d_values = _need(sweep, "d_values", list, "sweep")
-    if not d_values or any(not isinstance(d, (int, float)) or d <= 0
+    if not d_values or any(not isinstance(d, (int, float)) or not 0 < d < math.inf
                            for d in d_values):
-        raise ConfigError("sweep.d_values must be a nonempty list of positive numbers")
+        raise ConfigError("sweep.d_values must be a nonempty list of finite "
+                          "positive numbers")
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:

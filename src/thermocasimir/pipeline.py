@@ -15,6 +15,7 @@ from . import loops as loops_mod
 from . import potentials as pot
 from . import screening as scr
 from .config import RunConfig
+from .errors import ConfigError
 
 __all__ = ["run_pipeline", "verify_suite", "write_report", "write_sweep_csv",
            "standard_magnetic_probe", "compute_plate_brackets"]
@@ -88,10 +89,7 @@ def _grid_doubling_table(config: RunConfig, profile) -> dict:
     """Grid-convergence record: relative change of the classical border column
     under doubling of the cell count, evaluated away from the border cusp."""
     kappa2 = profile.kappa2("a")
-    if kappa2 <= 0.0:
-        return {"grid_doubling_delta": None}
-    kappa = float(np.sqrt(kappa2))
-    k = 0.1 * kappa
+    k = 0.1 * float(np.sqrt(kappa2))
     deltas = {}
     nx = int(config.numerics["nx"])
     cols = {}
@@ -135,11 +133,15 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     The plate brackets are separation-independent single-plate quantities and
     are computed once; each separation then gets its assembled force, the
     capacitor terms, the regime references and the certification verdict.
+    A configuration without a screening medium (kappa = 0) raises ConfigError.
     """
     t_start = time.perf_counter()
     profile = config.density_profile()
     kappa = np.sqrt(profile.kappa2("a"))
-    lam_s = 1.0 / kappa if kappa > 0 else np.inf
+    if kappa == 0.0:
+        raise ConfigError("no screening medium: every species has density 0, "
+                          "so kappa = 0 and there is no k -> 0 sequence")
+    lam_s = 1.0 / kappa
     geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
                                 nx_a=int(config.numerics["nx"]),
                                 nx_b=int(config.numerics["nx"]))

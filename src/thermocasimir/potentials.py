@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 COINCIDENCE_EPS = 1e-8  # fraction of the de Broglie length, caps 1/r at grid collisions
+_STACK_ENTRIES = 1 << 18  # (wavevector, time pair) entries of Q held at a time
 
 
 @dataclass(frozen=True)
@@ -59,28 +60,32 @@ class FormFactor:
 
 
 def transverse_delta(K) -> np.ndarray:
-    """Projector onto the plane orthogonal to K: delta_{mu nu} - K_mu K_nu / |K|^2."""
+    """Projector onto the plane orthogonal to K: delta_{mu nu} - K_mu K_nu / |K|^2.
+
+    K of shape (3,) gives one 3x3 matrix; a stack of shape (m, 3) gives (m, 3, 3).
+    """
     K = np.asarray(K, dtype=float)
-    k2 = float(K @ K)
-    if k2 == 0.0:
+    k2 = np.sum(K * K, axis=-1)
+    if np.any(k2 == 0.0):
         raise SingularArgumentError("transverse projector undefined at K = 0")
-    return np.eye(3) - np.outer(K, K) / k2
+    return np.eye(3) - K[..., :, None] * K[..., None, :] / k2[..., None, None]
 
 
-def eval_Q(kmag: float, ds, lambda_ph: float):
+def eval_Q(kmag, ds, lambda_ph: float):
     """Photon occupation factor coupling two loop times at wavenumber k.
 
     Q = lam*k * cosh[lam*k*(t - 1/2)] / (2 sinh(lam*k/2)) with t = ds mod 1;
     periodic in ds with period 1 and -> 1 in the classical-field limit
-    lam*k -> 0.  Evaluated in overflow-safe exponential form.
+    lam*k -> 0.  Evaluated in overflow-safe exponential form.  kmag and ds
+    broadcast against each other; two scalars give a float.
     """
-    a = float(lambda_ph) * float(kmag)
+    a = float(lambda_ph) * np.asarray(kmag, dtype=float)
     t = np.mod(np.asarray(ds, dtype=float), 1.0)
-    if a == 0.0:
-        return np.ones_like(t) if t.ndim else 1.0
-    # multiply num. and denom. by exp(-a/2): all exponents are <= 0
+    # multiply num. and denom. by exp(-a/2): all exponents are <= 0;
+    # the denominator tends to 2 as a -> 0, where num = 2 exactly
     num = np.exp(a * (t - 1.0)) + np.exp(-a * t)
-    den = -2.0 * np.expm1(-a) / a
+    den = np.divide(-2.0 * np.expm1(-a), a, out=np.full_like(a, 2.0),
+                    where=a != 0.0)
     out = num / den
     return out if out.ndim else float(out)
 
@@ -166,15 +171,16 @@ def _increments_and_midpoints(loop: Loop):
 
 
 def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
-                    form_factor: FormFactor, photon="quantum") -> complex:
+                    form_factor: FormFactor, photon="quantum"):
     """Magnetic (current-current) kernel of two loop shapes at 3-wavevector K.
 
     Parameters
     ----------
     loop_i, loop_j : Loop
         Only the internal degrees of freedom (species, p, shape) enter.
-    K : 3-vector
-        May have vanishing in-plane part; only |K| = 0 exactly is singular.
+    K : array of shape (3,) or (m, 3)
+        One 3-wavevector or a stack of them.  Each may have a vanishing
+        in-plane part; only |K| = 0 exactly is singular, anywhere in a stack.
     thermo : ThermoState
         Supplies beta, the masses' coupling 1/(beta sqrt(m_i m_j) c^2) and
         the photon thermal length inside the occupation factor.
@@ -182,34 +188,53 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
         "classical" freezes the occupation factor at 1 (the lambda_ph -> 0
         limit of the quantum kernel).
 
+    Returns
+    -------
+    complex for K of shape (3,); complex array of shape (m,) for a stack.
+
     Two stochastic line integrals (midpoint convention) of Fourier phases,
     contracted with 4 pi g^2(|K|)/|K|^2 times the transverse projector and the
-    photon factor Q(|K|, s_i - s_j).
+    photon factor Q(|K|, s_i - s_j).  Q is evaluated once per distinct time
+    lag (s_i - s_j) mod 1 and gathered into the time-pair matrix; a stack is
+    contracted in chunks of at most _STACK_ENTRIES (wavevector, time pair)
+    entries.
     """
     K = np.asarray(K, dtype=float)
-    kmag = float(np.linalg.norm(K))
-    if kmag == 0.0:
+    if K.ndim not in (1, 2) or K.shape[-1] != 3:
+        raise ParameterError("K must have shape (3,) or (m, 3)")
+    stack = K.reshape(-1, 3)
+    kmag = np.linalg.norm(stack, axis=1)
+    if np.any(kmag == 0.0):
         raise SingularArgumentError("wm_pair_fourier undefined at K = 0 exactly")
     if photon not in ("quantum", "classical"):
         raise ParameterError("photon must be 'quantum' or 'classical'")
     dXi, mid_i, ti = _increments_and_midpoints(loop_i)
     dXj, mid_j, tj = _increments_and_midpoints(loop_j)
+    lags, lag_index = np.unique(np.mod(ti[:, None] - tj[None, :], 1.0),
+                                return_inverse=True)
+    lag_index = lag_index.reshape(ti.size, tj.size)
     lam_i = loop_i.species.lambda_
     lam_j = loop_j.species.lambda_
-    phase_i = np.exp(1j * lam_i * (mid_i @ K))
-    phase_j = np.exp(-1j * lam_j * (mid_j @ K))
-    if photon == "quantum":
-        qmat = eval_Q(kmag, ti[:, None] - tj[None, :], thermo.lambda_ph)
-    else:
-        qmat = np.ones((ti.size, tj.size))
-    pi = dXi * phase_i[:, None]
-    pj = dXj * phase_j[:, None]
-    m = np.einsum("am,ab,bn->mn", pi, qmat, pj)
-    dtr = transverse_delta(K)
     g = form_factor(kmag)
     pref = 1.0 / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
                   * thermo.c**2)
-    return complex(pref * 4.0 * np.pi * g * g / kmag**2 * np.sum(dtr * m))
+    out = np.empty(stack.shape[0], dtype=complex)
+    step = max(1, _STACK_ENTRIES // lag_index.size)
+    for r0 in range(0, stack.shape[0], step):
+        rows = slice(r0, r0 + step)
+        Kc, kc, gc = stack[rows], kmag[rows], g[rows]
+        if photon == "quantum":
+            q_lag = eval_Q(kc[:, None], lags, thermo.lambda_ph)
+        else:
+            q_lag = np.ones((kc.size, lags.size))
+        pi = np.exp(1j * lam_i * (Kc @ mid_i.T))[:, :, None] * dXi
+        pj = np.exp(-1j * lam_j * (Kc @ mid_j.T))[:, :, None] * dXj
+        # real Q times complex pj as one real product on (re, im) pairs
+        qpj = (q_lag[:, lag_index] @ pj.view(float)).view(complex)
+        m = np.swapaxes(pi, 1, 2) @ qpj
+        out[rows] = (pref * 4.0 * np.pi * gc * gc / kc**2
+                     * np.sum(transverse_delta(Kc) * m, axis=(1, 2)))
+    return out if K.ndim == 2 else complex(out[0])
 
 
 def coulomb_force_kernel(x1, x2, q, d):
@@ -540,7 +565,9 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     k1, the integrand is analytic at k1 = 0 (closed-path telescoping removes
     the would-be Coulomb singularity), and the transform decays faster than
     any inverse power of X.  Evaluated on a fixed Gauss grid resolving the
-    oscillation at the largest requested X.
+    oscillation at the largest requested X: one stacked wm_pair_fourier call
+    on the (k1, 0, 0) nodes, then the transform to every X as one matrix
+    product with the node weights.
     """
     x_values = np.asarray(x_values, dtype=float)
     if k_max is None:
@@ -548,11 +575,9 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     nodes, weights = roots_legendre(n_quad)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights
-    wm = np.array([wm_pair_fourier(loop_i, loop_j, np.array([k, 0.0, 0.0]),
-                                   thermo, form_factor) for k in k1])
-    t = 1j * k1 * wm
+    K = np.zeros((n_quad, 3))
+    K[:, 0] = k1
+    t = 1j * k1 * wm_pair_fourier(loop_i, loop_j, K, thermo, form_factor)
     # T(-k1) = conj(T(k1)): the transform is real
-    out = np.empty_like(x_values)
-    for idx, X in enumerate(x_values):
-        out[idx] = np.sum(wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag)) / np.pi
-    return out
+    phase = np.outer(x_values, k1)
+    return (np.cos(phase) * t.real - np.sin(phase) * t.imag) @ wk / np.pi

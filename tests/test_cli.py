@@ -267,6 +267,40 @@ def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value
     assert "Traceback" not in err
 
 
+def test_cli_run_without_screening_medium(tmp_path, fast_config, capsys):
+    bad = copy.deepcopy(fast_config)
+    for sp in bad["slabs"]["species"]:
+        sp["density"] = 0.0
+    path = _write(tmp_path, bad)
+    for verb in ("run", "sweep"):
+        assert cli.main([verb, path, "--out-dir", str(tmp_path / verb)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no screening medium")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", [float("inf"), float("nan")])
+def test_cli_rejects_non_finite_separation(tmp_path, fast_config, capsys, d):
+    bad = copy.deepcopy(fast_config)
+    bad["sweep"]["d_values"] = [50.0, d]
+    path = _write(tmp_path, bad)     # json writes Infinity / NaN
+    assert cli.main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "d_values" in err
+    assert "Traceback" not in err
+    good = _write(tmp_path, fast_config, name="good.json")
+    assert cli.main(["sweep", good, "--d-list", "60", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--d-list" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_non_numeric_d_list(tmp_path, fast_config):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", _write(tmp_path, fast_config), "--d-list", "far"])
+    assert exc.value.code == 2
+
+
 def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch):
     path = _write(tmp_path, fast_config)
 

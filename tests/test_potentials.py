@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import fixed_quad, quad
-from scipy.special import j0, jn_zeros
+from scipy.special import j0, jn_zeros, roots_legendre
 
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
@@ -46,6 +46,10 @@ def test_transverse_delta_singular():
 def test_eval_q_classical_limit():
     assert pot.eval_Q(0.0, 0.37, 2.0) == 1.0
     assert pot.eval_Q(1e-14, 0.8, 2.0) == pytest.approx(1.0, abs=1e-12)
+    # one row per wavenumber, broadcast against the lags
+    q = pot.eval_Q(np.array([[0.0], [1.3]]), np.array([0.25, 0.5]), 2.0)
+    assert q.shape == (2, 2) and np.all(q[0] == 1.0)
+    assert q[1, 1] == pot.eval_Q(1.3, 0.5, 2.0)
 
 
 def test_eval_q_midpoint_value():
@@ -260,6 +264,94 @@ def test_wm_point_loops_carry_no_current(big_thermo):
     assert val == 0.0
 
 
+def _wm_pair_oracle(loop_i, loop_j, K, thermo, form_factor, photon):
+    # per-wavevector einsum body of the kernel, kept as the reference for the
+    # stacked evaluation
+    K = np.asarray(K, dtype=float)
+    kmag = float(np.linalg.norm(K))
+    dXi, mid_i, ti = pot._increments_and_midpoints(loop_i)
+    dXj, mid_j, tj = pot._increments_and_midpoints(loop_j)
+    phase_i = np.exp(1j * loop_i.species.lambda_ * (mid_i @ K))
+    phase_j = np.exp(-1j * loop_j.species.lambda_ * (mid_j @ K))
+    if photon == "quantum":
+        qmat = pot.eval_Q(kmag, ti[:, None] - tj[None, :], thermo.lambda_ph)
+    else:
+        qmat = np.ones((ti.size, tj.size))
+    m = np.einsum("am,ab,bn->mn", dXi * phase_i[:, None], qmat,
+                  dXj * phase_j[:, None])
+    dtr = np.eye(3) - np.outer(K, K) / kmag**2
+    g = form_factor(kmag)
+    pref = 1.0 / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
+                  * thermo.c**2)
+    return complex(pref * 4.0 * np.pi * g * g / kmag**2 * np.sum(dtr * m))
+
+
+@pytest.fixture(scope="module")
+def oblique_stack():
+    # oblique wavevectors with nonzero in-plane parts, |K| from 0.1 to ~6
+    rng = np.random.default_rng(41)
+    dirs = rng.normal(size=(40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs * np.geomspace(0.1, 6.0, 40)[:, None]
+
+
+@pytest.mark.parametrize("photon", ["quantum", "classical"])
+@pytest.mark.parametrize("p_i, p_j", [(1, 1), (1, 2), (2, 2)])
+def test_wm_stack_matches_per_k_oracle(big_thermo, oblique_stack, photon,
+                                       p_i, p_j):
+    sp1 = lo.SpeciesParams.from_thermo("p1", +1.0, 1.0, big_thermo)
+    sp2 = lo.SpeciesParams.from_thermo("p2", -1.0, 0.6, big_thermo)
+    li = lo.Loop(-0.4, sp1, p_i, lo.sample_bridge(p_i, 24, [8, p_i]))
+    lj = lo.Loop(0.6, sp2, p_j, lo.sample_bridge(p_j, 24, [9, p_j]))
+    ff = pot.FormFactor(k_cut=3.0)
+    stack = oblique_stack
+    if photon == "classical":
+        # with Q = 1 the kernel factorises into two closed-loop sums that
+        # both vanish as |K| lambda -> 0: below |K| ~ 0.3 the two summation
+        # orders agree only to a few 1e-12 relative
+        stack = stack[np.linalg.norm(stack, axis=1) >= 0.5]
+    got = pot.wm_pair_fourier(li, lj, stack, big_thermo, ff, photon=photon)
+    assert got.shape == (len(stack),)
+    ref = np.array([_wm_pair_oracle(li, lj, K, big_thermo, ff, photon)
+                    for K in stack])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_wm_single_k_is_stack_entry(big_thermo, probe_loops, oblique_stack):
+    l1, l2 = probe_loops
+    ff = pot.FormFactor(k_cut=3.0)
+    stacked = pot.wm_pair_fourier(l1, l2, oblique_stack, big_thermo, ff)
+    for idx in (0, 17, 39):
+        one = pot.wm_pair_fourier(l1, l2, oblique_stack[idx], big_thermo, ff)
+        assert isinstance(one, complex)
+        assert abs(one - stacked[idx]) <= 1e-13 * abs(stacked[idx])
+
+
+def test_wm_stack_with_zero_wavevector_raises(big_thermo, probe_loops,
+                                              oblique_stack):
+    l1, l2 = probe_loops
+    stack = oblique_stack.copy()
+    stack[5] = 0.0
+    with pytest.raises(SingularArgumentError):
+        pot.wm_pair_fourier(l1, l2, stack, big_thermo, pot.FormFactor(k_cut=3.0))
+
+
+def test_wm_stack_longer_than_chunk(big_thermo, probe_loops):
+    l1, l2 = probe_loops
+    ff = pot.FormFactor(k_cut=3.0)
+    n_pairs = (l1.path.shape[0] - 1) * (l2.path.shape[0] - 1)
+    chunk = pot._STACK_ENTRIES // n_pairs
+    m = 2 * chunk + 7
+    stack = np.column_stack([np.linspace(0.1, 8.0, m),
+                             np.linspace(-0.5, 0.5, m),
+                             np.full(m, 0.3)])
+    whole = pot.wm_pair_fourier(l1, l2, stack, big_thermo, ff)
+    parts = np.concatenate([pot.wm_pair_fourier(l1, l2, stack[r0:r0 + 50],
+                                                big_thermo, ff)
+                            for r0 in range(0, m, 50)])
+    assert np.all(np.abs(whole - parts) <= 1e-13 * np.abs(parts))
+
+
 # ----------------------------------------------------- slab Coulomb force
 
 def test_coulomb_force_kernel_values():
@@ -401,6 +493,28 @@ def test_magnetic_capacitor_integrand_fast_decay(big_thermo, probe_loops):
                                           n_quad=2500)
     slope, _ = fit_loglog_slope(xv, mv)
     assert slope < -4.0
+
+
+def test_magnetic_capacitor_integrand_matches_per_node_loop():
+    from thermocasimir.pipeline import standard_magnetic_probe
+
+    probe = standard_magnetic_probe(seed=2041)
+    l1, l2 = probe["loops"]
+    thermo, ff = probe["thermo"], probe["form_factor"]
+    xv = np.asarray(probe["x_values"])
+    # reference: the per-node kernel and the per-X weighted sum
+    k_max = 4.0 * ff.k_cut
+    nodes, weights = roots_legendre(3000)
+    k1 = 0.5 * k_max * (nodes + 1.0)
+    wk = 0.5 * k_max * weights
+    wm = np.array([_wm_pair_oracle(l1, l2, np.array([k, 0.0, 0.0]), thermo, ff,
+                                   "quantum") for k in k1])
+    t = 1j * k1 * wm
+    ref = np.array([np.sum(wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag))
+                    / np.pi for X in xv])
+    got = np.asarray(probe["m_values"])
+    assert got.shape == xv.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # -------------------------------------------------------------- self-energy
