@@ -78,8 +78,8 @@ def _need(d, key, typ, where):
 
 
 def _positive(value, name):
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number")
     return value
 
 
@@ -96,9 +96,10 @@ def load_config(path_or_dict) -> RunConfig:
 
     th = _need(raw, "thermo", dict, "config")
     if units == "reduced":
-        beta = _positive(_need(th, "beta", float, "thermo"), "beta")
-        thermo = ThermoState(beta=beta, hbar=th.get("hbar", 1.0),
-                             c=th.get("c", 1.0), kB=1.0)
+        th = {"hbar": 1.0, "c": 1.0, **th}
+        beta, hbar, c = (_positive(_need(th, key, float, "thermo"), key)
+                         for key in ("beta", "hbar", "c"))
+        thermo = ThermoState(beta=beta, hbar=hbar, c=c, kB=1.0)
     else:
         t_kelvin = _positive(_need(th, "temperature_K", float, "thermo"),
                              "temperature_K")
@@ -119,8 +120,10 @@ def load_config(path_or_dict) -> RunConfig:
     for key, val in numerics.items():
         if key not in DEFAULT_NUMERICS:
             raise ConfigError(f"unknown numerics knob '{key}'")
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"numerics knob '{key}' must be a positive number")
+        if (isinstance(val, bool) or not isinstance(val, (int, float))
+                or not 0 < val < math.inf):
+            raise ConfigError(f"numerics knob '{key}' must be a finite "
+                              f"positive number")
         if key in _INTEGER_MIN and not (isinstance(val, int)
                                         and val >= _INTEGER_MIN[key]):
             raise ConfigError(f"numerics knob '{key}' must be an integer "
@@ -128,10 +131,12 @@ def load_config(path_or_dict) -> RunConfig:
     for entry in species_raw:
         name = _need(entry, "name", str, "species")
         charge = _need(entry, "charge", float, "species")
+        if not math.isfinite(charge):
+            raise ConfigError("charge must be finite")
         mass = _positive(_need(entry, "mass", float, "species"), "mass")
         density = _need(entry, "density", float, "species")
-        if density < 0:
-            raise ConfigError("density must be >= 0")
+        if not 0 <= density < math.inf:
+            raise ConfigError("density must be finite and >= 0")
         weights = entry.get("p_weights", [0.9, 0.1])
         if len(weights) > numerics["p_max"]:
             raise ConfigError("p_weights longer than p_max")

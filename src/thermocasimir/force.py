@@ -20,6 +20,7 @@ __all__ = [
     "lifshitz_reference",
     "assemble_force",
     "capacitor_force",
+    "magnetic_decay_fit",
     "fit_loglog_slope",
     "ForceBreakdown",
 ]
@@ -246,6 +247,25 @@ def fit_loglog_slope(x, y):
     return float(slope), stderr
 
 
+def magnetic_decay_fit(magnetic_decay: dict):
+    """Decay exponent of a tabulated magnetic kernel, fitted as the log-log
+    slope of |m| against X on the points above the table's rounding floor.
+
+    magnetic_decay has keys "x_values" and "m_values" and, from
+    standard_magnetic_probe, "m_floor" (per-X floor).  Without "m_floor"
+    every nonzero value is fitted.  Returns (exponent, n_points), where
+    exponent is None when fewer than 3 points lie above the floor.
+    """
+    xv = np.asarray(magnetic_decay["x_values"], dtype=float)
+    mv = np.asarray(magnetic_decay["m_values"], dtype=float)
+    keep = np.abs(mv) > np.asarray(magnetic_decay.get("m_floor", 0.0), dtype=float)
+    n_points = int(np.count_nonzero(keep))
+    if n_points < 3:
+        return None, n_points
+    slope, _ = fit_loglog_slope(xv[keep], mv[keep])
+    return -slope, n_points
+
+
 def capacitor_force(surface_charge_a: float, surface_charge_b: float,
                     magnetic_decay: dict | None = None):
     """Direct interplate force of the net (non-fluctuating) charge densities.
@@ -255,15 +275,13 @@ def capacitor_force(surface_charge_a: float, surface_charge_b: float,
     power-law tail: when a probe is supplied, its in-plane-integrated kernel
     is fitted on a log-log window and the decay exponent is reported.
 
-    magnetic_decay, when given, is a dict with keys "x_values" and "m_values"
-    (the tabulated kernel); returns (electrostatic, exponent or None).
+    magnetic_decay, when given, is the table magnetic_decay_fit takes; the
+    fit uses only points above its "m_floor".  Returns (electrostatic,
+    exponent), the exponent None without a table or with fewer than 3
+    points above the floor.
     """
     electrostatic = 2.0 * np.pi * surface_charge_a * surface_charge_b
     exponent = None
     if magnetic_decay is not None:
-        xv = np.asarray(magnetic_decay["x_values"], dtype=float)
-        mv = np.asarray(magnetic_decay["m_values"], dtype=float)
-        keep = np.abs(mv) > 0.0
-        slope, _ = fit_loglog_slope(xv[keep], mv[keep])
-        exponent = -slope
+        exponent, _ = magnetic_decay_fit(magnetic_decay)
     return electrostatic, exponent

@@ -114,6 +114,10 @@ def standard_magnetic_probe(seed: int = 7):
     The decay-exponent statement is scale-free, so the probe runs in its own
     length units chosen to keep the transform resolvable in double precision
     over the fitted window (photon length 12, de Broglie lengths ~0.5).
+    The kernel is tabulated at 12 separations X in [5, 50] on the
+    MAGNETIC_N_QUAD-node Gauss rule ("n_quad").  "m_floor" is the per-X
+    rounding floor of that rule; the decay fit (force.magnetic_decay_fit)
+    uses only the points above it.
     """
     thermo = loops_mod.ThermoState(beta=1.0, hbar=0.5, c=12.0)
     sp1 = loops_mod.SpeciesParams.from_thermo("probe1", 1.0, 1.0, thermo)
@@ -122,8 +126,9 @@ def standard_magnetic_probe(seed: int = 7):
     l2 = loops_mod.Loop(0.0, sp2, 1, loops_mod.sample_bridge(1, 48, [seed, 1]))
     ff = pot.FormFactor(k_cut=2.5)
     xv = np.geomspace(5.0, 50.0, 12)
-    mv = pot.magnetic_capacitor_integrand(l1, l2, thermo, ff, xv, n_quad=3000)
+    mv, floor = pot.magnetic_capacitor_integrand(l1, l2, thermo, ff, xv)
     return {"x_values": xv.tolist(), "m_values": mv.tolist(),
+            "m_floor": floor.tolist(), "n_quad": pot.MAGNETIC_N_QUAD,
             "loops": (l1, l2), "thermo": thermo, "form_factor": ff}
 
 
@@ -150,11 +155,14 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     sigma_a = profile.charge_density("a") * config.a
     sigma_b = profile.charge_density("b") * config.b
     mag_exponent = None
+    mag_fit = None
     wab_scale = 0.0
     if magnetic_check:
         probe = standard_magnetic_probe(seed=config.seed + 17)
-        _, mag_exponent = force_mod.capacitor_force(
-            sigma_a, sigma_b, magnetic_decay=probe)
+        mag_exponent, n_points = force_mod.magnetic_decay_fit(probe)
+        mag_fit = {"n_quad": probe["n_quad"],
+                   "floor_max": max(probe["m_floor"]),
+                   "points_fitted": n_points}
         l1, l2 = probe["loops"]
         wab_scale = abs(pot.wab_asymptotic(l1, l2, np.array([1.0, 0.0]), 1.0,
                                            probe["thermo"]))
@@ -191,7 +199,8 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "screening": brackets["screening"],
         "k_sequence": brackets["k_sequence"],
         "capacitor": {"electrostatic": 2.0 * np.pi * sigma_a * sigma_b,
-                      "magnetic_exponent": mag_exponent},
+                      "magnetic_exponent": mag_exponent,
+                      "magnetic_fit": mag_fit},
         "results": [fb.to_json_dict() for fb in results],
         "sweep_fit": {"slope": float(slope), "stderr": float(stderr)},
         "convergence": convergence,
@@ -424,9 +433,11 @@ def verify_suite(config: RunConfig) -> dict:
     checks.append(_check("lifshitz_factor_half", r1 / r0 == 2.0, r1 / r0, 2.0))
 
     probe = standard_magnetic_probe(seed=rng_seed + 17)
-    _, exponent = force_mod.capacitor_force(0.0, 0.0, magnetic_decay=probe)
-    checks.append(_check("capacitor_magnetic_decay", exponent > 4.0,
-                         exponent, 4.0))
+    exponent, n_points = force_mod.magnetic_decay_fit(probe)
+    checks.append(_check("capacitor_magnetic_decay",
+                         exponent is not None and exponent > 4.0, exponent, 4.0,
+                         note=f"{n_points} of {len(probe['m_values'])} points "
+                              f"above the rounding floor fitted"))
     neutral_sigma = profile.charge_density("a") * config.a
     cap_el, _ = force_mod.capacitor_force(neutral_sigma,
                                           profile.charge_density("b") * config.b)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import thermocasimir
@@ -124,7 +125,11 @@ def test_pipeline_report_keys(fast_report):
                 "capacitor_mag_exponent", "lifshitz", "residuals"):
         assert key in row
     assert "config_hash" in fast_report["report"]
-    assert fast_report["report"]["capacitor"]["electrostatic"] == 0.0
+    capacitor = fast_report["report"]["capacitor"]
+    assert capacitor["electrostatic"] == 0.0
+    fit = capacitor["magnetic_fit"]
+    assert fit["n_quad"] == 400 and 3 <= fit["points_fitted"] <= 12
+    assert 0.0 < fit["floor_max"] < 1e-9
 
 
 def test_pipeline_screening_diagnostics(fast_report):
@@ -267,6 +272,36 @@ def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("thermo", "beta", float("inf")),
+    ("thermo", "hbar", -0.02),
+    ("thermo", "hbar", "x"),
+    ("thermo", "hbar", float("inf")),
+    ("thermo", "c", 0.0),
+    ("thermo", "c", float("nan")),
+    ("slabs", "a", float("inf")),
+    ("slabs", "b", float("inf")),
+    ("species", "mass", float("inf")),
+    ("species", "density", float("inf")),
+    ("species", "charge", float("inf")),
+    ("species", "charge", float("nan")),
+    ("numerics", "k0_factor", float("nan")),
+    ("numerics", "residual_tolerance", float("inf")),
+])
+def test_cli_rejects_non_finite_parameter(tmp_path, fast_config, capsys,
+                                          where, key, value):
+    bad = copy.deepcopy(fast_config)
+    block = {"thermo": bad["thermo"], "slabs": bad["slabs"],
+             "species": bad["slabs"]["species"][0],
+             "numerics": bad["numerics"]}[where]
+    block[key] = value
+    path = _write(tmp_path, bad)     # json writes Infinity / NaN
+    assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+
+
 def test_cli_run_without_screening_medium(tmp_path, fast_config, capsys):
     bad = copy.deepcopy(fast_config)
     for sp in bad["slabs"]["species"]:
@@ -363,6 +398,24 @@ def test_verify_suite_expected_fail_without_medium(fast_config):
             if c["name"] == "perfect_screening_slab"][0]
     assert slab["expected_fail"] and not slab["passed"]
     assert table["all_passed"]
+
+
+def test_verify_fails_magnetic_decay_below_three_points(fast_config, monkeypatch):
+    # a kernel table with only two points above its rounding floor has no
+    # fitted exponent, and the decay gate fails instead of passing
+    def flat_kernel(*args, **kwargs):
+        x = np.asarray(args[4], dtype=float)
+        m = np.full(x.size, 1e-16)
+        m[:2] = x[:2]**-6.0
+        return m, np.full(x.size, 1e-15)
+
+    monkeypatch.setattr("thermocasimir.potentials.magnetic_capacitor_integrand",
+                        flat_kernel)
+    table = verify_suite(load_config(copy.deepcopy(fast_config)))
+    row = [c for c in table["checks"] if c["name"] == "capacitor_magnetic_decay"][0]
+    assert not row["passed"] and not row["expected_fail"]
+    assert row["value"] is None and row["note"].startswith("2 of 12 points")
+    assert not table["all_passed"]
 
 
 def test_cli_verify_exit_and_json(tmp_path, fast_config):

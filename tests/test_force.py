@@ -139,6 +139,39 @@ def test_capacitor_force_magnetic_exponent_fit():
     assert expo > 4.0
 
 
+def _power_table_with_noise_tail():
+    # x^-6 on [5, 50], then four sign-flipping values at the rounding floor
+    x = np.concatenate([np.geomspace(5.0, 50.0, 12), np.geomspace(60.0, 90.0, 4)])
+    m = 3.0 * x**-6.0
+    m[12:] = [1e-16, -1e-16, 1e-16, -1e-16]
+    return x, m, np.full(x.size, 1e-15)
+
+
+def test_capacitor_force_fits_above_floor_only():
+    x, m, floor = _power_table_with_noise_tail()
+    _, expo = fc.capacitor_force(0.0, 0.0, magnetic_decay={
+        "x_values": x, "m_values": m, "m_floor": floor})
+    assert expo == pytest.approx(6.0, rel=1e-10)
+    assert fc.magnetic_decay_fit({"x_values": x, "m_values": m,
+                                  "m_floor": floor}) == (expo, 12)
+    # without a floor the noise tail enters the fit
+    _, expo_all = fc.capacitor_force(0.0, 0.0, magnetic_decay={
+        "x_values": x, "m_values": m})
+    assert abs(expo_all - 6.0) > 0.5
+
+
+def test_magnetic_decay_fit_needs_three_points_above_floor():
+    x, m, floor = _power_table_with_noise_tail()
+    floor[:10] = 1.0       # only x[10], x[11] stay above the floor
+    table = {"x_values": x, "m_values": m, "m_floor": floor}
+    assert fc.magnetic_decay_fit(table) == (None, 2)
+    _, expo = fc.capacitor_force(0.0, 0.0, magnetic_decay=table)
+    assert expo is None
+    floor[9] = 0.0         # three points: the fit is made again
+    expo, n_points = fc.magnetic_decay_fit(table)
+    assert n_points == 3 and expo == pytest.approx(6.0, rel=1e-10)
+
+
 def test_fit_loglog_slope_recovers_power():
     x = np.geomspace(1.0, 100.0, 8)
     slope, err = fc.fit_loglog_slope(x, 2.0 * x**-2.5)

@@ -489,8 +489,8 @@ def test_magnetic_capacitor_integrand_fast_decay(big_thermo, probe_loops):
     l1, l2 = probe_loops
     ff = pot.FormFactor(k_cut=2.5)
     xv = np.geomspace(5.0, 50.0, 10)
-    mv = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, ff, xv,
-                                          n_quad=2500)
+    mv, _ = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, ff, xv,
+                                             n_quad=2500)
     slope, _ = fit_loglog_slope(xv, mv)
     assert slope < -4.0
 
@@ -504,17 +504,45 @@ def test_magnetic_capacitor_integrand_matches_per_node_loop():
     xv = np.asarray(probe["x_values"])
     # reference: the per-node kernel and the per-X weighted sum
     k_max = 4.0 * ff.k_cut
-    nodes, weights = roots_legendre(3000)
+    nodes, weights = roots_legendre(probe["n_quad"])
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights
     wm = np.array([_wm_pair_oracle(l1, l2, np.array([k, 0.0, 0.0]), thermo, ff,
                                    "quantum") for k in k1])
     t = 1j * k1 * wm
-    ref = np.array([np.sum(wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag))
-                    / np.pi for X in xv])
+    terms = np.array([wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag)
+                      / np.pi for X in xv])
+    ref = terms.sum(axis=1)
     got = np.asarray(probe["m_values"])
     assert got.shape == xv.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref_floor = 1e3 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert np.allclose(probe["m_floor"], ref_floor, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [2041, 99, 24])
+def test_magnetic_fit_points_stable_across_gauss_rules(seed):
+    # the points above the rounding floor, and the exponent fitted on them,
+    # do not depend on the size of the Gauss rule
+    from thermocasimir.force import magnetic_decay_fit
+    from thermocasimir.pipeline import standard_magnetic_probe
+
+    probe = standard_magnetic_probe(seed=seed)
+    l1, l2 = probe["loops"]
+    kept, exponents = [], []
+    for n_quad in (200, 400, 3000):
+        mv, floor = pot.magnetic_capacitor_integrand(
+            l1, l2, probe["thermo"], probe["form_factor"], probe["x_values"],
+            n_quad=n_quad)
+        kept.append(np.abs(mv) > floor)
+        exponent, n_points = magnetic_decay_fit(
+            {"x_values": probe["x_values"], "m_values": mv, "m_floor": floor})
+        assert n_points == np.count_nonzero(kept[-1]) >= 3
+        exponents.append(exponent)
+    assert all(np.array_equal(k, kept[0]) for k in kept)
+    assert 0 < np.count_nonzero(~kept[0])     # the floor does cut points
+    assert max(exponents) - min(exponents) < 0.05
+    assert min(exponents) > 4.0
 
 
 # -------------------------------------------------------------- self-energy
