@@ -25,12 +25,13 @@ DEFAULT_NUMERICS = {
     "k0_factor": 0.2,         # first wavenumber of the k -> 0 sequence, in kappa units
     "n_k": 6,
     "residual_tolerance": 1e-2,
-    "quad_abs_tol": 1e-12,
 }
 
 # integer knobs and their smallest meaningful value
 _INTEGER_MIN = {"n_steps_kernel": 2, "p_max": 1, "n_paths": 1,
                 "n_paths_kernel": 1, "nx": 2, "n_k": 2}
+
+_SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
 
 
 @dataclass
@@ -70,11 +71,16 @@ def _need(d, key, typ, where):
     if key not in d:
         raise ConfigError(f"missing '{key}' in {where}")
     val = d[key]
-    if typ is float and isinstance(val, int):
+    if typ is float and _is_number(val):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(f"'{key}' in {where} must be {typ.__name__}")
     return val
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean (True is an int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _positive(value, name):
@@ -120,8 +126,7 @@ def load_config(path_or_dict) -> RunConfig:
     for key, val in numerics.items():
         if key not in DEFAULT_NUMERICS:
             raise ConfigError(f"unknown numerics knob '{key}'")
-        if (isinstance(val, bool) or not isinstance(val, (int, float))
-                or not 0 < val < math.inf):
+        if not _is_number(val) or not 0 < val < math.inf:
             raise ConfigError(f"numerics knob '{key}' must be a finite "
                               f"positive number")
         if key in _INTEGER_MIN and not (isinstance(val, int)
@@ -129,6 +134,12 @@ def load_config(path_or_dict) -> RunConfig:
             raise ConfigError(f"numerics knob '{key}' must be an integer "
                               f">= {_INTEGER_MIN[key]}")
     for entry in species_raw:
+        if not isinstance(entry, dict):
+            raise ConfigError("each species must be an object")
+        for key in entry:
+            if key not in _SPECIES_KEYS:
+                raise ConfigError(f"unknown species key '{key}' (allowed: "
+                                  f"{', '.join(_SPECIES_KEYS)})")
         name = _need(entry, "name", str, "species")
         charge = _need(entry, "charge", float, "species")
         if not math.isfinite(charge):
@@ -138,15 +149,15 @@ def load_config(path_or_dict) -> RunConfig:
         if not 0 <= density < math.inf:
             raise ConfigError("density must be finite and >= 0")
         weights = entry.get("p_weights", [0.9, 0.1])
+        if not isinstance(weights, list) or not all(
+                _is_number(w) and 0 <= w < math.inf for w in weights):
+            raise ConfigError("p_weights must be a list of finite numbers >= 0")
         if len(weights) > numerics["p_max"]:
             raise ConfigError("p_weights longer than p_max")
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise ConfigError("p_weights must be nonnegative and sum to 1")
-        sp = SpeciesParams.from_thermo(
-            name=name, charge=charge, mass=mass, thermo=thermo,
-            spin=entry.get("spin", 0.5), eta=entry.get("eta", -1),
-            mu=entry.get("mu", 0.0))
-        species.append(sp)
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise ConfigError("p_weights must sum to 1")
+        species.append(SpeciesParams.from_thermo(
+            name=name, charge=charge, mass=mass, thermo=thermo))
         p_weights[name] = list(weights)
         densities[name] = density
 
@@ -158,13 +169,13 @@ def load_config(path_or_dict) -> RunConfig:
 
     sweep = _need(raw, "sweep", dict, "config")
     d_values = _need(sweep, "d_values", list, "sweep")
-    if not d_values or any(not isinstance(d, (int, float)) or not 0 < d < math.inf
+    if not d_values or any(not _is_number(d) or not 0 < d < math.inf
                            for d in d_values):
         raise ConfigError("sweep.d_values must be a nonempty list of finite "
                           "positive numbers")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
     out_dir = raw.get("output", {}).get("dir", "out")

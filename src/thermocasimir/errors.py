@@ -13,10 +13,6 @@ class ContractViolationError(ValueError):
     """Input data breaks a structural contract (e.g. a non-closed path)."""
 
 
-class DependencyError(RuntimeError):
-    """A required upstream table or solve is missing."""
-
-
 class SolverError(RuntimeError):
     """Dense linear solve failed; carries a condition-number report."""
 

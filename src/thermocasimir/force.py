@@ -171,8 +171,7 @@ def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
                    residual_tolerance: float = 1e-2,
                    capacitor_el: float = 0.0,
                    capacitor_mag_exponent: float | None = None,
-                   wab_scale: float | None = None,
-                   quad_abs_tol: float = 1e-12) -> ForceBreakdown:
+                   wab_scale: float | None = None) -> ForceBreakdown:
     """Assemble the fluctuation force from the factorized leading correlation.
 
     The scaled-wavenumber integral of the monopole force kernel against the
@@ -184,7 +183,7 @@ def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
     if d <= 0.0:
         raise ParameterError("d must be positive")
     beta = thermo.beta
-    amplitude = zeta3_quadrature(eps_abs=quad_abs_tol)
+    amplitude = zeta3_quadrature()
     f_assembled = -(amplitude / (4.0 * np.pi * beta * d**3)) * bracket_a * bracket_b
     f_lead = leading_force(thermo, d)
     qgrid = np.linspace(0.0, 12.0, 121)

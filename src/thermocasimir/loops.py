@@ -22,8 +22,6 @@ __all__ = [
     "sample_bridge_ensemble",
     "bridge_covariance",
     "line_integral",
-    "loop_activity",
-    "shift_origin",
     "point_loop",
 ]
 
@@ -56,32 +54,26 @@ class ThermoState:
 
 @dataclass(frozen=True)
 class SpeciesParams:
-    """Charge, mass, spin, statistics and chemical potential of one mobile species.
+    """Charge and mass of one mobile species.
 
-    lambda_ is the de Broglie thermal length hbar*sqrt(beta/m); eta is +1 for
-    bosons and -1 for fermions.
+    lambda_ is the de Broglie thermal length hbar*sqrt(beta/m).
     """
 
     name: str
     charge: float
     mass: float
-    spin: float = 0.5
-    eta: int = -1
-    mu: float = 0.0
     lambda_: float = 0.0
 
     def __post_init__(self):
         if self.mass <= 0.0:
             raise ParameterError("mass must be positive")
-        if self.eta not in (+1, -1):
-            raise ParameterError("eta must be +1 (boson) or -1 (fermion)")
         if self.lambda_ < 0.0:
             raise ParameterError("lambda_ must be nonnegative")
 
     @classmethod
-    def from_thermo(cls, name, charge, mass, thermo: ThermoState, **kw):
+    def from_thermo(cls, name, charge, mass, thermo: ThermoState):
         return cls(name=name, charge=charge, mass=mass,
-                   lambda_=thermo.de_broglie(mass), **kw)
+                   lambda_=thermo.de_broglie(mass))
 
 
 def _validate_path(path: np.ndarray, p: int):
@@ -100,7 +92,7 @@ class Loop:
     """One closed wire: slab-normal position x, species, charge number p, shape X(s).
 
     y is the optional in-plane reference position (used only by real-space pair
-    kernels and origin shifts; the transverse-Fourier kernels carry it as a phase).
+    kernels; the transverse-Fourier kernels carry it as a phase).
     """
 
     x: float
@@ -211,47 +203,3 @@ def line_integral(path: np.ndarray, integrand, times=None) -> float:
     if abs(np.imag(val)) == 0.0:
         return float(np.real(val))
     return complex(val)
-
-
-def loop_activity(loop: Loop, self_energy: float, beta: float) -> float:
-    """Effective fugacity of one loop.
-
-    (2s+1) eta^{p-1} e^{beta mu p} / (p (2 pi p lambda^2)^{3/2}) * exp(-beta*self_energy/2),
-    where self_energy = e^2 V(L, L) is supplied by the potentials module.
-    """
-    if loop.p < 1:
-        raise ParameterError("p must be >= 1")
-    sp = loop.species
-    if sp.lambda_ <= 0.0:
-        raise ParameterError("loop_activity needs a positive de Broglie length")
-    pref = (2.0 * sp.spin + 1.0) * sp.eta ** (loop.p - 1)
-    pref *= np.exp(beta * sp.mu * loop.p)
-    pref /= loop.p * (2.0 * np.pi * loop.p * sp.lambda_**2) ** 1.5
-    return pref * np.exp(-0.5 * beta * self_energy)
-
-
-def shift_origin(loop: Loop, u: float) -> Loop:
-    """Re-anchor the loop at time u: X'(s) = X(s+u) - X(u), position moved by lambda*X(u).
-
-    u must lie on the discretization grid; the multiset of spatial points is
-    unchanged (same wire, new bookkeeping origin).
-    """
-    n = loop.path.shape[0] - 1
-    ds = loop.p / n
-    idx = u / ds
-    j = int(round(idx))
-    if abs(idx - j) > 1e-9 or not (0 <= j <= n):
-        raise ParameterError("shift time u must be a grid node in [0, p]")
-    j = j % n
-    lam = loop.species.lambda_
-    origin = loop.path[j].copy()
-    rolled = np.roll(loop.path[:-1], -j, axis=0) - origin
-    rolled[0] = 0.0
-    new_path = np.concatenate([rolled, np.zeros((1, 3))], axis=0)
-    return Loop(
-        x=loop.x + lam * origin[0],
-        species=loop.species,
-        p=loop.p,
-        path=new_path,
-        y=loop.y + lam * origin[1:],
-    )

@@ -177,8 +177,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
             residual_tolerance=config.numerics["residual_tolerance"],
             capacitor_el=2.0 * np.pi * sigma_a * sigma_b,
             capacitor_mag_exponent=mag_exponent,
-            wab_scale=wab_scale,
-            quad_abs_tol=config.numerics["quad_abs_tol"])
+            wab_scale=wab_scale)
         results.append(fb)
 
     ds = np.array([fb.d for fb in results])

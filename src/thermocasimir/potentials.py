@@ -1,6 +1,6 @@
 """Pair interactions between loops and their closed-form Fourier kernels.
 
-Real-space kernels (equal-time Coulomb, wire-wire Coulomb, their difference),
+Real-space kernels (equal-time Coulomb and wire-wire Coulomb energies),
 transverse-Fourier kernels (screened-equation source kernel, magnetic kernel
 with the photon occupation factor), the slab Coulomb force kernel, the partial
 transverse Coulomb transform, and the dipolar large-separation closed forms.
@@ -23,7 +23,6 @@ __all__ = [
     "eval_Q",
     "vc_pair",
     "vel_pair",
-    "wc_pair",
     "vel_fourier",
     "wm_pair_fourier",
     "coulomb_force_kernel",
@@ -35,7 +34,6 @@ __all__ = [
     "wab_pair_finite_d",
     "wm_gradient_ab",
     "wab_quadrature_oracle",
-    "loop_self_energy",
     "coulomb_force_full",
     "coulomb_force_monopole_shifted",
     "magnetic_capacitor_integrand",
@@ -137,11 +135,6 @@ def vel_pair(loop_i: Loop, loop_j: Loop) -> float:
     dsi = loop_i.ds
     dsj = loop_j.ds
     return float(np.sum(_capped_inverse_distance(pts_i, pts_j, eps)) * dsi * dsj)
-
-
-def wc_pair(loop_i: Loop, loop_j: Loop) -> float:
-    """Quantum remainder of the Coulomb coupling: equal-time minus wire-wire."""
-    return vc_pair(loop_i, loop_j) - vel_pair(loop_i, loop_j)
 
 
 def vel_fourier(loop_i: Loop, loop_j: Loop, kvec) -> complex:
@@ -280,26 +273,6 @@ def coulomb_force_kernel_oracle(x1, x2, q, d, n_intervals=80, accel_depth=12):
     return 2.0 * np.pi * s[-1]
 
 
-def _vt_cases(x, qvec, mu, nu, sign_x):
-    """Entry classes of the partial transverse Coulomb transform, common core.
-
-    sign_x = +1 uses the e^{+i k1 x} convention, -1 the e^{-i k1 x} one; the
-    two differ only in the sign of the odd (normal, in-plane) entries.
-    """
-    q = float(np.hypot(qvec[0], qvec[1]))
-    if q == 0.0:
-        raise SingularArgumentError("partial transform undefined at q = 0")
-    ax = abs(x)
-    E = np.exp(-q * ax)
-    if mu == 0 and nu == 0:
-        return (np.pi / q) * E * (1.0 + q * ax)
-    if mu == 0 or nu == 0:
-        qm = qvec[(nu if mu == 0 else mu) - 1]
-        return (np.pi / q) * E * (-1j * sign_x * qm * x)
-    dmn = 1.0 if mu == nu else 0.0
-    return (np.pi / q) * E * (2.0 * dmn - (1.0 + q * ax) * qvec[mu - 1] * qvec[nu - 1] / q**2)
-
-
 def v_transverse_partial(x, qvec, mu, nu):
     """Partial Fourier transform along the slab normal of the transverse Coulomb
     potential 4 pi delta^tr_{mu nu}(k1, q)/(k1^2 + q^2), e^{+i k1 x} convention.
@@ -310,7 +283,11 @@ def v_transverse_partial(x, qvec, mu, nu):
     """
     if mu not in (0, 1, 2) or nu not in (0, 1, 2):
         raise ParameterError("mu, nu must be axis indices 0, 1, 2")
-    return _vt_cases(float(x), np.asarray(qvec, dtype=float), mu, nu, +1)
+    x = float(x)
+    val = _vtilde_derivs(abs(x), qvec, order_max=0)[0, mu, nu]
+    # the e^{-i k1 x} transform at |x| equals this one, except that its odd
+    # (normal, in-plane) entries have the opposite sign for x > 0
+    return -val if x > 0.0 and (mu == 0) != (nu == 0) else val
 
 
 def v_transverse_partial_oracle(x, qvec, mu, nu):
@@ -343,16 +320,16 @@ def v_transverse_partial_oracle(x, qvec, mu, nu):
 
 def _vtilde_derivs(x, qvec, order_max=3):
     """x-derivatives (orders 0..order_max) of the e^{-i k1 x} partial transform,
-    as 3x3 complex matrices, valid for x > 0.
+    as 3x3 complex matrices, valid for x >= 0 (one-sided at x = 0).
 
-    Entry classes (x > 0, E = e^{-qx}):
+    Entry classes (x >= 0, E = e^{-qx}):
       normal-normal   (pi/q) E (1+qx):    d^n given by the recursion below,
       mixed           (i pi q_m / q) x E,
       in-plane        (pi/q) E (2 d_mn - (1+qx) q_m q_n / q^2).
     Validated against numerical differentiation of the quadrature oracle.
     """
-    if x <= 0.0:
-        raise ParameterError("closed-form derivatives implemented for x > 0")
+    if x < 0.0:
+        raise ParameterError("closed-form derivatives implemented for x >= 0")
     qvec = np.asarray(qvec, dtype=float)
     q = float(np.hypot(qvec[0], qvec[1]))
     if q == 0.0:
@@ -500,21 +477,6 @@ def wab_quadrature_oracle(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoSta
     # e^{-i q1 X} convention: int dq1/2pi (even + odd) e^{-i q1 X}
     val = (re - 1j * im) / np.pi
     return complex(pref * val / d)
-
-
-def loop_self_energy(loop: Loop) -> float:
-    """Inter-winding equal-time Coulomb self-energy of one loop (charge factored
-    out).  The coincident diagonal s = s' is excluded (standard self-energy
-    subtraction); vanishes identically for p = 1."""
-    if loop.p == 1:
-        return 0.0
-    n = loop.n_steps
-    pts = loop.spatial_nodes()
-    eps = COINCIDENCE_EPS * max(loop.species.lambda_, 1e-30)
-    k = np.arange(pts.shape[0])
-    match = (k[:, None] % n == k[None, :] % n) & (k[:, None] != k[None, :])
-    inv = _capped_inverse_distance(pts, pts, eps)
-    return float(np.sum(inv[match]) / n)
 
 
 def _equal_time_orbit(loop_i: Loop, loop_j: Loop):

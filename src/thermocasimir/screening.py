@@ -16,14 +16,9 @@ double time sum, batched over pairs).  The classes depend only on the basis,
 not on the wavenumber.  The module also provides:
 
 * the k-sweep: solves along the wavenumber sequence extrapolated to zero
-  by iterated Richardson steps, giving the perfect-screening residuals and
-  the solved columns the leading interplate correlation is built from;
-* the resummed bonds F and F^R;
+  by iterated Richardson steps, giving the perfect-screening residuals;
 * the coupled two-slab solve and the factorized large-separation closed form
-  of the interplate screened potential;
-* the leading interplate correlation (single traversing bond, dressed per
-  the excluded-convolution rule);
-* the in-plane integrability check of the classical monopole potential.
+  of the interplate screened potential.
 """
 from __future__ import annotations
 
@@ -32,9 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DependencyError, ParameterError, SingularArgumentError,
-                     SolverError)
-from .loops import Loop, SpeciesParams, ThermoState, point_loop, sample_bridge
+from .errors import ParameterError, SingularArgumentError, SolverError
+from .loops import Loop, SpeciesParams, ThermoState, sample_bridge
 
 __all__ = [
     "SlabGeometry",
@@ -53,14 +47,8 @@ __all__ = [
     "screening_bracket",
     "check_perfect_screening",
     "bulk_sum_rule_oracle",
-    "build_F_bond",
-    "build_FR_bond",
     "factorize_phi_ab",
     "geometric_chain_prefactor",
-    "UrsellLeading",
-    "leading_ursell",
-    "disc_integral_of_difference",
-    "multipole_integrability_check",
 ]
 
 
@@ -464,7 +452,7 @@ def _pair_matrix(basis: LoopBasis, kvec, cell_integrated: bool) -> np.ndarray:
 
     cell_integrated=True integrates the kernel exactly over the source cell
     (the operator of the screened equation); False evaluates it pointwise
-    (source columns for the dressing solve).  Each pair is classified by the
+    (the kernel of source_column).  Each pair is classified by the
     interval its separation w = x_i + lam_i X_i(s) - lam_l X_l(t) sweeps:
 
     * entirely above or below the source cell: the exact two-factor split
@@ -627,29 +615,19 @@ def screening_bracket(basis: LoopBasis, phi_column: np.ndarray) -> complex:
     return complex(-basis.beta * np.sum(w * phi_column))
 
 
-def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence,
-                            dressing_roots=()):
+def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
     """The k-sweep: screened solves along the wavenumber sequence,
     extrapolated to k = 0, and the residual of the perfect-screening rule.
 
     At each k of the descending sequence one solve of (I + T) takes the
-    source column of src plus, for each basis index in dressing_roots, the
-    pointwise wire-kernel column of that loop.  The F-bond bracket against
-    src is extrapolated to k = 0 and reported as |bracket + 1| (relative to
-    the unit source value); "columns" holds the k -> 0 limits of all solved
-    columns (source first, then one per root, in order).
+    source column of src.  The F-bond bracket against src is extrapolated to
+    k = 0 and reported as |bracket + 1| (relative to the unit source value).
     """
-    roots = list(dressing_roots)
     vals = []
-    cols = np.empty((len(k_sequence), basis.size, 1 + len(roots)), dtype=complex)
-    for n, k in enumerate(k_sequence):
+    for k in k_sequence:
         kvec = np.array([float(k), 0.0])
-        rhs = [source_column(basis, src, kvec)]
-        if roots:
-            pair = _pair_matrix(basis, kvec, cell_integrated=False)
-            rhs.extend(pair[:, r] for r in roots)
-        cols[n] = solve_screened_potential(basis, kvec, np.column_stack(rhs))
-        vals.append(screening_bracket(basis, cols[n, :, 0]))
+        phi = solve_screened_potential(basis, kvec, source_column(basis, src, kvec))
+        vals.append(screening_bracket(basis, phi))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
     return {
@@ -658,7 +636,6 @@ def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence,
         "per_k": [complex(v) for v in vals],
         "extrapolation_correction": float(correction),
         "converged": bool(correction < 0.1),
-        "columns": richardson_extrapolate(cols)[0],
     }
 
 
@@ -678,30 +655,6 @@ def bulk_sum_rule_oracle(kappa, k_sequence, half_width=40.0):
 
 
 # ----------------------------------------------------------------------------
-# resummed bonds
-# ----------------------------------------------------------------------------
-
-_EXP_CLAMP = 700.0
-
-
-def build_F_bond(phi, e_i, e_j, beta):
-    """Linear resummed bond: -beta e_i e_j Phi."""
-    return -beta * e_i * e_j * np.asarray(phi)
-
-
-def build_FR_bond(phi, w, e_i, e_j, beta):
-    """Nonlinear remainder bond: e^{-beta e_i e_j (Phi + W)} - 1 + beta e_i e_j Phi.
-
-    Returns (values, strong_coupling_flag); the exponent is clamped to avoid
-    overflow and the flag marks any clamped entry.
-    """
-    expo = -beta * e_i * e_j * (np.asarray(phi) + np.asarray(w))
-    flagged = bool(np.any(np.abs(expo) > _EXP_CLAMP))
-    expo = np.clip(expo, -_EXP_CLAMP, _EXP_CLAMP)
-    return np.exp(expo) - 1.0 + beta * e_i * e_j * np.asarray(phi), flagged
-
-
-# ----------------------------------------------------------------------------
 # traversing-chain factorization
 # ----------------------------------------------------------------------------
 
@@ -718,170 +671,3 @@ def factorize_phi_ab(phi_a0, phi_b0, q: float, d: float) -> np.ndarray:
     times the outer product of single-plate border columns at zero wavenumber."""
     pref = geometric_chain_prefactor(q, d)
     return pref * np.outer(np.asarray(phi_a0), np.asarray(phi_b0))
-
-
-# ----------------------------------------------------------------------------
-# leading interplate correlation
-# ----------------------------------------------------------------------------
-
-@dataclass
-class UrsellLeading:
-    """Single-traversing-bond pieces of the interplate correlation, dressed
-    border correlations, and their charge-weighted brackets."""
-
-    basis_a: LoopBasis
-    basis_b: LoopBasis
-    g_over_e0_a: np.ndarray
-    g_over_e0_b: np.ndarray
-    bracket_a: float
-    bracket_b: float
-    dressing_columns_a: dict = field(default_factory=dict)
-    dressing_columns_b: dict = field(default_factory=dict)
-    sum_rule_residuals: dict = field(default_factory=dict)
-
-    def h_single_f(self, i: int, j: int, q: float, d: float, beta: float) -> float:
-        """Factorized single-F-link piece at scaled wavenumber q."""
-        return (-(1.0 / (beta * d)) * q / (4.0 * np.pi * np.sinh(q))
-                * self.g_over_e0_a[i] * self.g_over_e0_b[j])
-
-    def dressed_weights(self, root: int, side: str) -> np.ndarray:
-        """Phase-space weights of [h0(root, i) + delta(root, i)/rho(i)] rho(i):
-        the dressing of the nonlinear traversing bond (closure: h0 = F0)."""
-        basis = self.basis_a if side == "a" else self.basis_b
-        cols = self.dressing_columns_a if side == "a" else self.dressing_columns_b
-        if root not in cols:
-            raise DependencyError(f"no dressing column solved for root {root}")
-        h_row = -basis.beta * basis.charge[root] * basis.charge * np.real(cols[root])
-        w = basis.measure * h_row
-        w[root] += 1.0
-        return w
-
-    def h_single_fr(self, root_a: int, root_b: int, qvec, d: float,
-                    thermo: ThermoState) -> float:
-        """Single nonlinear-traversing-bond piece: dressed contraction of the
-        dipolar interplate potential (linearized bond, leading order)."""
-        from .potentials import _vtilde_derivs
-        qvec = np.asarray(qvec, dtype=float)
-        wa = self.dressed_weights(root_a, "a")
-        wb = self.dressed_weights(root_b, "b")
-        ea = self.basis_a.charge
-        eb = self.basis_b.charge
-        feats_a = self._wab_features(self.basis_a, qvec, thermo)
-        feats_b = self._wab_features(self.basis_b, qvec, thermo)
-        va = (wa * ea)[:, None] * feats_a
-        vb = (wb * eb)[:, None] * feats_b
-        core = _vtilde_derivs(1.0, qvec, order_max=2)
-        g = np.zeros((6, 6), dtype=complex)
-        g[0:3, 0:3] = -core[2]
-        g[0:3, 3:6] = 1j * core[1]
-        g[3:6, 0:3] = 1j * core[1]
-        g[3:6, 3:6] = core[0]
-        total = np.sum(va, axis=0) @ g @ np.sum(vb, axis=0)
-        return float(np.real(-thermo.beta * total / d))
-
-    @staticmethod
-    def _wab_features(basis: LoopBasis, qvec, thermo: ThermoState) -> np.ndarray:
-        from .potentials import loop_current_moments
-        feats = np.zeros((basis.size, 6))
-        for idx, lp in enumerate(basis.loops):
-            a, b = loop_current_moments(lp, qvec)
-            scale = lp.species.lambda_ / np.sqrt(
-                thermo.beta * lp.species.mass) / thermo.c
-            feats[idx, 0:3] = scale * a
-            feats[idx, 3:6] = scale * b
-        return feats
-
-
-def leading_ursell(basis_a: LoopBasis, basis_b: LoopBasis, border_species,
-                   k_sequence, dressing_roots=()) -> UrsellLeading:
-    """Build the leading interplate correlation pieces from one k-sweep
-    (check_perfect_screening) per slab.
-
-    The border charge of each slab sits at its inner face; the dressed border
-    correlation reduces, under the chain closure, to the F bond against that
-    charge, extrapolated to zero wavenumber.  dressing_roots selects basis
-    indices whose internal columns are solved in the same sweep (they anchor
-    the nonlinear-bond piece).
-    """
-    roots = list(dressing_roots)
-    out = {}
-    for tag, basis in (("a", basis_a), ("b", basis_b)):
-        src = point_loop(0.0, border_species, n_steps=basis.loops[0].n_steps)
-        out[tag] = check_perfect_screening(basis, src, k_sequence, roots)
-    dress = {tag: {r: res["columns"][:, idx + 1] for idx, r in enumerate(roots)}
-             for tag, res in out.items()}
-    return UrsellLeading(
-        basis_a=basis_a, basis_b=basis_b,
-        g_over_e0_a=-basis_a.beta * basis_a.charge * np.real(out["a"]["columns"][:, 0]),
-        g_over_e0_b=-basis_b.beta * basis_b.charge * np.real(out["b"]["columns"][:, 0]),
-        bracket_a=out["a"]["bracket"].real, bracket_b=out["b"]["bracket"].real,
-        dressing_columns_a=dress["a"], dressing_columns_b=dress["b"],
-        sum_rule_residuals={
-            "a": out["a"]["residual_rel"], "b": out["b"]["residual_rel"],
-            "extrapolation_a": out["a"]["extrapolation_correction"],
-            "extrapolation_b": out["b"]["extrapolation_correction"],
-        },
-    )
-
-
-# ----------------------------------------------------------------------------
-# in-plane integrability of the classical monopole potential
-# ----------------------------------------------------------------------------
-
-def disc_integral_of_difference(k_grid, phi_base, phi_shift, dy_shift, radius,
-                                n_quad=32768):
-    """int over the disc |y| <= R of [Phi_shift(|y + dy|) - Phi_base(|y|)] d2y.
-
-    Exact in-plane Parseval form: R int_0^inf dk J1(k R) [J0(k dy) Phi_shift(k)
-    - Phi_base(k)], evaluated by dense Simpson quadrature on monotone
-    interpolants of the tabulated transforms, plus the analytic small-k head.
-    The full-plane limit is the zero-wavenumber transform difference, so the
-    truncated integrals form a Cauchy sequence exactly when that limit exists.
-    """
-    from scipy.interpolate import PchipInterpolator
-    from scipy.special import j0 as bessel_j0, j1 as bessel_j1
-    k_grid = np.asarray(k_grid, dtype=float)
-    base = PchipInterpolator(k_grid, np.asarray(phi_base))
-    shift = PchipInterpolator(k_grid, np.asarray(phi_shift))
-    kq = np.linspace(k_grid[0], k_grid[-1], n_quad + 1)
-    f = bessel_j0(kq * dy_shift) * shift(kq) - base(kq)
-    integrand = radius * bessel_j1(kq * radius) * f
-    from scipy.integrate import simpson
-    val = simpson(integrand, x=kq)
-    # analytic head on [0, k_min]: J1(kR) ~ kR/2 and f ~ f(k_min)
-    head = 0.25 * radius**2 * k_grid[0] ** 2 * f[0]
-    return float(val + head)
-
-
-def multipole_integrability_check(phi_k_eval, kappa, x1, x2, dx_shift, dy_shift,
-                                  r_checks=(30.0, 45.0, 60.0), k_max=40.0,
-                                  n_k=160, k_min_factor=1e-4, tol=1e-3):
-    """Cauchy-convergence report for the in-plane integral of a displaced-wire
-    bond built on the classical monopole potential.
-
-    phi_k_eval(x1, x2, k) must return the transverse transform of the solved
-    classical potential.  The difference Phi(x1, x2 + dx + lam X) - Phi(x1, x2)
-    is integrated over growing discs; boundedness of the zero-wavenumber
-    transform shows up as a Cauchy sequence in the disc radius.
-    """
-    lam_s = 1.0 / kappa
-    k_grid = np.unique(np.concatenate([
-        np.geomspace(k_min_factor / lam_s, 0.5 / lam_s, n_k // 2),
-        np.linspace(0.5 / lam_s, k_max / lam_s, n_k // 2),
-    ]))
-    phi_base = np.array([phi_k_eval(x1, x2, k) for k in k_grid])
-    phi_shift = np.array([phi_k_eval(x1, x2 + dx_shift, k) for k in k_grid])
-    r_values = np.asarray(r_checks, dtype=float) * lam_s
-    ivals = np.array([
-        disc_integral_of_difference(k_grid, phi_base, phi_shift, dy_shift, r)
-        for r in r_values])
-    scale = max(abs(ivals[-1]), 1e-30)
-    deltas = np.abs(np.diff(ivals)) / scale
-    return {
-        "radii": r_values.tolist(),
-        "integrals": ivals.tolist(),
-        "full_plane_limit": float(phi_shift[0] - phi_base[0]),
-        "cauchy_deltas": deltas.tolist(),
-        "passed": bool(np.all(deltas < tol)),
-        "tolerance": tol,
-    }

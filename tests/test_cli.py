@@ -65,6 +65,7 @@ def test_config_roundtrip(fast_config):
     lambda c: c["slabs"]["species"][0].update(p_weights=[0.5, 0.2]),
     lambda c: c.setdefault("numerics", {}).update(bogus_knob=3),
     lambda c: c.setdefault("numerics", {}).update(nx=0),
+    lambda c: c["slabs"]["species"].append(3),
 ])
 def test_config_schema_violations(fast_config, mutate):
     cfg = copy.deepcopy(fast_config)
@@ -287,6 +288,12 @@ def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value
     ("species", "charge", float("nan")),
     ("numerics", "k0_factor", float("nan")),
     ("numerics", "residual_tolerance", float("inf")),
+    ("species", "p_weights", [float("nan"), 1.0]),
+    # JSON booleans where numbers belong, and species keys the schema does
+    # not know, are malformed too
+    ("thermo", "beta", True),
+    ("species", "charge", True),
+    ("species", "spin", "x"),
 ])
 def test_cli_rejects_non_finite_parameter(tmp_path, fast_config, capsys,
                                           where, key, value):

@@ -7,7 +7,8 @@ from scipy.special import j0, jn_zeros, roots_legendre
 
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
-from thermocasimir.errors import ContractViolationError, SingularArgumentError
+from thermocasimir.errors import (ContractViolationError, ParameterError,
+                                  SingularArgumentError)
 from thermocasimir.force import fit_loglog_slope
 
 
@@ -73,7 +74,6 @@ def test_point_loop_monopole_reduction(thermo):
     l2 = lo.point_loop(2.0, sp, n_steps=8)
     assert pot.vc_pair(l1, l2) == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert pot.vel_pair(l1, l2) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert pot.wc_pair(l1, l2) == pytest.approx(0.0, abs=1e-14)
     # general charge numbers: p_i p_j / r
     l3 = lo.point_loop(2.0, sp, p=3, n_steps=8)
     assert pot.vel_pair(l1, l3) == pytest.approx(1.0, rel=1e-13)
@@ -91,6 +91,51 @@ def test_vel_positive(probe_loops):
     assert pot.vel_pair(l1, l2) > 0.0
 
 
+def _shift_origin(loop, u):
+    """Re-anchor the loop at time u: X'(s) = X(s+u) - X(u), position moved by
+    lambda*X(u).  u must lie on the time grid; the multiset of spatial points
+    is unchanged (same wire, new bookkeeping origin)."""
+    n = loop.path.shape[0] - 1
+    idx = u / loop.ds
+    j = int(round(idx))
+    if abs(idx - j) > 1e-9 or not (0 <= j <= n):
+        raise ParameterError("shift time u must be a grid node in [0, p]")
+    j = j % n
+    origin = loop.path[j].copy()
+    rolled = np.roll(loop.path[:-1], -j, axis=0) - origin
+    rolled[0] = 0.0
+    lam = loop.species.lambda_
+    return lo.Loop(x=loop.x + lam * origin[0], species=loop.species, p=loop.p,
+                   path=np.concatenate([rolled, np.zeros((1, 3))], axis=0),
+                   y=loop.y + lam * origin[1:])
+
+
+def test_shift_origin_identity_and_periodicity(thermo):
+    sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
+    loop = lo.Loop(0.4, sp, 2, lo.sample_bridge(2, 8, 17))
+    same = _shift_origin(loop, 0.0)
+    assert same.x == loop.x and np.array_equal(same.path, loop.path)
+    wrapped = _shift_origin(loop, 2.0)
+    assert wrapped.x == loop.x
+    assert np.allclose(wrapped.path, loop.path, atol=1e-15)
+
+
+def test_shift_origin_preserves_spatial_points(thermo):
+    sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
+    loop = lo.Loop(-0.7, sp, 2, lo.sample_bridge(2, 8, 23), y=np.array([0.2, -0.1]))
+    shifted = _shift_origin(loop, 0.75)
+    pts0 = np.sort(loop.spatial_nodes(), axis=0)
+    pts1 = np.sort(shifted.spatial_nodes(), axis=0)
+    assert np.allclose(pts0, pts1, atol=1e-12)
+
+
+def test_shift_origin_off_grid_rejected(thermo):
+    sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
+    loop = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 8, 2))
+    with pytest.raises(ParameterError):
+        _shift_origin(loop, 0.1234567)
+
+
 def test_vc_equal_shift_invariance(big_thermo):
     sp = lo.SpeciesParams.from_thermo("e", 1.0, 1.0, big_thermo)
     l1 = lo.Loop(-0.6, sp, 2, lo.sample_bridge(2, 12, [3, 0]))
@@ -98,18 +143,8 @@ def test_vc_equal_shift_invariance(big_thermo):
     ref = pot.vc_pair(l1, l2)
     # re-anchoring both loops with integer time difference
     for u1, u2 in ((0.5, 0.5), (1.25, 0.25), (1.75, 0.75)):
-        val = pot.vc_pair(lo.shift_origin(l1, u1), lo.shift_origin(l2, u2))
+        val = pot.vc_pair(_shift_origin(l1, u1), _shift_origin(l2, u2))
         assert val == pytest.approx(ref, rel=1e-11)
-
-
-def test_wc_dipolar_decay(big_thermo):
-    sp = lo.SpeciesParams.from_thermo("e", 1.0, 1.0, big_thermo)
-    l1 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 24, [11, 0]))
-    base = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 24, [11, 1]))
-    rs = np.geomspace(50.0, 800.0, 5)
-    vals = [abs(pot.wc_pair(l1, lo.Loop(r, sp, 1, base.path))) for r in rs]
-    slope, _ = fit_loglog_slope(rs, vals)
-    assert abs(slope + 3.0) < 0.2
 
 
 def test_vc_common_grid_required(big_thermo):
@@ -383,6 +418,13 @@ def test_v_transverse_partial_values():
         np.pi / q, rel=1e-14)
     # in-plane off-diagonal vanishes when q has a single in-plane component
     assert pot.v_transverse_partial(0.7, [q, 0.0], 1, 2) == 0.0
+    # only the mixed (normal, in-plane) entries are odd in x
+    qv = [q, 0.4]
+    for mu in range(3):
+        for nu in range(3):
+            odd = (mu == 0) != (nu == 0)
+            assert (pot.v_transverse_partial(-0.7, qv, mu, nu)
+                    == (-1 if odd else 1) * pot.v_transverse_partial(0.7, qv, mu, nu))
     with pytest.raises(SingularArgumentError):
         pot.v_transverse_partial(0.5, [0.0, 0.0], 0, 0)
 
@@ -543,19 +585,6 @@ def test_magnetic_fit_points_stable_across_gauss_rules(seed):
     assert 0 < np.count_nonzero(~kept[0])     # the floor does cut points
     assert max(exponents) - min(exponents) < 0.05
     assert min(exponents) > 4.0
-
-
-# -------------------------------------------------------------- self-energy
-
-def test_loop_self_energy(thermo):
-    sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
-    single = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 16, 3))
-    assert pot.loop_self_energy(single) == 0.0
-    multi = lo.Loop(0.0, sp, 2, lo.sample_bridge(2, 16, 3))
-    se = pot.loop_self_energy(multi)
-    assert se > 0.0
-    shifted = lo.shift_origin(multi, 0.5)
-    assert pot.loop_self_energy(shifted) == pytest.approx(se, rel=1e-10)
 
 
 # --------------------------------------------------------- monopole reduction

@@ -4,7 +4,7 @@ import pytest
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
-from thermocasimir.errors import DependencyError, ParameterError, SolverError
+from thermocasimir.errors import ParameterError, SolverError
 from thermocasimir.force import fit_loglog_slope
 
 
@@ -309,49 +309,6 @@ def test_sum_rule_universality_across_composition(thermo):
     assert abs(residuals[0] - residuals[1]) < 1e-2
 
 
-# ----------------------------------------------------------------- bonds
-
-def test_f_bond_linearity_and_antisymmetry():
-    phi = np.array([0.3, -0.1])
-    f1 = scr.build_F_bond(phi, 1.0, -1.0, beta=2.0)
-    f2 = scr.build_F_bond(phi, -1.0, -1.0, beta=2.0)
-    assert np.allclose(f1, -f2)
-    assert np.allclose(f1, 2.0 * phi)
-
-
-def test_fr_bond_quadratic_smallness():
-    beta = 1.0
-    phi = np.array([1e-3, 5e-4])
-    fr, flagged = scr.build_FR_bond(phi, np.zeros_like(phi), 1.0, 1.0, beta)
-    assert not flagged
-    assert np.allclose(fr, 0.5 * (beta * phi) ** 2, rtol=1e-2)
-
-
-def test_fr_bond_overflow_clamped():
-    fr, flagged = scr.build_FR_bond(np.array([1000.0]), np.array([0.0]),
-                                    1.0, -1.0, beta=1.0)
-    assert flagged
-    assert np.all(np.isfinite(fr))
-
-
-def test_fr_bond_dipole_dominated_at_large_separation(big_thermo):
-    # beyond ~20 screening lengths the nonlinear bond reduces to the linearized
-    # dipolar coupling: F^R ~ -beta e_i e_j W
-    kappa = 1.0
-    beta = big_thermo.beta
-    sp = lo.SpeciesParams.from_thermo("s", 1.0, 1.0, big_thermo)
-    l1 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 24, [31, 0]))
-    base_path = lo.sample_bridge(1, 24, [31, 1])
-    for y in (20.0, 30.0):
-        l2 = lo.Loop(0.0, sp, 1, base_path, y=np.array([y, 0.0]))
-        w = pot.wc_pair(l1, l2)
-        # bulk screened monopole potential at this separation
-        phi = np.exp(-kappa * y) / y
-        fr, _ = scr.build_FR_bond(phi, w, 1.0, 1.0, beta)
-        ratio = fr / (-beta * w)
-        assert abs(ratio - 1.0) < 0.05
-
-
 # -------------------------------------------- traversing-chain factorization
 
 def test_geometric_chain_prefactor_identity():
@@ -443,119 +400,50 @@ def test_factorization_depends_on_inner_face_only():
     assert change < np.exp(-2.0 * (a - 1.0) * kappa) * 50.0
 
 
-# ------------------------------------------------ leading interplate pieces
+# ------------------------------------------------ screening of both slabs
 
 @pytest.fixture(scope="module")
-def ursell(thermo, neutral_profile):
+def slab_bases(thermo, neutral_profile):
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=16, nx_b=16)
     ba = scr.build_loop_basis(geo, neutral_profile, thermo, "a", n_paths=4,
                               n_steps=16, seed=3)
     bb = scr.build_loop_basis(geo, neutral_profile, thermo, "b", n_paths=4,
                               n_steps=16, seed=4)
+    return ba, bb
+
+
+def _border_source(thermo):
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    roots = [ba.size - 2, ba.size - 1]
-    return scr.leading_ursell(ba, bb, border, _kseq(1.0), dressing_roots=roots)
+    return lo.point_loop(0.0, border, n_steps=16)
 
 
-def test_dressed_border_bracket_is_minus_one(ursell):
-    assert abs(ursell.bracket_a + 1.0) < 1e-2
-    assert abs(ursell.bracket_b + 1.0) < 1e-2
+def test_dressed_border_bracket_is_minus_one(slab_bases, thermo):
+    # the border charge sits on the inner face of either slab
+    for basis in slab_bases:
+        res = scr.check_perfect_screening(basis, _border_source(thermo),
+                                          _kseq(1.0))
+        assert abs(res["bracket"].real + 1.0) < 1e-2
 
 
-def test_w_term_annihilation(ursell):
-    basis = ursell.basis_a
+def test_w_term_annihilation(slab_bases):
+    # An interior loop is screened like the border charge.  Its dressed
+    # weights w_i = rho_i h(root, i) + delta(root, i), with the closure
+    # h = -beta e_root e_i Phi(root, i), contract to
+    # sum_i p_i e_i w_i = e_root (p_root + bracket), where bracket is the
+    # k-sweep's bracket with the root's own loop as the source: the
+    # contraction vanishes exactly when that bracket is -p_root.
+    basis = slab_bases[0]
     root = basis.size - 1
-    w = ursell.dressed_weights(root, "a")
-    contraction = np.sum(basis.pnum * basis.charge * w)
-    unsigned = np.sum(np.abs(basis.pnum * basis.charge * w))
-    assert abs(contraction) / unsigned < 1e-2
+    assert basis.pnum[root] == 1 and -6.0 < basis.x[root] < 0.0
+    res = scr.check_perfect_screening(basis, basis.loops[root], _kseq(1.0))
+    assert abs(res["bracket"] + basis.pnum[root]) < 1e-2
 
 
-def test_dressing_requires_solved_roots(ursell):
-    with pytest.raises(DependencyError):
-        ursell.dressed_weights(0, "b")
-
-
-def test_leading_ursell_is_the_perfect_screening_sweep(ursell, thermo):
-    # the same basis, border and k-sequence, solved for the border column
-    # alone instead of together with the two dressing roots
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    src = lo.point_loop(0.0, border, n_steps=16)
-    res = scr.check_perfect_screening(ursell.basis_a, src, _kseq(1.0))
-    assert abs(ursell.bracket_a - res["bracket"].real) < 1e-13
-    assert abs(ursell.sum_rule_residuals["a"] - res["residual_rel"]) < 1e-13
-    assert res["columns"].shape == (ursell.basis_a.size, 1)
-
-
-def test_leading_ursell_singular_operator_raises_solver_error(ursell, thermo,
-                                                              monkeypatch):
+def test_perfect_screening_singular_operator_raises_solver_error(
+        slab_bases, thermo, monkeypatch):
     # T = -I makes I + T exactly singular
     monkeypatch.setattr(scr, "assemble_kernel_matrix",
                         lambda basis, kvec: -np.eye(basis.size))
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     with pytest.raises(SolverError):
-        scr.leading_ursell(ursell.basis_a, ursell.basis_b, border,
-                           _kseq(1.0, n=2))
-
-
-def test_h_ab_scales_as_inverse_separation(ursell, thermo):
-    root_a = ursell.basis_a.size - 1
-    root_b = ursell.basis_b.size - 1
-    qv = np.array([1.3, 0.0])
-    ds = np.array([50.0, 100.0, 200.0, 400.0, 800.0])
-    totals, fr_piece = [], []
-    for d in ds:
-        h_f = ursell.h_single_f(root_a, 0, float(qv[0]), d, thermo.beta)
-        h_fr = ursell.h_single_fr(root_a, root_b, qv, d, thermo)
-        totals.append(abs(h_f + h_fr))
-        fr_piece.append(abs(h_fr))
-    slope, _ = fit_loglog_slope(ds, totals)
-    assert abs(slope + 1.0) < 0.1
-    # the nonlinear-bond piece is nonzero (suppressed by the tiny de Broglie
-    # lengths of this plasma) and itself decays with the separation
-    assert fr_piece[0] > 0.0
-    slope_fr, _ = fit_loglog_slope(ds, fr_piece)
-    assert abs(slope_fr + 1.0) < 0.1
-
-
-# --------------------------------------------------- in-plane integrability
-
-def test_disc_integral_zero_displacement_is_exactly_zero():
-    k_grid = np.geomspace(1e-4, 40.0, 50)
-    phi = (2.0 * np.pi / np.hypot(k_grid, 1.0)) * np.exp(-np.hypot(k_grid, 1.0))
-    val = scr.disc_integral_of_difference(k_grid, phi, phi, 0.0, 30.0)
-    assert val == 0.0
-
-
-def test_multipole_integrability_bulk_yukawa_oracle():
-    kappa = 1.0
-    x1, x2 = -0.3, -0.9
-    dx, dy = 0.35, 0.4
-
-    def phi_bulk(xa, xb, k):
-        return scr.bulk_phi_analytic(xa, xb, k, kappa)
-
-    rep = scr.multipole_integrability_check(phi_bulk, kappa, x1, x2, dx, dy,
-                                            r_checks=(20.0, 30.0, 45.0, 60.0))
-    closed = (2.0 * np.pi / kappa) * (np.exp(-kappa * abs(x2 + dx - x1))
-                                      - np.exp(-kappa * abs(x2 - x1)))
-    assert rep["passed"]
-    assert abs(rep["full_plane_limit"] - closed) / abs(closed) < 1e-6
-
-
-def test_multipole_integrability_slab_tail():
-    kappa, a = 1.0, 6.0
-    nx = 240
-    h = a / nx
-    xc = -a + h / 2 + h * np.arange(nx)
-    kap2 = np.full(nx, kappa**2)
-
-    def phi_slab(xa, xb, k):
-        col = scr.classical_slab_solve(xc, h, kap2, k, np.array([xb]))[:, 0]
-        return float(np.interp(xa, xc, col))
-
-    rep = scr.multipole_integrability_check(phi_slab, kappa, -2.0, -2.6,
-                                            0.3, 0.3,
-                                            r_checks=(30.0, 45.0, 60.0))
-    assert rep["passed"]
-    assert all(d < 1e-3 for d in rep["cauchy_deltas"])
+        scr.check_perfect_screening(slab_bases[0], _border_source(thermo),
+                                    _kseq(1.0, n=2))
