@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from .config import load_config
+from .config import load_config, optional_block
 from .errors import ConfigError, SolverError
 from .force import zeta3_quadrature, zeta3_series_oracle
 from .pipeline import run_pipeline, verify_suite, write_report, write_sweep_csv
@@ -30,7 +30,8 @@ def _apply_overrides(config_dict, overrides_json):
         raise ConfigError(f"--tol-overrides is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ConfigError("--tol-overrides must be a JSON object")
-    config_dict.setdefault("numerics", {}).update(overrides)
+    config_dict["numerics"] = {**optional_block(config_dict, "numerics"),
+                               **overrides}
     return config_dict
 
 
@@ -40,7 +41,7 @@ def _load(path, args):
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "out_dir", None) is not None:
-        raw.setdefault("output", {})["dir"] = args.out_dir
+        raw["output"] = {**optional_block(raw, "output"), "dir": args.out_dir}
     raw = _apply_overrides(raw, getattr(args, "tol_overrides", None))
     return load_config(raw)
 

@@ -19,7 +19,6 @@ _CGS = {"kB": 1.380649e-16, "hbar": 1.054571817e-27, "c": 2.99792458e10}
 DEFAULT_NUMERICS = {
     "n_steps_kernel": 16,     # path resolution inside the dense solve
     "p_max": 3,
-    "n_paths": 256,           # Monte Carlo paths per (species, p) cell
     "n_paths_kernel": 8,      # paths per cell carried by the dense solve
     "nx": 32,                 # cells per slab
     "k0_factor": 0.2,         # first wavenumber of the k -> 0 sequence, in kappa units
@@ -28,8 +27,8 @@ DEFAULT_NUMERICS = {
 }
 
 # integer knobs and their smallest meaningful value
-_INTEGER_MIN = {"n_steps_kernel": 2, "p_max": 1, "n_paths": 1,
-                "n_paths_kernel": 1, "nx": 2, "n_k": 2}
+_INTEGER_MIN = {"n_steps_kernel": 2, "p_max": 1, "n_paths_kernel": 1,
+                "nx": 2, "n_k": 2}
 
 _SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
 
@@ -83,6 +82,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def optional_block(raw: dict, key: str) -> dict:
+    """raw[key] if it is an object, {} if absent; ConfigError otherwise."""
+    return _need({key: {}, **raw}, key, dict, "config")
+
+
 def _positive(value, name):
     if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be a finite positive number")
@@ -115,14 +119,14 @@ def load_config(path_or_dict) -> RunConfig:
     slabs = _need(raw, "slabs", dict, "config")
     a = _positive(_need(slabs, "a", float, "slabs"), "a")
     b = _positive(_need(slabs, "b", float, "slabs"), "b")
-    neutral = bool(slabs.get("neutral", True))
+    neutral = _need({"neutral": True, **slabs}, "neutral", bool, "slabs")
 
     species_raw = _need(slabs, "species", list, "slabs")
     if not species_raw:
         raise ConfigError("species list must not be empty")
     species, p_weights, densities = [], {}, {}
     numerics = dict(DEFAULT_NUMERICS)
-    numerics.update(raw.get("numerics", {}))
+    numerics.update(optional_block(raw, "numerics"))
     for key, val in numerics.items():
         if key not in DEFAULT_NUMERICS:
             raise ConfigError(f"unknown numerics knob '{key}'")
@@ -141,6 +145,8 @@ def load_config(path_or_dict) -> RunConfig:
                 raise ConfigError(f"unknown species key '{key}' (allowed: "
                                   f"{', '.join(_SPECIES_KEYS)})")
         name = _need(entry, "name", str, "species")
+        if name in densities:
+            raise ConfigError(f"duplicate species name '{name}'")
         charge = _need(entry, "charge", float, "species")
         if not math.isfinite(charge):
             raise ConfigError("charge must be finite")
@@ -178,7 +184,7 @@ def load_config(path_or_dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    out_dir = raw.get("output", {}).get("dir", "out")
+    out_dir = optional_block(raw, "output").get("dir", "out")
     return RunConfig(units=units, thermo=thermo, a=a, b=b, species=species,
                      p_weights=p_weights, densities=densities, neutral=neutral,
                      numerics=numerics, d_values=[float(d) for d in d_values],

@@ -265,22 +265,7 @@ def magnetic_decay_fit(magnetic_decay: dict):
     return -slope, n_points
 
 
-def capacitor_force(surface_charge_a: float, surface_charge_b: float,
-                    magnetic_decay: dict | None = None):
-    """Direct interplate force of the net (non-fluctuating) charge densities.
-
-    The electrostatic term is 2 pi sigma_A sigma_B, separation-independent;
-    it vanishes identically for neutral plates.  The magnetic part carries no
-    power-law tail: when a probe is supplied, its in-plane-integrated kernel
-    is fitted on a log-log window and the decay exponent is reported.
-
-    magnetic_decay, when given, is the table magnetic_decay_fit takes; the
-    fit uses only points above its "m_floor".  Returns (electrostatic,
-    exponent), the exponent None without a table or with fewer than 3
-    points above the floor.
-    """
-    electrostatic = 2.0 * np.pi * surface_charge_a * surface_charge_b
-    exponent = None
-    if magnetic_decay is not None:
-        exponent, _ = magnetic_decay_fit(magnetic_decay)
-    return electrostatic, exponent
+def capacitor_force(surface_charge_a: float, surface_charge_b: float) -> float:
+    """Electrostatic force of the net plate charges, 2 pi sigma_A sigma_B: no
+    d-dependence, exactly 0 for neutral plates (magnetic: magnetic_decay_fit)."""
+    return 2.0 * np.pi * surface_charge_a * surface_charge_b

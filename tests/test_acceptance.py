@@ -11,7 +11,9 @@ from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
 from thermocasimir.config import load_config
-from thermocasimir.pipeline import run_pipeline, standard_magnetic_probe
+from thermocasimir.pipeline import (bridge_statistics, coulomb_kernel_error,
+                                    dipolar_slopes, run_pipeline,
+                                    standard_magnetic_probe, v_transverse_error)
 
 LAMBDA_SCREEN = 0.9534625892455922          # of the default two-species plasma
 
@@ -163,12 +165,7 @@ def test_criterion_6_scaling_estimates():
     sp2 = lo.SpeciesParams.from_thermo("p2", -1.0, 0.6, th)
     l1 = lo.Loop(-0.4, sp1, 1, lo.sample_bridge(1, 48, [7, 0]))
     l2 = lo.Loop(0.6, sp2, 1, lo.sample_bridge(1, 48, [7, 1]))
-    qv = np.array([1.0, 0.4])
-    ds = np.geomspace(10.0, 1000.0, 6)
-    wab = [abs(pot.wab_pair_finite_d(l1, l2, qv, d, th)) for d in ds]
-    grad = [abs(pot.wm_gradient_ab(l1, l2, qv, d, th)) for d in ds]
-    slope_w, _ = fc.fit_loglog_slope(ds, wab)
-    slope_g, _ = fc.fit_loglog_slope(ds, grad)
+    slope_w, slope_g = dipolar_slopes(l1, l2, th)
     _report("6 (scaling estimates)",
             abs(slope_w + 1.0) < 0.05 and abs(slope_g + 2.0) < 0.1,
             f"interplate dipolar slope {slope_w:.4f} (-1 +/- 0.05), "
@@ -176,19 +173,7 @@ def test_criterion_6_scaling_estimates():
 
 
 def test_criterion_7_bridge_statistics():
-    n = 100_000
-    n_steps = 16
-    paths = lo.sample_bridge_ensemble(1, n_steps, 2000, n)
-    rng = np.random.default_rng(31)
-    worst_z = 0.0
-    for _ in range(10):
-        i, j = rng.integers(1, n_steps, size=2)
-        s, sp_ = i / n_steps, j / n_steps
-        prod = paths[:, i, 0] * paths[:, j, 0]
-        target = lo.bridge_covariance(1, min(s, sp_), max(s, sp_))
-        z = abs(prod.mean() - target) / (prod.std(ddof=1) / np.sqrt(n))
-        worst_z = max(worst_z, z)
-    ito = lo.line_integral(paths[0], lambda s, x: np.array([1.0, -2.0, 0.5]))
+    worst_z, ito = bridge_statistics(100_000, 2000, 31)
     _report("7 (bridge statistics)",
             worst_z < 3.0 and ito == 0.0,
             f"worst covariance deviation {worst_z:.2f} standard errors "
@@ -198,25 +183,8 @@ def test_criterion_7_bridge_statistics():
 
 def test_criterion_8_closed_form_kernels():
     rng = np.random.default_rng(8)
-    worst_coulomb = 0.0
-    for _ in range(100):
-        q = rng.uniform(0.05, 4.0)
-        d = rng.uniform(5.0, 50.0)
-        x1 = rng.uniform(-0.3 * d, 0.0)
-        x2 = rng.uniform(0.0, 0.3 * d)
-        closed = pot.coulomb_force_kernel(x1, x2, q, d)
-        oracle = pot.coulomb_force_kernel_oracle(x1, x2, q, d)
-        worst_coulomb = max(worst_coulomb, abs(closed - oracle) / abs(closed))
-    worst_vt = 0.0
-    for _ in range(100):
-        x = rng.uniform(-2.0, 2.0)
-        qv = rng.uniform(-2.0, 2.0, size=2)
-        if np.hypot(*qv) < 0.3:
-            qv = qv + 0.5
-        mu, nu = rng.integers(0, 3, size=2)
-        closed = pot.v_transverse_partial(x, qv, int(mu), int(nu))
-        oracle = pot.v_transverse_partial_oracle(x, qv, int(mu), int(nu))
-        worst_vt = max(worst_vt, abs(closed - oracle))
+    worst_coulomb = coulomb_kernel_error(rng, 100)
+    worst_vt = v_transverse_error(rng, 100)
     _report("8 (closed-form kernels)",
             worst_coulomb < 1e-6 and worst_vt < 1e-8,
             f"slab force kernel vs Hankel oracle: {worst_coulomb:.2e} "
@@ -252,7 +220,7 @@ def test_criterion_9_monopole_reduction():
 def test_criterion_10_capacitor_terms(pipeline_runs):
     cap = pipeline_runs["two-species"]["report"]["capacitor"]
     probe = standard_magnetic_probe(seed=99)
-    _, exponent = fc.capacitor_force(0.0, 0.0, magnetic_decay=probe)
+    exponent, _ = fc.magnetic_decay_fit(probe)
     _report("10 (capacitor terms)",
             cap["electrostatic"] == 0.0 and exponent > 4.0,
             f"neutral-slab electrostatic term = {cap['electrostatic']} "

@@ -66,6 +66,10 @@ def test_config_roundtrip(fast_config):
     lambda c: c.setdefault("numerics", {}).update(bogus_knob=3),
     lambda c: c.setdefault("numerics", {}).update(nx=0),
     lambda c: c["slabs"]["species"].append(3),
+    lambda c: c["slabs"]["species"][1].update(name="plus"),
+    lambda c: c.update(numerics=[1]),
+    lambda c: c.update(output="x"),
+    lambda c: c["slabs"].update(neutral="no"),
 ])
 def test_config_schema_violations(fast_config, mutate):
     cfg = copy.deepcopy(fast_config)
@@ -294,11 +298,13 @@ def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value
     ("thermo", "beta", True),
     ("species", "charge", True),
     ("species", "spin", "x"),
+    # a non-object block, also where --out-dir writes into it
+    ("config", "output", "x"),
 ])
 def test_cli_rejects_non_finite_parameter(tmp_path, fast_config, capsys,
                                           where, key, value):
     bad = copy.deepcopy(fast_config)
-    block = {"thermo": bad["thermo"], "slabs": bad["slabs"],
+    block = {"config": bad, "thermo": bad["thermo"], "slabs": bad["slabs"],
              "species": bad["slabs"]["species"][0],
              "numerics": bad["numerics"]}[where]
     block[key] = value
@@ -388,10 +394,16 @@ def test_verify_suite_all_pass(verify_table):
 
 
 def test_verify_suite_machine_readable(verify_table):
-    names = {c["name"] for c in verify_table["checks"]}
-    assert {"bridge_covariance_z", "ito_closure_exact", "transverse_projector",
-            "coulomb_kernel_oracle", "perfect_screening_slab",
-            "zeta3_quadrature_vs_series", "wab_scaling_slope"} <= names
+    assert [c["name"] for c in verify_table["checks"]] == [
+        "bridge_covariance_z", "ito_closure_exact", "sampler_determinism",
+        "transverse_projector", "photon_factor_periodicity",
+        "coulomb_kernel_oracle", "v_transverse_oracle", "wm_classical_limit",
+        "wm_resolution_scaling", "bulk_phi_analytic", "perfect_screening_bulk",
+        "perfect_screening_slab", "geometric_series_identity",
+        "bare_kernel_factorization", "zeta3_quadrature_vs_series",
+        "assembled_unit_brackets", "lifshitz_factor_half",
+        "capacitor_magnetic_decay", "capacitor_neutral_zero",
+        "wab_scaling_slope", "wm_gradient_slope"]
     for c in verify_table["checks"]:
         assert set(c) >= {"name", "passed", "value", "tolerance", "expected_fail"}
 

@@ -124,9 +124,8 @@ def test_assemble_force_json_keys():
 
 
 def test_capacitor_force_neutral_and_charged():
-    el, expo = fc.capacitor_force(0.0, 0.0)
-    assert el == 0.0 and expo is None
-    el, _ = fc.capacitor_force(1.0, -1.0)
+    assert fc.capacitor_force(0.0, 0.0) == 0.0
+    el = fc.capacitor_force(1.0, -1.0)
     assert el == pytest.approx(-2.0 * np.pi)
     assert el < 0.0     # attractive, separation-independent
 
@@ -134,8 +133,8 @@ def test_capacitor_force_neutral_and_charged():
 def test_capacitor_force_magnetic_exponent_fit():
     x = np.geomspace(5.0, 50.0, 12)
     decay = {"x_values": x, "m_values": 3.0 * x**-6.0}
-    _, expo = fc.capacitor_force(0.0, 0.0, magnetic_decay=decay)
-    assert expo == pytest.approx(6.0, rel=1e-10)
+    expo, n_points = fc.magnetic_decay_fit(decay)
+    assert expo == pytest.approx(6.0, rel=1e-10) and n_points == 12
     assert expo > 4.0
 
 
@@ -149,14 +148,11 @@ def _power_table_with_noise_tail():
 
 def test_capacitor_force_fits_above_floor_only():
     x, m, floor = _power_table_with_noise_tail()
-    _, expo = fc.capacitor_force(0.0, 0.0, magnetic_decay={
-        "x_values": x, "m_values": m, "m_floor": floor})
-    assert expo == pytest.approx(6.0, rel=1e-10)
-    assert fc.magnetic_decay_fit({"x_values": x, "m_values": m,
-                                  "m_floor": floor}) == (expo, 12)
+    expo, n_points = fc.magnetic_decay_fit({"x_values": x, "m_values": m,
+                                            "m_floor": floor})
+    assert expo == pytest.approx(6.0, rel=1e-10) and n_points == 12
     # without a floor the noise tail enters the fit
-    _, expo_all = fc.capacitor_force(0.0, 0.0, magnetic_decay={
-        "x_values": x, "m_values": m})
+    expo_all, _ = fc.magnetic_decay_fit({"x_values": x, "m_values": m})
     assert abs(expo_all - 6.0) > 0.5
 
 
@@ -165,8 +161,6 @@ def test_magnetic_decay_fit_needs_three_points_above_floor():
     floor[:10] = 1.0       # only x[10], x[11] stay above the floor
     table = {"x_values": x, "m_values": m, "m_floor": floor}
     assert fc.magnetic_decay_fit(table) == (None, 2)
-    _, expo = fc.capacitor_force(0.0, 0.0, magnetic_decay=table)
-    assert expo is None
     floor[9] = 0.0         # three points: the fit is made again
     expo, n_points = fc.magnetic_decay_fit(table)
     assert n_points == 3 and expo == pytest.approx(6.0, rel=1e-10)

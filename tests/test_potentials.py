@@ -10,6 +10,8 @@ from thermocasimir import potentials as pot
 from thermocasimir.errors import (ContractViolationError, ParameterError,
                                   SingularArgumentError)
 from thermocasimir.force import fit_loglog_slope
+from thermocasimir.pipeline import (coulomb_kernel_error, dipolar_slopes,
+                                    v_transverse_error)
 
 
 # ---------------------------------------------------------------- projector
@@ -397,17 +399,7 @@ def test_coulomb_force_kernel_values():
 
 
 def test_coulomb_force_kernel_vs_hankel_oracle():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        q = rng.uniform(0.05, 4.0)
-        d = rng.uniform(5.0, 50.0)
-        x1 = rng.uniform(-0.3 * d, 0.0)
-        x2 = rng.uniform(0.0, 0.3 * d)
-        closed = pot.coulomb_force_kernel(x1, x2, q, d)
-        oracle = pot.coulomb_force_kernel_oracle(x1, x2, q, d)
-        worst = max(worst, abs(closed - oracle) / abs(closed))
-    assert worst < 1e-6
+    assert coulomb_kernel_error(np.random.default_rng(42), 100) < 1e-6
 
 
 # --------------------------------------- partial transverse Coulomb transform
@@ -430,18 +422,7 @@ def test_v_transverse_partial_values():
 
 
 def test_v_transverse_partial_vs_oracle():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        x = rng.uniform(-2.0, 2.0)
-        qv = rng.uniform(-2.0, 2.0, size=2)
-        if np.hypot(*qv) < 0.3:
-            qv = qv + 0.5
-        mu, nu = rng.integers(0, 3, size=2)
-        closed = pot.v_transverse_partial(x, qv, int(mu), int(nu))
-        oracle = pot.v_transverse_partial_oracle(x, qv, int(mu), int(nu))
-        worst = max(worst, abs(closed - oracle))
-    assert worst < 1e-8
+    assert v_transverse_error(np.random.default_rng(7), 100) < 1e-8
 
 
 def test_v_transverse_specific_point():
@@ -507,13 +488,7 @@ def test_wm_gradient_matches_finite_difference(big_thermo, probe_loops):
 
 
 def test_wab_and_gradient_scaling_slopes(big_thermo, probe_loops):
-    l1, l2 = probe_loops
-    qv = np.array([1.0, 0.4])
-    ds = np.geomspace(10.0, 1000.0, 6)
-    wab = [abs(pot.wab_pair_finite_d(l1, l2, qv, d, big_thermo)) for d in ds]
-    grad = [abs(pot.wm_gradient_ab(l1, l2, qv, d, big_thermo)) for d in ds]
-    slope_w, _ = fit_loglog_slope(ds, wab)
-    slope_g, _ = fit_loglog_slope(ds, grad)
+    slope_w, slope_g = dipolar_slopes(*probe_loops, big_thermo)
     assert abs(slope_w + 1.0) < 0.05
     assert abs(slope_g + 2.0) < 0.1
 
