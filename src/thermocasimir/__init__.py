@@ -19,9 +19,8 @@ from .screening import (DensityProfile, LoopBasis, SlabGeometry,
                         SpeciesDensity, build_loop_basis,
                         check_perfect_screening, factorize_phi_ab,
                         solve_screened_potential)
-from .force import (ZETA3, ForceBreakdown, ForceRegimeParams, assemble_force,
-                    capacitor_force, leading_force, lifshitz_reference,
-                    zeta3_quadrature, zeta3_series_oracle)
+from .force import (ZETA3, assemble_force, capacitor_force, leading_force,
+                    lifshitz_reference, zeta3_quadrature, zeta3_series_oracle)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "check_perfect_screening", "factorize_phi_ab",
     "solve_screened_potential",
     # force
-    "ZETA3", "ForceBreakdown", "ForceRegimeParams", "assemble_force",
-    "capacitor_force", "leading_force", "lifshitz_reference",
+    "ZETA3", "assemble_force", "capacitor_force", "leading_force",
+    "lifshitz_reference",
     "zeta3_quadrature", "zeta3_series_oracle",
 ]

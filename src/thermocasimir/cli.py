@@ -11,7 +11,7 @@ import math
 import sys
 
 from .config import load_config, optional_block
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, ParameterError, SolverError
 from .force import zeta3_quadrature, zeta3_series_oracle
 from .pipeline import run_pipeline, verify_suite, write_report, write_sweep_csv
 
@@ -38,6 +38,8 @@ def _apply_overrides(config_dict, overrides_json):
 def _load(path, args):
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "out_dir", None) is not None:
@@ -141,10 +143,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ParameterError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

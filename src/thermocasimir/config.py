@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -95,11 +96,12 @@ def _positive(value, name):
 
 def load_config(path_or_dict) -> RunConfig:
     """Parse and validate a run configuration (path to a JSON file, or a dict)."""
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
-        with open(path_or_dict) as fh:
+    raw = path_or_dict
+    if isinstance(raw, (str, os.PathLike)):
+        with open(raw) as fh:
             raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("the configuration must be a JSON object")
     units = _need(raw, "units", str, "config")
     if units not in _ALLOWED_UNITS:
         raise ConfigError(f"units must be one of {_ALLOWED_UNITS}")

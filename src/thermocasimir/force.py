@@ -3,7 +3,6 @@ and the regime reference formulas."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -16,13 +15,11 @@ __all__ = [
     "zeta3_series_oracle",
     "ZETA3",
     "leading_force",
-    "ForceRegimeParams",
     "lifshitz_reference",
     "assemble_force",
     "capacitor_force",
     "magnetic_decay_fit",
     "fit_loglog_slope",
-    "ForceBreakdown",
 ]
 
 
@@ -61,45 +58,46 @@ def zeta3_series_oracle(n_terms: int = 1_000_000) -> float:
     return partial + tail
 
 
-ZETA3 = 2.0 * zeta3_series_oracle()
+ZETA3 = 1.2020569031595938          # Apery's constant, = 2 * zeta3_series_oracle()
 
 
-def leading_force(thermo, d: float) -> float:
+def _finite_nonzero(value: float, what: str) -> float:
+    if not 0.0 < abs(value) < np.inf:
+        raise ParameterError(f"{what} is {value!r}, not a finite nonzero double")
+    return value
+
+
+def _power(d: float, n: int) -> float:
+    """d**n, or ParameterError when it is not a finite nonzero double."""
+    try:
+        dn = d**n
+    except OverflowError:
+        dn = np.inf
+    return _finite_nonzero(dn, f"d**{n} at d = {d!r}")
+
+
+def leading_force(thermo: ThermoState, d: float) -> float:
     """Universal large-separation force per unit area: -zeta(3)/(8 pi beta d^3).
 
     Depends on the inverse temperature and the separation only; every species
     parameter and both hbar and c drop out.
     """
-    beta = thermo.beta if isinstance(thermo, ThermoState) else float(thermo)
-    if beta <= 0.0 or d <= 0.0:
+    if thermo.beta <= 0.0 or d <= 0.0:
         raise ParameterError("beta and d must be positive")
-    return -ZETA3 / (8.0 * np.pi * beta * d**3)
+    return _finite_nonzero(-ZETA3 / (8.0 * np.pi * thermo.beta * _power(d, 3)),
+                           f"the leading force at d = {d!r}")
 
 
 _ALPHA_HIGH, _ALPHA_LOW = 10.0, 0.1
 
 
-@dataclass(frozen=True)
-class ForceRegimeParams:
-    """Dimensionless regime parameter alpha = photon thermal length / separation."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ParameterError("alpha must be positive")
-
-    @classmethod
-    def from_state(cls, thermo: ThermoState, d: float):
-        return cls(alpha=thermo.lambda_ph / d)
-
-    @property
-    def label(self) -> str:
-        if self.alpha > _ALPHA_HIGH:
-            return "low-T/small-d"
-        if self.alpha < _ALPHA_LOW:
-            return "high-T/large-d"
-        return "crossover"
+def _regime(alpha: float) -> str:
+    """Regime of alpha = photon thermal length / separation."""
+    if alpha > _ALPHA_HIGH:
+        return "low-T/small-d"
+    if alpha < _ALPHA_LOW:
+        return "high-T/large-d"
+    return "crossover"
 
 
 def lifshitz_reference(thermo: ThermoState, d: float, mode: str, regime: str) -> float:
@@ -114,121 +112,90 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str, regime: str) ->
         raise ParameterError("mode must be 'rTE1' or 'rTE0'")
     if regime not in ("low-T/small-d", "high-T/large-d"):
         raise ParameterError("regime must name one of the two limits")
-    params = ForceRegimeParams.from_state(thermo, d)
-    if params.label != regime:
-        warnings.warn(
-            f"alpha = {params.alpha:.3g} is not in the {regime} regime",
-            stacklevel=2)
+    if not d > 0.0:
+        raise ParameterError("d must be positive")
+    alpha = thermo.lambda_ph / d
+    if _regime(alpha) != regime:
+        warnings.warn(f"alpha = {alpha:.3g} is not in the {regime} regime",
+                      stacklevel=2)
     kt = 1.0 / thermo.beta
     if regime == "low-T/small-d":
-        base = -np.pi**2 * thermo.hbar * thermo.c / (240.0 * d**4)
+        force = -np.pi**2 * thermo.hbar * thermo.c / (240.0 * _power(d, 4))
         if mode == "rTE0":
-            return base + ZETA3 * kt / (8.0 * np.pi * d**3)
-        return base
-    if mode == "rTE1":
-        return -ZETA3 * kt / (4.0 * np.pi * d**3)
-    return -ZETA3 * kt / (8.0 * np.pi * d**3)
+            force = force + ZETA3 * kt / (8.0 * np.pi * _power(d, 3))
+    elif mode == "rTE1":
+        force = -ZETA3 * kt / (4.0 * np.pi * _power(d, 3))
+    else:
+        force = -ZETA3 * kt / (8.0 * np.pi * _power(d, 3))
+    return _finite_nonzero(force, f"the {mode} {regime} force at d = {d!r}")
 
 
-@dataclass
-class ForceBreakdown:
-    """Everything the pipeline reports for one separation."""
-
-    d: float
-    f_leading: float
-    f_assembled: float
-    bracket_a: float
-    bracket_b: float
-    f_electrostatic_integrand: dict
-    f_capacitor_el: float
-    f_capacitor_mag_exponent: float | None
-    f_capacitor_mag_bound: dict
-    lifshitz: dict
-    sumrule_residuals: dict
-    certified: bool
-    notes: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "f_leading": self.f_leading,
-            "f_assembled": self.f_assembled,
-            "bracket_a": self.bracket_a,
-            "bracket_b": self.bracket_b,
-            "f_electrostatic_integrand": self.f_electrostatic_integrand,
-            "capacitor_el": self.f_capacitor_el,
-            "capacitor_mag_exponent": self.f_capacitor_mag_exponent,
-            "capacitor_mag_bound": self.f_capacitor_mag_bound,
-            "lifshitz": self.lifshitz,
-            "residuals": self.sumrule_residuals,
-            "certified": self.certified,
-            "notes": self.notes,
-        }
-
-
-def assemble_force(thermo: ThermoState, d: float, bracket_a: float,
+def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
                    bracket_b: float, sumrule_residuals: dict,
                    residual_tolerance: float = 1e-2,
                    capacitor_el: float = 0.0,
                    capacitor_mag_exponent: float | None = None,
-                   wab_scale: float | None = None) -> ForceBreakdown:
-    """Assemble the fluctuation force from the factorized leading correlation.
+                   wab_scale: float = 0.0) -> list:
+    """Assemble the fluctuation force from the factorized leading correlation,
+    one report row per separation in d_values.
 
     The scaled-wavenumber integral of the monopole force kernel against the
     single-traversing-bond correlation factorizes into the two charge-weighted
     plate brackets; with exact perfect screening both brackets are -1 and the
     assembly reproduces the universal law exactly.  The magnetic contribution
-    enters only as an order d^-5 remainder bound, never as an addend.
+    enters only as an order d^-5 remainder bound, never as an addend.  The
+    amplitude, the certification and the integrand shape do not depend on d
+    and are computed once.
     """
-    if d <= 0.0:
-        raise ParameterError("d must be positive")
     beta = thermo.beta
     amplitude = zeta3_quadrature()
-    f_assembled = -(amplitude / (4.0 * np.pi * beta * d**3)) * bracket_a * bracket_b
-    f_lead = leading_force(thermo, d)
     qgrid = np.linspace(0.0, 12.0, 121)
-    integrand = (_force_integrand(qgrid) * bracket_a * bracket_b
-                 / (-4.0 * np.pi * beta * d**3))
-    residual_max = max(abs(v) for v in sumrule_residuals.values()) \
-        if sumrule_residuals else np.inf
+    shape = _force_integrand(qgrid) * bracket_a * bracket_b
+    q_list = qgrid.tolist()
+    residuals = dict(sumrule_residuals)
+    residual_max = max(abs(v) for v in residuals.values()) if residuals else np.inf
     certified = residual_max < residual_tolerance
     notes = []
     if not certified:
         notes.append(
             f"sum-rule residual {residual_max:.3e} above tolerance "
             f"{residual_tolerance:.1e}: force values not certified")
-    mag_bound = {
-        "exponent": -5,
-        "coefficient_estimate": (abs(wab_scale) if wab_scale is not None else 0.0),
-        "bound_at_d": (abs(wab_scale) / d**5 if wab_scale is not None else 0.0),
-        "comment": "remainder estimate only; excluded from assembled values",
-    }
-    alpha = thermo.lambda_ph / d
-    lifshitz = {
-        "eq2": lifshitz_reference(thermo, d, "rTE1", "low-T/small-d")
-        if alpha > _ALPHA_HIGH else None,
-        "eq3": lifshitz_reference(thermo, d, "rTE0", "low-T/small-d")
-        if alpha > _ALPHA_HIGH else None,
-        "eq4": -ZETA3 / (4.0 * np.pi * beta * d**3),
-        "eq5": -ZETA3 / (8.0 * np.pi * beta * d**3),
-        "alpha": alpha,
-    }
-    return ForceBreakdown(
-        d=d,
-        f_leading=f_lead,
-        f_assembled=float(f_assembled),
-        bracket_a=float(bracket_a),
-        bracket_b=float(bracket_b),
-        f_electrostatic_integrand={"q": qgrid.tolist(),
-                                   "integrand": integrand.tolist()},
-        f_capacitor_el=float(capacitor_el),
-        f_capacitor_mag_exponent=capacitor_mag_exponent,
-        f_capacitor_mag_bound=mag_bound,
-        lifshitz=lifshitz,
-        sumrule_residuals=dict(sumrule_residuals),
-        certified=certified,
-        notes=notes,
-    )
+    rows = []
+    for d in d_values:
+        f_lead = leading_force(thermo, d)
+        denom = 4.0 * np.pi * beta * d**3
+        alpha = thermo.lambda_ph / d
+        low_t = _regime(alpha) == "low-T/small-d"
+        rows.append({
+            "d": d,
+            "f_leading": f_lead,
+            "f_assembled": float(-(amplitude / denom) * bracket_a * bracket_b),
+            "bracket_a": float(bracket_a),
+            "bracket_b": float(bracket_b),
+            "f_electrostatic_integrand": {"q": q_list,
+                                          "integrand": (shape / -denom).tolist()},
+            "capacitor_el": float(capacitor_el),
+            "capacitor_mag_exponent": capacitor_mag_exponent,
+            "capacitor_mag_bound": {
+                "exponent": -5,
+                "coefficient_estimate": abs(wab_scale),
+                "bound_at_d": abs(wab_scale) / _power(d, 5),
+                "comment": "remainder estimate only; excluded from assembled values",
+            },
+            "lifshitz": {
+                "eq2": lifshitz_reference(thermo, d, "rTE1", "low-T/small-d")
+                if low_t else None,
+                "eq3": lifshitz_reference(thermo, d, "rTE0", "low-T/small-d")
+                if low_t else None,
+                "eq4": 2.0 * f_lead,
+                "eq5": f_lead,
+                "alpha": alpha,
+            },
+            "residuals": residuals,
+            "certified": certified,
+            "notes": notes,
+        })
+    return rows
 
 
 def fit_loglog_slope(x, y):

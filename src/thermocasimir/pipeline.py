@@ -167,21 +167,17 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         wab_scale = abs(pot.wab_asymptotic(l1, l2, np.array([1.0, 0.0]), 1.0,
                                            probe["thermo"]))
 
-    residuals = {"a": brackets["residual_a"], "b": brackets["residual_b"]}
-    results = []
-    for d in sorted(config.d_values):
-        fb = force_mod.assemble_force(
-            config.thermo, d,
-            bracket_a=brackets["bracket_a"], bracket_b=brackets["bracket_b"],
-            sumrule_residuals=residuals,
-            residual_tolerance=config.numerics["residual_tolerance"],
-            capacitor_el=capacitor_el,
-            capacitor_mag_exponent=mag_exponent,
-            wab_scale=wab_scale)
-        results.append(fb)
+    results = force_mod.assemble_force(
+        config.thermo, sorted(config.d_values),
+        bracket_a=brackets["bracket_a"], bracket_b=brackets["bracket_b"],
+        sumrule_residuals={"a": brackets["residual_a"], "b": brackets["residual_b"]},
+        residual_tolerance=config.numerics["residual_tolerance"],
+        capacitor_el=capacitor_el,
+        capacitor_mag_exponent=mag_exponent,
+        wab_scale=wab_scale)
 
-    ds = np.array([fb.d for fb in results])
-    fs = np.array([fb.f_assembled for fb in results])
+    ds = np.array([row["d"] for row in results])
+    fs = np.array([row["f_assembled"] for row in results])
     slope, stderr = (force_mod.fit_loglog_slope(ds, fs)
                      if len(results) > 1 else (np.nan, np.nan))
     mean_mass = float(np.mean([sp.mass for sp in config.species]))
@@ -200,10 +196,10 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "capacitor": {"electrostatic": capacitor_el,
                       "magnetic_exponent": mag_exponent,
                       "magnetic_fit": mag_fit},
-        "results": [fb.to_json_dict() for fb in results],
+        "results": results,
         "sweep_fit": {"slope": float(slope), "stderr": float(stderr)},
         "convergence": convergence,
-        "certified_all": all(fb.certified for fb in results),
+        "certified_all": all(row["certified"] for row in results),
     }
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -448,10 +444,12 @@ def verify_suite(config: RunConfig) -> dict:
     z3 = abs(force_mod.zeta3_quadrature() - force_mod.zeta3_series_oracle())
     checks.append(_check("zeta3_quadrature_vs_series", z3, 1e-10))
 
-    fb = force_mod.assemble_force(thermo, 100.0, -1.0, -1.0, {"a": 0.0, "b": 0.0})
+    [row] = force_mod.assemble_force(thermo, [100.0], -1.0, -1.0,
+                                     {"a": 0.0, "b": 0.0})
+    f_asm, f_lead = row["f_assembled"], row["f_leading"]
     checks.append(_check(
-        "assembled_unit_brackets", fb.f_assembled / fb.f_leading - 1.0, 1e-15,
-        passed=abs(fb.f_assembled - fb.f_leading) <= 1e-15 * abs(fb.f_leading)))
+        "assembled_unit_brackets", f_asm / f_lead - 1.0, 1e-15,
+        passed=abs(f_asm - f_lead) <= 1e-15 * abs(f_lead)))
 
     r1 = force_mod.lifshitz_reference(thermo, 1e4 * thermo.lambda_ph, "rTE1",
                                       "high-T/large-d")

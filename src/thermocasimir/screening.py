@@ -269,7 +269,6 @@ class LoopBasis:
 
     loops: list
     x: np.ndarray            # cell centers
-    cell: np.ndarray         # cell index (within the concatenated grid)
     h: float                 # cell width
     charge: np.ndarray
     pnum: np.ndarray
@@ -316,9 +315,9 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
     """
     cells = geometry.cells_a() if slab == "a" else geometry.cells_b()
     h = geometry.h_a if slab == "a" else geometry.h_b
-    loops, xs, cidx, chg, ps, meas = [], [], [], [], [], []
+    loops, xs, chg, ps, meas = [], [], [], [], []
     stream = 0
-    for ci, xc in enumerate(cells):
+    for xc in cells:
         for entry in profile.cells(slab):
             sp = entry.species
             count = 1 if point_paths else n_paths
@@ -330,11 +329,10 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
                 stream += 1
                 loops.append(Loop(x=float(xc), species=sp, p=entry.p, path=path))
                 xs.append(xc)
-                cidx.append(ci)
                 chg.append(sp.charge)
                 ps.append(entry.p)
                 meas.append(entry.loop_density * h / count)
-    return LoopBasis(loops=loops, x=np.array(xs), cell=np.array(cidx), h=h,
+    return LoopBasis(loops=loops, x=np.array(xs), h=h,
                      charge=np.array(chg), pnum=np.array(ps, dtype=int),
                      measure=np.array(meas), beta=thermo.beta)
 

@@ -343,6 +343,37 @@ def test_cli_rejects_non_finite_separation(tmp_path, fast_config, capsys, d):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb, where, key, value", [
+    ("run", "sweep", "d_values", [1e-300]),    # d**3 underflows to 0
+    ("run", "sweep", "d_values", [1e120]),     # d**3 overflows
+    ("run", "sweep", "d_values", [1e300]),
+    ("run", "thermo", "beta", 1e300),          # the leading force underflows
+    ("verify", "thermo", "beta", 1e300),       # the Lifshitz check's d**3
+    ("verify", "thermo", "beta", 1e-300),
+    ("verify", "thermo", "c", 1e-300),
+])
+def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
+                                              verb, where, key, value):
+    bad = copy.deepcopy(fast_config)
+    bad[where][key] = value
+    bad["numerics"] = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
+    path = _write(tmp_path, bad)
+    assert cli.main([verb, path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not a finite nonzero" in err
+    assert "Traceback" not in err
+
+
+def test_config_top_level_must_be_an_object(tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        load_config([1])
+    path = _write(tmp_path, [1])
+    for extra in ([], ["--seed", "3"]):
+        assert cli.main(["run", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "JSON object" in err
+
+
 def test_cli_rejects_non_numeric_d_list(tmp_path, fast_config):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", _write(tmp_path, fast_config), "--d-list", "far"])

@@ -15,6 +15,10 @@ def test_zeta3_quadrature_vs_series_oracle():
     assert series_val == pytest.approx(0.60102845157, abs=1e-11)
 
 
+def test_zeta3_literal_is_twice_the_series_oracle():
+    assert fc.ZETA3 == 2.0 * fc.zeta3_series_oracle()
+
+
 def test_force_integrand_regular_at_origin():
     # q^2 e^{-q} / sinh q = q (1 - q + ...): finite, tends to q
     q = np.array([1e-10, 1e-6, 1e-3])
@@ -50,10 +54,10 @@ def test_leading_force_parameter_errors():
 
 
 def test_regime_classification():
-    th = lo.ThermoState(beta=1.0, hbar=1.0, c=1.0)   # lambda_ph = 1
-    assert fc.ForceRegimeParams.from_state(th, 100.0).label == "high-T/large-d"
-    assert fc.ForceRegimeParams.from_state(th, 0.01).label == "low-T/small-d"
-    assert fc.ForceRegimeParams.from_state(th, 1.0).label == "crossover"
+    # alpha = photon thermal length / separation
+    assert fc._regime(1.0 / 100.0) == "high-T/large-d"
+    assert fc._regime(1.0 / 0.01) == "low-T/small-d"
+    assert fc._regime(1.0) == "crossover"
 
 
 def test_lifshitz_high_temperature_values():
@@ -85,42 +89,69 @@ def test_lifshitz_regime_mismatch_warns():
         fc.lifshitz_reference(th, 1000.0, "rTE1", "low-T/small-d")
     with pytest.raises(ParameterError):
         fc.lifshitz_reference(th, 1000.0, "bogus", "high-T/large-d")
+    with pytest.raises(ParameterError):
+        fc.lifshitz_reference(th, -1.0, "rTE1", "high-T/large-d")
 
 
 def test_assemble_force_unit_brackets_reproduce_universal_law():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    fb = fc.assemble_force(th, 150.0, -1.0, -1.0, {"a": 0.0, "b": 0.0})
-    assert fb.f_assembled == pytest.approx(fb.f_leading, rel=1e-14)
-    assert fb.f_leading < 0.0
-    assert fb.certified
+    rows = fc.assemble_force(th, [150.0, 300.0], -1.0, -1.0,
+                             {"a": 0.0, "b": 0.0})
+    assert [row["d"] for row in rows] == [150.0, 300.0]
+    for row in rows:
+        assert row["f_assembled"] == pytest.approx(row["f_leading"], rel=1e-14)
+        assert row["f_leading"] < 0.0
+        assert row["certified"]
 
 
 def test_assemble_force_certification_gate():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    fb = fc.assemble_force(th, 150.0, -0.9, -1.0, {"a": 0.1, "b": 0.0},
-                           residual_tolerance=1e-2)
-    assert not fb.certified
-    assert fb.notes
+    [row] = fc.assemble_force(th, [150.0], -0.9, -1.0, {"a": 0.1, "b": 0.0},
+                              residual_tolerance=1e-2)
+    assert not row["certified"]
+    assert row["notes"]
 
 
 def test_assemble_force_magnetic_remainder_is_bound_only():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    fb = fc.assemble_force(th, 100.0, -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)
-    assert fb.f_capacitor_mag_bound["exponent"] == -5
-    assert fb.f_capacitor_mag_bound["bound_at_d"] == pytest.approx(3.0 / 100.0**5)
+    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)
+    assert row["capacitor_mag_bound"]["exponent"] == -5
+    assert row["capacitor_mag_bound"]["bound_at_d"] == pytest.approx(3.0 / 100.0**5)
     # the bound never contaminates the assembled value
-    assert fb.f_assembled == pytest.approx(fb.f_leading, rel=1e-14)
+    assert row["f_assembled"] == pytest.approx(row["f_leading"], rel=1e-14)
 
 
 def test_assemble_force_json_keys():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    fb = fc.assemble_force(th, 100.0, -1.0, -1.0, {"a": 0.0})
-    blob = fb.to_json_dict()
+    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, {"a": 0.0})
     for key in ("f_leading", "capacitor_el", "capacitor_mag_exponent",
                 "lifshitz", "residuals", "f_assembled"):
-        assert key in blob
-    assert set(blob["lifshitz"]) >= {"eq2", "eq3", "eq4", "eq5"}
-    assert blob["lifshitz"]["eq4"] / blob["lifshitz"]["eq5"] == 2.0
+        assert key in row
+    assert set(row["lifshitz"]) >= {"eq2", "eq3", "eq4", "eq5"}
+    assert row["lifshitz"]["eq4"] / row["lifshitz"]["eq5"] == 2.0
+
+
+def test_assemble_force_computes_the_amplitude_once(monkeypatch):
+    calls = []
+    quadrature = fc.zeta3_quadrature
+
+    def counted():
+        calls.append(1)
+        return quadrature()
+
+    monkeypatch.setattr(fc, "zeta3_quadrature", counted)
+    th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
+    rows = fc.assemble_force(th, [100.0, 200.0, 400.0], -1.0, -1.0, {"a": 0.0})
+    assert len(rows) == 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1e-300, 1e-70, 1e120, 1e300])
+def test_assemble_force_rejects_unrepresentable_powers(d):
+    # d**3 (or the d**5 of the magnetic bound) over- or underflows
+    th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
+    with pytest.raises(ParameterError):
+        fc.assemble_force(th, [d], -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)
 
 
 def test_capacitor_force_neutral_and_charged():
