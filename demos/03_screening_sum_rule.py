@@ -23,7 +23,7 @@ rho = 1.0 / (8.0 * np.pi)                    # screening length = 1
 cells = (SpeciesDensity(plus, 1, rho), SpeciesDensity(minus, 1, rho))
 profile = DensityProfile(beta=1.0, slab_a=cells, slab_b=cells)
 print(f"plasma: kappa^2 = {profile.kappa2('a'):.3f}, "
-      f"neutral: {profile.is_neutral('a')}")
+      f"net charge density: {profile.charge_density('a'):.3g}")
 
 print("\n=== solver sanity: wide slab against the homogeneous closed form ===")
 n, span, k = 1200, 30.0, 0.7

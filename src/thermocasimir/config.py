@@ -43,7 +43,6 @@ class RunConfig:
     species: list
     p_weights: dict
     densities: dict          # species name -> particle number density
-    neutral: bool
     numerics: dict
     d_values: list
     seed: int
@@ -111,12 +110,12 @@ def load_config(path_or_dict) -> RunConfig:
         th = {"hbar": 1.0, "c": 1.0, **th}
         beta, hbar, c = (_positive(_need(th, key, float, "thermo"), key)
                          for key in ("beta", "hbar", "c"))
-        thermo = ThermoState(beta=beta, hbar=hbar, c=c, kB=1.0)
+        thermo = ThermoState(beta=beta, hbar=hbar, c=c)
     else:
         t_kelvin = _positive(_need(th, "temperature_K", float, "thermo"),
                              "temperature_K")
         thermo = ThermoState(beta=1.0 / (_CGS["kB"] * t_kelvin),
-                             hbar=_CGS["hbar"], c=_CGS["c"], kB=_CGS["kB"])
+                             hbar=_CGS["hbar"], c=_CGS["c"])
 
     slabs = _need(raw, "slabs", dict, "config")
     a = _positive(_need(slabs, "a", float, "slabs"), "a")
@@ -188,6 +187,6 @@ def load_config(path_or_dict) -> RunConfig:
 
     out_dir = optional_block(raw, "output").get("dir", "out")
     return RunConfig(units=units, thermo=thermo, a=a, b=b, species=species,
-                     p_weights=p_weights, densities=densities, neutral=neutral,
+                     p_weights=p_weights, densities=densities,
                      numerics=numerics, d_values=[float(d) for d in d_values],
                      seed=seed, out_dir=str(out_dir), raw=raw)

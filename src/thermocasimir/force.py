@@ -153,7 +153,9 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
     shape = _force_integrand(qgrid) * bracket_a * bracket_b
     q_list = qgrid.tolist()
     residuals = dict(sumrule_residuals)
-    residual_max = max(abs(v) for v in residuals.values()) if residuals else np.inf
+    # np.max, not max: a NaN residual must propagate instead of being skipped
+    residual_max = (float(np.max(np.abs(list(residuals.values()))))
+                    if residuals else np.inf)
     certified = residual_max < residual_tolerance
     notes = []
     if not certified:

@@ -37,10 +37,9 @@ class ThermoState:
     beta: float
     hbar: float = 1.0
     c: float = 1.0
-    kB: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta", "hbar", "c", "kB"):
+        for name in ("beta", "hbar", "c"):
             if not getattr(self, name) > 0.0:
                 raise ParameterError(f"{name} must be strictly positive")
 
@@ -80,8 +79,8 @@ def _validate_path(path: np.ndarray, p: int):
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3:
         raise ContractViolationError("path must be an (N+1, 3) array")
-    if (path.shape[0] - 1) < 2 * p:
-        raise ContractViolationError("path needs at least 2 nodes per unit of p")
+    if (path.shape[0] - 1) < 2 * p or (path.shape[0] - 1) % p:
+        raise ContractViolationError("path needs n_steps * p steps, n_steps >= 2")
     if not (np.all(path[0] == 0.0) and np.all(path[-1] == 0.0)):
         raise ContractViolationError("path must be a pinned bridge: X(0) = X(p) = 0")
     return path
@@ -120,12 +119,6 @@ class Loop:
     def ds(self) -> float:
         return self.p / (self.path.shape[0] - 1)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Node times s_k in [0, p]."""
-        n = self.path.shape[0] - 1
-        return self.p * (np.arange(n + 1) / n)
-
     def spatial_nodes(self) -> np.ndarray:
         """3-space points r + lambda*X(s_k) on the open grid (duplicate endpoint dropped)."""
         lam = self.species.lambda_
@@ -152,10 +145,6 @@ def sample_bridge(p: int, n_steps: int, seed) -> np.ndarray:
 
     Returns an (N+1, 3) array with X[0] = X[N] = 0 exactly.
     """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    if n_steps < 2:
-        raise ParameterError("n_steps must be >= 2")
     return sample_bridge_ensemble(p, n_steps, seed, 1)[0]
 
 

@@ -40,8 +40,29 @@ def _k_sequence(kappa: float, numerics: dict) -> list:
     return [k0 / 2.0**n for n in range(int(numerics["n_k"]))]
 
 
-def compute_plate_brackets(config: RunConfig, geometry: scr.SlabGeometry,
-                           profile: scr.DensityProfile):
+def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,
+                 nx: int, n_paths: int, seed: int, k_seq: list):
+    """The k-sweep of one plate: its loop basis on nx cells with n_paths
+    paths per (species, charge number) cell, screening the unit border
+    charge at x = 0.  Returns the check_perfect_screening result and the
+    basis diagnostics; a non-finite bracket (the sweep overflowed) raises
+    ParameterError."""
+    n_steps = int(config.numerics["n_steps_kernel"])
+    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
+                                nx_a=nx, nx_b=nx)
+    basis = scr.build_loop_basis(geometry, profile, config.thermo, slab=slab,
+                                 n_paths=n_paths, n_steps=n_steps, seed=seed)
+    border = loops_mod.SpeciesParams.from_thermo(
+        "border", charge=1.0, mass=config.species[0].mass, thermo=config.thermo)
+    src = loops_mod.point_loop(0.0, border, n_steps=n_steps)
+    diagnostics = {"basis_size": basis.size, "pairs": basis.pair_class_counts()}
+    result = scr.check_perfect_screening(basis, src, k_seq)
+    force_mod._finite_nonzero(result["bracket"],
+                              f"the slab-{slab} screening bracket")
+    return result, diagnostics
+
+
+def compute_plate_brackets(config: RunConfig, profile: scr.DensityProfile):
     """Single-plate solves along the wavenumber sequence for both slabs.
 
     Identical slabs are mirror images of each other through the gap, so the
@@ -52,25 +73,12 @@ def compute_plate_brackets(config: RunConfig, geometry: scr.SlabGeometry,
     numerics = config.numerics
     kappa = np.sqrt(profile.kappa2("a"))
     k_seq = _k_sequence(kappa, numerics)
-    border = loops_mod.SpeciesParams.from_thermo(
-        "border", charge=1.0, mass=config.species[0].mass, thermo=config.thermo)
-
-    def solve_side(slab: str):
-        basis = scr.build_loop_basis(
-            geometry, profile, config.thermo, slab=slab,
-            n_paths=int(numerics["n_paths_kernel"]),
-            n_steps=int(numerics["n_steps_kernel"]),
-            seed=config.seed if slab == "a" else config.seed + 1)
-        src = loops_mod.point_loop(0.0, border,
-                                   n_steps=int(numerics["n_steps_kernel"]))
-        diagnostics = {"basis_size": basis.size,
-                       "pairs": basis.pair_class_counts()}
-        return scr.check_perfect_screening(basis, src, k_seq), diagnostics
-
-    res_a, diag_a = solve_side("a")
-    mirror = (abs(config.a - config.b) < 1e-12 * config.a
-              and geometry.nx_a == geometry.nx_b)
-    res_b, diag_b = (res_a, None) if mirror else solve_side("b")
+    nx, n_paths = int(numerics["nx"]), int(numerics["n_paths_kernel"])
+    res_a, diag_a = _plate_sweep(config, profile, "a", nx, n_paths, config.seed,
+                                 k_seq)
+    mirror = abs(config.a - config.b) < 1e-12 * config.a
+    res_b, diag_b = (res_a, None) if mirror else _plate_sweep(
+        config, profile, "b", nx, n_paths, config.seed + 1, k_seq)
     return {
         "screening": {"a": diag_a} if mirror else {"a": diag_a, "b": diag_b},
         "bracket_a": float(np.real(res_a["bracket"])),
@@ -147,10 +155,8 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
-    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
-                                nx_a=int(config.numerics["nx"]),
-                                nx_b=int(config.numerics["nx"]))
-    brackets = compute_plate_brackets(config, geometry, profile)
+    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values))
+    brackets = compute_plate_brackets(config, profile)
 
     capacitor_el = force_mod.capacitor_force(profile.charge_density("a") * config.a,
                                              profile.charge_density("b") * config.b)
@@ -379,14 +385,6 @@ def verify_suite(config: RunConfig) -> dict:
     # --- screening ---------------------------------------------------------
     profile = config.density_profile()
     kappa2 = profile.kappa2("a")
-    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
-                                nx_a=16, nx_b=16)
-    basis = scr.build_loop_basis(geometry, profile, thermo, "a",
-                                 n_paths=4, n_steps=n_steps_kernel,
-                                 seed=config.seed)
-    border = loops_mod.SpeciesParams.from_thermo(
-        "border", 1.0, config.species[0].mass, thermo)
-    src = loops_mod.point_loop(0.0, border, n_steps=n_steps_kernel)
     if kappa2 > 0.0:
         kappa = float(np.sqrt(kappa2))
         n = 1200
@@ -404,7 +402,7 @@ def verify_suite(config: RunConfig) -> dict:
         oracle = scr.bulk_sum_rule_oracle(kappa, k_seq)
         checks.append(_check("perfect_screening_bulk", oracle["residual_rel"],
                              1e-3))
-        slab_res = scr.check_perfect_screening(basis, src, k_seq)
+        slab_res, _ = _plate_sweep(config, profile, "a", 16, 4, config.seed, k_seq)
         checks.append(_check("perfect_screening_slab", slab_res["residual_rel"],
                              1e-2))
     else:
@@ -431,6 +429,9 @@ def verify_suite(config: RunConfig) -> dict:
     kv = np.array([0.5 / margin, 0.0])
     shifted = loops_mod.Loop(conf_b.x + dtest, conf_b.species, conf_b.p,
                              conf_b.path, y=conf_b.y)
+    border = loops_mod.SpeciesParams.from_thermo(
+        "border", 1.0, config.species[0].mass, thermo)
+    src = loops_mod.point_loop(0.0, border, n_steps=n_steps_kernel)
     lhs = pot.vel_fourier(conf_a, shifted, kv)
     va = pot.vel_fourier(conf_a, src, kv)
     vb = pot.vel_fourier(src, conf_b, kv)

@@ -114,16 +114,9 @@ def vc_pair(loop_i: Loop, loop_j: Loop) -> float:
     fractional time contribute 1/|r_i - r_j| with weight ds.  Both loops must
     share the same n_steps.
     """
-    if loop_i.n_steps != loop_j.n_steps:
-        raise ContractViolationError("equal-time pairing needs a common n_steps")
-    n = loop_i.n_steps
-    pts_i = loop_i.spatial_nodes()
-    pts_j = loop_j.spatial_nodes()
-    eps = _pair_eps(loop_i, loop_j)
-    ki = np.arange(pts_i.shape[0]) % n
-    kj = np.arange(pts_j.shape[0]) % n
-    inv = _capped_inverse_distance(pts_i, pts_j, eps)
-    match = ki[:, None] == kj[None, :]
+    n, match = _equal_time_orbit(loop_i, loop_j)
+    inv = _capped_inverse_distance(loop_i.spatial_nodes(), loop_j.spatial_nodes(),
+                                   _pair_eps(loop_i, loop_j))
     return float(np.sum(inv[match]) / n)
 
 
@@ -144,9 +137,7 @@ def vel_fourier(loop_i: Loop, loop_j: Loop, kvec) -> complex:
     including the in-plane reference positions of the loops as a phase.
     Diverges as 2 pi / k at k = 0 (sum rules only ever use ratios there).
     """
-    kvec = np.atleast_1d(np.asarray(kvec, dtype=float))
-    if kvec.size == 1:
-        kvec = np.array([kvec[0], 0.0])
+    kvec = np.asarray(kvec, dtype=float)
     k = float(np.hypot(kvec[0], kvec[1]))
     if k == 0.0:
         raise SingularArgumentError("vel_fourier diverges at k = 0")
@@ -377,28 +368,22 @@ def loop_current_moments(loop: Loop, qvec):
     return a, b
 
 
-def _wab_bracket(loop_i, loop_j, qvec, thermo, x, orders):
+def _wab_bracket(loop_i, loop_j, qvec, thermo, x, order):
     """Core of the dipolar interplate kernel: the double derivative bracket
-    applied to the partial transverse transform at argument x."""
+    applied to the x-derivative of the given order of the partial
+    transverse transform at argument x."""
     ai, bi = loop_current_moments(loop_i, qvec)
     aj, bj = loop_current_moments(loop_j, qvec)
-    v = _vtilde_derivs(x, qvec, order_max=max(orders) + 2)
+    v0, v1, v2 = _vtilde_derivs(x, qvec, order_max=order + 2)[order:order + 3]
     lam_i = loop_i.species.lambda_
     lam_j = loop_j.species.lambda_
     pref = (lam_i * lam_j /
             (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass) * thermo.c**2))
-
-    def bracket(order0):
-        v0 = v[order0]
-        v1 = v[order0 + 1]
-        v2 = v[order0 + 2]
-        term = -np.einsum("m,n,mn->", ai, aj, v2)
-        term += 1j * np.einsum("m,n,mn->", ai, bj, v1)
-        term += 1j * np.einsum("m,n,mn->", bi, aj, v1)
-        term += np.einsum("m,n,mn->", bi, bj, v0)
-        return term
-
-    return pref, [bracket(o) for o in orders]
+    term = -np.einsum("m,n,mn->", ai, aj, v2)
+    term += 1j * np.einsum("m,n,mn->", ai, bj, v1)
+    term += 1j * np.einsum("m,n,mn->", bi, aj, v1)
+    term += np.einsum("m,n,mn->", bi, bj, v0)
+    return pref, term
 
 
 def wab_asymptotic(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> complex:
@@ -407,7 +392,7 @@ def wab_asymptotic(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> 
     transverse transform evaluated at unit scaled separation."""
     if d <= 0:
         raise ParameterError("d must be positive")
-    pref, (b0,) = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, 1.0, [0])
+    pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, 1.0, 0)
     return complex(pref * b0 / d)
 
 
@@ -419,7 +404,7 @@ def wab_pair_finite_d(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
     x1 = loop_i.x if x1 is None else x1
     x2 = loop_j.x if x2 is None else x2
     xarg = 1.0 - (x1 - x2) / d
-    pref, (b0,) = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, [0])
+    pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 0)
     return complex(pref * b0 / d)
 
 
@@ -430,7 +415,7 @@ def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
     x1 = loop_i.x if x1 is None else x1
     x2 = loop_j.x if x2 is None else x2
     xarg = 1.0 - (x1 - x2) / d
-    pref, (b1,) = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, [1])
+    pref, b1 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 1)
     return complex(-pref * b1 / d**2)
 
 
@@ -527,7 +512,7 @@ def coulomb_force_monopole_shifted(loop_i: Loop, loop_j: Loop, offset_x: float) 
 
 def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState,
                                  form_factor: FormFactor, x_values,
-                                 k_max=None, n_quad=MAGNETIC_N_QUAD):
+                                 n_quad=MAGNETIC_N_QUAD):
     """In-plane-integrated magnetic force kernel as a function of the normal
     separation X:  (1/2pi) int dk1 e^{i k1 X} i k1 W^m(chi_1, chi_2, k1, 0).
 
@@ -545,8 +530,7 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     values with |m| <= floor carry no digits of the kernel.
     """
     x_values = np.asarray(x_values, dtype=float)
-    if k_max is None:
-        k_max = 4.0 * form_factor.k_cut
+    k_max = 4.0 * form_factor.k_cut
     nodes, weights = roots_legendre(n_quad)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights / np.pi

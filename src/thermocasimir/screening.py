@@ -23,12 +23,13 @@ not on the wavenumber.  The module also provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import Loop, SpeciesParams, ThermoState, sample_bridge
+from .loops import Loop, SpeciesParams, ThermoState, point_loop, sample_bridge
 
 __all__ = [
     "SlabGeometry",
@@ -44,7 +45,6 @@ __all__ = [
     "step_slab_phi_reference",
     "bulk_phi_analytic",
     "richardson_extrapolate",
-    "screening_bracket",
     "check_perfect_screening",
     "bulk_sum_rule_oracle",
     "factorize_phi_ab",
@@ -91,7 +91,8 @@ class SlabGeometry:
                          lambda_screen: float, factor: float = 0.25) -> dict:
         """Ratios of the length hierarchy the asymptotics relies on, with flags."""
         lam_mat = thermo.de_broglie(mean_mass)
-        lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * thermo.c**2)
+        # c * c, not c**2: a float power raises OverflowError at c ~ 1e154
+        lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
         ratios = {
             "cut_over_mat": lam_cut / lam_mat,
             "mat_over_ph": lam_mat / thermo.lambda_ph,
@@ -142,20 +143,9 @@ class DensityProfile:
         return math.fsum(c.species.charge * c.p * c.loop_density
                          for c in self.cells(slab))
 
-    def is_neutral(self, slab: str, tol: float = 0.0) -> bool:
-        scale = sum(abs(c.species.charge) * c.p * c.loop_density
-                    for c in self.cells(slab)) or 1.0
-        return abs(self.charge_density(slab)) <= tol * scale
-
     def kappa2(self, slab: str) -> float:
         return 4.0 * np.pi * self.beta * sum(
             c.species.charge**2 * c.p**2 * c.loop_density for c in self.cells(slab))
-
-    def lambda_screen(self, slab: str = "a") -> float:
-        k2 = self.kappa2(slab)
-        if k2 == 0.0:
-            return np.inf
-        return 1.0 / np.sqrt(k2)
 
 
 # ----------------------------------------------------------------------------
@@ -262,9 +252,9 @@ class LoopBasis:
     """Discretized phase space for the dense solve: one entry per
     (x-cell, species, charge number, path sample).
 
-    The path arrays are stacked once here; the pair classes of each kernel
-    (cell-integrated or pointwise) do not depend on the wavenumber and are
-    kept after their first use.
+    The path arrays are stacked once here; the pair classes of the
+    cell-integrated operator do not depend on the wavenumber and are kept
+    after their first use.
     """
 
     loops: list
@@ -275,7 +265,6 @@ class LoopBasis:
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
     paths: _PathArrays = field(init=False, repr=False)
-    _plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.paths = _path_arrays(self.loops)
@@ -289,17 +278,15 @@ class LoopBasis:
         """kappa^2(1)/(4 pi) measure without the cell width: beta e^2 rho / n_paths."""
         return self.beta * self.charge**2 * self.measure / self.h
 
-    def _plan(self, cell_integrated: bool) -> _PairPlan:
-        half = 0.5 * self.h if cell_integrated else 0.0
-        if half not in self._plans:
-            self._plans[half] = _pair_plan(self.paths, self.paths, half)
-        return self._plans[half]
+    @cached_property
+    def plan(self) -> _PairPlan:
+        """Pair classes of the cell-integrated operator."""
+        return _pair_plan(self.paths, self.paths, 0.5 * self.h)
 
     def pair_class_counts(self) -> dict:
         """Number of operator pairs in each class of the cell-integrated
-        assembly (see _pair_matrix)."""
-        plan = self._plan(cell_integrated=True)
-        inside, straddling = plan.inside[0].size, plan.straddling[0].size
+        assembly (see assemble_kernel_matrix)."""
+        inside, straddling = self.plan.inside[0].size, self.plan.straddling[0].size
         return {"above_below": self.size**2 - inside - straddling,
                 "inside": inside, "straddling": straddling}
 
@@ -322,12 +309,11 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
             sp = entry.species
             count = 1 if point_paths else n_paths
             for r in range(count):
-                if point_paths:
-                    path = np.zeros((entry.p * n_steps + 1, 3))
-                else:
-                    path = sample_bridge(entry.p, n_steps, [seed, stream])
+                loops.append(point_loop(xc, sp, entry.p, n_steps) if point_paths
+                             else Loop(x=float(xc), species=sp, p=entry.p,
+                                       path=sample_bridge(entry.p, n_steps,
+                                                          [seed, stream])))
                 stream += 1
-                loops.append(Loop(x=float(xc), species=sp, p=entry.p, path=path))
                 xs.append(xc)
                 chg.append(sp.charge)
                 ps.append(entry.p)
@@ -445,13 +431,13 @@ def _straddling_entries(rows, cols, nodes_r, nodes_c, ii, ll, k, half, cell):
     return vals
 
 
-def _pair_matrix(basis: LoopBasis, kvec, cell_integrated: bool) -> np.ndarray:
-    """Dense wire-kernel matrix over the basis.
+def assemble_kernel_matrix(basis: LoopBasis, kvec) -> np.ndarray:
+    """Operator of the discretized screened equation:
+    T[i, l] = beta e_l^2 rho_l / n_paths * int_cell dx' V^el(i, (x', chi_l), k).
 
-    cell_integrated=True integrates the kernel exactly over the source cell
-    (the operator of the screened equation); False evaluates it pointwise
-    (the kernel of source_column).  Each pair is classified by the
-    interval its separation w = x_i + lam_i X_i(s) - lam_l X_l(t) sweeps:
+    The wire kernel is integrated exactly over the source cell.  Each pair is
+    classified by the interval its separation
+    w = x_i + lam_i X_i(s) - lam_l X_l(t) sweeps:
 
     * entirely above or below the source cell: the exact two-factor split
       row(-/+) col(+/-) e^{-k|x_i - x_l|} times the cell factor;
@@ -462,22 +448,16 @@ def _pair_matrix(basis: LoopBasis, kvec, cell_integrated: bool) -> np.ndarray:
       (_straddling_entries).
     """
     kvec, k = _wavenumber(kvec)
-    half = 0.5 * basis.h if cell_integrated else 0.0
-    return (2.0 * np.pi / k) * _wire_kernel(basis.paths, basis.paths,
-                                            basis._plan(cell_integrated),
-                                            kvec, k, half)
-
-
-def assemble_kernel_matrix(basis: LoopBasis, kvec) -> np.ndarray:
-    """Operator of the discretized screened equation:
-    T[i, l] = beta e_l^2 rho_l / n_paths * int_cell dx' V^el(i, (x', chi_l), k)."""
-    return _pair_matrix(basis, kvec, cell_integrated=True) * basis.matrix_weight[None, :]
+    return ((2.0 * np.pi / k)
+            * _wire_kernel(basis.paths, basis.paths, basis.plan, kvec, k, 0.5 * basis.h)
+            * basis.matrix_weight[None, :])
 
 
 def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
     """Right-hand-side column V^el(i, src, k) for an external source loop
-    (not part of the integration measure, e.g. the border charge), with the
-    pairs classified against the source as in _pair_matrix."""
+    (not part of the integration measure, e.g. the border charge): the
+    pointwise wire kernel, its pairs classified against the source as in
+    assemble_kernel_matrix."""
     kvec, k = _wavenumber(kvec)
     src_paths = _path_arrays([src])
     plan = _pair_plan(basis.paths, src_paths, 0.0)
@@ -488,12 +468,9 @@ def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
 def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + T) Phi = V for the given right-hand-side columns.
 
-    A basis without medium (every measure zero) returns the bare columns:
-    the no-screening limit Phi = V^el holds exactly.
+    A basis without medium (every measure zero) has T = 0, and the solve
+    returns the bare columns: the no-screening limit Phi = V^el.
     """
-    rhs = np.asarray(rhs)
-    if not np.any(basis.measure > 0.0):
-        return rhs.copy()
     t = assemble_kernel_matrix(basis, kvec)
     a = np.eye(basis.size, dtype=complex) + t
     try:
@@ -606,26 +583,22 @@ def richardson_extrapolate(values):
     return v[0], float(np.max(np.abs(diags[-1] - diags[-2])))
 
 
-def screening_bracket(basis: LoopBasis, phi_column: np.ndarray) -> complex:
-    """Charge-weighted phase-space integral of the F bond against a fixed
-    source, normalized by the source charge: tends to -1 by perfect screening."""
-    w = basis.pnum * basis.charge**2 * basis.measure
-    return complex(-basis.beta * np.sum(w * phi_column))
-
-
 def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
     """The k-sweep: screened solves along the wavenumber sequence,
     extrapolated to k = 0, and the residual of the perfect-screening rule.
 
     At each k of the descending sequence one solve of (I + T) takes the
-    source column of src.  The F-bond bracket against src is extrapolated to
-    k = 0 and reported as |bracket + 1| (relative to the unit source value).
+    source column of src.  The bracket, the charge-weighted phase-space
+    integral of the F bond against src normalized by the source charge, is
+    extrapolated to k = 0 and reported as |bracket + 1| (perfect screening
+    makes it -1).
     """
+    w = basis.pnum * basis.charge**2 * basis.measure
     vals = []
     for k in k_sequence:
         kvec = np.array([float(k), 0.0])
         phi = solve_screened_potential(basis, kvec, source_column(basis, src, kvec))
-        vals.append(screening_bracket(basis, phi))
+        vals.append(complex(-basis.beta * np.sum(w * phi)))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
     return {

@@ -1,11 +1,18 @@
+import contextlib
 import copy
+import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thermocasimir
 from thermocasimir import cli
@@ -147,6 +154,21 @@ def test_pipeline_screening_diagnostics(fast_report):
     assert sorted(screening["a"]["pairs"]) == ["above_below", "inside",
                                                "straddling"]
     assert sum(screening["a"]["pairs"].values()) == size**2
+
+
+def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
+    cfg = copy.deepcopy(fast_config)
+    cfg["slabs"]["b"] = 4.5
+    config = load_config(cfg)
+    report = run_pipeline(config, magnetic_check=False)["report"]
+    brackets = report["brackets"]
+    assert brackets["mirror_reused"] is False
+    assert sorted(report["screening"]) == ["a", "b"]
+    assert brackets["bracket_b"] != brackets["bracket_a"]
+    tolerance = config.numerics["residual_tolerance"]
+    assert brackets["residual_a"] < tolerance
+    assert brackets["residual_b"] < tolerance
+    assert report["certified_all"]
 
 
 _REPORT_HASH = """
@@ -362,6 +384,80 @@ def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "not a finite nonzero" in err
     assert "Traceback" not in err
+
+
+TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
+
+
+@pytest.mark.parametrize("where, key, value, d_values", [
+    ("thermo", "beta", 1e300, [1e-3]),    # sinh(k h / 2) overflows
+    ("thermo", "hbar", 1e300, None),
+    ("slabs", "a", 1e300, None),
+    ("slabs", "b", 1e300, None),          # only the second plate's sweep
+    ("species", "mass", 1e-300, None),
+    ("numerics", "k0_factor", 1e300, None),
+    ("numerics", "k0_factor", 1e-300, None),
+])
+def test_cli_non_finite_screening_bracket_is_a_config_error(
+        tmp_path, fast_config, capsys, where, key, value, d_values):
+    bad = copy.deepcopy(fast_config)
+    bad["numerics"] = dict(TINY_NUMERICS)
+    bad["sweep"]["d_values"] = d_values or bad["sweep"]["d_values"]
+    {"thermo": bad["thermo"], "slabs": bad["slabs"],
+     "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "screening bracket" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+# every single-key change of the tiny config to one of these values either
+# runs or exits with a documented code
+_FUZZ_KEYS = [
+    ("units",), ("thermo", "beta"), ("thermo", "hbar"), ("thermo", "c"),
+    ("slabs", "a"), ("slabs", "b"), ("slabs", "neutral"),
+    ("slabs", "species", 0, "charge"), ("slabs", "species", 0, "mass"),
+    ("slabs", "species", 0, "density"), ("slabs", "species", 0, "p_weights"),
+    ("sweep", "d_values"), ("seed",), ("numerics", "nx"),
+    ("numerics", "n_k"), ("numerics", "k0_factor"),
+    ("numerics", "residual_tolerance"), ("numerics", "n_steps_kernel"),
+    ("output",)]
+_FUZZ_VALUES = [float("nan"), float("inf"), -1, 0, 1e300, 1e-300, 1e-3, 3,
+                True, "x", [], {}, None, [1e-3], [1e300]]
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          max_examples=len(_FUZZ_KEYS) * len(_FUZZ_VALUES))
+@given(st.sampled_from(list(itertools.product(_FUZZ_KEYS, _FUZZ_VALUES))))
+def test_cli_run_fuzz_single_key(case):
+    keys, value = case
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    block = cfg
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", path, "--out-dir", out])
+        report = None
+        if os.path.exists(os.path.join(out, "report.json")):
+            with open(os.path.join(out, "report.json")) as fh:
+                report = json.load(fh)["report"]
+    assert code in (0, 2, 3, 4), (keys, value, code)
+    assert "Traceback" not in err.getvalue()
+    if report is not None:
+        numbers = list(report["brackets"].values())
+        numbers += [row["f_assembled"] for row in report["results"]]
+        assert all(math.isfinite(v) for v in numbers), (keys, value)
 
 
 def test_config_top_level_must_be_an_object(tmp_path, capsys):

@@ -112,6 +112,16 @@ def test_assemble_force_certification_gate():
     assert row["notes"]
 
 
+@pytest.mark.parametrize("residuals", [{"a": 0.0, "b": float("nan")},
+                                       {"a": float("nan"), "b": 0.0}])
+def test_assemble_force_never_certifies_a_nan_residual(residuals):
+    # the NaN must not be skipped by the maximum, whichever slab carries it
+    th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
+    [row] = fc.assemble_force(th, [150.0], -1.0, -1.0, residuals)
+    assert not row["certified"]
+    assert row["notes"]
+
+
 def test_assemble_force_magnetic_remainder_is_bound_only():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
     [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)

@@ -155,6 +155,9 @@ def test_vc_common_grid_required(big_thermo):
     l2 = lo.Loop(1.0, sp, 1, lo.sample_bridge(1, 16, 2))
     with pytest.raises(ContractViolationError):
         pot.vc_pair(l1, l2)
+    # a p = 2 path of 17 steps has no common grid with anything
+    with pytest.raises(ContractViolationError):
+        lo.Loop(0.0, sp, 2, np.zeros((18, 3)))
 
 
 # --------------------------------------------------- transverse-Fourier wire
