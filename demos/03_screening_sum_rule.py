@@ -3,10 +3,11 @@
 # sum rule.
 #
 # The wire-wire Coulomb kernel is chain-resummed into a screened potential by
-# a dense solve on (cells along the normal) x (species, charge number, path
-# samples).  Fixing a test charge at the inner face, the charge-weighted
-# integral of the linear bond tends to exactly -1 as the in-plane wavenumber
-# goes to zero: the screening cloud carries exactly the opposite charge.
+# a structured sparse solve on (cells along the normal) x (species, charge
+# number, path samples).  Fixing a test charge at the inner face, the
+# charge-weighted integral of the linear bond tends to exactly -1 as the
+# in-plane wavenumber goes to zero: the screening cloud carries exactly the
+# opposite charge.
 # This identity is what makes the asymptotic force universal.
 
 import numpy as np

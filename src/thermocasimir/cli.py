@@ -72,8 +72,9 @@ def _cmd_sweep(args) -> int:
     path = write_sweep_csv(report, config.out_dir)
     fit = report["report"]["sweep_fit"]
     print(f"sweep table written to {path}")
-    print(f"log-log slope of f(d): {fit['slope']:+.4f} "
-          f"(stderr {fit['stderr']:.2g})")
+    if fit is not None:
+        print(f"log-log slope of f(d): {fit['slope']:+.4f} "
+              f"(stderr {fit['stderr']:.2g})")
     return EXIT_OK if report["report"]["certified_all"] else EXIT_CERTIFICATION
 
 

@@ -18,9 +18,9 @@ _ALLOWED_UNITS = ("reduced", "gaussian-cgs")
 _CGS = {"kB": 1.380649e-16, "hbar": 1.054571817e-27, "c": 2.99792458e10}
 
 DEFAULT_NUMERICS = {
-    "n_steps_kernel": 16,     # path resolution inside the dense solve
+    "n_steps_kernel": 16,     # path resolution inside the screened solve
     "p_max": 3,
-    "n_paths_kernel": 8,      # paths per cell carried by the dense solve
+    "n_paths_kernel": 8,      # paths per cell carried by the screened solve
     "nx": 32,                 # cells per slab
     "k0_factor": 0.2,         # first wavenumber of the k -> 0 sequence, in kappa units
     "n_k": 6,

@@ -14,7 +14,7 @@ class ContractViolationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Dense linear solve failed; carries a condition-number report."""
+    """Linear solve failed; carries a condition-number report."""
 
     def __init__(self, message, condition_number=None):
         super().__init__(message)

@@ -55,8 +55,9 @@ def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,
     border = loops_mod.SpeciesParams.from_thermo(
         "border", charge=1.0, mass=config.species[0].mass, thermo=config.thermo)
     src = loops_mod.point_loop(0.0, border, n_steps=n_steps)
-    diagnostics = {"basis_size": basis.size, "pairs": basis.pair_class_counts()}
     result = scr.check_perfect_screening(basis, src, k_seq)
+    diagnostics = {"basis_size": basis.size, "pairs": basis.pair_class_counts(),
+                   "band_cells": basis.plan.band, "per_k": result["per_k"]}
     force_mod._finite_nonzero(result["bracket"],
                               f"the slab-{slab} screening bracket")
     return result, diagnostics
@@ -67,8 +68,9 @@ def compute_plate_brackets(config: RunConfig, profile: scr.DensityProfile):
 
     Identical slabs are mirror images of each other through the gap, so the
     second bracket is reused from the first; otherwise both are solved.
-    "screening" holds, per solved slab, the basis size and the operator's
-    pair counts per assembly class.
+    "screening" holds, per solved slab, the basis size, the operator's
+    pair counts per assembly class, its band half-width in cells and the
+    bracket at each wavenumber of the sequence ("per_k").
     """
     numerics = config.numerics
     kappa = np.sqrt(profile.kappa2("a"))
@@ -97,23 +99,19 @@ def _grid_doubling_table(config: RunConfig, profile) -> dict:
     """Grid-convergence record: relative change of the classical border column
     under doubling of the cell count, evaluated away from the border cusp."""
     kappa2 = profile.kappa2("a")
-    k = 0.1 * float(np.sqrt(kappa2))
-    deltas = {}
     nx = int(config.numerics["nx"])
-    cols = {}
+    cols = []
     for n in (nx, 2 * nx):
         h = config.a / n
         xc = -config.a + h / 2 + h * np.arange(n)
-        cols[n] = (xc, scr.classical_slab_solve(
-            xc, h, np.full(n, kappa2), k, np.array([0.0]))[:, 0])
-    xc, coarse = cols[nx]
-    xf, fine = cols[2 * nx]
+        cols.append((xc, scr.classical_slab_solve(
+            xc, h, np.full(n, kappa2), 0.1 * float(np.sqrt(kappa2)), [0.0])[:, 0]))
+    (xc, coarse), (xf, fine) = cols
     interp = np.interp(xc, xf, fine)
     mask = xc < -2.0 * config.a / nx
-    delta = float(np.max(np.abs(interp - coarse)[mask] / np.abs(interp)[mask]))
-    deltas["grid_doubling_delta"] = delta
-    deltas["nx"] = nx
-    return deltas
+    return {"grid_doubling_delta": float(np.max(np.abs(interp - coarse)[mask]
+                                                / np.abs(interp)[mask])),
+            "nx": nx}
 
 
 def standard_magnetic_probe(seed: int = 7):
@@ -182,10 +180,9 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         capacitor_mag_exponent=mag_exponent,
         wab_scale=wab_scale)
 
-    ds = np.array([row["d"] for row in results])
-    fs = np.array([row["f_assembled"] for row in results])
-    slope, stderr = (force_mod.fit_loglog_slope(ds, fs)
-                     if len(results) > 1 else (np.nan, np.nan))
+    fit = (force_mod.fit_loglog_slope([r["d"] for r in results],
+                                      [r["f_assembled"] for r in results])
+           if len({r["d"] for r in results}) > 1 else None)   # two separations
     mean_mass = float(np.mean([sp.mass for sp in config.species]))
     convergence = _grid_doubling_table(config, profile)
     report = {
@@ -203,7 +200,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                       "magnetic_exponent": mag_exponent,
                       "magnetic_fit": mag_fit},
         "results": results,
-        "sweep_fit": {"slope": float(slope), "stderr": float(stderr)},
+        "sweep_fit": fit and {"slope": fit[0], "stderr": fit[1]},
         "convergence": convergence,
         "certified_all": all(row["certified"] for row in results),
     }
@@ -218,7 +215,7 @@ def write_report(report: dict, out_dir: str, name: str = "report.json") -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -367,15 +364,10 @@ def verify_suite(config: RunConfig) -> dict:
         path[-1] = 0.0
         return loops_mod.Loop(0.3, sp, 1, path)
 
-    w_ref = pot.wm_pair_fourier(circle_loop(8 * n_steps_kernel),
-                                circle_loop(8 * n_steps_kernel), kvec3,
-                                probe_th, ff)
-    drift = abs(pot.wm_pair_fourier(circle_loop(n_steps_kernel),
-                                    circle_loop(n_steps_kernel), kvec3,
-                                    probe_th, ff) - w_ref) / abs(w_ref)
-    drift2 = abs(pot.wm_pair_fourier(circle_loop(2 * n_steps_kernel),
-                                     circle_loop(2 * n_steps_kernel), kvec3,
-                                     probe_th, ff) - w_ref) / abs(w_ref)
+    w_ref, w1, w2 = (pot.wm_pair_fourier(circle_loop(m * n_steps_kernel),
+                                         circle_loop(m * n_steps_kernel), kvec3,
+                                         probe_th, ff) for m in (8, 1, 2))
+    drift, drift2 = abs(w1 - w_ref) / abs(w_ref), abs(w2 - w_ref) / abs(w_ref)
     order = np.log2(drift / drift2) if drift2 > 0 else np.inf
     checks.append(_check("wm_resolution_scaling", order, "> 1.5", 1.5 < order,
                          note="midpoint bias shrinks as n_steps^-2 on smooth "

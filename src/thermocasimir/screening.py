@@ -4,21 +4,15 @@ The wire-wire Coulomb kernel is chain-resummed into an effective potential
 that stays bounded at vanishing in-plane wavenumber.  This module discretizes
 that integral equation (midpoint cells along the slab normal, the kernel
 integrated exactly over each cell, internal degrees of freedom summed over
-species and charge number with Monte Carlo path cells), solves it densely,
-and builds everything the force assembly needs downstream.
-
-The kernel matrix is assembled exactly without a loop over pairs.  Each
-pair of loops is classified by the interval that their normal separation
-sweeps relative to the source cell: entirely above or below it (the kernel
-splits into a product of per-loop time sums), entirely inside it (an exactly
-separable closed form in the same sums), or straddling a face (an exact
-double time sum, batched over pairs).  The classes depend only on the basis,
-not on the wavenumber.  The module also provides:
-
-* the k-sweep: solves along the wavenumber sequence extrapolated to zero
-  by iterated Richardson steps, giving the perfect-screening residuals;
-* the coupled two-slab solve and the factorized large-separation closed form
-  of the interplate screened potential.
+species and charge number with Monte Carlo path cells) and solves it in
+O(n): in cell order the operator is a band of near-cell pairs plus a rank-1
+semiseparable far field, embedded in one sparse LU.  Pairs are classified
+once per basis (entirely above or below the source cell, inside it, or
+straddling a face) and each class is summed exactly without a pair loop.
+The module also provides the k-sweep (solves along the wavenumber sequence,
+Richardson-extrapolated to zero, giving the perfect-screening residuals),
+the classical two-slab solve and the factorized large-separation closed form
+of the interplate screened potential.
 """
 from __future__ import annotations
 
@@ -27,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, SingularArgumentError, SolverError
 from .loops import Loop, SpeciesParams, ThermoState, point_loop, sample_bridge
@@ -89,7 +85,9 @@ class SlabGeometry:
 
     def hierarchy_report(self, thermo: ThermoState, mean_mass: float,
                          lambda_screen: float, factor: float = 0.25) -> dict:
-        """Ratios of the length hierarchy the asymptotics relies on, with flags."""
+        """Ratios of the length hierarchy the asymptotics relies on, with
+        flags; a ratio that is not finite (e.g. c so small that the cut-off
+        length overflows) raises ParameterError."""
         lam_mat = thermo.de_broglie(mean_mass)
         # c * c, not c**2: a float power raises OverflowError at c ~ 1e154
         lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
@@ -102,6 +100,8 @@ class SlabGeometry:
             "a_over_d": self.a / self.d,
             "b_over_d": self.b / self.d,
         }
+        if not all(np.isfinite(v) for v in ratios.values()):
+            raise ParameterError(f"a length-hierarchy ratio is not finite: {ratios}")
         return {"ratios": ratios,
                 "satisfied": {k: bool(v < factor) for k, v in ratios.items()}}
 
@@ -152,23 +152,7 @@ class DensityProfile:
 # kernel-matrix assembly over a loop basis
 # ----------------------------------------------------------------------------
 
-def _exp_cell_integral(u, c, h, k):
-    """int over the cell [c-h/2, c+h/2] of e^{-k|u - x'|} dx', elementwise."""
-    lo = c - 0.5 * h
-    hi = c + 0.5 * h
-    inside = (u >= lo) & (u <= hi)
-    safe = np.where(inside, u, c)
-    inner = (2.0 - np.exp(-k * (safe - lo)) - np.exp(-k * (hi - safe))) / k
-    outer = (2.0 * np.sinh(0.5 * k * h) / k) * np.exp(-k * np.abs(u - c))
-    return np.where(inside, inner, outer)
-
-
-_ROW_BLOCK = 128            # operator rows classified or filled at a time
 _STRADDLE_BLOCK = 1 << 18   # node pairs (s, t) per batch of straddling pairs
-
-
-def _row_blocks(n: int) -> list:
-    return [slice(r0, min(r0 + _ROW_BLOCK, n)) for r0 in range(0, n, _ROW_BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -219,43 +203,68 @@ def _path_arrays(loops) -> _PathArrays:
 
 @dataclass(frozen=True)
 class _PairPlan:
-    """Class of every (row, column) pair of a wire-kernel matrix.
+    """Classified (row, column) pairs of a wire-kernel matrix: w = x_i +
+    xi_i(s) - xi_l(t) lies entirely above the source cell [x_l - half,
+    x_l + half], inside it or across a face (positions inside, straddling),
+    or else below.  band: the largest cell offset kept; runs: _straddling_runs."""
 
-    The separation w = x_i + xi_i(s) - xi_l(t) sweeps a known interval per
-    pair, tested against the source cell [x_l - half, x_l + half] (the point
-    x_l when half = 0).  above[i, l]: w lies entirely above it; inside and
-    straddling: (row, column) index arrays of the pairs entirely inside it
-    and of those crossing a face.  All other pairs lie entirely below.
-    """
-
+    rows: np.ndarray
+    cols: np.ndarray
     above: np.ndarray
-    inside: tuple
-    straddling: tuple
+    inside: np.ndarray
+    straddling: np.ndarray
+    runs: tuple
+    band: int = 0
 
 
-def _pair_plan(rows: _PathArrays, cols: _PathArrays, half) -> _PairPlan:
-    above = np.empty((rows.x.size, cols.x.size), dtype=bool)
-    near = np.empty_like(above)        # neither entirely above nor below
-    within = np.empty_like(above)
-    for block in _row_blocks(rows.x.size):
-        w_lo = (rows.x + rows.xi_lo)[block, None] - cols.xi_hi
-        w_hi = (rows.x + rows.xi_hi)[block, None] - cols.xi_lo
-        above[block] = w_lo >= cols.x + half
-        near[block] = ~above[block] & (w_hi > cols.x - half)
-        within[block] = near[block] & (w_lo >= cols.x - half) & (w_hi <= cols.x + half)
-    return _PairPlan(above=above, inside=np.nonzero(within),
-                     straddling=np.nonzero(near & ~within))
+def _pair_plan(rows: _PathArrays, cols: _PathArrays, i, l, half, offset=None) -> _PairPlan:
+    """Plan of the pairs (i, l); given their cell offsets, only the band is kept:
+    offsets up to the largest of a near (neither above nor below) pair."""
+    w_lo = (rows.x + rows.xi_lo)[i] - cols.xi_hi[l]
+    w_hi = (rows.x + rows.xi_hi)[i] - cols.xi_lo[l]
+    above = w_lo >= cols.x[l] + half
+    near = ~above & (w_hi > cols.x[l] - half)
+    within = near & (w_lo >= cols.x[l] - half) & (w_hi <= cols.x[l] + half)
+    band = 0 if offset is None else int(np.max(offset[near], initial=0))
+    if offset is not None:
+        i, l, above, near, within = (a[offset <= band] for a in (i, l, above, near, within))
+    straddling = np.nonzero(near & ~within)[0]
+    return _PairPlan(rows=i, cols=l, above=above, inside=np.nonzero(within)[0],
+                     straddling=straddling, band=band, runs=_straddling_runs(
+                         rows, cols, i[straddling], l[straddling], half))
+
+
+def _straddling_runs(rows: _PathArrays, cols: _PathArrays, ii, ll, half) -> tuple:
+    """k-independent part of the straddling pairs (ii, ll): column nodes are
+    sorted by xi, so per row node s those with w above, inside and below the
+    cell form three runs.  Per batch of one path-group pair: groups, positions
+    in ii, row slots, gap = x_i - x_l + xi_i(s) and the run ends as rows of
+    the column prefix table (n_t + 1 rows per loop)."""
+    out = []
+    key = rows.group[ii] * len(cols.groups) + cols.group[ll]
+    for g in np.unique(key):
+        gr, gc = divmod(int(g), len(cols.groups))
+        xi_r, xi_c = rows.groups[gr][1], cols.groups[gc][1]
+        sel = np.nonzero(key == g)[0]
+        step = max(1, _STRADDLE_BLOCK // (xi_r.shape[1] * xi_c.shape[1]))
+        for batch in np.split(sel, np.arange(step, sel.size, step)):
+            s, t = rows.slot[ii[batch]], cols.slot[ll[batch]]
+            gap = (rows.x[ii[batch]] - cols.x[ll[batch]])[:, None] + xi_r[s]
+            off = xi_c[t][:, None, :]
+            base = t[:, None] * (xi_c.shape[1] + 1)
+            at_above = base + np.sum(off < (gap - half)[:, :, None], axis=2)
+            at_below = (base + np.sum(off <= (gap + half)[:, :, None], axis=2)
+                        if half > 0.0 else at_above)
+            out.append((gr, gc, batch, s, gap, at_above, at_below,
+                        base + xi_c.shape[1]))
+    return tuple(out)
 
 
 @dataclass
 class LoopBasis:
-    """Discretized phase space for the dense solve: one entry per
-    (x-cell, species, charge number, path sample).
-
-    The path arrays are stacked once here; the pair classes of the
-    cell-integrated operator do not depend on the wavenumber and are kept
-    after their first use.
-    """
+    """Discretized phase space for the screened solve: one entry per
+    (x-cell, species, charge number, path sample), in cell order.  The path
+    arrays and (on first use) the k-independent pair plan are kept here."""
 
     loops: list
     x: np.ndarray            # cell centers
@@ -265,9 +274,14 @@ class LoopBasis:
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
     paths: _PathArrays = field(init=False, repr=False)
+    x_cells: np.ndarray = field(init=False, repr=False)   # ascending
+    cell: np.ndarray = field(init=False, repr=False)      # index into x_cells
 
     def __post_init__(self):
+        if np.any(np.diff(self.x) < 0.0):
+            raise ParameterError("basis entries must be in cell order")
         self.paths = _path_arrays(self.loops)
+        self.x_cells, self.cell = np.unique(self.x, return_inverse=True)
 
     @property
     def size(self) -> int:
@@ -280,13 +294,23 @@ class LoopBasis:
 
     @cached_property
     def plan(self) -> _PairPlan:
-        """Pair classes of the cell-integrated operator."""
-        return _pair_plan(self.paths, self.paths, 0.5 * self.h)
+        """Pair plan of the cell-integrated operator over its band: at cell
+        offset m, w - x_l lies within m h -/+ the excursion spread, so only
+        offsets below spread / h + 1/2 (contiguous columns per row) can hold
+        near pairs."""
+        spread = self.paths.xi_hi.max() - self.paths.xi_lo.min()
+        reach = int(np.fmin(np.ceil(spread / self.h + 0.5), self.x_cells.size))
+        start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
+        lo = start[np.maximum(self.cell - reach, 0)]
+        count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - lo
+        i = np.repeat(np.arange(self.size), count)
+        l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
+        return _pair_plan(self.paths, self.paths, i, l, 0.5 * self.h,
+                          np.abs(self.cell[i] - self.cell[l]))
 
     def pair_class_counts(self) -> dict:
-        """Number of operator pairs in each class of the cell-integrated
-        assembly (see assemble_kernel_matrix)."""
-        inside, straddling = self.plan.inside[0].size, self.plan.straddling[0].size
+        """Number of operator pairs per class (see assemble_kernel_matrix)."""
+        inside, straddling = self.plan.inside.size, self.plan.straddling.size
         return {"above_below": self.size**2 - inside - straddling,
                 "inside": inside, "straddling": straddling}
 
@@ -353,131 +377,154 @@ def _side_sums(paths: _PathArrays, kvec, k):
 
 
 def _wire_kernel(rows: _PathArrays, cols: _PathArrays, plan: _PairPlan, kvec, k,
-                 half) -> np.ndarray:
-    """Double time sums of e^{i k.(y_i - y_l)} e^{-k |w - x'|} over every
-    (row, column) pair, with x' integrated over the column's cell
-    [x_l - half, x_l + half] (x' = x_l when half = 0); 2 pi / k left out."""
+                 half):
+    """Double time sums of e^{i k.(y_i - y_l)} e^{-k |w - x'|} over the plan's
+    pairs, x' over the column's cell [x_l - half, x_l + half] (x_l when
+    half = 0), 2 pi / k left out; returned with the row sums of _side_sums."""
     sums_r, nodes_r = _side_sums(rows, kvec, k)
     sums_c, nodes_c = (sums_r, nodes_r) if cols is rows else _side_sums(cols, kvec, k)
     p_r, rm, rp = sums_r
     q_c, cm, cp = np.conj(sums_c)
     cell = 2.0 * np.sinh(k * half) / k if half > 0.0 else 1.0
-    out = np.empty((rows.x.size, cols.x.size), dtype=complex)
-    for block in _row_blocks(rows.x.size):
-        view = out[block]
-        np.multiply((p_r + rp)[block, None], q_c + cm, out=view)
-        np.multiply((p_r + rm)[block, None], q_c + cp, out=view,
-                    where=plan.above[block])
-        view *= cell * np.exp(-k * np.abs(rows.x[block, None] - cols.x))
-    i, l = plan.inside
+    i, l = plan.rows, plan.cols
+    out = np.where(plan.above, (p_r + rm)[i] * (q_c + cp)[l],
+                   (p_r + rp)[i] * (q_c + cm)[l])
+    out *= cell * np.exp(-k * np.abs(rows.x[i] - cols.x[l]))
+    i, l = plan.rows[plan.inside], plan.cols[plan.inside]
     gap_lo = rows.x[i] - (cols.x[l] - half)
     gap_hi = (cols.x[l] + half) - rows.x[i]
-    out[i, l] = (-(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p_r[i] * q_c[l]
-                 - np.exp(-k * gap_lo) * (p_r[i] * cp[l] + rm[i] * (q_c[l] + cp[l]))
-                 - np.exp(-k * gap_hi) * (p_r[i] * cm[l] + rp[i] * (q_c[l] + cm[l]))
-                 ) / k
-    i, l = plan.straddling
-    out[i, l] = _straddling_entries(rows, cols, nodes_r, nodes_c, i, l, k, half, cell)
-    return out
+    out[plan.inside] = (
+        -(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p_r[i] * q_c[l]
+        - np.exp(-k * gap_lo) * (p_r[i] * cp[l] + rm[i] * (q_c[l] + cp[l]))
+        - np.exp(-k * gap_hi) * (p_r[i] * cm[l] + rp[i] * (q_c[l] + cm[l]))) / k
+    out[plan.straddling] = _straddling_entries(plan, rows, cols, nodes_r, nodes_c,
+                                               k, half, cell)
+    return out, sums_r
 
 
-def _straddling_entries(rows, cols, nodes_r, nodes_c, ii, ll, k, half, cell):
-    """Exact double time sums for the pairs (ii, ll) whose separation crosses
-    a face of the source cell, batched per pair of path groups.
-
-    Column nodes are sorted by xi, so for each row node s the column nodes
-    with w = x_i + xi_i(s) - xi_l(t) above, inside and below the cell form
-    three contiguous runs.  On each run the kernel is a row-node factor times
-    a column-node factor, so a run contributes a difference of prefix sums;
-    node pairs are only compared to find where the runs end.
-    """
-    vals = np.empty(ii.size, dtype=complex)
-    prefix = {}
-    key = rows.group[ii] * len(cols.groups) + cols.group[ll]
-    for g in np.unique(key):
-        gr, gc = divmod(int(g), len(cols.groups))
-        xi_r, ds_r = rows.groups[gr][1], rows.groups[gr][3]
-        xi_c, ds_c = cols.groups[gc][1], cols.groups[gc][3]
-        a_r = nodes_r[gr][0]
-        if gc not in prefix:
-            # running sums over t of b, b expm1(k xi), b expm1(-k xi)
+def _straddling_entries(plan, rows, cols, nodes_r, nodes_c, k, half, cell):
+    """Exact double time sums of the plan's straddling pairs: on each run of
+    column nodes the kernel is a row-node factor times a column-node factor,
+    so a run contributes a difference of the prefix sums over t of b e^{k xi},
+    b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase."""
+    vals = np.empty(plan.straddling.size, dtype=complex)
+    tables = {}
+    for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
+        if gc not in tables:
             a_c, em_c, ep_c = nodes_c[gc]
             b = np.conj(a_c)
-            runs = np.zeros((b.shape[0], 3, b.shape[1] + 1), dtype=complex)
-            np.cumsum(np.stack([b, b * ep_c, b * em_c], axis=1), axis=2,
-                      out=runs[:, :, 1:])
-            prefix[gc] = runs
-        sel = np.nonzero(key == g)[0]
-        step = max(1, _STRADDLE_BLOCK // (xi_r.shape[1] * xi_c.shape[1]))
-        for c0 in range(0, sel.size, step):
-            batch = sel[c0:c0 + step]
-            s, t = rows.slot[ii[batch]], cols.slot[ll[batch]]
-            gap = (rows.x[ii[batch]] - cols.x[ll[batch]])[:, None] + xi_r[s]
-            off = xi_c[t][:, None, :]
-            n_above = np.sum(off < (gap - half)[:, :, None], axis=2)
-            n_below = (np.sum(off <= (gap + half)[:, :, None], axis=2)
-                       if half > 0.0 else n_above)
-            runs = prefix[gc][t]
-            s_above = np.take_along_axis(runs, n_above[:, None, :], axis=2)
-            upto_below = np.take_along_axis(runs, n_below[:, None, :], axis=2)
-            s_in = upto_below - s_above
-            s_below = runs[:, :, -1:] - upto_below
-            e_lo, e_hi = np.expm1(-k * (gap + half)), np.expm1(-k * (half - gap))
-            total = (cell * np.exp(-k * gap) * (s_above[:, 0] + s_above[:, 1])
-                     + cell * np.exp(k * gap) * (s_below[:, 0] + s_below[:, 2])
-                     - ((e_lo + e_hi) * s_in[:, 0] + (1.0 + e_lo) * s_in[:, 1]
-                        + (1.0 + e_hi) * s_in[:, 2]) / k)
-            vals[batch] = ds_r * ds_c * np.sum(a_r[s] * total, axis=1)
+            runs = np.zeros((b.shape[0], b.shape[1] + 1, 3), dtype=complex)
+            np.cumsum(np.stack([b + b * ep_c, b + b * em_c, b * (ep_c + em_c)],
+                               axis=2), axis=1, out=runs[:, 1:])
+            tables[gc] = runs.reshape(-1, 3)
+        table = tables[gc]
+        upto_above, upto_below = (np.take(table, at, axis=0) for at in (at_above, at_below))
+        inner = upto_below - upto_above
+        e_lo, e_hi = np.expm1(-k * (gap + half)), np.expm1(-k * (half - gap))
+        total = (cell * np.exp(-k * gap) * upto_above[..., 0]
+                 + cell * np.exp(k * gap) * (table[at_end, 1] - upto_below[..., 1])
+                 - (e_lo * inner[..., 0] + e_hi * inner[..., 1] + inner[..., 2]) / k)
+        vals[batch] = (rows.groups[gr][3] * cols.groups[gc][3]
+                       * np.sum(nodes_r[gr][0][s] * total, axis=1))
     return vals
 
 
-def assemble_kernel_matrix(basis: LoopBasis, kvec) -> np.ndarray:
-    """Operator of the discretized screened equation:
+@dataclass(frozen=True)
+class KernelOperator:
+    """T of (I + T) Phi = V in cell order: a band plus a rank-1 semiseparable
+    far field (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34, 1999).  Unknown
+    i lies at X_i = x_cells[cell[i]] (ascending); entries = (rows, cols,
+    values) is T on every pair at most band cells apart; beyond, with far =
+    (u, v, s, t), T[i, l] = u_i v_l e^{-k(X_i - X_l)} above the diagonal and
+    s_i t_l e^{-k(X_l - X_i)} below it."""
+
+    k: float
+    x_cells: np.ndarray
+    cell: np.ndarray
+    band: int
+    entries: tuple
+    far: tuple
+
+    def dense(self) -> np.ndarray:
+        """T as an n x n array (the reference of the tests)."""
+        u, v, s, t = self.far
+        x, offset = self.x_cells[self.cell], self.cell[:, None] - self.cell
+        out = np.where(offset > 0, np.outer(u, v), np.outer(s, t))
+        out *= np.exp(-self.k * np.abs(x[:, None] - x))
+        out[np.abs(offset) <= self.band] = 0.0
+        out[self.entries[0], self.entries[1]] = self.entries[2]
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I + T) Phi = rhs by one sparse LU (SuperLU, COLAMD) of the
+        system extended by running sums per cell, sigma_c = e^{-k(X_c -
+        X_{c-1})} sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c
+        over t; row i reads both band + 1 cells away: n + 2 n_cells unknowns."""
+        (u, v, s, t), n, m, k = self.far, self.cell.size, self.x_cells.size, self.k
+        phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
+        x, decay = self.x_cells, np.exp(-k * np.diff(self.x_cells))
+        lo, hi = self.cell - self.band - 1, self.cell + self.band + 1
+        below, above = lo >= 0, hi < m
+        rows = [phi, self.entries[0], phi[below], phi[above],
+                sig, sig[1:], sig[self.cell], tau, tau[:-1], tau[self.cell]]
+        cols = [phi, self.entries[1], sig[lo[below]], tau[hi[above]],
+                sig, sig[:-1], phi, tau, tau[1:], phi]
+        vals = np.concatenate([
+            np.ones(n), self.entries[2],
+            u[below] * np.exp(-k * (x[self.cell[below]] - x[lo[below]])),
+            s[above] * np.exp(-k * (x[hi[above]] - x[self.cell[above]])),
+            np.ones(m), -decay, -v, np.ones(m), -decay, -t])
+        dtype = np.result_type(vals, rhs)
+        a = csc_matrix((vals.astype(dtype), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n + 2 * m,) * 2)
+        try:
+            lu = splu(a) if np.all(np.isfinite(a.data)) else None
+        except RuntimeError as exc:
+            if np.max(np.abs(a.data)) * np.finfo(float).eps < 1.0:
+                raise SolverError(f"screened solve failed: {exc}",
+                                  condition_number=np.inf) from exc
+            lu = None     # entries dwarf the identity beyond rounding
+        if lu is None:    # an overflowed operator: no finite solution
+            return np.full((n,) + rhs.shape[1:], np.nan, dtype=dtype)
+        full = np.zeros((n + 2 * m,) + rhs.shape[1:], dtype=dtype)
+        full[:n] = rhs
+        return lu.solve(full)[:n]
+
+
+def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
+    """Operator of the discretized screened equation,
     T[i, l] = beta e_l^2 rho_l / n_paths * int_cell dx' V^el(i, (x', chi_l), k).
-
-    The wire kernel is integrated exactly over the source cell.  Each pair is
-    classified by the interval its separation
-    w = x_i + lam_i X_i(s) - lam_l X_l(t) sweeps:
-
-    * entirely above or below the source cell: the exact two-factor split
-      row(-/+) col(+/-) e^{-k|x_i - x_l|} times the cell factor;
-    * entirely inside it: the exactly separable
-      (2 P_i Q_l - e^{-k(x_i - lo)} row- col+ - e^{-k(hi - x_i)} row+ col-) / k,
-      formed from per-loop expm1 sums against the small-k cancellation;
-    * straddling a face: the exact double time sum, batched over pairs
-      (_straddling_entries).
-    """
+    A band pair whose separation w = x_i + lam_i X_i(s) - lam_l X_l(t) stays
+    above or below the source cell is row(-/+) col(+/-) e^{-k|x_i - x_l|}
+    times the cell factor; one inside it is (2 P_i Q_l - e^{-k(x_i - lo)}
+    row- col+ - e^{-k(hi - x_i)} row+ col-) / k in expm1 sums; one straddling
+    a face is the exact double time sum.  Beyond the band, u = P + R-,
+    v = (Q + C+) w, s = P + R+, t = (Q + C-) w (sums of _side_sums and their
+    conjugates), w the cell factor times 2 pi / k times matrix_weight."""
     kvec, k = _wavenumber(kvec)
-    return ((2.0 * np.pi / k)
-            * _wire_kernel(basis.paths, basis.paths, basis.plan, kvec, k, 0.5 * basis.h)
-            * basis.matrix_weight[None, :])
+    plan, weight = basis.plan, (2.0 * np.pi / k) * basis.matrix_weight
+    vals, sums = _wire_kernel(basis.paths, basis.paths, plan, kvec, k, 0.5 * basis.h)
+    (p, rm, rp), (q, cm, cp) = sums, np.conj(sums)
+    w = (2.0 * np.sinh(0.5 * k * basis.h) / k) * weight
+    return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
+                          entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
+                          far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
 
 
 def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
-    """Right-hand-side column V^el(i, src, k) for an external source loop
-    (not part of the integration measure, e.g. the border charge): the
-    pointwise wire kernel, its pairs classified against the source as in
+    """Right-hand-side column V^el(i, src, k) of an external source loop (e.g.
+    the border charge): the pointwise wire kernel, pairs classified as in
     assemble_kernel_matrix."""
     kvec, k = _wavenumber(kvec)
-    src_paths = _path_arrays([src])
-    plan = _pair_plan(basis.paths, src_paths, 0.0)
-    col = _wire_kernel(basis.paths, src_paths, plan, kvec, k, 0.0)[:, 0]
-    return (2.0 * np.pi / k) * col
+    src_paths, i = _path_arrays([src]), np.arange(basis.size)
+    plan = _pair_plan(basis.paths, src_paths, i, np.zeros_like(i), 0.0)
+    return (2.0 * np.pi / k) * _wire_kernel(basis.paths, src_paths, plan, kvec, k, 0.0)[0]
 
 
 def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + T) Phi = V for the given right-hand-side columns.
-
-    A basis without medium (every measure zero) has T = 0, and the solve
-    returns the bare columns: the no-screening limit Phi = V^el.
-    """
-    t = assemble_kernel_matrix(basis, kvec)
-    a = np.eye(basis.size, dtype=complex) + t
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"dense screened-potential solve failed: {exc}",
-                          condition_number=float(np.linalg.cond(a))) from exc
+    """Solve (I + T) Phi = V for the given right-hand-side columns (T = 0
+    without medium: the bare columns, Phi = V^el)."""
+    return assemble_kernel_matrix(basis, kvec).solve(rhs)
 
 
 # ----------------------------------------------------------------------------
@@ -485,25 +532,22 @@ def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray) -> np.ndar
 # ----------------------------------------------------------------------------
 
 def classical_slab_solve(x_cells, h, kappa2_cells, k, x_sources):
-    """Monopole-sector dense solve on one or more slabs.
-
-    Returns Phi[node, source] for unit point charges at x_sources; the kernel
-    is integrated exactly over each source cell.
-    """
+    """Monopole-sector solve on cells of width h whose centers ascend by at
+    least h / 2 (gaps allowed): Phi[node, source] for unit point charges at
+    x_sources, the kernel integrated exactly over each source cell.  A cell
+    center lies outside every other cell, so the band is the cell itself."""
     x_cells = np.asarray(x_cells, dtype=float)
-    kappa2_cells = np.asarray(kappa2_cells, dtype=float)
     if k <= 0.0:
         raise SingularArgumentError("classical solve needs k > 0")
-    n = x_cells.size
-    cellint = _exp_cell_integral(x_cells[:, None], x_cells[None, :], h, k)
-    t = (kappa2_cells[None, :] / (4.0 * np.pi)) * (2.0 * np.pi / k) * cellint
-    rhs = (2.0 * np.pi / k) * np.exp(-k * np.abs(
-        x_cells[:, None] - np.atleast_1d(np.asarray(x_sources, dtype=float))[None, :]))
-    try:
-        return np.linalg.solve(np.eye(n) + t, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"classical slab solve failed: {exc}",
-                          condition_number=float(np.linalg.cond(np.eye(n) + t))) from exc
+    if np.any(np.diff(x_cells) < 0.5 * h):
+        raise ParameterError("cell centers must ascend by at least h / 2")
+    weight = np.asarray(kappa2_cells, dtype=float) / (2.0 * k)   # kappa^2/4pi 2pi/k
+    w, idx = (2.0 * np.sinh(0.5 * k * h) / k) * weight, np.arange(x_cells.size)
+    op = KernelOperator(k=k, x_cells=x_cells, cell=idx, band=0,
+                        entries=(idx, idx, -2.0 * np.expm1(-0.5 * k * h) / k * weight),
+                        far=(np.ones(idx.size), w, np.ones(idx.size), w))
+    return op.solve((2.0 * np.pi / k) * np.exp(-k * np.abs(
+        x_cells[:, None] - np.atleast_1d(np.asarray(x_sources, dtype=float))[None, :])))
 
 
 def coupled_two_slab_solve(geometry: SlabGeometry, kappa2_a, kappa2_b, k):
@@ -512,14 +556,13 @@ def coupled_two_slab_solve(geometry: SlabGeometry, kappa2_a, kappa2_b, k):
     Returns (x_a_cells, x_b_cells, Phi_AB) where Phi_AB[i, j] couples a cell
     of the near slab to a cell of the far slab (positions x_j + d).
     """
-    xa = geometry.cells_a()
-    xb = geometry.cells_b() + geometry.d
+    xa, xb = geometry.cells_a(), geometry.cells_b()
     if abs(geometry.h_a - geometry.h_b) > 1e-12 * geometry.h_a:
         raise ParameterError("coupled solve expects equal cell widths")
-    pos = np.concatenate([xa, xb])
+    pos = np.concatenate([xa, xb + geometry.d])
     kap = np.concatenate([np.full(xa.size, kappa2_a), np.full(xb.size, kappa2_b)])
     phi = classical_slab_solve(pos, geometry.h_a, kap, k, pos[xa.size:])
-    return geometry.cells_a(), geometry.cells_b(), phi[: xa.size, :]
+    return xa, xb, phi[: xa.size, :]
 
 
 def step_slab_phi_reference(x1, x2, k, a, kappa):
@@ -615,7 +658,6 @@ def bulk_sum_rule_oracle(kappa, k_sequence, half_width=40.0):
     screening weight, extrapolated to k = 0; the exact limit is 1."""
     vals = []
     for k in k_sequence:
-        b = np.hypot(k, kappa)
         val, _ = quad(lambda x: (kappa**2 / (4.0 * np.pi)) * bulk_phi_analytic(x, 0.0, k, kappa),
                       -half_width / kappa, half_width / kappa, limit=200)
         vals.append(val)

@@ -181,20 +181,22 @@ print(hashlib.sha256(json.dumps(out["report"], sort_keys=True).encode()).hexdige
 
 
 def test_report_hash_independent_of_blas_threads(fast_config):
-    # tiny config: at a few hundred operator rows threaded OpenBLAS LU already
-    # changes the last bits of the brackets
-    cfg = copy.deepcopy(fast_config)
+    # every screened and classical solve is a sequential sparse LU, so the
+    # report cannot depend on the BLAS thread count; checked on the tiny
+    # config and on the two-species acceptance config
+    from test_acceptance import TWO_SPECIES
     src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
-    hashes = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-c", _REPORT_HASH, json.dumps(cfg)],
-                              env=env, capture_output=True, text=True,
-                              timeout=600, check=True)
-        hashes.append(proc.stdout.split()[-1])
-    assert hashes[0] == hashes[1]
+    for cfg in (fast_config, TWO_SPECIES):
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+            proc = subprocess.run([sys.executable, "-c", _REPORT_HASH, json.dumps(cfg)],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=600, check=True)
+            hashes.append(proc.stdout.split()[-1])
+        assert hashes[0] == hashes[1], cfg["slabs"]["species"]
 
 
 def test_pipeline_reproducibility(fast_config):
@@ -428,6 +430,10 @@ _FUZZ_VALUES = [float("nan"), float("inf"), -1, 0, 1e300, 1e-300, 1e-3, 3,
                 True, "x", [], {}, None, [1e-3], [1e300]]
 
 
+def _reject_constant(token):
+    raise ValueError(f"report.json holds the non-standard token {token}")
+
+
 @settings(derandomize=True, database=None, deadline=None,
           max_examples=len(_FUZZ_KEYS) * len(_FUZZ_VALUES))
 @given(st.sampled_from(list(itertools.product(_FUZZ_KEYS, _FUZZ_VALUES))))
@@ -451,13 +457,27 @@ def test_cli_run_fuzz_single_key(case):
         report = None
         if os.path.exists(os.path.join(out, "report.json")):
             with open(os.path.join(out, "report.json")) as fh:
-                report = json.load(fh)["report"]
+                # strict JSON: NaN and Infinity tokens are rejected
+                report = json.load(fh, parse_constant=_reject_constant)["report"]
     assert code in (0, 2, 3, 4), (keys, value, code)
     assert "Traceback" not in err.getvalue()
     if report is not None:
         numbers = list(report["brackets"].values())
         numbers += [row["f_assembled"] for row in report["results"]]
         assert all(math.isfinite(v) for v in numbers), (keys, value)
+
+
+@pytest.mark.parametrize("d_values", [[50.0], [50.0, 50.0]])
+def test_sweep_fit_is_null_without_two_distinct_separations(tmp_path, d_values):
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    cfg["sweep"]["d_values"] = d_values
+    out = tmp_path / "out"
+    for command in ("run", "sweep"):
+        assert cli.main([command, _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)["report"]
+    assert report["sweep_fit"] is None
 
 
 def test_config_top_level_must_be_an_object(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ def test_density_profile_neutrality_and_kappa(thermo, species_pair):
 
 # ------------------------------------------------------- kernel assembly
 
+def _exp_cell_integral(u, c, h, k):
+    """int over the cell [c-h/2, c+h/2] of e^{-k|u - x'|} dx', elementwise."""
+    lo, hi = c - 0.5 * h, c + 0.5 * h
+    inside = (u >= lo) & (u <= hi)
+    safe = np.where(inside, u, c)
+    inner = (2.0 - np.exp(-k * (safe - lo)) - np.exp(-k * (hi - safe))) / k
+    outer = (2.0 * np.sinh(0.5 * k * h) / k) * np.exp(-k * np.abs(u - c))
+    return np.where(inside, inner, outer)
+
+
 def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
     """Exact double time sum of one wire-kernel entry, node pair by node pair."""
     lam_i = loop_i.species.lambda_
@@ -52,7 +64,7 @@ def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
     yl = loop_l.y[None, :] + lam_l * loop_l.path[:-1, 1:]
     ph = np.exp(1j * (yi @ kvec))[:, None] * np.exp(-1j * (yl @ kvec))[None, :]
     if cell_integrated:
-        core = scr._exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
+        core = _exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
     else:
         core = np.exp(-k * np.abs(u[:, None] - (loop_l.x + off)[None, :]))
     return loop_i.ds * loop_l.ds * np.sum(ph * core)
@@ -94,12 +106,83 @@ def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k,
     kvec = k * np.array([0.8, 0.6])
     ref = _oracle_pair_matrix(basis, kvec, cell_integrated)
     if cell_integrated:
-        got = scr.assemble_kernel_matrix(basis, kvec)
+        # the structured operator's dense expansion: band entries and the
+        # far-field generator products
+        got = scr.assemble_kernel_matrix(basis, kvec).dense()
         ref = ref * basis.matrix_weight[None, :]
     else:
         got = np.column_stack([scr.source_column(basis, loop, kvec)
                                for loop in basis.loops])
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+def _all_pair_offsets(basis):
+    """Cell offset (row minus column), above mask and near (inside or
+    straddling) mask of every operator pair, classified over all n x n."""
+    i, l = (a.ravel() for a in np.indices((basis.size, basis.size)))
+    plan = scr._pair_plan(basis.paths, basis.paths, i, l, 0.5 * basis.h)
+    near = np.zeros(i.size, dtype=bool)
+    near[plan.inside] = near[plan.straddling] = True
+    return basis.cell[i] - basis.cell[l], plan.above, near
+
+
+@pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10), (0.02, 12)])
+def test_band_is_the_largest_near_pair_offset(hbar, nx):
+    basis = _mixed_basis(hbar, nx)
+    offset, above, near = _all_pair_offsets(basis)
+    band = basis.plan.band
+    assert band == np.max(np.abs(offset[near]))
+    # beyond the band a row above its column is above it, one below is below
+    far = np.abs(offset) > band
+    assert np.array_equal(above[far], offset[far] > 0)
+    assert not np.any(near[far])
+    assert near.sum() == basis.plan.inside.size + basis.plan.straddling.size
+
+
+def _dense_solve(op, rhs):
+    return np.linalg.solve(np.eye(op.cell.size) + op.dense(), rhs)
+
+
+@pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
+@pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
+def test_structured_solve_matches_dense_solve(hbar, nx, k):
+    basis = _mixed_basis(hbar, nx)
+    kvec = k * np.array([0.8, 0.6])
+    op = scr.assemble_kernel_matrix(basis, kvec)
+    if hbar == 0.6:
+        assert op.band > 0        # the wide-path basis has cross-cell pairs
+    rhs = np.column_stack([scr.source_column(basis, basis.loops[j], kvec)
+                           for j in (0, basis.size - 1)])
+    got = scr.solve_screened_potential(basis, kvec, rhs)
+    ref = _dense_solve(op, rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_wider_band_gives_the_same_solution():
+    basis = _mixed_basis(0.6, 10)
+    kvec = 0.05 * np.array([0.8, 0.6])
+    rhs = scr.source_column(basis, basis.loops[0], kvec)
+    tight = scr.solve_screened_potential(basis, kvec, rhs)
+    band = basis.plan.band + 2
+    i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
+    basis.plan = dataclasses.replace(
+        scr._pair_plan(basis.paths, basis.paths, i, l, 0.5 * basis.h), band=band)
+    wide = scr.solve_screened_potential(basis, kvec, rhs)
+    assert scr.assemble_kernel_matrix(basis, kvec).band == band
+    assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
+
+
+def test_coupled_solve_with_gap_matches_dense_solve():
+    # dense reference built from the cell-integral oracle, slabs 3 apart
+    kappa2, k = 1.0, 0.3
+    geo = scr.SlabGeometry(a=2.0, b=2.0, d=3.0, nx_a=40, nx_b=40)
+    xa, xb, phi_ab = scr.coupled_two_slab_solve(geo, kappa2, kappa2, k)
+    pos = np.concatenate([xa, xb + geo.d])
+    t = (kappa2 / (2.0 * k)) * _exp_cell_integral(pos[:, None], pos[None, :],
+                                                  geo.h_a, k)
+    rhs = (2.0 * np.pi / k) * np.exp(-k * np.abs(pos[:, None] - pos[None, 40:]))
+    ref = np.linalg.solve(np.eye(pos.size) + t, rhs)[:40]
+    assert np.max(np.abs(phi_ab - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_pair_classes_of_point_basis(thermo, neutral_profile):
@@ -415,9 +498,15 @@ def test_w_term_annihilation(slab_bases):
 
 def test_perfect_screening_singular_operator_raises_solver_error(
         slab_bases, thermo, monkeypatch):
-    # T = -I makes I + T exactly singular
-    monkeypatch.setattr(scr, "assemble_kernel_matrix",
-                        lambda basis, kvec: -np.eye(basis.size))
+    # T = -I (band entries -1 on the diagonal, no far field) makes I + T
+    # exactly singular
+    def singular(basis, kvec):
+        diag, zero = np.arange(basis.size), np.zeros(basis.size)
+        return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell,
+                                  band=0, entries=(diag, diag, -np.ones(basis.size)),
+                                  far=(zero, zero, zero, zero))
+
+    monkeypatch.setattr(scr, "assemble_kernel_matrix", singular)
     with pytest.raises(SolverError):
         scr.check_perfect_screening(slab_bases[0], _border_source(thermo),
                                     _kseq(1.0, n=2))
