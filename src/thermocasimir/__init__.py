@@ -17,8 +17,7 @@ from .potentials import (FormFactor, coulomb_force_kernel,
                          wm_pair_fourier)
 from .screening import (DensityProfile, LoopBasis, SlabGeometry,
                         SpeciesDensity, build_loop_basis,
-                        check_perfect_screening, factorize_phi_ab,
-                        solve_screened_potential)
+                        check_perfect_screening, factorize_phi_ab)
 from .force import (ZETA3, assemble_force, capacitor_force, leading_force,
                     lifshitz_reference, zeta3_quadrature, zeta3_series_oracle)
 
@@ -42,7 +41,6 @@ __all__ = [
     "DensityProfile", "LoopBasis", "SlabGeometry",
     "SpeciesDensity", "build_loop_basis",
     "check_perfect_screening", "factorize_phi_ab",
-    "solve_screened_potential",
     # force
     "ZETA3", "assemble_force", "capacitor_force", "leading_force",
     "lifshitz_reference",

@@ -144,14 +144,10 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
     plate brackets; with exact perfect screening both brackets are -1 and the
     assembly reproduces the universal law exactly.  The magnetic contribution
     enters only as an order d^-5 remainder bound, never as an addend.  The
-    amplitude, the certification and the integrand shape do not depend on d
-    and are computed once.
+    amplitude and the certification do not depend on d and are computed once.
     """
     beta = thermo.beta
     amplitude = zeta3_quadrature()
-    qgrid = np.linspace(0.0, 12.0, 121)
-    shape = _force_integrand(qgrid) * bracket_a * bracket_b
-    q_list = qgrid.tolist()
     residuals = dict(sumrule_residuals)
     # np.max, not max: a NaN residual must propagate instead of being skipped
     residual_max = (float(np.max(np.abs(list(residuals.values()))))
@@ -174,8 +170,6 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
             "f_assembled": float(-(amplitude / denom) * bracket_a * bracket_b),
             "bracket_a": float(bracket_a),
             "bracket_b": float(bracket_b),
-            "f_electrostatic_integrand": {"q": q_list,
-                                          "integrand": (shape / -denom).tolist()},
             "capacitor_el": float(capacitor_el),
             "capacitor_mag_exponent": capacitor_mag_exponent,
             "capacitor_mag_bound": {

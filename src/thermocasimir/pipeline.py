@@ -37,7 +37,11 @@ def _jsonable(obj):
 
 def _k_sequence(kappa: float, numerics: dict) -> list:
     k0 = numerics["k0_factor"] * kappa
-    return [k0 / 2.0**n for n in range(int(numerics["n_k"]))]
+    k_seq = [k0 / 2.0**n for n in range(int(numerics["n_k"]))]
+    if not k_seq[-1] > 0.0:
+        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {numerics['n_k']!r} "
+                          f"underflows the wavenumber sequence to {k_seq[-1]!r}")
+    return k_seq
 
 
 def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,

@@ -25,7 +25,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import Loop, SpeciesParams, ThermoState, point_loop, sample_bridge
+from .loops import Loop, SpeciesParams, ThermoState, sample_bridge
 
 __all__ = [
     "SlabGeometry",
@@ -35,7 +35,6 @@ __all__ = [
     "build_loop_basis",
     "assemble_kernel_matrix",
     "source_column",
-    "solve_screened_potential",
     "classical_slab_solve",
     "coupled_two_slab_solve",
     "step_slab_phi_reference",
@@ -89,8 +88,9 @@ class SlabGeometry:
         flags; a ratio that is not finite (e.g. c so small that the cut-off
         length overflows) raises ParameterError."""
         lam_mat = thermo.de_broglie(mean_mass)
-        # c * c, not c**2: a float power raises OverflowError at c ~ 1e154
-        lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
+        # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf
+        with np.errstate(divide="ignore"):
+            lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
         ratios = {
             "cut_over_mat": lam_cut / lam_mat,
             "mat_over_ph": lam_mat / thermo.lambda_ph,
@@ -157,11 +157,11 @@ _STRADDLE_BLOCK = 1 << 18   # node pairs (s, t) per batch of straddling pairs
 
 @dataclass(frozen=True)
 class _PathArrays:
-    """Struct-of-arrays view of a list of loops.
+    """Struct-of-arrays view of a set of loops.
 
     x, xi_lo and xi_hi give each loop's slab-normal position and the range of
     its normal excursion xi = lambda X_1 (0 lies in it: paths are pinned).
-    The open-grid node arrays are stacked per (p, node count) group:
+    The open-grid node arrays are stacked per charge number p:
     groups[g] = (loop indices, xi (n_g, N), in-plane positions (n_g, N, 2),
     ds); group[n] and slot[n] locate loop n in them.  Within each loop the
     nodes are sorted by xi (every kernel here is a sum over all nodes, so
@@ -176,29 +176,24 @@ class _PathArrays:
     slot: np.ndarray
 
 
-def _path_arrays(loops) -> _PathArrays:
-    n = len(loops)
-    xi_lo, xi_hi = np.empty(n), np.empty(n)
-    group, slot = np.empty(n, dtype=int), np.empty(n, dtype=int)
-    by_shape = {}
-    for idx, lp in enumerate(loops):
-        by_shape.setdefault((lp.p, lp.n_nodes), []).append(idx)
-    groups = []
-    for g, ((p, nodes), members) in enumerate(sorted(by_shape.items())):
-        idx = np.array(members)
-        lam = np.array([loops[i].species.lambda_ for i in members])
-        path = np.stack([loops[i].path[:-1] for i in members])
-        xi = lam[:, None] * path[:, :, 0]
-        y = (np.stack([loops[i].y for i in members])[:, None, :]
-             + lam[:, None, None] * path[:, :, 1:])
+def _path_arrays(x, groups) -> _PathArrays:
+    """Path arrays of the loops at slab-normal positions x, given per charge
+    number p as (ascending loop indices, p, de Broglie lengths (n_g,), pinned
+    paths (n_g, N+1, 3), in-plane positions (n_g, 2))."""
+    xi_lo, xi_hi = np.empty(x.size), np.empty(x.size)
+    group, slot = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
+    out = []
+    for g, (idx, p, lam, path, y0) in enumerate(groups):
+        xi = lam[:, None] * path[:, :-1, 0]
+        y = y0[:, None, :] + lam[:, None, None] * path[:, :-1, 1:]
         order = np.argsort(xi, axis=1, kind="stable")
         xi = np.take_along_axis(xi, order, axis=1)
         y = np.take_along_axis(y, order[:, :, None], axis=1)
         xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
         group[idx], slot[idx] = g, np.arange(idx.size)
-        groups.append((idx, xi, y, p / (nodes - 1)))
-    return _PathArrays(x=np.array([float(lp.x) for lp in loops]), xi_lo=xi_lo,
-                       xi_hi=xi_hi, groups=tuple(groups), group=group, slot=slot)
+        out.append((idx, xi, y, p / (path.shape[1] - 1)))
+    return _PathArrays(x=x, xi_lo=xi_lo, xi_hi=xi_hi, groups=tuple(out),
+                       group=group, slot=slot)
 
 
 @dataclass(frozen=True)
@@ -266,26 +261,27 @@ class LoopBasis:
     (x-cell, species, charge number, path sample), in cell order.  The path
     arrays and (on first use) the k-independent pair plan are kept here."""
 
-    loops: list
-    x: np.ndarray            # cell centers
+    paths: _PathArrays
     h: float                 # cell width
     charge: np.ndarray
     pnum: np.ndarray
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
-    paths: _PathArrays = field(init=False, repr=False)
     x_cells: np.ndarray = field(init=False, repr=False)   # ascending
     cell: np.ndarray = field(init=False, repr=False)      # index into x_cells
 
     def __post_init__(self):
         if np.any(np.diff(self.x) < 0.0):
             raise ParameterError("basis entries must be in cell order")
-        self.paths = _path_arrays(self.loops)
         self.x_cells, self.cell = np.unique(self.x, return_inverse=True)
 
     @property
+    def x(self) -> np.ndarray:   # cell centers
+        return self.paths.x
+
+    @property
     def size(self) -> int:
-        return len(self.loops)
+        return self.paths.x.size
 
     @property
     def matrix_weight(self) -> np.ndarray:
@@ -322,29 +318,27 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
 
     point_paths=True collapses every path to the degenerate classical wire
     (the monopole sector); otherwise each (species, p) cell carries n_paths
-    pinned bridges drawn from disjoint deterministic substreams.
+    pinned bridges, entry i drawn from the substream [seed, i].  The paths
+    are kept stacked per charge number.
     """
     cells = geometry.cells_a() if slab == "a" else geometry.cells_b()
     h = geometry.h_a if slab == "a" else geometry.h_b
-    loops, xs, chg, ps, meas = [], [], [], [], []
-    stream = 0
+    count = 1 if point_paths else n_paths
+    rows, by_p = [], {}
     for xc in cells:
         for entry in profile.cells(slab):
-            sp = entry.species
-            count = 1 if point_paths else n_paths
-            for r in range(count):
-                loops.append(point_loop(xc, sp, entry.p, n_steps) if point_paths
-                             else Loop(x=float(xc), species=sp, p=entry.p,
-                                       path=sample_bridge(entry.p, n_steps,
-                                                          [seed, stream])))
-                stream += 1
-                xs.append(xc)
-                chg.append(sp.charge)
-                ps.append(entry.p)
-                meas.append(entry.loop_density * h / count)
-    return LoopBasis(loops=loops, x=np.array(xs), h=h,
-                     charge=np.array(chg), pnum=np.array(ps, dtype=int),
-                     measure=np.array(meas), beta=thermo.beta)
+            idx, draws = by_p.setdefault(entry.p, ([], []))
+            for _ in range(count):
+                idx.append(len(rows))
+                draws.append(np.zeros((entry.p * n_steps + 1, 3)) if point_paths
+                             else sample_bridge(entry.p, n_steps, [seed, len(rows)]))
+                rows.append((float(xc), entry.species.charge, entry.p,
+                             entry.loop_density * h / count, entry.species.lambda_))
+    x, charge, pnum, measure, lam = (np.array(col) for col in zip(*rows))
+    groups = [(np.array(idx), p, lam[idx], np.stack(draws), np.zeros((len(idx), 2)))
+              for p, (idx, draws) in sorted(by_p.items())]
+    return LoopBasis(paths=_path_arrays(x, groups), h=h, charge=charge, pnum=pnum,
+                     measure=measure, beta=thermo.beta)
 
 
 def _wavenumber(kvec):
@@ -516,15 +510,12 @@ def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
     the border charge): the pointwise wire kernel, pairs classified as in
     assemble_kernel_matrix."""
     kvec, k = _wavenumber(kvec)
-    src_paths, i = _path_arrays([src]), np.arange(basis.size)
+    src_paths = _path_arrays(np.array([float(src.x)]), [(
+        np.zeros(1, dtype=int), src.p, np.array([src.species.lambda_]),
+        src.path[None], src.y[None])])
+    i = np.arange(basis.size)
     plan = _pair_plan(basis.paths, src_paths, i, np.zeros_like(i), 0.0)
     return (2.0 * np.pi / k) * _wire_kernel(basis.paths, src_paths, plan, kvec, k, 0.0)[0]
-
-
-def solve_screened_potential(basis: LoopBasis, kvec, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + T) Phi = V for the given right-hand-side columns (T = 0
-    without medium: the bare columns, Phi = V^el)."""
-    return assemble_kernel_matrix(basis, kvec).solve(rhs)
 
 
 # ----------------------------------------------------------------------------
@@ -640,7 +631,7 @@ def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
     vals = []
     for k in k_sequence:
         kvec = np.array([float(k), 0.0])
-        phi = solve_screened_potential(basis, kvec, source_column(basis, src, kvec))
+        phi = assemble_kernel_matrix(basis, kvec).solve(source_column(basis, src, kvec))
         vals.append(complex(-basis.beta * np.sum(w * phi)))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,34 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
     assert err.startswith("config error:") and "screening bracket" in err
     assert "Traceback" not in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_cli_underflowing_k_sequence_is_a_config_error(tmp_path, fast_config,
+                                                       capsys, verb):
+    # a subnormal k0_factor: the halving wavenumbers reach 0.0
+    bad = copy.deepcopy(fast_config)
+    bad["numerics"] = dict(TINY_NUMERICS, k0_factor=5e-324)
+    out = tmp_path / "out"
+    assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "k0_factor" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c, code", [(1e-300, 2), (1e200, 0)])
+def test_cli_extreme_c_prints_no_warning(tmp_path, fast_config, capsys, c, code):
+    # c * c underflows to 0 (a non-finite hierarchy ratio: exit 2) or
+    # overflows (cut_over_mat reads 0 and the run goes on), without a warning
+    cfg = copy.deepcopy(fast_config)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    cfg["thermo"]["c"] = c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") if code else err == ""
 
 
 # every single-key change of the tiny config to one of these values either

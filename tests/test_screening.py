@@ -70,11 +70,25 @@ def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
     return loop_i.ds * loop_l.ds * np.sum(ph * core)
 
 
-def _oracle_pair_matrix(basis, kvec, cell_integrated):
+def _oracle_pair_matrix(basis, loops, kvec, cell_integrated):
     k = float(np.hypot(*kvec))
     return (2.0 * np.pi / k) * np.array(
         [[_oracle_pair_entry(li, ll, basis.h, kvec, k, cell_integrated)
-          for ll in basis.loops] for li in basis.loops])
+          for ll in loops] for li in loops])
+
+
+def _entry_loop(basis, i, cells, n_steps, seed):
+    """The Loop of basis entry i, rebuilt from its substream [seed, i] and
+    its profile entry (entries run over cell, profile entry, path), checked
+    against the basis's charge, charge number and stacked normal excursions."""
+    n_paths = basis.size // (basis.x_cells.size * len(cells))
+    entry = cells[(i // n_paths) % len(cells)]
+    loop = lo.Loop(basis.x[i], entry.species, entry.p,
+                   lo.sample_bridge(entry.p, n_steps, [seed, i]))
+    assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
+    xi = basis.paths.groups[basis.paths.group[i]][1][basis.paths.slot[i]]
+    assert np.array_equal(xi, np.sort(entry.species.lambda_ * loop.path[:-1, 0]))
+    return loop
 
 
 def _mixed_basis(hbar, nx):
@@ -87,7 +101,8 @@ def _mixed_basis(hbar, nx):
              scr.SpeciesDensity(plus, 2, 0.1 * rho))
     prof = scr.DensityProfile(beta=th.beta, slab_a=cells, slab_b=cells)
     geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=nx, nx_b=nx)
-    return scr.build_loop_basis(geo, prof, th, "a", n_paths=3, n_steps=8, seed=9)
+    basis = scr.build_loop_basis(geo, prof, th, "a", n_paths=3, n_steps=8, seed=9)
+    return basis, [_entry_loop(basis, i, cells, 8, 9) for i in range(basis.size)]
 
 
 # (0.25, 4) has pairs of every class; (0.6, 10) has wide paths in fine
@@ -99,12 +114,12 @@ def _mixed_basis(hbar, nx):
 @pytest.mark.parametrize("cell_integrated", [True, False])
 def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k,
                                                cell_integrated):
-    basis = _mixed_basis(hbar, nx)
+    basis, loops = _mixed_basis(hbar, nx)
     counts = basis.pair_class_counts()
     assert sum(counts.values()) == basis.size**2
     assert {name for name, n in counts.items() if n > 0} == set(classes)
     kvec = k * np.array([0.8, 0.6])
-    ref = _oracle_pair_matrix(basis, kvec, cell_integrated)
+    ref = _oracle_pair_matrix(basis, loops, kvec, cell_integrated)
     if cell_integrated:
         # the structured operator's dense expansion: band entries and the
         # far-field generator products
@@ -112,7 +127,7 @@ def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k,
         ref = ref * basis.matrix_weight[None, :]
     else:
         got = np.column_stack([scr.source_column(basis, loop, kvec)
-                               for loop in basis.loops])
+                               for loop in loops])
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -128,7 +143,7 @@ def _all_pair_offsets(basis):
 
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10), (0.02, 12)])
 def test_band_is_the_largest_near_pair_offset(hbar, nx):
-    basis = _mixed_basis(hbar, nx)
+    basis, _ = _mixed_basis(hbar, nx)
     offset, above, near = _all_pair_offsets(basis)
     band = basis.plan.band
     assert band == np.max(np.abs(offset[near]))
@@ -146,28 +161,28 @@ def _dense_solve(op, rhs):
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
 @pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
 def test_structured_solve_matches_dense_solve(hbar, nx, k):
-    basis = _mixed_basis(hbar, nx)
+    basis, loops = _mixed_basis(hbar, nx)
     kvec = k * np.array([0.8, 0.6])
     op = scr.assemble_kernel_matrix(basis, kvec)
     if hbar == 0.6:
         assert op.band > 0        # the wide-path basis has cross-cell pairs
-    rhs = np.column_stack([scr.source_column(basis, basis.loops[j], kvec)
+    rhs = np.column_stack([scr.source_column(basis, loops[j], kvec)
                            for j in (0, basis.size - 1)])
-    got = scr.solve_screened_potential(basis, kvec, rhs)
+    got = op.solve(rhs)
     ref = _dense_solve(op, rhs)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_wider_band_gives_the_same_solution():
-    basis = _mixed_basis(0.6, 10)
+    basis, loops = _mixed_basis(0.6, 10)
     kvec = 0.05 * np.array([0.8, 0.6])
-    rhs = scr.source_column(basis, basis.loops[0], kvec)
-    tight = scr.solve_screened_potential(basis, kvec, rhs)
+    rhs = scr.source_column(basis, loops[0], kvec)
+    tight = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     band = basis.plan.band + 2
     i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
     basis.plan = dataclasses.replace(
         scr._pair_plan(basis.paths, basis.paths, i, l, 0.5 * basis.h), band=band)
-    wide = scr.solve_screened_potential(basis, kvec, rhs)
+    wide = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     assert scr.assemble_kernel_matrix(basis, kvec).band == band
     assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
 
@@ -196,13 +211,13 @@ def test_pair_classes_of_point_basis(thermo, neutral_profile):
 
 @pytest.mark.parametrize("x_src, hbar", [(0.0, 0.25), (-0.9, 0.6)])
 def test_source_column_matches_vel_fourier(x_src, hbar):
-    basis = _mixed_basis(hbar, 4)
-    sp = basis.loops[0].species
+    basis, loops = _mixed_basis(hbar, 4)
+    sp = loops[0].species
     src = lo.Loop(x_src, sp, 1, lo.sample_bridge(1, 8, [9, 999]), y=(0.3, -0.2))
     for k in (0.2, 0.2 / 2**5):
         kvec = k * np.array([0.8, 0.6])
         got = scr.source_column(basis, src, kvec)
-        ref = np.array([pot.vel_fourier(lp, src, kvec) for lp in basis.loops])
+        ref = np.array([pot.vel_fourier(lp, src, kvec) for lp in loops])
         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -279,7 +294,7 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
     src = lo.point_loop(0.0, plus, n_steps=4)
     kvec = np.array([0.3, 0.0])
     rhs = scr.source_column(basis, src, kvec)
-    phi = scr.solve_screened_potential(basis, kvec, rhs)
+    phi = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     assert np.allclose(phi, rhs)
 
 
@@ -291,7 +306,7 @@ def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profil
     src = lo.point_loop(0.0, border, n_steps=4)
     k = 0.37
     rhs = scr.source_column(basis, src, np.array([k, 0.0]))
-    phi_loop = scr.solve_screened_potential(basis, np.array([k, 0.0]), rhs)
+    phi_loop = scr.assemble_kernel_matrix(basis, np.array([k, 0.0])).solve(rhs)
     # classical aggregation: same x-cells, kappa^2 summed over species
     xc = geo.cells_a()
     phi_cl = scr.classical_slab_solve(xc, geo.h_a,
@@ -482,7 +497,7 @@ def test_dressed_border_bracket_is_minus_one(slab_bases, thermo):
         assert abs(res["bracket"].real + 1.0) < 1e-2
 
 
-def test_w_term_annihilation(slab_bases):
+def test_w_term_annihilation(slab_bases, neutral_profile):
     # An interior loop is screened like the border charge.  Its dressed
     # weights w_i = rho_i h(root, i) + delta(root, i), with the closure
     # h = -beta e_root e_i Phi(root, i), contract to
@@ -492,7 +507,8 @@ def test_w_term_annihilation(slab_bases):
     basis = slab_bases[0]
     root = basis.size - 1
     assert basis.pnum[root] == 1 and -6.0 < basis.x[root] < 0.0
-    res = scr.check_perfect_screening(basis, basis.loops[root], _kseq(1.0))
+    src = _entry_loop(basis, root, neutral_profile.cells("a"), 16, 3)
+    res = scr.check_perfect_screening(basis, src, _kseq(1.0))
     assert abs(res["bracket"] + basis.pnum[root]) < 1e-2
 
 
