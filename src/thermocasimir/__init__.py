@@ -4,6 +4,9 @@ Loop-gas representation of mobile quantum charges in equilibrium with the
 photon field: pinned Brownian paths, their pair kernels, Debye-Hueckel-type
 screening in slab geometry, perfect-screening sum rules, and the universal
 large-separation force assembly.
+
+Importing the package loads numpy and the standard library only: each scipy
+import sits inside the function that uses it.
 """
 from .errors import (ConfigError, ContractViolationError, ParameterError,
                      SingularArgumentError, SolverError)

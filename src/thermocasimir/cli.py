@@ -11,7 +11,8 @@ import math
 import sys
 
 from .config import load_config, optional_block
-from .errors import ConfigError, ParameterError, SolverError
+from .errors import (ConfigError, ContractViolationError, ParameterError,
+                     SingularArgumentError, SolverError)
 from .force import zeta3_quadrature, zeta3_series_oracle
 from .pipeline import run_pipeline, verify_suite, write_report, write_sweep_csv
 
@@ -144,7 +145,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, FileNotFoundError,
+    except (ConfigError, ParameterError, SingularArgumentError,
+            ContractViolationError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

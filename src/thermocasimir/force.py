@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError
 from .loops import ThermoState
@@ -41,6 +40,7 @@ def zeta3_quadrature(eps_abs: float = 1e-12) -> float:
     The tail beyond q = 40 is bounded by 2 q^2 e^{-2q} and is far below the
     requested tolerance; the value equals half of Apery's constant.
     """
+    from scipy.integrate import quad
     val, err = quad(lambda q: float(_force_integrand(np.array([q]))[0]),
                     0.0, 40.0, epsabs=eps_abs, epsrel=eps_abs, limit=200)
     tail_bound = quad(lambda q: 2.0 * q * q * np.exp(-2.0 * q), 40.0, np.inf)[0]
@@ -144,10 +144,11 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
     plate brackets; with exact perfect screening both brackets are -1 and the
     assembly reproduces the universal law exactly.  The magnetic contribution
     enters only as an order d^-5 remainder bound, never as an addend.  The
-    amplitude and the certification do not depend on d and are computed once.
+    amplitude is zeta(3)/2, the value of the q-integral that zeta3_quadrature
+    checks; it and the certification do not depend on d and are set once.
     """
     beta = thermo.beta
-    amplitude = zeta3_quadrature()
+    amplitude = 0.5 * ZETA3
     residuals = dict(sumrule_residuals)
     # np.max, not max: a NaN residual must propagate instead of being skipped
     residual_max = (float(np.max(np.abs(list(residuals.values()))))

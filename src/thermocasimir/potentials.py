@@ -4,15 +4,14 @@ Real-space kernels (equal-time Coulomb and wire-wire Coulomb energies),
 transverse-Fourier kernels (screened-equation source kernel, magnetic kernel
 with the photon occupation factor), the slab Coulomb force kernel, the partial
 transverse Coulomb transform, and the dipolar large-separation closed forms.
-Each closed form ships with an independent quadrature oracle.
+Each closed form ships with an independent quadrature oracle (the dipolar
+interplate one lives in the tests).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import fixed_quad, quad
-from scipy.special import j0, jn_zeros, roots_legendre
 
 from .errors import ContractViolationError, ParameterError, SingularArgumentError
 from .loops import Loop, ThermoState
@@ -33,7 +32,6 @@ __all__ = [
     "wab_asymptotic",
     "wab_pair_finite_d",
     "wm_gradient_ab",
-    "wab_quadrature_oracle",
     "coulomb_force_full",
     "coulomb_force_monopole_shifted",
     "magnetic_capacitor_integrand",
@@ -244,6 +242,8 @@ def coulomb_force_kernel_oracle(x1, x2, q, d, n_intervals=80, accel_depth=12):
     """Hankel-transform oracle: radial quadrature of the in-plane transform of
     d/dx1 1/|r|, split at the Bessel zeros with repeated-averaging acceleration
     of the alternating tail."""
+    from scipy.integrate import fixed_quad, quad
+    from scipy.special import j0, jn_zeros
     k = q / d
     X = x1 - x2 - d
     if k == 0.0:
@@ -285,14 +285,17 @@ def v_transverse_partial_oracle(x, qvec, mu, nu):
     """Adaptive-quadrature oracle for v_transverse_partial: 1D Fourier integral
     of the rational transverse kernel, even/odd split with explicit oscillatory
     weights and infinite-range tail handling."""
+    from scipy.integrate import quad
     qvec = np.asarray(qvec, dtype=float)
-    q = float(np.hypot(qvec[0], qvec[1]))
-    if q == 0.0:
+    qx, qy = float(qvec[0]), float(qvec[1])
+    if qx == 0.0 and qy == 0.0:
         raise SingularArgumentError("oracle undefined at q = 0")
 
     def entry(k1):
-        K = np.array([k1, qvec[0], qvec[1]])
-        return 4.0 * np.pi / (k1 * k1 + q * q) * transverse_delta(K)[mu, nu]
+        # 4 pi / K^2 times the transverse projector entry, K = (k1, qx, qy)
+        K = (k1, qx, qy)
+        k2 = k1 * k1 + qx * qx + qy * qy
+        return 4.0 * np.pi / k2 * ((mu == nu) - K[mu] * K[nu] / k2)
 
     def even(k1):
         return 0.5 * (entry(k1) + entry(-k1))
@@ -419,51 +422,6 @@ def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
     return complex(-pref * b1 / d**2)
 
 
-def wab_quadrature_oracle(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
-                          x1=None, x2=None) -> complex:
-    """Direct wavenumber quadrature of the interplate dipolar potential.
-
-    Integrates the small-K current-current kernel over the scaled normal
-    wavenumber with the exact oscillatory phase.  The nondecaying large-q1
-    part of the integrand Fourier-transforms to a contact term away from the
-    evaluation point and is subtracted exactly; the remainder is handled by
-    oscillatory-weighted adaptive quadrature with infinite-range tails.
-    """
-    x1 = loop_i.x if x1 is None else x1
-    x2 = loop_j.x if x2 is None else x2
-    qvec = np.asarray(qvec, dtype=float)
-    q = float(np.hypot(qvec[0], qvec[1]))
-    ai, bi = loop_current_moments(loop_i, qvec)
-    aj, bj = loop_current_moments(loop_j, qvec)
-    lam_i = loop_i.species.lambda_
-    lam_j = loop_j.species.lambda_
-    pref = (lam_i * lam_j /
-            (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass) * thermo.c**2))
-    X = 1.0 - (x1 - x2) / d
-
-    # T(q1) = sum_{mu nu} (q1 ai + bi)^mu (q1 aj + bj)^nu 4 pi dtr_{mu nu}(q1, q)/(q1^2+q^2)
-    tail = 4.0 * np.pi * (ai[1] * aj[1] + ai[2] * aj[2])   # lim q1 -> inf
-
-    def t_of(k1):
-        K = np.array([k1, qvec[0], qvec[1]])
-        u = k1 * ai + bi
-        v = k1 * aj + bj
-        dtr = transverse_delta(K)
-        return 4.0 * np.pi * (u @ dtr @ v) / (k1 * k1 + q * q)
-
-    def even(k1):
-        return 0.5 * (t_of(k1) + t_of(-k1)) - tail
-
-    def odd(k1):
-        return 0.5 * (t_of(k1) - t_of(-k1))
-
-    re, _ = quad(even, 0, np.inf, weight="cos", wvar=X, limit=600)
-    im, _ = quad(odd, 0, np.inf, weight="sin", wvar=X, limit=600)
-    # e^{-i q1 X} convention: int dq1/2pi (even + odd) e^{-i q1 X}
-    val = (re - 1j * im) / np.pi
-    return complex(pref * val / d)
-
-
 def _equal_time_orbit(loop_i: Loop, loop_j: Loop):
     if loop_i.n_steps != loop_j.n_steps:
         raise ContractViolationError("equal-time pairing needs a common n_steps")
@@ -529,6 +487,7 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     has decayed, m is the cancellation of terms far larger than itself, and
     values with |m| <= floor carry no digits of the kernel.
     """
+    from scipy.special import roots_legendre
     x_values = np.asarray(x_values, dtype=float)
     k_max = 4.0 * form_factor.k_cut
     nodes, weights = roots_legendre(n_quad)

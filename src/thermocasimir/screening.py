@@ -16,13 +16,11 @@ of the interplate screened potential.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .errors import ParameterError, SingularArgumentError, SolverError
 from .loops import Loop, SpeciesParams, ThermoState, sample_bridge
@@ -37,7 +35,6 @@ __all__ = [
     "source_column",
     "classical_slab_solve",
     "coupled_two_slab_solve",
-    "step_slab_phi_reference",
     "bulk_phi_analytic",
     "richardson_extrapolate",
     "check_perfect_screening",
@@ -139,7 +136,6 @@ class DensityProfile:
         return self.slab_a if slab == "a" else self.slab_b
 
     def charge_density(self, slab: str) -> float:
-        import math
         return math.fsum(c.species.charge * c.p * c.loop_density
                          for c in self.cells(slab))
 
@@ -454,6 +450,8 @@ class KernelOperator:
         system extended by running sums per cell, sigma_c = e^{-k(X_c -
         X_{c-1})} sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c
         over t; row i reads both band + 1 cells away: n + 2 n_cells unknowns."""
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
         (u, v, s, t), n, m, k = self.far, self.cell.size, self.x_cells.size, self.k
         phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
         x, decay = self.x_cells, np.exp(-k * np.diff(self.x_cells))
@@ -556,38 +554,6 @@ def coupled_two_slab_solve(geometry: SlabGeometry, kappa2_a, kappa2_b, k):
     return xa, xb, phi[: xa.size, :]
 
 
-def step_slab_phi_reference(x1, x2, k, a, kappa):
-    """Piecewise-exponential reference solution of the screened equation for a
-    single homogeneous slab [-a, 0] (vacuum outside), unit source at x2.
-
-    Matching value and slope at both faces of  -Phi'' + (k^2 + kappa^2) Phi =
-    4 pi delta(x - x2)  inside and  -Phi'' + k^2 Phi = 0  outside.
-    """
-    b = np.hypot(k, kappa)
-    if not (-a < x2 < 0.0):
-        raise ParameterError("source must lie strictly inside the slab")
-    # unknowns: C1, C2 (homogeneous inside), D (x > 0), E (x < -a)
-    mat = np.array([
-        [1.0, 1.0, -1.0, 0.0],
-        [b, -b, k, 0.0],
-        [np.exp(-b * a), np.exp(b * a), 0.0, -1.0],
-        [b * np.exp(-b * a), -b * np.exp(b * a), 0.0, -k],
-    ])
-    part = 2.0 * np.pi / b
-    rhs = np.array([
-        -part * np.exp(-b * abs(0.0 - x2)),
-        part * b * np.exp(-b * abs(0.0 - x2)),
-        -part * np.exp(-b * abs(-a - x2)),
-        -part * b * np.exp(-b * abs(-a - x2)),
-    ])
-    c1, c2, dcoef, ecoef = np.linalg.solve(mat, rhs)
-    x1 = np.asarray(x1, dtype=float)
-    inside = part * np.exp(-b * np.abs(x1 - x2)) + c1 * np.exp(b * x1) + c2 * np.exp(-b * x1)
-    right = dcoef * np.exp(-k * x1)
-    left = ecoef * np.exp(k * (x1 + a))
-    return np.where(x1 > 0.0, right, np.where(x1 < -a, left, inside))
-
-
 def bulk_phi_analytic(x1, x2, k, kappa):
     """Homogeneous-medium screened kernel: (2 pi / b) e^{-b |x1 - x2|},
     b = sqrt(k^2 + kappa^2)."""
@@ -647,6 +613,7 @@ def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
 def bulk_sum_rule_oracle(kappa, k_sequence, half_width=40.0):
     """Quadrature of the analytic homogeneous screened kernel against the
     screening weight, extrapolated to k = 0; the exact limit is 1."""
+    from scipy.integrate import quad
     vals = []
     for k in k_sequence:
         val, _ = quad(lambda x: (kappa**2 / (4.0 * np.pi)) * bulk_phi_analytic(x, 0.0, k, kappa),

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import thermocasimir
 from thermocasimir import cli
 from thermocasimir.config import load_config
-from thermocasimir.errors import ConfigError, SolverError
+from thermocasimir.errors import (ConfigError, ContractViolationError,
+                                  SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
 
 BASE_CONFIG = {
@@ -198,6 +199,36 @@ def test_report_hash_independent_of_blas_threads(fast_config):
                                   timeout=600, check=True)
             hashes.append(proc.stdout.split()[-1])
         assert hashes[0] == hashes[1], cfg["slabs"]["species"]
+
+
+_SCIPY_MODULES = """
+import json, sys
+import thermocasimir, thermocasimir.cli
+from thermocasimir.config import load_config
+from thermocasimir.pipeline import run_pipeline
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+config = load_config(json.loads(sys.argv[1]))
+print(json.dumps(scipy_modules()))
+run_pipeline(config)
+print(json.dumps(scipy_modules()))
+"""
+
+
+def test_cold_start_imports_no_scipy(fast_config):
+    # importing the package and loading a config load no scipy module, and a
+    # run with the magnetic probe loads neither scipy.integrate nor
+    # scipy.optimize (every scipy import sits inside the function using it)
+    src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, json.dumps(fast_config)],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=600, check=True)
+    after_load, after_run = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert after_load == []
+    assert not [m for m in after_run
+                if m.startswith(("scipy.integrate", "scipy.optimize"))]
 
 
 def test_pipeline_reproducibility(fast_config):
@@ -533,6 +564,19 @@ def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch):
 
     monkeypatch.setattr("thermocasimir.cli.run_pipeline", boom)
     assert cli.main(["run", path]) == 3
+
+
+@pytest.mark.parametrize("error", [SingularArgumentError, ContractViolationError])
+def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys,
+                                      error):
+    path = _write(tmp_path, fast_config)
+
+    def boom(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr("thermocasimir.cli.run_pipeline", boom)
+    assert cli.main(["run", path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_certification_failure_exit_code(tmp_path, fast_config):

@@ -141,19 +141,19 @@ def test_assemble_force_json_keys():
     assert row["lifshitz"]["eq4"] / row["lifshitz"]["eq5"] == 2.0
 
 
-def test_assemble_force_computes_the_amplitude_once(monkeypatch):
-    calls = []
-    quadrature = fc.zeta3_quadrature
+def test_assemble_force_takes_the_amplitude_from_zeta3(monkeypatch):
+    # the amplitude is ZETA3 / 2, not a quadrature per call
+    def no_quadrature():
+        raise AssertionError("assemble_force called zeta3_quadrature")
 
-    def counted():
-        calls.append(1)
-        return quadrature()
-
-    monkeypatch.setattr(fc, "zeta3_quadrature", counted)
+    monkeypatch.setattr(fc, "zeta3_quadrature", no_quadrature)
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    rows = fc.assemble_force(th, [100.0, 200.0, 400.0], -1.0, -1.0, {"a": 0.0})
+    d_values = [100.0, 200.0, 400.0]
+    rows = fc.assemble_force(th, d_values, -1.0, -1.0, {"a": 0.0})
     assert len(rows) == 3
-    assert len(calls) == 1
+    for d, row in zip(d_values, rows):
+        exact = -fc.ZETA3 / (8.0 * np.pi * th.beta * d**3)
+        assert abs(row["f_assembled"] - exact) <= np.spacing(abs(exact))
 
 
 @pytest.mark.parametrize("d", [1e-300, 1e-70, 1e120, 1e300])
