@@ -107,10 +107,6 @@ class Loop:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
     @property
-    def n_nodes(self) -> int:
-        return self.path.shape[0]
-
-    @property
     def n_steps(self) -> int:
         """Time resolution per unit of s."""
         return (self.path.shape[0] - 1) // self.p

@@ -250,21 +250,20 @@ def bridge_statistics(n_samples: int, ensemble_seed, pair_seed):
     random time pairs, and the line integral of a constant along path 0."""
     paths = loops_mod.sample_bridge_ensemble(1, 16, ensemble_seed, n_samples)
     rng = np.random.default_rng(pair_seed)
-    worst_z = 0.0
+    z = []
     for _ in range(10):
         i, j = sorted(rng.integers(1, 16, size=2))
         prod = paths[:, i, 0] * paths[:, j, 0]
         target = loops_mod.bridge_covariance(1, i / 16.0, j / 16.0)
-        z = abs(prod.mean() - target) / (prod.std(ddof=1) / np.sqrt(n_samples))
-        worst_z = max(worst_z, z)
+        z.append(abs(prod.mean() - target) / (prod.std(ddof=1) / np.sqrt(n_samples)))
     ito = loops_mod.line_integral(paths[0], lambda s, x: np.array([1.0, -2.0, 0.5]))
-    return worst_z, ito
+    return float(np.max(z)), ito
 
 
 def coulomb_kernel_error(rng, n: int) -> float:
     """Worst relative deviation of the slab force kernel from its Hankel
-    oracle over n random (q, d, x1, x2) tuples drawn from rng."""
-    worst = 0.0
+    oracle over n random (q, d, x1, x2) tuples drawn from rng (NaN if any is)."""
+    dev = []
     for _ in range(n):
         q = rng.uniform(0.05, 4.0)
         d = rng.uniform(5.0, 50.0)
@@ -272,14 +271,15 @@ def coulomb_kernel_error(rng, n: int) -> float:
         x2 = rng.uniform(0.0, 0.3 * d)
         closed = pot.coulomb_force_kernel(x1, x2, q, d)
         oracle = pot.coulomb_force_kernel_oracle(x1, x2, q, d)
-        worst = max(worst, abs(closed - oracle) / abs(closed))
-    return worst
+        dev.append(abs(closed - oracle) / abs(closed))
+    return float(np.max(dev))
 
 
 def v_transverse_error(rng, n: int) -> float:
     """Worst absolute deviation of v_transverse_partial from its quadrature
-    oracle over n random tuples; |q| < 0.3 is shifted by 0.5 off q = 0."""
-    worst = 0.0
+    oracle over n random tuples (NaN if any is); |q| < 0.3 is shifted by 0.5
+    off q = 0."""
+    dev = []
     for _ in range(n):
         x = rng.uniform(-2.0, 2.0)
         qv = rng.uniform(-2.0, 2.0, size=2)
@@ -288,8 +288,8 @@ def v_transverse_error(rng, n: int) -> float:
         mu, nu = rng.integers(0, 3, size=2)
         closed = pot.v_transverse_partial(x, qv, int(mu), int(nu))
         oracle = pot.v_transverse_partial_oracle(x, qv, int(mu), int(nu))
-        worst = max(worst, abs(closed - oracle))
-    return worst
+        dev.append(abs(closed - oracle))
+    return float(np.max(dev))
 
 
 def dipolar_slopes(l1, l2, thermo):
@@ -330,10 +330,8 @@ def verify_suite(config: RunConfig) -> dict:
     # --- projector and photon factor ---------------------------------------
     rng = np.random.default_rng([rng_seed, 103])
     ks = rng.normal(size=(1000, 3))
-    worst = 0.0
-    for kv in ks:
-        p = pot.transverse_delta(kv)
-        worst = max(worst, np.max(np.abs(p @ p - p)), np.max(np.abs(p @ kv)))
+    p = pot.transverse_delta(ks)
+    worst = np.maximum(np.max(np.abs(p @ p - p)), np.max(np.abs(p @ ks[:, :, None])))
     checks.append(_check("transverse_projector", worst, 1e-12))
 
     qper = abs(pot.eval_Q(1.3, 0.375 + 1.0, 2.0) - pot.eval_Q(1.3, 0.375, 2.0))

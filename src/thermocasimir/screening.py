@@ -6,9 +6,10 @@ that integral equation (midpoint cells along the slab normal, the kernel
 integrated exactly over each cell, internal degrees of freedom summed over
 species and charge number with Monte Carlo path cells) and solves it in
 O(n): in cell order the operator is a band of near-cell pairs plus a rank-1
-semiseparable far field, embedded in one sparse LU.  Pairs are classified
-once per basis (entirely above or below the source cell, inside it, or
-straddling a face) and each class is summed exactly without a pair loop.
+semiseparable far field, embedded in one sparse LU.  The basis pairs are
+classified once per basis (entirely above or below the source cell, inside
+it, or straddling a face) and each class is summed exactly without a pair
+loop; the source column of an external loop is a direct node sum.
 The module also provides the k-sweep (solves along the wavenumber sequence,
 Richardson-extrapolated to zero, giving the perfect-screening residuals),
 the classical two-slab solve and the factorized large-separation closed form
@@ -152,52 +153,11 @@ _STRADDLE_BLOCK = 1 << 18   # node pairs (s, t) per batch of straddling pairs
 
 
 @dataclass(frozen=True)
-class _PathArrays:
-    """Struct-of-arrays view of a set of loops.
-
-    x, xi_lo and xi_hi give each loop's slab-normal position and the range of
-    its normal excursion xi = lambda X_1 (0 lies in it: paths are pinned).
-    The open-grid node arrays are stacked per charge number p:
-    groups[g] = (loop indices, xi (n_g, N), in-plane positions (n_g, N, 2),
-    ds); group[n] and slot[n] locate loop n in them.  Within each loop the
-    nodes are sorted by xi (every kernel here is a sum over all nodes, so
-    their time order does not enter).
-    """
-
-    x: np.ndarray
-    xi_lo: np.ndarray
-    xi_hi: np.ndarray
-    groups: tuple
-    group: np.ndarray
-    slot: np.ndarray
-
-
-def _path_arrays(x, groups) -> _PathArrays:
-    """Path arrays of the loops at slab-normal positions x, given per charge
-    number p as (ascending loop indices, p, de Broglie lengths (n_g,), pinned
-    paths (n_g, N+1, 3), in-plane positions (n_g, 2))."""
-    xi_lo, xi_hi = np.empty(x.size), np.empty(x.size)
-    group, slot = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
-    out = []
-    for g, (idx, p, lam, path, y0) in enumerate(groups):
-        xi = lam[:, None] * path[:, :-1, 0]
-        y = y0[:, None, :] + lam[:, None, None] * path[:, :-1, 1:]
-        order = np.argsort(xi, axis=1, kind="stable")
-        xi = np.take_along_axis(xi, order, axis=1)
-        y = np.take_along_axis(y, order[:, :, None], axis=1)
-        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
-        group[idx], slot[idx] = g, np.arange(idx.size)
-        out.append((idx, xi, y, p / (path.shape[1] - 1)))
-    return _PathArrays(x=x, xi_lo=xi_lo, xi_hi=xi_hi, groups=tuple(out),
-                       group=group, slot=slot)
-
-
-@dataclass(frozen=True)
 class _PairPlan:
-    """Classified (row, column) pairs of a wire-kernel matrix: w = x_i +
-    xi_i(s) - xi_l(t) lies entirely above the source cell [x_l - half,
-    x_l + half], inside it or across a face (positions inside, straddling),
-    or else below.  band: the largest cell offset kept; runs: _straddling_runs."""
+    """Classified (row, column) pairs of the operator: w = x_i + xi_i(s) -
+    xi_l(t) lies entirely above the source cell [x_l - h/2, x_l + h/2],
+    inside it or across a face (positions inside, straddling), or else
+    below.  band: the largest cell offset kept; runs: _straddling_runs."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -208,44 +168,44 @@ class _PairPlan:
     band: int = 0
 
 
-def _pair_plan(rows: _PathArrays, cols: _PathArrays, i, l, half, offset=None) -> _PairPlan:
+def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
     """Plan of the pairs (i, l); given their cell offsets, only the band is kept:
     offsets up to the largest of a near (neither above nor below) pair."""
-    w_lo = (rows.x + rows.xi_lo)[i] - cols.xi_hi[l]
-    w_hi = (rows.x + rows.xi_hi)[i] - cols.xi_lo[l]
-    above = w_lo >= cols.x[l] + half
-    near = ~above & (w_hi > cols.x[l] - half)
-    within = near & (w_lo >= cols.x[l] - half) & (w_hi <= cols.x[l] + half)
+    half = 0.5 * basis.h
+    w_lo = (basis.x + basis.xi_lo)[i] - basis.xi_hi[l]
+    w_hi = (basis.x + basis.xi_hi)[i] - basis.xi_lo[l]
+    above = w_lo >= basis.x[l] + half
+    near = ~above & (w_hi > basis.x[l] - half)
+    within = near & (w_lo >= basis.x[l] - half) & (w_hi <= basis.x[l] + half)
     band = 0 if offset is None else int(np.max(offset[near], initial=0))
     if offset is not None:
         i, l, above, near, within = (a[offset <= band] for a in (i, l, above, near, within))
     straddling = np.nonzero(near & ~within)[0]
     return _PairPlan(rows=i, cols=l, above=above, inside=np.nonzero(within)[0],
                      straddling=straddling, band=band, runs=_straddling_runs(
-                         rows, cols, i[straddling], l[straddling], half))
+                         basis, i[straddling], l[straddling]))
 
 
-def _straddling_runs(rows: _PathArrays, cols: _PathArrays, ii, ll, half) -> tuple:
+def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
     """k-independent part of the straddling pairs (ii, ll): column nodes are
     sorted by xi, so per row node s those with w above, inside and below the
     cell form three runs.  Per batch of one path-group pair: groups, positions
     in ii, row slots, gap = x_i - x_l + xi_i(s) and the run ends as rows of
-    the column prefix table (n_t + 1 rows per loop)."""
-    out = []
-    key = rows.group[ii] * len(cols.groups) + cols.group[ll]
+    the column prefix table (n_t + 1 rows per path)."""
+    out, half, n_groups = [], 0.5 * basis.h, len(basis.groups)
+    key = basis.group[ii] * n_groups + basis.group[ll]
     for g in np.unique(key):
-        gr, gc = divmod(int(g), len(cols.groups))
-        xi_r, xi_c = rows.groups[gr][1], cols.groups[gc][1]
+        gr, gc = divmod(int(g), n_groups)
+        xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
         sel = np.nonzero(key == g)[0]
         step = max(1, _STRADDLE_BLOCK // (xi_r.shape[1] * xi_c.shape[1]))
         for batch in np.split(sel, np.arange(step, sel.size, step)):
-            s, t = rows.slot[ii[batch]], cols.slot[ll[batch]]
-            gap = (rows.x[ii[batch]] - cols.x[ll[batch]])[:, None] + xi_r[s]
+            s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
+            gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
             off = xi_c[t][:, None, :]
             base = t[:, None] * (xi_c.shape[1] + 1)
             at_above = base + np.sum(off < (gap - half)[:, :, None], axis=2)
-            at_below = (base + np.sum(off <= (gap + half)[:, :, None], axis=2)
-                        if half > 0.0 else at_above)
+            at_below = base + np.sum(off <= (gap + half)[:, :, None], axis=2)
             out.append((gr, gc, batch, s, gap, at_above, at_below,
                         base + xi_c.shape[1]))
     return tuple(out)
@@ -254,10 +214,24 @@ def _straddling_runs(rows: _PathArrays, cols: _PathArrays, ii, ll, half) -> tupl
 @dataclass
 class LoopBasis:
     """Discretized phase space for the screened solve: one entry per
-    (x-cell, species, charge number, path sample), in cell order.  The path
-    arrays and (on first use) the k-independent pair plan are kept here."""
+    (x-cell, species, charge number, path sample), in cell order.
 
-    paths: _PathArrays
+    Struct of arrays: x, xi_lo and xi_hi give each entry's slab-normal
+    position (its cell center) and the range of its normal excursion
+    xi = lambda X_1 (0 lies in it: paths are pinned).  The open-grid node
+    arrays are stacked per charge number p: groups[g] = (entry indices,
+    xi (n_g, N), in-plane positions (n_g, N, 2), ds); group[n] and slot[n]
+    locate entry n in them.  Within each path the nodes are sorted by xi
+    (every kernel here is a sum over all nodes, so their time order does not
+    enter).  The k-independent pair plan is kept here on first use.
+    """
+
+    x: np.ndarray            # cell centers
+    xi_lo: np.ndarray
+    xi_hi: np.ndarray
+    groups: tuple
+    group: np.ndarray
+    slot: np.ndarray
     h: float                 # cell width
     charge: np.ndarray
     pnum: np.ndarray
@@ -272,12 +246,8 @@ class LoopBasis:
         self.x_cells, self.cell = np.unique(self.x, return_inverse=True)
 
     @property
-    def x(self) -> np.ndarray:   # cell centers
-        return self.paths.x
-
-    @property
     def size(self) -> int:
-        return self.paths.x.size
+        return self.x.size
 
     @property
     def matrix_weight(self) -> np.ndarray:
@@ -290,15 +260,14 @@ class LoopBasis:
         offset m, w - x_l lies within m h -/+ the excursion spread, so only
         offsets below spread / h + 1/2 (contiguous columns per row) can hold
         near pairs."""
-        spread = self.paths.xi_hi.max() - self.paths.xi_lo.min()
+        spread = self.xi_hi.max() - self.xi_lo.min()
         reach = int(np.fmin(np.ceil(spread / self.h + 0.5), self.x_cells.size))
         start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
         lo = start[np.maximum(self.cell - reach, 0)]
         count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - lo
         i = np.repeat(np.arange(self.size), count)
         l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
-        return _pair_plan(self.paths, self.paths, i, l, 0.5 * self.h,
-                          np.abs(self.cell[i] - self.cell[l]))
+        return _pair_plan(self, i, l, np.abs(self.cell[i] - self.cell[l]))
 
     def pair_class_counts(self) -> dict:
         """Number of operator pairs per class (see assemble_kernel_matrix)."""
@@ -314,8 +283,8 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
 
     point_paths=True collapses every path to the degenerate classical wire
     (the monopole sector); otherwise each (species, p) cell carries n_paths
-    pinned bridges, entry i drawn from the substream [seed, i].  The paths
-    are kept stacked per charge number.
+    pinned bridges, entry i drawn from the substream [seed, i].  The path
+    nodes are kept stacked per charge number and sorted by xi.
     """
     cells = geometry.cells_a() if slab == "a" else geometry.cells_b()
     h = geometry.h_a if slab == "a" else geometry.h_b
@@ -331,10 +300,22 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
                 rows.append((float(xc), entry.species.charge, entry.p,
                              entry.loop_density * h / count, entry.species.lambda_))
     x, charge, pnum, measure, lam = (np.array(col) for col in zip(*rows))
-    groups = [(np.array(idx), p, lam[idx], np.stack(draws), np.zeros((len(idx), 2)))
-              for p, (idx, draws) in sorted(by_p.items())]
-    return LoopBasis(paths=_path_arrays(x, groups), h=h, charge=charge, pnum=pnum,
-                     measure=measure, beta=thermo.beta)
+    xi_lo, xi_hi = np.empty(x.size), np.empty(x.size)
+    group, slot = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
+    groups = []
+    for g, (p, (idx, draws)) in enumerate(sorted(by_p.items())):
+        idx, path = np.array(idx), np.stack(draws)
+        xi = lam[idx, None] * path[:, :-1, 0]
+        y = lam[idx, None, None] * path[:, :-1, 1:]
+        order = np.argsort(xi, axis=1, kind="stable")
+        xi = np.take_along_axis(xi, order, axis=1)
+        y = np.take_along_axis(y, order[:, :, None], axis=1)
+        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
+        group[idx], slot[idx] = g, np.arange(idx.size)
+        groups.append((idx, xi, y, p / (path.shape[1] - 1)))
+    return LoopBasis(x=x, xi_lo=xi_lo, xi_hi=xi_hi, groups=tuple(groups), group=group,
+                     slot=slot, h=h, charge=charge, pnum=pnum, measure=measure,
+                     beta=thermo.beta)
 
 
 def _wavenumber(kvec):
@@ -345,18 +326,18 @@ def _wavenumber(kvec):
     return kvec, k
 
 
-def _side_sums(paths: _PathArrays, kvec, k):
-    """Per-loop time sums of the transverse-Fourier wire kernel at wavenumber k.
+def _side_sums(basis: LoopBasis, kvec, k):
+    """Per-path time sums of the transverse-Fourier wire kernel at wavenumber k.
 
     Returns (sums, nodes): sums[:, n] = ds sum_s a(s) (1, expm1(-k xi(s)),
     expm1(k xi(s))) with the row phase a = e^{i k.y}, and per group
     nodes[g] = (a, expm1(-k xi), expm1(k xi)).  Column sums are the complex
-    conjugates.  Exponents are taken relative to each loop's own position,
+    conjugates.  Exponents are taken relative to each path's own position,
     so nothing overflows at large k times the slab width.
     """
-    sums = np.empty((3, paths.x.size), dtype=complex)
+    sums = np.empty((3, basis.size), dtype=complex)
     nodes = []
-    for idx, xi, y, ds in paths.groups:
+    for idx, xi, y, ds in basis.groups:
         a = np.exp(1j * (y @ kvec))
         em, ep = np.expm1(-k * xi), np.expm1(k * xi)
         sums[0, idx] = ds * np.sum(a, axis=1)
@@ -366,42 +347,16 @@ def _side_sums(paths: _PathArrays, kvec, k):
     return sums, nodes
 
 
-def _wire_kernel(rows: _PathArrays, cols: _PathArrays, plan: _PairPlan, kvec, k,
-                 half):
-    """Double time sums of e^{i k.(y_i - y_l)} e^{-k |w - x'|} over the plan's
-    pairs, x' over the column's cell [x_l - half, x_l + half] (x_l when
-    half = 0), 2 pi / k left out; returned with the row sums of _side_sums."""
-    sums_r, nodes_r = _side_sums(rows, kvec, k)
-    sums_c, nodes_c = (sums_r, nodes_r) if cols is rows else _side_sums(cols, kvec, k)
-    p_r, rm, rp = sums_r
-    q_c, cm, cp = np.conj(sums_c)
-    cell = 2.0 * np.sinh(k * half) / k if half > 0.0 else 1.0
-    i, l = plan.rows, plan.cols
-    out = np.where(plan.above, (p_r + rm)[i] * (q_c + cp)[l],
-                   (p_r + rp)[i] * (q_c + cm)[l])
-    out *= cell * np.exp(-k * np.abs(rows.x[i] - cols.x[l]))
-    i, l = plan.rows[plan.inside], plan.cols[plan.inside]
-    gap_lo = rows.x[i] - (cols.x[l] - half)
-    gap_hi = (cols.x[l] + half) - rows.x[i]
-    out[plan.inside] = (
-        -(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p_r[i] * q_c[l]
-        - np.exp(-k * gap_lo) * (p_r[i] * cp[l] + rm[i] * (q_c[l] + cp[l]))
-        - np.exp(-k * gap_hi) * (p_r[i] * cm[l] + rp[i] * (q_c[l] + cm[l]))) / k
-    out[plan.straddling] = _straddling_entries(plan, rows, cols, nodes_r, nodes_c,
-                                               k, half, cell)
-    return out, sums_r
-
-
-def _straddling_entries(plan, rows, cols, nodes_r, nodes_c, k, half, cell):
+def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
     """Exact double time sums of the plan's straddling pairs: on each run of
     column nodes the kernel is a row-node factor times a column-node factor,
     so a run contributes a difference of the prefix sums over t of b e^{k xi},
     b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase."""
-    vals = np.empty(plan.straddling.size, dtype=complex)
+    vals, half = np.empty(plan.straddling.size, dtype=complex), 0.5 * basis.h
     tables = {}
     for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
         if gc not in tables:
-            a_c, em_c, ep_c = nodes_c[gc]
+            a_c, em_c, ep_c = nodes[gc]
             b = np.conj(a_c)
             runs = np.zeros((b.shape[0], b.shape[1] + 1, 3), dtype=complex)
             np.cumsum(np.stack([b + b * ep_c, b + b * em_c, b * (ep_c + em_c)],
@@ -414,8 +369,8 @@ def _straddling_entries(plan, rows, cols, nodes_r, nodes_c, k, half, cell):
         total = (cell * np.exp(-k * gap) * upto_above[..., 0]
                  + cell * np.exp(k * gap) * (table[at_end, 1] - upto_below[..., 1])
                  - (e_lo * inner[..., 0] + e_hi * inner[..., 1] + inner[..., 2]) / k)
-        vals[batch] = (rows.groups[gr][3] * cols.groups[gc][3]
-                       * np.sum(nodes_r[gr][0][s] * total, axis=1))
+        vals[batch] = (basis.groups[gr][3] * basis.groups[gc][3]
+                       * np.sum(nodes[gr][0][s] * total, axis=1))
     return vals
 
 
@@ -494,10 +449,23 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
     v = (Q + C+) w, s = P + R+, t = (Q + C-) w (sums of _side_sums and their
     conjugates), w the cell factor times 2 pi / k times matrix_weight."""
     kvec, k = _wavenumber(kvec)
-    plan, weight = basis.plan, (2.0 * np.pi / k) * basis.matrix_weight
-    vals, sums = _wire_kernel(basis.paths, basis.paths, plan, kvec, k, 0.5 * basis.h)
+    plan, half = basis.plan, 0.5 * basis.h
+    sums, nodes = _side_sums(basis, kvec, k)
     (p, rm, rp), (q, cm, cp) = sums, np.conj(sums)
-    w = (2.0 * np.sinh(0.5 * k * basis.h) / k) * weight
+    cell = 2.0 * np.sinh(k * half) / k
+    i, l = plan.rows, plan.cols
+    vals = np.where(plan.above, (p + rm)[i] * (q + cp)[l], (p + rp)[i] * (q + cm)[l])
+    vals *= cell * np.exp(-k * np.abs(basis.x[i] - basis.x[l]))
+    i, l = plan.rows[plan.inside], plan.cols[plan.inside]
+    gap_lo = basis.x[i] - (basis.x[l] - half)
+    gap_hi = (basis.x[l] + half) - basis.x[i]
+    vals[plan.inside] = (
+        -(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p[i] * q[l]
+        - np.exp(-k * gap_lo) * (p[i] * cp[l] + rm[i] * (q[l] + cp[l]))
+        - np.exp(-k * gap_hi) * (p[i] * cm[l] + rp[i] * (q[l] + cm[l]))) / k
+    vals[plan.straddling] = _straddling_entries(plan, basis, nodes, k, cell)
+    weight = (2.0 * np.pi / k) * basis.matrix_weight
+    w = cell * weight
     return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
                           entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
                           far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
@@ -505,15 +473,21 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
 
 def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
     """Right-hand-side column V^el(i, src, k) of an external source loop (e.g.
-    the border charge): the pointwise wire kernel, pairs classified as in
-    assemble_kernel_matrix."""
+    the border charge): the pointwise wire kernel as a direct node sum,
+    ds_i sum_s sum_t a_i(s) b(t) e^{-k |x_i + xi_i(s) - x_src - xi(t)|} times
+    2 pi / k, with b the conjugate source phase weighted by ds.  Coincident
+    source nodes are merged first, so a point loop is one node."""
     kvec, k = _wavenumber(kvec)
-    src_paths = _path_arrays(np.array([float(src.x)]), [(
-        np.zeros(1, dtype=int), src.p, np.array([src.species.lambda_]),
-        src.path[None], src.y[None])])
-    i = np.arange(basis.size)
-    plan = _pair_plan(basis.paths, src_paths, i, np.zeros_like(i), 0.0)
-    return (2.0 * np.pi / k) * _wire_kernel(basis.paths, src_paths, plan, kvec, k, 0.0)[0]
+    nodes, count = np.unique(src.species.lambda_ * src.path[:-1], axis=0,
+                             return_counts=True)
+    b = (count * src.ds) * np.exp(-1j * ((src.y + nodes[:, 1:]) @ kvec))
+    x_src = src.x + nodes[:, 0]
+    out = np.empty(basis.size, dtype=complex)
+    for idx, xi, y, ds in basis.groups:
+        w = basis.x[idx, None, None] + xi[:, :, None] - x_src
+        out[idx] = ds * np.sum(np.exp(1j * (y @ kvec)) * (np.exp(-k * np.abs(w)) @ b),
+                               axis=1)
+    return (2.0 * np.pi / k) * out
 
 
 # ----------------------------------------------------------------------------

@@ -485,7 +485,7 @@ _FUZZ_KEYS = [
     ("sweep", "d_values"), ("seed",), ("numerics", "nx"),
     ("numerics", "n_k"), ("numerics", "k0_factor"),
     ("numerics", "residual_tolerance"), ("numerics", "n_steps_kernel"),
-    ("output",)]
+    ("numerics", "n_paths_kernel"), ("numerics", "p_max"), ("output",)]
 _FUZZ_VALUES = [float("nan"), float("inf"), -1, 0, 1e300, 1e-300, 1e-3, 3,
                 True, "x", [], {}, None, [1e-3], [1e300]]
 
@@ -637,6 +637,24 @@ def test_verify_suite_expected_fail_without_medium(fast_config):
             if c["name"] == "perfect_screening_slab"][0]
     assert slab["expected_fail"] and not slab["passed"]
     assert table["all_passed"]
+
+
+# A NaN after a finite value must not be skipped by a worst-case check: each
+# site's closed form (or target) returns NaN, so its row must read NaN and fail.
+@pytest.mark.parametrize("row, target", [
+    ("bridge_covariance_z", "thermocasimir.loops.bridge_covariance"),
+    ("coulomb_kernel_oracle", "thermocasimir.potentials.coulomb_force_kernel"),
+    ("v_transverse_oracle", "thermocasimir.potentials.v_transverse_partial"),
+    ("transverse_projector", "thermocasimir.potentials.transverse_delta")])
+def test_verify_worst_case_rows_propagate_nan(monkeypatch, fast_config, row, target):
+    if row == "transverse_projector":
+        monkeypatch.setattr(target, lambda K: np.full(np.shape(K) + (3,), np.nan))
+    else:
+        monkeypatch.setattr(target, lambda *args: math.nan)
+    table = verify_suite(load_config(copy.deepcopy(fast_config)))
+    check = [c for c in table["checks"] if c["name"] == row][0]
+    assert math.isnan(check["value"]) and not check["passed"]
+    assert not table["all_passed"]
 
 
 def test_verify_fails_magnetic_decay_below_three_points(fast_config, monkeypatch):

@@ -86,7 +86,7 @@ def _entry_loop(basis, i, cells, n_steps, seed):
     loop = lo.Loop(basis.x[i], entry.species, entry.p,
                    lo.sample_bridge(entry.p, n_steps, [seed, i]))
     assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
-    xi = basis.paths.groups[basis.paths.group[i]][1][basis.paths.slot[i]]
+    xi = basis.groups[basis.group[i]][1][basis.slot[i]]
     assert np.array_equal(xi, np.sort(entry.species.lambda_ * loop.path[:-1, 0]))
     return loop
 
@@ -135,7 +135,7 @@ def _all_pair_offsets(basis):
     """Cell offset (row minus column), above mask and near (inside or
     straddling) mask of every operator pair, classified over all n x n."""
     i, l = (a.ravel() for a in np.indices((basis.size, basis.size)))
-    plan = scr._pair_plan(basis.paths, basis.paths, i, l, 0.5 * basis.h)
+    plan = scr._pair_plan(basis, i, l)
     near = np.zeros(i.size, dtype=bool)
     near[plan.inside] = near[plan.straddling] = True
     return basis.cell[i] - basis.cell[l], plan.above, near
@@ -181,7 +181,7 @@ def test_wider_band_gives_the_same_solution():
     band = basis.plan.band + 2
     i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
     basis.plan = dataclasses.replace(
-        scr._pair_plan(basis.paths, basis.paths, i, l, 0.5 * basis.h), band=band)
+        scr._pair_plan(basis, i, l), band=band)
     wide = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     assert scr.assemble_kernel_matrix(basis, kvec).band == band
     assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
