@@ -22,9 +22,9 @@ plus = SpeciesParams.from_thermo("plus", +1.0, 1.0, thermo)
 minus = SpeciesParams.from_thermo("minus", -1.0, 2.0, thermo)
 rho = 1.0 / (8.0 * np.pi)                    # screening length = 1
 cells = (SpeciesDensity(plus, 1, rho), SpeciesDensity(minus, 1, rho))
-profile = DensityProfile(beta=1.0, slab_a=cells, slab_b=cells)
-print(f"plasma: kappa^2 = {profile.kappa2('a'):.3f}, "
-      f"net charge density: {profile.charge_density('a'):.3g}")
+profile = DensityProfile(beta=1.0, cells=cells)   # one plasma, both slabs
+print(f"plasma: kappa^2 = {profile.kappa2():.3f}, "
+      f"net charge density: {profile.charge_density():.3g}")
 
 print("\n=== solver sanity: wide slab against the homogeneous closed form ===")
 n, span, k = 1200, 30.0, 0.7
@@ -38,8 +38,8 @@ print(f"max relative deviation in the bulk region: "
 
 print("\n=== perfect screening in slab geometry (full loop basis) ===")
 geometry = SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=20, nx_b=20)
-basis = build_loop_basis(geometry, profile, thermo, "a", n_paths=4,
-                         n_steps=16, seed=3)
+basis = build_loop_basis(geometry, profile, "a", n_paths=4, n_steps=16,
+                         seed=3)
 print(f"basis size: {basis.size} "
       "(cells x species x charge numbers x path samples)")
 border = SpeciesParams.from_thermo("border", 1.0, 1.0, thermo)

@@ -19,7 +19,6 @@ _CGS = {"kB": 1.380649e-16, "hbar": 1.054571817e-27, "c": 2.99792458e10}
 
 DEFAULT_NUMERICS = {
     "n_steps_kernel": 16,     # path resolution inside the screened solve
-    "p_max": 3,
     "n_paths_kernel": 8,      # paths per cell carried by the screened solve
     "nx": 32,                 # cells per slab
     "k0_factor": 0.2,         # first wavenumber of the k -> 0 sequence, in kappa units
@@ -28,8 +27,7 @@ DEFAULT_NUMERICS = {
 }
 
 # integer knobs and their smallest meaningful value
-_INTEGER_MIN = {"n_steps_kernel": 2, "p_max": 1, "n_paths_kernel": 1,
-                "nx": 2, "n_k": 2}
+_INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 2, "n_k": 2}
 
 _SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
 
@@ -41,8 +39,7 @@ class RunConfig:
     a: float
     b: float
     species: list
-    p_weights: dict
-    densities: dict          # species name -> particle number density
+    profile: DensityProfile  # the one plasma that fills both slabs
     numerics: dict
     d_values: list
     seed: int
@@ -52,18 +49,6 @@ class RunConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def density_profile(self) -> DensityProfile:
-        cells = []
-        for sp in self.species:
-            weights = self.p_weights[sp.name]
-            dens = self.densities[sp.name]
-            for p, w in enumerate(weights, start=1):
-                if w > 0.0:
-                    cells.append(SpeciesDensity(species=sp, p=p,
-                                                loop_density=w * dens / p))
-        cells = tuple(cells)
-        return DensityProfile(beta=self.thermo.beta, slab_a=cells, slab_b=cells)
 
 
 def _need(d, key, typ, where):
@@ -125,7 +110,7 @@ def load_config(path_or_dict) -> RunConfig:
     species_raw = _need(slabs, "species", list, "slabs")
     if not species_raw:
         raise ConfigError("species list must not be empty")
-    species, p_weights, densities = [], {}, {}
+    species, cells, net_terms = [], [], []
     numerics = dict(DEFAULT_NUMERICS)
     numerics.update(optional_block(raw, "numerics"))
     for key, val in numerics.items():
@@ -146,7 +131,7 @@ def load_config(path_or_dict) -> RunConfig:
                 raise ConfigError(f"unknown species key '{key}' (allowed: "
                                   f"{', '.join(_SPECIES_KEYS)})")
         name = _need(entry, "name", str, "species")
-        if name in densities:
+        if any(sp.name == name for sp in species):
             raise ConfigError(f"duplicate species name '{name}'")
         charge = _need(entry, "charge", float, "species")
         if not math.isfinite(charge):
@@ -159,20 +144,28 @@ def load_config(path_or_dict) -> RunConfig:
         if not isinstance(weights, list) or not all(
                 _is_number(w) and 0 <= w < math.inf for w in weights):
             raise ConfigError("p_weights must be a list of finite numbers >= 0")
-        if len(weights) > numerics["p_max"]:
-            raise ConfigError("p_weights longer than p_max")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError("p_weights must sum to 1")
-        species.append(SpeciesParams.from_thermo(
-            name=name, charge=charge, mass=mass, thermo=thermo))
-        p_weights[name] = list(weights)
-        densities[name] = density
+        sp = SpeciesParams.from_thermo(name=name, charge=charge, mass=mass,
+                                       thermo=thermo)
+        species.append(sp)
+        # charge number p ascending: this order fixes the loop-basis entries
+        cells += [SpeciesDensity(species=sp, p=p, loop_density=w * density / p)
+                  for p, w in enumerate(weights, start=1) if w > 0.0]
+        net_terms.append(charge * density)
 
-    if neutral:
-        net = math.fsum(sp.charge * densities[sp.name] for sp in species)
-        scale = sum(abs(sp.charge) * densities[sp.name] for sp in species) or 1.0
-        if abs(net) > 1e-12 * scale:
-            raise ConfigError("neutrality flag set but sum(e * density) != 0")
+    profile = DensityProfile(beta=thermo.beta, cells=tuple(cells))
+    try:    # math.fsum raises on an intermediate overflow and on inf - inf
+        net = math.fsum(net_terms)
+        finite = all(map(math.isfinite, (net, profile.kappa2(),
+                                         profile.charge_density())))
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigError("the species charge and density give a plasma whose "
+                          "net charge, kappa^2 or charge density is not finite")
+    if neutral and abs(net) > 1e-12 * (sum(map(abs, net_terms)) or 1.0):
+        raise ConfigError("neutrality flag set but sum(e * density) != 0")
 
     sweep = _need(raw, "sweep", dict, "config")
     d_values = _need(sweep, "d_values", list, "sweep")
@@ -187,6 +180,6 @@ def load_config(path_or_dict) -> RunConfig:
 
     out_dir = optional_block(raw, "output").get("dir", "out")
     return RunConfig(units=units, thermo=thermo, a=a, b=b, species=species,
-                     p_weights=p_weights, densities=densities,
-                     numerics=numerics, d_values=[float(d) for d in d_values],
+                     profile=profile, numerics=numerics,
+                     d_values=[float(d) for d in d_values],
                      seed=seed, out_dir=str(out_dir), raw=raw)

@@ -168,7 +168,9 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
         rows.append({
             "d": d,
             "f_leading": f_lead,
-            "f_assembled": float(-(amplitude / denom) * bracket_a * bracket_b),
+            "f_assembled": _finite_nonzero(
+                float(-(amplitude / denom) * bracket_a * bracket_b),
+                f"the assembled force at d = {d!r}"),
             "bracket_a": float(bracket_a),
             "bracket_b": float(bracket_b),
             "capacitor_el": float(capacitor_el),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import math
 import os
 import time
 
@@ -18,7 +19,7 @@ from .config import RunConfig
 from .errors import ConfigError
 
 __all__ = ["run_pipeline", "verify_suite", "write_report", "write_sweep_csv",
-           "standard_magnetic_probe", "compute_plate_brackets"]
+           "standard_magnetic_probe"]
 
 
 def _jsonable(obj):
@@ -36,16 +37,17 @@ def _jsonable(obj):
 
 
 def _k_sequence(kappa: float, numerics: dict) -> list:
-    k0 = numerics["k0_factor"] * kappa
-    k_seq = [k0 / 2.0**n for n in range(int(numerics["n_k"]))]
-    if not k_seq[-1] > 0.0:
-        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {numerics['n_k']!r} "
-                          f"underflows the wavenumber sequence to {k_seq[-1]!r}")
-    return k_seq
+    """The halving wavenumbers k0 / 2^n, n < n_k; ConfigError unless n_k <=
+    1024 (richardson_extrapolate's bound) and the last one is above 0."""
+    k0, n_k = numerics["k0_factor"] * kappa, int(numerics["n_k"])
+    if n_k > 1024 or not math.ldexp(k0, 1 - n_k) > 0.0:
+        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {n_k!r} "
+                          f"underflows the wavenumber sequence (n_k at most 1024)")
+    return [math.ldexp(k0, -n) for n in range(n_k)]
 
 
-def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,
-                 nx: int, n_paths: int, seed: int, k_seq: list):
+def _plate_sweep(config: RunConfig, slab: str, nx: int, n_paths: int, seed: int,
+                 k_seq: list):
     """The k-sweep of one plate: its loop basis on nx cells with n_paths
     paths per (species, charge number) cell, screening the unit border
     charge at x = 0.  Returns the check_perfect_screening result and the
@@ -54,7 +56,7 @@ def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,
     n_steps = int(config.numerics["n_steps_kernel"])
     geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
                                 nx_a=nx, nx_b=nx)
-    basis = scr.build_loop_basis(geometry, profile, config.thermo, slab=slab,
+    basis = scr.build_loop_basis(geometry, config.profile, slab=slab,
                                  n_paths=n_paths, n_steps=n_steps, seed=seed)
     border = loops_mod.SpeciesParams.from_thermo(
         "border", charge=1.0, mass=config.species[0].mass, thermo=config.thermo)
@@ -67,7 +69,7 @@ def _plate_sweep(config: RunConfig, profile: scr.DensityProfile, slab: str,
     return result, diagnostics
 
 
-def compute_plate_brackets(config: RunConfig, profile: scr.DensityProfile):
+def _plate_brackets(config: RunConfig, kappa: float):
     """Single-plate solves along the wavenumber sequence for both slabs.
 
     Identical slabs are mirror images of each other through the gap, so the
@@ -77,14 +79,12 @@ def compute_plate_brackets(config: RunConfig, profile: scr.DensityProfile):
     bracket at each wavenumber of the sequence ("per_k").
     """
     numerics = config.numerics
-    kappa = np.sqrt(profile.kappa2("a"))
     k_seq = _k_sequence(kappa, numerics)
     nx, n_paths = int(numerics["nx"]), int(numerics["n_paths_kernel"])
-    res_a, diag_a = _plate_sweep(config, profile, "a", nx, n_paths, config.seed,
-                                 k_seq)
+    res_a, diag_a = _plate_sweep(config, "a", nx, n_paths, config.seed, k_seq)
     mirror = abs(config.a - config.b) < 1e-12 * config.a
     res_b, diag_b = (res_a, None) if mirror else _plate_sweep(
-        config, profile, "b", nx, n_paths, config.seed + 1, k_seq)
+        config, "b", nx, n_paths, config.seed + 1, k_seq)
     return {
         "screening": {"a": diag_a} if mirror else {"a": diag_a, "b": diag_b},
         "bracket_a": float(np.real(res_a["bracket"])),
@@ -99,10 +99,10 @@ def compute_plate_brackets(config: RunConfig, profile: scr.DensityProfile):
     }
 
 
-def _grid_doubling_table(config: RunConfig, profile) -> dict:
+def _grid_doubling_table(config: RunConfig) -> dict:
     """Grid-convergence record: relative change of the classical border column
     under doubling of the cell count, evaluated away from the border cusp."""
-    kappa2 = profile.kappa2("a")
+    kappa2 = config.profile.kappa2()
     nx = int(config.numerics["nx"])
     cols = []
     for n in (nx, 2 * nx):
@@ -151,17 +151,16 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     A configuration without a screening medium (kappa = 0) raises ConfigError.
     """
     t_start = time.perf_counter()
-    profile = config.density_profile()
-    kappa = np.sqrt(profile.kappa2("a"))
+    kappa = np.sqrt(config.profile.kappa2())
     if kappa == 0.0:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
     geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values))
-    brackets = compute_plate_brackets(config, profile)
+    brackets = _plate_brackets(config, kappa)
 
-    capacitor_el = force_mod.capacitor_force(profile.charge_density("a") * config.a,
-                                             profile.charge_density("b") * config.b)
+    sigma = config.profile.charge_density()
+    capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     mag_exponent = None
     mag_fit = None
     wab_scale = 0.0
@@ -188,7 +187,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                                       [r["f_assembled"] for r in results])
            if len({r["d"] for r in results}) > 1 else None)   # two separations
     mean_mass = float(np.mean([sp.mass for sp in config.species]))
-    convergence = _grid_doubling_table(config, profile)
+    convergence = _grid_doubling_table(config)
     report = {
         "config_hash": config.config_hash(),
         "seed": config.seed,
@@ -216,11 +215,13 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
 
 
 def write_report(report: dict, out_dir: str, name: str = "report.json") -> str:
+    """Write the report as strict JSON; it is serialised before the file is
+    opened, so a report that cannot be written leaves no file behind."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -377,10 +378,10 @@ def verify_suite(config: RunConfig) -> dict:
                               "n_steps"))
 
     # --- screening ---------------------------------------------------------
-    profile = config.density_profile()
-    kappa2 = profile.kappa2("a")
+    kappa2 = config.profile.kappa2()
     if kappa2 > 0.0:
         kappa = float(np.sqrt(kappa2))
+        k_seq = _k_sequence(kappa, config.numerics)
         n = 1200
         span = 30.0 / kappa
         h = span / n
@@ -392,11 +393,10 @@ def verify_suite(config: RunConfig) -> dict:
         rel = float(np.max(np.abs(phi[mask] - exact) / exact))
         checks.append(_check("bulk_phi_analytic", rel, 2e-4))
 
-        k_seq = _k_sequence(kappa, config.numerics)
         oracle = scr.bulk_sum_rule_oracle(kappa, k_seq)
         checks.append(_check("perfect_screening_bulk", oracle["residual_rel"],
                              1e-3))
-        slab_res, _ = _plate_sweep(config, profile, "a", 16, 4, config.seed, k_seq)
+        slab_res, _ = _plate_sweep(config, "a", 16, 4, config.seed, k_seq)
         checks.append(_check("perfect_screening_slab", slab_res["residual_rel"],
                              1e-2))
     else:
@@ -458,8 +458,8 @@ def verify_suite(config: RunConfig) -> dict:
                          passed=exponent is not None and exponent > 4.0,
                          note=f"{n_points} of {len(probe['m_values'])} points "
                               f"above the rounding floor fitted"))
-    cap_el = force_mod.capacitor_force(profile.charge_density("a") * config.a,
-                                       profile.charge_density("b") * config.b)
+    sigma = config.profile.charge_density()
+    cap_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     checks.append(_check("capacitor_neutral_zero", cap_el, 0.0, cap_el == 0.0))
 
     # --- scaling fits --------------------------------------------------------

@@ -122,27 +122,24 @@ class SpeciesDensity:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Step density profile: homogeneous loop densities inside each slab.
+    """Step density profile: one plasma, homogeneous inside both slabs.
 
-    charge_density sums e * p * rho over the cells of one slab; kappa2 is the
-    classical aggregate 4 pi beta sum e^2 p^2 rho that sets the monopole
-    screening length.
+    cells holds its (species, charge number) cells; charge_density sums
+    e * p * rho over them and kappa2 is the classical aggregate
+    4 pi beta sum e^2 p^2 rho that sets the monopole screening length
+    (e * e, not e**2: an overflow reads inf instead of raising).
     """
 
     beta: float
-    slab_a: tuple
-    slab_b: tuple
+    cells: tuple
 
-    def cells(self, slab: str):
-        return self.slab_a if slab == "a" else self.slab_b
+    def charge_density(self) -> float:
+        return math.fsum(c.species.charge * c.p * c.loop_density for c in self.cells)
 
-    def charge_density(self, slab: str) -> float:
-        return math.fsum(c.species.charge * c.p * c.loop_density
-                         for c in self.cells(slab))
-
-    def kappa2(self, slab: str) -> float:
+    def kappa2(self) -> float:
         return 4.0 * np.pi * self.beta * sum(
-            c.species.charge**2 * c.p**2 * c.loop_density for c in self.cells(slab))
+            c.species.charge * c.species.charge * c.p**2 * c.loop_density
+            for c in self.cells)
 
 
 # ----------------------------------------------------------------------------
@@ -276,10 +273,10 @@ class LoopBasis:
                 "inside": inside, "straddling": straddling}
 
 
-def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
-                     slab: str = "a", n_paths: int = 8, n_steps: int = 16,
-                     seed: int = 0, point_paths: bool = False) -> LoopBasis:
-    """Assemble the basis for one slab.
+def build_loop_basis(geometry, profile: DensityProfile, slab: str = "a",
+                     n_paths: int = 8, n_steps: int = 16, seed: int = 0,
+                     point_paths: bool = False) -> LoopBasis:
+    """Assemble the basis for one slab of the profile's plasma.
 
     point_paths=True collapses every path to the degenerate classical wire
     (the monopole sector); otherwise each (species, p) cell carries n_paths
@@ -291,7 +288,7 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
     count = 1 if point_paths else n_paths
     rows, by_p = [], {}
     for xc in cells:
-        for entry in profile.cells(slab):
+        for entry in profile.cells:
             idx, draws = by_p.setdefault(entry.p, ([], []))
             for _ in range(count):
                 idx.append(len(rows))
@@ -315,7 +312,7 @@ def build_loop_basis(geometry, profile: DensityProfile, thermo: ThermoState,
         groups.append((idx, xi, y, p / (path.shape[1] - 1)))
     return LoopBasis(x=x, xi_lo=xi_lo, xi_hi=xi_hi, groups=tuple(groups), group=group,
                      slot=slot, h=h, charge=charge, pnum=pnum, measure=measure,
-                     beta=thermo.beta)
+                     beta=profile.beta)
 
 
 def _wavenumber(kvec):
@@ -545,10 +542,11 @@ def richardson_extrapolate(values):
 
     The values may be scalars or arrays (extrapolated elementwise).  Returns
     (limit, correction) where correction is the largest size of the final
-    Neville step, a practical error estimate."""
+    Neville step, a practical error estimate.  At most 1024 values: the
+    step factor 2^j overflows beyond."""
     v = [np.asarray(x, dtype=complex) for x in values]
-    if len(v) < 2:
-        raise ParameterError("need at least two values to extrapolate")
+    if not 2 <= len(v) <= 1024:
+        raise ParameterError(f"need 2 to 1024 values to extrapolate, got {len(v)}")
     diags = [v[-1]]
     for j in range(1, len(v)):
         fac = 2.0**j

@@ -24,7 +24,7 @@ def neutral_profile(thermo, species_pair):
     rho = 1.0 / (8.0 * np.pi)        # kappa = 1 for the p=1-only plasma
     cells = (scr.SpeciesDensity(plus, 1, rho),
              scr.SpeciesDensity(minus, 1, rho))
-    return scr.DensityProfile(beta=thermo.beta, slab_a=cells, slab_b=cells)
+    return scr.DensityProfile(beta=thermo.beta, cells=cells)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermocasimir
@@ -21,6 +21,7 @@ from thermocasimir.config import load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
+from thermocasimir.screening import SlabGeometry, build_loop_basis
 
 BASE_CONFIG = {
     "units": "reduced",
@@ -94,6 +95,35 @@ def test_config_neutrality_enforced(fast_config):
         load_config(cfg)
     cfg["slabs"]["neutral"] = False
     load_config(cfg)        # non-neutral allowed when the flag is off
+
+
+def test_config_builds_one_plasma(tmp_path, fast_config, capsys):
+    # one profile for both slabs: species in config order, then charge number
+    # ascending with zero weights skipped, w * density / p loops per cell
+    cfg = copy.deepcopy(fast_config)
+    cfg["thermo"]["beta"] = 2.0
+    plus, minus = cfg["slabs"]["species"]
+    plus["p_weights"] = [0.7, 0.0, 0.3]
+    minus["p_weights"] = [1.0]
+    config = load_config(cfg)
+    profile = config.profile
+    assert [(c.species, c.p) for c in profile.cells] == [
+        (config.species[0], 1), (config.species[0], 3), (config.species[1], 1)]
+    assert [c.loop_density for c in profile.cells] == [
+        0.7 * plus["density"] / 1, 0.3 * plus["density"] / 3,
+        1.0 * minus["density"] / 1]
+    assert profile.beta == config.thermo.beta == 2.0
+    geometry = SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=2, nx_b=2)
+    basis = build_loop_basis(geometry, profile, n_paths=1, n_steps=4)
+    assert basis.beta == profile.beta
+    assert basis.pnum.tolist() == [1, 3, 1] * 2          # cell by cell
+    # the largest charge number is the p_weights length: p_max is no knob
+    cfg["numerics"]["p_max"] = 3
+    with pytest.raises(ConfigError, match="p_max"):
+        load_config(cfg)
+    assert cli.main(["run", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown numerics knob 'p_max'")
 
 
 def test_gaussian_units_ingestion(fast_config):
@@ -447,17 +477,42 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "verify"])
+@pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
 def test_cli_underflowing_k_sequence_is_a_config_error(tmp_path, fast_config,
                                                        capsys, verb):
-    # a subnormal k0_factor: the halving wavenumbers reach 0.0
+    # a subnormal k0_factor: the halving wavenumbers reach 0.0; n_k past 1024:
+    # the halving factor 2**n overflows
+    for knobs in ({"k0_factor": 5e-324}, {"n_k": 1030}, {"n_k": 10**12}):
+        bad = copy.deepcopy(fast_config)
+        bad["numerics"] = dict(TINY_NUMERICS, **knobs)
+        out = tmp_path / "out"
+        assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "k0_factor" in err, knobs
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("slabs, species, message", [
+    # the brackets' product underflows: the assembled force reads -0.0
+    ({"a": 1e-300, "b": 1e-300}, {}, "not a finite nonzero"),
+    # e * e overflows in kappa^2
+    ({"neutral": False}, {"charge": 1e200}, "not finite"),
+    # the net charge is inf, which the neutrality tolerance cannot catch
+    ({}, {"charge": 1e300, "density": 1e300}, "not finite"),
+])
+def test_cli_degenerate_plasma_or_slabs_is_a_config_error(
+        tmp_path, fast_config, capsys, slabs, species, message):
     bad = copy.deepcopy(fast_config)
-    bad["numerics"] = dict(TINY_NUMERICS, k0_factor=5e-324)
+    bad["numerics"] = dict(TINY_NUMERICS)
+    bad["slabs"].update(slabs)
+    bad["slabs"]["species"][0].update(species)
     out = tmp_path / "out"
-    assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+    assert cli.main(["run", _write(tmp_path, bad), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "k0_factor" in err
+    assert err.startswith("config error:") and message in err
     assert "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("c, code", [(1e-300, 2), (1e200, 0)])
@@ -475,7 +530,7 @@ def test_cli_extreme_c_prints_no_warning(tmp_path, fast_config, capsys, c, code)
     assert err.startswith("config error:") if code else err == ""
 
 
-# every single-key change of the tiny config to one of these values either
+# every change of one or two keys of the tiny config to these values either
 # runs or exits with a documented code
 _FUZZ_KEYS = [
     ("units",), ("thermo", "beta"), ("thermo", "hbar"), ("thermo", "c"),
@@ -487,24 +542,24 @@ _FUZZ_KEYS = [
     ("numerics", "residual_tolerance"), ("numerics", "n_steps_kernel"),
     ("numerics", "n_paths_kernel"), ("numerics", "p_max"), ("output",)]
 _FUZZ_VALUES = [float("nan"), float("inf"), -1, 0, 1e300, 1e-300, 1e-3, 3,
-                True, "x", [], {}, None, [1e-3], [1e300]]
+                True, False, "x", [], {}, None, [1e-3], [1e300]]
 
 
 def _reject_constant(token):
     raise ValueError(f"report.json holds the non-standard token {token}")
 
 
-@settings(derandomize=True, database=None, deadline=None,
-          max_examples=len(_FUZZ_KEYS) * len(_FUZZ_VALUES))
-@given(st.sampled_from(list(itertools.product(_FUZZ_KEYS, _FUZZ_VALUES))))
-def test_cli_run_fuzz_single_key(case):
-    keys, value = case
+def _fuzz_run(changes):
+    """Run the tiny config with each (keys, value) of changes applied; the
+    exit code must be documented, stderr free of a traceback and a written
+    report strict JSON with finite brackets and forces."""
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["numerics"] = dict(TINY_NUMERICS)
-    block = cfg
-    for key in keys[:-1]:
-        block = block[key]
-    block[keys[-1]] = value
+    for keys, value in changes:
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
@@ -519,12 +574,32 @@ def test_cli_run_fuzz_single_key(case):
             with open(os.path.join(out, "report.json")) as fh:
                 # strict JSON: NaN and Infinity tokens are rejected
                 report = json.load(fh, parse_constant=_reject_constant)["report"]
-    assert code in (0, 2, 3, 4), (keys, value, code)
-    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2, 3, 4), (changes, code)
+    assert "Traceback" not in err.getvalue(), changes
     if report is not None:
         numbers = list(report["brackets"].values())
         numbers += [row["f_assembled"] for row in report["results"]]
-        assert all(math.isfinite(v) for v in numbers), (keys, value)
+        assert all(math.isfinite(v) for v in numbers), changes
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          max_examples=len(_FUZZ_KEYS) * len(_FUZZ_VALUES))
+@given(st.sampled_from(list(itertools.product(_FUZZ_KEYS, _FUZZ_VALUES))))
+def test_cli_run_fuzz_single_key(case):
+    _fuzz_run([case])
+
+
+# 210 key pairs x 256 value pairs is too many for every run, so a fixed
+# sample of them, after the three pairs that crashed before
+@settings(derandomize=True, database=None, deadline=None, max_examples=700)
+@given(st.sampled_from(list(itertools.combinations(_FUZZ_KEYS, 2))),
+       st.sampled_from(_FUZZ_VALUES), st.sampled_from(_FUZZ_VALUES))
+@example((("slabs", "a"), ("slabs", "b")), 1e-300, 1e-300)
+@example((("slabs", "neutral"), ("slabs", "species", 0, "charge")), False, 1e300)
+@example((("slabs", "species", 0, "charge"), ("slabs", "species", 0, "density")),
+         1e300, 1e300)
+def test_cli_run_fuzz_two_keys(keys, first, second):
+    _fuzz_run(list(zip(keys, (first, second))))
 
 
 @pytest.mark.parametrize("d_values", [[50.0], [50.0, 50.0]])

@@ -23,7 +23,7 @@ def test_slab_geometry_cells_and_hierarchy(thermo, neutral_profile):
     assert xa[0] == pytest.approx(-6.0 + 0.25) and xa[-1] == pytest.approx(-0.25)
     assert xb[0] == pytest.approx(0.3125) and xb[-1] == pytest.approx(4.6875)
     rep = geo.hierarchy_report(thermo, 1.5,
-                               1.0 / np.sqrt(neutral_profile.kappa2("a")))
+                               1.0 / np.sqrt(neutral_profile.kappa2()))
     assert all(rep["satisfied"].values())
     with pytest.raises(ParameterError):
         scr.SlabGeometry(a=-1.0, b=1.0, d=1.0)
@@ -33,13 +33,13 @@ def test_density_profile_neutrality_and_kappa(thermo, species_pair):
     plus, minus = species_pair
     rho = 1.0 / (8.0 * np.pi)
     cells = (scr.SpeciesDensity(plus, 1, rho), scr.SpeciesDensity(minus, 1, rho))
-    prof = scr.DensityProfile(beta=thermo.beta, slab_a=cells, slab_b=cells)
-    assert prof.charge_density("a") == 0.0
-    assert prof.kappa2("a") == pytest.approx(1.0)
-    lopsided = scr.DensityProfile(
-        beta=thermo.beta, slab_a=(scr.SpeciesDensity(plus, 1, rho),), slab_b=())
-    assert lopsided.charge_density("a") == rho
-    assert lopsided.kappa2("a") == pytest.approx(0.5)
+    prof = scr.DensityProfile(beta=thermo.beta, cells=cells)
+    assert prof.charge_density() == 0.0
+    assert prof.kappa2() == pytest.approx(1.0)
+    lopsided = scr.DensityProfile(beta=thermo.beta,
+                                  cells=(scr.SpeciesDensity(plus, 1, rho),))
+    assert lopsided.charge_density() == rho
+    assert lopsided.kappa2() == pytest.approx(0.5)
 
 
 # ------------------------------------------------------- kernel assembly
@@ -99,9 +99,9 @@ def _mixed_basis(hbar, nx):
     rho = 1.0 / (8.0 * np.pi)
     cells = (scr.SpeciesDensity(plus, 1, rho), scr.SpeciesDensity(minus, 1, rho),
              scr.SpeciesDensity(plus, 2, 0.1 * rho))
-    prof = scr.DensityProfile(beta=th.beta, slab_a=cells, slab_b=cells)
+    prof = scr.DensityProfile(beta=th.beta, cells=cells)
     geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=nx, nx_b=nx)
-    basis = scr.build_loop_basis(geo, prof, th, "a", n_paths=3, n_steps=8, seed=9)
+    basis = scr.build_loop_basis(geo, prof, "a", n_paths=3, n_steps=8, seed=9)
     return basis, [_entry_loop(basis, i, cells, 8, 9) for i in range(basis.size)]
 
 
@@ -203,7 +203,7 @@ def test_coupled_solve_with_gap_matches_dense_solve():
 def test_pair_classes_of_point_basis(thermo, neutral_profile):
     # degenerate paths: same-cell pairs are inside, all others far
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=6, nx_b=6)
-    basis = scr.build_loop_basis(geo, neutral_profile, thermo, "a",
+    basis = scr.build_loop_basis(geo, neutral_profile, "a",
                                  point_paths=True, n_steps=4)
     assert basis.pair_class_counts() == {"above_below": 144 - 24,
                                          "inside": 24, "straddling": 0}
@@ -317,9 +317,8 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
     plus, _ = species_pair
     geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=4, nx_b=4)
     empty = scr.DensityProfile(beta=thermo.beta,
-                               slab_a=(scr.SpeciesDensity(plus, 1, 0.0),),
-                               slab_b=())
-    basis = scr.build_loop_basis(geo, empty, thermo, "a", n_paths=2,
+                               cells=(scr.SpeciesDensity(plus, 1, 0.0),))
+    basis = scr.build_loop_basis(geo, empty, "a", n_paths=2,
                                  n_steps=4, seed=0)
     src = lo.point_loop(0.0, plus, n_steps=4)
     kvec = np.array([0.3, 0.0])
@@ -330,7 +329,7 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
 
 def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profile):
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=24, nx_b=24)
-    basis = scr.build_loop_basis(geo, neutral_profile, thermo, "a",
+    basis = scr.build_loop_basis(geo, neutral_profile, "a",
                                  point_paths=True, n_steps=4)
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     src = lo.point_loop(0.0, border, n_steps=4)
@@ -340,7 +339,7 @@ def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profil
     # classical aggregation: same x-cells, kappa^2 summed over species
     xc = geo.cells_a()
     phi_cl = scr.classical_slab_solve(xc, geo.h_a,
-                                      np.full(xc.size, neutral_profile.kappa2("a")),
+                                      np.full(xc.size, neutral_profile.kappa2()),
                                       k, np.array([0.0]))[:, 0]
     # point basis holds one entry per (cell, species); both species carry the
     # same solution column, equal to the classical one
@@ -385,7 +384,7 @@ def test_perfect_screening_bulk_oracle():
 
 def test_perfect_screening_slab_loops(thermo, neutral_profile):
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=16, nx_b=16)
-    basis = scr.build_loop_basis(geo, neutral_profile, thermo, "a",
+    basis = scr.build_loop_basis(geo, neutral_profile, "a",
                                  n_paths=4, n_steps=16, seed=3)
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     src = lo.point_loop(0.0, border, n_steps=16)
@@ -399,10 +398,9 @@ def test_perfect_screening_fails_without_medium(thermo, species_pair):
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=8, nx_b=8)
     empty = scr.DensityProfile(
         beta=thermo.beta,
-        slab_a=(scr.SpeciesDensity(plus, 1, 0.0),
-                scr.SpeciesDensity(minus, 1, 0.0)),
-        slab_b=())
-    basis = scr.build_loop_basis(geo, empty, thermo, "a", n_paths=2,
+        cells=(scr.SpeciesDensity(plus, 1, 0.0),
+               scr.SpeciesDensity(minus, 1, 0.0)))
+    basis = scr.build_loop_basis(geo, empty, "a", n_paths=2,
                                  n_steps=8, seed=0)
     src = lo.point_loop(0.0, plus, n_steps=8)
     res = scr.check_perfect_screening(basis, src, _kseq(1.0, n=3))
@@ -431,10 +429,10 @@ def test_sum_rule_universality_across_composition(thermo):
             cells = (scr.SpeciesDensity(dd, 1, rho),
                      scr.SpeciesDensity(m1, 1, rho),
                      scr.SpeciesDensity(m2, 1, rho))
-        prof = scr.DensityProfile(beta=thermo.beta, slab_a=cells, slab_b=cells)
-        basis = scr.build_loop_basis(geo, prof, thermo, "a", n_paths=3,
+        prof = scr.DensityProfile(beta=thermo.beta, cells=cells)
+        basis = scr.build_loop_basis(geo, prof, "a", n_paths=3,
                                      n_steps=12, seed=5)
-        kappa = np.sqrt(prof.kappa2("a"))
+        kappa = np.sqrt(prof.kappa2())
         res = scr.check_perfect_screening(basis, src, _kseq(kappa))
         residuals.append(res["residual_rel"])
     assert all(r < 1e-2 for r in residuals)
@@ -507,9 +505,9 @@ def test_factorization_depends_on_inner_face_only():
 @pytest.fixture(scope="module")
 def slab_bases(thermo, neutral_profile):
     geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=16, nx_b=16)
-    ba = scr.build_loop_basis(geo, neutral_profile, thermo, "a", n_paths=4,
+    ba = scr.build_loop_basis(geo, neutral_profile, "a", n_paths=4,
                               n_steps=16, seed=3)
-    bb = scr.build_loop_basis(geo, neutral_profile, thermo, "b", n_paths=4,
+    bb = scr.build_loop_basis(geo, neutral_profile, "b", n_paths=4,
                               n_steps=16, seed=4)
     return ba, bb
 
@@ -537,7 +535,7 @@ def test_w_term_annihilation(slab_bases, neutral_profile):
     basis = slab_bases[0]
     root = basis.size - 1
     assert basis.pnum[root] == 1 and -6.0 < basis.x[root] < 0.0
-    src = _entry_loop(basis, root, neutral_profile.cells("a"), 16, 3)
+    src = _entry_loop(basis, root, neutral_profile.cells, 16, 3)
     res = scr.check_perfect_screening(basis, src, _kseq(1.0))
     assert abs(res["bracket"] + basis.pnum[root]) < 1e-2
 
