@@ -12,8 +12,8 @@
 
 import numpy as np
 
-from thermocasimir import (DensityProfile, SlabGeometry, SpeciesDensity,
-                           SpeciesParams, ThermoState, build_loop_basis,
+from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
+                           ThermoState, build_loop_basis,
                            check_perfect_screening, point_loop)
 from thermocasimir.screening import bulk_phi_analytic, classical_slab_solve
 
@@ -37,9 +37,7 @@ print(f"max relative deviation in the bulk region: "
       f"{np.max(np.abs(phi[mask] - exact) / exact):.2e}")
 
 print("\n=== perfect screening in slab geometry (full loop basis) ===")
-geometry = SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=20, nx_b=20)
-basis = build_loop_basis(geometry, profile, "a", n_paths=4, n_steps=16,
-                         seed=3)
+basis = build_loop_basis(profile, 6.0, 20, n_paths=4, n_steps=16, seed=3)
 print(f"basis size: {basis.size} "
       "(cells x species x charge numbers x path samples)")
 border = SpeciesParams.from_thermo("border", 1.0, 1.0, thermo)

@@ -10,12 +10,12 @@ import numpy as np
 
 from thermocasimir import factorize_phi_ab
 from thermocasimir.force import fit_loglog_slope
-from thermocasimir.screening import (SlabGeometry, classical_slab_solve,
+from thermocasimir.screening import (classical_slab_solve,
                                      coupled_two_slab_solve,
                                      geometric_chain_prefactor,
                                      richardson_extrapolate)
 
-kappa, a, b, q = 1.0, 6.0, 6.0, 1.0
+kappa, a, q = 1.0, 6.0, 1.0
 nx = 300
 h = a / nx
 xa = -a + h / 2 + h * np.arange(nx)
@@ -43,8 +43,7 @@ print(f"{'d/lambda_s':>10} {'median rel deviation':>22}")
 dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])
 devs = []
 for d in dlist:
-    geo = SlabGeometry(a=a, b=b, d=d, nx_a=nx, nx_b=nx)
-    _, _, phi_ab = coupled_two_slab_solve(geo, kappa**2, kappa**2, q / d)
+    _, _, phi_ab = coupled_two_slab_solve(a, nx, d, kappa**2, kappa**2, q / d)
     fact = factorize_phi_ab(phi_a0, phi_b0, q, d)
     sel_i, sel_j = [nx - 1, nx - 10, nx - 40], [0, 9, 39]
     devs.append(np.median([abs(phi_ab[i, j] - fact[i, j]) / abs(fact[i, j])

@@ -18,9 +18,9 @@ from .potentials import (FormFactor, coulomb_force_kernel,
                          v_transverse_partial, v_transverse_partial_oracle,
                          vc_pair, vel_fourier, vel_pair, wab_asymptotic,
                          wm_pair_fourier)
-from .screening import (DensityProfile, LoopBasis, SlabGeometry,
-                        SpeciesDensity, build_loop_basis,
-                        check_perfect_screening, factorize_phi_ab)
+from .screening import (DensityProfile, LoopBasis, SpeciesDensity,
+                        build_loop_basis, check_perfect_screening,
+                        factorize_phi_ab)
 from .force import (ZETA3, assemble_force, capacitor_force, leading_force,
                     lifshitz_reference, zeta3_quadrature, zeta3_series_oracle)
 
@@ -41,8 +41,7 @@ __all__ = [
     "v_transverse_partial_oracle", "vc_pair", "vel_fourier", "vel_pair",
     "wab_asymptotic", "wm_pair_fourier",
     # screening
-    "DensityProfile", "LoopBasis", "SlabGeometry",
-    "SpeciesDensity", "build_loop_basis",
+    "DensityProfile", "LoopBasis", "SpeciesDensity", "build_loop_basis",
     "check_perfect_screening", "factorize_phi_ab",
     # force
     "ZETA3", "assemble_force", "capacitor_force", "leading_force",

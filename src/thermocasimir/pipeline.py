@@ -16,7 +16,7 @@ from . import loops as loops_mod
 from . import potentials as pot
 from . import screening as scr
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 __all__ = ["run_pipeline", "verify_suite", "write_report", "write_sweep_csv",
            "standard_magnetic_probe"]
@@ -48,20 +48,21 @@ def _k_sequence(kappa: float, numerics: dict) -> list:
 
 def _plate_sweep(config: RunConfig, slab: str, nx: int, n_paths: int, seed: int,
                  k_seq: list):
-    """The k-sweep of one plate: its loop basis on nx cells with n_paths
-    paths per (species, charge number) cell, screening the unit border
-    charge at x = 0.  Returns the check_perfect_screening result and the
-    basis diagnostics; a non-finite bracket (the sweep overflowed) raises
-    ParameterError."""
+    """The k-sweep of one plate: the loop basis of the slab [-width, 0] (slab
+    b solved as its mirror image) on nx cells with n_paths paths per (species,
+    charge number) cell, screening the unit border charge at x = 0.  Returns
+    the check_perfect_screening result and the basis diagnostics.  An
+    overflowing sweep runs without NumPy warnings, and its non-finite
+    bracket raises ParameterError."""
     n_steps = int(config.numerics["n_steps_kernel"])
-    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values),
-                                nx_a=nx, nx_b=nx)
-    basis = scr.build_loop_basis(geometry, config.profile, slab=slab,
-                                 n_paths=n_paths, n_steps=n_steps, seed=seed)
     border = loops_mod.SpeciesParams.from_thermo(
         "border", charge=1.0, mass=config.species[0].mass, thermo=config.thermo)
     src = loops_mod.point_loop(0.0, border, n_steps=n_steps)
-    result = scr.check_perfect_screening(basis, src, k_seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = scr.build_loop_basis(config.profile,
+                                     config.a if slab == "a" else config.b, nx,
+                                     n_paths=n_paths, n_steps=n_steps, seed=seed)
+        result = scr.check_perfect_screening(basis, src, k_seq)
     diagnostics = {"basis_size": basis.size, "pairs": basis.pair_class_counts(),
                    "band_cells": basis.plan.band, "per_k": result["per_k"]}
     force_mod._finite_nonzero(result["bracket"],
@@ -72,8 +73,9 @@ def _plate_sweep(config: RunConfig, slab: str, nx: int, n_paths: int, seed: int,
 def _plate_brackets(config: RunConfig, kappa: float):
     """Single-plate solves along the wavenumber sequence for both slabs.
 
-    Identical slabs are mirror images of each other through the gap, so the
-    second bracket is reused from the first; otherwise both are solved.
+    Slab b is the mirror image of the slab [-b, 0] through the gap, so
+    identical slabs reuse the first bracket; otherwise slab b is solved as
+    that mirror image on the substream seed + 1.
     "screening" holds, per solved slab, the basis size, the operator's
     pair counts per assembly class, its band half-width in cells and the
     bracket at each wavenumber of the sequence ("per_k").
@@ -97,6 +99,34 @@ def _plate_brackets(config: RunConfig, kappa: float):
         "k_sequence": list(k_seq),
         "kappa": float(kappa),
     }
+
+
+_HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
+
+
+def _hierarchy(config: RunConfig, lam_s: float) -> dict:
+    """Ratios of the length hierarchy the asymptotics relies on, at the
+    smallest separation, with flags; a ratio that is not finite (e.g. c so
+    small that the cut-off length overflows) raises ParameterError."""
+    thermo, d = config.thermo, min(config.d_values)
+    mean_mass = float(np.mean([sp.mass for sp in config.species]))
+    lam_mat = thermo.de_broglie(mean_mass)
+    # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf
+    with np.errstate(divide="ignore"):
+        lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
+    ratios = {
+        "cut_over_mat": lam_cut / lam_mat,
+        "mat_over_ph": lam_mat / thermo.lambda_ph,
+        "ph_over_d": thermo.lambda_ph / d,
+        "screen_over_a": lam_s / config.a,
+        "screen_over_b": lam_s / config.b,
+        "a_over_d": config.a / d,
+        "b_over_d": config.b / d,
+    }
+    if not all(np.isfinite(v) for v in ratios.values()):
+        raise ParameterError(f"a length-hierarchy ratio is not finite: {ratios}")
+    return {"ratios": ratios,
+            "satisfied": {k: bool(v < _HIERARCHY_FACTOR) for k, v in ratios.items()}}
 
 
 def _grid_doubling_table(config: RunConfig) -> dict:
@@ -156,7 +186,6 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
-    geometry = scr.SlabGeometry(a=config.a, b=config.b, d=min(config.d_values))
     brackets = _plate_brackets(config, kappa)
 
     sigma = config.profile.charge_density()
@@ -186,7 +215,6 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     fit = (force_mod.fit_loglog_slope([r["d"] for r in results],
                                       [r["f_assembled"] for r in results])
            if len({r["d"] for r in results}) > 1 else None)   # two separations
-    mean_mass = float(np.mean([sp.mass for sp in config.species]))
     convergence = _grid_doubling_table(config)
     report = {
         "config_hash": config.config_hash(),
@@ -194,7 +222,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "units": config.units,
         "kappa": float(kappa),
         "lambda_screen": float(lam_s),
-        "hierarchy": geometry.hierarchy_report(config.thermo, mean_mass, lam_s),
+        "hierarchy": _hierarchy(config, lam_s),
         "brackets": {k: v for k, v in brackets.items()
                      if k not in ("k_sequence", "screening")},
         "screening": brackets["screening"],

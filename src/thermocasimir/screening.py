@@ -1,15 +1,18 @@
 """Screened potential in slab geometry, sum rules, and traversing-chain asymptotics.
 
 The wire-wire Coulomb kernel is chain-resummed into an effective potential
-that stays bounded at vanishing in-plane wavenumber.  This module discretizes
-that integral equation (midpoint cells along the slab normal, the kernel
-integrated exactly over each cell, internal degrees of freedom summed over
-species and charge number with Monte Carlo path cells) and solves it in
-O(n): in cell order the operator is a band of near-cell pairs plus a rank-1
-semiseparable far field, embedded in one sparse LU.  The basis pairs are
-classified once per basis (entirely above or below the source cell, inside
-it, or straddling a face) and each class is summed exactly without a pair
-loop; the source column of an external loop is a direct node sum.
+that stays bounded at vanishing in-plane wavenumber.  Each plate is the same
+single-slab problem, the slab [-width, 0] with the border charge on its inner
+face x = 0: the far plate is its mirror image through the gap, and only the
+width differs.  This module discretizes that integral equation (midpoint
+cells along the slab normal, the kernel integrated exactly over each cell,
+internal degrees of freedom summed over species and charge number with Monte
+Carlo path cells) and solves it in O(n): in cell order the operator is a band
+of near-cell pairs plus a rank-1 semiseparable far field, embedded in one
+sparse LU.  The basis pairs are classified once per basis (entirely above or
+below the source cell, inside it, or straddling a face) and each class is
+summed exactly without a pair loop; the source column of an external loop is
+a direct node sum.
 The module also provides the k-sweep (solves along the wavenumber sequence,
 Richardson-extrapolated to zero, giving the perfect-screening residuals),
 the classical two-slab solve and the factorized large-separation closed form
@@ -24,10 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import Loop, SpeciesParams, ThermoState, sample_bridge
+from .loops import Loop, SpeciesParams, sample_bridge
 
 __all__ = [
-    "SlabGeometry",
     "SpeciesDensity",
     "DensityProfile",
     "LoopBasis",
@@ -46,62 +48,17 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------
-# geometry and densities
+# the slab grid and the plasma
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlabGeometry:
-    """Two facing slabs [-a, 0] and [0, b] (the second lives at separation d),
-    with midpoint-cell grids along the normal."""
-
-    a: float
-    b: float
-    d: float
-    nx_a: int = 32
-    nx_b: int = 32
-
-    def __post_init__(self):
-        if min(self.a, self.b, self.d) <= 0.0:
-            raise ParameterError("a, b, d must all be positive")
-        if self.nx_a < 2 or self.nx_b < 2:
-            raise ParameterError("need at least 2 cells per slab")
-
-    @property
-    def h_a(self) -> float:
-        return self.a / self.nx_a
-
-    @property
-    def h_b(self) -> float:
-        return self.b / self.nx_b
-
-    def cells_a(self) -> np.ndarray:
-        return -self.a + self.h_a * (np.arange(self.nx_a) + 0.5)
-
-    def cells_b(self) -> np.ndarray:
-        return self.h_b * (np.arange(self.nx_b) + 0.5)
-
-    def hierarchy_report(self, thermo: ThermoState, mean_mass: float,
-                         lambda_screen: float, factor: float = 0.25) -> dict:
-        """Ratios of the length hierarchy the asymptotics relies on, with
-        flags; a ratio that is not finite (e.g. c so small that the cut-off
-        length overflows) raises ParameterError."""
-        lam_mat = thermo.de_broglie(mean_mass)
-        # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf
-        with np.errstate(divide="ignore"):
-            lam_cut = lam_mat / np.sqrt(thermo.beta * mean_mass * (thermo.c * thermo.c))
-        ratios = {
-            "cut_over_mat": lam_cut / lam_mat,
-            "mat_over_ph": lam_mat / thermo.lambda_ph,
-            "ph_over_d": thermo.lambda_ph / self.d,
-            "screen_over_a": lambda_screen / self.a,
-            "screen_over_b": lambda_screen / self.b,
-            "a_over_d": self.a / self.d,
-            "b_over_d": self.b / self.d,
-        }
-        if not all(np.isfinite(v) for v in ratios.values()):
-            raise ParameterError(f"a length-hierarchy ratio is not finite: {ratios}")
-        return {"ratios": ratios,
-                "satisfied": {k: bool(v < factor) for k, v in ratios.items()}}
+def _slab_cells(width, nx):
+    """Midpoint cells of the slab [-width, 0]: (centers, cell width)."""
+    if not (math.isfinite(width) and width > 0.0):
+        raise ParameterError(f"slab width must be finite and positive, got {width!r}")
+    if nx < 2:
+        raise ParameterError(f"need at least 2 cells per slab, got {nx!r}")
+    h = width / nx
+    return -width + h * (np.arange(nx) + 0.5), h
 
 
 @dataclass(frozen=True)
@@ -273,18 +230,18 @@ class LoopBasis:
                 "inside": inside, "straddling": straddling}
 
 
-def build_loop_basis(geometry, profile: DensityProfile, slab: str = "a",
+def build_loop_basis(profile: DensityProfile, width: float, nx: int,
                      n_paths: int = 8, n_steps: int = 16, seed: int = 0,
                      point_paths: bool = False) -> LoopBasis:
-    """Assemble the basis for one slab of the profile's plasma.
+    """Assemble the basis of the slab [-width, 0] on nx midpoint cells, filled
+    with the profile's plasma; its inner face x = 0 holds the border charge.
 
     point_paths=True collapses every path to the degenerate classical wire
     (the monopole sector); otherwise each (species, p) cell carries n_paths
     pinned bridges, entry i drawn from the substream [seed, i].  The path
     nodes are kept stacked per charge number and sorted by xi.
     """
-    cells = geometry.cells_a() if slab == "a" else geometry.cells_b()
-    h = geometry.h_a if slab == "a" else geometry.h_b
+    cells, h = _slab_cells(width, nx)
     count = 1 if point_paths else n_paths
     rows, by_p = [], {}
     for xc in cells:
@@ -510,19 +467,21 @@ def classical_slab_solve(x_cells, h, kappa2_cells, k, x_sources):
         x_cells[:, None] - np.atleast_1d(np.asarray(x_sources, dtype=float))[None, :])))
 
 
-def coupled_two_slab_solve(geometry: SlabGeometry, kappa2_a, kappa2_b, k):
-    """Classical solve of the full two-slab system at in-plane wavenumber k.
+def coupled_two_slab_solve(width, nx, d, kappa2_a, kappa2_b, k):
+    """Classical solve of two equal slabs, [-width, 0] and [d, d + width], each
+    on nx cells, at in-plane wavenumber k.
 
     Returns (x_a_cells, x_b_cells, Phi_AB) where Phi_AB[i, j] couples a cell
     of the near slab to a cell of the far slab (positions x_j + d).
     """
-    xa, xb = geometry.cells_a(), geometry.cells_b()
-    if abs(geometry.h_a - geometry.h_b) > 1e-12 * geometry.h_a:
-        raise ParameterError("coupled solve expects equal cell widths")
-    pos = np.concatenate([xa, xb + geometry.d])
-    kap = np.concatenate([np.full(xa.size, kappa2_a), np.full(xb.size, kappa2_b)])
-    phi = classical_slab_solve(pos, geometry.h_a, kap, k, pos[xa.size:])
-    return xa, xb, phi[: xa.size, :]
+    if not d > 0.0:
+        raise ParameterError(f"separation d must be positive, got {d!r}")
+    xa, h = _slab_cells(width, nx)
+    xb = h * (np.arange(nx) + 0.5)
+    pos = np.concatenate([xa, xb + d])
+    kap = np.concatenate([np.full(nx, kappa2_a), np.full(nx, kappa2_b)])
+    phi = classical_slab_solve(pos, h, kap, k, pos[nx:])
+    return xa, xb, phi[:nx, :]
 
 
 def bulk_phi_analytic(x1, x2, k, kappa):

@@ -131,7 +131,7 @@ def test_criterion_4_perfect_screening(pipeline_runs):
 
 def test_criterion_5_factorization_asymptotics():
     kappa = 1.0
-    a = b = 6.0
+    a = 6.0
     nx = 300
     q = 1.0
     h = a / nx
@@ -145,8 +145,8 @@ def test_criterion_5_factorization_asymptotics():
     dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])   # in screening lengths
     devs = []
     for d in dlist:
-        geo = scr.SlabGeometry(a=a, b=b, d=d, nx_a=nx, nx_b=nx)
-        _, _, phi_ab = scr.coupled_two_slab_solve(geo, kappa**2, kappa**2, q / d)
+        _, _, phi_ab = scr.coupled_two_slab_solve(a, nx, d, kappa**2, kappa**2,
+                                                  q / d)
         fact = scr.factorize_phi_ab(phi_a0, phi_b0, q, d)
         ii = [nx - 1, nx - 10, nx - 40]
         jj = [0, 9, 39]

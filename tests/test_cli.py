@@ -21,7 +21,7 @@ from thermocasimir.config import load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
-from thermocasimir.screening import SlabGeometry, build_loop_basis
+from thermocasimir.screening import build_loop_basis
 
 BASE_CONFIG = {
     "units": "reduced",
@@ -113,8 +113,7 @@ def test_config_builds_one_plasma(tmp_path, fast_config, capsys):
         0.7 * plus["density"] / 1, 0.3 * plus["density"] / 3,
         1.0 * minus["density"] / 1]
     assert profile.beta == config.thermo.beta == 2.0
-    geometry = SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=2, nx_b=2)
-    basis = build_loop_basis(geometry, profile, n_paths=1, n_steps=4)
+    basis = build_loop_basis(profile, 6.0, 2, n_paths=1, n_steps=4)
     assert basis.beta == profile.beta
     assert basis.pnum.tolist() == [1, 3, 1] * 2          # cell by cell
     # the largest charge number is the p_weights length: p_max is no knob
@@ -201,6 +200,26 @@ def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
     assert brackets["residual_a"] < tolerance
     assert brackets["residual_b"] < tolerance
     assert report["certified_all"]
+    # the length hierarchy is read at the smallest separation
+    d_min = min(cfg["sweep"]["d_values"])
+    ratios = report["hierarchy"]["ratios"]
+    assert ratios["a_over_d"] == 6.0 / d_min and ratios["b_over_d"] == 4.5 / d_min
+    assert ratios["screen_over_a"] == report["lambda_screen"] / 6.0
+    assert ratios["screen_over_b"] == report["lambda_screen"] / 4.5
+
+
+def test_pipeline_slab_b_is_the_mirror_image_of_slab_a(fast_config):
+    # slab b is solved as the slab [-b, 0] on the substream seed + 1: the
+    # plate a of a config with a = b and seed + 1 is the same problem
+    unequal, equal = copy.deepcopy(fast_config), copy.deepcopy(fast_config)
+    unequal["slabs"]["b"] = 4.5
+    equal["slabs"].update(a=4.5, b=4.5)
+    equal["seed"] = unequal["seed"] + 1
+    rep_b, rep_a = (run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+                    for cfg in (unequal, equal))
+    assert rep_b["brackets"]["bracket_b"] == rep_a["brackets"]["bracket_a"]
+    assert rep_b["brackets"]["residual_b"] == rep_a["brackets"]["residual_a"]
+    assert rep_b["screening"]["b"] == rep_a["screening"]["a"]
 
 
 _REPORT_HASH = """
@@ -464,13 +483,16 @@ TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
 ])
 def test_cli_non_finite_screening_bracket_is_a_config_error(
         tmp_path, fast_config, capsys, where, key, value, d_values):
+    # the overflowing sweep exits 2 without a NumPy warning
     bad = copy.deepcopy(fast_config)
     bad["numerics"] = dict(TINY_NUMERICS)
     bad["sweep"]["d_values"] = d_values or bad["sweep"]["d_values"]
     {"thermo": bad["thermo"], "slabs": bad["slabs"],
      "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
     out = tmp_path / "out"
-    assert cli.main(["run", _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, bad), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "screening bracket" in err
     assert "Traceback" not in err

@@ -15,18 +15,20 @@ def _kseq(kappa, k0_factor=0.2, n=6):
 
 # ------------------------------------------------------- geometry, densities
 
-def test_slab_geometry_cells_and_hierarchy(thermo, neutral_profile):
-    geo = scr.SlabGeometry(a=6.0, b=5.0, d=100.0, nx_a=12, nx_b=8)
-    xa = geo.cells_a()
-    xb = geo.cells_b()
-    assert xa.size == 12 and xb.size == 8
-    assert xa[0] == pytest.approx(-6.0 + 0.25) and xa[-1] == pytest.approx(-0.25)
-    assert xb[0] == pytest.approx(0.3125) and xb[-1] == pytest.approx(4.6875)
-    rep = geo.hierarchy_report(thermo, 1.5,
-                               1.0 / np.sqrt(neutral_profile.kappa2()))
-    assert all(rep["satisfied"].values())
-    with pytest.raises(ParameterError):
-        scr.SlabGeometry(a=-1.0, b=1.0, d=1.0)
+def test_loop_basis_cells_and_input_checks(neutral_profile):
+    # the slab [-w, 0] on nx midpoint cells; its inner face x = 0 is the border
+    w, nx = 5.0, 8
+    basis = scr.build_loop_basis(neutral_profile, w, nx, point_paths=True,
+                                 n_steps=4)
+    assert np.array_equal(basis.x_cells, -w + (w / nx) * (np.arange(nx) + 0.5))
+    assert basis.h == w / nx
+    assert basis.x_cells[0] == pytest.approx(-4.6875)
+    assert basis.x_cells[-1] == pytest.approx(-0.3125)
+    for width, cells in ((0.0, nx), (-1.0, nx), (np.inf, nx), (np.nan, nx),
+                         (w, 1), (w, 0)):
+        with pytest.raises(ParameterError):
+            scr.build_loop_basis(neutral_profile, width, cells, point_paths=True,
+                                 n_steps=4)
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -100,8 +102,7 @@ def _mixed_basis(hbar, nx):
     cells = (scr.SpeciesDensity(plus, 1, rho), scr.SpeciesDensity(minus, 1, rho),
              scr.SpeciesDensity(plus, 2, 0.1 * rho))
     prof = scr.DensityProfile(beta=th.beta, cells=cells)
-    geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=nx, nx_b=nx)
-    basis = scr.build_loop_basis(geo, prof, "a", n_paths=3, n_steps=8, seed=9)
+    basis = scr.build_loop_basis(prof, 2.0, nx, n_paths=3, n_steps=8, seed=9)
     return basis, [_entry_loop(basis, i, cells, 8, 9) for i in range(basis.size)]
 
 
@@ -190,11 +191,11 @@ def test_wider_band_gives_the_same_solution():
 def test_coupled_solve_with_gap_matches_dense_solve():
     # dense reference built from the cell-integral oracle, slabs 3 apart
     kappa2, k = 1.0, 0.3
-    geo = scr.SlabGeometry(a=2.0, b=2.0, d=3.0, nx_a=40, nx_b=40)
-    xa, xb, phi_ab = scr.coupled_two_slab_solve(geo, kappa2, kappa2, k)
-    pos = np.concatenate([xa, xb + geo.d])
+    width, nx, d = 2.0, 40, 3.0
+    xa, xb, phi_ab = scr.coupled_two_slab_solve(width, nx, d, kappa2, kappa2, k)
+    pos = np.concatenate([xa, xb + d])
     t = (kappa2 / (2.0 * k)) * _exp_cell_integral(pos[:, None], pos[None, :],
-                                                  geo.h_a, k)
+                                                  width / nx, k)
     rhs = (2.0 * np.pi / k) * np.exp(-k * np.abs(pos[:, None] - pos[None, 40:]))
     ref = np.linalg.solve(np.eye(pos.size) + t, rhs)[:40]
     assert np.max(np.abs(phi_ab - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -202,9 +203,8 @@ def test_coupled_solve_with_gap_matches_dense_solve():
 
 def test_pair_classes_of_point_basis(thermo, neutral_profile):
     # degenerate paths: same-cell pairs are inside, all others far
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=6, nx_b=6)
-    basis = scr.build_loop_basis(geo, neutral_profile, "a",
-                                 point_paths=True, n_steps=4)
+    basis = scr.build_loop_basis(neutral_profile, 6.0, 6, point_paths=True,
+                                 n_steps=4)
     assert basis.pair_class_counts() == {"above_below": 144 - 24,
                                          "inside": 24, "straddling": 0}
 
@@ -315,11 +315,9 @@ def test_grid_doubling_consistency():
 
 def test_no_screening_returns_bare_kernel(thermo, species_pair):
     plus, _ = species_pair
-    geo = scr.SlabGeometry(a=2.0, b=2.0, d=10.0, nx_a=4, nx_b=4)
     empty = scr.DensityProfile(beta=thermo.beta,
                                cells=(scr.SpeciesDensity(plus, 1, 0.0),))
-    basis = scr.build_loop_basis(geo, empty, "a", n_paths=2,
-                                 n_steps=4, seed=0)
+    basis = scr.build_loop_basis(empty, 2.0, 4, n_paths=2, n_steps=4, seed=0)
     src = lo.point_loop(0.0, plus, n_steps=4)
     kvec = np.array([0.3, 0.0])
     rhs = scr.source_column(basis, src, kvec)
@@ -328,17 +326,16 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
 
 
 def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profile):
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=24, nx_b=24)
-    basis = scr.build_loop_basis(geo, neutral_profile, "a",
-                                 point_paths=True, n_steps=4)
+    basis = scr.build_loop_basis(neutral_profile, 6.0, 24, point_paths=True,
+                                 n_steps=4)
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     src = lo.point_loop(0.0, border, n_steps=4)
     k = 0.37
     rhs = scr.source_column(basis, src, np.array([k, 0.0]))
     phi_loop = scr.assemble_kernel_matrix(basis, np.array([k, 0.0])).solve(rhs)
     # classical aggregation: same x-cells, kappa^2 summed over species
-    xc = geo.cells_a()
-    phi_cl = scr.classical_slab_solve(xc, geo.h_a,
+    xc = basis.x_cells
+    phi_cl = scr.classical_slab_solve(xc, basis.h,
                                       np.full(xc.size, neutral_profile.kappa2()),
                                       k, np.array([0.0]))[:, 0]
     # point basis holds one entry per (cell, species); both species carry the
@@ -350,12 +347,12 @@ def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profil
 
 def test_phi_bounded_at_small_k(thermo, neutral_profile):
     kappa = 1.0
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=50.0, nx_a=200, nx_b=200)
-    xc = geo.cells_a()
+    h = 6.0 / 200
+    xc = -6.0 + h * (np.arange(200) + 0.5)
     kap2 = np.full(xc.size, kappa**2)
     vals = {}
     for k in (1e-3 * kappa, 5e-4 * kappa):
-        vals[k] = scr.classical_slab_solve(xc, geo.h_a, kap2, k,
+        vals[k] = scr.classical_slab_solve(xc, h, kap2, k,
                                            np.array([-3.0]))[:, 0]
     k = 1e-3 * kappa
     bare = (2.0 * np.pi / k) * np.exp(-k * np.abs(xc + 3.0))
@@ -383,9 +380,8 @@ def test_perfect_screening_bulk_oracle():
 
 
 def test_perfect_screening_slab_loops(thermo, neutral_profile):
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=16, nx_b=16)
-    basis = scr.build_loop_basis(geo, neutral_profile, "a",
-                                 n_paths=4, n_steps=16, seed=3)
+    basis = scr.build_loop_basis(neutral_profile, 6.0, 16, n_paths=4,
+                                 n_steps=16, seed=3)
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     src = lo.point_loop(0.0, border, n_steps=16)
     res = scr.check_perfect_screening(basis, src, _kseq(1.0))
@@ -395,13 +391,11 @@ def test_perfect_screening_slab_loops(thermo, neutral_profile):
 
 def test_perfect_screening_fails_without_medium(thermo, species_pair):
     plus, minus = species_pair
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=8, nx_b=8)
     empty = scr.DensityProfile(
         beta=thermo.beta,
         cells=(scr.SpeciesDensity(plus, 1, 0.0),
                scr.SpeciesDensity(minus, 1, 0.0)))
-    basis = scr.build_loop_basis(geo, empty, "a", n_paths=2,
-                                 n_steps=8, seed=0)
+    basis = scr.build_loop_basis(empty, 6.0, 8, n_paths=2, n_steps=8, seed=0)
     src = lo.point_loop(0.0, plus, n_steps=8)
     res = scr.check_perfect_screening(basis, src, _kseq(1.0, n=3))
     # nothing to screen: the bracket stays at 0 and the rule fails by 100%
@@ -410,7 +404,6 @@ def test_perfect_screening_fails_without_medium(thermo, species_pair):
 
 def test_sum_rule_universality_across_composition(thermo):
     # two-species symmetric vs three-species asymmetric neutral mixture
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=12, nx_b=12)
     border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
     src = lo.point_loop(0.0, border, n_steps=12)
     residuals = []
@@ -430,8 +423,8 @@ def test_sum_rule_universality_across_composition(thermo):
                      scr.SpeciesDensity(m1, 1, rho),
                      scr.SpeciesDensity(m2, 1, rho))
         prof = scr.DensityProfile(beta=thermo.beta, cells=cells)
-        basis = scr.build_loop_basis(geo, prof, "a", n_paths=3,
-                                     n_steps=12, seed=5)
+        basis = scr.build_loop_basis(prof, 6.0, 12, n_paths=3, n_steps=12,
+                                     seed=5)
         kappa = np.sqrt(prof.kappa2())
         res = scr.check_perfect_screening(basis, src, _kseq(kappa))
         residuals.append(res["residual_rel"])
@@ -504,10 +497,10 @@ def test_factorization_depends_on_inner_face_only():
 
 @pytest.fixture(scope="module")
 def slab_bases(thermo, neutral_profile):
-    geo = scr.SlabGeometry(a=6.0, b=6.0, d=100.0, nx_a=16, nx_b=16)
-    ba = scr.build_loop_basis(geo, neutral_profile, "a", n_paths=4,
+    # slab b is solved as its mirror image [-b, 0], on its own substream
+    ba = scr.build_loop_basis(neutral_profile, 6.0, 16, n_paths=4,
                               n_steps=16, seed=3)
-    bb = scr.build_loop_basis(geo, neutral_profile, "b", n_paths=4,
+    bb = scr.build_loop_basis(neutral_profile, 6.0, 16, n_paths=4,
                               n_steps=16, seed=4)
     return ba, bb
 
