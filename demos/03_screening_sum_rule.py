@@ -14,7 +14,7 @@ import numpy as np
 
 from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
                            ThermoState, build_loop_basis,
-                           check_perfect_screening, point_loop)
+                           check_perfect_screening)
 from thermocasimir.screening import bulk_phi_analytic, classical_slab_solve
 
 thermo = ThermoState(beta=1.0, hbar=0.02, c=100.0)
@@ -40,10 +40,8 @@ print("\n=== perfect screening in slab geometry (full loop basis) ===")
 basis = build_loop_basis(profile, 6.0, 20, n_paths=4, n_steps=16, seed=3)
 print(f"basis size: {basis.size} "
       "(cells x species x charge numbers x path samples)")
-border = SpeciesParams.from_thermo("border", 1.0, 1.0, thermo)
-src = point_loop(0.0, border, n_steps=16)
 k_seq = [0.2 / 2**i for i in range(6)]
-res = check_perfect_screening(basis, src, k_seq)
+res = check_perfect_screening(basis, 0.0, k_seq)   # unit charge on the inner face
 print(f"{'k':>10} {'charge-weighted bracket':>26}")
 for k, v in zip(k_seq, res["per_k"]):
     print(f"{k:10.5f} {v.real:+26.6f}")

@@ -11,8 +11,8 @@ Carlo path cells) and solves it in O(n): in cell order the operator is a band
 of near-cell pairs plus a rank-1 semiseparable far field, embedded in one
 sparse LU.  The basis pairs are classified once per basis (entirely above or
 below the source cell, inside it, or straddling a face) and each class is
-summed exactly without a pair loop; the source column of an external loop is
-a direct node sum.
+summed exactly without a pair loop; the source column of a unit point charge
+is a direct node sum.
 The module also provides the k-sweep (solves along the wavenumber sequence,
 Richardson-extrapolated to zero, giving the perfect-screening residuals),
 the classical two-slab solve and the factorized large-separation closed form
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import Loop, SpeciesParams, sample_bridge
+from .loops import SpeciesParams, sample_bridge
 
 __all__ = [
     "SpeciesDensity",
@@ -425,22 +425,16 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
                           far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
 
 
-def source_column(basis: LoopBasis, src: Loop, kvec) -> np.ndarray:
-    """Right-hand-side column V^el(i, src, k) of an external source loop (e.g.
-    the border charge): the pointwise wire kernel as a direct node sum,
-    ds_i sum_s sum_t a_i(s) b(t) e^{-k |x_i + xi_i(s) - x_src - xi(t)|} times
-    2 pi / k, with b the conjugate source phase weighted by ds.  Coincident
-    source nodes are merged first, so a point loop is one node."""
+def source_column(basis: LoopBasis, x_src: float, kvec) -> np.ndarray:
+    """Right-hand-side column V^el(i, x_src, k) of a unit point charge at the
+    slab-normal position x_src (e.g. the border charge at x = 0): the
+    pointwise wire kernel as a direct node sum,
+    ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
     kvec, k = _wavenumber(kvec)
-    nodes, count = np.unique(src.species.lambda_ * src.path[:-1], axis=0,
-                             return_counts=True)
-    b = (count * src.ds) * np.exp(-1j * ((src.y + nodes[:, 1:]) @ kvec))
-    x_src = src.x + nodes[:, 0]
     out = np.empty(basis.size, dtype=complex)
     for idx, xi, y, ds in basis.groups:
-        w = basis.x[idx, None, None] + xi[:, :, None] - x_src
-        out[idx] = ds * np.sum(np.exp(1j * (y @ kvec)) * (np.exp(-k * np.abs(w)) @ b),
-                               axis=1)
+        w = basis.x[idx, None] + xi - x_src
+        out[idx] = ds * np.sum(np.exp(1j * (y @ kvec)) * np.exp(-k * np.abs(w)), axis=1)
     return (2.0 * np.pi / k) * out
 
 
@@ -514,21 +508,21 @@ def richardson_extrapolate(values):
     return v[0], float(np.max(np.abs(diags[-1] - diags[-2])))
 
 
-def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
+def check_perfect_screening(basis: LoopBasis, x_src: float, k_sequence):
     """The k-sweep: screened solves along the wavenumber sequence,
     extrapolated to k = 0, and the residual of the perfect-screening rule.
 
     At each k of the descending sequence one solve of (I + T) takes the
-    source column of src.  The bracket, the charge-weighted phase-space
-    integral of the F bond against src normalized by the source charge, is
-    extrapolated to k = 0 and reported as |bracket + 1| (perfect screening
+    source column of the unit point charge at x_src.  The bracket, the
+    charge-weighted phase-space integral of the F bond against that charge,
+    is extrapolated to k = 0 and reported as |bracket + 1| (perfect screening
     makes it -1).
     """
     w = basis.pnum * basis.charge**2 * basis.measure
     vals = []
     for k in k_sequence:
         kvec = np.array([float(k), 0.0])
-        phi = assemble_kernel_matrix(basis, kvec).solve(source_column(basis, src, kvec))
+        phi = assemble_kernel_matrix(basis, kvec).solve(source_column(basis, x_src, kvec))
         vals.append(complex(-basis.beta * np.sum(w * phi)))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
@@ -537,7 +531,6 @@ def check_perfect_screening(basis: LoopBasis, src: Loop, k_sequence):
         "residual_rel": abs(bracket + 1.0),
         "per_k": [complex(v) for v in vals],
         "extrapolation_correction": float(correction),
-        "converged": bool(correction < 0.1),
     }
 
 

@@ -1,9 +1,11 @@
 """The traced benchmark run wraps package functions by module attribute name
 (perfbench/spans.py).  A wrapped name the package no longer has is skipped
 without an error, which would leave its per-layer metric at zero, so the set
-of missing names is pinned here."""
+of missing names is pinned here, and so are the argument positions that its
+work counters read."""
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -24,3 +26,15 @@ def test_wrapped_names_exist_in_package():
     # screening stopped importing vel_fourier when its kernel assembly was
     # vectorised; vel_fourier is only a test oracle since then
     assert missing == {"screening.vel_fourier"}
+
+
+def test_work_counters_read_the_pinned_positions():
+    # the traced run's work counters read these arguments by position when
+    # a caller passes them positionally, so their places are pinned here
+    from thermocasimir import loops, screening
+    pinned = {screening.assemble_kernel_matrix: {0: "basis"},
+              screening.check_perfect_screening: {0: "basis", 2: "k_sequence"},
+              loops.sample_bridge_ensemble: {3: "count"}}
+    for fn, places in pinned.items():
+        params = list(inspect.signature(fn).parameters)
+        assert {i: params[i] for i in places} == places, fn.__name__

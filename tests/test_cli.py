@@ -483,20 +483,23 @@ TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
 ])
 def test_cli_non_finite_screening_bracket_is_a_config_error(
         tmp_path, fast_config, capsys, where, key, value, d_values):
-    # the overflowing sweep exits 2 without a NumPy warning
+    # the overflowing sweep exits 2 without a NumPy warning on every verb:
+    # verify sweeps both plates too, and names the slab that overflows
     bad = copy.deepcopy(fast_config)
     bad["numerics"] = dict(TINY_NUMERICS)
     bad["sweep"]["d_values"] = d_values or bad["sweep"]["d_values"]
     {"thermo": bad["thermo"], "slabs": bad["slabs"],
      "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["run", _write(tmp_path, bad), "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "screening bracket" in err
-    assert "Traceback" not in err
-    assert not (out / "report.json").exists()
+    for verb in ("run", "sweep", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "screening bracket" in err, verb
+        assert ("slab-b" if key == "b" else "slab-a") in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
@@ -734,6 +737,22 @@ def test_verify_suite_expected_fail_without_medium(fast_config):
             if c["name"] == "perfect_screening_slab"][0]
     assert slab["expected_fail"] and not slab["passed"]
     assert table["all_passed"]
+
+
+def test_verify_slab_row_reports_the_worse_plate(fast_config):
+    # unequal plates: verify runs run's plate sweep at 16 cells with 4 paths,
+    # slab b included, and its row holds the larger of the two residuals
+    cfg = copy.deepcopy(fast_config)
+    cfg["slabs"]["b"] = 4.0
+    cfg["numerics"].update(nx=16, n_paths_kernel=4)
+    config = load_config(cfg)
+    brackets = run_pipeline(config, magnetic_check=False)["report"]["brackets"]
+    assert not brackets["mirror_reused"]
+    assert brackets["residual_a"] != brackets["residual_b"]
+    row = [c for c in verify_suite(config)["checks"]
+           if c["name"] == "perfect_screening_slab"][0]
+    assert row["value"] == max(brackets["residual_a"], brackets["residual_b"])
+    assert row["passed"]
 
 
 # A NaN after a finite value must not be skipped by a worst-case check: each

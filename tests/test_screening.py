@@ -56,8 +56,9 @@ def _exp_cell_integral(u, c, h, k):
     return np.where(inside, inner, outer)
 
 
-def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
-    """Exact double time sum of one wire-kernel entry, node pair by node pair."""
+def _oracle_pair_entry(loop_i, loop_l, h, kvec, k):
+    """Exact double time sum of one cell-integrated wire-kernel entry, node
+    pair by node pair."""
     lam_i = loop_i.species.lambda_
     lam_l = loop_l.species.lambda_
     u = loop_i.x + lam_i * loop_i.path[:-1, 0]
@@ -65,17 +66,14 @@ def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, cell_integrated):
     yi = loop_i.y[None, :] + lam_i * loop_i.path[:-1, 1:]
     yl = loop_l.y[None, :] + lam_l * loop_l.path[:-1, 1:]
     ph = np.exp(1j * (yi @ kvec))[:, None] * np.exp(-1j * (yl @ kvec))[None, :]
-    if cell_integrated:
-        core = _exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
-    else:
-        core = np.exp(-k * np.abs(u[:, None] - (loop_l.x + off)[None, :]))
+    core = _exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
     return loop_i.ds * loop_l.ds * np.sum(ph * core)
 
 
-def _oracle_pair_matrix(basis, loops, kvec, cell_integrated):
+def _oracle_pair_matrix(basis, loops, kvec):
     k = float(np.hypot(*kvec))
     return (2.0 * np.pi / k) * np.array(
-        [[_oracle_pair_entry(li, ll, basis.h, kvec, k, cell_integrated)
+        [[_oracle_pair_entry(li, ll, basis.h, kvec, k)
           for ll in loops] for li in loops])
 
 
@@ -112,23 +110,16 @@ def _mixed_basis(hbar, nx):
     (0.25, 4, ("above_below", "inside", "straddling")),
     (0.6, 10, ("above_below", "straddling"))])
 @pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
-@pytest.mark.parametrize("cell_integrated", [True, False])
-def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k,
-                                               cell_integrated):
+def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k):
     basis, loops = _mixed_basis(hbar, nx)
     counts = basis.pair_class_counts()
     assert sum(counts.values()) == basis.size**2
     assert {name for name, n in counts.items() if n > 0} == set(classes)
     kvec = k * np.array([0.8, 0.6])
-    ref = _oracle_pair_matrix(basis, loops, kvec, cell_integrated)
-    if cell_integrated:
-        # the structured operator's dense expansion: band entries and the
-        # far-field generator products
-        got = scr.assemble_kernel_matrix(basis, kvec).dense()
-        ref = ref * basis.matrix_weight[None, :]
-    else:
-        got = np.column_stack([scr.source_column(basis, loop, kvec)
-                               for loop in loops])
+    # the structured operator's dense expansion: band entries and the
+    # far-field generator products
+    got = scr.assemble_kernel_matrix(basis, kvec).dense()
+    ref = _oracle_pair_matrix(basis, loops, kvec) * basis.matrix_weight[None, :]
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -162,22 +153,22 @@ def _dense_solve(op, rhs):
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
 @pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
 def test_structured_solve_matches_dense_solve(hbar, nx, k):
-    basis, loops = _mixed_basis(hbar, nx)
+    basis, _ = _mixed_basis(hbar, nx)
     kvec = k * np.array([0.8, 0.6])
     op = scr.assemble_kernel_matrix(basis, kvec)
     if hbar == 0.6:
         assert op.band > 0        # the wide-path basis has cross-cell pairs
-    rhs = np.column_stack([scr.source_column(basis, loops[j], kvec)
-                           for j in (0, basis.size - 1)])
+    rhs = np.column_stack([scr.source_column(basis, x, kvec)
+                           for x in (basis.x[0], basis.x[-1])])
     got = op.solve(rhs)
     ref = _dense_solve(op, rhs)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_wider_band_gives_the_same_solution():
-    basis, loops = _mixed_basis(0.6, 10)
+    basis, _ = _mixed_basis(0.6, 10)
     kvec = 0.05 * np.array([0.8, 0.6])
-    rhs = scr.source_column(basis, loops[0], kvec)
+    rhs = scr.source_column(basis, basis.x[0], kvec)
     tight = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     band = basis.plan.band + 2
     i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
@@ -209,14 +200,16 @@ def test_pair_classes_of_point_basis(thermo, neutral_profile):
                                          "inside": 24, "straddling": 0}
 
 
-@pytest.mark.parametrize("x_src, hbar", [(0.0, 0.25), (-0.9, 0.6)])
+# the border, two interior positions (one a cell center, where path nodes
+# fall on both sides of the charge) and a position outside the slab
+@pytest.mark.parametrize("x_src, hbar", [(0.0, 0.25), (-0.9, 0.6), (-0.75, 0.25),
+                                         (1.5, 0.6)])
 def test_source_column_matches_vel_fourier(x_src, hbar):
     basis, loops = _mixed_basis(hbar, 4)
-    sp = loops[0].species
-    src = lo.Loop(x_src, sp, 1, lo.sample_bridge(1, 8, [9, 999]), y=(0.3, -0.2))
+    src = lo.point_loop(x_src, loops[0].species, n_steps=8)
     for k in (0.2, 0.2 / 2**5):
         kvec = k * np.array([0.8, 0.6])
-        got = scr.source_column(basis, src, kvec)
+        got = scr.source_column(basis, x_src, kvec)
         ref = np.array([pot.vel_fourier(lp, src, kvec) for lp in loops])
         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
@@ -318,20 +311,17 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
     empty = scr.DensityProfile(beta=thermo.beta,
                                cells=(scr.SpeciesDensity(plus, 1, 0.0),))
     basis = scr.build_loop_basis(empty, 2.0, 4, n_paths=2, n_steps=4, seed=0)
-    src = lo.point_loop(0.0, plus, n_steps=4)
     kvec = np.array([0.3, 0.0])
-    rhs = scr.source_column(basis, src, kvec)
+    rhs = scr.source_column(basis, 0.0, kvec)
     phi = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
     assert np.allclose(phi, rhs)
 
 
-def test_loop_solver_agrees_with_classical_on_point_basis(thermo, neutral_profile):
+def test_loop_solver_agrees_with_classical_on_point_basis(neutral_profile):
     basis = scr.build_loop_basis(neutral_profile, 6.0, 24, point_paths=True,
                                  n_steps=4)
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    src = lo.point_loop(0.0, border, n_steps=4)
     k = 0.37
-    rhs = scr.source_column(basis, src, np.array([k, 0.0]))
+    rhs = scr.source_column(basis, 0.0, np.array([k, 0.0]))
     phi_loop = scr.assemble_kernel_matrix(basis, np.array([k, 0.0])).solve(rhs)
     # classical aggregation: same x-cells, kappa^2 summed over species
     xc = basis.x_cells
@@ -379,14 +369,12 @@ def test_perfect_screening_bulk_oracle():
     assert res["residual_rel"] < 1e-3
 
 
-def test_perfect_screening_slab_loops(thermo, neutral_profile):
+def test_perfect_screening_slab_loops(neutral_profile):
     basis = scr.build_loop_basis(neutral_profile, 6.0, 16, n_paths=4,
                                  n_steps=16, seed=3)
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    src = lo.point_loop(0.0, border, n_steps=16)
-    res = scr.check_perfect_screening(basis, src, _kseq(1.0))
+    res = scr.check_perfect_screening(basis, 0.0, _kseq(1.0))
     assert res["residual_rel"] < 1e-2
-    assert res["converged"]
+    assert res["extrapolation_correction"] < 0.1
 
 
 def test_perfect_screening_fails_without_medium(thermo, species_pair):
@@ -396,16 +384,13 @@ def test_perfect_screening_fails_without_medium(thermo, species_pair):
         cells=(scr.SpeciesDensity(plus, 1, 0.0),
                scr.SpeciesDensity(minus, 1, 0.0)))
     basis = scr.build_loop_basis(empty, 6.0, 8, n_paths=2, n_steps=8, seed=0)
-    src = lo.point_loop(0.0, plus, n_steps=8)
-    res = scr.check_perfect_screening(basis, src, _kseq(1.0, n=3))
+    res = scr.check_perfect_screening(basis, 0.0, _kseq(1.0, n=3))
     # nothing to screen: the bracket stays at 0 and the rule fails by 100%
     assert res["residual_rel"] == pytest.approx(1.0)
 
 
 def test_sum_rule_universality_across_composition(thermo):
     # two-species symmetric vs three-species asymmetric neutral mixture
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    src = lo.point_loop(0.0, border, n_steps=12)
     residuals = []
     for mix in ("two", "three"):
         if mix == "two":
@@ -426,7 +411,7 @@ def test_sum_rule_universality_across_composition(thermo):
         basis = scr.build_loop_basis(prof, 6.0, 12, n_paths=3, n_steps=12,
                                      seed=5)
         kappa = np.sqrt(prof.kappa2())
-        res = scr.check_perfect_screening(basis, src, _kseq(kappa))
+        res = scr.check_perfect_screening(basis, 0.0, _kseq(kappa))
         residuals.append(res["residual_rel"])
     assert all(r < 1e-2 for r in residuals)
     assert abs(residuals[0] - residuals[1]) < 1e-2
@@ -505,36 +490,29 @@ def slab_bases(thermo, neutral_profile):
     return ba, bb
 
 
-def _border_source(thermo):
-    border = lo.SpeciesParams.from_thermo("b0", 1.0, 1.0, thermo)
-    return lo.point_loop(0.0, border, n_steps=16)
-
-
-def test_dressed_border_bracket_is_minus_one(slab_bases, thermo):
+def test_dressed_border_bracket_is_minus_one(slab_bases):
     # the border charge sits on the inner face of either slab
     for basis in slab_bases:
-        res = scr.check_perfect_screening(basis, _border_source(thermo),
-                                          _kseq(1.0))
+        res = scr.check_perfect_screening(basis, 0.0, _kseq(1.0))
         assert abs(res["bracket"].real + 1.0) < 1e-2
 
 
-def test_w_term_annihilation(slab_bases, neutral_profile):
-    # An interior loop is screened like the border charge.  Its dressed
-    # weights w_i = rho_i h(root, i) + delta(root, i), with the closure
-    # h = -beta e_root e_i Phi(root, i), contract to
-    # sum_i p_i e_i w_i = e_root (p_root + bracket), where bracket is the
-    # k-sweep's bracket with the root's own loop as the source: the
-    # contraction vanishes exactly when that bracket is -p_root.
+def test_w_term_annihilation(slab_bases):
+    # An interior unit charge is screened like the border charge.  Its
+    # dressed weights w_i = rho_i h(root, i) + delta(root, i), with the
+    # closure h = -beta e_root e_i Phi(root, i), contract to
+    # sum_i p_i e_i w_i = e_root (1 + bracket), where bracket is the
+    # k-sweep's bracket with the charge at the root cell's center as the
+    # source: the contraction vanishes exactly when that bracket is -1.
     basis = slab_bases[0]
     root = basis.size - 1
-    assert basis.pnum[root] == 1 and -6.0 < basis.x[root] < 0.0
-    src = _entry_loop(basis, root, neutral_profile.cells, 16, 3)
-    res = scr.check_perfect_screening(basis, src, _kseq(1.0))
-    assert abs(res["bracket"] + basis.pnum[root]) < 1e-2
+    assert -6.0 < basis.x[root] < 0.0
+    res = scr.check_perfect_screening(basis, basis.x[root], _kseq(1.0))
+    assert abs(res["bracket"] + 1.0) < 1e-2
 
 
 def test_perfect_screening_singular_operator_raises_solver_error(
-        slab_bases, thermo, monkeypatch):
+        slab_bases, monkeypatch):
     # T = -I (band entries -1 on the diagonal, no far field) makes I + T
     # exactly singular
     def singular(basis, kvec):
@@ -545,5 +523,4 @@ def test_perfect_screening_singular_operator_raises_solver_error(
 
     monkeypatch.setattr(scr, "assemble_kernel_matrix", singular)
     with pytest.raises(SolverError):
-        scr.check_perfect_screening(slab_bases[0], _border_source(thermo),
-                                    _kseq(1.0, n=2))
+        scr.check_perfect_screening(slab_bases[0], 0.0, _kseq(1.0, n=2))
