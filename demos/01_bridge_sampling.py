@@ -30,11 +30,9 @@ for i, j in [(8, 8), (4, 12), (2, 14)]:
           f"exact {tgt:+.5f}   ({abs(emp - tgt) / se:.2f} standard errors)")
 
 print("\n=== closed-path line integrals ===")
-times = np.arange(path.shape[0]) / 32
-const = line_integral(path, lambda s, x: np.array([1.0, 0.0, 0.0]),
-                      times=times)
+const = line_integral(path, lambda s, x: np.array([1.0, 0.0, 0.0]))
 print(f"constant integrand (telescoping closure): {const!r}  <- exactly zero")
 area = line_integral(path, lambda s, x: np.column_stack(
-    [x[:, 1], np.zeros_like(s), np.zeros_like(s)]), times=times)
+    [x[:, 1], np.zeros_like(s), np.zeros_like(s)]))
 print(f"area-type integrand on this sample:       {area:+.5f}  "
       "(current-loop moment; averages to zero over the ensemble)")

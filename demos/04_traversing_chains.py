@@ -43,7 +43,7 @@ print(f"{'d/lambda_s':>10} {'median rel deviation':>22}")
 dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])
 devs = []
 for d in dlist:
-    _, _, phi_ab = coupled_two_slab_solve(a, nx, d, kappa**2, kappa**2, q / d)
+    _, _, phi_ab = coupled_two_slab_solve(a, nx, d, kappa**2, q / d)
     fact = factorize_phi_ab(phi_a0, phi_b0, q, d)
     sel_i, sel_j = [nx - 1, nx - 10, nx - 40], [0, 9, 39]
     devs.append(np.median([abs(phi_ab[i, j] - fact[i, j]) / abs(fact[i, j])

@@ -58,8 +58,8 @@ for tag, species in MIXES.items():
 print("\n=== regime reference laws at d = 200 ===")
 thermo = ThermoState(beta=1.0, hbar=0.02, c=100.0)
 d = 200.0
-r1 = lifshitz_reference(thermo, d, "rTE1", "high-T/large-d")
-r0 = lifshitz_reference(thermo, d, "rTE0", "high-T/large-d")
+r1 = lifshitz_reference(thermo, d, "rTE1")   # alpha = 0.01: high-T/large-d
+r0 = lifshitz_reference(thermo, d, "rTE0")
 print(f"unit transverse-electric reflection : {r1:.5e}")
 print(f"vanishing reflection                : {r0:.5e}")
 print(f"ratio {r1 / r0:.1f}: the microscopic result selects the smaller value "

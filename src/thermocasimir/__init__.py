@@ -16,8 +16,7 @@ from .loops import (Loop, SpeciesParams, ThermoState, bridge_covariance,
 from .potentials import (FormFactor, coulomb_force_kernel,
                          coulomb_force_kernel_oracle, eval_Q, transverse_delta,
                          v_transverse_partial, v_transverse_partial_oracle,
-                         vc_pair, vel_fourier, vel_pair, wab_asymptotic,
-                         wm_pair_fourier)
+                         vel_fourier, wm_pair_fourier)
 from .screening import (DensityProfile, LoopBasis, SpeciesDensity,
                         build_loop_basis, check_perfect_screening,
                         factorize_phi_ab)
@@ -38,8 +37,7 @@ __all__ = [
     # potentials
     "FormFactor", "coulomb_force_kernel", "coulomb_force_kernel_oracle",
     "eval_Q", "transverse_delta", "v_transverse_partial",
-    "v_transverse_partial_oracle", "vc_pair", "vel_fourier", "vel_pair",
-    "wab_asymptotic", "wm_pair_fourier",
+    "v_transverse_partial_oracle", "vel_fourier", "wm_pair_fourier",
     # screening
     "DensityProfile", "LoopBasis", "SpeciesDensity", "build_loop_basis",
     "check_perfect_screening", "factorize_phi_ab",

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: run <config>, verify <config>, sweep <config> --d-list ..., zeta3.
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 certification failure.
+Exit codes: 0 ok, 2 config or I/O error, 3 solver error, 4 certification failure.
 """
 from __future__ import annotations
 
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ParameterError, SingularArgumentError,
-            ContractViolationError, FileNotFoundError,
+            ContractViolationError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

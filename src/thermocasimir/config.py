@@ -30,6 +30,8 @@ DEFAULT_NUMERICS = {
 _INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 2, "n_k": 2}
 
 _SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
+_TOP_KEYS = ("units", "thermo", "slabs", "sweep", "seed", "numerics", "output")
+_THERMO_KEYS = {"reduced": ("beta", "hbar", "c"), "gaussian-cgs": ("temperature_K",)}
 
 
 @dataclass
@@ -72,6 +74,15 @@ def optional_block(raw: dict, key: str) -> dict:
     return _need({key: {}, **raw}, key, dict, "config")
 
 
+def _known(block: dict, allowed, what: str) -> dict:
+    """block itself, or ConfigError naming its first key not in allowed."""
+    for key in block:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} '{key}' (allowed: "
+                              f"{', '.join(allowed)})")
+    return block
+
+
 def _positive(value, name):
     if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be a finite positive number")
@@ -86,11 +97,13 @@ def load_config(path_or_dict) -> RunConfig:
             raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("the configuration must be a JSON object")
+    _known(raw, _TOP_KEYS, "config key")
     units = _need(raw, "units", str, "config")
     if units not in _ALLOWED_UNITS:
         raise ConfigError(f"units must be one of {_ALLOWED_UNITS}")
 
-    th = _need(raw, "thermo", dict, "config")
+    th = _known(_need(raw, "thermo", dict, "config"), _THERMO_KEYS[units],
+                f"{units} thermo key")
     if units == "reduced":
         th = {"hbar": 1.0, "c": 1.0, **th}
         beta, hbar, c = (_positive(_need(th, key, float, "thermo"), key)
@@ -102,7 +115,8 @@ def load_config(path_or_dict) -> RunConfig:
         thermo = ThermoState(beta=1.0 / (_CGS["kB"] * t_kelvin),
                              hbar=_CGS["hbar"], c=_CGS["c"])
 
-    slabs = _need(raw, "slabs", dict, "config")
+    slabs = _known(_need(raw, "slabs", dict, "config"),
+                   ("a", "b", "neutral", "species"), "slabs key")
     a = _positive(_need(slabs, "a", float, "slabs"), "a")
     b = _positive(_need(slabs, "b", float, "slabs"), "b")
     neutral = _need({"neutral": True, **slabs}, "neutral", bool, "slabs")
@@ -111,11 +125,9 @@ def load_config(path_or_dict) -> RunConfig:
     if not species_raw:
         raise ConfigError("species list must not be empty")
     species, cells, net_terms = [], [], []
-    numerics = dict(DEFAULT_NUMERICS)
-    numerics.update(optional_block(raw, "numerics"))
+    numerics = {**DEFAULT_NUMERICS, **_known(optional_block(raw, "numerics"),
+                                              DEFAULT_NUMERICS, "numerics knob")}
     for key, val in numerics.items():
-        if key not in DEFAULT_NUMERICS:
-            raise ConfigError(f"unknown numerics knob '{key}'")
         if not _is_number(val) or not 0 < val < math.inf:
             raise ConfigError(f"numerics knob '{key}' must be a finite "
                               f"positive number")
@@ -126,10 +138,7 @@ def load_config(path_or_dict) -> RunConfig:
     for entry in species_raw:
         if not isinstance(entry, dict):
             raise ConfigError("each species must be an object")
-        for key in entry:
-            if key not in _SPECIES_KEYS:
-                raise ConfigError(f"unknown species key '{key}' (allowed: "
-                                  f"{', '.join(_SPECIES_KEYS)})")
+        _known(entry, _SPECIES_KEYS, "species key")
         name = _need(entry, "name", str, "species")
         if any(sp.name == name for sp in species):
             raise ConfigError(f"duplicate species name '{name}'")
@@ -167,7 +176,7 @@ def load_config(path_or_dict) -> RunConfig:
     if neutral and abs(net) > 1e-12 * (sum(map(abs, net_terms)) or 1.0):
         raise ConfigError("neutrality flag set but sum(e * density) != 0")
 
-    sweep = _need(raw, "sweep", dict, "config")
+    sweep = _known(_need(raw, "sweep", dict, "config"), ("d_values",), "sweep key")
     d_values = _need(sweep, "d_values", list, "sweep")
     if not d_values or any(not _is_number(d) or not 0 < d < math.inf
                            for d in d_values):
@@ -178,8 +187,9 @@ def load_config(path_or_dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    out_dir = optional_block(raw, "output").get("dir", "out")
+    output = _known(optional_block(raw, "output"), ("dir",), "output key")
+    out_dir = _need({"dir": "out", **output}, "dir", str, "output")
     return RunConfig(units=units, thermo=thermo, a=a, b=b, species=species,
                      profile=profile, numerics=numerics,
                      d_values=[float(d) for d in d_values],
-                     seed=seed, out_dir=str(out_dir), raw=raw)
+                     seed=seed, out_dir=out_dir, raw=raw)

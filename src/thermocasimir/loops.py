@@ -162,13 +162,13 @@ def bridge_covariance(p: int, s: float, sp: float) -> float:
     return min(s, sp) - s * sp / p
 
 
-def line_integral(path: np.ndarray, integrand, times=None) -> float:
+def line_integral(path: np.ndarray, integrand) -> float:
     """Stochastic line integral  sum_k f(m_k) . (X_{k+1} - X_k)  along a closed path.
 
     Midpoint (Stratonovich-like) convention: f is evaluated at the interval
-    midpoints of both s and X.  The sum is accumulated by summation by parts,
-    so any s-independent integrand yields exactly 0.0 (the telescoping closure
-    of a pinned bridge).
+    midpoints of both X and the time grid s_k = k/N.  The sum is accumulated
+    by summation by parts, so any s-independent integrand yields exactly 0.0
+    (the telescoping closure of a pinned bridge).
 
     integrand(s_mid, X_mid) must accept arrays of shape (N,) and (N, 3) and
     return (N, 3) (or a broadcastable constant row).
@@ -177,7 +177,7 @@ def line_integral(path: np.ndarray, integrand, times=None) -> float:
     if not (np.all(path[0] == 0.0) and np.all(path[-1] == 0.0)):
         raise ContractViolationError("line_integral requires a closed (pinned) path")
     n = path.shape[0] - 1
-    times = np.arange(n + 1) / n if times is None else np.asarray(times, dtype=float)
+    times = np.arange(n + 1) / n
     s_mid = 0.5 * (times[:-1] + times[1:])
     x_mid = 0.5 * (path[:-1] + path[1:])
     g = np.broadcast_to(np.asarray(integrand(s_mid, x_mid)), (n, 3)).astype(complex)

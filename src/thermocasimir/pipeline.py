@@ -188,8 +188,8 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                    "floor_max": max(probe["m_floor"]),
                    "points_fitted": n_points}
         l1, l2 = probe["loops"]
-        wab_scale = abs(pot.wab_asymptotic(l1, l2, np.array([1.0, 0.0]), 1.0,
-                                           probe["thermo"]))
+        wab_scale = abs(pot.wab_pair_finite_d(l1, l2, np.array([1.0, 0.0]), 1.0,
+                                              probe["thermo"]))
 
     results = force_mod.assemble_force(
         config.thermo, sorted(config.d_values),
@@ -230,20 +230,20 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     return {"meta": meta, "report": _jsonable(report)}
 
 
-def write_report(report: dict, out_dir: str, name: str = "report.json") -> str:
-    """Write the report as strict JSON; it is serialised before the file is
-    opened, so a report that cannot be written leaves no file behind."""
+def write_report(report: dict, out_dir: str) -> str:
+    """Write the report as strict JSON to out_dir/report.json, serialised
+    before the file is opened: a report that cannot be written leaves no file."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         fh.write(text + "\n")
     return path
 
 
-def write_sweep_csv(report: dict, out_dir: str, name: str = "sweep.csv") -> str:
+def write_sweep_csv(report: dict, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, "sweep.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["d", "f_assembled", "f_leading", "ratio_to_leading",
@@ -460,10 +460,8 @@ def verify_suite(config: RunConfig) -> dict:
         "assembled_unit_brackets", f_asm / f_lead - 1.0, 1e-15,
         passed=abs(f_asm - f_lead) <= 1e-15 * abs(f_lead)))
 
-    r1 = force_mod.lifshitz_reference(thermo, 1e4 * thermo.lambda_ph, "rTE1",
-                                      "high-T/large-d")
-    r0 = force_mod.lifshitz_reference(thermo, 1e4 * thermo.lambda_ph, "rTE0",
-                                      "high-T/large-d")
+    r1 = force_mod.lifshitz_reference(thermo, 1e4 * thermo.lambda_ph, "rTE1")
+    r0 = force_mod.lifshitz_reference(thermo, 1e4 * thermo.lambda_ph, "rTE0")
     checks.append(_check("lifshitz_factor_half", r1 / r0, 2.0, r1 / r0 == 2.0))
 
     probe = standard_magnetic_probe(seed=rng_seed + 17)

@@ -1,9 +1,10 @@
 """Pair interactions between loops and their closed-form Fourier kernels.
 
-Real-space kernels (equal-time Coulomb and wire-wire Coulomb energies),
-transverse-Fourier kernels (screened-equation source kernel, magnetic kernel
-with the photon occupation factor), the slab Coulomb force kernel, the partial
-transverse Coulomb transform, and the dipolar large-separation closed forms.
+Real-space kernels (the equal-time Coulomb force and its shift-averaged
+monopole reduction), transverse-Fourier kernels (screened-equation source
+kernel, magnetic kernel with the photon occupation factor), the slab Coulomb
+force kernel, the partial transverse Coulomb transform, and the dipolar
+large-separation closed forms.
 Each closed form ships with an independent quadrature oracle (the dipolar
 interplate one lives in the tests).
 """
@@ -20,16 +21,12 @@ __all__ = [
     "FormFactor",
     "transverse_delta",
     "eval_Q",
-    "vc_pair",
-    "vel_pair",
     "vel_fourier",
     "wm_pair_fourier",
     "coulomb_force_kernel",
     "coulomb_force_kernel_oracle",
     "v_transverse_partial",
     "v_transverse_partial_oracle",
-    "loop_current_moments",
-    "wab_asymptotic",
     "wab_pair_finite_d",
     "wm_gradient_ab",
     "coulomb_force_full",
@@ -98,34 +95,6 @@ def _pair_eps(li: Loop, lj: Loop) -> float:
     lam = min(x for x in (li.species.lambda_, lj.species.lambda_) if x > 0.0) \
         if (li.species.lambda_ > 0 or lj.species.lambda_ > 0) else 1.0
     return COINCIDENCE_EPS * lam
-
-
-def _capped_inverse_distance(pts_i, pts_j, eps):
-    d = np.linalg.norm(pts_i[:, None, :] - pts_j[None, :, :], axis=-1)
-    return 1.0 / np.maximum(d, eps)
-
-
-def vc_pair(loop_i: Loop, loop_j: Loop) -> float:
-    """Equal-time Coulomb energy of two loops (charges factored out).
-
-    The equal-time delta is realized on the common grid: node pairs with equal
-    fractional time contribute 1/|r_i - r_j| with weight ds.  Both loops must
-    share the same n_steps.
-    """
-    n, match = _equal_time_orbit(loop_i, loop_j)
-    inv = _capped_inverse_distance(loop_i.spatial_nodes(), loop_j.spatial_nodes(),
-                                   _pair_eps(loop_i, loop_j))
-    return float(np.sum(inv[match]) / n)
-
-
-def vel_pair(loop_i: Loop, loop_j: Loop) -> float:
-    """Classical wire-wire Coulomb energy: unconstrained double time integral."""
-    pts_i = loop_i.spatial_nodes()
-    pts_j = loop_j.spatial_nodes()
-    eps = _pair_eps(loop_i, loop_j)
-    dsi = loop_i.ds
-    dsj = loop_j.ds
-    return float(np.sum(_capped_inverse_distance(pts_i, pts_j, eps)) * dsi * dsj)
 
 
 def vel_fourier(loop_i: Loop, loop_j: Loop, kvec) -> complex:
@@ -238,10 +207,10 @@ def coulomb_force_kernel(x1, x2, q, d):
     return 2.0 * np.pi * np.exp(-np.asarray(q)) * np.exp(-np.asarray(q) * (x2 - x1) / d)
 
 
-def coulomb_force_kernel_oracle(x1, x2, q, d, n_intervals=80, accel_depth=12):
+def coulomb_force_kernel_oracle(x1, x2, q, d):
     """Hankel-transform oracle: radial quadrature of the in-plane transform of
-    d/dx1 1/|r|, split at the Bessel zeros with repeated-averaging acceleration
-    of the alternating tail."""
+    d/dx1 1/|r|, split at the first 80 Bessel zeros with 12 rounds of
+    repeated-averaging acceleration of the alternating tail."""
     from scipy.integrate import fixed_quad, quad
     from scipy.special import j0, jn_zeros
     k = q / d
@@ -253,13 +222,13 @@ def coulomb_force_kernel_oracle(x1, x2, q, d, n_intervals=80, accel_depth=12):
     def f(y):
         return y * aX * (X * X + y * y) ** -1.5 * j0(k * y)
 
-    edges = jn_zeros(0, n_intervals + 1) / k
+    edges = jn_zeros(0, 81) / k
     # the head interval can contain the whole (non-oscillatory) peak at y ~ |X|
     head, _ = quad(f, 0.0, edges[0], limit=200)
     terms = np.array([fixed_quad(f, edges[i], edges[i + 1], n=24)[0]
-                      for i in range(n_intervals)])
+                      for i in range(80)])
     s = head + np.cumsum(terms)
-    for _ in range(accel_depth):
+    for _ in range(12):
         s = 0.5 * (s[:-1] + s[1:])
     return 2.0 * np.pi * s[-1]
 
@@ -357,7 +326,7 @@ def _vtilde_derivs(x, qvec, order_max=3):
     return out
 
 
-def loop_current_moments(loop: Loop, qvec):
+def _loop_current_moments(loop: Loop, qvec):
     """First path moments entering the dipolar closed forms.
 
     A^mu = sum_a dX^mu(a) * X^1(a),  B^mu = sum_a dX^mu(a) * (q . Y(a)),
@@ -375,8 +344,8 @@ def _wab_bracket(loop_i, loop_j, qvec, thermo, x, order):
     """Core of the dipolar interplate kernel: the double derivative bracket
     applied to the x-derivative of the given order of the partial
     transverse transform at argument x."""
-    ai, bi = loop_current_moments(loop_i, qvec)
-    aj, bj = loop_current_moments(loop_j, qvec)
+    ai, bi = _loop_current_moments(loop_i, qvec)
+    aj, bj = _loop_current_moments(loop_j, qvec)
     v0, v1, v2 = _vtilde_derivs(x, qvec, order_max=order + 2)[order:order + 3]
     lam_i = loop_i.species.lambda_
     lam_j = loop_j.species.lambda_
@@ -389,35 +358,20 @@ def _wab_bracket(loop_i, loop_j, qvec, thermo, x, order):
     return pref, term
 
 
-def wab_asymptotic(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> complex:
-    """Leading interplate dipolar potential at scaled wavevector q: exactly
-    (1/d) times a d-independent bracket of path moments and the closed-form
-    transverse transform evaluated at unit scaled separation."""
-    if d <= 0:
-        raise ParameterError("d must be positive")
-    pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, 1.0, 0)
-    return complex(pref * b0 / d)
-
-
-def wab_pair_finite_d(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
-                      x1=None, x2=None) -> complex:
-    """Finite-separation dipolar interplate potential: same bracket evaluated at
-    the scaled separation 1 - (x1 - x2)/d, which restores the O(1/d) phase
-    corrections dropped by the strict asymptote."""
-    x1 = loop_i.x if x1 is None else x1
-    x2 = loop_j.x if x2 is None else x2
-    xarg = 1.0 - (x1 - x2) / d
+def wab_pair_finite_d(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> complex:
+    """Dipolar interplate potential at scaled wavevector q: 1/d times the
+    bracket of path moments and the closed-form transverse transform at the
+    scaled separation 1 - (x_i - x_j)/d; at x_i = x_j this is the strict
+    asymptote, otherwise it keeps the O(1/d) phase corrections."""
+    xarg = 1.0 - (loop_i.x - loop_j.x) / d
     pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 0)
     return complex(pref * b0 / d)
 
 
-def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState,
-                   x1=None, x2=None) -> complex:
-    """Slab-normal gradient of the interplate magnetic potential; carries one
-    extra 1/d from the chain rule on the scaled separation."""
-    x1 = loop_i.x if x1 is None else x1
-    x2 = loop_j.x if x2 is None else x2
-    xarg = 1.0 - (x1 - x2) / d
+def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> complex:
+    """Slab-normal gradient (in x_i) of the interplate magnetic potential;
+    carries one extra 1/d from the chain rule on the scaled separation."""
+    xarg = 1.0 - (loop_i.x - loop_j.x) / d
     pref, b1 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 1)
     return complex(-pref * b1 / d**2)
 

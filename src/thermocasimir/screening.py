@@ -174,10 +174,11 @@ class LoopBasis:
     position (its cell center) and the range of its normal excursion
     xi = lambda X_1 (0 lies in it: paths are pinned).  The open-grid node
     arrays are stacked per charge number p: groups[g] = (entry indices,
-    xi (n_g, N), in-plane positions (n_g, N, 2), ds); group[n] and slot[n]
-    locate entry n in them.  Within each path the nodes are sorted by xi
-    (every kernel here is a sum over all nodes, so their time order does not
-    enter).  The k-independent pair plan is kept here on first use.
+    xi (n_g, N), y (n_g, N), ds), y the in-plane excursion along the
+    wavevector (k, 0); group[n] and slot[n] locate entry n in them.  Within
+    each path the nodes are sorted by xi (every kernel here is a sum over all
+    nodes, so their time order does not enter).  The k-independent pair plan
+    is kept here on first use.
     """
 
     x: np.ndarray            # cell centers
@@ -260,10 +261,10 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     for g, (p, (idx, draws)) in enumerate(sorted(by_p.items())):
         idx, path = np.array(idx), np.stack(draws)
         xi = lam[idx, None] * path[:, :-1, 0]
-        y = lam[idx, None, None] * path[:, :-1, 1:]
+        y = lam[idx, None] * path[:, :-1, 1]
         order = np.argsort(xi, axis=1, kind="stable")
         xi = np.take_along_axis(xi, order, axis=1)
-        y = np.take_along_axis(y, order[:, :, None], axis=1)
+        y = np.take_along_axis(y, order, axis=1)
         xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
         group[idx], slot[idx] = g, np.arange(idx.size)
         groups.append((idx, xi, y, p / (path.shape[1] - 1)))
@@ -272,19 +273,17 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
                      beta=profile.beta)
 
 
-def _wavenumber(kvec):
-    kvec = np.asarray(kvec, dtype=float)
-    k = float(np.hypot(kvec[0], kvec[1]))
+def _wavenumber(k) -> float:
     if k <= 0.0:
         raise SingularArgumentError("kernel assembly needs k > 0")
-    return kvec, k
+    return float(k)
 
 
-def _side_sums(basis: LoopBasis, kvec, k):
+def _side_sums(basis: LoopBasis, k):
     """Per-path time sums of the transverse-Fourier wire kernel at wavenumber k.
 
     Returns (sums, nodes): sums[:, n] = ds sum_s a(s) (1, expm1(-k xi(s)),
-    expm1(k xi(s))) with the row phase a = e^{i k.y}, and per group
+    expm1(k xi(s))) with the row phase a = e^{i k y}, and per group
     nodes[g] = (a, expm1(-k xi), expm1(k xi)).  Column sums are the complex
     conjugates.  Exponents are taken relative to each path's own position,
     so nothing overflows at large k times the slab width.
@@ -292,7 +291,7 @@ def _side_sums(basis: LoopBasis, kvec, k):
     sums = np.empty((3, basis.size), dtype=complex)
     nodes = []
     for idx, xi, y, ds in basis.groups:
-        a = np.exp(1j * (y @ kvec))
+        a = np.exp(1j * k * y)
         em, ep = np.expm1(-k * xi), np.expm1(k * xi)
         sums[0, idx] = ds * np.sum(a, axis=1)
         sums[1, idx] = ds * np.sum(a * em, axis=1)
@@ -392,8 +391,8 @@ class KernelOperator:
         return lu.solve(full)[:n]
 
 
-def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
-    """Operator of the discretized screened equation,
+def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
+    """Operator of the discretized screened equation at wavevector (k, 0),
     T[i, l] = beta e_l^2 rho_l / n_paths * int_cell dx' V^el(i, (x', chi_l), k).
     A band pair whose separation w = x_i + lam_i X_i(s) - lam_l X_l(t) stays
     above or below the source cell is row(-/+) col(+/-) e^{-k|x_i - x_l|}
@@ -402,9 +401,9 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
     a face is the exact double time sum.  Beyond the band, u = P + R-,
     v = (Q + C+) w, s = P + R+, t = (Q + C-) w (sums of _side_sums and their
     conjugates), w the cell factor times 2 pi / k times matrix_weight."""
-    kvec, k = _wavenumber(kvec)
+    k = _wavenumber(k)
     plan, half = basis.plan, 0.5 * basis.h
-    sums, nodes = _side_sums(basis, kvec, k)
+    sums, nodes = _side_sums(basis, k)
     (p, rm, rp), (q, cm, cp) = sums, np.conj(sums)
     cell = 2.0 * np.sinh(k * half) / k
     i, l = plan.rows, plan.cols
@@ -425,16 +424,16 @@ def assemble_kernel_matrix(basis: LoopBasis, kvec) -> KernelOperator:
                           far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
 
 
-def source_column(basis: LoopBasis, x_src: float, kvec) -> np.ndarray:
+def source_column(basis: LoopBasis, x_src: float, k) -> np.ndarray:
     """Right-hand-side column V^el(i, x_src, k) of a unit point charge at the
     slab-normal position x_src (e.g. the border charge at x = 0): the
     pointwise wire kernel as a direct node sum,
     ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
-    kvec, k = _wavenumber(kvec)
+    k = _wavenumber(k)
     out = np.empty(basis.size, dtype=complex)
     for idx, xi, y, ds in basis.groups:
         w = basis.x[idx, None] + xi - x_src
-        out[idx] = ds * np.sum(np.exp(1j * (y @ kvec)) * np.exp(-k * np.abs(w)), axis=1)
+        out[idx] = ds * np.sum(np.exp(1j * k * y) * np.exp(-k * np.abs(w)), axis=1)
     return (2.0 * np.pi / k) * out
 
 
@@ -461,9 +460,9 @@ def classical_slab_solve(x_cells, h, kappa2_cells, k, x_sources):
         x_cells[:, None] - np.atleast_1d(np.asarray(x_sources, dtype=float))[None, :])))
 
 
-def coupled_two_slab_solve(width, nx, d, kappa2_a, kappa2_b, k):
-    """Classical solve of two equal slabs, [-width, 0] and [d, d + width], each
-    on nx cells, at in-plane wavenumber k.
+def coupled_two_slab_solve(width, nx, d, kappa2, k):
+    """Classical solve of two equal slabs [-width, 0] and [d, d + width] of
+    one plasma (kappa2), each on nx cells, at in-plane wavenumber k.
 
     Returns (x_a_cells, x_b_cells, Phi_AB) where Phi_AB[i, j] couples a cell
     of the near slab to a cell of the far slab (positions x_j + d).
@@ -473,8 +472,7 @@ def coupled_two_slab_solve(width, nx, d, kappa2_a, kappa2_b, k):
     xa, h = _slab_cells(width, nx)
     xb = h * (np.arange(nx) + 0.5)
     pos = np.concatenate([xa, xb + d])
-    kap = np.concatenate([np.full(nx, kappa2_a), np.full(nx, kappa2_b)])
-    phi = classical_slab_solve(pos, h, kap, k, pos[nx:])
+    phi = classical_slab_solve(pos, h, np.full(2 * nx, kappa2), k, pos[nx:])
     return xa, xb, phi[:nx, :]
 
 
@@ -521,8 +519,7 @@ def check_perfect_screening(basis: LoopBasis, x_src: float, k_sequence):
     w = basis.pnum * basis.charge**2 * basis.measure
     vals = []
     for k in k_sequence:
-        kvec = np.array([float(k), 0.0])
-        phi = assemble_kernel_matrix(basis, kvec).solve(source_column(basis, x_src, kvec))
+        phi = assemble_kernel_matrix(basis, k).solve(source_column(basis, x_src, k))
         vals.append(complex(-basis.beta * np.sum(w * phi)))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
@@ -534,14 +531,14 @@ def check_perfect_screening(basis: LoopBasis, x_src: float, k_sequence):
     }
 
 
-def bulk_sum_rule_oracle(kappa, k_sequence, half_width=40.0):
+def bulk_sum_rule_oracle(kappa, k_sequence):
     """Quadrature of the analytic homogeneous screened kernel against the
     screening weight, extrapolated to k = 0; the exact limit is 1."""
     from scipy.integrate import quad
     vals = []
     for k in k_sequence:
         val, _ = quad(lambda x: (kappa**2 / (4.0 * np.pi)) * bulk_phi_analytic(x, 0.0, k, kappa),
-                      -half_width / kappa, half_width / kappa, limit=200)
+                      -40.0 / kappa, 40.0 / kappa, limit=200)
         vals.append(val)
     limit, corr = richardson_extrapolate(vals)
     limit = float(np.real(limit))

@@ -107,8 +107,8 @@ def test_criterion_3_factor_half(pipeline_runs):
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
     row = pipeline_runs["two-species"]["report"]["results"][1]
     d = row["d"]
-    r1 = fc.lifshitz_reference(th, d, "rTE1", "high-T/large-d")
-    r0 = fc.lifshitz_reference(th, d, "rTE0", "high-T/large-d")
+    r1 = fc.lifshitz_reference(th, d, "rTE1")
+    r0 = fc.lifshitz_reference(th, d, "rTE0")
     ratio_exact = (r1 / r0 == 2.0)
     frac = row["f_assembled"] / r1
     _report("3 (factor-1/2 regime split)",
@@ -145,8 +145,7 @@ def test_criterion_5_factorization_asymptotics():
     dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])   # in screening lengths
     devs = []
     for d in dlist:
-        _, _, phi_ab = scr.coupled_two_slab_solve(a, nx, d, kappa**2, kappa**2,
-                                                  q / d)
+        _, _, phi_ab = scr.coupled_two_slab_solve(a, nx, d, kappa**2, q / d)
         fact = scr.factorize_phi_ab(phi_a0, phi_b0, q, d)
         ii = [nx - 1, nx - 10, nx - 40]
         jj = [0, 9, 39]

@@ -80,6 +80,15 @@ def test_config_roundtrip(fast_config):
     lambda c: c.update(numerics=[1]),
     lambda c: c.update(output="x"),
     lambda c: c["slabs"].update(neutral="no"),
+    # every block rejects a key it does not know
+    lambda c: c["thermo"].update(hbr=0.02),
+    lambda c: c.update(numerix={"nx": 8}),
+    lambda c: c["slabs"].update(nuetral=False),
+    lambda c: c["sweep"].update(d_list=[60.0]),
+    lambda c: c.update(output={"directory": "x"}),
+    lambda c: c.update(units="gaussian-cgs",
+                       thermo={"temperature_K": 300.0, "beta": 1.0}),
+    lambda c: c.update(output={"dir": None}),
 ])
 def test_config_schema_violations(fast_config, mutate):
     cfg = copy.deepcopy(fast_config)
@@ -361,12 +370,22 @@ def test_cli_sweep_with_d_list(tmp_path, fast_config, capsys):
     assert len(sweep) == 4
 
 
-def test_cli_config_error_exit_code(tmp_path, fast_config):
+def test_cli_config_error_exit_code(tmp_path, fast_config, capsys):
     bad = copy.deepcopy(fast_config)
     bad["units"] = "imperial"
     path = _write(tmp_path, bad)
     assert cli.main(["run", path]) == 2
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
+    # a directory, a file that is not UTF-8, and an output directory that
+    # names an existing file
+    (tmp_path / "latin1.json").write_bytes(b'{"units": "r\xe9duced"}')
+    (tmp_path / "taken").write_text("")
+    good = _write(tmp_path, fast_config, "good.json")
+    capsys.readouterr()
+    for argv in (["run", str(tmp_path)], ["run", str(tmp_path / "latin1.json")],
+                 ["run", good, "--out-dir", str(tmp_path / "taken")]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
 
 
 @pytest.mark.parametrize("knob, value", [

@@ -63,8 +63,8 @@ def test_regime_classification():
 def test_lifshitz_high_temperature_values():
     th = lo.ThermoState(beta=2.0, hbar=0.01, c=1.0)
     d = 500.0
-    r1 = fc.lifshitz_reference(th, d, "rTE1", "high-T/large-d")
-    r0 = fc.lifshitz_reference(th, d, "rTE0", "high-T/large-d")
+    r1 = fc.lifshitz_reference(th, d, "rTE1")
+    r0 = fc.lifshitz_reference(th, d, "rTE0")
     assert r1 / r0 == 2.0
     assert r0 == fc.leading_force(th, d)
     assert r1 < 0.0 and r0 < 0.0
@@ -73,8 +73,8 @@ def test_lifshitz_high_temperature_values():
 def test_lifshitz_low_temperature_values():
     th = lo.ThermoState(beta=1.0, hbar=1.0, c=100.0)   # lambda_ph = 100
     d = 1.0
-    r1 = fc.lifshitz_reference(th, d, "rTE1", "low-T/small-d")
-    r0 = fc.lifshitz_reference(th, d, "rTE0", "low-T/small-d")
+    r1 = fc.lifshitz_reference(th, d, "rTE1")
+    r0 = fc.lifshitz_reference(th, d, "rTE0")
     casimir = -np.pi**2 * th.hbar * th.c / 240.0
     assert r1 == casimir
     correction = r0 - r1
@@ -83,14 +83,18 @@ def test_lifshitz_low_temperature_values():
     assert r1 < 0.0 and r0 < 0.0     # dominant term shared, both attractive
 
 
-def test_lifshitz_regime_mismatch_warns():
+def test_lifshitz_crossover_raises():
+    # the regime follows from alpha = lambda_ph / d = 1 / d here; between
+    # the two limits (0.1 <= alpha <= 10) neither reference law applies
     th = lo.ThermoState(beta=1.0, hbar=1.0, c=1.0)
-    with pytest.warns(UserWarning):
-        fc.lifshitz_reference(th, 1000.0, "rTE1", "low-T/small-d")
+    for d in (0.1, 1.0, 10.0):
+        with pytest.raises(ParameterError, match="crossover"):
+            fc.lifshitz_reference(th, d, "rTE1")
+    assert fc.lifshitz_reference(th, 1000.0, "rTE1") < 0.0
     with pytest.raises(ParameterError):
-        fc.lifshitz_reference(th, 1000.0, "bogus", "high-T/large-d")
+        fc.lifshitz_reference(th, 1000.0, "bogus")
     with pytest.raises(ParameterError):
-        fc.lifshitz_reference(th, -1.0, "rTE1", "high-T/large-d")
+        fc.lifshitz_reference(th, -1.0, "rTE1")
 
 
 def test_assemble_force_unit_brackets_reproduce_universal_law():

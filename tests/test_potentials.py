@@ -68,29 +68,25 @@ def test_eval_q_periodicity_exact():
         assert pot.eval_Q(1.3, ds - 1.0, 2.0) == pot.eval_Q(1.3, ds, 2.0)
 
 
-# ------------------------------------------------- real-space pair kernels
+# ---------------------------------- real-space equal-time Coulomb (V_c) force
 
 def test_point_loop_monopole_reduction(thermo):
+    # point loops: the equal-time force is the monopole one, p_i p_j d/dx 1/r
     sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
     l1 = lo.point_loop(-1.0, sp, n_steps=8)
     l2 = lo.point_loop(2.0, sp, n_steps=8)
-    assert pot.vc_pair(l1, l2) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert pot.vel_pair(l1, l2) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    # general charge numbers: p_i p_j / r
-    l3 = lo.point_loop(2.0, sp, p=3, n_steps=8)
-    assert pot.vel_pair(l1, l3) == pytest.approx(1.0, rel=1e-13)
-    assert pot.vc_pair(l1, l3) == pytest.approx(1.0, rel=1e-13)
+    assert pot.coulomb_force_full(l1, l2, 0.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+    # general charge numbers, and the interplate offset added to x_j
+    l3 = lo.point_loop(0.5, sp, p=3, n_steps=8)
+    for kernel in (pot.coulomb_force_full, pot.coulomb_force_monopole_shifted):
+        assert kernel(l1, l3, 1.5) == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
 def test_vc_symmetry(big_thermo, probe_loops):
+    # exchanging the loops reverses the force and the offset
     l1, l2 = probe_loops
-    assert pot.vc_pair(l1, l2) == pytest.approx(pot.vc_pair(l2, l1), rel=1e-13)
-    assert pot.vel_pair(l1, l2) == pytest.approx(pot.vel_pair(l2, l1), rel=1e-13)
-
-
-def test_vel_positive(probe_loops):
-    l1, l2 = probe_loops
-    assert pot.vel_pair(l1, l2) > 0.0
+    assert pot.coulomb_force_full(l1, l2, 3.0) == pytest.approx(
+        -pot.coulomb_force_full(l2, l1, -3.0), rel=1e-13)
 
 
 def _shift_origin(loop, u):
@@ -142,10 +138,10 @@ def test_vc_equal_shift_invariance(big_thermo):
     sp = lo.SpeciesParams.from_thermo("e", 1.0, 1.0, big_thermo)
     l1 = lo.Loop(-0.6, sp, 2, lo.sample_bridge(2, 12, [3, 0]))
     l2 = lo.Loop(0.9, sp, 1, lo.sample_bridge(1, 12, [3, 1]))
-    ref = pot.vc_pair(l1, l2)
+    ref = pot.coulomb_force_full(l1, l2, 2.0)
     # re-anchoring both loops with integer time difference
     for u1, u2 in ((0.5, 0.5), (1.25, 0.25), (1.75, 0.75)):
-        val = pot.vc_pair(_shift_origin(l1, u1), _shift_origin(l2, u2))
+        val = pot.coulomb_force_full(_shift_origin(l1, u1), _shift_origin(l2, u2), 2.0)
         assert val == pytest.approx(ref, rel=1e-11)
 
 
@@ -154,7 +150,7 @@ def test_vc_common_grid_required(big_thermo):
     l1 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 8, 1))
     l2 = lo.Loop(1.0, sp, 1, lo.sample_bridge(1, 16, 2))
     with pytest.raises(ContractViolationError):
-        pot.vc_pair(l1, l2)
+        pot.coulomb_force_full(l1, l2, 2.0)
     # a p = 2 path of 17 steps has no common grid with anything
     with pytest.raises(ContractViolationError):
         lo.Loop(0.0, sp, 2, np.zeros((18, 3)))
@@ -453,19 +449,24 @@ def test_vtilde_derivatives_vs_finite_differences():
 
 # ------------------------------------------------- interplate dipolar kernel
 
+def _at_origin(*loops):
+    """The loops moved to x = 0: equal positions give the strict asymptote."""
+    return [lo.Loop(0.0, loop.species, loop.p, loop.path) for loop in loops]
+
+
 def test_wab_exact_inverse_distance_scaling(big_thermo, probe_loops):
-    l1, l2 = probe_loops
+    l1, l2 = _at_origin(*probe_loops)
     qv = np.array([1.0, 0.4])
-    w1 = pot.wab_asymptotic(l1, l2, qv, 100.0, big_thermo)
-    w2 = pot.wab_asymptotic(l1, l2, qv, 200.0, big_thermo)
+    w1 = pot.wab_pair_finite_d(l1, l2, qv, 100.0, big_thermo)
+    w2 = pot.wab_pair_finite_d(l1, l2, qv, 200.0, big_thermo)
     assert w1 / w2 == pytest.approx(2.0, rel=1e-14)
 
 
 def test_wab_point_loops_vanish(big_thermo):
     sp = lo.SpeciesParams.from_thermo("e", 1.0, 1.0, big_thermo)
-    p1 = lo.point_loop(-0.2, sp, n_steps=4)
+    p1 = lo.point_loop(0.3, sp, n_steps=4)
     p2 = lo.point_loop(0.3, sp, n_steps=4)
-    assert pot.wab_asymptotic(p1, p2, [1.0, 0.0], 50.0, big_thermo) == 0.0
+    assert pot.wab_pair_finite_d(p1, p2, [1.0, 0.0], 50.0, big_thermo) == 0.0
 
 
 def _wab_quadrature_oracle(loop_i, loop_j, qvec, d, thermo):
@@ -479,8 +480,8 @@ def _wab_quadrature_oracle(loop_i, loop_j, qvec, d, thermo):
     """
     qvec = np.asarray(qvec, dtype=float)
     q = float(np.hypot(qvec[0], qvec[1]))
-    ai, bi = pot.loop_current_moments(loop_i, qvec)
-    aj, bj = pot.loop_current_moments(loop_j, qvec)
+    ai, bi = pot._loop_current_moments(loop_i, qvec)
+    aj, bj = pot._loop_current_moments(loop_j, qvec)
     pref = (loop_i.species.lambda_ * loop_j.species.lambda_
             / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
                * thermo.c**2))
@@ -510,7 +511,7 @@ def test_wab_against_quadrature_oracle(big_thermo, probe_loops):
     qv = np.array([1.0, 0.4])
     d = 200.0
     closed = pot.wab_pair_finite_d(l1, l2, qv, d, big_thermo)
-    asym = pot.wab_asymptotic(l1, l2, qv, d, big_thermo)
+    asym = pot.wab_pair_finite_d(*_at_origin(l1, l2), qv, d, big_thermo)
     oracle = _wab_quadrature_oracle(l1, l2, qv, d, big_thermo)
     assert abs(closed - oracle) / abs(oracle) < 1e-8
     assert abs(asym - oracle) / abs(oracle) < 0.05
@@ -521,8 +522,9 @@ def test_wm_gradient_matches_finite_difference(big_thermo, probe_loops):
     qv = np.array([1.0, 0.4])
     d = 80.0
     h = 1e-5
-    fd = (pot.wab_pair_finite_d(l1, l2, qv, d, big_thermo, x1=l1.x + h)
-          - pot.wab_pair_finite_d(l1, l2, qv, d, big_thermo, x1=l1.x - h)) / (2 * h)
+    plus, minus = (lo.Loop(l1.x + dx, l1.species, l1.p, l1.path) for dx in (h, -h))
+    fd = (pot.wab_pair_finite_d(plus, l2, qv, d, big_thermo)
+          - pot.wab_pair_finite_d(minus, l2, qv, d, big_thermo)) / (2 * h)
     grad = pot.wm_gradient_ab(l1, l2, qv, d, big_thermo)
     assert grad == pytest.approx(fd, rel=1e-6)
 
@@ -536,7 +538,7 @@ def test_wab_and_gradient_scaling_slopes(big_thermo, probe_loops):
 def test_current_moments_telescoping(big_thermo, probe_loops):
     # the diagonal (normal-increment times normal-midpoint) moment telescopes
     l1, _ = probe_loops
-    a, b = pot.loop_current_moments(l1, np.array([1.0, 0.0]))
+    a, b = pot._loop_current_moments(l1, np.array([1.0, 0.0]))
     assert abs(a[0]) < 1e-13
 
 

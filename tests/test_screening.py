@@ -6,7 +6,7 @@ import pytest
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
-from thermocasimir.errors import ParameterError, SolverError
+from thermocasimir.errors import ParameterError, SingularArgumentError, SolverError
 
 
 def _kseq(kappa, k0_factor=0.2, n=6):
@@ -70,8 +70,10 @@ def _oracle_pair_entry(loop_i, loop_l, h, kvec, k):
     return loop_i.ds * loop_l.ds * np.sum(ph * core)
 
 
-def _oracle_pair_matrix(basis, loops, kvec):
-    k = float(np.hypot(*kvec))
+def _oracle_pair_matrix(basis, loops, k):
+    """The pair matrix at the wavevector (k, 0): the paths' in-plane
+    excursions along it enter as phases."""
+    kvec = np.array([k, 0.0])
     return (2.0 * np.pi / k) * np.array(
         [[_oracle_pair_entry(li, ll, basis.h, kvec, k)
           for ll in loops] for li in loops])
@@ -80,14 +82,18 @@ def _oracle_pair_matrix(basis, loops, kvec):
 def _entry_loop(basis, i, cells, n_steps, seed):
     """The Loop of basis entry i, rebuilt from its substream [seed, i] and
     its profile entry (entries run over cell, profile entry, path), checked
-    against the basis's charge, charge number and stacked normal excursions."""
+    against the basis's charge, charge number and stacked node excursions."""
     n_paths = basis.size // (basis.x_cells.size * len(cells))
     entry = cells[(i // n_paths) % len(cells)]
     loop = lo.Loop(basis.x[i], entry.species, entry.p,
                    lo.sample_bridge(entry.p, n_steps, [seed, i]))
     assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
-    xi = basis.groups[basis.group[i]][1][basis.slot[i]]
-    assert np.array_equal(xi, np.sort(entry.species.lambda_ * loop.path[:-1, 0]))
+    lam = entry.species.lambda_
+    order = np.argsort(lam * loop.path[:-1, 0], kind="stable")
+    _, xi, y, _ = basis.groups[basis.group[i]]
+    assert np.array_equal(xi[basis.slot[i]], lam * loop.path[:-1, 0][order])
+    # one in-plane coordinate per node, the one along the wavevector (k, 0)
+    assert np.array_equal(y[basis.slot[i]], lam * loop.path[:-1, 1][order])
     return loop
 
 
@@ -115,11 +121,10 @@ def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k):
     counts = basis.pair_class_counts()
     assert sum(counts.values()) == basis.size**2
     assert {name for name, n in counts.items() if n > 0} == set(classes)
-    kvec = k * np.array([0.8, 0.6])
     # the structured operator's dense expansion: band entries and the
     # far-field generator products
-    got = scr.assemble_kernel_matrix(basis, kvec).dense()
-    ref = _oracle_pair_matrix(basis, loops, kvec) * basis.matrix_weight[None, :]
+    got = scr.assemble_kernel_matrix(basis, k).dense()
+    ref = _oracle_pair_matrix(basis, loops, k) * basis.matrix_weight[None, :]
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -154,11 +159,10 @@ def _dense_solve(op, rhs):
 @pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
 def test_structured_solve_matches_dense_solve(hbar, nx, k):
     basis, _ = _mixed_basis(hbar, nx)
-    kvec = k * np.array([0.8, 0.6])
-    op = scr.assemble_kernel_matrix(basis, kvec)
+    op = scr.assemble_kernel_matrix(basis, k)
     if hbar == 0.6:
         assert op.band > 0        # the wide-path basis has cross-cell pairs
-    rhs = np.column_stack([scr.source_column(basis, x, kvec)
+    rhs = np.column_stack([scr.source_column(basis, x, k)
                            for x in (basis.x[0], basis.x[-1])])
     got = op.solve(rhs)
     ref = _dense_solve(op, rhs)
@@ -167,15 +171,15 @@ def test_structured_solve_matches_dense_solve(hbar, nx, k):
 
 def test_wider_band_gives_the_same_solution():
     basis, _ = _mixed_basis(0.6, 10)
-    kvec = 0.05 * np.array([0.8, 0.6])
-    rhs = scr.source_column(basis, basis.x[0], kvec)
-    tight = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
+    k = 0.05
+    rhs = scr.source_column(basis, basis.x[0], k)
+    tight = scr.assemble_kernel_matrix(basis, k).solve(rhs)
     band = basis.plan.band + 2
     i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
     basis.plan = dataclasses.replace(
         scr._pair_plan(basis, i, l), band=band)
-    wide = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
-    assert scr.assemble_kernel_matrix(basis, kvec).band == band
+    wide = scr.assemble_kernel_matrix(basis, k).solve(rhs)
+    assert scr.assemble_kernel_matrix(basis, k).band == band
     assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
 
 
@@ -183,7 +187,7 @@ def test_coupled_solve_with_gap_matches_dense_solve():
     # dense reference built from the cell-integral oracle, slabs 3 apart
     kappa2, k = 1.0, 0.3
     width, nx, d = 2.0, 40, 3.0
-    xa, xb, phi_ab = scr.coupled_two_slab_solve(width, nx, d, kappa2, kappa2, k)
+    xa, xb, phi_ab = scr.coupled_two_slab_solve(width, nx, d, kappa2, k)
     pos = np.concatenate([xa, xb + d])
     t = (kappa2 / (2.0 * k)) * _exp_cell_integral(pos[:, None], pos[None, :],
                                                   width / nx, k)
@@ -208,9 +212,8 @@ def test_source_column_matches_vel_fourier(x_src, hbar):
     basis, loops = _mixed_basis(hbar, 4)
     src = lo.point_loop(x_src, loops[0].species, n_steps=8)
     for k in (0.2, 0.2 / 2**5):
-        kvec = k * np.array([0.8, 0.6])
-        got = scr.source_column(basis, x_src, kvec)
-        ref = np.array([pot.vel_fourier(lp, src, kvec) for lp in loops])
+        got = scr.source_column(basis, x_src, k)
+        ref = np.array([pot.vel_fourier(lp, src, (k, 0.0)) for lp in loops])
         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -311,18 +314,23 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
     empty = scr.DensityProfile(beta=thermo.beta,
                                cells=(scr.SpeciesDensity(plus, 1, 0.0),))
     basis = scr.build_loop_basis(empty, 2.0, 4, n_paths=2, n_steps=4, seed=0)
-    kvec = np.array([0.3, 0.0])
-    rhs = scr.source_column(basis, 0.0, kvec)
-    phi = scr.assemble_kernel_matrix(basis, kvec).solve(rhs)
+    rhs = scr.source_column(basis, 0.0, 0.3)
+    phi = scr.assemble_kernel_matrix(basis, 0.3).solve(rhs)
     assert np.allclose(phi, rhs)
+    # the wavenumber must be positive
+    for bad in (0.0, -0.3):
+        with pytest.raises(SingularArgumentError):
+            scr.assemble_kernel_matrix(basis, bad)
+        with pytest.raises(SingularArgumentError):
+            scr.source_column(basis, 0.0, bad)
 
 
 def test_loop_solver_agrees_with_classical_on_point_basis(neutral_profile):
     basis = scr.build_loop_basis(neutral_profile, 6.0, 24, point_paths=True,
                                  n_steps=4)
     k = 0.37
-    rhs = scr.source_column(basis, 0.0, np.array([k, 0.0]))
-    phi_loop = scr.assemble_kernel_matrix(basis, np.array([k, 0.0])).solve(rhs)
+    rhs = scr.source_column(basis, 0.0, k)
+    phi_loop = scr.assemble_kernel_matrix(basis, k).solve(rhs)
     # classical aggregation: same x-cells, kappa^2 summed over species
     xc = basis.x_cells
     phi_cl = scr.classical_slab_solve(xc, basis.h,
@@ -515,7 +523,7 @@ def test_perfect_screening_singular_operator_raises_solver_error(
         slab_bases, monkeypatch):
     # T = -I (band entries -1 on the diagonal, no far field) makes I + T
     # exactly singular
-    def singular(basis, kvec):
+    def singular(basis, k):
         diag, zero = np.arange(basis.size), np.zeros(basis.size)
         return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell,
                                   band=0, entries=(diag, diag, -np.ones(basis.size)),
