@@ -55,8 +55,8 @@ def _cmd_run(args) -> int:
     path = write_report(report, config.out_dir)
     write_sweep_csv(report, config.out_dir)
     ok = report["report"]["certified_all"]
+    tag = "certified" if ok else "NOT CERTIFIED"
     for row in report["report"]["results"]:
-        tag = "certified" if row["certified"] else "NOT CERTIFIED"
         print(f"d = {row['d']:10.4g}   f = {row['f_assembled']:+.6e}   "
               f"f_universal = {row['f_leading']:+.6e}   [{tag}]")
     print(f"report written to {path}")

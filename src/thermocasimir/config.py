@@ -27,7 +27,7 @@ DEFAULT_NUMERICS = {
 }
 
 # integer knobs and their smallest meaningful value
-_INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 2, "n_k": 2}
+_INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 3, "n_k": 2}
 
 _SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
 _TOP_KEYS = ("units", "thermo", "slabs", "sweep", "seed", "numerics", "output")

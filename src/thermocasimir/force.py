@@ -126,34 +126,20 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
 
 
 def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
-                   bracket_b: float, sumrule_residuals: dict,
-                   residual_tolerance: float = 1e-2,
-                   capacitor_el: float = 0.0,
-                   capacitor_mag_exponent: float | None = None,
-                   wab_scale: float = 0.0) -> list:
+                   bracket_b: float, wab_scale: float = 0.0) -> list:
     """Assemble the fluctuation force from the factorized leading correlation,
-    one report row per separation in d_values.
+    one report row per separation in d_values, holding only what depends on d.
 
     The scaled-wavenumber integral of the monopole force kernel against the
     single-traversing-bond correlation factorizes into the two charge-weighted
     plate brackets; with exact perfect screening both brackets are -1 and the
     assembly reproduces the universal law exactly.  The magnetic contribution
-    enters only as an order d^-5 remainder bound, never as an addend.  The
-    amplitude is zeta(3)/2, the value of the q-integral that zeta3_quadrature
-    checks; it and the certification do not depend on d and are set once.
+    enters only as the order d^-5 remainder bound |wab_scale|/d^5, never as an
+    addend.  The amplitude is zeta(3)/2, the value of the q-integral that
+    zeta3_quadrature checks.
     """
     beta = thermo.beta
     amplitude = 0.5 * ZETA3
-    residuals = dict(sumrule_residuals)
-    # np.max, not max: a NaN residual must propagate instead of being skipped
-    residual_max = (float(np.max(np.abs(list(residuals.values()))))
-                    if residuals else np.inf)
-    certified = residual_max < residual_tolerance
-    notes = []
-    if not certified:
-        notes.append(
-            f"sum-rule residual {residual_max:.3e} above tolerance "
-            f"{residual_tolerance:.1e}: force values not certified")
     rows = []
     for d in d_values:
         f_lead = leading_force(thermo, d)
@@ -166,16 +152,7 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
             "f_assembled": _finite_nonzero(
                 float(-(amplitude / denom) * bracket_a * bracket_b),
                 f"the assembled force at d = {d!r}"),
-            "bracket_a": float(bracket_a),
-            "bracket_b": float(bracket_b),
-            "capacitor_el": float(capacitor_el),
-            "capacitor_mag_exponent": capacitor_mag_exponent,
-            "capacitor_mag_bound": {
-                "exponent": -5,
-                "coefficient_estimate": abs(wab_scale),
-                "bound_at_d": abs(wab_scale) / _power(d, 5),
-                "comment": "remainder estimate only; excluded from assembled values",
-            },
+            "capacitor_mag_bound_at_d": abs(wab_scale) / _power(d, 5),
             "lifshitz": {
                 "eq2": lifshitz_reference(thermo, d, "rTE1") if low_t else None,
                 "eq3": lifshitz_reference(thermo, d, "rTE0") if low_t else None,
@@ -183,9 +160,6 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
                 "eq5": f_lead,
                 "alpha": alpha,
             },
-            "residuals": residuals,
-            "certified": certified,
-            "notes": notes,
         })
     return rows
 

@@ -57,7 +57,8 @@ def _plate_brackets(config: RunConfig, kappa: float, nx: int, n_paths: int):
     without NumPy warnings, and its non-finite bracket raises ParameterError.
     "screening" holds, per solved slab, the basis size, the operator's
     pair counts per assembly class, its band half-width in cells and the
-    bracket at each wavenumber of the sequence ("per_k").
+    bracket at each wavenumber of the sequence ("per_k").  Returns the
+    report's "brackets", "screening" and "k_sequence" blocks.
     """
     k_seq = _k_sequence(kappa, config.numerics)
     n_steps = int(config.numerics["n_steps_kernel"])
@@ -74,8 +75,7 @@ def _plate_brackets(config: RunConfig, kappa: float, nx: int, n_paths: int):
         force_mod._finite_nonzero(res[slab]["bracket"],
                                   f"the slab-{slab} screening bracket")
     res_a, res_b = res["a"], res.get("b", res["a"])
-    return {
-        "screening": screening,
+    brackets = {
         "bracket_a": float(np.real(res_a["bracket"])),
         "bracket_b": float(np.real(res_b["bracket"])),
         "residual_a": res_a["residual_rel"],
@@ -83,9 +83,8 @@ def _plate_brackets(config: RunConfig, kappa: float, nx: int, n_paths: int):
         "extrapolation_a": res_a["extrapolation_correction"],
         "extrapolation_b": res_b["extrapolation_correction"],
         "mirror_reused": mirror,
-        "k_sequence": list(k_seq),
-        "kappa": float(kappa),
     }
+    return {"brackets": brackets, "screening": screening, "k_sequence": list(k_seq)}
 
 
 _HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
@@ -162,9 +161,11 @@ def standard_magnetic_probe(seed: int = 7):
 def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     """Execute the full chain for every separation in the sweep.
 
-    The plate brackets are separation-independent single-plate quantities and
-    are computed once; each separation then gets its assembled force, the
-    capacitor terms, the regime references and the certification verdict.
+    The plate brackets, the capacitor terms and the certification are
+    separation-independent and are set once; each separation then gets its
+    assembled force, the magnetic remainder bound and the regime references.
+    The results are certified when both sum-rule residuals are below
+    residual_tolerance (a NaN residual never is).
     A configuration without a screening medium (kappa = 0) raises ConfigError.
     """
     t_start = time.perf_counter()
@@ -173,8 +174,9 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
-    brackets = _plate_brackets(config, kappa, int(config.numerics["nx"]),
-                               int(config.numerics["n_paths_kernel"]))
+    plates = _plate_brackets(config, kappa, int(config.numerics["nx"]),
+                             int(config.numerics["n_paths_kernel"]))
+    brackets = plates["brackets"]
 
     sigma = config.profile.charge_density()
     capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
@@ -192,18 +194,15 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                                               probe["thermo"]))
 
     results = force_mod.assemble_force(
-        config.thermo, sorted(config.d_values),
-        bracket_a=brackets["bracket_a"], bracket_b=brackets["bracket_b"],
-        sumrule_residuals={"a": brackets["residual_a"], "b": brackets["residual_b"]},
-        residual_tolerance=config.numerics["residual_tolerance"],
-        capacitor_el=capacitor_el,
-        capacitor_mag_exponent=mag_exponent,
-        wab_scale=wab_scale)
+        config.thermo, sorted(config.d_values), brackets["bracket_a"],
+        brackets["bracket_b"], wab_scale=wab_scale)
 
     fit = (force_mod.fit_loglog_slope([r["d"] for r in results],
                                       [r["f_assembled"] for r in results])
            if len({r["d"] for r in results}) > 1 else None)   # two separations
     convergence = _grid_doubling_table(config)
+    # np.max, not max: a NaN residual must propagate instead of being skipped
+    residual_max = np.max([brackets["residual_a"], brackets["residual_b"]])
     report = {
         "config_hash": config.config_hash(),
         "seed": config.seed,
@@ -211,17 +210,16 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "kappa": float(kappa),
         "lambda_screen": float(lam_s),
         "hierarchy": _hierarchy(config, lam_s),
-        "brackets": {k: v for k, v in brackets.items()
-                     if k not in ("k_sequence", "screening")},
-        "screening": brackets["screening"],
-        "k_sequence": brackets["k_sequence"],
+        **plates,
         "capacitor": {"electrostatic": capacitor_el,
                       "magnetic_exponent": mag_exponent,
-                      "magnetic_fit": mag_fit},
+                      "magnetic_fit": mag_fit,
+                      "magnetic_bound": {"exponent": -5,
+                                         "coefficient_estimate": wab_scale}},
         "results": results,
         "sweep_fit": fit and {"slope": fit[0], "stderr": fit[1]},
         "convergence": convergence,
-        "certified_all": all(row["certified"] for row in results),
+        "certified_all": bool(residual_max < config.numerics["residual_tolerance"]),
     }
     meta = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -248,10 +246,12 @@ def write_sweep_csv(report: dict, out_dir: str) -> str:
         w = csv.writer(fh)
         w.writerow(["d", "f_assembled", "f_leading", "ratio_to_leading",
                     "bracket_a", "bracket_b", "certified"])
-        for row in report["report"]["results"]:
+        rep = report["report"]
+        plates = [rep["brackets"]["bracket_a"], rep["brackets"]["bracket_b"],
+                  rep["certified_all"]]
+        for row in rep["results"]:
             w.writerow([row["d"], row["f_assembled"], row["f_leading"],
-                        row["f_assembled"] / row["f_leading"],
-                        row["bracket_a"], row["bracket_b"], row["certified"]])
+                        row["f_assembled"] / row["f_leading"], *plates])
     return path
 
 
@@ -412,7 +412,7 @@ def verify_suite(config: RunConfig) -> dict:
         oracle = scr.bulk_sum_rule_oracle(kappa, k_seq)
         checks.append(_check("perfect_screening_bulk", oracle["residual_rel"],
                              1e-3))
-        slabs = _plate_brackets(config, kappa, 16, 4)     # the worse plate
+        slabs = _plate_brackets(config, kappa, 16, 4)["brackets"]   # the worse plate
         checks.append(_check("perfect_screening_slab",
                              np.max([slabs["residual_a"], slabs["residual_b"]]), 1e-2))
     else:
@@ -453,8 +453,7 @@ def verify_suite(config: RunConfig) -> dict:
     z3 = abs(force_mod.zeta3_quadrature() - force_mod.zeta3_series_oracle())
     checks.append(_check("zeta3_quadrature_vs_series", z3, 1e-10))
 
-    [row] = force_mod.assemble_force(thermo, [100.0], -1.0, -1.0,
-                                     {"a": 0.0, "b": 0.0})
+    [row] = force_mod.assemble_force(thermo, [100.0], -1.0, -1.0)
     f_asm, f_lead = row["f_assembled"], row["f_leading"]
     checks.append(_check(
         "assembled_unit_brackets", f_asm / f_lead - 1.0, 1e-15,

@@ -340,10 +340,14 @@ def _loop_current_moments(loop: Loop, qvec):
     return a, b
 
 
-def _wab_bracket(loop_i, loop_j, qvec, thermo, x, order):
+def _wab_bracket(loop_i, loop_j, qvec, thermo, d, order):
     """Core of the dipolar interplate kernel: the double derivative bracket
     applied to the x-derivative of the given order of the partial
-    transverse transform at argument x."""
+    transverse transform at the scaled separation x = 1 - (x_i - x_j)/d;
+    ParameterError unless 0 < d < inf."""
+    if not 0.0 < d < np.inf:
+        raise ParameterError(f"separation d = {d!r} is not finite and positive")
+    x = 1.0 - (loop_i.x - loop_j.x) / d
     ai, bi = _loop_current_moments(loop_i, qvec)
     aj, bj = _loop_current_moments(loop_j, qvec)
     v0, v1, v2 = _vtilde_derivs(x, qvec, order_max=order + 2)[order:order + 3]
@@ -363,16 +367,14 @@ def wab_pair_finite_d(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) 
     bracket of path moments and the closed-form transverse transform at the
     scaled separation 1 - (x_i - x_j)/d; at x_i = x_j this is the strict
     asymptote, otherwise it keeps the O(1/d) phase corrections."""
-    xarg = 1.0 - (loop_i.x - loop_j.x) / d
-    pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 0)
+    pref, b0 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, d, 0)
     return complex(pref * b0 / d)
 
 
 def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> complex:
     """Slab-normal gradient (in x_i) of the interplate magnetic potential;
     carries one extra 1/d from the chain rule on the scaled separation."""
-    xarg = 1.0 - (loop_i.x - loop_j.x) / d
-    pref, b1 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, xarg, 1)
+    pref, b1 = _wab_bracket(loop_i, loop_j, np.asarray(qvec, float), thermo, d, 1)
     return complex(-pref * b1 / d**2)
 
 

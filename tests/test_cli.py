@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import itertools
 import json
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermocasimir
-from thermocasimir import cli
+from thermocasimir import cli, pipeline
 from thermocasimir.config import load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
@@ -153,7 +154,7 @@ def fast_report(fast_config):
 def test_pipeline_produces_row_per_separation(fast_report, fast_config):
     rows = fast_report["report"]["results"]
     assert len(rows) == len(BASE_CONFIG["sweep"]["d_values"])
-    assert all(r["certified"] for r in rows)
+    assert fast_report["report"]["certified_all"] is True
 
 
 def test_pipeline_sweep_slope(fast_report):
@@ -172,13 +173,24 @@ def test_pipeline_deviation_dominated_by_inverse_d(fast_report):
 
 
 def test_pipeline_report_keys(fast_report):
-    row = fast_report["report"]["results"][0]
-    for key in ("f_leading", "f_assembled", "capacitor_el",
-                "capacitor_mag_exponent", "lifshitz", "residuals"):
-        assert key in row
-    assert "config_hash" in fast_report["report"]
-    capacitor = fast_report["report"]["capacitor"]
+    # each value is stored once: rows hold what depends on d, the report the
+    # plate brackets, the capacitor constants and the certification
+    report = fast_report["report"]
+    for row in report["results"]:
+        assert set(row) == {"d", "f_leading", "f_assembled",
+                            "capacitor_mag_bound_at_d", "lifshitz"}
+    assert "config_hash" in report
+    assert set(report["brackets"]) == {
+        "bracket_a", "bracket_b", "residual_a", "residual_b",
+        "extrapolation_a", "extrapolation_b", "mirror_reused"}
+    capacitor = report["capacitor"]
     assert capacitor["electrostatic"] == 0.0
+    bound = capacitor["magnetic_bound"]
+    assert set(bound) == {"exponent", "coefficient_estimate"}
+    assert bound["exponent"] == -5 and bound["coefficient_estimate"] > 0.0
+    for row in report["results"]:
+        assert row["capacitor_mag_bound_at_d"] == (
+            bound["coefficient_estimate"] / row["d"]**5)
     fit = capacitor["magnetic_fit"]
     assert fit["n_quad"] == 400 and 3 <= fit["points_fitted"] <= 12
     assert 0.0 < fit["floor_max"] < 1e-9
@@ -194,6 +206,36 @@ def test_pipeline_screening_diagnostics(fast_report):
     assert sorted(screening["a"]["pairs"]) == ["above_below", "inside",
                                                "straddling"]
     assert sum(screening["a"]["pairs"].values()) == size**2
+
+
+def _perturb_residuals(monkeypatch, **residuals):
+    """Let the plate sweep report the given sum-rule residuals."""
+    plate_brackets = pipeline._plate_brackets
+
+    def perturbed(*args):
+        plates = plate_brackets(*args)
+        plates["brackets"].update(residuals)
+        return plates
+
+    monkeypatch.setattr(pipeline, "_plate_brackets", perturbed)
+
+
+def test_pipeline_certification_gate(monkeypatch, fast_config):
+    _perturb_residuals(monkeypatch, residual_a=0.1)
+    report = run_pipeline(load_config(copy.deepcopy(fast_config)),
+                          magnetic_check=False)["report"]
+    assert report["brackets"]["residual_a"] == 0.1
+    assert report["certified_all"] is False
+
+
+@pytest.mark.parametrize("residuals", [{"residual_a": 0.0, "residual_b": math.nan},
+                                       {"residual_a": math.nan, "residual_b": 0.0}])
+def test_pipeline_never_certifies_a_nan_residual(monkeypatch, fast_config, residuals):
+    # the NaN must not be skipped by the maximum, whichever slab carries it
+    _perturb_residuals(monkeypatch, **residuals)
+    report = run_pipeline(load_config(copy.deepcopy(fast_config)),
+                          magnetic_check=False)["report"]
+    assert report["certified_all"] is False
 
 
 def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
@@ -352,11 +394,19 @@ def test_cli_run_and_outputs(tmp_path, fast_config, capsys):
     path = _write(tmp_path, fast_config)
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
     assert code == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["report"]["certified_all"]
-    sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert sweep[0].startswith("d,f_assembled,f_leading")
-    assert len(sweep) == 1 + len(fast_config["sweep"]["d_values"])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    assert report["certified_all"]
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert list(sweep[0]) == ["d", "f_assembled", "f_leading", "ratio_to_leading",
+                              "bracket_a", "bracket_b", "certified"]
+    assert len(sweep) == len(fast_config["sweep"]["d_values"])
+    assert [row["d"] for row in sweep] == [str(r["d"]) for r in report["results"]]
+    # the plate columns repeat the report's brackets and certification
+    for row in sweep:
+        assert float(row["bracket_a"]) == report["brackets"]["bracket_a"]
+        assert float(row["bracket_b"]) == report["brackets"]["bracket_b"]
+        assert row["certified"] == str(report["certified_all"])
 
 
 def test_cli_sweep_with_d_list(tmp_path, fast_config, capsys):
@@ -389,7 +439,7 @@ def test_cli_config_error_exit_code(tmp_path, fast_config, capsys):
 
 
 @pytest.mark.parametrize("knob, value", [
-    ("nx", 4.7), ("nx", 1), ("n_k", 1), ("n_steps_kernel", 1),
+    ("nx", 4.7), ("nx", 1), ("nx", 2), ("n_k", 1), ("n_steps_kernel", 1),
     ("n_paths", 2.5), ("n_paths_kernel", 1.5), ("p_max", 2.0), ("n_k", 3.5),
 ])
 def test_cli_rejects_bad_integer_knob(tmp_path, fast_config, capsys, knob, value):

@@ -99,49 +99,29 @@ def test_lifshitz_crossover_raises():
 
 def test_assemble_force_unit_brackets_reproduce_universal_law():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    rows = fc.assemble_force(th, [150.0, 300.0], -1.0, -1.0,
-                             {"a": 0.0, "b": 0.0})
+    rows = fc.assemble_force(th, [150.0, 300.0], -1.0, -1.0)
     assert [row["d"] for row in rows] == [150.0, 300.0]
     for row in rows:
         assert row["f_assembled"] == pytest.approx(row["f_leading"], rel=1e-14)
         assert row["f_leading"] < 0.0
-        assert row["certified"]
-
-
-def test_assemble_force_certification_gate():
-    th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    [row] = fc.assemble_force(th, [150.0], -0.9, -1.0, {"a": 0.1, "b": 0.0},
-                              residual_tolerance=1e-2)
-    assert not row["certified"]
-    assert row["notes"]
-
-
-@pytest.mark.parametrize("residuals", [{"a": 0.0, "b": float("nan")},
-                                       {"a": float("nan"), "b": 0.0}])
-def test_assemble_force_never_certifies_a_nan_residual(residuals):
-    # the NaN must not be skipped by the maximum, whichever slab carries it
-    th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    [row] = fc.assemble_force(th, [150.0], -1.0, -1.0, residuals)
-    assert not row["certified"]
-    assert row["notes"]
 
 
 def test_assemble_force_magnetic_remainder_is_bound_only():
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)
-    assert row["capacitor_mag_bound"]["exponent"] == -5
-    assert row["capacitor_mag_bound"]["bound_at_d"] == pytest.approx(3.0 / 100.0**5)
+    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, wab_scale=3.0)
+    assert row["capacitor_mag_bound_at_d"] == pytest.approx(3.0 / 100.0**5)
     # the bound never contaminates the assembled value
     assert row["f_assembled"] == pytest.approx(row["f_leading"], rel=1e-14)
 
 
 def test_assemble_force_json_keys():
+    # a row holds only what depends on d; the plate brackets, residuals,
+    # certification and capacitor constants are stored once per report
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
-    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0, {"a": 0.0})
-    for key in ("f_leading", "capacitor_el", "capacitor_mag_exponent",
-                "lifshitz", "residuals", "f_assembled"):
-        assert key in row
-    assert set(row["lifshitz"]) >= {"eq2", "eq3", "eq4", "eq5"}
+    [row] = fc.assemble_force(th, [100.0], -1.0, -1.0)
+    assert set(row) == {"d", "f_leading", "f_assembled",
+                        "capacitor_mag_bound_at_d", "lifshitz"}
+    assert set(row["lifshitz"]) == {"eq2", "eq3", "eq4", "eq5", "alpha"}
     assert row["lifshitz"]["eq4"] / row["lifshitz"]["eq5"] == 2.0
 
 
@@ -153,7 +133,7 @@ def test_assemble_force_takes_the_amplitude_from_zeta3(monkeypatch):
     monkeypatch.setattr(fc, "zeta3_quadrature", no_quadrature)
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
     d_values = [100.0, 200.0, 400.0]
-    rows = fc.assemble_force(th, d_values, -1.0, -1.0, {"a": 0.0})
+    rows = fc.assemble_force(th, d_values, -1.0, -1.0)
     assert len(rows) == 3
     for d, row in zip(d_values, rows):
         exact = -fc.ZETA3 / (8.0 * np.pi * th.beta * d**3)
@@ -165,7 +145,7 @@ def test_assemble_force_rejects_unrepresentable_powers(d):
     # d**3 (or the d**5 of the magnetic bound) over- or underflows
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
     with pytest.raises(ParameterError):
-        fc.assemble_force(th, [d], -1.0, -1.0, {"a": 0.0}, wab_scale=3.0)
+        fc.assemble_force(th, [d], -1.0, -1.0, wab_scale=3.0)
 
 
 def test_capacitor_force_neutral_and_charged():

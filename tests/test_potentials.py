@@ -535,6 +535,15 @@ def test_wab_and_gradient_scaling_slopes(big_thermo, probe_loops):
     assert abs(slope_g + 2.0) < 0.1
 
 
+@pytest.mark.parametrize("kernel", [pot.wab_pair_finite_d, pot.wm_gradient_ab])
+@pytest.mark.parametrize("d", [0.0, -5.0, np.inf, np.nan])
+def test_dipolar_kernels_reject_a_bad_separation(big_thermo, probe_loops, kernel, d):
+    # no bare ZeroDivisionError, no value for a negative or infinite d, and
+    # no NaN with a RuntimeWarning
+    with pytest.raises(ParameterError, match="separation"):
+        kernel(*probe_loops, np.array([1.0, 0.4]), d, big_thermo)
+
+
 def test_current_moments_telescoping(big_thermo, probe_loops):
     # the diagonal (normal-increment times normal-midpoint) moment telescopes
     l1, _ = probe_loops
