@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .config import load_config, optional_block
@@ -22,35 +21,30 @@ EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
 
 
-def _apply_overrides(config_dict, overrides_json):
-    if not overrides_json:
-        return config_dict
-    try:
-        overrides = json.loads(overrides_json)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--tol-overrides is not valid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError("--tol-overrides must be a JSON object")
-    config_dict["numerics"] = {**optional_block(config_dict, "numerics"),
-                               **overrides}
-    return config_dict
-
-
-def _load(path, args):
-    with open(path) as fh:
+def _load(args):
+    """load_config on the config file with the command-line overrides merged in."""
+    with open(args.config) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} does not hold a JSON object")
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        raw["output"] = {**optional_block(raw, "output"), "dir": args.out_dir}
-    raw = _apply_overrides(raw, getattr(args, "tol_overrides", None))
+    if isinstance(raw, dict):       # load_config rejects anything else
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.out_dir is not None:
+            raw["output"] = {**optional_block(raw, "output"), "dir": args.out_dir}
+        if args.tol_overrides:
+            try:
+                overrides = json.loads(args.tol_overrides)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--tol-overrides is not valid JSON: {exc}") from exc
+            if not isinstance(overrides, dict):
+                raise ConfigError("--tol-overrides must be a JSON object")
+            raw["numerics"] = {**optional_block(raw, "numerics"), **overrides}
+        if getattr(args, "d_list", None) is not None:     # sweep only
+            raw["sweep"] = {**optional_block(raw, "sweep"), "d_values": args.d_list}
     return load_config(raw)
 
 
 def _cmd_run(args) -> int:
-    config = _load(args.config, args)
+    config = _load(args)
     report = run_pipeline(config)
     path = write_report(report, config.out_dir)
     write_sweep_csv(report, config.out_dir)
@@ -64,11 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load(args.config, args)
-    if args.d_list:
-        config.d_values = list(args.d_list)
-        if not all(0 < d < math.inf for d in config.d_values):
-            raise ConfigError("--d-list values must be finite and positive")
+    config = _load(args)
     report = run_pipeline(config)
     path = write_sweep_csv(report, config.out_dir)
     fit = report["report"]["sweep_fit"]
@@ -80,7 +70,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _load(args.config, args)
+    config = _load(args)
     table = verify_suite(config)
     width = max(len(c["name"]) for c in table["checks"])
     for c in table["checks"]:

@@ -34,14 +34,13 @@ _TOP_KEYS = ("units", "thermo", "slabs", "sweep", "seed", "numerics", "output")
 _THERMO_KEYS = {"reduced": ("beta", "hbar", "c"), "gaussian-cgs": ("temperature_K",)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     units: str
     thermo: ThermoState
     a: float
     b: float
-    species: list
-    profile: DensityProfile  # the one plasma that fills both slabs
+    profile: DensityProfile  # the one plasma that fills both slabs, species in order
     numerics: dict
     d_values: list
     seed: int
@@ -56,17 +55,25 @@ class RunConfig:
 def _need(d, key, typ, where):
     if key not in d:
         raise ConfigError(f"missing '{key}' in {where}")
-    val = d[key]
-    if typ is float and _is_number(val):
-        val = float(val)
-    if not isinstance(val, typ):
+    if not isinstance(d[key], typ):
         raise ConfigError(f"'{key}' in {where} must be {typ.__name__}")
-    return val
+    return d[key]
 
 
-def _is_number(value) -> bool:
-    """A JSON number: int or float, but not a boolean (True is an int)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value, name, low=0.0, closed=False) -> float:
+    """float(value); ConfigError naming the key unless value is a JSON number
+    (not a boolean), finite as a double (a huge integer is not) and above low
+    (at or above it if closed)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (low <= number if closed else low < number)):
+        bound = f" {'>=' if closed else '>'} {low:g}" if low > -math.inf else ""
+        raise ConfigError(f"{name} must be a finite number{bound}")
+    return number
 
 
 def optional_block(raw: dict, key: str) -> dict:
@@ -81,12 +88,6 @@ def _known(block: dict, allowed, what: str) -> dict:
             raise ConfigError(f"unknown {what} '{key}' (allowed: "
                               f"{', '.join(allowed)})")
     return block
-
-
-def _positive(value, name):
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{name} must be a finite positive number")
-    return value
 
 
 def load_config(path_or_dict) -> RunConfig:
@@ -106,82 +107,72 @@ def load_config(path_or_dict) -> RunConfig:
                 f"{units} thermo key")
     if units == "reduced":
         th = {"hbar": 1.0, "c": 1.0, **th}
-        beta, hbar, c = (_positive(_need(th, key, float, "thermo"), key)
+        beta, hbar, c = (_number(_need(th, key, object, "thermo"), f"thermo.{key}")
                          for key in ("beta", "hbar", "c"))
         thermo = ThermoState(beta=beta, hbar=hbar, c=c)
     else:
-        t_kelvin = _positive(_need(th, "temperature_K", float, "thermo"),
-                             "temperature_K")
+        t_kelvin = _number(_need(th, "temperature_K", object, "thermo"),
+                           "thermo.temperature_K")
         thermo = ThermoState(beta=1.0 / (_CGS["kB"] * t_kelvin),
                              hbar=_CGS["hbar"], c=_CGS["c"])
 
     slabs = _known(_need(raw, "slabs", dict, "config"),
                    ("a", "b", "neutral", "species"), "slabs key")
-    a = _positive(_need(slabs, "a", float, "slabs"), "a")
-    b = _positive(_need(slabs, "b", float, "slabs"), "b")
+    a, b = (_number(_need(slabs, key, object, "slabs"), f"slabs.{key}")
+            for key in ("a", "b"))
     neutral = _need({"neutral": True, **slabs}, "neutral", bool, "slabs")
 
     species_raw = _need(slabs, "species", list, "slabs")
     if not species_raw:
         raise ConfigError("species list must not be empty")
-    species, cells, net_terms = [], [], []
+    names, cells = [], []
     numerics = {**DEFAULT_NUMERICS, **_known(optional_block(raw, "numerics"),
                                               DEFAULT_NUMERICS, "numerics knob")}
     for key, val in numerics.items():
-        if not _is_number(val) or not 0 < val < math.inf:
-            raise ConfigError(f"numerics knob '{key}' must be a finite "
-                              f"positive number")
+        _number(val, f"numerics.{key}")
         if key in _INTEGER_MIN and not (isinstance(val, int)
                                         and val >= _INTEGER_MIN[key]):
-            raise ConfigError(f"numerics knob '{key}' must be an integer "
+            raise ConfigError(f"numerics.{key} must be an integer "
                               f">= {_INTEGER_MIN[key]}")
     for entry in species_raw:
         if not isinstance(entry, dict):
             raise ConfigError("each species must be an object")
         _known(entry, _SPECIES_KEYS, "species key")
         name = _need(entry, "name", str, "species")
-        if any(sp.name == name for sp in species):
+        if name in names:
             raise ConfigError(f"duplicate species name '{name}'")
-        charge = _need(entry, "charge", float, "species")
-        if not math.isfinite(charge):
-            raise ConfigError("charge must be finite")
-        mass = _positive(_need(entry, "mass", float, "species"), "mass")
-        density = _need(entry, "density", float, "species")
-        if not 0 <= density < math.inf:
-            raise ConfigError("density must be finite and >= 0")
-        weights = entry.get("p_weights", [0.9, 0.1])
-        if not isinstance(weights, list) or not all(
-                _is_number(w) and 0 <= w < math.inf for w in weights):
-            raise ConfigError("p_weights must be a list of finite numbers >= 0")
+        names.append(name)
+        charge = _number(_need(entry, "charge", object, "species"),
+                         "species.charge", -math.inf)
+        mass = _number(_need(entry, "mass", object, "species"), "species.mass")
+        density = _number(_need(entry, "density", object, "species"),
+                          "species.density", closed=True)
+        weights = _need({"p_weights": [0.9, 0.1], **entry}, "p_weights", list, "species")
+        weights = [_number(w, "species.p_weights entries", closed=True) for w in weights]
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError("p_weights must sum to 1")
         sp = SpeciesParams.from_thermo(name=name, charge=charge, mass=mass,
                                        thermo=thermo)
-        species.append(sp)
         # charge number p ascending: this order fixes the loop-basis entries
         cells += [SpeciesDensity(species=sp, p=p, loop_density=w * density / p)
                   for p, w in enumerate(weights, start=1) if w > 0.0]
-        net_terms.append(charge * density)
 
     profile = DensityProfile(beta=thermo.beta, cells=tuple(cells))
     try:    # math.fsum raises on an intermediate overflow and on inf - inf
-        net = math.fsum(net_terms)
-        finite = all(map(math.isfinite, (net, profile.kappa2(),
-                                         profile.charge_density())))
+        finite = all(map(math.isfinite, (profile.kappa2(), profile.charge_density())))
     except (OverflowError, ValueError):
         finite = False
     if not finite:
         raise ConfigError("the species charge and density give a plasma whose "
-                          "net charge, kappa^2 or charge density is not finite")
-    if neutral and abs(net) > 1e-12 * (sum(map(abs, net_terms)) or 1.0):
+                          "kappa^2 or charge density is not finite")
+    if neutral and profile.charge_imbalance() != 0.0:
         raise ConfigError("neutrality flag set but sum(e * density) != 0")
 
     sweep = _known(_need(raw, "sweep", dict, "config"), ("d_values",), "sweep key")
     d_values = _need(sweep, "d_values", list, "sweep")
-    if not d_values or any(not _is_number(d) or not 0 < d < math.inf
-                           for d in d_values):
-        raise ConfigError("sweep.d_values must be a nonempty list of finite "
-                          "positive numbers")
+    if not d_values:
+        raise ConfigError("sweep.d_values (--d-list) must not be empty")
+    d_values = [_number(d, "sweep.d_values (--d-list) entries") for d in d_values]
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -189,7 +180,6 @@ def load_config(path_or_dict) -> RunConfig:
 
     output = _known(optional_block(raw, "output"), ("dir",), "output key")
     out_dir = _need({"dir": "out", **output}, "dir", str, "output")
-    return RunConfig(units=units, thermo=thermo, a=a, b=b, species=species,
-                     profile=profile, numerics=numerics,
-                     d_values=[float(d) for d in d_values],
-                     seed=seed, out_dir=out_dir, raw=raw)
+    return RunConfig(units=units, thermo=thermo, a=a, b=b, profile=profile,
+                     numerics=numerics, d_values=d_values, seed=seed,
+                     out_dir=out_dir, raw=raw)

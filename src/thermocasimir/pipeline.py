@@ -39,7 +39,7 @@ def _jsonable(obj):
 def _k_sequence(kappa: float, numerics: dict) -> list:
     """The halving wavenumbers k0 / 2^n, n < n_k; ConfigError unless n_k <=
     1024 (richardson_extrapolate's bound) and the last one is above 0."""
-    k0, n_k = numerics["k0_factor"] * kappa, int(numerics["n_k"])
+    k0, n_k = numerics["k0_factor"] * kappa, numerics["n_k"]
     if n_k > 1024 or not math.ldexp(k0, 1 - n_k) > 0.0:
         raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {n_k!r} "
                           f"underflows the wavenumber sequence (n_k at most 1024)")
@@ -61,7 +61,7 @@ def _plate_brackets(config: RunConfig, kappa: float, nx: int, n_paths: int):
     report's "brackets", "screening" and "k_sequence" blocks.
     """
     k_seq = _k_sequence(kappa, config.numerics)
-    n_steps = int(config.numerics["n_steps_kernel"])
+    n_steps = config.numerics["n_steps_kernel"]
     mirror = abs(config.a - config.b) < 1e-12 * config.a
     res, screening = {}, {}
     for slab, width, seed in (("a", config.a, config.seed),
@@ -95,7 +95,8 @@ def _hierarchy(config: RunConfig, lam_s: float) -> dict:
     smallest separation, with flags; a ratio that is not finite (e.g. c so
     small that the cut-off length overflows) raises ParameterError."""
     thermo, d = config.thermo, min(config.d_values)
-    mean_mass = float(np.mean([sp.mass for sp in config.species]))
+    species = dict.fromkeys(c.species for c in config.profile.cells)
+    mean_mass = float(np.mean([sp.mass for sp in species]))
     lam_mat = thermo.de_broglie(mean_mass)
     # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf
     with np.errstate(divide="ignore"):
@@ -119,7 +120,7 @@ def _grid_doubling_table(config: RunConfig) -> dict:
     """Grid-convergence record: relative change of the classical border column
     under doubling of the cell count, evaluated away from the border cusp."""
     kappa2 = config.profile.kappa2()
-    nx = int(config.numerics["nx"])
+    nx = config.numerics["nx"]
     cols = []
     for n in (nx, 2 * nx):
         h = config.a / n
@@ -174,8 +175,8 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
-    plates = _plate_brackets(config, kappa, int(config.numerics["nx"]),
-                             int(config.numerics["n_paths_kernel"]))
+    plates = _plate_brackets(config, kappa, config.numerics["nx"],
+                             config.numerics["n_paths_kernel"])
     brackets = plates["brackets"]
 
     sigma = config.profile.charge_density()
@@ -332,7 +333,7 @@ def verify_suite(config: RunConfig) -> dict:
     checks = []
     thermo = config.thermo
     rng_seed = config.seed
-    n_steps_kernel = int(config.numerics["n_steps_kernel"])
+    n_steps_kernel = config.numerics["n_steps_kernel"]
 
     # --- bridge statistics ------------------------------------------------
     worst_z, ito = bridge_statistics(20_480, [rng_seed, 101], [rng_seed, 102])
@@ -428,18 +429,19 @@ def verify_suite(config: RunConfig) -> dict:
     gerr = abs(series - closed) / closed
     checks.append(_check("geometric_series_identity", gerr, 1e-14))
 
-    lam_bare = thermo.de_broglie(config.species[0].mass)
+    first = config.profile.cells[0].species
+    lam_bare = thermo.de_broglie(first.mass)
     path_a = loops_mod.sample_bridge(1, n_steps_kernel, [rng_seed, 108])
     path_b = loops_mod.sample_bridge(1, n_steps_kernel, [rng_seed, 109])
     margin = lam_bare * max(np.max(np.abs(path_a[:, 0])),
                             np.max(np.abs(path_b[:, 0]))) + 0.1
-    conf_a = loops_mod.Loop(-margin, config.species[0], 1, path_a)
-    conf_b = loops_mod.Loop(+margin, config.species[0], 1, path_b)
+    conf_a = loops_mod.Loop(-margin, first, 1, path_a)
+    conf_b = loops_mod.Loop(+margin, first, 1, path_b)
     dtest = 4.0 * margin
     kv = np.array([0.5 / margin, 0.0])
     shifted = loops_mod.Loop(conf_b.x + dtest, conf_b.species, conf_b.p,
                              conf_b.path, y=conf_b.y)
-    src = loops_mod.point_loop(0.0, config.species[0], n_steps=n_steps_kernel)
+    src = loops_mod.point_loop(0.0, first, n_steps=n_steps_kernel)
     lhs = pot.vel_fourier(conf_a, shifted, kv)
     va = pot.vel_fourier(conf_a, src, kv)
     vb = pot.vel_fourier(src, conf_b, kv)
@@ -469,7 +471,7 @@ def verify_suite(config: RunConfig) -> dict:
                          passed=exponent is not None and exponent > 4.0,
                          note=f"{n_points} of {len(probe['m_values'])} points "
                               f"above the rounding floor fitted"))
-    sigma = config.profile.charge_density()
+    sigma = config.profile.charge_imbalance()      # load_config's neutrality test
     cap_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     checks.append(_check("capacitor_neutral_zero", cap_el, 0.0, cap_el == 0.0))
 

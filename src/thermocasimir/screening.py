@@ -93,6 +93,14 @@ class DensityProfile:
     def charge_density(self) -> float:
         return math.fsum(c.species.charge * c.p * c.loop_density for c in self.cells)
 
+    def charge_imbalance(self) -> float:
+        """charge_density, or 0.0 within 1e-12 of sum |e| p rho: the one
+        neutrality test (decimal densities rarely cancel exactly in double
+        precision: 3 * 0.1 - 0.3 = 5.6e-17)."""
+        sigma = self.charge_density()
+        scale = sum(abs(c.species.charge) * c.p * c.loop_density for c in self.cells)
+        return 0.0 if abs(sigma) <= 1e-12 * scale else sigma
+
     def kappa2(self) -> float:
         return 4.0 * np.pi * self.beta * sum(
             c.species.charge * c.species.charge * c.p**2 * c.loop_density

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import thermocasimir
 from thermocasimir import cli, pipeline
-from thermocasimir.config import load_config
+from thermocasimir.config import DEFAULT_NUMERICS, load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
@@ -59,7 +60,8 @@ def test_config_roundtrip(fast_config):
     cfg = load_config(copy.deepcopy(fast_config))
     assert cfg.thermo.beta == 1.0
     assert cfg.a == 6.0 and cfg.b == 6.0
-    assert [sp.name for sp in cfg.species] == ["plus", "minus"]
+    species = dict.fromkeys(c.species for c in cfg.profile.cells)
+    assert [sp.name for sp in species] == ["plus", "minus"]
     assert len(cfg.config_hash()) == 16
 
 
@@ -117,8 +119,10 @@ def test_config_builds_one_plasma(tmp_path, fast_config, capsys):
     minus["p_weights"] = [1.0]
     config = load_config(cfg)
     profile = config.profile
+    species = list(dict.fromkeys(c.species for c in profile.cells))
     assert [(c.species, c.p) for c in profile.cells] == [
-        (config.species[0], 1), (config.species[0], 3), (config.species[1], 1)]
+        (species[0], 1), (species[0], 3), (species[1], 1)]
+    assert [sp.name for sp in species] == ["plus", "minus"]
     assert [c.loop_density for c in profile.cells] == [
         0.7 * plus["density"] / 1, 0.3 * plus["density"] / 3,
         1.0 * minus["density"] / 1]
@@ -489,6 +493,33 @@ def test_cli_rejects_non_finite_parameter(tmp_path, fast_config, capsys,
     assert "Traceback" not in err
 
 
+_HUGE = 10**400      # a JSON integer literal whose float() overflows
+
+
+@pytest.mark.parametrize("where, key", [
+    ("thermo", "beta"), ("thermo", "hbar"), ("thermo", "c"),
+    ("gaussian-cgs", "temperature_K"), ("slabs", "a"), ("slabs", "b"),
+    ("species", "charge"), ("species", "mass"), ("species", "density"),
+    ("species", "p_weights"), ("sweep", "d_values"),
+    *[("numerics", knob) for knob in DEFAULT_NUMERICS]])
+def test_cli_rejects_huge_integer(tmp_path, fast_config, capsys, where, key):
+    # every numeric field is checked the same way: an integer too large for
+    # a double is not finite and exits 2 naming the key
+    bad = copy.deepcopy(fast_config)
+    if where == "gaussian-cgs":
+        bad.update(units="gaussian-cgs", thermo={})
+    block = {"thermo": bad["thermo"], "gaussian-cgs": bad["thermo"],
+             "slabs": bad["slabs"], "species": bad["slabs"]["species"][0],
+             "sweep": bad["sweep"], "numerics": bad["numerics"]}[where]
+    block[key] = {"p_weights": [0.5, _HUGE], "d_values": [50.0, _HUGE]}.get(key, _HUGE)
+    path = _write(tmp_path, bad)
+    assert str(_HUGE) in (tmp_path / "config.json").read_text()
+    assert cli.main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+
+
 def test_cli_run_without_screening_medium(tmp_path, fast_config, capsys):
     bad = copy.deepcopy(fast_config)
     for sp in bad["slabs"]["species"]:
@@ -725,6 +756,26 @@ def test_cli_rejects_non_numeric_d_list(tmp_path, fast_config):
     assert exc.value.code == 2
 
 
+def test_cli_d_list_replaces_d_values_before_validation(tmp_path, fast_config,
+                                                       capsys):
+    # the list goes into sweep.d_values before load_config: it is what the
+    # config hash describes, and no values is an empty sweep (exit 2), not
+    # the file's separations
+    path = _write(tmp_path, fast_config)
+    config = cli._load(cli.build_parser().parse_args(
+        ["sweep", path, "--d-list", "60", "120"]))
+    assert config.d_values == [60.0, 120.0]
+    listed = copy.deepcopy(fast_config)
+    listed["sweep"]["d_values"] = [60.0, 120.0]
+    assert config.config_hash() == load_config(listed).config_hash()
+    assert config.config_hash() != load_config(copy.deepcopy(fast_config)).config_hash()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.d_values = [1.0]
+    assert cli.main(["sweep", path, "--d-list"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--d-list" in err
+
+
 def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch):
     path = _write(tmp_path, fast_config)
 
@@ -755,9 +806,12 @@ def test_cli_certification_failure_exit_code(tmp_path, fast_config):
     assert code == 4
 
 
-def test_cli_bad_tol_overrides(tmp_path, fast_config):
+def test_cli_bad_tol_overrides(tmp_path, fast_config, capsys):
     path = _write(tmp_path, fast_config)
-    assert cli.main(["run", path, "--tol-overrides", "{not json"]) == 2
+    for overrides in ("{not json", "[1]"):
+        assert cli.main(["run", path, "--tol-overrides", overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tol-overrides"), overrides
 
 
 def test_cli_seed_override(tmp_path, fast_config):
@@ -797,15 +851,42 @@ def test_verify_suite_machine_readable(verify_table):
         assert set(c) >= {"name", "passed", "value", "tolerance", "expected_fail"}
 
 
-def test_verify_suite_expected_fail_without_medium(fast_config):
+def test_verify_suite_expected_fail_without_medium(tmp_path, fast_config, capsys):
     cfg = copy.deepcopy(fast_config)
     for sp in cfg["slabs"]["species"]:
         sp["density"] = 0.0
-    table = verify_suite(load_config(cfg))
+    out_json = tmp_path / "verify.json"
+    assert cli.main(["verify", _write(tmp_path, cfg), "--json-out", str(out_json)]) == 0
+    table = json.loads(out_json.read_text())
     slab = [c for c in table["checks"]
             if c["name"] == "perfect_screening_slab"][0]
     assert slab["expected_fail"] and not slab["passed"]
     assert table["all_passed"]
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("perfect_screening_slab")]
+    assert line.split()[1] == "XFAIL"
+
+
+def test_verify_capacitor_row_shares_the_neutrality_test(tmp_path, fast_config,
+                                                          capsys):
+    # 3 * 0.1 - 0.3 = 5.6e-17 in double precision: load_config accepts the
+    # plasma as neutral, so verify's capacitor row must pass too
+    cfg = copy.deepcopy(fast_config)
+    plus, minus = cfg["slabs"]["species"]
+    plus.update(charge=3.0, density=0.1, p_weights=[1.0])
+    minus.update(charge=-1.0, density=0.3, p_weights=[1.0])
+    assert load_config(copy.deepcopy(cfg)).profile.charge_density() != 0.0
+    assert cli.main(["verify", _write(tmp_path, cfg)]) == 0
+    # a charged plasma still fails it
+    charged = copy.deepcopy(fast_config)
+    charged["slabs"]["neutral"] = False
+    for sp, density in zip(charged["slabs"]["species"], (0.0397887, 0.03)):
+        sp["density"] = density
+    capsys.readouterr()
+    assert cli.main(["verify", _write(tmp_path, charged)]) == 4
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("capacitor_neutral_zero")]
+    assert line.split()[1] == "FAIL"
 
 
 def test_verify_slab_row_reports_the_worse_plate(fast_config):

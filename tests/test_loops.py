@@ -81,6 +81,21 @@ def test_line_integral_zero_wavevector_phase():
     assert val == 0.0
 
 
+def test_line_integral_phase_is_the_complex_midpoint_sum():
+    # a phase with k != 0: the summation by parts returns the complex
+    # midpoint sum sum_k g(X_mid) . (X_{k+1} - X_k)
+    path = lo.sample_bridge(1, 32, 8)
+    kvec = np.array([0.9, -0.4, 0.3])
+
+    def phase(s, x):
+        return np.exp(1j * (x @ kvec))[:, None] * np.array([1.0, 0.5, 0.0])
+
+    val = lo.line_integral(path, phase)
+    direct = np.sum(phase(None, 0.5 * (path[:-1] + path[1:])) * np.diff(path, axis=0))
+    assert isinstance(val, complex) and val.imag != 0.0
+    assert val == pytest.approx(direct, rel=1e-12)
+
+
 def test_line_integral_linear_integrand_averages_to_zero():
     # odd functional of a symmetric process
     n = 4000

@@ -397,6 +397,10 @@ def test_coulomb_force_kernel_values():
         2.0 * np.pi * np.exp(-q), rel=1e-14)
 
 
+def test_coulomb_force_kernel_oracle_at_zero_wavenumber():
+    assert pot.coulomb_force_kernel_oracle(-0.3, 0.4, 0.0, 10.0) == 2.0 * np.pi
+
+
 def test_coulomb_force_kernel_vs_hankel_oracle():
     assert coulomb_kernel_error(np.random.default_rng(42), 100) < 1e-6
 
@@ -432,6 +436,16 @@ def test_v_transverse_specific_point():
             closed = pot.v_transverse_partial(0.7, qv, mu, nu)
             oracle = pot.v_transverse_partial_oracle(0.7, qv, mu, nu)
             assert abs(closed - oracle) < 1e-8
+
+
+def test_v_transverse_oracle_at_zero_separation():
+    # x = 0: the oracle's plain cosine integral, no oscillatory weight
+    qv = np.array([1.3, 0.4])
+    for mu in range(3):
+        for nu in range(3):
+            closed = pot.v_transverse_partial(0.0, qv, mu, nu)
+            oracle = pot.v_transverse_partial_oracle(0.0, qv, mu, nu)
+            assert abs(closed - oracle) < 1e-8, (mu, nu)
 
 
 def test_vtilde_derivatives_vs_finite_differences():
