@@ -48,7 +48,9 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True).encode()
+        """Hash of the raw document without its output block."""
+        blob = json.dumps({k: v for k, v in self.raw.items() if k != "output"},
+                          sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -102,8 +102,8 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
     reflection is unity ("rTE1") or vanishes ("rTE0").  The regime is that of
     alpha = lambda_ph / d (_regime); in the crossover ParameterError.
 
-    low-T/small-d:  -pi^2 hbar c / 240 d^4  (+ zeta3 kB T / 8 pi d^3 for rTE0)
-    high-T/large-d: -zeta3 kB T / 4 pi d^3  (rTE1)  or half of it (rTE0).
+    low-T/small-d:  -pi^2 hbar c / 240 d^4  (minus leading_force for rTE0)
+    high-T/large-d: twice leading_force (rTE1) or leading_force (rTE0).
     """
     if mode not in ("rTE1", "rTE0"):
         raise ParameterError("mode must be 'rTE1' or 'rTE0'")
@@ -113,15 +113,12 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
     regime = _regime(alpha)
     if regime == "crossover":
         raise ParameterError(f"alpha = {alpha:.3g} lies in the crossover")
-    kt = 1.0 / thermo.beta
-    if regime == "low-T/small-d":
+    if regime == "high-T/large-d":
+        force = (2.0 if mode == "rTE1" else 1.0) * leading_force(thermo, d)
+    else:
         force = -np.pi**2 * thermo.hbar * thermo.c / (240.0 * _power(d, 4))
         if mode == "rTE0":
-            force = force + ZETA3 * kt / (8.0 * np.pi * _power(d, 3))
-    elif mode == "rTE1":
-        force = -ZETA3 * kt / (4.0 * np.pi * _power(d, 3))
-    else:
-        force = -ZETA3 * kt / (8.0 * np.pi * _power(d, 3))
+            force = force - leading_force(thermo, d)
     return _finite_nonzero(force, f"the {mode} {regime} force at d = {d!r}")
 
 

@@ -21,7 +21,7 @@ of the interplate screened potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,9 +133,11 @@ class _PairPlan:
 def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
     """Plan of the pairs (i, l); given their cell offsets, only the band is kept:
     offsets up to the largest of a near (neither above nor below) pair."""
-    half = 0.5 * basis.h
-    w_lo = (basis.x + basis.xi_lo)[i] - basis.xi_hi[l]
-    w_hi = (basis.x + basis.xi_hi)[i] - basis.xi_lo[l]
+    half, xi_lo, xi_hi = 0.5 * basis.h, np.empty(basis.size), np.empty(basis.size)
+    for idx, xi, _ in basis.groups:       # nodes sorted by xi: each path's range
+        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
+    w_lo = (basis.x + xi_lo)[i] - xi_hi[l]
+    w_hi = (basis.x + xi_hi)[i] - xi_lo[l]
     above = w_lo >= basis.x[l] + half
     near = ~above & (w_hi > basis.x[l] - half)
     within = near & (w_lo >= basis.x[l] - half) & (w_hi <= basis.x[l] + half)
@@ -178,39 +180,36 @@ class LoopBasis:
     """Discretized phase space for the screened solve: one entry per
     (x-cell, species, charge number, path sample), in cell order.
 
-    Struct of arrays: x, xi_lo and xi_hi give each entry's slab-normal
-    position (its cell center) and the range of its normal excursion
-    xi = lambda X_1 (0 lies in it: paths are pinned).  The open-grid node
-    arrays are stacked per charge number p: groups[g] = (entry indices,
-    xi (n_g, N), y (n_g, N), ds), y the in-plane excursion along the
-    wavevector (k, 0); group[n] and slot[n] locate entry n in them.  Within
+    Struct of arrays: entry n lies in the cell cell[n] of the ascending
+    centers x_cells.  The open-grid node arrays are stacked per charge number
+    p: groups[g] = (entry indices, xi (n_g, N), y (n_g, N)), xi = lambda X_1
+    the normal excursion (0 lies in its range: paths are pinned) and y the
+    in-plane excursion along the wavevector (k, 0), each node weighted by
+    ds = 1 / n_steps; group[n] and slot[n] locate entry n in them.  Within
     each path the nodes are sorted by xi (every kernel here is a sum over all
     nodes, so their time order does not enter).  The k-independent pair plan
     is kept here on first use.
     """
 
-    x: np.ndarray            # cell centers
-    xi_lo: np.ndarray
-    xi_hi: np.ndarray
+    x_cells: np.ndarray      # cell centers, ascending
+    cell: np.ndarray         # index into x_cells
     groups: tuple
     group: np.ndarray
     slot: np.ndarray
     h: float                 # cell width
+    ds: float                # node weight
     charge: np.ndarray
     pnum: np.ndarray
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
-    x_cells: np.ndarray = field(init=False, repr=False)   # ascending
-    cell: np.ndarray = field(init=False, repr=False)      # index into x_cells
 
-    def __post_init__(self):
-        if np.any(np.diff(self.x) < 0.0):
-            raise ParameterError("basis entries must be in cell order")
-        self.x_cells, self.cell = np.unique(self.x, return_inverse=True)
+    @property
+    def x(self) -> np.ndarray:     # each entry's cell center
+        return self.x_cells[self.cell]
 
     @property
     def size(self) -> int:
-        return self.x.size
+        return self.cell.size
 
     @property
     def matrix_weight(self) -> np.ndarray:
@@ -223,7 +222,8 @@ class LoopBasis:
         offset m, w - x_l lies within m h -/+ the excursion spread, so only
         offsets below spread / h + 1/2 (contiguous columns per row) can hold
         near pairs."""
-        spread = self.xi_hi.max() - self.xi_lo.min()
+        spread = (max(xi[:, -1].max() for _, xi, _ in self.groups)
+                  - min(xi[:, 0].min() for _, xi, _ in self.groups))
         reach = int(np.fmin(np.ceil(spread / self.h + 0.5), self.x_cells.size))
         start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
         lo = start[np.maximum(self.cell - reach, 0)]
@@ -240,44 +240,33 @@ class LoopBasis:
 
 
 def build_loop_basis(profile: DensityProfile, width: float, nx: int,
-                     n_paths: int = 8, n_steps: int = 16, seed: int = 0,
-                     point_paths: bool = False) -> LoopBasis:
+                     n_paths: int, n_steps: int, seed: int) -> LoopBasis:
     """Assemble the basis of the slab [-width, 0] on nx midpoint cells, filled
     with the profile's plasma; its inner face x = 0 holds the border charge.
 
-    point_paths=True collapses every path to the degenerate classical wire
-    (the monopole sector); otherwise each (species, p) cell carries n_paths
-    pinned bridges, entry i drawn from the substream [seed, i].  The path
-    nodes are kept stacked per charge number and sorted by xi.
+    Each (species, p) cell carries n_paths pinned bridges, entry i drawn from
+    the substream [seed, i]; a species with lambda_ = 0 is a point charge,
+    its wire collapsed onto its position.  The path nodes are kept stacked
+    per charge number and sorted by xi.
     """
-    cells, h = _slab_cells(width, nx)
-    count = 1 if point_paths else n_paths
-    rows, by_p = [], {}
-    for xc in cells:
-        for entry in profile.cells:
-            idx, draws = by_p.setdefault(entry.p, ([], []))
-            for _ in range(count):
-                idx.append(len(rows))
-                draws.append(np.zeros((entry.p * n_steps + 1, 3)) if point_paths
-                             else sample_bridge(entry.p, n_steps, [seed, len(rows)]))
-                rows.append((float(xc), entry.species.charge, entry.p,
-                             entry.loop_density * h / count, entry.species.lambda_))
-    x, charge, pnum, measure, lam = (np.array(col) for col in zip(*rows))
-    xi_lo, xi_hi = np.empty(x.size), np.empty(x.size)
-    group, slot = np.empty(x.size, dtype=int), np.empty(x.size, dtype=int)
+    x_cells, h = _slab_cells(width, nx)
+    entry = np.tile(np.repeat(np.arange(len(profile.cells)), n_paths), nx)
+    columns = zip(*((c.species.charge, c.p, c.loop_density, c.species.lambda_)
+                    for c in profile.cells))
+    charge, pnum, density, lam = (np.array(col)[entry] for col in columns)
+    group, slot = np.empty(entry.size, dtype=int), np.empty(entry.size, dtype=int)
     groups = []
-    for g, (p, (idx, draws)) in enumerate(sorted(by_p.items())):
-        idx, path = np.array(idx), np.stack(draws)
-        xi = lam[idx, None] * path[:, :-1, 0]
-        y = lam[idx, None] * path[:, :-1, 1]
+    for g, p in enumerate(np.unique(pnum)):
+        idx = np.nonzero(pnum == p)[0]
+        path = np.stack([sample_bridge(int(p), n_steps, [seed, int(i)]) for i in idx])
+        xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
-        xi = np.take_along_axis(xi, order, axis=1)
-        y = np.take_along_axis(y, order, axis=1)
-        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
+        xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))
         group[idx], slot[idx] = g, np.arange(idx.size)
-        groups.append((idx, xi, y, p / (path.shape[1] - 1)))
-    return LoopBasis(x=x, xi_lo=xi_lo, xi_hi=xi_hi, groups=tuple(groups), group=group,
-                     slot=slot, h=h, charge=charge, pnum=pnum, measure=measure,
+        groups.append((idx, xi, y))
+    return LoopBasis(x_cells=x_cells, cell=np.repeat(np.arange(nx), entry.size // nx),
+                     groups=tuple(groups), group=group, slot=slot, h=h, ds=1.0 / n_steps,
+                     charge=charge, pnum=pnum, measure=density * h / n_paths,
                      beta=profile.beta)
 
 
@@ -298,12 +287,12 @@ def _side_sums(basis: LoopBasis, k):
     """
     sums = np.empty((3, basis.size), dtype=complex)
     nodes = []
-    for idx, xi, y, ds in basis.groups:
+    for idx, xi, y in basis.groups:
         a = np.exp(1j * k * y)
         em, ep = np.expm1(-k * xi), np.expm1(k * xi)
-        sums[0, idx] = ds * np.sum(a, axis=1)
-        sums[1, idx] = ds * np.sum(a * em, axis=1)
-        sums[2, idx] = ds * np.sum(a * ep, axis=1)
+        sums[0, idx] = basis.ds * np.sum(a, axis=1)
+        sums[1, idx] = basis.ds * np.sum(a * em, axis=1)
+        sums[2, idx] = basis.ds * np.sum(a * ep, axis=1)
         nodes.append((a, em, ep))
     return sums, nodes
 
@@ -330,8 +319,7 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
         total = (cell * np.exp(-k * gap) * upto_above[..., 0]
                  + cell * np.exp(k * gap) * (table[at_end, 1] - upto_below[..., 1])
                  - (e_lo * inner[..., 0] + e_hi * inner[..., 1] + inner[..., 2]) / k)
-        vals[batch] = (basis.groups[gr][3] * basis.groups[gc][3]
-                       * np.sum(nodes[gr][0][s] * total, axis=1))
+        vals[batch] = basis.ds * basis.ds * np.sum(nodes[gr][0][s] * total, axis=1)
     return vals
 
 
@@ -439,9 +427,9 @@ def source_column(basis: LoopBasis, x_src: float, k) -> np.ndarray:
     ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
     k = _wavenumber(k)
     out = np.empty(basis.size, dtype=complex)
-    for idx, xi, y, ds in basis.groups:
+    for idx, xi, y in basis.groups:
         w = basis.x[idx, None] + xi - x_src
-        out[idx] = ds * np.sum(np.exp(1j * k * y) * np.exp(-k * np.abs(w)), axis=1)
+        out[idx] = basis.ds * np.sum(np.exp(1j * k * y) * np.exp(-k * np.abs(w)), axis=1)
     return (2.0 * np.pi / k) * out
 
 

@@ -28,6 +28,15 @@ def neutral_profile(thermo, species_pair):
 
 
 @pytest.fixture(scope="session")
+def point_profile(thermo):
+    # neutral_profile's plasma with lambda = 0: classical point charges
+    rho = 1.0 / (8.0 * np.pi)
+    cells = (scr.SpeciesDensity(lo.SpeciesParams("plus", +1.0, 1.0), 1, rho),
+             scr.SpeciesDensity(lo.SpeciesParams("minus", -1.0, 2.0), 1, rho))
+    return scr.DensityProfile(beta=thermo.beta, cells=cells)
+
+
+@pytest.fixture(scope="session")
 def big_thermo():
     # order-one de Broglie lengths for kernel-level probes
     return lo.ThermoState(beta=1.0, hbar=0.5, c=12.0)

@@ -15,11 +15,11 @@ def _kseq(kappa, k0_factor=0.2, n=6):
 
 # ------------------------------------------------------- geometry, densities
 
-def test_loop_basis_cells_and_input_checks(neutral_profile):
+def test_loop_basis_cells_and_input_checks(point_profile):
     # the slab [-w, 0] on nx midpoint cells; its inner face x = 0 is the border
     w, nx = 5.0, 8
-    basis = scr.build_loop_basis(neutral_profile, w, nx, point_paths=True,
-                                 n_steps=4)
+    basis = scr.build_loop_basis(point_profile, w, nx, n_paths=1, n_steps=4,
+                                 seed=0)
     assert np.array_equal(basis.x_cells, -w + (w / nx) * (np.arange(nx) + 0.5))
     assert basis.h == w / nx
     assert basis.x_cells[0] == pytest.approx(-4.6875)
@@ -27,8 +27,8 @@ def test_loop_basis_cells_and_input_checks(neutral_profile):
     for width, cells in ((0.0, nx), (-1.0, nx), (np.inf, nx), (np.nan, nx),
                          (w, 1), (w, 0)):
         with pytest.raises(ParameterError):
-            scr.build_loop_basis(neutral_profile, width, cells, point_paths=True,
-                                 n_steps=4)
+            scr.build_loop_basis(point_profile, width, cells, n_paths=1,
+                                 n_steps=4, seed=0)
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -90,7 +90,7 @@ def _entry_loop(basis, i, cells, n_steps, seed):
     assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
     lam = entry.species.lambda_
     order = np.argsort(lam * loop.path[:-1, 0], kind="stable")
-    _, xi, y, _ = basis.groups[basis.group[i]]
+    _, xi, y = basis.groups[basis.group[i]]
     assert np.array_equal(xi[basis.slot[i]], lam * loop.path[:-1, 0][order])
     # one in-plane coordinate per node, the one along the wavevector (k, 0)
     assert np.array_equal(y[basis.slot[i]], lam * loop.path[:-1, 1][order])
@@ -196,10 +196,10 @@ def test_coupled_solve_with_gap_matches_dense_solve():
     assert np.max(np.abs(phi_ab - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_pair_classes_of_point_basis(thermo, neutral_profile):
+def test_pair_classes_of_point_basis(point_profile):
     # degenerate paths: same-cell pairs are inside, all others far
-    basis = scr.build_loop_basis(neutral_profile, 6.0, 6, point_paths=True,
-                                 n_steps=4)
+    basis = scr.build_loop_basis(point_profile, 6.0, 6, n_paths=1, n_steps=4,
+                                 seed=0)
     assert basis.pair_class_counts() == {"above_below": 144 - 24,
                                          "inside": 24, "straddling": 0}
 
@@ -325,16 +325,16 @@ def test_no_screening_returns_bare_kernel(thermo, species_pair):
             scr.source_column(basis, 0.0, bad)
 
 
-def test_loop_solver_agrees_with_classical_on_point_basis(neutral_profile):
-    basis = scr.build_loop_basis(neutral_profile, 6.0, 24, point_paths=True,
-                                 n_steps=4)
+def test_loop_solver_agrees_with_classical_on_point_basis(point_profile):
+    basis = scr.build_loop_basis(point_profile, 6.0, 24, n_paths=1, n_steps=4,
+                                 seed=0)
     k = 0.37
     rhs = scr.source_column(basis, 0.0, k)
     phi_loop = scr.assemble_kernel_matrix(basis, k).solve(rhs)
     # classical aggregation: same x-cells, kappa^2 summed over species
     xc = basis.x_cells
     phi_cl = scr.classical_slab_solve(xc, basis.h,
-                                      np.full(xc.size, neutral_profile.kappa2()),
+                                      np.full(xc.size, point_profile.kappa2()),
                                       k, np.array([0.0]))[:, 0]
     # point basis holds one entry per (cell, species); both species carry the
     # same solution column, equal to the classical one
