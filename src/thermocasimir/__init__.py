@@ -5,8 +5,11 @@ photon field: pinned Brownian paths, their pair kernels, Debye-Hueckel-type
 screening in slab geometry, perfect-screening sum rules, and the universal
 large-separation force assembly.
 
-Importing the package loads numpy and the standard library only: each scipy
-import sits inside the function that uses it.
+Importing the package loads numpy and the standard library only.  The
+quadratures (the Gauss-Legendre rule, the oracles' panel integrals, J0 and
+its zeros) are numpy code in the private module _quadrature; the one scipy
+import, scipy.sparse for the screened solve's LU, sits inside the function
+that uses it.
 """
 from .errors import (ConfigError, ContractViolationError, ParameterError,
                      SingularArgumentError, SolverError)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quadrature import (bessel_j0, gauss_legendre, gauss_panels, j0_zeros,
+                          oscillating_integral)
 from .errors import ContractViolationError, ParameterError, SingularArgumentError
 from .loops import Loop, ThermoState
 
@@ -209,10 +211,8 @@ def coulomb_force_kernel(x1, x2, q, d):
 
 def coulomb_force_kernel_oracle(x1, x2, q, d):
     """Hankel-transform oracle: radial quadrature of the in-plane transform of
-    d/dx1 1/|r|, split at the first 80 Bessel zeros with 12 rounds of
-    repeated-averaging acceleration of the alternating tail."""
-    from scipy.integrate import fixed_quad, quad
-    from scipy.special import j0, jn_zeros
+    d/dx1 1/|r|, on Gauss panels split at the first 81 zeros of J0, with 12
+    rounds of repeated-averaging acceleration of the alternating tail."""
     k = q / d
     X = x1 - x2 - d
     if k == 0.0:
@@ -220,17 +220,9 @@ def coulomb_force_kernel_oracle(x1, x2, q, d):
     aX = abs(X)
 
     def f(y):
-        return y * aX * (X * X + y * y) ** -1.5 * j0(k * y)
+        return y * aX * (X * X + y * y) ** -1.5 * bessel_j0(k * y)
 
-    edges = jn_zeros(0, 81) / k
-    # the head interval can contain the whole (non-oscillatory) peak at y ~ |X|
-    head, _ = quad(f, 0.0, edges[0], limit=200)
-    terms = np.array([fixed_quad(f, edges[i], edges[i + 1], n=24)[0]
-                      for i in range(80)])
-    s = head + np.cumsum(terms)
-    for _ in range(12):
-        s = 0.5 * (s[:-1] + s[1:])
-    return 2.0 * np.pi * s[-1]
+    return 2.0 * np.pi * oscillating_integral(f, aX, j0_zeros() / k)
 
 
 def v_transverse_partial(x, qvec, mu, nu):
@@ -251,13 +243,15 @@ def v_transverse_partial(x, qvec, mu, nu):
 
 
 def v_transverse_partial_oracle(x, qvec, mu, nu):
-    """Adaptive-quadrature oracle for v_transverse_partial: 1D Fourier integral
-    of the rational transverse kernel, even/odd split with explicit oscillatory
-    weights and infinite-range tail handling."""
-    from scipy.integrate import quad
+    """Quadrature oracle for v_transverse_partial: 1D Fourier integral of the
+    rational transverse kernel, split into its even (cosine) and odd (sine)
+    parts, each on Gauss panels between the zeros of its trigonometric
+    factor with repeated averaging of the alternating tail; at |x| <= 1e-12
+    the plain integral of the even part, mapped by k1 = q tan t."""
     qvec = np.asarray(qvec, dtype=float)
     qx, qy = float(qvec[0]), float(qvec[1])
-    if qx == 0.0 and qy == 0.0:
+    q = np.hypot(qx, qy)
+    if q == 0.0:
         raise SingularArgumentError("oracle undefined at q = 0")
 
     def entry(k1):
@@ -272,12 +266,16 @@ def v_transverse_partial_oracle(x, qvec, mu, nu):
     def odd(k1):
         return 0.5 * (entry(k1) - entry(-k1))
 
-    if abs(x) > 1e-12:
-        re, _ = quad(even, 0, np.inf, weight="cos", wvar=x, limit=400)
-        im, _ = quad(odd, 0, np.inf, weight="sin", wvar=x, limit=400)
-    else:
-        re, _ = quad(even, 0, np.inf, limit=400)
-        im = 0.0
+    ax = abs(x)
+    if ax <= 1e-12:
+        re = gauss_panels(lambda t: even(q * np.tan(t)) * q / np.cos(t) ** 2,
+                          [0.0, 0.5 * np.pi]).sum()
+        return complex(re / np.pi)
+    m = np.arange(81)
+    re = oscillating_integral(lambda k1: even(k1) * np.cos(k1 * x), q,
+                              (m + 0.5) * np.pi / ax)
+    im = oscillating_integral(lambda k1: odd(k1) * np.sin(k1 * x), q,
+                              (m + 1.0) * np.pi / ax)
     return (re + 1j * im) / np.pi
 
 
@@ -433,8 +431,9 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     At vanishing in-plane wavevector the transverse projector decouples from
     k1, the integrand is analytic at k1 = 0 (closed-path telescoping removes
     the would-be Coulomb singularity), and the transform decays faster than
-    any inverse power of X.  Evaluated on an n_quad-node Gauss grid resolving
-    the oscillation at the largest requested X: one stacked wm_pair_fourier
+    any inverse power of X.  Evaluated on an n_quad-node Gauss-Legendre rule
+    on [0, 4 k_cut] (built once per n_quad and cached) resolving the
+    oscillation at the largest requested X: one stacked wm_pair_fourier
     call on the (k1, 0, 0) nodes, then the transform to every X as one matrix
     product with the node weights.
 
@@ -443,10 +442,9 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     has decayed, m is the cancellation of terms far larger than itself, and
     values with |m| <= floor carry no digits of the kernel.
     """
-    from scipy.special import roots_legendre
     x_values = np.asarray(x_values, dtype=float)
     k_max = 4.0 * form_factor.k_cut
-    nodes, weights = roots_legendre(n_quad)
+    nodes, weights = gauss_legendre(n_quad)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights / np.pi
     K = np.zeros((n_quad, 3))

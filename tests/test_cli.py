@@ -306,33 +306,46 @@ def test_report_hash_independent_of_blas_threads(fast_config):
 
 
 _SCIPY_MODULES = """
-import json, sys
+import contextlib, io, json, sys
 import thermocasimir, thermocasimir.cli
 from thermocasimir.config import load_config
-from thermocasimir.pipeline import run_pipeline
+from thermocasimir.force import zeta3_quadrature
+from thermocasimir.pipeline import run_pipeline, verify_suite
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+stages = {}
 config = load_config(json.loads(sys.argv[1]))
-print(json.dumps(scipy_modules()))
+stages["load"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    thermocasimir.cli.main(["zeta3"])
+stages["zeta3_verb"] = scipy_modules()
 run_pipeline(config)
-print(json.dumps(scipy_modules()))
+stages["run"] = scipy_modules()
+zeta3_quadrature()
+stages["zeta3_quadrature"] = scipy_modules()
+verify_suite(config)
+stages["verify"] = scipy_modules()
+print(json.dumps(stages))
 """
 
 
 def test_cold_start_imports_no_scipy(fast_config):
-    # importing the package and loading a config load no scipy module, and a
-    # run with the magnetic probe loads neither scipy.integrate nor
-    # scipy.optimize (every scipy import sits inside the function using it)
+    # importing the package, loading a config and the zeta3 verb load no
+    # scipy module; a run with the magnetic probe loads no scipy.special, and
+    # neither it nor verify_suite nor zeta3_quadrature loads scipy.integrate,
+    # scipy.optimize or scipy.special (the quadratures are numpy; the only
+    # scipy import left is the sparse LU of the screened solve)
     src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, json.dumps(fast_config)],
                           env=dict(os.environ, PYTHONPATH=src_dir),
                           capture_output=True, text=True, timeout=600, check=True)
-    after_load, after_run = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
-    assert after_load == []
-    assert not [m for m in after_run
-                if m.startswith(("scipy.integrate", "scipy.optimize"))]
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert stages["load"] == [] and stages["zeta3_verb"] == []
+    for stage in ("run", "zeta3_quadrature", "verify"):
+        assert not [m for m in stages[stage] if m.startswith(
+            ("scipy.integrate", "scipy.optimize", "scipy.special"))], stage
 
 
 def test_pipeline_reproducibility(fast_config):
