@@ -9,13 +9,17 @@
 # in-plane wavenumber goes to zero: the screening cloud carries exactly the
 # opposite charge.
 # This identity is what makes the asymptotic force universal.
+# One solver serves both parts: a classical plasma is a basis of point charges
+# (de Broglie length lambda_ = 0), one entry per cell, whose solve is checked
+# against the homogeneous closed form first.
 
 import numpy as np
 
 from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
                            ThermoState, build_loop_basis,
                            check_perfect_screening)
-from thermocasimir.screening import bulk_phi_analytic, classical_slab_solve
+from thermocasimir.screening import (assemble_kernel_matrix, bulk_phi_analytic,
+                                     source_column)
 
 thermo = ThermoState(beta=1.0, hbar=0.02, c=100.0)
 plus = SpeciesParams.from_thermo("plus", +1.0, 1.0, thermo)
@@ -27,12 +31,17 @@ print(f"plasma: kappa^2 = {profile.kappa2():.3f}, "
       f"net charge density: {profile.charge_density():.3g}")
 
 print("\n=== solver sanity: wide slab against the homogeneous closed form ===")
-n, span, k = 1200, 30.0, 0.7
-h = span / n
-xc = -span / 2 + h / 2 + h * np.arange(n)
-phi = classical_slab_solve(xc, h, np.ones(n), k, np.array([0.0]))[:, 0]
-mask = np.abs(xc) < 2.0
-exact = bulk_phi_analytic(xc[mask], 0.0, k, 1.0)
+# the same kappa^2 = 1 carried by one unit-charge point species
+point = SpeciesParams("point", 1.0, 1.0)              # lambda_ = 0
+classical = DensityProfile(beta=1.0, cells=(
+    SpeciesDensity(point, 1, 1.0 / (4.0 * np.pi)),))
+span, k = 30.0, 0.7
+wide = build_loop_basis(classical, span, 1200, n_paths=1, n_steps=2, seed=0)
+x_src = -span / 2                                    # the middle of [-span, 0]
+phi = assemble_kernel_matrix(wide, k).solve(source_column(wide, x_src, k)).real
+xc = wide.x_cells
+mask = np.abs(xc - x_src) < 2.0
+exact = bulk_phi_analytic(xc[mask], x_src, k, 1.0)
 print(f"max relative deviation in the bulk region: "
       f"{np.max(np.abs(phi[mask] - exact) / exact):.2e}")
 

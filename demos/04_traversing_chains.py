@@ -4,21 +4,27 @@
 # Chains of wire-kernel links that cross the gap an odd number of times resum
 # into (q / 4 pi sinh q) / d times a product of single-plate border columns.
 # This demo solves the coupled two-slab system exactly and watches the
-# deviation from the factorized form die off like 1/d.
+# deviation from the factorized form die off like 1/d.  The plasma is
+# classical: one unit-charge point species (lambda_ = 0), one basis entry per
+# cell, solved by the same screened solver as the loop-resolved plasmas; the
+# far slab is the near slab's basis moved across the gap.
 
 import numpy as np
 
-from thermocasimir import factorize_phi_ab
+from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
+                           build_loop_basis, factorize_phi_ab)
 from thermocasimir.force import fit_loglog_slope
-from thermocasimir.screening import (classical_slab_solve,
+from thermocasimir.screening import (assemble_kernel_matrix,
                                      coupled_two_slab_solve,
                                      geometric_chain_prefactor,
-                                     richardson_extrapolate)
+                                     richardson_extrapolate, source_column)
 
 kappa, a, q = 1.0, 6.0, 1.0
 nx = 300
-h = a / nx
-xa = -a + h / 2 + h * np.arange(nx)
+point = SpeciesParams("point", 1.0, 1.0)              # lambda_ = 0
+plasma = DensityProfile(beta=1.0, cells=(
+    SpeciesDensity(point, 1, kappa**2 / (4.0 * np.pi)),))
+basis = build_loop_basis(plasma, a, nx, n_paths=1, n_steps=2, seed=0)
 
 print("=== resummed chain weight: geometric series of odd crossings ===")
 d0 = 100.0
@@ -29,8 +35,7 @@ print(f"series over 2n+1 crossings: {partial:.16e}")
 print(f"closed form q/(4 pi d sinh q): {closed:.16e}")
 
 print("\n=== single-plate border column, extrapolated to zero wavenumber ===")
-cols = [classical_slab_solve(xa, h, np.full(nx, kappa**2), k,
-                             np.array([0.0]))[:, 0]
+cols = [assemble_kernel_matrix(basis, k).solve(source_column(basis, 0.0, k)).real
         for k in (0.2 / 2**n for n in range(6))]
 phi_a0, corr = richardson_extrapolate(cols)
 phi_a0 = np.real(phi_a0)
@@ -43,7 +48,7 @@ print(f"{'d/lambda_s':>10} {'median rel deviation':>22}")
 dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])
 devs = []
 for d in dlist:
-    _, _, phi_ab = coupled_two_slab_solve(a, nx, d, kappa**2, q / d)
+    phi_ab = coupled_two_slab_solve(basis, d, q / d)
     fact = factorize_phi_ab(phi_a0, phi_b0, q, d)
     sel_i, sel_j = [nx - 1, nx - 10, nx - 40], [0, 9, 39]
     devs.append(np.median([abs(phi_ab[i, j] - fact[i, j]) / abs(fact[i, j])

@@ -116,23 +116,31 @@ def _hierarchy(config: RunConfig, lam_s: float) -> dict:
             "satisfied": {k: bool(v < _HIERARCHY_FACTOR) for k, v in ratios.items()}}
 
 
+def _point_basis(kappa2: float, width: float, nx: int) -> scr.LoopBasis:
+    """The classical plasma of this kappa^2 on the slab [-width, 0]: one unit-charge
+    point species (lambda_ = 0, density kappa^2 / 4 pi, beta = 1), one entry per cell."""
+    point = loops_mod.SpeciesParams("point", 1.0, 1.0)
+    plasma = scr.DensityProfile(1.0, (scr.SpeciesDensity(point, 1, kappa2 / (4.0 * np.pi)),))
+    return scr.build_loop_basis(plasma, width, nx, 1, 2, 0)
+
+
+def _screened_column(basis: scr.LoopBasis, x_src: float, k: float) -> np.ndarray:
+    """The screened solve against a unit point charge at x_src (real on a point basis)."""
+    return scr.assemble_kernel_matrix(basis, k).solve(scr.source_column(basis, x_src, k)).real
+
+
 def _grid_doubling_table(config: RunConfig) -> dict:
     """Grid-convergence record: relative change of the classical border column
     under doubling of the cell count, evaluated away from the border cusp; a
     record that overflows (slab too thick for k = 0.1 kappa) raises ParameterError."""
-    kappa2 = config.profile.kappa2()
-    nx = config.numerics["nx"]
-    cols = []
-    for n in (nx, 2 * nx):
-        h = config.a / n
-        xc = -config.a + h / 2 + h * np.arange(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cols.append((xc, scr.classical_slab_solve(
-                xc, h, np.full(n, kappa2), 0.1 * float(np.sqrt(kappa2)), [0.0])[:, 0]))
-    (xc, coarse), (xf, fine) = cols
-    interp = np.interp(xc, xf, fine)
-    mask = xc < -2.0 * config.a / nx
-    delta = float(np.max(np.abs(interp - coarse)[mask] / np.abs(interp)[mask]))
+    kappa2, nx = config.profile.kappa2(), config.numerics["nx"]
+    k = 0.1 * float(np.sqrt(kappa2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, fine = (_point_basis(kappa2, config.a, n) for n in (nx, 2 * nx))
+        interp = np.interp(coarse.x_cells, fine.x_cells, _screened_column(fine, 0.0, k))
+        change = np.abs(interp - _screened_column(coarse, 0.0, k))
+    mask = coarse.x_cells < -2.0 * config.a / nx
+    delta = float(np.max(change[mask] / np.abs(interp)[mask]))
     if not math.isfinite(delta):
         raise ParameterError(f"the grid-doubling record of slab a is {delta!r}, "
                              "not finite: the slab is too thick for k = 0.1 kappa")
@@ -171,7 +179,8 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     assembled force, the magnetic remainder bound and the regime references.
     The results are certified when both sum-rule residuals are below
     residual_tolerance (a NaN residual never is).
-    A configuration without a screening medium (kappa = 0) raises ConfigError.
+    Without a screening medium (kappa = 0) it raises ConfigError, and with
+    an electrostatic capacitor term that overflows, ParameterError.
     """
     t_start = time.perf_counter()
     kappa = np.sqrt(config.profile.kappa2())
@@ -179,12 +188,13 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
+    sigma = config.profile.charge_density()
+    capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
+    if not math.isfinite(capacitor_el):
+        raise ParameterError(f"electrostatic capacitor term {capacitor_el!r} is not finite")
     plates = _plate_brackets(config, kappa, config.numerics["nx"],
                              config.numerics["n_paths_kernel"])
     brackets = plates["brackets"]
-
-    sigma = config.profile.charge_density()
-    capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     mag_exponent = None
     mag_fit = None
     wab_scale = 0.0
@@ -403,14 +413,11 @@ def verify_suite(config: RunConfig) -> dict:
     if kappa2 > 0.0:
         kappa = float(np.sqrt(kappa2))
         k_seq = _k_sequence(kappa, config.numerics)
-        n = 1200
         span = 30.0 / kappa
-        h = span / n
-        xc = -span / 2 + h / 2 + h * np.arange(n)
-        phi = scr.classical_slab_solve(xc, h, np.full(n, kappa2), 0.7 * kappa,
-                                       np.array([0.0]))[:, 0]
-        mask = np.abs(xc) < 2.0 / kappa
-        exact = scr.bulk_phi_analytic(xc[mask], 0.0, 0.7 * kappa, kappa)
+        bulk = _point_basis(kappa2, span, 1200)
+        phi = _screened_column(bulk, -span / 2, 0.7 * kappa)
+        mask = np.abs(bulk.x_cells + span / 2) < 2.0 / kappa
+        exact = scr.bulk_phi_analytic(bulk.x_cells[mask], -span / 2, 0.7 * kappa, kappa)
         rel = float(np.max(np.abs(phi[mask] - exact) / exact))
         checks.append(_check("bulk_phi_analytic", rel, 2e-4))
 

@@ -12,16 +12,16 @@ of near-cell pairs plus a rank-1 semiseparable far field, embedded in one
 sparse LU.  The basis pairs are classified once per basis (entirely above or
 below the source cell, inside it, or straddling a face) and each class is
 summed exactly without a pair loop; the source column of a unit point charge
-is a direct node sum.
-The module also provides the k-sweep (solves along the wavenumber sequence,
-Richardson-extrapolated to zero, giving the perfect-screening residuals),
-the classical two-slab solve and the factorized large-separation closed form
-of the interplate screened potential.
+is a direct node sum.  A classical plasma is a basis of point charges, species
+with lambda_ = 0.  The module also provides the k-sweep (solves along the
+wavenumber sequence, Richardson-extrapolated to zero, giving the perfect-
+screening residuals), the two-slab solve of any slab basis joined with its
+moved copy and the factorized closed form of the interplate screened potential.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "build_loop_basis",
     "assemble_kernel_matrix",
     "source_column",
-    "classical_slab_solve",
     "coupled_two_slab_solve",
     "bulk_phi_analytic",
     "richardson_extrapolate",
@@ -247,9 +246,11 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
 
     Each (species, p) cell carries n_paths pinned bridges, entry i drawn from
     the substream [seed, i]; a species with lambda_ = 0 is a point charge,
-    its wire collapsed onto its position.  The path nodes are kept stacked
-    per charge number and sorted by xi.
+    its wire collapsed onto its position, so its entries draw nothing.  The
+    path nodes are kept stacked per charge number and sorted by xi.
     """
+    if n_steps < 2:
+        raise ParameterError(f"need n_steps >= 2, got {n_steps!r}")
     x_cells, h = _slab_cells(width, nx)
     entry = np.tile(np.repeat(np.arange(len(profile.cells)), n_paths), nx)
     columns = zip(*((c.species.charge, c.p, c.loop_density, c.species.lambda_)
@@ -259,7 +260,9 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     groups = []
     for g, p in enumerate(np.unique(pnum)):
         idx = np.nonzero(pnum == p)[0]
-        path = np.stack([sample_bridge(int(p), n_steps, [seed, int(i)]) for i in idx])
+        path = np.zeros((idx.size, int(p) * n_steps + 1, 3))
+        for row in np.nonzero(lam[idx] > 0.0)[0]:    # a point charge's nodes are 0
+            path[row] = sample_bridge(int(p), n_steps, [seed, int(idx[row])])
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
         xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))
@@ -435,42 +438,33 @@ def source_column(basis: LoopBasis, x_src: float, k) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# classical (monopole-sector) solver and references
+# two slabs and the homogeneous reference
 # ----------------------------------------------------------------------------
 
-def classical_slab_solve(x_cells, h, kappa2_cells, k, x_sources):
-    """Monopole-sector solve on cells of width h whose centers ascend by at
-    least h / 2 (gaps allowed): Phi[node, source] for unit point charges at
-    x_sources, the kernel integrated exactly over each source cell.  A cell
-    center lies outside every other cell, so the band is the cell itself."""
-    x_cells = np.asarray(x_cells, dtype=float)
-    if k <= 0.0:
-        raise SingularArgumentError("classical solve needs k > 0")
-    if np.any(np.diff(x_cells) < 0.5 * h):
-        raise ParameterError("cell centers must ascend by at least h / 2")
-    weight = np.asarray(kappa2_cells, dtype=float) / (2.0 * k)   # kappa^2/4pi 2pi/k
-    w, idx = (2.0 * np.sinh(0.5 * k * h) / k) * weight, np.arange(x_cells.size)
-    op = KernelOperator(k=k, x_cells=x_cells, cell=idx, band=0,
-                        entries=(idx, idx, -2.0 * np.expm1(-0.5 * k * h) / k * weight),
-                        far=(np.ones(idx.size), w, np.ones(idx.size), w))
-    return op.solve((2.0 * np.pi / k) * np.exp(-k * np.abs(
-        x_cells[:, None] - np.atleast_1d(np.asarray(x_sources, dtype=float))[None, :])))
+def _joined(basis: LoopBasis, d: float) -> LoopBasis:
+    """The basis's slab [-width, 0] joined with its copy moved by width + d to
+    [d, d + width], in cell order: the copy reuses every draw, its path
+    groups appended per charge number with slots offset by the group sizes."""
+    n, nx, sizes = basis.size, basis.x_cells.size, [g[0].size for g in basis.groups]
+    both = {name: np.tile(getattr(basis, name), 2) for name in ("charge", "pnum", "measure")}
+    return replace(basis, **both, group=np.tile(basis.group, 2),
+                   x_cells=np.append(basis.x_cells, basis.x_cells + (nx * basis.h + d)),
+                   cell=np.append(basis.cell, basis.cell + nx),
+                   slot=np.append(basis.slot, basis.slot + np.take(sizes, basis.group)),
+                   groups=tuple((np.append(idx, idx + n), np.vstack([xi, xi]),
+                                 np.vstack([y, y])) for idx, xi, y in basis.groups))
 
 
-def coupled_two_slab_solve(width, nx, d, kappa2, k):
-    """Classical solve of two equal slabs [-width, 0] and [d, d + width] of
-    one plasma (kappa2), each on nx cells, at in-plane wavenumber k.
-
-    Returns (x_a_cells, x_b_cells, Phi_AB) where Phi_AB[i, j] couples a cell
-    of the near slab to a cell of the far slab (positions x_j + d).
-    """
-    if not d > 0.0:
-        raise ParameterError(f"separation d must be positive, got {d!r}")
-    xa, h = _slab_cells(width, nx)
-    xb = h * (np.arange(nx) + 0.5)
-    pos = np.concatenate([xa, xb + d])
-    phi = classical_slab_solve(pos, h, np.full(2 * nx, kappa2), k, pos[nx:])
-    return xa, xb, phi[:nx, :]
+def coupled_two_slab_solve(basis: LoopBasis, d: float, k) -> np.ndarray:
+    """Screened solve at in-plane wavenumber k of two equal slabs: the basis's
+    slab [-width, 0] and its copy [d, d + width], which reuses the near slab's
+    draws (the same paths, moved by width + d).  Returns Phi_AB[i, j], near-slab
+    entry i against a unit point charge at the center of far-slab cell j."""
+    if not 0.0 < d < math.inf:
+        raise ParameterError(f"separation d must be positive and finite, got {d!r}")
+    both, nx = _joined(basis, d), basis.x_cells.size
+    rhs = np.column_stack([source_column(both, x, k) for x in both.x_cells[nx:]])
+    return assemble_kernel_matrix(both, k).solve(rhs)[:basis.size]
 
 
 def bulk_phi_analytic(x1, x2, k, kappa):

@@ -11,7 +11,8 @@ from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
 from thermocasimir.config import load_config
-from thermocasimir.pipeline import (bridge_statistics, coulomb_kernel_error,
+from thermocasimir.pipeline import (_point_basis, _screened_column,
+                                    bridge_statistics, coulomb_kernel_error,
                                     dipolar_slopes, run_pipeline,
                                     standard_magnetic_probe, v_transverse_error)
 
@@ -134,18 +135,15 @@ def test_criterion_5_factorization_asymptotics():
     a = 6.0
     nx = 300
     q = 1.0
-    h = a / nx
-    xa = -a + h / 2 + h * np.arange(nx)
-    cols = [scr.classical_slab_solve(xa, h, np.full(nx, kappa**2), k,
-                                     np.array([0.0]))[:, 0]
-            for k in (0.2 / 2**n for n in range(6))]
+    basis = _point_basis(kappa**2, a, nx)      # the classical plasma
+    cols = [_screened_column(basis, 0.0, k) for k in (0.2 / 2**n for n in range(6))]
     phi_a0, _ = scr.richardson_extrapolate(cols)
     phi_a0 = np.real(phi_a0)
     phi_b0 = phi_a0[::-1]
     dlist = np.array([20.0, 50.0, 120.0, 250.0, 500.0])   # in screening lengths
     devs = []
     for d in dlist:
-        _, _, phi_ab = scr.coupled_two_slab_solve(a, nx, d, kappa**2, q / d)
+        phi_ab = scr.coupled_two_slab_solve(basis, d, q / d)
         fact = scr.factorize_phi_ab(phi_a0, phi_b0, q, d)
         ii = [nx - 1, nx - 10, nx - 40]
         jj = [0, 9, 39]

@@ -24,8 +24,11 @@ def test_wrapped_names_exist_in_package():
                if not hasattr(importlib.import_module(f"thermocasimir.{mod}"),
                               attr)}
     # screening stopped importing vel_fourier when its kernel assembly was
-    # vectorised; vel_fourier is only a test oracle since then
-    assert missing == {"screening.vel_fourier"}
+    # vectorised; vel_fourier is only a test oracle since then.
+    # classical_slab_solve is deleted: a classical plasma is a basis of point
+    # charges solved by assemble_kernel_matrix, so screening.classical_s and
+    # classical_calls read 0 and that work counts under the screening layers
+    assert missing == {"screening.vel_fourier", "screening.classical_slab_solve"}
 
 
 def test_work_counters_read_the_pinned_positions():

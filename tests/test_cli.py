@@ -287,7 +287,7 @@ print(hashlib.sha256(json.dumps(out["report"], sort_keys=True).encode()).hexdige
 
 
 def test_report_hash_independent_of_blas_threads(fast_config):
-    # every screened and classical solve is a sequential sparse LU, so the
+    # every screened solve is a sequential sparse LU, so the
     # report cannot depend on the BLAS thread count; checked on the tiny
     # config and on the two-species acceptance config
     from test_acceptance import TWO_SPECIES
@@ -656,7 +656,7 @@ def test_cli_degenerate_plasma_or_slabs_is_a_config_error(
 def test_cli_overflowing_grid_doubling_record_is_a_config_error(tmp_path, fast_config,
                                                                capsys):
     # the plate sweep at k0_factor 1e-3 stays finite, but the grid-doubling
-    # record's classical solve at k = 0.1 kappa overflows sinh(k h / 2)
+    # record's point-basis solve at k = 0.1 kappa overflows sinh(k h / 2)
     cfg = copy.deepcopy(fast_config)
     cfg["numerics"] = dict(TINY_NUMERICS, k0_factor=1e-3)
     cfg["slabs"]["a"] = 1e5
@@ -667,6 +667,25 @@ def test_cli_overflowing_grid_doubling_record_is_a_config_error(tmp_path, fast_c
             assert cli.main([verb, _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "grid-doubling" in err
+        assert not out.exists()
+
+
+def test_cli_overflowing_capacitor_term_is_a_config_error(tmp_path, capsys):
+    # a charged plasma whose plate charges sigma a, sigma b are 2e308: the
+    # term 2 pi (sigma a)(sigma b) reads inf, and no report or table is written
+    cfg = {"units": "reduced", "thermo": {"beta": 1e-308, "hbar": 0.02, "c": 100.0},
+           "slabs": {"a": 2000.0, "b": 2000.0, "neutral": False,
+                     "species": [{"name": "plus", "charge": 1.0, "mass": 1.0,
+                                  "density": 1e305}]},
+           "sweep": {"d_values": [1e4]},
+           "numerics": dict(TINY_NUMERICS, n_steps_kernel=4)}
+    out = tmp_path / "out"
+    for verb in ("run", "sweep"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([verb, _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "capacitor" in err and "inf" in err
         assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
 from thermocasimir.errors import ParameterError, SingularArgumentError, SolverError
+from thermocasimir.pipeline import _point_basis, _screened_column
 
 
 def _kseq(kappa, k0_factor=0.2, n=6):
@@ -29,6 +30,36 @@ def test_loop_basis_cells_and_input_checks(point_profile):
         with pytest.raises(ParameterError):
             scr.build_loop_basis(point_profile, width, cells, n_paths=1,
                                  n_steps=4, seed=0)
+
+
+def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
+    # a point species (lambda_ = 0) between two wire species: only the wire
+    # entries call the sampler, each on its own substream [seed, i], so their
+    # nodes are those of a basis without point charges in between
+    plus, minus = species_pair
+    point = lo.SpeciesParams("point", 1.0, 1.0)
+    cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(point, 1, 0.1),
+             scr.SpeciesDensity(minus, 2, 0.1))
+    drawn = []
+
+    def recording(p, n_steps, seed):
+        drawn.append(list(seed))
+        return lo.sample_bridge(p, n_steps, seed)
+
+    monkeypatch.setattr(scr, "sample_bridge", recording)
+    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
+                                 n_paths=2, n_steps=4, seed=7)
+    wires = np.nonzero(np.tile(np.repeat([True, False, True], 2), 3))[0]
+    assert sorted(drawn) == [[7, int(i)] for i in wires]
+    for i in range(basis.size):
+        loop = _entry_loop(basis, i, cells, 4, 7)
+        _, xi, y = basis.groups[basis.group[i]]
+        if i not in wires:
+            assert loop.species is point
+            assert not np.any(xi[basis.slot[i]]) and not np.any(y[basis.slot[i]])
+    with pytest.raises(ParameterError):
+        scr.build_loop_basis(scr.DensityProfile(1.0, cells[1:2]), 2.0, 3,
+                             n_paths=1, n_steps=1, seed=0)
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -187,13 +218,50 @@ def test_coupled_solve_with_gap_matches_dense_solve():
     # dense reference built from the cell-integral oracle, slabs 3 apart
     kappa2, k = 1.0, 0.3
     width, nx, d = 2.0, 40, 3.0
-    xa, xb, phi_ab = scr.coupled_two_slab_solve(width, nx, d, kappa2, k)
-    pos = np.concatenate([xa, xb + d])
+    xa = _point_basis(kappa2, width, nx).x_cells
+    phi_ab = scr.coupled_two_slab_solve(_point_basis(kappa2, width, nx), d, k)
+    pos = np.concatenate([xa, xa + width + d])
     t = (kappa2 / (2.0 * k)) * _exp_cell_integral(pos[:, None], pos[None, :],
                                                   width / nx, k)
     rhs = (2.0 * np.pi / k) * np.exp(-k * np.abs(pos[:, None] - pos[None, 40:]))
     ref = np.linalg.solve(np.eye(pos.size) + t, rhs)[:40]
     assert np.max(np.abs(phi_ab - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [20.0, 100.0])       # in screening lengths
+def test_loop_resolved_two_slab_solve_matches_dense_solve(neutral_profile, d):
+    # wide paths (hbar 0.3): the far slab reuses the near slab's draws; at
+    # k = 0.2 kappa, the sweep's first wavenumber, I + T is well conditioned
+    # (at k = 1 / d both solves differ by about 1e-14 cond(I + T))
+    th = lo.ThermoState(beta=1.0, hbar=0.3, c=100.0)
+    cells = tuple(dataclasses.replace(c, species=lo.SpeciesParams.from_thermo(
+        c.species.name, c.species.charge, c.species.mass, th))
+        for c in neutral_profile.cells)
+    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 6.0, 24,
+                                 n_paths=4, n_steps=8, seed=2)
+    k = 0.2
+    both = scr._joined(basis, d)
+    assert both.x_cells.size == 48 and np.all(np.diff(both.x_cells) > 0.0)
+    for g, ((idx, xi, y), (idx2, xi2, y2)) in enumerate(zip(basis.groups, both.groups)):
+        assert np.array_equal(idx2, np.concatenate([idx, idx + basis.size]))
+        assert np.array_equal(xi2, np.vstack([xi, xi]))
+        assert np.array_equal(y2, np.vstack([y, y]))
+        # group and slot locate each entry in its group's arrays
+        assert np.all(both.group[idx2] == g)
+        assert np.array_equal(both.slot[idx2], np.arange(idx2.size))
+    op = scr.assemble_kernel_matrix(both, k)
+    assert op.band > 0
+    rhs = np.column_stack([scr.source_column(both, x, k) for x in both.x_cells[24:]])
+    ref = np.linalg.solve(np.eye(both.size) + op.dense(), rhs)[:basis.size]
+    got = scr.coupled_two_slab_solve(basis, d, k)
+    assert got.shape == (basis.size, 24)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, np.inf, np.nan])
+def test_coupled_solve_needs_a_finite_positive_gap(d):
+    with pytest.raises(ParameterError):
+        scr.coupled_two_slab_solve(_point_basis(1.0, 2.0, 4), d, 0.3)
 
 
 def test_pair_classes_of_point_basis(point_profile):
@@ -217,19 +285,17 @@ def test_source_column_matches_vel_fourier(x_src, hbar):
         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
-# --------------------------------------------------------- classical solver
+# ------------------------------------------- classical plasma: point bases
 
 def test_bulk_limit_matches_analytic():
+    # the source 0.3 right of the middle of the slab [-30, 0]
     kappa = 1.0
     k = 0.7
-    n = 2000
-    span = 30.0
-    h = span / n
-    xc = -span / 2 + h / 2 + h * np.arange(n)
-    phi = scr.classical_slab_solve(xc, h, np.full(n, kappa**2), k,
-                                   np.array([0.3]))[:, 0]
-    mask = np.abs(xc) < 2.0
-    exact = scr.bulk_phi_analytic(xc[mask], 0.3, k, kappa)
+    basis = _point_basis(kappa**2, 30.0, 2000)
+    phi = _screened_column(basis, -14.7, k)
+    xc = basis.x_cells
+    mask = np.abs(xc + 15.0) < 2.0
+    exact = scr.bulk_phi_analytic(xc[mask], -14.7, k, kappa)
     assert np.max(np.abs(phi[mask] - exact) / exact) < 1e-4
 
 
@@ -281,12 +347,9 @@ def _step_slab_phi_reference(x1, x2, k, a, kappa):
 
 def test_classical_solver_vs_piecewise_reference():
     kappa, a, k = 1.0, 6.0, 0.31
-    n = 300
-    h = a / n
-    xc = -a + h / 2 + h * np.arange(n)
-    phi = scr.classical_slab_solve(xc, h, np.full(n, kappa**2), k,
-                                   np.array([-1.7]))[:, 0]
-    ref = _step_slab_phi_reference(xc, -1.7, k, a, kappa)
+    basis = _point_basis(kappa**2, a, 300)
+    phi = _screened_column(basis, -1.7, k)
+    ref = _step_slab_phi_reference(basis.x_cells, -1.7, k, a, kappa)
     assert np.max(np.abs(phi - ref) / np.abs(ref)) < 1e-4
 
 
@@ -294,10 +357,8 @@ def test_grid_doubling_consistency():
     kappa, a, k = 1.0, 6.0, 0.2
     sols = {}
     for n in (200, 400):
-        h = a / n
-        xc = -a + h / 2 + h * np.arange(n)
-        sols[n] = (xc, scr.classical_slab_solve(xc, h, np.full(n, kappa**2), k,
-                                                np.array([-2.0]))[:, 0])
+        basis = _point_basis(kappa**2, a, n)
+        sols[n] = (basis.x_cells, _screened_column(basis, -2.0, k))
     xc, coarse = sols[200]
     xf, fine = sols[400]
     fine_on_coarse = np.interp(xc, xf, fine)
@@ -331,13 +392,12 @@ def test_loop_solver_agrees_with_classical_on_point_basis(point_profile):
     k = 0.37
     rhs = scr.source_column(basis, 0.0, k)
     phi_loop = scr.assemble_kernel_matrix(basis, k).solve(rhs)
-    # classical aggregation: same x-cells, kappa^2 summed over species
+    # classical aggregation: same x-cells, kappa^2 summed over species into
+    # one unit-charge species
     xc = basis.x_cells
-    phi_cl = scr.classical_slab_solve(xc, basis.h,
-                                      np.full(xc.size, point_profile.kappa2()),
-                                      k, np.array([0.0]))[:, 0]
+    phi_cl = _screened_column(_point_basis(point_profile.kappa2(), 6.0, 24), 0.0, k)
     # point basis holds one entry per (cell, species); both species carry the
-    # same solution column, equal to the classical one
+    # same solution column, equal to the aggregated one
     per_cell = phi_loop.reshape(xc.size, -1)
     assert np.allclose(per_cell.real, phi_cl[:, None], rtol=1e-10, atol=1e-12)
     assert np.max(np.abs(per_cell.imag)) < 1e-12
@@ -345,13 +405,11 @@ def test_loop_solver_agrees_with_classical_on_point_basis(point_profile):
 
 def test_phi_bounded_at_small_k(thermo, neutral_profile):
     kappa = 1.0
-    h = 6.0 / 200
-    xc = -6.0 + h * (np.arange(200) + 0.5)
-    kap2 = np.full(xc.size, kappa**2)
+    basis = _point_basis(kappa**2, 6.0, 200)
+    xc = basis.x_cells
     vals = {}
     for k in (1e-3 * kappa, 5e-4 * kappa):
-        vals[k] = scr.classical_slab_solve(xc, h, kap2, k,
-                                           np.array([-3.0]))[:, 0]
+        vals[k] = _screened_column(basis, -3.0, k)
     k = 1e-3 * kappa
     bare = (2.0 * np.pi / k) * np.exp(-k * np.abs(xc + 3.0))
     assert np.max(np.abs(vals[k])) < 0.01 * np.max(bare)
@@ -471,16 +529,13 @@ def test_factorization_depends_on_inner_face_only():
     # perturbing the density near the outer face changes the border column by
     # no more than the screened weight of the perturbation
     kappa, a = 1.0, 8.0
-    nx = 400
-    h = a / nx
-    xa = -a + h / 2 + h * np.arange(nx)
-    kap2 = np.full(nx, kappa**2)
+    basis = _point_basis(kappa**2, a, 400)
+    xa = basis.x_cells
     k = 0.05
-    base = scr.classical_slab_solve(xa, h, kap2, k, np.array([0.0]))[:, 0]
-    bumped = kap2.copy()
+    base = _screened_column(basis, 0.0, k)
     outer = xa < -a + 1.0
-    bumped[outer] *= 1.3
-    pert = scr.classical_slab_solve(xa, h, bumped, k, np.array([0.0]))[:, 0]
+    basis.measure[outer] *= 1.3          # kappa^2 bumped by 30 % there
+    pert = _screened_column(basis, 0.0, k)
     inner = xa > -1.0
     change = np.max(np.abs(pert[inner] - base[inner]) / np.abs(base[inner]))
     assert change < np.exp(-2.0 * (a - 1.0) * kappa) * 50.0
