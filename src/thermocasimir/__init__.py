@@ -5,11 +5,10 @@ photon field: pinned Brownian paths, their pair kernels, Debye-Hueckel-type
 screening in slab geometry, perfect-screening sum rules, and the universal
 large-separation force assembly.
 
-Importing the package loads numpy and the standard library only.  The
-quadratures (the Gauss-Legendre rule, the oracles' panel integrals, J0 and
-its zeros) are numpy code in the private module _quadrature; the one scipy
-import, scipy.sparse for the screened solve's LU, sits inside the function
-that uses it.
+The package needs numpy and the standard library only.  The quadratures
+(the Gauss-Legendre rule, the oracles' panel integrals, J0 and its zeros)
+are numpy code in the private module _quadrature, and the screened solve is
+a numpy block LU; scipy serves the tests as a reference.
 """
 from .errors import (ConfigError, ContractViolationError, ParameterError,
                      SingularArgumentError, SolverError)

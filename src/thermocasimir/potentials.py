@@ -171,9 +171,11 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
         raise ParameterError("photon must be 'quantum' or 'classical'")
     dXi, mid_i, ti = _increments_and_midpoints(loop_i)
     dXj, mid_j, tj = _increments_and_midpoints(loop_j)
-    lags, lag_index = np.unique(np.mod(ti[:, None] - tj[None, :], 1.0),
-                                return_inverse=True)
-    lag_index = lag_index.reshape(ti.size, tj.size)
+    lag = np.mod(ti[:, None] - tj[None, :], 1.0)
+    order = np.argsort(lag, axis=None)      # np.unique would import numpy.ma
+    first = np.diff(lag.flat[order], prepend=-1.0) != 0.0
+    lags, lag_index = lag.flat[order[first]], np.empty(lag.shape, dtype=int)
+    lag_index.flat[order] = np.cumsum(first) - 1
     lam_i = loop_i.species.lambda_
     lam_j = loop_j.species.lambda_
     g = form_factor(kmag)

@@ -8,15 +8,17 @@ width differs.  This module discretizes that integral equation (midpoint
 cells along the slab normal, the kernel integrated exactly over each cell,
 internal degrees of freedom summed over species and charge number with Monte
 Carlo path cells) and solves it in O(n): in cell order the operator is a band
-of near-cell pairs plus a rank-1 semiseparable far field, embedded in one
-sparse LU.  The basis pairs are classified once per basis (entirely above or
-below the source cell, inside it, or straddling a face) and each class is
-summed exactly without a pair loop; the source column of a unit point charge
-is a direct node sum.  A classical plasma is a basis of point charges, species
-with lambda_ = 0.  The module also provides the k-sweep (solves along the
-wavenumber sequence, Richardson-extrapolated to zero, giving the perfect-
-screening residuals), the two-slab solve of any slab basis joined with its
-moved copy and the factorized closed form of the interplate screened potential.
+of near-cell pairs plus a rank-1 semiseparable far field, which running sums
+per cell turn into one block-tridiagonal system, solved by block LU.  The
+basis pairs are classified once per basis (entirely above or below the source
+cell, inside it, or straddling a face) and each class is summed exactly
+without a pair loop; the source column of a unit point charge, or one column
+per source position, is a direct node sum.  A classical plasma is a basis of
+point charges, species with lambda_ = 0.  The module also provides the k-sweep
+(solves along the wavenumber sequence, Richardson-extrapolated to zero, giving
+the perfect-screening residuals), the two-slab solve of any slab basis joined
+with its moved copy and the factorized closed form of the interplate screened
+potential.
 """
 from __future__ import annotations
 
@@ -111,7 +113,8 @@ class DensityProfile:
 # kernel-matrix assembly over a loop basis
 # ----------------------------------------------------------------------------
 
-_STRADDLE_BLOCK = 1 << 18   # node pairs (s, t) per batch of straddling pairs
+_BATCH = 1 << 18     # node pairs of straddling pairs, or source terms, per batch
+_BLOCK_MIN = 24      # least unknowns per superblock: fewer Python steps, flops n B^2
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,11 @@ def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
     the column prefix table (n_t + 1 rows per path)."""
     out, half, n_groups = [], 0.5 * basis.h, len(basis.groups)
     key = basis.group[ii] * n_groups + basis.group[ll]
-    for g in np.unique(key):
+    for g in np.flatnonzero(np.bincount(key)):    # distinct keys, ascending
         gr, gc = divmod(int(g), n_groups)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
         sel = np.nonzero(key == g)[0]
-        step = max(1, _STRADDLE_BLOCK // (xi_r.shape[1] * xi_c.shape[1]))
+        step = max(1, _BATCH // (xi_r.shape[1] * xi_c.shape[1]))
         for batch in np.split(sel, np.arange(step, sel.size, step)):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
             gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
@@ -258,7 +261,7 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     charge, pnum, density, lam = (np.array(col)[entry] for col in columns)
     group, slot = np.empty(entry.size, dtype=int), np.empty(entry.size, dtype=int)
     groups = []
-    for g, p in enumerate(np.unique(pnum)):
+    for g, p in enumerate(sorted(set(pnum.tolist()))):
         idx = np.nonzero(pnum == p)[0]
         path = np.zeros((idx.size, int(p) * n_steps + 1, 3))
         for row in np.nonzero(lam[idx] > 0.0)[0]:    # a point charge's nodes are 0
@@ -343,52 +346,72 @@ class KernelOperator:
     entries: tuple
     far: tuple
 
-    def dense(self) -> np.ndarray:
-        """T as an n x n array (the reference of the tests)."""
-        u, v, s, t = self.far
-        x, offset = self.x_cells[self.cell], self.cell[:, None] - self.cell
-        out = np.where(offset > 0, np.outer(u, v), np.outer(s, t))
-        out *= np.exp(-self.k * np.abs(x[:, None] - x))
-        out[np.abs(offset) <= self.band] = 0.0
-        out[self.entries[0], self.entries[1]] = self.entries[2]
-        return out
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I + T) Phi = rhs by one sparse LU (SuperLU, COLAMD) of the
-        system extended by running sums per cell, sigma_c = e^{-k(X_c -
-        X_{c-1})} sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c
-        over t; row i reads both band + 1 cells away: n + 2 n_cells unknowns."""
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
+    def _extended(self):
+        """(rows, cols, values) of solve's extended system: Phi, sigma, tau."""
         (u, v, s, t), n, m, k = self.far, self.cell.size, self.x_cells.size, self.k
         phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
         x, decay = self.x_cells, np.exp(-k * np.diff(self.x_cells))
         lo, hi = self.cell - self.band - 1, self.cell + self.band + 1
         below, above = lo >= 0, hi < m
-        rows = [phi, self.entries[0], phi[below], phi[above],
-                sig, sig[1:], sig[self.cell], tau, tau[:-1], tau[self.cell]]
-        cols = [phi, self.entries[1], sig[lo[below]], tau[hi[above]],
-                sig, sig[:-1], phi, tau, tau[1:], phi]
-        vals = np.concatenate([
-            np.ones(n), self.entries[2],
-            u[below] * np.exp(-k * (x[self.cell[below]] - x[lo[below]])),
-            s[above] * np.exp(-k * (x[hi[above]] - x[self.cell[above]])),
-            np.ones(m), -decay, -v, np.ones(m), -decay, -t])
-        dtype = np.result_type(vals, rhs)
-        a = csc_matrix((vals.astype(dtype), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n + 2 * m,) * 2)
+        return (np.concatenate([phi, self.entries[0], phi[below], phi[above], sig,
+                                sig[1:], sig[self.cell], tau, tau[:-1], tau[self.cell]]),
+                np.concatenate([phi, self.entries[1], sig[lo[below]], tau[hi[above]],
+                                sig, sig[:-1], phi, tau, tau[1:], phi]),
+                np.concatenate([np.ones(n), self.entries[2],
+                                u[below] * np.exp(-k * (x[self.cell[below]] - x[lo[below]])),
+                                s[above] * np.exp(-k * (x[hi[above]] - x[self.cell[above]])),
+                                np.ones(m), -decay, -v, np.ones(m), -decay, -t]))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I + T) Phi = rhs, one column or several, on the system
+        extended by running sums per cell, sigma_c = e^{-k(X_c - X_{c-1})}
+        sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c over t: row i
+        reads both band + 1 cells away.  Ordered per cell as [Phi_c, sigma_c,
+        tau_c] in superblocks of at least band + 1 cells, it is block
+        tridiagonal: block LU (Golub & Van Loan 4.5.1), LAPACK's partial
+        pivoting inside each diagonal block.  NaN for an overflowed operator."""
+        return self._extended_solve(rhs)[:self.cell.size]
+
+    def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """solve's Phi, sigma and tau (the rhs of the sigma and tau rows is 0)."""
+        (rows, cols, vals), n, m = self._extended(), self.cell.size, self.x_cells.size
+        nan = np.full((n + 2 * m,) + rhs.shape[1:], np.nan, np.result_type(vals, rhs))
+        if not np.all(np.isfinite(vals)):
+            return nan
+        # each unknown's superblock and slot in it; short blocks are padded by I
+        end = np.cumsum(np.bincount(self.cell, minlength=m) + 2)
+        per = min(m, max(self.band + 1, -(-_BLOCK_MIN * m // end[-1])))
+        edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
+        block = np.concatenate([self.cell, np.arange(m), np.arange(m)]) // per
+        at = np.concatenate([np.arange(n) + 2 * self.cell, end - 2, end - 1]) - edge[block]
+        nb, b = edge.size - 1, int(np.max(np.diff(edge)))
+        side = block[cols] - block[rows]      # -1, 0, 1: lower, diagonal, upper block
+        flat = ((3 * block[rows] + side + 1) * b + at[rows]) * b + at[cols]
+        a = np.bincount(flat, vals.real, nb * 3 * b * b).astype(nan.dtype).reshape(nb, 3, b, b)
+        if np.iscomplexobj(a):
+            a.imag = np.bincount(flat, vals.imag, a.size).reshape(a.shape)
+        a[:, 1] += (np.arange(b) >= np.diff(edge)[:, None])[:, :, None] * np.eye(b)
+        # the slots of the next (previous) block that an upper (lower) block reads
+        up, dn = (np.flatnonzero(np.bincount(at[cols[side == d]], minlength=b))
+                  for d in (1, -1))
+        work = np.concatenate([a[:, 2][:, :, up], np.zeros((nb, b, nan[0].size), a.dtype)], 2)
+        at += block * b
+        work.reshape(nb * b, -1)[at[:n], up.size:] = rhs.reshape(n, -1)
         try:
-            lu = splu(a) if np.all(np.isfinite(a.data)) else None
-        except RuntimeError as exc:
-            if np.max(np.abs(a.data)) * np.finfo(float).eps < 1.0:
+            for j in range(nb):       # forward: [U_j | y_j] -> D_j'^{-1} [U_j | y_j]
+                if j:
+                    step = a[j, 0][:, dn] @ work[j - 1, dn]
+                    a[j, 1][:, up] -= step[:, :up.size]
+                    work[j, :, up.size:] -= step[:, up.size:]
+                work[j] = np.linalg.solve(a[j, 1], work[j])
+        except np.linalg.LinAlgError as exc:
+            if np.max(np.abs(vals)) * np.finfo(float).eps < 1.0:
                 raise SolverError(f"screened solve failed: {exc}",
                                   condition_number=np.inf) from exc
-            lu = None     # entries dwarf the identity beyond rounding
-        if lu is None:    # an overflowed operator: no finite solution
-            return np.full((n,) + rhs.shape[1:], np.nan, dtype=dtype)
-        full = np.zeros((n + 2 * m,) + rhs.shape[1:], dtype=dtype)
-        full[:n] = rhs
-        return lu.solve(full)[:n]
+            return nan    # entries dwarf the identity beyond rounding
+        for j in range(nb - 2, -1, -1):
+            work[j, :, up.size:] -= work[j, :, :up.size] @ work[j + 1, up, up.size:]
+        return work.reshape(nb * b, -1)[at, up.size:].reshape(nan.shape)
 
 
 def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
@@ -424,17 +447,20 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
                           far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
 
 
-def source_column(basis: LoopBasis, x_src: float, k) -> np.ndarray:
+def source_column(basis: LoopBasis, x_src, k) -> np.ndarray:
     """Right-hand-side column V^el(i, x_src, k) of a unit point charge at the
-    slab-normal position x_src (e.g. the border charge at x = 0): the
-    pointwise wire kernel as a direct node sum,
-    ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
-    k = _wavenumber(k)
-    out = np.empty(basis.size, dtype=complex)
+    slab-normal position x_src (e.g. the border charge at x = 0), or one column
+    per position of a 1-D array x_src: the pointwise wire kernel as a direct
+    node sum, ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
+    k, x_src = _wavenumber(k), np.asarray(x_src, dtype=float)
+    out = np.empty((basis.size, x_src.size), dtype=complex)
     for idx, xi, y in basis.groups:
-        w = basis.x[idx, None] + xi - x_src
-        out[idx] = basis.ds * np.sum(np.exp(1j * k * y) * np.exp(-k * np.abs(w)), axis=1)
-    return (2.0 * np.pi / k) * out
+        node, a = (basis.x[idx, None] + xi)[:, None], np.exp(1j * k * y)[:, None]
+        step = max(1, _BATCH // xi.size)
+        for j in range(0, x_src.size, step):
+            w = node - x_src.reshape(-1, 1)[j:j + step]
+            out[idx, j:j + step] = basis.ds * np.sum(a * np.exp(-k * np.abs(w)), axis=2)
+    return (2.0 * np.pi / k) * out.reshape((basis.size,) + x_src.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -463,7 +489,7 @@ def coupled_two_slab_solve(basis: LoopBasis, d: float, k) -> np.ndarray:
     if not 0.0 < d < math.inf:
         raise ParameterError(f"separation d must be positive and finite, got {d!r}")
     both, nx = _joined(basis, d), basis.x_cells.size
-    rhs = np.column_stack([source_column(both, x, k) for x in both.x_cells[nx:]])
+    rhs = source_column(both, both.x_cells[nx:], k)
     return assemble_kernel_matrix(both, k).solve(rhs)[:basis.size]
 
 

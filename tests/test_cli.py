@@ -287,9 +287,9 @@ print(hashlib.sha256(json.dumps(out["report"], sort_keys=True).encode()).hexdige
 
 
 def test_report_hash_independent_of_blas_threads(fast_config):
-    # every screened solve is a sequential sparse LU, so the
-    # report cannot depend on the BLAS thread count; checked on the tiny
-    # config and on the two-species acceptance config
+    # every screened solve is a block LU that eliminates its small blocks one
+    # after another, so the report must not depend on the BLAS thread count;
+    # checked on the tiny config and on the two-species acceptance config
     from test_acceptance import TWO_SPECIES
     src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
     for cfg in (fast_config, TWO_SPECIES):
@@ -312,40 +312,38 @@ from thermocasimir.config import load_config
 from thermocasimir.force import zeta3_quadrature
 from thermocasimir.pipeline import run_pipeline, verify_suite
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
 stages = {}
 config = load_config(json.loads(sys.argv[1]))
-stages["load"] = scipy_modules()
+stages["load"] = unwanted_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     thermocasimir.cli.main(["zeta3"])
-stages["zeta3_verb"] = scipy_modules()
-run_pipeline(config)
-stages["run"] = scipy_modules()
+stages["zeta3_verb"] = unwanted_modules()
+run_pipeline(config, magnetic_check=True)
+stages["run"] = unwanted_modules()
 zeta3_quadrature()
-stages["zeta3_quadrature"] = scipy_modules()
+stages["zeta3_quadrature"] = unwanted_modules()
 verify_suite(config)
-stages["verify"] = scipy_modules()
+stages["verify"] = unwanted_modules()
 print(json.dumps(stages))
 """
 
 
 def test_cold_start_imports_no_scipy(fast_config):
-    # importing the package, loading a config and the zeta3 verb load no
-    # scipy module; a run with the magnetic probe loads no scipy.special, and
-    # neither it nor verify_suite nor zeta3_quadrature loads scipy.integrate,
-    # scipy.optimize or scipy.special (the quadratures are numpy; the only
-    # scipy import left is the sparse LU of the screened solve)
+    # importing the package, loading a config, the zeta3 verb, a run with the
+    # magnetic probe, zeta3_quadrature and verify_suite load no scipy module
+    # (the quadratures are numpy and the screened solve is a numpy block LU)
+    # and no numpy.ma (which the first np.unique call of a process imports)
     src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, json.dumps(fast_config)],
                           env=dict(os.environ, PYTHONPATH=src_dir),
                           capture_output=True, text=True, timeout=600, check=True)
     stages = json.loads(proc.stdout.splitlines()[-1])
-    assert stages["load"] == [] and stages["zeta3_verb"] == []
-    for stage in ("run", "zeta3_quadrature", "verify"):
-        assert not [m for m in stages[stage] if m.startswith(
-            ("scipy.integrate", "scipy.optimize", "scipy.special"))], stage
+    assert stages == {stage: [] for stage in
+                      ("load", "zeta3_verb", "run", "zeta3_quadrature", "verify")}
 
 
 def test_pipeline_reproducibility(fast_config):

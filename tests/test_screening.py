@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from thermocasimir import loops as lo
 from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
+from thermocasimir.config import load_config
 from thermocasimir.errors import ParameterError, SingularArgumentError, SolverError
 from thermocasimir.pipeline import _point_basis, _screened_column
 
@@ -154,7 +156,7 @@ def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k):
     assert {name for name, n in counts.items() if n > 0} == set(classes)
     # the structured operator's dense expansion: band entries and the
     # far-field generator products
-    got = scr.assemble_kernel_matrix(basis, k).dense()
+    got = _dense(scr.assemble_kernel_matrix(basis, k))
     ref = _oracle_pair_matrix(basis, loops, k) * basis.matrix_weight[None, :]
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
@@ -182,8 +184,19 @@ def test_band_is_the_largest_near_pair_offset(hbar, nx):
     assert near.sum() == basis.plan.inside.size + basis.plan.straddling.size
 
 
+def _dense(op):
+    """T of the operator as an n x n array, from its band entries and far field."""
+    u, v, s, t = op.far
+    x, offset = op.x_cells[op.cell], op.cell[:, None] - op.cell
+    out = np.where(offset > 0, np.outer(u, v), np.outer(s, t))
+    out *= np.exp(-op.k * np.abs(x[:, None] - x))
+    out[np.abs(offset) <= op.band] = 0.0
+    out[op.entries[0], op.entries[1]] = op.entries[2]
+    return out
+
+
 def _dense_solve(op, rhs):
-    return np.linalg.solve(np.eye(op.cell.size) + op.dense(), rhs)
+    return np.linalg.solve(np.eye(op.cell.size) + _dense(op), rhs)
 
 
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
@@ -252,7 +265,7 @@ def test_loop_resolved_two_slab_solve_matches_dense_solve(neutral_profile, d):
     op = scr.assemble_kernel_matrix(both, k)
     assert op.band > 0
     rhs = np.column_stack([scr.source_column(both, x, k) for x in both.x_cells[24:]])
-    ref = np.linalg.solve(np.eye(both.size) + op.dense(), rhs)[:basis.size]
+    ref = np.linalg.solve(np.eye(both.size) + _dense(op), rhs)[:basis.size]
     got = scr.coupled_two_slab_solve(basis, d, k)
     assert got.shape == (basis.size, 24)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -262,6 +275,155 @@ def test_loop_resolved_two_slab_solve_matches_dense_solve(neutral_profile, d):
 def test_coupled_solve_needs_a_finite_positive_gap(d):
     with pytest.raises(ParameterError):
         scr.coupled_two_slab_solve(_point_basis(1.0, 2.0, 4), d, 0.3)
+
+
+# ------------------------------------------------- the block-tridiagonal solve
+
+def _acceptance_basis(name, nx, n_paths):
+    """Basis of slab a of an acceptance plasma at nx cells and n_paths paths
+    per cell (THREE_SPECIES at 96 and 2: the fine-grid benchmark call)."""
+    import test_acceptance
+    cfg = copy.deepcopy(getattr(test_acceptance, name))
+    cfg["numerics"] = {"nx": nx, "n_paths_kernel": n_paths}
+    config = load_config(cfg)
+    basis = scr.build_loop_basis(config.profile, config.a, nx, n_paths,
+                                 config.numerics["n_steps_kernel"], config.seed)
+    return basis, float(np.sqrt(config.profile.kappa2()))
+
+
+def _extended_product(rows, cols, vals, x):
+    """A x of the extended system from its triplets, duplicates summed."""
+    prod = vals * x[cols]
+    return (np.bincount(rows, prod.real, x.size)
+            + 1j * np.bincount(rows, prod.imag, x.size))
+
+
+@pytest.mark.parametrize("name, nx, n_paths, band", [
+    ("TWO_SPECIES", 24, 6, 0), ("THREE_SPECIES", 96, 2, 1), ("THREE_SPECIES", 384, 2, 2)])
+def test_extended_system_backward_error(name, nx, n_paths, band):
+    # ||A x - b|| / (||A|| ||x||) of the extended system (Phi, sigma, tau) in
+    # the max norm, at the sweep's first and smallest wavenumbers; below
+    # nx 384 also the dense solve of I + T
+    basis, kappa = _acceptance_basis(name, nx, n_paths)
+    for k in (0.2 * kappa, 0.2 * kappa / 2**5):
+        op = scr.assemble_kernel_matrix(basis, k)
+        assert op.band >= band
+        rhs = scr.source_column(basis, 0.0, k)
+        rows, cols, vals = op._extended()
+        x = op._extended_solve(rhs)
+        b = np.zeros(x.size, dtype=complex)
+        b[:basis.size] = rhs
+        norm_a = np.max(np.bincount(rows, np.abs(vals), x.size))
+        err = np.max(np.abs(_extended_product(rows, cols, vals, x) - b))
+        assert err <= 1e-14 * norm_a * np.max(np.abs(x))
+        assert np.array_equal(op.solve(rhs), x[:basis.size])
+        if nx < 384:
+            ref = _dense_solve(op, rhs)
+            assert np.max(np.abs(x[:basis.size] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_extended_solve_matches_sparse_lu_reference():
+    # scipy's SuperLU on the same triplets, a reference kept in the tests only
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+    basis, _ = _mixed_basis(0.6, 10)
+    k = 0.05
+    op = scr.assemble_kernel_matrix(basis, k)
+    rows, cols, vals = op._extended()
+    size = basis.size + 2 * basis.x_cells.size
+    rhs = scr.source_column(basis, np.array([basis.x[0], -0.7]), k)
+    full = np.zeros((size, 2), dtype=complex)
+    full[:basis.size] = rhs
+    ref = splu(csc_matrix((vals, (rows, cols)), shape=(size, size))).solve(full)
+    got = op._extended_solve(rhs)
+    assert got.shape == (size, 2)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_multi_column_solve_matches_single_columns():
+    basis, _ = _mixed_basis(0.6, 10)
+    k = 0.2
+    op = scr.assemble_kernel_matrix(basis, k)
+    x_src = np.linspace(-2.0, 0.0, 7)
+    rhs = scr.source_column(basis, x_src, k)
+    assert rhs.shape == (basis.size, 7)
+    got = op.solve(rhs)
+    assert got.shape == (basis.size, 7)
+    for j, x in enumerate(x_src):
+        single = op.solve(scr.source_column(basis, x, k))
+        assert single.shape == (basis.size,)
+        assert np.max(np.abs(got[:, j] - single)) <= 1e-14 * np.max(np.abs(single))
+    ref = _dense_solve(op, rhs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_source_columns_of_several_positions_are_the_single_columns(monkeypatch):
+    # one column per position, bit for bit, also when the positions are
+    # split into several batches
+    basis, _ = _mixed_basis(0.25, 4)
+    x_src = np.array([0.0, -0.3, -1.1, -2.0, 0.4])
+    for batch in (scr._BATCH, 2 * basis.groups[0][1].size):
+        monkeypatch.setattr(scr, "_BATCH", batch)
+        cols = scr.source_column(basis, x_src, 0.3)
+        for j, x in enumerate(x_src):
+            assert np.array_equal(cols[:, j], scr.source_column(basis, x, 0.3))
+
+
+def _subsystem(op, keep):
+    """The operator restricted to the unknowns keep (cell order kept)."""
+    new = np.full(op.cell.size, -1)
+    new[keep] = np.arange(keep.size)
+    i, l, vals = op.entries
+    ok = (new[i] >= 0) & (new[l] >= 0)
+    return dataclasses.replace(op, cell=op.cell[keep],
+                               entries=(new[i[ok]], new[l[ok]], vals[ok]),
+                               far=tuple(g[keep] for g in op.far))
+
+
+def test_solve_with_uneven_superblocks():
+    # 37 cells of 3 unknowns each: the superblocks (at least _BLOCK_MIN
+    # unknowns) do not divide the cells evenly, so the last one is short
+    basis = _point_basis(1.0, 5.0, 37)
+    op = scr.assemble_kernel_matrix(basis, 0.3)
+    per = -(-scr._BLOCK_MIN // 3)
+    assert 37 % per and 37 > per
+    rhs = scr.source_column(basis, np.array([0.0, -2.5]), 0.3)
+    ref = _dense_solve(op, rhs)
+    assert np.max(np.abs(op.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # uneven cells, one of them empty: entries dropped from a wide-band basis
+    basis, _ = _mixed_basis(0.6, 10)
+    op = scr.assemble_kernel_matrix(basis, 0.1)
+    keep = np.flatnonzero((basis.cell != 4) & ((np.arange(basis.size) % 7 != 3)
+                                               | (basis.cell < 2)))
+    sub = _subsystem(op, keep)
+    assert sub.band > 0 and np.unique(np.bincount(sub.cell)).size > 2
+    rhs = scr.source_column(basis, -1.3, 0.1)[keep]
+    ref = _dense_solve(sub, rhs)
+    assert np.max(np.abs(sub.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _diagonal_operator(basis, diag, v):
+    """T = diag on the diagonal, far field u = s = t = 0 and v."""
+    idx, zero = np.arange(basis.size), np.zeros(basis.size)
+    return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell, band=0,
+                              entries=(idx, idx, diag), far=(zero, v, zero, zero))
+
+
+def test_singular_solve_raises_and_overflowed_operator_gives_nan():
+    basis = _point_basis(1.0, 5.0, 37)
+    rhs = np.ones((basis.size, 2))
+    minus_one, zero = -np.ones(basis.size), np.zeros(basis.size)
+    # I + T singular with entries of order one: SolverError
+    with pytest.raises(SolverError):
+        _diagonal_operator(basis, minus_one, zero).solve(rhs)
+    # singular with entries beyond 1 / eps (the identity lost in rounding),
+    # or a non-finite entry: a NaN solution, no error
+    for diag, v in ((minus_one, np.full(basis.size, 1e17)),
+                    (np.where(np.arange(basis.size) == 5, np.inf, 0.5), zero)):
+        got = _diagonal_operator(basis, diag, v).solve(rhs)
+        assert got.shape == rhs.shape and np.all(np.isnan(got))
+    got = _diagonal_operator(basis, np.full(basis.size, 0.5), zero).solve(rhs)
+    assert np.allclose(got, rhs / 1.5, rtol=1e-15, atol=0.0)
 
 
 def test_pair_classes_of_point_basis(point_profile):
