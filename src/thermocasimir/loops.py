@@ -151,7 +151,13 @@ def sample_bridge_ensemble(p: int, n_steps: int, seed, count: int) -> np.ndarray
         raise ParameterError("need p >= 1 and n_steps >= 2")
     n = p * n_steps
     rng = np.random.default_rng(seed)
-    dw = rng.normal(0.0, np.sqrt(p / n), size=(count, n, 3))
+    return _pin_bridges(rng.normal(0.0, np.sqrt(p / n), size=(count, n, 3)))
+
+
+def _pin_bridges(dw: np.ndarray) -> np.ndarray:
+    """Pinned bridges of the increments dw (count, N, 3): each walk minus its
+    linear drift (k/N) W_N, so X[0] = X[N] = 0 exactly; (count, N+1, 3)."""
+    count, n = dw.shape[:2]
     w = np.concatenate([np.zeros((count, 1, 3)), np.cumsum(dw, axis=1)], axis=1)
     t = (np.arange(n + 1) / n)[None, :, None]        # t[N] == 1.0 exactly
     return w - t * w[:, -1:, :]

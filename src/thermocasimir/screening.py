@@ -30,7 +30,7 @@ import numpy as np
 
 from ._quadrature import gauss_panels
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import SpeciesParams, sample_bridge
+from .loops import SpeciesParams, _pin_bridges
 
 __all__ = [
     "SpeciesDensity",
@@ -158,7 +158,8 @@ def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
     sorted by xi, so per row node s those with w above, inside and below the
     cell form three runs.  Per batch of one path-group pair: groups, positions
     in ii, row slots, gap = x_i - x_l + xi_i(s) and the run ends as rows of
-    the column prefix table (n_t + 1 rows per path)."""
+    the column prefix table (n_t + 1 rows per path): the counts of column
+    nodes < gap - h/2 and <= gap + h/2, found by sorting (_nodes_before)."""
     out, half, n_groups = [], 0.5 * basis.h, len(basis.groups)
     key = basis.group[ii] * n_groups + basis.group[ll]
     for g in np.flatnonzero(np.bincount(key)):    # distinct keys, ascending
@@ -169,13 +170,24 @@ def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
         for batch in np.split(sel, np.arange(step, sel.size, step)):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
             gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
-            off = xi_c[t][:, None, :]
-            base = t[:, None] * (xi_c.shape[1] + 1)
-            at_above = base + np.sum(off < (gap - half)[:, :, None], axis=2)
-            at_below = base + np.sum(off <= (gap + half)[:, :, None], axis=2)
-            out.append((gr, gc, batch, s, gap, at_above, at_below,
+            off, base = xi_c[t], t[:, None] * (xi_c.shape[1] + 1)
+            out.append((gr, gc, batch, s, gap,
+                        base + _nodes_before(off, gap - half, strict=True),
+                        base + _nodes_before(off, gap + half, strict=False),
                         base + xi_c.shape[1]))
     return tuple(out)
+
+
+def _nodes_before(nodes, q, strict):
+    """Per row, the number of nodes < q (strict) or <= q for each q, nodes and
+    q both ascending along the row: a stable sort of each row's queries and
+    nodes (queries first when strict, so before equal nodes) puts the j-th
+    query at position j + that number; O(m log m) per row of m values."""
+    n_q = q.shape[1]
+    order = np.argsort(np.concatenate([q, nodes] if strict else [nodes, q], axis=1),
+                       axis=1, kind="stable")
+    is_q = order < n_q if strict else order >= nodes.shape[1]
+    return np.nonzero(is_q)[1].reshape(q.shape) - np.arange(n_q)
 
 
 @dataclass
@@ -262,10 +274,12 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     group, slot = np.empty(entry.size, dtype=int), np.empty(entry.size, dtype=int)
     groups = []
     for g, p in enumerate(sorted(set(pnum.tolist()))):
-        idx = np.nonzero(pnum == p)[0]
-        path = np.zeros((idx.size, int(p) * n_steps + 1, 3))
+        idx, n = np.nonzero(pnum == p)[0], p * n_steps
+        dw = np.zeros((idx.size, n, 3))
         for row in np.nonzero(lam[idx] > 0.0)[0]:    # a point charge's nodes are 0
-            path[row] = sample_bridge(int(p), n_steps, [seed, int(idx[row])])
+            rng = np.random.default_rng([seed, int(idx[row])])
+            dw[row] = rng.normal(0.0, np.sqrt(p / n), (n, 3))
+        path = _pin_bridges(dw)                      # sample_bridge's bridges
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
         xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))
@@ -308,25 +322,46 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
     """Exact double time sums of the plan's straddling pairs: on each run of
     column nodes the kernel is a row-node factor times a column-node factor,
     so a run contributes a difference of the prefix sums over t of b e^{k xi},
-    b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase."""
+    b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase.  The
+    three prefix tables are separate planes, so each run-end gather is
+    contiguous, and the terms accumulate in place."""
     vals, half = np.empty(plan.straddling.size, dtype=complex), 0.5 * basis.h
     tables = {}
     for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
         if gc not in tables:
             a_c, em_c, ep_c = nodes[gc]
             b = np.conj(a_c)
-            runs = np.zeros((b.shape[0], b.shape[1] + 1, 3), dtype=complex)
-            np.cumsum(np.stack([b + b * ep_c, b + b * em_c, b * (ep_c + em_c)],
-                               axis=2), axis=1, out=runs[:, 1:])
-            tables[gc] = runs.reshape(-1, 3)
-        table = tables[gc]
-        upto_above, upto_below = (np.take(table, at, axis=0) for at in (at_above, at_below))
-        inner = upto_below - upto_above
-        e_lo, e_hi = np.expm1(-k * (gap + half)), np.expm1(-k * (half - gap))
-        total = (cell * np.exp(-k * gap) * upto_above[..., 0]
-                 + cell * np.exp(k * gap) * (table[at_end, 1] - upto_below[..., 1])
-                 - (e_lo * inner[..., 0] + e_hi * inner[..., 1] + inner[..., 2]) / k)
-        vals[batch] = basis.ds * basis.ds * np.sum(nodes[gr][0][s] * total, axis=1)
+            planes = np.zeros((3, b.shape[0], b.shape[1] + 1), dtype=complex)
+            for plane, term in zip(planes, (b + b * ep_c, b + b * em_c, b * (ep_c + em_c))):
+                np.cumsum(term, axis=1, out=plane[:, 1:])
+            tables[gc] = planes.reshape(3, -1)
+        up, down, both = tables[gc]
+        decay = np.exp(-k * gap)
+        with np.errstate(divide="ignore"):       # inf where e^{k gap} overflows
+            rise = cell / decay                  # cell e^{k gap}
+        decay *= cell
+        e_lo = np.expm1(-k * (gap + half))
+        e_hi = np.expm1(-k * (half - gap))
+        # inside run: (e_lo U + e_hi D + B) / k, U, D, B its sums of up, down, both
+        total = up.take(at_above)
+        inner = up.take(at_below)
+        inner -= total
+        inner *= e_lo
+        below = down.take(at_below)
+        part = below - down.take(at_above)
+        part *= e_hi
+        inner += part
+        np.subtract(both.take(at_below), both.take(at_above), out=part)
+        inner += part
+        inner /= k
+        # above run: cell e^{-k gap} up; below run: cell e^{k gap} down
+        total *= decay
+        np.subtract(down.take(at_end), below, out=part)
+        part *= rise
+        total += part
+        total -= inner
+        total *= nodes[gr][0][s]
+        vals[batch] = basis.ds * basis.ds * np.sum(total, axis=1)
     return vals
 
 

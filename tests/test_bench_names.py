@@ -27,8 +27,12 @@ def test_wrapped_names_exist_in_package():
     # vectorised; vel_fourier is only a test oracle since then.
     # classical_slab_solve is deleted: a classical plasma is a basis of point
     # charges solved by assemble_kernel_matrix, so screening.classical_s and
-    # classical_calls read 0 and that work counts under the screening layers
-    assert missing == {"screening.vel_fourier", "screening.classical_slab_solve"}
+    # classical_calls read 0 and that work counts under the screening layers.
+    # build_loop_basis draws each wire's increments itself and pins a charge
+    # number's bridges at once, so it no longer calls sample_bridge: its draws
+    # count under screening.basis_s, not loops.sample_s and loops.paths
+    assert missing == {"screening.vel_fourier", "screening.classical_slab_solve",
+                       "screening.sample_bridge"}
 
 
 def test_work_counters_read_the_pinned_positions():

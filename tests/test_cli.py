@@ -346,6 +346,16 @@ def test_cold_start_imports_no_scipy(fast_config):
                       ("load", "zeta3_verb", "run", "zeta3_quadrature", "verify")}
 
 
+def test_import_loads_no_numpy_random():
+    # numpy.random (~12 ms of imports) loads at a basis's first draw, so a
+    # process that never draws, and every process's set-up, does not pay it
+    src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
+    code = "import sys, thermocasimir.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_pipeline_reproducibility(fast_config):
     cfg = load_config(copy.deepcopy(fast_config))
     a = run_pipeline(cfg, magnetic_check=False)

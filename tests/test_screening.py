@@ -36,19 +36,19 @@ def test_loop_basis_cells_and_input_checks(point_profile):
 
 def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
     # a point species (lambda_ = 0) between two wire species: only the wire
-    # entries call the sampler, each on its own substream [seed, i], so their
+    # entries draw increments, each from its own substream [seed, i], so their
     # nodes are those of a basis without point charges in between
     plus, minus = species_pair
     point = lo.SpeciesParams("point", 1.0, 1.0)
     cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(point, 1, 0.1),
              scr.SpeciesDensity(minus, 2, 0.1))
-    drawn = []
+    drawn, default_rng = [], np.random.default_rng
 
-    def recording(p, n_steps, seed):
+    def recording(seed):
         drawn.append(list(seed))
-        return lo.sample_bridge(p, n_steps, seed)
+        return default_rng(seed)
 
-    monkeypatch.setattr(scr, "sample_bridge", recording)
+    monkeypatch.setattr(np.random, "default_rng", recording)
     basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
                                  n_paths=2, n_steps=4, seed=7)
     wires = np.nonzero(np.tile(np.repeat([True, False, True], 2), 3))[0]
@@ -130,7 +130,7 @@ def _entry_loop(basis, i, cells, n_steps, seed):
     return loop
 
 
-def _mixed_basis(hbar, nx):
+def _mixed_basis(hbar, nx, n_steps=8):
     # two p = 1 species and one p = 2 species, so path groups of two lengths
     th = lo.ThermoState(beta=1.0, hbar=hbar, c=100.0)
     plus = lo.SpeciesParams.from_thermo("plus", +1.0, 1.0, th)
@@ -139,8 +139,8 @@ def _mixed_basis(hbar, nx):
     cells = (scr.SpeciesDensity(plus, 1, rho), scr.SpeciesDensity(minus, 1, rho),
              scr.SpeciesDensity(plus, 2, 0.1 * rho))
     prof = scr.DensityProfile(beta=th.beta, cells=cells)
-    basis = scr.build_loop_basis(prof, 2.0, nx, n_paths=3, n_steps=8, seed=9)
-    return basis, [_entry_loop(basis, i, cells, 8, 9) for i in range(basis.size)]
+    basis = scr.build_loop_basis(prof, 2.0, nx, n_paths=3, n_steps=n_steps, seed=9)
+    return basis, [_entry_loop(basis, i, cells, n_steps, 9) for i in range(basis.size)]
 
 
 # (0.25, 4) has pairs of every class; (0.6, 10) has wide paths in fine
@@ -182,6 +182,51 @@ def test_band_is_the_largest_near_pair_offset(hbar, nx):
     assert np.array_equal(above[far], offset[far] > 0)
     assert not np.any(near[far])
     assert near.sum() == basis.plan.inside.size + basis.plan.straddling.size
+
+
+def _face_basis(n_steps):
+    """The wide-path basis on nx 8 (h = 1/4) with every node rounded to a
+    multiple of h/4, so that w meets the cell faces exactly: column nodes
+    equal to x_i - x_l + xi_i(s) -/+ h/2."""
+    basis, _ = _mixed_basis(0.6, 8, n_steps)
+    quarter = basis.h / 4
+    return dataclasses.replace(basis, groups=tuple(
+        (idx, np.round(xi / quarter) * quarter, y) for idx, xi, y in basis.groups))
+
+
+@pytest.mark.parametrize("n_steps", [8, 64])
+def test_straddling_run_ends_are_the_exact_counts(n_steps):
+    # each run end is the brute-force count over the column nodes: < for the
+    # end of the above run, <= for the end of the below run, ties included
+    basis = _face_basis(n_steps)
+    plan, half, ties, seen = basis.plan, 0.5 * basis.h, 0, []
+    for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
+        i, l = plan.rows[plan.straddling[batch]], plan.cols[plan.straddling[batch]]
+        assert np.all(basis.group[i] == gr) and np.all(basis.group[l] == gc)
+        xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
+        assert np.array_equal(s, basis.slot[i])
+        assert np.array_equal(gap, (basis.x[i] - basis.x[l])[:, None] + xi_r[s])
+        off, lo, hi = xi_c[basis.slot[l]][:, None, :], gap - half, gap + half
+        base = basis.slot[l][:, None] * (xi_c.shape[1] + 1)
+        assert np.array_equal(at_above, base + np.sum(off < lo[:, :, None], axis=2))
+        assert np.array_equal(at_below, base + np.sum(off <= hi[:, :, None], axis=2))
+        assert np.array_equal(at_end, base + xi_c.shape[1])
+        ties += np.sum(off == lo[:, :, None]) + np.sum(off == hi[:, :, None])
+        seen.append(batch)
+    assert ties > 0
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plan.straddling.size))
+
+
+@pytest.mark.parametrize("batch", [1, 384])
+def test_straddling_entries_do_not_depend_on_the_batching(monkeypatch, batch):
+    # 1: one straddling pair per batch; 384: 6, 3 or 1 pairs per batch, by
+    # the path groups' node counts (8 and 16), so batches end mid-group
+    basis, _ = _mixed_basis(0.6, 10)
+    ref = scr.assemble_kernel_matrix(basis, 0.05).entries[2]
+    monkeypatch.setattr(scr, "_BATCH", batch)
+    small = dataclasses.replace(basis)          # a new basis plans anew
+    assert len(small.plan.runs) > len(basis.plan.runs)
+    assert np.array_equal(scr.assemble_kernel_matrix(small, 0.05).entries[2], ref)
 
 
 def _dense(op):
