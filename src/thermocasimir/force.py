@@ -50,7 +50,9 @@ def zeta3_series_oracle() -> float:
     summed ascending from the tail, the remainder 1/(4 N^2) - 1/(4 N^3) added."""
     n_terms = 1_000_000
     n = np.arange(n_terms, 0, -1, dtype=float)
-    partial = float(np.sum(0.5 / n**3))
+    np.power(n, 3, out=n)                 # the terms in place: one 10^6 array
+    np.divide(0.5, n, out=n)
+    partial = float(np.sum(n))
     tail = 0.25 / n_terms**2 - 0.25 / n_terms**3
     return partial + tail
 

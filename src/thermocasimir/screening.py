@@ -279,7 +279,7 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
         for row in np.nonzero(lam[idx] > 0.0)[0]:    # a point charge's nodes are 0
             rng = np.random.default_rng([seed, int(idx[row])])
             dw[row] = rng.normal(0.0, np.sqrt(p / n), (n, 3))
-        path = _pin_bridges(dw)                      # sample_bridge's bridges
+        path = _pin_bridges(dw, np.empty((idx.size, n + 1, 3)))   # sample_bridge's bridges
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
         xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,33 @@ def probe_loops(big_thermo):
     l1 = lo.Loop(-0.4, sp1, 1, lo.sample_bridge(1, 48, [7, 0]))
     l2 = lo.Loop(0.6, sp2, 1, lo.sample_bridge(1, 48, [7, 1]))
     return l1, l2
+
+
+@pytest.fixture
+def peak_mib():
+    """peak_mib(fn) -> (peak MiB that fn() allocates over its start, its value),
+    traced by tracemalloc, which numpy reports its array buffers to."""
+    def measure(fn):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            value = fn()
+            return (tracemalloc.get_traced_memory()[1] - start) / 2**20, value
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure
+
+
+@pytest.fixture(scope="session")
+def pinned_reference():
+    """The pinning as one out-of-place expression over all paths at once: the
+    walks of the increments dw (count, N, 3) minus their drift (k/N) W_N."""
+    def pin(dw):
+        count, n = dw.shape[:2]
+        w = np.concatenate([np.zeros((count, 1, 3)), np.cumsum(dw, axis=1)], axis=1)
+        return w - (np.arange(n + 1) / n)[None, :, None] * w[:, -1:, :]
+    return pin

@@ -19,6 +19,13 @@ def test_zeta3_literal_is_twice_the_series_oracle():
     assert fc.ZETA3 == 2.0 * fc.zeta3_series_oracle()
 
 
+def test_zeta3_series_oracle_memory(peak_mib):
+    # the 10^6 terms are computed in place in one array of 7.6 MiB
+    peak, value = peak_mib(fc.zeta3_series_oracle)
+    assert peak <= 8.5
+    assert 2.0 * value == fc.ZETA3
+
+
 def test_force_integrand_regular_at_origin():
     # q^2 e^{-q} / sinh q = q (1 - q + ...): finite, tends to q
     q = np.array([1e-10, 1e-6, 1e-3])

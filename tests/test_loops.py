@@ -55,6 +55,31 @@ def test_sampler_determinism():
     a = lo.sample_bridge(2, 32, [9, 4])
     b = lo.sample_bridge(2, 32, [9, 4])
     assert np.array_equal(a, b)
+    assert np.array_equal(a, lo.sample_bridge_ensemble(2, 32, [9, 4], 1)[0])
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 3)],
+                         ids=["block-1", "block", "block+1", "2block+3"])
+def test_streamed_ensemble_is_the_one_shot_draw(p, blocks, pinned_reference):
+    # the ensemble is drawn and pinned in blocks of whole paths; the Generator
+    # stream does not depend on the blocks, so every path is bit for bit that
+    # of one draw of all increments, pinned at once
+    n = 16 * p
+    block, extra = blocks
+    count = block * (lo._CHUNK // (3 * n)) + extra
+    dw = np.random.default_rng(5).normal(0.0, np.sqrt(p / n), (count, n, 3))
+    reference = pinned_reference(dw)
+    assert np.array_equal(lo.sample_bridge_ensemble(p, 16, 5, count), reference)
+    assert np.array_equal(lo._pin_bridges(dw, np.empty((count, n + 1, 3))), reference)
+
+
+def test_ensemble_memory_is_the_output_plus_one_block(peak_mib):
+    # 100,000 bridges (38.9 MiB): the draws and the drift product of one
+    # block come on top, not four arrays of the output's size
+    peak, paths = peak_mib(lambda: lo.sample_bridge_ensemble(1, 16, 2024, 100_000))
+    assert paths.shape == (100_000, 17, 3)
+    assert peak <= paths.nbytes / 2**20 + 4.0
 
 
 def test_sampler_parameter_errors():
@@ -62,6 +87,11 @@ def test_sampler_parameter_errors():
         lo.sample_bridge(0, 16, 1)
     with pytest.raises(ParameterError):
         lo.sample_bridge(1, 1, 1)
+    for count in (-1, 2.5, 2.0, "3", None):
+        with pytest.raises(ParameterError):
+            lo.sample_bridge_ensemble(1, 16, 1, count)
+    assert lo.sample_bridge_ensemble(1, 16, 1, 0).shape == (0, 17, 3)
+    assert lo.sample_bridge_ensemble(2, 4, 1, np.int64(2)).shape == (2, 9, 3)
 
 
 def test_line_integral_constant_is_exactly_zero():

@@ -64,6 +64,29 @@ def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
                              n_paths=1, n_steps=1, seed=0)
 
 
+def test_basis_nodes_are_the_one_shot_pinned_draws(species_pair, pinned_reference):
+    # a charge number's bridges are pinned together into one array; each
+    # entry's nodes are still its substream [seed, i] pinned on its own
+    plus, minus = species_pair
+    cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(minus, 2, 0.1))
+    n_paths, n_steps, seed = 2, 6, 13
+    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
+                                 n_paths=n_paths, n_steps=n_steps, seed=seed)
+    assert sorted(set(basis.pnum.tolist())) == [1, 2]
+    for idx, xi, y in basis.groups:
+        p = int(basis.pnum[idx[0]])
+        n = p * n_steps
+        dw = np.stack([np.random.default_rng([seed, int(i)]).normal(
+            0.0, np.sqrt(p / n), (n, 3)) for i in idx])
+        lam = np.array([cells[(i // n_paths) % len(cells)].species.lambda_
+                        for i in idx])[:, None]
+        path = pinned_reference(dw)[:, :-1]
+        order = np.argsort(lam * path[..., 0], axis=1, kind="stable")
+        for got, axis in ((xi, 0), (y, 1)):
+            want = np.take_along_axis(lam * path[..., axis], order, axis=1)
+            assert np.array_equal(got, want)
+
+
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
     plus, minus = species_pair
     rho = 1.0 / (8.0 * np.pi)
