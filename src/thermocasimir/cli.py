@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Verbs: run <config>, verify <config>, sweep <config> --d-list ..., zeta3.
+Verbs: run <config> [--d-list ...], verify <config>, zeta3.
 Exit codes: 0 ok, 2 config or I/O error, 3 solver error, 4 certification failure.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .config import load_config, optional_block
 from .errors import (ConfigError, ContractViolationError, ParameterError,
                      SingularArgumentError, SolverError)
 from .force import zeta3_quadrature, zeta3_series_oracle
-from .pipeline import run_pipeline, verify_suite, write_report, write_sweep_csv
+from .pipeline import run_pipeline, verify_suite, write_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,7 +38,7 @@ def _load(args):
             if not isinstance(overrides, dict):
                 raise ConfigError("--tol-overrides must be a JSON object")
             raw["numerics"] = {**optional_block(raw, "numerics"), **overrides}
-        if getattr(args, "d_list", None) is not None:     # sweep only
+        if getattr(args, "d_list", None) is not None:     # run only
             raw["sweep"] = {**optional_block(raw, "sweep"), "d_values": args.d_list}
     return load_config(raw)
 
@@ -47,26 +47,17 @@ def _cmd_run(args) -> int:
     config = _load(args)
     report = run_pipeline(config)
     path = write_report(report, config.out_dir)
-    write_sweep_csv(report, config.out_dir)
     ok = report["report"]["certified_all"]
     tag = "certified" if ok else "NOT CERTIFIED"
     for row in report["report"]["results"]:
         print(f"d = {row['d']:10.4g}   f = {row['f_assembled']:+.6e}   "
               f"f_universal = {row['f_leading']:+.6e}   [{tag}]")
-    print(f"report written to {path}")
-    return EXIT_OK if ok else EXIT_CERTIFICATION
-
-
-def _cmd_sweep(args) -> int:
-    config = _load(args)
-    report = run_pipeline(config)
-    path = write_sweep_csv(report, config.out_dir)
     fit = report["report"]["sweep_fit"]
-    print(f"sweep table written to {path}")
     if fit is not None:
         print(f"log-log slope of f(d): {fit['slope']:+.4f} "
               f"(stderr {fit['stderr']:.2g})")
-    return EXIT_OK if report["report"]["certified_all"] else EXIT_CERTIFICATION
+    print(f"report written to {path}")
+    return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
 def _cmd_verify(args) -> int:
@@ -111,13 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="full pipeline for the configured sweep")
     common(p_run)
+    p_run.add_argument("--d-list", nargs="*", type=float, default=None,
+                       help="override the sweep separations")
     p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="force sweep over separations")
-    common(p_sweep)
-    p_sweep.add_argument("--d-list", nargs="*", type=float, default=None,
-                         help="override the sweep separations")
-    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run every invariant check")
     common(p_verify)

@@ -1,9 +1,10 @@
 """Pipeline orchestration: sample -> solve -> assemble, the verification suite,
-and report emission (JSON report, CSV sweep tables)."""
+and report emission (the JSON report with its CSV sweep table)."""
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from . import screening as scr
 from .config import RunConfig
 from .errors import ConfigError, ParameterError
 
-__all__ = ["run_pipeline", "verify_suite", "write_report", "write_sweep_csv",
+__all__ = ["run_pipeline", "verify_suite", "write_report",
            "standard_magnetic_probe"]
 
 
@@ -188,7 +189,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and there is no k -> 0 sequence")
     lam_s = 1.0 / kappa
-    sigma = config.profile.charge_density()
+    sigma = config.profile.charge_imbalance()      # load_config's neutrality test
     capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     if not math.isfinite(capacitor_el):
         raise ParameterError(f"electrostatic capacitor term {capacitor_el!r} is not finite")
@@ -244,30 +245,33 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
 
 
 def write_report(report: dict, out_dir: str) -> str:
-    """Write the report as strict JSON to out_dir/report.json, serialised
-    before the file is opened: a report that cannot be written leaves no file."""
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    """Write the report as strict JSON to out_dir/report.json and its sweep
+    table to out_dir/sweep.csv; returns the report's path.  Both texts are
+    serialised before either file is opened, and a failed write removes the
+    files this call wrote: output that cannot be written leaves no file."""
+    rep, table = report["report"], io.StringIO()
+    w = csv.writer(table)
+    w.writerow(["d", "f_assembled", "f_leading", "ratio_to_leading",
+                "bracket_a", "bracket_b", "certified"])
+    plates = [rep["brackets"]["bracket_a"], rep["brackets"]["bracket_b"],
+              rep["certified_all"]]
+    w.writerows([r["d"], r["f_assembled"], r["f_leading"],
+                 r["f_assembled"] / r["f_leading"], *plates] for r in rep["results"])
+    texts = [json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+             table.getvalue()]
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return path
-
-
-def write_sweep_csv(report: dict, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "f_assembled", "f_leading", "ratio_to_leading",
-                    "bracket_a", "bracket_b", "certified"])
-        rep = report["report"]
-        plates = [rep["brackets"]["bracket_a"], rep["brackets"]["bracket_b"],
-                  rep["certified_all"]]
-        for row in rep["results"]:
-            w.writerow([row["d"], row["f_assembled"], row["f_leading"],
-                        row["f_assembled"] / row["f_leading"], *plates])
-    return path
+    paths = [os.path.join(out_dir, name) for name in ("report.json", "sweep.csv")]
+    written = []
+    try:
+        for path, text in zip(paths, texts):
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+    return paths[0]
 
 
 # ----------------------------------------------------------------------------

@@ -285,11 +285,10 @@ def _vtilde_derivs(x, qvec, order_max=3):
     """x-derivatives (orders 0..order_max) of the e^{-i k1 x} partial transform,
     as 3x3 complex matrices, valid for x >= 0 (one-sided at x = 0).
 
-    Entry classes (x >= 0, E = e^{-qx}):
-      normal-normal   (pi/q) E (1+qx):    d^n given by the recursion below,
-      mixed           (i pi q_m / q) x E,
-      in-plane        (pi/q) E (2 d_mn - (1+qx) q_m q_n / q^2).
-    Validated against numerical differentiation of the quadrature oracle.
+    With E = e^{-qx}, the normal-normal entry is f = (pi/q + pi x) E, the
+    mixed ones (i pi q_m / q) g with g = x E, and the in-plane ones
+    2 d_mn h - (q_m q_n / q^2) f with h = (pi/q) E.  Each of f, g, h is
+    (alpha + beta x) E, whose n-th derivative is (-q)^n E (alpha + beta (x - n/q)).
     """
     if x < 0.0:
         raise ParameterError("closed-form derivatives implemented for x >= 0")
@@ -297,32 +296,14 @@ def _vtilde_derivs(x, qvec, order_max=3):
     q = float(np.hypot(qvec[0], qvec[1]))
     if q == 0.0:
         raise SingularArgumentError("undefined at q = 0")
-    E = np.exp(-q * x)
-    out = np.zeros((order_max + 1, 3, 3), dtype=complex)
-
-    # f1 = (pi/q) (1+qx) E  and derivatives
-    f1 = [(np.pi / q) * (1.0 + q * x) * E,
-          -np.pi * q * x * E,
-          -np.pi * q * (1.0 - q * x) * E,
-          np.pi * q * q * (2.0 - q * x) * E]
-    # g = x E and derivatives (mixed entries carry i pi q_m / q * g)
-    g = [x * E,
-         (1.0 - q * x) * E,
-         -q * (2.0 - q * x) * E,
-         q * q * (3.0 - q * x) * E]
-    # h = (pi/q) E and derivatives (in-plane delta part carries 2 h)
-    h = [(np.pi / q) * (-q) ** n * E for n in range(order_max + 1)]
-
-    for n in range(order_max + 1):
-        out[n, 0, 0] = f1[n]
-        for m in (1, 2):
-            val = 1j * np.pi * (qvec[m - 1] / q) * g[n]
-            out[n, 0, m] = val
-            out[n, m, 0] = val
-        for m in (1, 2):
-            for l in (1, 2):
-                dmn = 1.0 if m == l else 0.0
-                out[n, m, l] = 2.0 * dmn * h[n] - (qvec[m - 1] * qvec[l - 1] / q**2) * f1[n]
+    n = np.arange(order_max + 1)[:, None]
+    alpha, beta = np.array([np.pi / q, 0.0, np.pi / q]), np.array([np.pi, 1.0, 0.0])
+    f, g, h = ((-q) ** n * np.exp(-q * x) * (alpha + beta * (x - n / q))).T
+    out = np.empty((order_max + 1, 3, 3), dtype=complex)
+    out[:, 0, 0] = f
+    out[:, 0, 1:] = out[:, 1:, 0] = 1j * np.pi * (qvec / q) * g[:, None]
+    out[:, 1:, 1:] = (2.0 * np.eye(2) * h[:, None, None]
+                      - np.outer(qvec, qvec) / q**2 * f[:, None, None])
     return out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import csv
@@ -436,13 +437,43 @@ def test_cli_run_and_outputs(tmp_path, fast_config, capsys):
 
 def test_cli_sweep_with_d_list(tmp_path, fast_config, capsys):
     path = _write(tmp_path, fast_config)
-    code = cli.main(["sweep", path, "--out-dir", str(tmp_path / "out2"),
+    code = cli.main(["run", path, "--out-dir", str(tmp_path / "out2"),
                      "--d-list", "60", "120", "240"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "slope" in out
+    assert "log-log slope of f(d):" in out
+    report = json.loads((tmp_path / "out2" / "report.json").read_text())["report"]
+    assert [row["d"] for row in report["results"]] == [60.0, 120.0, 240.0]
     sweep = (tmp_path / "out2" / "sweep.csv").read_text().splitlines()
     assert len(sweep) == 4
+
+
+def test_cli_run_leaves_no_report_when_the_table_cannot_be_written(
+        tmp_path, fast_config, capsys):
+    # sweep.csv is a directory: the run exits 2 and removes the report.json
+    # it had written, so no half of the output is left behind
+    out = tmp_path / "out"
+    (out / "sweep.csv").mkdir(parents=True)
+    cfg = copy.deepcopy(fast_config)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "report.json").exists()
+    assert (out / "sweep.csv").is_dir()
+
+
+def test_cli_verbs_are_documented():
+    # the verbs the parser knows are exactly those README's command-line
+    # block shows: a verb added or removed without its docs fails here
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("thermocasimir ")}
+    assert set(sub.choices) == {"run", "verify", "zeta3"} == documented
 
 
 def test_cli_config_error_exit_code(tmp_path, fast_config, capsys):
@@ -546,11 +577,10 @@ def test_cli_run_without_screening_medium(tmp_path, fast_config, capsys):
     for sp in bad["slabs"]["species"]:
         sp["density"] = 0.0
     path = _write(tmp_path, bad)
-    for verb in ("run", "sweep"):
-        assert cli.main([verb, path, "--out-dir", str(tmp_path / verb)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: no screening medium")
-        assert "Traceback" not in err
+    assert cli.main(["run", path, "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no screening medium")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("d", [float("inf"), float("nan")])
@@ -563,7 +593,7 @@ def test_cli_rejects_non_finite_separation(tmp_path, fast_config, capsys, d):
     assert err.startswith("config error:") and "d_values" in err
     assert "Traceback" not in err
     good = _write(tmp_path, fast_config, name="good.json")
-    assert cli.main(["sweep", good, "--d-list", "60", str(d)]) == 2
+    assert cli.main(["run", good, "--d-list", "60", str(d)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--d-list" in err
     assert "Traceback" not in err
@@ -612,7 +642,7 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
     {"thermo": bad["thermo"], "slabs": bad["slabs"],
      "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
     out = tmp_path / "out"
-    for verb in ("run", "sweep", "verify"):
+    for verb in ("run", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
@@ -623,7 +653,7 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
         assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("verb", ["run", "sweep", "verify"])
+@pytest.mark.parametrize("verb", ["run", "verify"])
 def test_cli_underflowing_k_sequence_is_a_config_error(tmp_path, fast_config,
                                                        capsys, verb):
     # a subnormal k0_factor: the halving wavenumbers reach 0.0; n_k past 1024:
@@ -669,13 +699,12 @@ def test_cli_overflowing_grid_doubling_record_is_a_config_error(tmp_path, fast_c
     cfg["numerics"] = dict(TINY_NUMERICS, k0_factor=1e-3)
     cfg["slabs"]["a"] = 1e5
     out = tmp_path / "out"
-    for verb in ("run", "sweep"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main([verb, _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "grid-doubling" in err
-        assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid-doubling" in err
+    assert not out.exists()
 
 
 def test_cli_overflowing_capacitor_term_is_a_config_error(tmp_path, capsys):
@@ -688,13 +717,12 @@ def test_cli_overflowing_capacitor_term_is_a_config_error(tmp_path, capsys):
            "sweep": {"d_values": [1e4]},
            "numerics": dict(TINY_NUMERICS, n_steps_kernel=4)}
     out = tmp_path / "out"
-    for verb in ("run", "sweep"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main([verb, _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "capacitor" in err and "inf" in err
-        assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "capacitor" in err and "inf" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("c, code", [(1e-300, 2), (1e200, 0)])
@@ -791,8 +819,7 @@ def test_sweep_fit_is_null_without_two_distinct_separations(tmp_path, d_values):
     cfg["numerics"] = dict(TINY_NUMERICS)
     cfg["sweep"]["d_values"] = d_values
     out = tmp_path / "out"
-    for command in ("run", "sweep"):
-        assert cli.main([command, _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
     with open(out / "report.json") as fh:
         report = json.load(fh, parse_constant=_reject_constant)["report"]
     assert report["sweep_fit"] is None
@@ -810,7 +837,7 @@ def test_config_top_level_must_be_an_object(tmp_path, capsys):
 
 def test_cli_rejects_non_numeric_d_list(tmp_path, fast_config):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", _write(tmp_path, fast_config), "--d-list", "far"])
+        cli.main(["run", _write(tmp_path, fast_config), "--d-list", "far"])
     assert exc.value.code == 2
 
 
@@ -829,7 +856,7 @@ def test_cli_d_list_replaces_d_values_before_validation(tmp_path, fast_config,
     # the file's separations
     path = _write(tmp_path, fast_config)
     config = cli._load(cli.build_parser().parse_args(
-        ["sweep", path, "--d-list", "60", "120"]))
+        ["run", path, "--d-list", "60", "120"]))
     assert config.d_values == [60.0, 120.0]
     listed = copy.deepcopy(fast_config)
     listed["sweep"]["d_values"] = [60.0, 120.0]
@@ -837,7 +864,7 @@ def test_cli_d_list_replaces_d_values_before_validation(tmp_path, fast_config,
     assert config.config_hash() != load_config(copy.deepcopy(fast_config)).config_hash()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.d_values = [1.0]
-    assert cli.main(["sweep", path, "--d-list"]) == 2
+    assert cli.main(["run", path, "--d-list"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--d-list" in err
 
@@ -963,6 +990,21 @@ def test_verify_capacitor_row_shares_the_neutrality_test(tmp_path, fast_config,
     [line] = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("capacitor_neutral_zero")]
     assert line.split()[1] == "FAIL"
+
+
+def test_run_capacitor_term_is_exactly_zero_for_neutral_plates(fast_config):
+    # 0.1 + 0.2 - 0.3 = 5.6e-17 in double precision: load_config accepts the
+    # plasma as neutral, so run's electrostatic capacitor term is exactly 0
+    cfg = copy.deepcopy(fast_config)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    cfg["slabs"]["species"] = [
+        {"name": "plus1", "charge": 1.0, "mass": 1.0, "density": 0.1},
+        {"name": "plus2", "charge": 1.0, "mass": 1.0, "density": 0.2},
+        {"name": "minus", "charge": -1.0, "mass": 1.0, "density": 0.3}]
+    config = load_config(cfg)
+    assert config.profile.charge_density() != 0.0
+    report = run_pipeline(config, magnetic_check=False)["report"]
+    assert report["capacitor"]["electrostatic"] == 0.0
 
 
 def test_verify_slab_row_reports_the_worse_plate(fast_config):
