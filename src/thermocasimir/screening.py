@@ -7,10 +7,11 @@ face x = 0: the far plate is its mirror image through the gap, and only the
 width differs.  This module discretizes that integral equation (midpoint
 cells along the slab normal, the kernel integrated exactly over each cell,
 internal degrees of freedom summed over species and charge number with Monte
-Carlo path cells) and solves it in O(n): in cell order the operator is a band
-of near-cell pairs plus a rank-1 semiseparable far field, which running sums
-per cell turn into one block-tridiagonal system, solved by block LU.  The
-basis pairs are classified once per basis (entirely above or below the source
+Carlo path cells of antithetic bridge pairs) and solves it in O(n): in cell
+order the operator is a band of near-cell pairs plus a rank-1 semiseparable
+far field, which running sums per cell turn into one block-tridiagonal
+system, solved by block LU on a layout built once per basis.  The basis
+pairs are classified once per basis (entirely above or below the source
 cell, inside it, or straddling a face) and each class is summed exactly
 without a pair loop; the source column of a unit point charge, or one column
 per source position, is a direct node sum.  A classical plasma is a basis of
@@ -113,20 +114,22 @@ class DensityProfile:
 # kernel-matrix assembly over a loop basis
 # ----------------------------------------------------------------------------
 
-_BATCH = 1 << 18     # node pairs of straddling pairs, or source terms, per batch
+_BATCH = 1 << 18     # source terms per batch
+_ROW_NODES = 1 << 14  # row nodes of straddling pairs per batch
 _BLOCK_MIN = 24      # least unknowns per superblock: fewer Python steps, flops n B^2
 
 
 @dataclass(frozen=True)
 class _PairPlan:
-    """Classified (row, column) pairs of the operator: w = x_i + xi_i(s) -
-    xi_l(t) lies entirely above the source cell [x_l - h/2, x_l + h/2],
-    inside it or across a face (positions inside, straddling), or else
-    below.  band: the largest cell offset kept; runs: _straddling_runs."""
+    """Classified (row, column) pairs of the operator, as positions in rows
+    and cols: w = x_i + xi_i(s) - xi_l(t) lies entirely above the source cell
+    [x_l - h/2, x_l + h/2], entirely below it, inside it or across a face
+    (straddling).  band: the largest cell offset kept; runs: _straddling_runs."""
 
     rows: np.ndarray
     cols: np.ndarray
     above: np.ndarray
+    below: np.ndarray
     inside: np.ndarray
     straddling: np.ndarray
     runs: tuple
@@ -148,7 +151,8 @@ def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
     if offset is not None:
         i, l, above, near, within = (a[offset <= band] for a in (i, l, above, near, within))
     straddling = np.nonzero(near & ~within)[0]
-    return _PairPlan(rows=i, cols=l, above=above, inside=np.nonzero(within)[0],
+    return _PairPlan(rows=i, cols=l, above=np.nonzero(above)[0],
+                     below=np.nonzero(~above & ~near)[0], inside=np.nonzero(within)[0],
                      straddling=straddling, band=band, runs=_straddling_runs(
                          basis, i[straddling], l[straddling]))
 
@@ -166,7 +170,7 @@ def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
         gr, gc = divmod(int(g), n_groups)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
         sel = np.nonzero(key == g)[0]
-        step = max(1, _BATCH // (xi_r.shape[1] * xi_c.shape[1]))
+        step = max(1, _ROW_NODES // xi_r.shape[1])
         for batch in np.split(sel, np.arange(step, sel.size, step)):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
             gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
@@ -203,7 +207,7 @@ class LoopBasis:
     ds = 1 / n_steps; group[n] and slot[n] locate entry n in them.  Within
     each path the nodes are sorted by xi (every kernel here is a sum over all
     nodes, so their time order does not enter).  The k-independent pair plan
-    is kept here on first use.
+    and solve layout are kept here on first use, for every wavenumber.
     """
 
     x_cells: np.ndarray      # cell centers, ascending
@@ -247,6 +251,12 @@ class LoopBasis:
         l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
         return _pair_plan(self, i, l, np.abs(self.cell[i] - self.cell[l]))
 
+    @cached_property
+    def layout(self) -> _SolveLayout:
+        """Layout of the block solves at every wavenumber, built once."""
+        return _solve_layout(self.x_cells, self.cell, self.plan.band,
+                             self.plan.rows, self.plan.cols)
+
     def pair_class_counts(self) -> dict:
         """Number of operator pairs per class (see assemble_kernel_matrix)."""
         inside, straddling = self.plan.inside.size, self.plan.straddling.size
@@ -259,10 +269,14 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     """Assemble the basis of the slab [-width, 0] on nx midpoint cells, filled
     with the profile's plasma; its inner face x = 0 holds the border charge.
 
-    Each (species, p) cell carries n_paths pinned bridges, entry i drawn from
-    the substream [seed, i]; a species with lambda_ = 0 is a point charge,
+    Each (cell, species, p) set carries n_paths pinned bridges in antithetic
+    pairs (Hammersley & Morton 1956): path 2m, entry i, is drawn from the
+    substream [seed, i] and path 2m + 1 is its mirror image, the negated
+    increments pinned alike, so exactly minus path 2m; with an odd n_paths
+    the last path is drawn too.  A species with lambda_ = 0 is a point charge,
     its wire collapsed onto its position, so its entries draw nothing.  The
-    path nodes are kept stacked per charge number and sorted by xi.
+    path nodes are kept stacked per charge number and sorted by xi.  The
+    pair plan and the solve layout of the k-sweep are built on first use.
     """
     if n_steps < 2:
         raise ParameterError(f"need n_steps >= 2, got {n_steps!r}")
@@ -276,9 +290,12 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     for g, p in enumerate(sorted(set(pnum.tolist()))):
         idx, n = np.nonzero(pnum == p)[0], p * n_steps
         dw = np.zeros((idx.size, n, 3))
-        for row in np.nonzero(lam[idx] > 0.0)[0]:    # a point charge's nodes are 0
+        wire, odd = lam[idx] > 0.0, idx % n_paths % 2 == 1
+        for row in np.nonzero(wire & ~odd)[0]:    # a point charge's nodes are 0
             rng = np.random.default_rng([seed, int(idx[row])])
             dw[row] = rng.normal(0.0, np.sqrt(p / n), (n, 3))
+        mirror = np.nonzero(wire & odd)[0]      # its partner, path 2m, is the row before
+        dw[mirror] = -dw[mirror - 1]
         path = _pin_bridges(dw, np.empty((idx.size, n + 1, 3)))   # sample_bridge's bridges
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
@@ -366,13 +383,77 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
 
 
 @dataclass(frozen=True)
+class _SolveLayout:
+    """k-independent layout of KernelOperator.solve's extended system, one per
+    basis: shape (nb, 3, b, b) holds each superblock's lower, diagonal and
+    upper block, at each unknown's row in them (block * b + slot), flat the
+    position of each value of _extended_values (none twice: the identity is
+    folded into the diagonal entries diag), pad the unit diagonal that pads
+    short blocks, up (dn) the slots of the next (previous) block that an upper
+    (lower) block reads, and below (above) the unknowns coupled to the running
+    sums band + 1 cells before (after) theirs, reach away."""
+
+    shape: tuple
+    at: np.ndarray
+    flat: np.ndarray
+    diag: np.ndarray
+    pad: np.ndarray
+    up: np.ndarray
+    dn: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    reach_below: np.ndarray
+    reach_above: np.ndarray
+
+
+def _extended_pairs(n_cells, cell, band, rows, cols):
+    """(rows, cols) of the extended system (Phi, sigma, tau) in the order of
+    KernelOperator._extended_values, and the unknowns below and above."""
+    n, m = cell.size, n_cells
+    phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
+    lo, hi = cell - band - 1, cell + band + 1
+    below, above = np.nonzero(lo >= 0)[0], np.nonzero(hi < m)[0]
+    return (np.concatenate([rows, below, above, sig, sig[1:], sig[cell],
+                            tau, tau[:-1], tau[cell]]),
+            np.concatenate([cols, sig[lo[below]], tau[hi[above]], sig, sig[:-1], phi,
+                            tau, tau[1:], phi]), below, above)
+
+
+def _solve_layout(x_cells, cell, band, rows, cols) -> _SolveLayout:
+    """Layout of the block solve of an operator whose unknowns lie in the
+    cells cell and whose entries (rows, cols) hold every pair at most band
+    cells apart, the diagonal among them: per cell [Phi_c, sigma_c, tau_c],
+    in superblocks of at least band + 1 cells and _BLOCK_MIN unknowns; short
+    blocks are padded by I."""
+    n, m = cell.size, x_cells.size
+    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, band, rows, cols)
+    end = np.cumsum(np.bincount(cell, minlength=m) + 2)
+    per = min(m, max(band + 1, -(-_BLOCK_MIN * m // end[-1])))
+    edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
+    block = np.concatenate([cell, np.arange(m), np.arange(m)]) // per
+    at = np.concatenate([np.arange(n) + 2 * cell, end - 2, end - 1]) - edge[block]
+    nb, b = edge.size - 1, int(np.max(np.diff(edge)))
+    side = block[ext_cols] - block[ext_rows]      # -1, 0, 1: lower, diagonal, upper block
+    j, slot = np.nonzero(np.arange(b) >= np.diff(edge)[:, None])
+    up, dn = (np.flatnonzero(np.bincount(at[ext_cols[side == d]], minlength=b))
+              for d in (1, -1))
+    return _SolveLayout(
+        shape=(nb, 3, b, b), at=at + block * b, diag=np.nonzero(rows == cols)[0],
+        flat=((3 * block[ext_rows] + side + 1) * b + at[ext_rows]) * b + at[ext_cols],
+        pad=((3 * j + 1) * b + slot) * b + slot, up=up, dn=dn, below=below, above=above,
+        reach_below=x_cells[cell[below]] - x_cells[cell[below] - band - 1],
+        reach_above=x_cells[cell[above] + band + 1] - x_cells[cell[above]])
+
+
+@dataclass(frozen=True)
 class KernelOperator:
     """T of (I + T) Phi = V in cell order: a band plus a rank-1 semiseparable
     far field (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34, 1999).  Unknown
     i lies at X_i = x_cells[cell[i]] (ascending); entries = (rows, cols,
     values) is T on every pair at most band cells apart; beyond, with far =
     (u, v, s, t), T[i, l] = u_i v_l e^{-k(X_i - X_l)} above the diagonal and
-    s_i t_l e^{-k(X_l - X_i)} below it."""
+    s_i t_l e^{-k(X_l - X_i)} below it.  layout: _solve_layout of cell, band
+    and the entries' pairs, shared by every operator of one basis."""
 
     k: float
     x_cells: np.ndarray
@@ -380,22 +461,24 @@ class KernelOperator:
     band: int
     entries: tuple
     far: tuple
+    layout: _SolveLayout
+
+    def _extended_values(self) -> np.ndarray:
+        """Values of solve's extended system in the order of _extended_pairs,
+        I + T on Phi and the running sums' recursions on sigma and tau."""
+        (u, v, s, t), lay, k = self.far, self.layout, self.k
+        decay, ones = np.exp(-k * np.diff(self.x_cells)), np.ones(self.x_cells.size)
+        vals = np.concatenate([self.entries[2], u[lay.below] * np.exp(-k * lay.reach_below),
+                               s[lay.above] * np.exp(-k * lay.reach_above),
+                               ones, -decay, -v, ones, -decay, -t])
+        vals[lay.diag] += 1.0
+        return vals
 
     def _extended(self):
         """(rows, cols, values) of solve's extended system: Phi, sigma, tau."""
-        (u, v, s, t), n, m, k = self.far, self.cell.size, self.x_cells.size, self.k
-        phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
-        x, decay = self.x_cells, np.exp(-k * np.diff(self.x_cells))
-        lo, hi = self.cell - self.band - 1, self.cell + self.band + 1
-        below, above = lo >= 0, hi < m
-        return (np.concatenate([phi, self.entries[0], phi[below], phi[above], sig,
-                                sig[1:], sig[self.cell], tau, tau[:-1], tau[self.cell]]),
-                np.concatenate([phi, self.entries[1], sig[lo[below]], tau[hi[above]],
-                                sig, sig[:-1], phi, tau, tau[1:], phi]),
-                np.concatenate([np.ones(n), self.entries[2],
-                                u[below] * np.exp(-k * (x[self.cell[below]] - x[lo[below]])),
-                                s[above] * np.exp(-k * (x[hi[above]] - x[self.cell[above]])),
-                                np.ones(m), -decay, -v, np.ones(m), -decay, -t]))
+        rows, cols, _, _ = _extended_pairs(self.x_cells.size, self.cell, self.band,
+                                           *self.entries[:2])
+        return rows, cols, self._extended_values()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + T) Phi = rhs, one column or several, on the system
@@ -408,30 +491,18 @@ class KernelOperator:
         return self._extended_solve(rhs)[:self.cell.size]
 
     def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """solve's Phi, sigma and tau (the rhs of the sigma and tau rows is 0)."""
-        (rows, cols, vals), n, m = self._extended(), self.cell.size, self.x_cells.size
-        nan = np.full((n + 2 * m,) + rhs.shape[1:], np.nan, np.result_type(vals, rhs))
+        """solve's Phi, sigma and tau (the rhs of the sigma and tau rows is 0):
+        the values written into the layout's blocks, then eliminated."""
+        lay, vals, n = self.layout, self._extended_values(), self.cell.size
+        nan = np.full((lay.at.size,) + rhs.shape[1:], np.nan, np.result_type(vals, rhs))
         if not np.all(np.isfinite(vals)):
             return nan
-        # each unknown's superblock and slot in it; short blocks are padded by I
-        end = np.cumsum(np.bincount(self.cell, minlength=m) + 2)
-        per = min(m, max(self.band + 1, -(-_BLOCK_MIN * m // end[-1])))
-        edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
-        block = np.concatenate([self.cell, np.arange(m), np.arange(m)]) // per
-        at = np.concatenate([np.arange(n) + 2 * self.cell, end - 2, end - 1]) - edge[block]
-        nb, b = edge.size - 1, int(np.max(np.diff(edge)))
-        side = block[cols] - block[rows]      # -1, 0, 1: lower, diagonal, upper block
-        flat = ((3 * block[rows] + side + 1) * b + at[rows]) * b + at[cols]
-        a = np.bincount(flat, vals.real, nb * 3 * b * b).astype(nan.dtype).reshape(nb, 3, b, b)
-        if np.iscomplexobj(a):
-            a.imag = np.bincount(flat, vals.imag, a.size).reshape(a.shape)
-        a[:, 1] += (np.arange(b) >= np.diff(edge)[:, None])[:, :, None] * np.eye(b)
-        # the slots of the next (previous) block that an upper (lower) block reads
-        up, dn = (np.flatnonzero(np.bincount(at[cols[side == d]], minlength=b))
-                  for d in (1, -1))
+        (nb, _, b, _), up, dn = lay.shape, lay.up, lay.dn
+        a = np.zeros(lay.shape, nan.dtype)
+        a.reshape(-1)[lay.flat] = vals
+        a.reshape(-1)[lay.pad] = 1.0
         work = np.concatenate([a[:, 2][:, :, up], np.zeros((nb, b, nan[0].size), a.dtype)], 2)
-        at += block * b
-        work.reshape(nb * b, -1)[at[:n], up.size:] = rhs.reshape(n, -1)
+        work.reshape(nb * b, -1)[lay.at[:n], up.size:] = rhs.reshape(n, -1)
         try:
             for j in range(nb):       # forward: [U_j | y_j] -> D_j'^{-1} [U_j | y_j]
                 if j:
@@ -446,7 +517,7 @@ class KernelOperator:
             return nan    # entries dwarf the identity beyond rounding
         for j in range(nb - 2, -1, -1):
             work[j, :, up.size:] -= work[j, :, :up.size] @ work[j + 1, up, up.size:]
-        return work.reshape(nb * b, -1)[at, up.size:].reshape(nan.shape)
+        return work.reshape(nb * b, -1)[lay.at, up.size:].reshape(nan.shape)
 
 
 def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
@@ -464,22 +535,27 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     sums, nodes = _side_sums(basis, k)
     (p, rm, rp), (q, cm, cp) = sums, np.conj(sums)
     cell = 2.0 * np.sinh(k * half) / k
-    i, l = plan.rows, plan.cols
-    vals = np.where(plan.above, (p + rm)[i] * (q + cp)[l], (p + rp)[i] * (q + cm)[l])
-    vals *= cell * np.exp(-k * np.abs(basis.x[i] - basis.x[l]))
+    u, s, qp, qm = p + rm, p + rp, q + cp, q + cm    # the far field's factors
+    vals = np.empty(plan.rows.size, dtype=complex)
+    for at, row, col in ((plan.above, u, qp), (plan.below, s, qm)):
+        i, l = plan.rows[at], plan.cols[at]
+        term = row[i] * col[l]
+        term *= cell * np.exp(-k * np.abs(basis.x[i] - basis.x[l]))
+        vals[at] = term
     i, l = plan.rows[plan.inside], plan.cols[plan.inside]
     gap_lo = basis.x[i] - (basis.x[l] - half)
     gap_hi = (basis.x[l] + half) - basis.x[i]
     vals[plan.inside] = (
         -(np.expm1(-k * gap_lo) + np.expm1(-k * gap_hi)) * p[i] * q[l]
-        - np.exp(-k * gap_lo) * (p[i] * cp[l] + rm[i] * (q[l] + cp[l]))
-        - np.exp(-k * gap_hi) * (p[i] * cm[l] + rp[i] * (q[l] + cm[l]))) / k
+        - np.exp(-k * gap_lo) * (p[i] * cp[l] + rm[i] * qp[l])
+        - np.exp(-k * gap_hi) * (p[i] * cm[l] + rp[i] * qm[l])) / k
     vals[plan.straddling] = _straddling_entries(plan, basis, nodes, k, cell)
     weight = (2.0 * np.pi / k) * basis.matrix_weight
     w = cell * weight
     return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
                           entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
-                          far=(p + rm, (q + cp) * w, p + rp, (q + cm) * w))
+                          far=(u, qp * w, s, qm * w),
+                          layout=basis.layout)
 
 
 def source_column(basis: LoopBasis, x_src, k) -> np.ndarray:

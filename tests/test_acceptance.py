@@ -223,3 +223,19 @@ def test_criterion_10_capacitor_terms(pipeline_runs):
             f"neutral-slab electrostatic term = {cap['electrostatic']} "
             f"(exact 0 required); magnetic kernel decay exponent "
             f"{exponent:.1f} (> 4 required on the [5, 50] window)")
+
+
+@pytest.mark.parametrize("config", [TWO_SPECIES, THREE_SPECIES],
+                         ids=["two-species", "three-species"])
+def test_sweep_imaginary_part_is_antithetic_noise(config):
+    # the bridge measure is even under X -> -X, so the bracket is real; the
+    # antithetic pairs of the basis cancel the odd moments of its Monte
+    # Carlo noise, and |Im| of every per-k bracket stays below 5e-6 (the
+    # unpaired draws of the same seeds gave 1.4e-5 to 1.1e-4)
+    for seed in (2024, 2025, 2026):
+        cfg = copy.deepcopy(config)
+        cfg["seed"] = seed
+        report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+        im = max(abs(v["im"]) for slab in report["screening"].values()
+                 for v in slab["per_k"])
+        assert im < 5e-6, (seed, im)

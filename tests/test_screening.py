@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from thermocasimir import potentials as pot
 from thermocasimir import screening as scr
 from thermocasimir.config import load_config
 from thermocasimir.errors import ParameterError, SingularArgumentError, SolverError
-from thermocasimir.pipeline import _point_basis, _screened_column
+from thermocasimir.pipeline import _point_basis, _screened_column, run_pipeline
 
 
 def _kseq(kappa, k0_factor=0.2, n=6):
@@ -34,25 +36,34 @@ def test_loop_basis_cells_and_input_checks(point_profile):
                                  n_steps=4, seed=0)
 
 
+def _recorded_basis(monkeypatch, profile, n_paths, n_steps, seed):
+    """The basis of the profile on the slab [-2, 0] at nx 3, and the
+    substreams it drew, recorded by wrapping np.random.default_rng."""
+    drawn, default_rng = [], np.random.default_rng
+
+    def recording(stream):
+        drawn.append(list(stream))
+        return default_rng(stream)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    basis = scr.build_loop_basis(profile, 2.0, 3, n_paths=n_paths, n_steps=n_steps,
+                                 seed=seed)
+    monkeypatch.undo()
+    return basis, sorted(drawn)
+
+
 def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
     # a point species (lambda_ = 0) between two wire species: only the wire
-    # entries draw increments, each from its own substream [seed, i], so their
-    # nodes are those of a basis without point charges in between
+    # entries of even path index draw increments, each from its own substream
+    # [seed, i], so their nodes are those of a basis without point charges in
+    # between; each odd path is the mirror image of the one before
     plus, minus = species_pair
     point = lo.SpeciesParams("point", 1.0, 1.0)
     cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(point, 1, 0.1),
              scr.SpeciesDensity(minus, 2, 0.1))
-    drawn, default_rng = [], np.random.default_rng
-
-    def recording(seed):
-        drawn.append(list(seed))
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", recording)
-    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
-                                 n_paths=2, n_steps=4, seed=7)
+    basis, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells), 2, 4, 7)
     wires = np.nonzero(np.tile(np.repeat([True, False, True], 2), 3))[0]
-    assert sorted(drawn) == [[7, int(i)] for i in wires]
+    assert drawn == [[7, int(i)] for i in wires if i % 2 == 0]
     for i in range(basis.size):
         loop = _entry_loop(basis, i, cells, 4, 7)
         _, xi, y = basis.groups[basis.group[i]]
@@ -64,27 +75,62 @@ def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
                              n_paths=1, n_steps=1, seed=0)
 
 
-def test_basis_nodes_are_the_one_shot_pinned_draws(species_pair, pinned_reference):
-    # a charge number's bridges are pinned together into one array; each
-    # entry's nodes are still its substream [seed, i] pinned on its own
-    plus, minus = species_pair
-    cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(minus, 2, 0.1))
-    n_paths, n_steps, seed = 2, 6, 13
-    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
-                                 n_paths=n_paths, n_steps=n_steps, seed=seed)
-    assert sorted(set(basis.pnum.tolist())) == [1, 2]
+def _assert_one_shot_nodes(basis, cells, n_paths, n_steps, seed, pin):
+    """Every entry's nodes against the out-of-place pinning pin of its
+    substream [seed, i], a mirrored entry's against the negation of its
+    partner's (entry i - 1, drawn from [seed, i - 1])."""
     for idx, xi, y in basis.groups:
         p = int(basis.pnum[idx[0]])
         n = p * n_steps
+        mirror = idx % n_paths % 2 == 1
         dw = np.stack([np.random.default_rng([seed, int(i)]).normal(
-            0.0, np.sqrt(p / n), (n, 3)) for i in idx])
+            0.0, np.sqrt(p / n), (n, 3)) for i in idx - mirror])
         lam = np.array([cells[(i // n_paths) % len(cells)].species.lambda_
                         for i in idx])[:, None]
-        path = pinned_reference(dw)[:, :-1]
+        path = pin(dw)[:, :-1]
+        path[mirror] = -path[mirror]
         order = np.argsort(lam * path[..., 0], axis=1, kind="stable")
         for got, axis in ((xi, 0), (y, 1)):
             want = np.take_along_axis(lam * path[..., axis], order, axis=1)
             assert np.array_equal(got, want)
+        # within each sorted path, the mirror image reverses the node order
+        partner = np.nonzero(mirror)[0] - 1
+        assert np.array_equal(xi[mirror], -xi[partner][:, ::-1])
+        assert np.array_equal(y[mirror], -y[partner][:, ::-1])
+
+
+def test_basis_nodes_are_the_one_shot_pinned_draws(species_pair, pinned_reference):
+    # a charge number's bridges are pinned together into one array; each
+    # drawn entry's nodes are still its substream [seed, i] pinned on its
+    # own, each mirrored entry's the exact negation of its partner's
+    plus, minus = species_pair
+    cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(minus, 2, 0.1))
+    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
+                                 n_paths=2, n_steps=6, seed=13)
+    assert sorted(set(basis.pnum.tolist())) == [1, 2]
+    _assert_one_shot_nodes(basis, cells, 2, 6, 13, pinned_reference)
+
+
+def test_odd_path_count_draws_its_last_path(species_pair, pinned_reference, monkeypatch):
+    # three paths per set: paths 0 and 2 are drawn, path 1 mirrors path 0
+    cells = tuple(scr.SpeciesDensity(sp, 1, 0.1) for sp in species_pair)
+    basis, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells), 3, 6, 13)
+    assert drawn == [[13, i] for i in range(basis.size) if i % 3 != 1]
+    _assert_one_shot_nodes(basis, cells, 3, 6, 13, pinned_reference)
+    for i in range(basis.size):
+        _entry_loop(basis, i, cells, 6, 13)
+
+
+def test_single_path_report_is_the_unpaired_one():
+    # with one path per (cell, species, p) set nothing is mirrored: the
+    # report is byte for byte that of the bases drawn path by path (sha256 of
+    # the sorted-key JSON report of TWO_SPECIES at one path, probe off)
+    from test_acceptance import TWO_SPECIES
+    cfg = copy.deepcopy(TWO_SPECIES)
+    cfg["numerics"]["n_paths_kernel"] = 1
+    report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "ce68d28666829001748d6ee6b8404f6f8ce9cb28456e4f163f8efb9329c0a9d7")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -136,13 +182,16 @@ def _oracle_pair_matrix(basis, loops, k):
 
 
 def _entry_loop(basis, i, cells, n_steps, seed):
-    """The Loop of basis entry i, rebuilt from its substream [seed, i] and
-    its profile entry (entries run over cell, profile entry, path), checked
-    against the basis's charge, charge number and stacked node excursions."""
+    """The Loop of basis entry i, rebuilt from its profile entry (entries run
+    over cell, profile entry, path) and its substream [seed, i], or for an odd
+    path the exact negation of the path before it, drawn from [seed, i - 1];
+    checked against the basis's charge, charge number and stacked node
+    excursions."""
     n_paths = basis.size // (basis.x_cells.size * len(cells))
     entry = cells[(i // n_paths) % len(cells)]
-    loop = lo.Loop(basis.x[i], entry.species, entry.p,
-                   lo.sample_bridge(entry.p, n_steps, [seed, i]))
+    mirror = i % n_paths % 2
+    path = lo.sample_bridge(entry.p, n_steps, [seed, i - mirror])
+    loop = lo.Loop(basis.x[i], entry.species, entry.p, -path if mirror else path)
     assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
     lam = entry.species.lambda_
     order = np.argsort(lam * loop.path[:-1, 0], kind="stable")
@@ -189,9 +238,11 @@ def _all_pair_offsets(basis):
     straddling) mask of every operator pair, classified over all n x n."""
     i, l = (a.ravel() for a in np.indices((basis.size, basis.size)))
     plan = scr._pair_plan(basis, i, l)
-    near = np.zeros(i.size, dtype=bool)
-    near[plan.inside] = near[plan.straddling] = True
-    return basis.cell[i] - basis.cell[l], plan.above, near
+    above, near = np.zeros(i.size, dtype=bool), np.zeros(i.size, dtype=bool)
+    above[plan.above] = near[plan.inside] = near[plan.straddling] = True
+    assert np.array_equal(np.sort(np.concatenate(
+        [plan.above, plan.below, plan.inside, plan.straddling])), np.arange(i.size))
+    return basis.cell[i] - basis.cell[l], above, near
 
 
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10), (0.02, 12)])
@@ -242,11 +293,12 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
 
 @pytest.mark.parametrize("batch", [1, 384])
 def test_straddling_entries_do_not_depend_on_the_batching(monkeypatch, batch):
-    # 1: one straddling pair per batch; 384: 6, 3 or 1 pairs per batch, by
-    # the path groups' node counts (8 and 16), so batches end mid-group
+    # 1: one straddling pair per batch; 384 row nodes: 48 or 24 pairs per
+    # batch, by the row path groups' node counts (8 and 16), so batches end
+    # mid-group
     basis, _ = _mixed_basis(0.6, 10)
     ref = scr.assemble_kernel_matrix(basis, 0.05).entries[2]
-    monkeypatch.setattr(scr, "_BATCH", batch)
+    monkeypatch.setattr(scr, "_ROW_NODES", batch)
     small = dataclasses.replace(basis)          # a new basis plans anew
     assert len(small.plan.runs) > len(basis.plan.runs)
     assert np.array_equal(scr.assemble_kernel_matrix(small, 0.05).entries[2], ref)
@@ -286,12 +338,13 @@ def test_wider_band_gives_the_same_solution():
     k = 0.05
     rhs = scr.source_column(basis, basis.x[0], k)
     tight = scr.assemble_kernel_matrix(basis, k).solve(rhs)
-    band = basis.plan.band + 2
+    narrow, band = basis.layout, basis.plan.band + 2
     i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
-    basis.plan = dataclasses.replace(
-        scr._pair_plan(basis, i, l), band=band)
+    basis = dataclasses.replace(basis)      # a new basis, its layout not yet built
+    basis.plan = dataclasses.replace(scr._pair_plan(basis, i, l), band=band)
     wide = scr.assemble_kernel_matrix(basis, k).solve(rhs)
     assert scr.assemble_kernel_matrix(basis, k).band == band
+    assert basis.layout.shape[2] > narrow.shape[2]
     assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
 
 
@@ -408,6 +461,28 @@ def test_extended_solve_matches_sparse_lu_reference():
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_sweep_operators_share_one_layout(monkeypatch):
+    # every operator of one k-sweep carries its basis's single layout, built
+    # once; each solves bit for bit as with a layout built afresh
+    basis, _ = _mixed_basis(0.6, 10)
+    ops, assemble = [], scr.assemble_kernel_matrix
+
+    def recording(b, k):
+        ops.append(assemble(b, k))
+        return ops[-1]
+
+    monkeypatch.setattr(scr, "assemble_kernel_matrix", recording)
+    scr.check_perfect_screening(basis, 0.0, _kseq(1.0))
+    assert len(ops) == 6 and ops[0].band > 0
+    for op in ops:
+        assert op.layout is basis.layout
+        fresh = dataclasses.replace(op, layout=scr._solve_layout(
+            op.x_cells, op.cell, op.band, *op.entries[:2]))
+        assert fresh.layout is not basis.layout
+        rhs = scr.source_column(basis, np.array([0.0, -1.3]), op.k)
+        assert np.array_equal(fresh.solve(rhs), op.solve(rhs))
+
+
 def test_multi_column_solve_matches_single_columns():
     basis, _ = _mixed_basis(0.6, 10)
     k = 0.2
@@ -445,7 +520,9 @@ def _subsystem(op, keep):
     ok = (new[i] >= 0) & (new[l] >= 0)
     return dataclasses.replace(op, cell=op.cell[keep],
                                entries=(new[i[ok]], new[l[ok]], vals[ok]),
-                               far=tuple(g[keep] for g in op.far))
+                               far=tuple(g[keep] for g in op.far),
+                               layout=scr._solve_layout(op.x_cells, op.cell[keep], op.band,
+                                                        new[i[ok]], new[l[ok]]))
 
 
 def test_solve_with_uneven_superblocks():
@@ -474,7 +551,8 @@ def _diagonal_operator(basis, diag, v):
     """T = diag on the diagonal, far field u = s = t = 0 and v."""
     idx, zero = np.arange(basis.size), np.zeros(basis.size)
     return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell, band=0,
-                              entries=(idx, idx, diag), far=(zero, v, zero, zero))
+                              entries=(idx, idx, diag), far=(zero, v, zero, zero),
+                              layout=scr._solve_layout(basis.x_cells, basis.cell, 0, idx, idx))
 
 
 def test_singular_solve_raises_and_overflowed_operator_gives_nan():
@@ -809,10 +887,7 @@ def test_perfect_screening_singular_operator_raises_solver_error(
     # T = -I (band entries -1 on the diagonal, no far field) makes I + T
     # exactly singular
     def singular(basis, k):
-        diag, zero = np.arange(basis.size), np.zeros(basis.size)
-        return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell,
-                                  band=0, entries=(diag, diag, -np.ones(basis.size)),
-                                  far=(zero, zero, zero, zero))
+        return _diagonal_operator(basis, -np.ones(basis.size), np.zeros(basis.size))
 
     monkeypatch.setattr(scr, "assemble_kernel_matrix", singular)
     with pytest.raises(SolverError):
