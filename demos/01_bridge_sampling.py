@@ -10,8 +10,8 @@
 
 import numpy as np
 
-from thermocasimir import (bridge_covariance, line_integral, sample_bridge,
-                           sample_bridge_ensemble)
+from thermocasimir.loops import (bridge_covariance, line_integral,
+                                 sample_bridge, sample_bridge_ensemble)
 
 print("=== sampling one pinned bridge (p = 2, 32 steps per unit time) ===")
 path = sample_bridge(p=2, n_steps=32, seed=42)

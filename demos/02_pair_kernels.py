@@ -10,12 +10,14 @@
 
 import numpy as np
 
-from thermocasimir import (FormFactor, Loop, SpeciesParams, ThermoState,
-                           coulomb_force_kernel, coulomb_force_kernel_oracle,
-                           sample_bridge, v_transverse_partial,
-                           v_transverse_partial_oracle, wm_pair_fourier)
-from thermocasimir.potentials import (coulomb_force_full,
-                                      coulomb_force_monopole_shifted)
+from thermocasimir.loops import Loop, SpeciesParams, ThermoState, sample_bridge
+from thermocasimir.potentials import (FormFactor, coulomb_force_full,
+                                      coulomb_force_kernel,
+                                      coulomb_force_kernel_oracle,
+                                      coulomb_force_monopole_shifted,
+                                      v_transverse_partial,
+                                      v_transverse_partial_oracle,
+                                      wm_pair_fourier)
 
 thermo = ThermoState(beta=1.0, hbar=0.5, c=12.0)
 sp = SpeciesParams.from_thermo("demo", charge=1.0, mass=1.0, thermo=thermo)

@@ -15,11 +15,11 @@
 
 import numpy as np
 
-from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
-                           ThermoState, build_loop_basis,
-                           check_perfect_screening)
-from thermocasimir.screening import (assemble_kernel_matrix, bulk_phi_analytic,
-                                     source_column)
+from thermocasimir.loops import SpeciesParams, ThermoState
+from thermocasimir.screening import (DensityProfile, SpeciesDensity,
+                                     assemble_kernel_matrix, build_loop_basis,
+                                     bulk_phi_analytic,
+                                     check_perfect_screening, source_column)
 
 thermo = ThermoState(beta=1.0, hbar=0.02, c=100.0)
 plus = SpeciesParams.from_thermo("plus", +1.0, 1.0, thermo)

@@ -11,11 +11,11 @@
 
 import numpy as np
 
-from thermocasimir import (DensityProfile, SpeciesDensity, SpeciesParams,
-                           build_loop_basis, factorize_phi_ab)
 from thermocasimir.force import fit_loglog_slope
-from thermocasimir.screening import (assemble_kernel_matrix,
-                                     coupled_two_slab_solve,
+from thermocasimir.loops import SpeciesParams
+from thermocasimir.screening import (DensityProfile, SpeciesDensity,
+                                     assemble_kernel_matrix, build_loop_basis,
+                                     coupled_two_slab_solve, factorize_phi_ab,
                                      geometric_chain_prefactor,
                                      richardson_extrapolate, source_column)
 

@@ -10,9 +10,10 @@
 
 import copy
 
-from thermocasimir import ThermoState, leading_force, lifshitz_reference
 from thermocasimir.config import load_config
-from thermocasimir.force import zeta3_quadrature, zeta3_series_oracle
+from thermocasimir.force import (leading_force, lifshitz_reference,
+                                 zeta3_quadrature, zeta3_series_oracle)
+from thermocasimir.loops import ThermoState
 from thermocasimir.pipeline import run_pipeline
 
 print("=== the force amplitude ===")

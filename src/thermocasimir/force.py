@@ -183,14 +183,14 @@ def magnetic_decay_fit(magnetic_decay: dict):
     """Decay exponent of a tabulated magnetic kernel, fitted as the log-log
     slope of |m| against X on the points above the table's rounding floor.
 
-    magnetic_decay has keys "x_values" and "m_values" and, from
-    standard_magnetic_probe, "m_floor" (per-X floor).  Without "m_floor"
-    every nonzero value is fitted.  Returns (exponent, n_points), where
-    exponent is None when fewer than 3 points lie above the floor.
+    magnetic_decay has keys "x_values", "m_values" and "m_floor" (per-X
+    floor), as standard_magnetic_probe returns it.  Returns (exponent,
+    n_points), where exponent is None when fewer than 3 points lie above the
+    floor.
     """
     xv = np.asarray(magnetic_decay["x_values"], dtype=float)
     mv = np.asarray(magnetic_decay["m_values"], dtype=float)
-    keep = np.abs(mv) > np.asarray(magnetic_decay.get("m_floor", 0.0), dtype=float)
+    keep = np.abs(mv) > np.asarray(magnetic_decay["m_floor"], dtype=float)
     n_points = int(np.count_nonzero(keep))
     if n_points < 3:
         return None, n_points

@@ -125,11 +125,10 @@ class Loop:
         return pts
 
 
-def point_loop(x, species, p=1, n_steps=2, y=(0.0, 0.0)) -> Loop:
-    """Degenerate loop with X(.) = 0: a classical charge (the border charge of
-    the factorization formulas is point_loop(0.0, ...))."""
-    path = np.zeros((p * n_steps + 1, 3))
-    return Loop(x=float(x), species=species, p=p, path=path, y=np.asarray(y, float))
+def point_loop(x, species, n_steps) -> Loop:
+    """Degenerate loop with X(.) = 0, p = 1 and y = 0: a classical charge (the
+    border charge of the factorization formulas is point_loop(0.0, ...))."""
+    return Loop(x=float(x), species=species, p=1, path=np.zeros((n_steps + 1, 3)))
 
 
 def sample_bridge(p: int, n_steps: int, seed) -> np.ndarray:

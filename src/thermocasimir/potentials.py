@@ -406,19 +406,18 @@ def coulomb_force_monopole_shifted(loop_i: Loop, loop_j: Loop, offset_x: float) 
 
 
 def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState,
-                                 form_factor: FormFactor, x_values,
-                                 n_quad=MAGNETIC_N_QUAD):
+                                 form_factor: FormFactor, x_values):
     """In-plane-integrated magnetic force kernel as a function of the normal
     separation X:  (1/2pi) int dk1 e^{i k1 X} i k1 W^m(chi_1, chi_2, k1, 0).
 
     At vanishing in-plane wavevector the transverse projector decouples from
     k1, the integrand is analytic at k1 = 0 (closed-path telescoping removes
     the would-be Coulomb singularity), and the transform decays faster than
-    any inverse power of X.  Evaluated on an n_quad-node Gauss-Legendre rule
-    on [0, 4 k_cut] (built once per n_quad and cached) resolving the
-    oscillation at the largest requested X: one stacked wm_pair_fourier
-    call on the (k1, 0, 0) nodes, then the transform to every X as one matrix
-    product with the node weights.
+    any inverse power of X.  Evaluated on a MAGNETIC_N_QUAD-node
+    Gauss-Legendre rule on [0, 4 k_cut] (the size read at call time, the rule
+    cached) resolving the oscillation at the largest requested X: one stacked
+    wm_pair_fourier call on the (k1, 0, 0) nodes, then the transform to every
+    X as one matrix product with the node weights.
 
     Returns (m, floor), two arrays over x_values.  floor is the rounding
     floor of the weighted node sum, 1e3 eps sum_j |term_j|: once the kernel
@@ -427,10 +426,10 @@ def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState
     """
     x_values = np.asarray(x_values, dtype=float)
     k_max = 4.0 * form_factor.k_cut
-    nodes, weights = gauss_legendre(n_quad)
+    nodes, weights = gauss_legendre(MAGNETIC_N_QUAD)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights / np.pi
-    K = np.zeros((n_quad, 3))
+    K = np.zeros((k1.size, 3))
     K[:, 0] = k1
     t = 1j * k1 * wm_pair_fourier(loop_i, loop_j, K, thermo, form_factor)
     # T(-k1) = conj(T(k1)): the transform is real

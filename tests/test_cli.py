@@ -347,14 +347,25 @@ def test_cold_start_imports_no_scipy(fast_config):
                       ("load", "zeta3_verb", "run", "zeta3_quadrature", "verify")}
 
 
+_LOADED = ("import sys, {}; print(*sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('numpy', 'thermocasimir')))")
+
+
 def test_import_loads_no_numpy_random():
     # numpy.random (~12 ms of imports) loads at a basis's first draw, so a
-    # process that never draws, and every process's set-up, does not pay it
+    # process that never draws, and every process's set-up, does not pay it;
+    # the package root binds no names, so a bare import of it loads no
+    # submodule and no numpy
     src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
-    code = "import sys, thermocasimir.cli; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src_dir),
-                          capture_output=True, text=True, timeout=600, check=True)
-    assert proc.stdout.strip() == "False"
+
+    def loaded(module):
+        proc = subprocess.run([sys.executable, "-c", _LOADED.format(module)],
+                              env=dict(os.environ, PYTHONPATH=src_dir),
+                              capture_output=True, text=True, timeout=600, check=True)
+        return proc.stdout.split()
+
+    assert "numpy.random" not in loaded("thermocasimir.cli")
+    assert loaded("thermocasimir") == ["thermocasimir"]
 
 
 def test_pipeline_reproducibility(fast_config):

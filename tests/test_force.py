@@ -164,7 +164,7 @@ def test_capacitor_force_neutral_and_charged():
 
 def test_capacitor_force_magnetic_exponent_fit():
     x = np.geomspace(5.0, 50.0, 12)
-    decay = {"x_values": x, "m_values": 3.0 * x**-6.0}
+    decay = {"x_values": x, "m_values": 3.0 * x**-6.0, "m_floor": 0.0}
     expo, n_points = fc.magnetic_decay_fit(decay)
     assert expo == pytest.approx(6.0, rel=1e-10) and n_points == 12
     assert expo > 4.0
@@ -183,8 +183,9 @@ def test_capacitor_force_fits_above_floor_only():
     expo, n_points = fc.magnetic_decay_fit({"x_values": x, "m_values": m,
                                             "m_floor": floor})
     assert expo == pytest.approx(6.0, rel=1e-10) and n_points == 12
-    # without a floor the noise tail enters the fit
-    expo_all, _ = fc.magnetic_decay_fit({"x_values": x, "m_values": m})
+    # with a zero floor the noise tail enters the fit
+    expo_all, _ = fc.magnetic_decay_fit({"x_values": x, "m_values": m,
+                                         "m_floor": 0.0})
     assert abs(expo_all - 6.0) > 0.5
 
 

@@ -77,7 +77,7 @@ def test_point_loop_monopole_reduction(thermo):
     l2 = lo.point_loop(2.0, sp, n_steps=8)
     assert pot.coulomb_force_full(l1, l2, 0.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
     # general charge numbers, and the interplate offset added to x_j
-    l3 = lo.point_loop(0.5, sp, p=3, n_steps=8)
+    l3 = lo.Loop(0.5, sp, 3, np.zeros((3 * 8 + 1, 3)))
     for kernel in (pot.coulomb_force_full, pot.coulomb_force_monopole_shifted):
         assert kernel(l1, l3, 1.5) == pytest.approx(1.0 / 3.0, rel=1e-13)
 
@@ -222,7 +222,7 @@ def test_vel_fourier_inplane_shift_phase(thermo):
     sp = lo.SpeciesParams.from_thermo("e", -1.0, 1.0, thermo)
     l1 = lo.point_loop(-1.0, sp, n_steps=8)
     y0 = np.array([0.7, -0.4])
-    l2 = lo.point_loop(2.0, sp, n_steps=8, y=y0)
+    l2 = lo.Loop(2.0, sp, 1, np.zeros((8 + 1, 3)), y=y0)
     kvec = np.array([0.5, 0.3])
     base = pot.vel_fourier(l1, lo.point_loop(2.0, sp, n_steps=8), kvec)
     shifted = pot.vel_fourier(l1, l2, kvec)
@@ -567,12 +567,13 @@ def test_current_moments_telescoping(big_thermo, probe_loops):
 
 # ----------------------------------------------- magnetic capacitor kernel
 
-def test_magnetic_capacitor_integrand_fast_decay(big_thermo, probe_loops):
+def test_magnetic_capacitor_integrand_fast_decay(big_thermo, probe_loops,
+                                                  monkeypatch):
     l1, l2 = probe_loops
     ff = pot.FormFactor(k_cut=2.5)
     xv = np.geomspace(5.0, 50.0, 10)
-    mv, _ = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, ff, xv,
-                                             n_quad=2500)
+    monkeypatch.setattr(pot, "MAGNETIC_N_QUAD", 2500)
+    mv, _ = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, ff, xv)
     slope, _ = fit_loglog_slope(xv, mv)
     assert slope < -4.0
 
@@ -603,7 +604,7 @@ def test_magnetic_capacitor_integrand_matches_per_node_loop():
 
 
 @pytest.mark.parametrize("seed", [2041, 99, 24])
-def test_magnetic_fit_points_stable_across_gauss_rules(seed):
+def test_magnetic_fit_points_stable_across_gauss_rules(seed, monkeypatch):
     # the points above the rounding floor, and the exponent fitted on them,
     # do not depend on the size of the Gauss rule
     from thermocasimir.force import magnetic_decay_fit
@@ -613,9 +614,9 @@ def test_magnetic_fit_points_stable_across_gauss_rules(seed):
     l1, l2 = probe["loops"]
     kept, exponents = [], []
     for n_quad in (200, 400, 3000):
+        monkeypatch.setattr(pot, "MAGNETIC_N_QUAD", n_quad)
         mv, floor = pot.magnetic_capacitor_integrand(
-            l1, l2, probe["thermo"], probe["form_factor"], probe["x_values"],
-            n_quad=n_quad)
+            l1, l2, probe["thermo"], probe["form_factor"], probe["x_values"])
         kept.append(np.abs(mv) > floor)
         exponent, n_points = magnetic_decay_fit(
             {"x_values": probe["x_values"], "m_values": mv, "m_floor": floor})
