@@ -21,8 +21,8 @@ DEFAULT_NUMERICS = {
     "n_steps_kernel": 16,     # path resolution inside the screened solve
     "n_paths_kernel": 8,      # paths per cell carried by the screened solve
     "nx": 32,                 # cells per slab
-    "k0_factor": 0.2,         # first wavenumber of the k -> 0 sequence, in kappa units
-    "n_k": 6,
+    "k0_factor": 0.2,         # first wavenumber of verify's k -> 0 sweep, in kappa units
+    "n_k": 6,                 # wavenumbers of that sweep
     "residual_tolerance": 1e-2,
 }
 
@@ -167,6 +167,11 @@ def load_config(path_or_dict) -> RunConfig:
     if not finite:
         raise ConfigError("the species charge and density give a plasma whose "
                           "kappa^2 or charge density is not finite")
+    kappa, n_k = math.sqrt(profile.kappa2()), numerics["n_k"]
+    if n_k > 1024 or not (kappa == 0.0
+                          or math.ldexp(numerics["k0_factor"] * kappa, 1 - n_k) > 0.0):
+        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {n_k!r} "
+                          f"underflows the wavenumber sequence (n_k at most 1024)")
     if neutral and profile.charge_imbalance() != 0.0:
         raise ConfigError("neutrality flag set but sum(e * density) != 0")
 

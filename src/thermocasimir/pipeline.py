@@ -38,54 +38,71 @@ def _jsonable(obj):
 
 
 def _k_sequence(kappa: float, numerics: dict) -> list:
-    """The halving wavenumbers k0 / 2^n, n < n_k; ConfigError unless n_k <=
-    1024 (richardson_extrapolate's bound) and the last one is above 0."""
-    k0, n_k = numerics["k0_factor"] * kappa, numerics["n_k"]
-    if n_k > 1024 or not math.ldexp(k0, 1 - n_k) > 0.0:
-        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {n_k!r} "
-                          f"underflows the wavenumber sequence (n_k at most 1024)")
-    return [math.ldexp(k0, -n) for n in range(n_k)]
+    """verify's halving wavenumbers k0 / 2^n, n < n_k (load_config has checked
+    that n_k <= 1024 and the last one is above 0)."""
+    k0 = numerics["k0_factor"] * kappa
+    return [math.ldexp(k0, -n) for n in range(numerics["n_k"])]
 
 
-def _plate_brackets(config: RunConfig, kappa: float, nx: int, n_paths: int):
-    """Single-plate k-sweeps along the wavenumber sequence for both slabs.
-
-    Each sweep screens the unit border charge at x = 0 of the slab [-width,
-    0], on nx cells with n_paths paths per (species, charge number) cell.
-    Slab b is the mirror image of the slab [-b, 0] through the gap, so
-    identical slabs reuse the first bracket; otherwise slab b is solved as
-    that mirror image on the substream seed + 1.  An overflowing sweep runs
-    without NumPy warnings, and its non-finite bracket raises ParameterError.
-    "screening" holds, per solved slab, the basis size, the operator's
-    pair counts per assembly class, its band half-width in cells and the
-    bracket at each wavenumber of the sequence ("per_k").  Returns the
-    report's "brackets", "screening" and "k_sequence" blocks.
-    """
-    k_seq = _k_sequence(kappa, config.numerics)
+def _plates(config: RunConfig, nx: int, n_paths: int, solve) -> dict:
+    """solve(basis) of each plate's basis: the slab [-width, 0] with the unit
+    border charge at x = 0 on its inner face, on nx cells with n_paths paths
+    per (species, charge number) cell.  Slab b is the mirror image of the
+    slab [-b, 0] through the gap, so identical slabs reuse the first plate;
+    otherwise slab b is solved as that mirror image on the substream seed +
+    1.  An overflowing solve runs without NumPy warnings, and a non-finite
+    "bracket" of its result raises ParameterError naming the slab.  Returns
+    {slab: (basis, result)}."""
     n_steps = config.numerics["n_steps_kernel"]
     mirror = abs(config.a - config.b) < 1e-12 * config.a
-    res, screening = {}, {}
+    out = {}
     for slab, width, seed in (("a", config.a, config.seed),
                               ("b", config.b, config.seed + 1))[:1 if mirror else 2]:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             basis = scr.build_loop_basis(config.profile, width, nx, n_paths=n_paths,
                                          n_steps=n_steps, seed=seed)
-            res[slab] = scr.check_perfect_screening(basis, 0.0, k_seq)
-        screening[slab] = {"basis_size": basis.size, "pairs": basis.pair_class_counts(),
-                           "band_cells": basis.plan.band, "per_k": res[slab]["per_k"]}
-        force_mod._finite_nonzero(res[slab]["bracket"],
-                                  f"the slab-{slab} screening bracket")
-    res_a, res_b = res["a"], res.get("b", res["a"])
+            result = solve(basis)
+        force_mod._finite_nonzero(result["bracket"], f"the slab-{slab} screening bracket")
+        out[slab] = basis, result
+    return out
+
+
+def _plate_brackets(config: RunConfig, nx: int, n_paths: int) -> dict:
+    """The report's "brackets" and "screening" blocks: one bordered k = 0
+    solve per plate (screening.perfect_screening_k0, see _plates).
+    "screening" holds, per solved slab, the basis size, the operator's pair
+    counts per assembly class, its band half-width in cells and the bracket's
+    slope at k = 0 ("bracket_slope", -mu: the bracket is -1 + slope k +
+    O(k^2))."""
+    plates = _plates(config, nx, n_paths,
+                     lambda basis: scr.perfect_screening_k0(basis, 0.0))
+    screening = {slab: {"basis_size": basis.size, "pairs": basis.pair_class_counts(),
+                        "band_cells": basis.plan.band, "bracket_slope": -res["mu"]}
+                 for slab, (basis, res) in plates.items()}
+    res_a, res_b = plates["a"][1], plates.get("b", plates["a"])[1]
     brackets = {
-        "bracket_a": float(np.real(res_a["bracket"])),
-        "bracket_b": float(np.real(res_b["bracket"])),
+        "bracket_a": res_a["bracket"],
+        "bracket_b": res_b["bracket"],
         "residual_a": res_a["residual_rel"],
         "residual_b": res_b["residual_rel"],
-        "extrapolation_a": res_a["extrapolation_correction"],
-        "extrapolation_b": res_b["extrapolation_correction"],
-        "mirror_reused": mirror,
+        "mirror_reused": "b" not in plates,
     }
-    return {"brackets": brackets, "screening": screening, "k_sequence": list(k_seq)}
+    return {"brackets": brackets, "screening": screening}
+
+
+def _k0_deviation(basis: scr.LoopBasis, sweep: dict, k_seq: list):
+    """The larger relative deviation of the bordered k = 0 solve from the
+    k-sweep's Richardson limits, of Phi_0 from the limit of Phi (over its
+    largest entry) and of -mu from the limit of (bracket + 1) / k, and the
+    larger relative Richardson correction of those two limits."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k0 = scr.perfect_screening_k0(basis, 0.0)
+    slope, slope_correction = scr.richardson_extrapolate(
+        [(v + 1.0) / k for v, k in zip(sweep["per_k"], k_seq)])
+    scale = np.max(np.abs(sweep["phi"]))
+    return (np.max([np.max(np.abs(k0["phi"] - sweep["phi"])) / scale,
+                    abs(-k0["mu"] - slope) / abs(slope)]),
+            np.max([sweep["phi_correction"] / scale, slope_correction / abs(slope)]))
 
 
 _HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
@@ -187,13 +204,13 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     kappa = np.sqrt(config.profile.kappa2())
     if kappa == 0.0:
         raise ConfigError("no screening medium: every species has density 0, "
-                          "so kappa = 0 and there is no k -> 0 sequence")
+                          "so kappa = 0 and nothing screens the border charge")
     lam_s = 1.0 / kappa
     sigma = config.profile.charge_imbalance()      # load_config's neutrality test
     capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     if not math.isfinite(capacitor_el):
         raise ParameterError(f"electrostatic capacitor term {capacitor_el!r} is not finite")
-    plates = _plate_brackets(config, kappa, config.numerics["nx"],
+    plates = _plate_brackets(config, config.numerics["nx"],
                              config.numerics["n_paths_kernel"])
     brackets = plates["brackets"]
     mag_exponent = None
@@ -428,9 +445,15 @@ def verify_suite(config: RunConfig) -> dict:
         oracle = scr.bulk_sum_rule_oracle(kappa, k_seq)
         checks.append(_check("perfect_screening_bulk", oracle["residual_rel"],
                              1e-3))
-        slabs = _plate_brackets(config, kappa, 16, 4)["brackets"]   # the worse plate
-        checks.append(_check("perfect_screening_slab",
-                             np.max([slabs["residual_a"], slabs["residual_b"]]), 1e-2))
+        sweeps = _plates(config, 16, 4, lambda basis: scr.check_perfect_screening(
+            basis, 0.0, k_seq)).values()
+        checks.append(_check("perfect_screening_slab",     # the worse plate
+                             np.max([res["residual_rel"] for _, res in sweeps]), 1e-2))
+        dev = np.array([_k0_deviation(basis, res, k_seq) for basis, res in sweeps])
+        checks.append(_check("k0_matches_sweep", np.max(dev[:, 0]),
+                             1e-6 + 10.0 * np.max(dev[:, 1]),
+                             note="1e-6 plus 10 times the sweep's relative "
+                                  "Richardson correction"))
     else:
         checks.append(_check("perfect_screening_slab", 1.0, 1e-2, passed=False,
                              expected_fail=True,

@@ -8,18 +8,19 @@ width differs.  This module discretizes that integral equation (midpoint
 cells along the slab normal, the kernel integrated exactly over each cell,
 internal degrees of freedom summed over species and charge number with Monte
 Carlo path cells of antithetic bridge pairs) and solves it in O(n): in cell
-order the operator is a band of near-cell pairs plus a rank-1 semiseparable
-far field, which running sums per cell turn into one block-tridiagonal
-system, solved by block LU on a layout built once per basis.  The basis
-pairs are classified once per basis (entirely above or below the source
-cell, inside it, or straddling a face) and each class is summed exactly
-without a pair loop; the source column of a unit point charge, or one column
-per source position, is a direct node sum.  A classical plasma is a basis of
-point charges, species with lambda_ = 0.  The module also provides the k-sweep
-(solves along the wavenumber sequence, Richardson-extrapolated to zero, giving
-the perfect-screening residuals), the two-slab solve of any slab basis joined
-with its moved copy and the factorized closed form of the interplate screened
-potential.
+order the operator is a band of near-cell pairs plus a semiseparable far
+field (rank 1 at k > 0, rank 2 at the k = 0 order), which running sums per
+cell turn into one block-tridiagonal system, solved by block LU on a layout
+built once per basis and rank.  The basis pairs are classified once per basis
+(entirely above or below the source cell, inside it, or straddling a face)
+and each class is summed exactly without a pair loop; the source column of a
+unit point charge, or one column per source position, is a direct node sum.  A classical plasma is a basis of
+point charges, species with lambda_ = 0.  The perfect-screening rule at k = 0
+comes from one bordered solve of the operator's expansion T_{-1}/k + T_0,
+whose pole is rank 1; the k-sweep (solves along the wavenumber sequence,
+Richardson-extrapolated to zero) is its oracle.  The module also provides the
+two-slab solve of any slab basis joined with its moved copy and the
+factorized closed form of the interplate screened potential.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ __all__ = [
     "bulk_phi_analytic",
     "richardson_extrapolate",
     "check_perfect_screening",
+    "perfect_screening_k0",
     "bulk_sum_rule_oracle",
     "factorize_phi_ab",
     "geometric_chain_prefactor",
@@ -255,7 +257,7 @@ class LoopBasis:
     def layout(self) -> _SolveLayout:
         """Layout of the block solves at every wavenumber, built once."""
         return _solve_layout(self.x_cells, self.cell, self.plan.band,
-                             self.plan.rows, self.plan.cols)
+                             self.plan.rows, self.plan.cols, 1)
 
     def pair_class_counts(self) -> dict:
         """Number of operator pairs per class (see assemble_kernel_matrix)."""
@@ -385,13 +387,14 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
 @dataclass(frozen=True)
 class _SolveLayout:
     """k-independent layout of KernelOperator.solve's extended system, one per
-    basis: shape (nb, 3, b, b) holds each superblock's lower, diagonal and
-    upper block, at each unknown's row in them (block * b + slot), flat the
-    position of each value of _extended_values (none twice: the identity is
-    folded into the diagonal entries diag), pad the unit diagonal that pads
-    short blocks, up (dn) the slots of the next (previous) block that an upper
-    (lower) block reads, and below (above) the unknowns coupled to the running
-    sums band + 1 cells before (after) theirs, reach away."""
+    basis and far-field rank: shape (nb, 3, b, b) holds each superblock's
+    lower, diagonal and upper block, at each unknown's row in them (block * b
+    + slot), flat the position of each value of _extended_values (none twice:
+    the identity is folded into the diagonal entries diag), pad the unit
+    diagonal that pads short blocks, up (dn) the slots of the next (previous)
+    block that an upper (lower) block reads, and below (above) the unknowns
+    coupled to the running sums band + 1 cells before (after) theirs, reach
+    away."""
 
     shape: tuple
     at: np.ndarray
@@ -406,32 +409,38 @@ class _SolveLayout:
     reach_above: np.ndarray
 
 
-def _extended_pairs(n_cells, cell, band, rows, cols):
-    """(rows, cols) of the extended system (Phi, sigma, tau) in the order of
-    KernelOperator._extended_values, and the unknowns below and above."""
+def _extended_pairs(n_cells, cell, band, rows, cols, rank):
+    """(rows, cols) of the extended system (Phi, sigma, tau), rank running sums
+    of each kind per cell, in the order of KernelOperator._extended_values, and
+    the unknowns below and above."""
     n, m = cell.size, n_cells
-    phi, sig, tau = np.arange(n), n + np.arange(m), n + m + np.arange(m)
+    phi = np.broadcast_to(np.arange(n), (rank, n))
+    sig = n + np.arange(rank * m).reshape(rank, m)
+    tau = sig + rank * m
     lo, hi = cell - band - 1, cell + band + 1
     below, above = np.nonzero(lo >= 0)[0], np.nonzero(hi < m)[0]
-    return (np.concatenate([rows, below, above, sig, sig[1:], sig[cell],
-                            tau, tau[:-1], tau[cell]]),
-            np.concatenate([cols, sig[lo[below]], tau[hi[above]], sig, sig[:-1], phi,
-                            tau, tau[1:], phi]), below, above)
+    return (np.concatenate([rows, np.tile(below, rank), np.tile(above, rank),
+                            np.hstack([sig, sig[:, 1:], sig[:, cell]]).ravel(),
+                            np.hstack([tau, tau[:, :-1], tau[:, cell]]).ravel()]),
+            np.concatenate([cols, sig[:, lo[below]].ravel(), tau[:, hi[above]].ravel(),
+                            np.hstack([sig, sig[:, :-1], phi]).ravel(),
+                            np.hstack([tau, tau[:, 1:], phi]).ravel()]), below, above)
 
 
-def _solve_layout(x_cells, cell, band, rows, cols) -> _SolveLayout:
+def _solve_layout(x_cells, cell, band, rows, cols, rank) -> _SolveLayout:
     """Layout of the block solve of an operator whose unknowns lie in the
-    cells cell and whose entries (rows, cols) hold every pair at most band
-    cells apart, the diagonal among them: per cell [Phi_c, sigma_c, tau_c],
-    in superblocks of at least band + 1 cells and _BLOCK_MIN unknowns; short
-    blocks are padded by I."""
-    n, m = cell.size, x_cells.size
-    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, band, rows, cols)
-    end = np.cumsum(np.bincount(cell, minlength=m) + 2)
+    cells cell, whose entries (rows, cols) hold every pair at most band cells
+    apart, the diagonal among them, and whose far field has rank terms: per
+    cell [Phi_c, sigma_c, tau_c], in superblocks of at least band + 1 cells
+    and _BLOCK_MIN unknowns; short blocks are padded by I."""
+    n, m, extra = cell.size, x_cells.size, 2 * rank
+    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, band, rows, cols, rank)
+    end = np.cumsum(np.bincount(cell, minlength=m) + extra)
     per = min(m, max(band + 1, -(-_BLOCK_MIN * m // end[-1])))
     edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
-    block = np.concatenate([cell, np.arange(m), np.arange(m)]) // per
-    at = np.concatenate([np.arange(n) + 2 * cell, end - 2, end - 1]) - edge[block]
+    block = np.concatenate([cell, np.tile(np.arange(m), extra)]) // per
+    at = np.concatenate([np.arange(n) + extra * cell,
+                         (end - extra + np.arange(extra)[:, None]).ravel()]) - edge[block]
     nb, b = edge.size - 1, int(np.max(np.diff(edge)))
     side = block[ext_cols] - block[ext_rows]      # -1, 0, 1: lower, diagonal, upper block
     j, slot = np.nonzero(np.arange(b) >= np.diff(edge)[:, None])
@@ -447,13 +456,15 @@ def _solve_layout(x_cells, cell, band, rows, cols) -> _SolveLayout:
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """T of (I + T) Phi = V in cell order: a band plus a rank-1 semiseparable
-    far field (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34, 1999).  Unknown
+    """T of (I + T) Phi = V in cell order: a band plus a semiseparable far field
+    of rank r (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34, 1999).  Unknown
     i lies at X_i = x_cells[cell[i]] (ascending); entries = (rows, cols,
     values) is T on every pair at most band cells apart; beyond, with far =
-    (u, v, s, t), T[i, l] = u_i v_l e^{-k(X_i - X_l)} above the diagonal and
-    s_i t_l e^{-k(X_l - X_i)} below it.  layout: _solve_layout of cell, band
-    and the entries' pairs, shared by every operator of one basis."""
+    (u, v, s, t) of shape (r, n), T[i, l] = sum_q u_qi v_ql e^{-k(X_i - X_l)}
+    above the diagonal and sum_q s_qi t_ql e^{-k(X_l - X_i)} below it: rank 1
+    at k > 0, rank 2 for the k = 0 order, where the decay is 1.  layout:
+    _solve_layout of cell, band, the entries' pairs and r, shared by every
+    operator of one basis and rank."""
 
     k: float
     x_cells: np.ndarray
@@ -467,27 +478,31 @@ class KernelOperator:
         """Values of solve's extended system in the order of _extended_pairs,
         I + T on Phi and the running sums' recursions on sigma and tau."""
         (u, v, s, t), lay, k = self.far, self.layout, self.k
-        decay, ones = np.exp(-k * np.diff(self.x_cells)), np.ones(self.x_cells.size)
-        vals = np.concatenate([self.entries[2], u[lay.below] * np.exp(-k * lay.reach_below),
-                               s[lay.above] * np.exp(-k * lay.reach_above),
-                               ones, -decay, -v, ones, -decay, -t])
+        decay = np.exp(-k * np.diff(self.x_cells)) * np.ones((len(u), 1))
+        ones = np.ones((len(u), self.x_cells.size))
+        vals = np.concatenate([self.entries[2],
+                               (u[:, lay.below] * np.exp(-k * lay.reach_below)).ravel(),
+                               (s[:, lay.above] * np.exp(-k * lay.reach_above)).ravel(),
+                               np.hstack([ones, -decay, -v]).ravel(),
+                               np.hstack([ones, -decay, -t]).ravel()])
         vals[lay.diag] += 1.0
         return vals
 
     def _extended(self):
         """(rows, cols, values) of solve's extended system: Phi, sigma, tau."""
         rows, cols, _, _ = _extended_pairs(self.x_cells.size, self.cell, self.band,
-                                           *self.entries[:2])
+                                           *self.entries[:2], len(self.far[0]))
         return rows, cols, self._extended_values()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + T) Phi = rhs, one column or several, on the system
         extended by running sums per cell, sigma_c = e^{-k(X_c - X_{c-1})}
-        sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c over t: row i
-        reads both band + 1 cells away.  Ordered per cell as [Phi_c, sigma_c,
-        tau_c] in superblocks of at least band + 1 cells, it is block
-        tridiagonal: block LU (Golub & Van Loan 4.5.1), LAPACK's partial
-        pivoting inside each diagonal block.  NaN for an overflowed operator."""
+        sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c over t (one
+        of each per far-field term): row i reads both band + 1 cells away.
+        Ordered per cell as [Phi_c, sigma_c, tau_c] in superblocks of at least
+        band + 1 cells, it is block tridiagonal: block LU (Golub & Van Loan
+        4.5.1), LAPACK's partial pivoting inside each diagonal block.  NaN for
+        an overflowed operator."""
         return self._extended_solve(rhs)[:self.cell.size]
 
     def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -554,7 +569,7 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     w = cell * weight
     return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
                           entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
-                          far=(u, qp * w, s, qm * w),
+                          far=(u[None], (qp * w)[None], s[None], (qm * w)[None]),
                           layout=basis.layout)
 
 
@@ -572,6 +587,85 @@ def source_column(basis: LoopBasis, x_src, k) -> np.ndarray:
             w = node - x_src.reshape(-1, 1)[j:j + step]
             out[idx, j:j + step] = basis.ds * np.sum(a * np.exp(-k * np.abs(w)), axis=2)
     return (2.0 * np.pi / k) * out.reshape((basis.size,) + x_src.shape)
+
+
+def _moments(basis: LoopBasis) -> np.ndarray:
+    """Per-path node sums ds sum_s (1, xi, xi^2, y): P (the charge number p),
+    Xi, Q and Y, one row each."""
+    out = np.empty((4, basis.size))
+    for idx, xi, y in basis.groups:
+        out[0, idx] = basis.ds * xi.shape[1]
+        out[1:, idx] = basis.ds * np.stack([xi.sum(axis=1), (xi * xi).sum(axis=1),
+                                            y.sum(axis=1)])
+    return out
+
+
+def _straddling_k0(plan, basis: LoopBasis):
+    """The k^0 order of _straddling_entries: sum_{s,t} ds^2 J(gap - xi(t)) of
+    each straddling pair, J(z) = h |z| beyond the cell and z^2 + h^2/4 inside
+    it.  Per row node the three runs of column nodes read the prefix sums C0,
+    C1, C2 over t of ds, ds xi and ds xi^2 at their ends: h (gap C0 - C1) on
+    the above run, (gap^2 + h^2/4) C0 - 2 gap C1 + C2 on the inside run and
+    h (C1 - gap C0) on the below run; real, no exp."""
+    vals, h, tables = np.empty(plan.straddling.size), basis.h, {}
+    for _, gc, batch, _, gap, at_above, at_below, at_end in plan.runs:
+        if gc not in tables:
+            xi = basis.groups[gc][1]
+            planes = np.zeros((3, xi.shape[0], xi.shape[1] + 1))
+            for plane, term in zip(planes, (np.ones_like(xi), xi, xi * xi)):
+                np.cumsum(basis.ds * term, axis=1, out=plane[:, 1:])
+            tables[gc] = planes.reshape(3, -1)
+        c0, c1, c2 = tables[gc]
+        a0, a1 = c0.take(at_above), c1.take(at_above)
+        b0, b1 = c0.take(at_below), c1.take(at_below)
+        total = h * (gap * (a0 + b0 - c0.take(at_end)) + c1.take(at_end) - a1 - b1)
+        total += (gap * gap + 0.25 * h * h) * (b0 - a0) - 2.0 * gap * (b1 - a1)
+        total += c2.take(at_below) - c2.take(at_above)
+        vals[batch] = basis.ds * np.sum(total, axis=1)
+    return vals
+
+
+def _k0_operator(basis: LoopBasis, moments) -> KernelOperator:
+    """Real part of T_0 in T(k) = T_{-1}/k + T_0 + O(k): with e^{-k|z|}/k ->
+    1/k - |z| and the phase's first order, T_0[i, l] = 2 pi w_l sum_{s,t} ds^2
+    [i h (y_i(s) - y_l(t)) - J(z)], z = x_i + xi_i(s) - xi_l(t) - x_l, w the
+    matrix_weight and J as in _straddling_k0.  The band sums J per pair class
+    in moments P, Xi, Q; beyond it Re T_0[i, l] = -2 pi h w_l sgn(X_i - X_l)
+    (P_l alpha_i - P_i alpha_l), alpha = P x + Xi: a rank-2 far field of
+    decay 1, its terms made dimensionless (alpha / h, h^2 w) so that a length
+    scaling by a power of two leaves the solve's pivots alone."""
+    plan, h, x = basis.plan, basis.h, basis.x
+    p, xi_sum, q = moments[:3]
+    vals = np.empty(plan.rows.size)
+    for at, sign in ((plan.above, 1.0), (plan.below, -1.0)):
+        i, l = plan.rows[at], plan.cols[at]
+        vals[at] = sign * h * (p[i] * p[l] * (x[i] - x[l]) + p[l] * xi_sum[i]
+                               - p[i] * xi_sum[l])
+    i, l = plan.rows[plan.inside], plan.cols[plan.inside]
+    dx = x[i] - x[l]
+    vals[plan.inside] = (p[i] * p[l] * (dx * dx + 0.25 * h * h)
+                         + p[l] * q[i] + p[i] * q[l]
+                         + 2.0 * dx * (p[l] * xi_sum[i] - p[i] * xi_sum[l])
+                         - 2.0 * xi_sum[i] * xi_sum[l])
+    vals[plan.straddling] = _straddling_k0(plan, basis)
+    weight = -2.0 * np.pi * basis.matrix_weight
+    u = np.stack([(p * x + xi_sum) / h, p])     # alpha / h and P: no length unit
+    v = 2.0 * np.pi * h * h * basis.matrix_weight * np.stack([-p, u[0]])
+    return KernelOperator(k=0.0, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
+                          entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
+                          far=(u, v, u, -v),
+                          layout=_solve_layout(basis.x_cells, basis.cell, plan.band,
+                                               plan.rows, plan.cols, 2))
+
+
+def _source_k0(basis: LoopBasis, x_src: float) -> np.ndarray:
+    """Real part of V_0 in V(k) = V_{-1}/k + V_0 + O(k) for the unit point
+    charge at x_src: -2 pi ds_i sum_s |x_i + xi_i(s) - x_src| (its imaginary
+    part 2 pi Y cancels in the bordered solve)."""
+    out = np.empty(basis.size)
+    for idx, xi, _ in basis.groups:
+        out[idx] = basis.ds * np.sum(np.abs(basis.x[idx, None] + xi - x_src), axis=1)
+    return -2.0 * np.pi * out
 
 
 # ----------------------------------------------------------------------------
@@ -642,21 +736,61 @@ def check_perfect_screening(basis: LoopBasis, x_src: float, k_sequence):
     source column of the unit point charge at x_src.  The bracket, the
     charge-weighted phase-space integral of the F bond against that charge,
     is extrapolated to k = 0 and reported as |bracket + 1| (perfect screening
-    makes it -1).
+    makes it -1), and so is the solution column ("phi", with the largest
+    "phi_correction" of its entries): the oracle of perfect_screening_k0.
     """
     w = basis.pnum * basis.charge**2 * basis.measure
-    vals = []
+    vals, phis = [], []
     for k in k_sequence:
-        phi = assemble_kernel_matrix(basis, k).solve(source_column(basis, x_src, k))
-        vals.append(complex(-basis.beta * np.sum(w * phi)))
+        phis.append(assemble_kernel_matrix(basis, k).solve(source_column(basis, x_src, k)))
+        vals.append(complex(-basis.beta * np.sum(w * phis[-1])))
     bracket, correction = richardson_extrapolate(vals)
     bracket = complex(bracket)
+    phi, phi_correction = richardson_extrapolate(phis)
     return {
         "bracket": bracket,
         "residual_rel": abs(bracket + 1.0),
         "per_k": [complex(v) for v in vals],
         "extrapolation_correction": float(correction),
+        "phi": phi,
+        "phi_correction": phi_correction,
     }
+
+
+def perfect_screening_k0(basis: LoopBasis, x_src: float) -> dict:
+    """The perfect-screening rule at k = 0 by one bordered solve, with no
+    k-sweep: T(k) = T_{-1}/k + T_0 + O(k) has the rank-1 pole T_{-1} = 2 pi P
+    m^T, m = h w P (P the charge numbers, w the matrix_weight), and V_{-1} = 2
+    pi P, so a bounded Phi = Phi_0 + k Phi_1 obeys m.Phi_0 = 1 and (I + T_0)
+    Phi_0 + 2 pi P mu = V_0, mu = m.Phi_1 (Keller 1977).  The phases cancel
+    in Phi_0, so the solve is real: X = (I + Re T_0)^{-1} [Re V_0, 2 pi P] by
+    one two-column block solve, mu' = (m.X_0 - 1) / m.X_1, Phi_0 = X_0 - mu'
+    X_1 and mu = mu' + i h sum_l w_l Y_l Phi_0_l.
+
+    Returns the real column "phi" (Phi_0), the "bracket" of the border
+    charge at x_src, computed as check_perfect_screening does from phi and
+    not from m, its "residual_rel" |bracket + 1|, and "mu": the bracket at
+    small k is -1 - mu k + O(k^2).  SolverError when m.X_1 is lost in
+    rounding (no screening medium); NaN throughout for an overflowed
+    operator, or one whose entries dwarf the identity beyond rounding."""
+    moments = _moments(basis)
+    hw = basis.h * basis.matrix_weight
+    m = hw * moments[0]
+    op = _k0_operator(basis, moments)
+    x0, x1 = op.solve(np.column_stack([_source_k0(basis, x_src),
+                                       2.0 * np.pi * moments[0]])).T
+    pivot = m @ x1
+    if abs(pivot) <= 1e-8 * (np.abs(m) @ np.abs(x1)):     # half its digits lost
+        if np.max(np.abs(op.entries[2])) * np.finfo(float).eps < 1.0:
+            raise SolverError(f"bordered k = 0 solve: border pivot {pivot!r} is lost "
+                              "in rounding", condition_number=np.inf)
+        pivot = np.nan      # as in solve: entries dwarf the identity beyond rounding
+    mu = (m @ x0 - 1.0) / pivot
+    phi = x0 - mu * x1
+    w = basis.pnum * basis.charge**2 * basis.measure
+    bracket = float(-basis.beta * np.sum(w * phi))
+    return {"phi": phi, "bracket": bracket, "residual_rel": abs(bracket + 1.0),
+            "mu": complex(mu, (hw * moments[3]) @ phi)}
 
 
 def bulk_sum_rule_oracle(kappa, k_sequence):

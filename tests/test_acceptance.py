@@ -230,12 +230,18 @@ def test_criterion_10_capacitor_terms(pipeline_runs):
 def test_sweep_imaginary_part_is_antithetic_noise(config):
     # the bridge measure is even under X -> -X, so the bracket is real; the
     # antithetic pairs of the basis cancel the odd moments of its Monte
-    # Carlo noise, and |Im| of every per-k bracket stays below 5e-6 (the
+    # Carlo noise, and |Im| of every per-k bracket of the k-sweep on the
+    # basis of run's plate (a = b: slab a only) stays below 5e-6 (the
     # unpaired draws of the same seeds gave 1.4e-5 to 1.1e-4)
     for seed in (2024, 2025, 2026):
         cfg = copy.deepcopy(config)
         cfg["seed"] = seed
-        report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
-        im = max(abs(v["im"]) for slab in report["screening"].values()
-                 for v in slab["per_k"])
+        conf = load_config(cfg)
+        basis = scr.build_loop_basis(conf.profile, conf.a, conf.numerics["nx"],
+                                     conf.numerics["n_paths_kernel"],
+                                     conf.numerics["n_steps_kernel"], seed)
+        kappa = np.sqrt(conf.profile.kappa2())
+        res = scr.check_perfect_screening(basis, 0.0,
+                                          [0.2 * kappa / 2**n for n in range(6)])
+        im = max(abs(v.imag) for v in res["per_k"])
         assert im < 5e-6, (seed, im)

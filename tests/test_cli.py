@@ -24,7 +24,7 @@ from thermocasimir.config import DEFAULT_NUMERICS, load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
-from thermocasimir.screening import build_loop_basis
+from thermocasimir.screening import build_loop_basis, check_perfect_screening
 
 BASE_CONFIG = {
     "units": "reduced",
@@ -185,9 +185,12 @@ def test_pipeline_report_keys(fast_report):
         assert set(row) == {"d", "f_leading", "f_assembled",
                             "capacitor_mag_bound_at_d", "lifshitz"}
     assert "config_hash" in report
+    # the bordered k = 0 solve has no k-sequence and no Richardson step
     assert set(report["brackets"]) == {
-        "bracket_a", "bracket_b", "residual_a", "residual_b",
-        "extrapolation_a", "extrapolation_b", "mirror_reused"}
+        "bracket_a", "bracket_b", "residual_a", "residual_b", "mirror_reused"}
+    assert "k_sequence" not in report
+    assert set(report["screening"]["a"]) == {"basis_size", "pairs", "band_cells",
+                                             "bracket_slope"}
     capacitor = report["capacitor"]
     assert capacitor["electrostatic"] == 0.0
     bound = capacitor["magnetic_bound"]
@@ -251,7 +254,9 @@ def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
     brackets = report["brackets"]
     assert brackets["mirror_reused"] is False
     assert sorted(report["screening"]) == ["a", "b"]
-    assert brackets["bracket_b"] != brackets["bracket_a"]
+    # both brackets are -1 to rounding; their slopes at k = 0 tell the plates apart
+    assert (report["screening"]["b"]["bracket_slope"]
+            != report["screening"]["a"]["bracket_slope"])
     tolerance = config.numerics["residual_tolerance"]
     assert brackets["residual_a"] < tolerance
     assert brackets["residual_b"] < tolerance
@@ -638,6 +643,7 @@ TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
     ("thermo", "beta", 1e300, [1e-3]),    # sinh(k h / 2) overflows
     ("thermo", "hbar", 1e300, None),
     ("slabs", "a", 1e300, None),
+    ("slabs", "a", 5e-324, None),         # the cell width underflows to 0
     ("slabs", "b", 1e300, None),          # only the second plate's sweep
     ("species", "mass", 1e-300, None),
     ("numerics", "k0_factor", 1e300, None),
@@ -645,15 +651,17 @@ TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
 ])
 def test_cli_non_finite_screening_bracket_is_a_config_error(
         tmp_path, fast_config, capsys, where, key, value, d_values):
-    # the overflowing sweep exits 2 without a NumPy warning on every verb:
-    # verify sweeps both plates too, and names the slab that overflows
+    # the overflowing plate solve exits 2 without a NumPy warning on every
+    # verb: run's bordered k = 0 solve and verify's k-sweep, which covers
+    # both plates too, name the slab that overflows; k0_factor sets only
+    # verify's sweep
     bad = copy.deepcopy(fast_config)
     bad["numerics"] = dict(TINY_NUMERICS)
     bad["sweep"]["d_values"] = d_values or bad["sweep"]["d_values"]
     {"thermo": bad["thermo"], "slabs": bad["slabs"],
      "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
     out = tmp_path / "out"
-    for verb in ("run", "verify"):
+    for verb in ("verify",) if key == "k0_factor" else ("run", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
@@ -681,8 +689,9 @@ def test_cli_underflowing_k_sequence_is_a_config_error(tmp_path, fast_config,
 
 
 @pytest.mark.parametrize("slabs, species, message", [
-    # the brackets' product underflows: the assembled force reads -0.0
-    ({"a": 1e-300, "b": 1e-300}, {}, "not a finite nonzero"),
+    # subnormal cells: the border pivot m.X_1 underflows, so mu overflows and
+    # the k = 0 bracket reads NaN
+    ({"a": 1e-310, "b": 1e-310}, {}, "not a finite nonzero"),
     # e * e overflows in kappa^2
     ({"neutral": False}, {"charge": 1e200}, "not finite"),
     # the net charge is inf, which the neutrality tolerance cannot catch
@@ -702,10 +711,27 @@ def test_cli_degenerate_plasma_or_slabs_is_a_config_error(
     assert not (out / "report.json").exists()
 
 
+def test_cli_very_thin_slabs_run_at_the_k0_limit(tmp_path, fast_config):
+    # slabs 1e-300 thick: the bordered k = 0 solve reaches the limit that the
+    # k-sweep could not, so the brackets are -1 to rounding and the run is
+    # certified; the bracket's slope at k = 0 says how small k must be, and
+    # the hierarchy flags the thin slabs
+    cfg = copy.deepcopy(fast_config)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    cfg["slabs"].update(a=1e-300, b=1e-300)
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert abs(report["brackets"]["bracket_a"] + 1.0) <= 1e-15
+    assert report["screening"]["a"]["bracket_slope"]["re"] > 1e299
+    assert not report["hierarchy"]["satisfied"]["screen_over_a"]
+
+
 def test_cli_overflowing_grid_doubling_record_is_a_config_error(tmp_path, fast_config,
                                                                capsys):
-    # the plate sweep at k0_factor 1e-3 stays finite, but the grid-doubling
-    # record's point-basis solve at k = 0.1 kappa overflows sinh(k h / 2)
+    # the bordered plate solve stays finite (k0_factor 1e-3 kept verify's
+    # sweep finite too), but the grid-doubling record's point-basis solve at
+    # k = 0.1 kappa overflows sinh(k h / 2)
     cfg = copy.deepcopy(fast_config)
     cfg["numerics"] = dict(TINY_NUMERICS, k0_factor=1e-3)
     cfg["slabs"]["a"] = 1e5
@@ -903,11 +929,12 @@ def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_cli_certification_failure_exit_code(tmp_path, fast_config):
+def test_cli_certification_failure_exit_code(tmp_path, fast_config, monkeypatch):
+    # the k = 0 residual is at rounding (0.0 on this config), so no tolerance
+    # fails it: the plate solve reports a residual above the default one
+    _perturb_residuals(monkeypatch, residual_a=0.1)
     path = _write(tmp_path, fast_config)
-    code = cli.main(["run", path, "--out-dir", str(tmp_path / "out3"),
-                     "--tol-overrides", '{"residual_tolerance": 1e-15}'])
-    assert code == 4
+    assert cli.main(["run", path, "--out-dir", str(tmp_path / "out3")]) == 4
 
 
 def test_cli_bad_tol_overrides(tmp_path, fast_config, capsys):
@@ -956,7 +983,7 @@ def test_verify_suite_machine_readable(verify_table):
         "transverse_projector", "photon_factor_periodicity",
         "coulomb_kernel_oracle", "v_transverse_oracle", "wm_classical_limit",
         "wm_resolution_scaling", "bulk_phi_analytic", "perfect_screening_bulk",
-        "perfect_screening_slab", "geometric_series_identity",
+        "perfect_screening_slab", "k0_matches_sweep", "geometric_series_identity",
         "bare_kernel_factorization", "zeta3_quadrature_vs_series",
         "assembled_unit_brackets", "lifshitz_factor_half",
         "capacitor_magnetic_decay", "capacitor_neutral_zero",
@@ -1019,18 +1046,21 @@ def test_run_capacitor_term_is_exactly_zero_for_neutral_plates(fast_config):
 
 
 def test_verify_slab_row_reports_the_worse_plate(fast_config):
-    # unequal plates: verify runs run's plate sweep at 16 cells with 4 paths,
-    # slab b included, and its row holds the larger of the two residuals
+    # unequal plates: verify sweeps both plates' bases at 16 cells with 4
+    # paths, slab b as the slab [-b, 0] on the substream seed + 1, and its
+    # row holds the larger of the two sweep residuals
     cfg = copy.deepcopy(fast_config)
     cfg["slabs"]["b"] = 4.0
-    cfg["numerics"].update(nx=16, n_paths_kernel=4)
     config = load_config(cfg)
-    brackets = run_pipeline(config, magnetic_check=False)["report"]["brackets"]
-    assert not brackets["mirror_reused"]
-    assert brackets["residual_a"] != brackets["residual_b"]
+    k_seq = pipeline._k_sequence(float(np.sqrt(config.profile.kappa2())), config.numerics)
+    residuals = [check_perfect_screening(
+        build_loop_basis(config.profile, width, 16, 4, config.numerics["n_steps_kernel"],
+                         seed), 0.0, k_seq)["residual_rel"]
+        for width, seed in ((6.0, config.seed), (4.0, config.seed + 1))]
+    assert residuals[0] != residuals[1]
     row = [c for c in verify_suite(config)["checks"]
            if c["name"] == "perfect_screening_slab"][0]
-    assert row["value"] == max(brackets["residual_a"], brackets["residual_b"])
+    assert row["value"] == max(residuals)
     assert row["passed"]
 
 

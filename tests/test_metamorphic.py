@@ -5,9 +5,9 @@ Length scaling: multiplying hbar, the slab widths and the separations by s
 and the densities by 1/s^2 multiplies every length (de Broglie, screening,
 photon) by s and leaves every dimensionless quantity alone.  With s a power
 of two every product and quotient of the chain scales without rounding, so
-the plate brackets, the hierarchy ratios, the per-k screening record and the
-grid-doubling record are bit-identical, kappa scales as 1/s and the force as
-1/s^3.  The magnetic capacitor block is left out: it comes from a fixed probe
+the plate brackets, the hierarchy ratios, the screening record and the
+grid-doubling record are bit-identical, except the brackets' slope at k = 0,
+a length, which scales as s; kappa scales as 1/s and the force as 1/s^3.  The magnetic capacitor block is left out: it comes from a fixed probe
 that does not read the configuration.
 
 Charge conjugation: charges enter the screened solve only squared, so
@@ -57,6 +57,8 @@ def test_length_scaling_is_exact():
     base, scaled = (run_pipeline(load_config(cfg), magnetic_check=False)["report"]
                     for cfg in (copy.deepcopy(CONFIG), _scaled(CONFIG, s)))
     assert not base["brackets"]["mirror_reused"]      # both plates solved
+    for slab in base["screening"].values():
+        slab["bracket_slope"] = {part: s * v for part, v in slab["bracket_slope"].items()}
     for block in ("brackets", "hierarchy", "screening", "convergence"):
         assert scaled[block] == base[block], block
     assert scaled["kappa"] * s == base["kappa"]
@@ -74,8 +76,11 @@ def test_charge_conjugation_is_exact_on_point_basis(point_profile, d):
              for prof in (point_profile, conjugate)]
     assert np.array_equal(bases[0].charge, -bases[1].charge)
     if d is None:
-        sweeps = [scr.check_perfect_screening(b, 0.0, [0.2, 0.1, 0.05]) for b in bases]
-        assert sweeps[0] == sweeps[1]
+        for solve in (lambda b: scr.check_perfect_screening(b, 0.0, [0.2, 0.1, 0.05]),
+                      lambda b: scr.perfect_screening_k0(b, 0.0)):
+            first, second = (solve(b) for b in bases)
+            assert first.keys() == second.keys()
+            assert all(np.array_equal(first[key], second[key]) for key in first)
     else:
         phis = [scr.coupled_two_slab_solve(b, d, 0.3) for b in bases]
         assert np.array_equal(phis[0], phis[1])

@@ -124,13 +124,14 @@ def test_odd_path_count_draws_its_last_path(species_pair, pinned_reference, monk
 def test_single_path_report_is_the_unpaired_one():
     # with one path per (cell, species, p) set nothing is mirrored: the
     # report is byte for byte that of the bases drawn path by path (sha256 of
-    # the sorted-key JSON report of TWO_SPECIES at one path, probe off)
+    # the sorted-key JSON report of TWO_SPECIES at one path, probe off; the
+    # pin follows the report's schema; build_loop_basis does not move it)
     from test_acceptance import TWO_SPECIES
     cfg = copy.deepcopy(TWO_SPECIES)
     cfg["numerics"]["n_paths_kernel"] = 1
     report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "ce68d28666829001748d6ee6b8404f6f8ce9cb28456e4f163f8efb9329c0a9d7")
+        "307722520f7c4654bad92921d6dd61559edfb640b33527bdf0ee1c47290f4ea0")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -308,7 +309,7 @@ def _dense(op):
     """T of the operator as an n x n array, from its band entries and far field."""
     u, v, s, t = op.far
     x, offset = op.x_cells[op.cell], op.cell[:, None] - op.cell
-    out = np.where(offset > 0, np.outer(u, v), np.outer(s, t))
+    out = np.where(offset > 0, u.T @ v, s.T @ t)
     out *= np.exp(-op.k * np.abs(x[:, None] - x))
     out[np.abs(offset) <= op.band] = 0.0
     out[op.entries[0], op.entries[1]] = op.entries[2]
@@ -477,7 +478,7 @@ def test_sweep_operators_share_one_layout(monkeypatch):
     for op in ops:
         assert op.layout is basis.layout
         fresh = dataclasses.replace(op, layout=scr._solve_layout(
-            op.x_cells, op.cell, op.band, *op.entries[:2]))
+            op.x_cells, op.cell, op.band, *op.entries[:2], 1))
         assert fresh.layout is not basis.layout
         rhs = scr.source_column(basis, np.array([0.0, -1.3]), op.k)
         assert np.array_equal(fresh.solve(rhs), op.solve(rhs))
@@ -520,9 +521,9 @@ def _subsystem(op, keep):
     ok = (new[i] >= 0) & (new[l] >= 0)
     return dataclasses.replace(op, cell=op.cell[keep],
                                entries=(new[i[ok]], new[l[ok]], vals[ok]),
-                               far=tuple(g[keep] for g in op.far),
+                               far=tuple(g[:, keep] for g in op.far),
                                layout=scr._solve_layout(op.x_cells, op.cell[keep], op.band,
-                                                        new[i[ok]], new[l[ok]]))
+                                                        new[i[ok]], new[l[ok]], 1))
 
 
 def test_solve_with_uneven_superblocks():
@@ -549,10 +550,11 @@ def test_solve_with_uneven_superblocks():
 
 def _diagonal_operator(basis, diag, v):
     """T = diag on the diagonal, far field u = s = t = 0 and v."""
-    idx, zero = np.arange(basis.size), np.zeros(basis.size)
+    idx, zero = np.arange(basis.size), np.zeros((1, basis.size))
     return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell, band=0,
-                              entries=(idx, idx, diag), far=(zero, v, zero, zero),
-                              layout=scr._solve_layout(basis.x_cells, basis.cell, 0, idx, idx))
+                              entries=(idx, idx, diag), far=(zero, v[None], zero, zero),
+                              layout=scr._solve_layout(basis.x_cells, basis.cell, 0,
+                                                       idx, idx, 1))
 
 
 def test_singular_solve_raises_and_overflowed_operator_gives_nan():
@@ -761,6 +763,115 @@ def test_perfect_screening_fails_without_medium(thermo, species_pair):
     res = scr.check_perfect_screening(basis, 0.0, _kseq(1.0, n=3))
     # nothing to screen: the bracket stays at 0 and the rule fails by 100%
     assert res["residual_rel"] == pytest.approx(1.0)
+
+
+# ------------------------------------------------ the bordered k = 0 solve
+
+def _k0_oracle(basis):
+    """Re T_0 by the brute-force double sum over node pairs: -2 pi w_l ds^2
+    sum_{s,t} J(z), J(z) = h |z| for |z| >= h/2 and z^2 + h^2/4 inside the
+    source cell, z = x_i + xi_i(s) - xi_l(t) - x_l."""
+    xi = [None] * basis.size
+    for idx, x, _ in basis.groups:
+        for row, i in enumerate(idx):
+            xi[i] = x[row]
+    h, out = basis.h, np.empty((basis.size, basis.size))
+    for i in range(basis.size):
+        for l in range(basis.size):
+            z = np.abs(basis.x[i] + xi[i][:, None] - xi[l][None, :] - basis.x[l])
+            out[i, l] = np.sum(np.where(z >= h / 2, h * z, z * z + h * h / 4))
+    return -2.0 * np.pi * basis.ds**2 * out * basis.matrix_weight
+
+
+@pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
+def test_k0_operator_matches_double_sum_oracle(hbar, nx):
+    # band entries of every pair class and the rank-2 far field
+    basis, _ = _mixed_basis(hbar, nx)
+    moments = scr._moments(basis)
+    op = scr._k0_operator(basis, moments)
+    assert op.k == 0.0 and op.far[0].shape == (2, basis.size)
+    got, ref = _dense(op), _k0_oracle(basis)
+    far = np.abs(basis.cell[:, None] - basis.cell) > op.band
+    assert np.any(far) and np.all(ref < 0.0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+    # T(k) = T_{-1}/k + T_0 + O(k): the pole 2 pi P m^T off the k-sweep's
+    # operators leaves T_0, whose imaginary part is 2 pi (Y m^T - P (h w Y)^T)
+    p, y, hw = moments[0], moments[3], basis.h * basis.matrix_weight
+    pole = 2.0 * np.pi * np.outer(p, hw * p)
+    k_seq = _kseq(1.0)
+    t0, corr = scr.richardson_extrapolate(
+        [_dense(scr.assemble_kernel_matrix(basis, k)) - pole / k for k in k_seq])
+    imag = 2.0 * np.pi * (np.outer(y, hw * p) - np.outer(p, hw * y))
+    assert (np.max(np.abs(t0 - (got + 1j * imag)))
+            <= 10.0 * corr + 1e-10 * np.max(np.abs(got)))
+
+
+def _dense_bordered(basis, x_src):
+    """(Phi_0, mu') of the bordered system [[I + Re T_0, 2 pi P], [m^T, 0]]
+    [Phi_0; mu'] = [Re V_0; 1] by one dense solve; V_0 = 2 pi sum_s ds [i y -
+    |x_i + xi_i(s) - x_src|] as a node sum here."""
+    moments = scr._moments(basis)
+    op, p = scr._k0_operator(basis, moments), moments[0]
+    n = basis.size
+    v0 = np.empty(n)
+    for idx, xi, _ in basis.groups:
+        v0[idx] = np.abs(basis.x[idx, None] + xi - x_src).sum(axis=1)
+    v0 *= -2.0 * np.pi * basis.ds
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.eye(n) + _dense(op)
+    a[:n, n] = 2.0 * np.pi * p
+    a[n, :n] = basis.h * basis.matrix_weight * p
+    sol = np.linalg.solve(a, np.append(v0, 1.0))
+    return sol[:n], sol[n]
+
+
+@pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10)])
+@pytest.mark.parametrize("x_src", [0.0, -0.9])
+def test_bordered_solve_matches_dense_bordered_solve(hbar, nx, x_src):
+    basis, _ = _mixed_basis(hbar, nx)
+    res = scr.perfect_screening_k0(basis, x_src)
+    phi, mu = _dense_bordered(basis, x_src)
+    assert res["phi"].dtype == float
+    assert np.max(np.abs(res["phi"] - phi)) <= 1e-12 * np.max(np.abs(phi))
+    assert abs(res["mu"].real - mu) <= 1e-12 * abs(mu)
+    # the border row m.Phi_0 = 1 and the bracket, summed apart from it
+    m = basis.h * basis.matrix_weight * scr._moments(basis)[0]
+    assert abs(m @ res["phi"] - 1.0) <= 1e-12
+    assert res["residual_rel"] == abs(res["bracket"] + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10), (None, 24)])
+def test_k0_solve_matches_the_sweep_limits(hbar, nx):
+    # Phi_0 against the sweep's Richardson limit of Phi and -mu against that
+    # of (bracket + 1) / k, within 10 times the limit's Richardson correction
+    # plus 1e-10 of its largest entry; on both mixed bases and on TWO_SPECIES
+    if hbar is None:
+        basis, kappa = _acceptance_basis("TWO_SPECIES", nx, 6)
+    else:
+        basis, kappa = _mixed_basis(hbar, nx)[0], 1.0
+    k_seq = _kseq(kappa)
+    sweep = scr.check_perfect_screening(basis, 0.0, k_seq)
+    res = scr.perfect_screening_k0(basis, 0.0)
+    slope, corr = scr.richardson_extrapolate([(v + 1.0) / k
+                                              for v, k in zip(sweep["per_k"], k_seq)])
+    scale = np.max(np.abs(sweep["phi"]))
+    assert (np.max(np.abs(res["phi"] - sweep["phi"]))
+            <= 10.0 * sweep["phi_correction"] + 1e-10 * scale)
+    assert abs(-res["mu"] - slope) <= 10.0 * corr + 1e-10 * abs(slope)
+
+
+def test_k0_solve_without_medium_or_overflowed(thermo, species_pair):
+    # nothing screens: the border pivot m.X_1 is 0, a SolverError; an
+    # overflowed operator gives NaN, which the pipeline reports by slab
+    plus, minus = species_pair
+    empty = scr.DensityProfile(beta=thermo.beta, cells=(scr.SpeciesDensity(plus, 1, 0.0),
+                                                        scr.SpeciesDensity(minus, 1, 0.0)))
+    with pytest.raises(SolverError):
+        scr.perfect_screening_k0(scr.build_loop_basis(empty, 6.0, 8, 2, 8, 0), 0.0)
+    basis = _point_basis(1.0, 1e300, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = scr.perfect_screening_k0(basis, 0.0)
+    assert np.isnan(res["bracket"]) and np.all(np.isnan(res["phi"]))
 
 
 def test_sum_rule_universality_across_composition(thermo):
