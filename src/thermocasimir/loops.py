@@ -147,37 +147,29 @@ _CHUNK = 1 << 17                # increments drawn per block by sample_bridge_en
 
 
 def sample_bridge_ensemble(p: int, n_steps: int, seed, count: int) -> np.ndarray:
-    """Vectorized sampler; returns (count, N+1, 3).  Deterministic in (seed, index):
-    sample i of a larger ensemble can be regenerated by any worker from the same seed.
+    """Vectorized sampler; returns (count, N+1, 3), sample i the i-th path of
+    the one stream default_rng(seed): the same for every count above i, but
+    it follows all draws before it, so it cannot be regenerated without them.
 
-    The increments are drawn from default_rng(seed) in blocks of whole paths
-    of at most 2^17 values (at least one path) and pinned in place in the
-    output, so memory stays at the output plus one block (about 2 MiB with
-    its drift product).  The Generator stream does not depend on the blocks,
-    so the bridges are those of one draw of all count * N * 3 increments.
-    """
+    The increments are drawn in blocks of whole paths of at most 2^17 values
+    (at least one path) and pinned in place in the output, so memory stays at
+    the output plus one block (about 2 MiB with its drift product); the
+    stream does not depend on the blocks, so the bridges are those of one
+    draw of all count * N * 3 increments."""
     if p < 1 or n_steps < 2:
         raise ParameterError("need p >= 1 and n_steps >= 2")
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ParameterError(f"count must be a nonnegative integer, got {count!r}")
     n = p * n_steps
-    rng = np.random.default_rng(seed)
+    rng, drift = np.random.default_rng(seed), (np.arange(n + 1) / n)[None, :, None]
     out = np.empty((count, n + 1, 3))
-    step = max(1, _CHUNK // (3 * n))
-    for a in range(0, count, step):
-        b = min(a + step, count)
-        _pin_bridges(rng.normal(0.0, np.sqrt(p / n), size=(b - a, n, 3)), out[a:b])
-    return out
-
-
-def _pin_bridges(dw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Pinned bridges of the increments dw (count, N, 3), written into out
-    (count, N+1, 3) and returned: each walk minus its linear drift (k/N) W_N,
-    so X[0] = X[N] = 0 exactly."""
-    n = dw.shape[1]
     out[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=out[:, 1:])
-    out -= (np.arange(n + 1) / n)[None, :, None] * out[:, -1:]   # t[N] == 1.0 exactly
+    step = max(1, _CHUNK // (3 * n))
+    for a in range(0, count, step):       # each walk minus its drift (k/N) W_N
+        block = out[a:a + step]
+        np.cumsum(rng.normal(0.0, np.sqrt(p / n), size=(block.shape[0], n, 3)),
+                  axis=1, out=block[:, 1:])
+        block -= drift * block[:, -1:]    # t[N] == 1.0 exactly: X[N] = 0
     return out
 
 

@@ -7,20 +7,22 @@ face x = 0: the far plate is its mirror image through the gap, and only the
 width differs.  This module discretizes that integral equation (midpoint
 cells along the slab normal, the kernel integrated exactly over each cell,
 internal degrees of freedom summed over species and charge number with Monte
-Carlo path cells of antithetic bridge pairs) and solves it in O(n): in cell
-order the operator is a band of near-cell pairs plus a semiseparable far
-field (rank 1 at k > 0, rank 2 at the k = 0 order), which running sums per
-cell turn into one block-tridiagonal system, solved by block LU on a layout
-built once per basis and rank.  The basis pairs are classified once per basis
-(entirely above or below the source cell, inside it, or straddling a face)
-and each class is summed exactly without a pair loop; the source column of a
-unit point charge, or one column per source position, is a direct node sum.  A classical plasma is a basis of
-point charges, species with lambda_ = 0.  The perfect-screening rule at k = 0
-comes from one bordered solve of the operator's expansion T_{-1}/k + T_0,
-whose pole is rank 1; the k-sweep (solves along the wavenumber sequence,
-Richardson-extrapolated to zero) is its oracle.  The module also provides the
-two-slab solve of any slab basis joined with its moved copy and the
-factorized closed form of the interplate screened potential.
+Carlo path cells of antithetic bridge pairs, one draw per charge number) and
+solves it in O(n): in cell order the operator is a band of near-cell pairs
+plus a semiseparable far field (rank 1 at k > 0, rank 2 at the k = 0 order),
+which running sums per cell turn into one block-tridiagonal system, solved
+by block LU on a layout built once per basis and rank.  The basis pairs are
+classified once per basis (above or below the source cell, inside it, or
+straddling a face; the kernel is even, so a transposed pair mirrors its
+partner) and each class is summed exactly without a pair loop; the source
+column of one or more unit point charges is a direct node sum.  A classical
+plasma is a basis of point charges, species with lambda_ = 0.  The
+perfect-screening rule at k = 0 comes from one bordered solve of the
+operator's expansion T_{-1}/k + T_0, whose pole is rank 1; the k-sweep
+(solves along the wavenumber sequence, Richardson-extrapolated to zero) is
+its oracle.  The module also provides the two-slab solve of any slab basis
+joined with its moved copy and the factorized closed form of the interplate
+screened potential.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import loops
 from ._quadrature import gauss_panels
 from .errors import ParameterError, SingularArgumentError, SolverError
-from .loops import SpeciesParams, _pin_bridges
 
 __all__ = [
     "SpeciesDensity",
@@ -71,7 +73,7 @@ class SpeciesDensity:
     """One (species, charge number) cell of the internal-degree sum, with its
     loop density (loops per volume; each p-loop carries p particles)."""
 
-    species: SpeciesParams
+    species: loops.SpeciesParams
     p: int
     loop_density: float
 
@@ -126,7 +128,9 @@ class _PairPlan:
     """Classified (row, column) pairs of the operator, as positions in rows
     and cols: w = x_i + xi_i(s) - xi_l(t) lies entirely above the source cell
     [x_l - h/2, x_l + h/2], entirely below it, inside it or across a face
-    (straddling).  band: the largest cell offset kept; runs: _straddling_runs."""
+    (straddling), canonical pairs (row <= column) first in straddling, then the
+    j-th other the transpose of straddling[partner[j]].  band: the largest
+    cell offset kept; runs: _straddling_runs of the canonical pairs."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -134,29 +138,45 @@ class _PairPlan:
     below: np.ndarray
     inside: np.ndarray
     straddling: np.ndarray
+    partner: np.ndarray
     runs: tuple
     band: int = 0
 
 
+_BELOW, _ABOVE, _STRADDLING, _INSIDE = range(4)          # pair classes, as stored
+_MIRRORED = np.array([_ABOVE, _BELOW, _STRADDLING, _INSIDE])   # the transpose's class
+
+
 def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
-    """Plan of the pairs (i, l); given their cell offsets, only the band is kept:
-    offsets up to the largest of a near (neither above nor below) pair."""
+    """Plan of the pairs (i, l), closed under transpose, rows ascending, each
+    row's columns one ascending run; the kernel is even in w, so a transpose
+    takes the mirrored class (above <-> below) of its canonical pair (i <= l).
+    Given the cell offsets, only the band is kept: offsets up to the largest
+    of a near (not above or below) pair."""
     half, xi_lo, xi_hi = 0.5 * basis.h, np.empty(basis.size), np.empty(basis.size)
     for idx, xi, _ in basis.groups:       # nodes sorted by xi: each path's range
         xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
-    w_lo = (basis.x + xi_lo)[i] - xi_hi[l]
-    w_hi = (basis.x + xi_hi)[i] - xi_lo[l]
-    above = w_lo >= basis.x[l] + half
-    near = ~above & (w_hi > basis.x[l] - half)
-    within = near & (w_lo >= basis.x[l] - half) & (w_hi <= basis.x[l] + half)
-    band = 0 if offset is None else int(np.max(offset[near], initial=0))
+    canon = i <= l
+    ci, cl = i[canon], l[canon]
+    w_lo = (basis.x + xi_lo)[ci] - xi_hi[cl]
+    w_hi = (basis.x + xi_hi)[ci] - xi_lo[cl]
+    above = w_lo >= basis.x[cl] + half
+    near = ~above & (w_hi > basis.x[cl] - half)
+    within = near & (w_lo >= basis.x[cl] - half) & (w_hi <= basis.x[cl] + half)
+    kind = np.zeros(i.size, dtype=np.intp)
+    kind[canon] = above + 2 * near + within       # the class codes above
+    band = 0 if offset is None else int(np.max(offset[kind >= _STRADDLING], initial=0))
     if offset is not None:
-        i, l, above, near, within = (a[offset <= band] for a in (i, l, above, near, within))
-    straddling = np.nonzero(near & ~within)[0]
-    return _PairPlan(rows=i, cols=l, above=np.nonzero(above)[0],
-                     below=np.nonzero(~above & ~near)[0], inside=np.nonzero(within)[0],
-                     straddling=straddling, band=band, runs=_straddling_runs(
-                         basis, i[straddling], l[straddling]))
+        i, l, canon, kind = (a[offset <= band] for a in (i, l, canon, kind))
+    first = np.searchsorted(i, np.arange(basis.size))       # each row's first pair
+    tr = first[l] + i - l[first[l]]                         # the position of (l, i)
+    kind[~canon] = _MIRRORED[kind[tr[~canon]]]
+    head, tail = (np.nonzero((kind == _STRADDLING) & c)[0] for c in (canon, ~canon))
+    above, below, inside = (np.nonzero(kind == c)[0] for c in (_ABOVE, _BELOW, _INSIDE))
+    return _PairPlan(rows=i, cols=l, above=above, below=below, inside=inside,
+                     straddling=np.concatenate([head, tail]), band=band,
+                     partner=np.searchsorted(head, tr[tail]),
+                     runs=_straddling_runs(basis, i[head], l[head]))
 
 
 def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
@@ -272,13 +292,14 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     with the profile's plasma; its inner face x = 0 holds the border charge.
 
     Each (cell, species, p) set carries n_paths pinned bridges in antithetic
-    pairs (Hammersley & Morton 1956): path 2m, entry i, is drawn from the
-    substream [seed, i] and path 2m + 1 is its mirror image, the negated
-    increments pinned alike, so exactly minus path 2m; with an odd n_paths
-    the last path is drawn too.  A species with lambda_ = 0 is a point charge,
-    its wire collapsed onto its position, so its entries draw nothing.  The
-    path nodes are kept stacked per charge number and sorted by xi.  The
-    pair plan and the solve layout of the k-sweep are built on first use.
+    pairs (Hammersley & Morton 1956): path 2m is drawn, path 2m + 1 is
+    exactly minus path 2m; with an odd n_paths the last path is drawn too.
+    The drawn paths of charge number p are, in entry order, those of one
+    loops.sample_bridge_ensemble(p, n_steps, [seed, p], count).  A species
+    with lambda_ = 0 is a point charge, its wire collapsed onto its
+    position, so it draws nothing.  The path nodes are kept stacked per
+    charge number and sorted by xi.  The pair plan and the solve layout of
+    the k-sweep are built on first use.
     """
     if n_steps < 2:
         raise ParameterError(f"need n_steps >= 2, got {n_steps!r}")
@@ -290,15 +311,14 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     group, slot = np.empty(entry.size, dtype=int), np.empty(entry.size, dtype=int)
     groups = []
     for g, p in enumerate(sorted(set(pnum.tolist()))):
-        idx, n = np.nonzero(pnum == p)[0], p * n_steps
-        dw = np.zeros((idx.size, n, 3))
+        idx = np.nonzero(pnum == p)[0]
+        path = np.zeros((idx.size, p * n_steps + 1, 3))    # a point charge's nodes are 0
         wire, odd = lam[idx] > 0.0, idx % n_paths % 2 == 1
-        for row in np.nonzero(wire & ~odd)[0]:    # a point charge's nodes are 0
-            rng = np.random.default_rng([seed, int(idx[row])])
-            dw[row] = rng.normal(0.0, np.sqrt(p / n), (n, 3))
+        drawn = np.nonzero(wire & ~odd)[0]
+        if drawn.size:
+            path[drawn] = loops.sample_bridge_ensemble(p, n_steps, [seed, p], drawn.size)
         mirror = np.nonzero(wire & odd)[0]      # its partner, path 2m, is the row before
-        dw[mirror] = -dw[mirror - 1]
-        path = _pin_bridges(dw, np.empty((idx.size, n + 1, 3)))   # sample_bridge's bridges
+        path[mirror] = -path[mirror - 1]
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
         xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))
@@ -343,7 +363,8 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
     so a run contributes a difference of the prefix sums over t of b e^{k xi},
     b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase.  The
     three prefix tables are separate planes, so each run-end gather is
-    contiguous, and the terms accumulate in place."""
+    contiguous and the terms accumulate in place; a transpose is its partner's
+    conjugate."""
     vals, half = np.empty(plan.straddling.size, dtype=complex), 0.5 * basis.h
     tables = {}
     for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
@@ -381,6 +402,7 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
         total -= inner
         total *= nodes[gr][0][s]
         vals[batch] = basis.ds * basis.ds * np.sum(total, axis=1)
+    vals[vals.size - plan.partner.size:] = np.conj(vals[plan.partner])
     return vals
 
 
@@ -606,7 +628,8 @@ def _straddling_k0(plan, basis: LoopBasis):
     it.  Per row node the three runs of column nodes read the prefix sums C0,
     C1, C2 over t of ds, ds xi and ds xi^2 at their ends: h (gap C0 - C1) on
     the above run, (gap^2 + h^2/4) C0 - 2 gap C1 + C2 on the inside run and
-    h (C1 - gap C0) on the below run; real, no exp."""
+    h (C1 - gap C0) on the below run; real, no exp.  J is even: a transpose
+    is its partner's sum."""
     vals, h, tables = np.empty(plan.straddling.size), basis.h, {}
     for _, gc, batch, _, gap, at_above, at_below, at_end in plan.runs:
         if gc not in tables:
@@ -622,6 +645,7 @@ def _straddling_k0(plan, basis: LoopBasis):
         total += (gap * gap + 0.25 * h * h) * (b0 - a0) - 2.0 * gap * (b1 - a1)
         total += c2.take(at_below) - c2.take(at_above)
         vals[batch] = basis.ds * np.sum(total, axis=1)
+    vals[vals.size - plan.partner.size:] = vals[plan.partner]
     return vals
 
 

@@ -28,9 +28,10 @@ def test_wrapped_names_exist_in_package():
     # classical_slab_solve is deleted: a classical plasma is a basis of point
     # charges solved by assemble_kernel_matrix, so screening.classical_s and
     # classical_calls read 0 and that work counts under the screening layers.
-    # build_loop_basis draws each wire's increments itself and pins a charge
-    # number's bridges at once, so it no longer calls sample_bridge: its draws
-    # count under screening.basis_s, not loops.sample_s and loops.paths
+    # build_loop_basis draws each charge number's bridges with one call of
+    # loops.sample_bridge_ensemble, looked up on loops, and has no
+    # sample_bridge of its own: its draws count under loops.sample_s and
+    # loops.paths
     assert missing == {"screening.vel_fourier", "screening.classical_slab_solve",
                        "screening.sample_bridge"}
 

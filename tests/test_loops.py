@@ -71,7 +71,6 @@ def test_streamed_ensemble_is_the_one_shot_draw(p, blocks, pinned_reference):
     dw = np.random.default_rng(5).normal(0.0, np.sqrt(p / n), (count, n, 3))
     reference = pinned_reference(dw)
     assert np.array_equal(lo.sample_bridge_ensemble(p, 16, 5, count), reference)
-    assert np.array_equal(lo._pin_bridges(dw, np.empty((count, n + 1, 3))), reference)
 
 
 def test_ensemble_memory_is_the_output_plus_one_block(peak_mib):

@@ -54,41 +54,60 @@ def _recorded_basis(monkeypatch, profile, n_paths, n_steps, seed):
 
 def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
     # a point species (lambda_ = 0) between two wire species: only the wire
-    # entries of even path index draw increments, each from its own substream
-    # [seed, i], so their nodes are those of a basis without point charges in
-    # between; each odd path is the mirror image of the one before
+    # entries of even path index draw increments, one stream [seed, p] per
+    # charge number, so their nodes are those of a basis without the point
+    # charges in between; each odd path is the mirror image of the one before
     plus, minus = species_pair
     point = lo.SpeciesParams("point", 1.0, 1.0)
     cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(point, 1, 0.1),
              scr.SpeciesDensity(minus, 2, 0.1))
     basis, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells), 2, 4, 7)
     wires = np.nonzero(np.tile(np.repeat([True, False, True], 2), 3))[0]
-    assert drawn == [[7, int(i)] for i in wires if i % 2 == 0]
+    assert drawn == [[7, 1], [7, 2]]
     for i in range(basis.size):
         loop = _entry_loop(basis, i, cells, 4, 7)
         _, xi, y = basis.groups[basis.group[i]]
         if i not in wires:
             assert loop.species is point
             assert not np.any(xi[basis.slot[i]]) and not np.any(y[basis.slot[i]])
+    bare = scr.build_loop_basis(scr.DensityProfile(1.0, cells[::2]), 2.0, 3,
+                                n_paths=2, n_steps=4, seed=7)
+    for (idx, xi, y), (_, xi_bare, y_bare) in zip(basis.groups, bare.groups):
+        wire = np.isin(idx, wires)
+        assert np.array_equal(xi[wire], xi_bare) and np.array_equal(y[wire], y_bare)
+    # a charge number with no wire draws no stream
+    _, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells[1:]), 2, 4, 7)
+    assert drawn == [[7, 2]]
     with pytest.raises(ParameterError):
         scr.build_loop_basis(scr.DensityProfile(1.0, cells[1:2]), 2.0, 3,
                              n_paths=1, n_steps=1, seed=0)
 
 
+def _drawn_rows(cells, n_paths, idx):
+    """Of the entries idx of one charge number, the wire entries of even path
+    index, in entry order: row r of the stream [seed, p] is the r-th."""
+    wire = np.array([cells[(i // n_paths) % len(cells)].species.lambda_ > 0.0
+                     for i in idx], dtype=bool)
+    return np.nonzero(wire & (idx % n_paths % 2 == 0))[0]
+
+
 def _assert_one_shot_nodes(basis, cells, n_paths, n_steps, seed, pin):
-    """Every entry's nodes against the out-of-place pinning pin of its
-    substream [seed, i], a mirrored entry's against the negation of its
-    partner's (entry i - 1, drawn from [seed, i - 1])."""
+    """Every drawn entry's nodes against the out-of-place pinning pin of its
+    row of the stream [seed, p] of its charge number p, a mirrored entry's
+    against the negation of its partner's (entry i - 1), a point charge's
+    against zeros."""
     for idx, xi, y in basis.groups:
         p = int(basis.pnum[idx[0]])
         n = p * n_steps
-        mirror = idx % n_paths % 2 == 1
-        dw = np.stack([np.random.default_rng([seed, int(i)]).normal(
-            0.0, np.sqrt(p / n), (n, 3)) for i in idx - mirror])
+        rows, mirror = _drawn_rows(cells, n_paths, idx), idx % n_paths % 2 == 1
+        dw = np.random.default_rng([seed, p]).normal(0.0, np.sqrt(p / n),
+                                                    (rows.size, n, 3))
         lam = np.array([cells[(i // n_paths) % len(cells)].species.lambda_
                         for i in idx])[:, None]
-        path = pin(dw)[:, :-1]
-        path[mirror] = -path[mirror]
+        path = np.zeros((idx.size, n + 1, 3))
+        path[rows] = pin(dw)
+        path = path[:, :-1]
+        path[mirror] = -path[np.nonzero(mirror)[0] - 1]
         order = np.argsort(lam * path[..., 0], axis=1, kind="stable")
         for got, axis in ((xi, 0), (y, 1)):
             want = np.take_along_axis(lam * path[..., axis], order, axis=1)
@@ -100,9 +119,9 @@ def _assert_one_shot_nodes(basis, cells, n_paths, n_steps, seed, pin):
 
 
 def test_basis_nodes_are_the_one_shot_pinned_draws(species_pair, pinned_reference):
-    # a charge number's bridges are pinned together into one array; each
-    # drawn entry's nodes are still its substream [seed, i] pinned on its
-    # own, each mirrored entry's the exact negation of its partner's
+    # a charge number's bridges are one draw of its stream [seed, p], pinned
+    # together; each drawn entry's nodes are its row of that draw, each
+    # mirrored entry's the exact negation of its partner's
     plus, minus = species_pair
     cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(minus, 2, 0.1))
     basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 3,
@@ -115,23 +134,31 @@ def test_odd_path_count_draws_its_last_path(species_pair, pinned_reference, monk
     # three paths per set: paths 0 and 2 are drawn, path 1 mirrors path 0
     cells = tuple(scr.SpeciesDensity(sp, 1, 0.1) for sp in species_pair)
     basis, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells), 3, 6, 13)
-    assert drawn == [[13, i] for i in range(basis.size) if i % 3 != 1]
+    assert drawn == [[13, 1]]
+    assert np.array_equal(basis.groups[0][0][_drawn_rows(cells, 3, basis.groups[0][0])],
+                          [i for i in range(basis.size) if i % 3 != 1])
     _assert_one_shot_nodes(basis, cells, 3, 6, 13, pinned_reference)
     for i in range(basis.size):
         _entry_loop(basis, i, cells, 6, 13)
 
 
-def test_single_path_report_is_the_unpaired_one():
-    # with one path per (cell, species, p) set nothing is mirrored: the
-    # report is byte for byte that of the bases drawn path by path (sha256 of
-    # the sorted-key JSON report of TWO_SPECIES at one path, probe off; the
-    # pin follows the report's schema; build_loop_basis does not move it)
+def test_single_path_report_is_the_unpaired_one(pinned_reference):
+    # with one path per (cell, species, p) set nothing is mirrored: every
+    # wire entry is its row of its charge number's stream, and the report is
+    # pinned (sha256 of the sorted-key JSON report of TWO_SPECIES at one
+    # path, probe off; the pin follows the report's schema and the draws)
     from test_acceptance import TWO_SPECIES
     cfg = copy.deepcopy(TWO_SPECIES)
     cfg["numerics"]["n_paths_kernel"] = 1
-    report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+    config = load_config(cfg)
+    n_steps = config.numerics["n_steps_kernel"]
+    basis = scr.build_loop_basis(config.profile, config.a, config.numerics["nx"], 1,
+                                 n_steps, config.seed)
+    _assert_one_shot_nodes(basis, config.profile.cells, 1, n_steps, config.seed,
+                           pinned_reference)
+    report = run_pipeline(config, magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "307722520f7c4654bad92921d6dd61559edfb640b33527bdf0ee1c47290f4ea0")
+        "e1c79b86154340908b6493870076a83f91f0954591c17e6bc23d5092e1d0d7dd")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -184,14 +211,15 @@ def _oracle_pair_matrix(basis, loops, k):
 
 def _entry_loop(basis, i, cells, n_steps, seed):
     """The Loop of basis entry i, rebuilt from its profile entry (entries run
-    over cell, profile entry, path) and its substream [seed, i], or for an odd
-    path the exact negation of the path before it, drawn from [seed, i - 1];
-    checked against the basis's charge, charge number and stacked node
-    excursions."""
+    over cell, profile entry, path) and its row of the stream [seed, p], or
+    for an odd path the exact negation of the path before it; checked against
+    the basis's charge, charge number and stacked node excursions."""
     n_paths = basis.size // (basis.x_cells.size * len(cells))
     entry = cells[(i // n_paths) % len(cells)]
     mirror = i % n_paths % 2
-    path = lo.sample_bridge(entry.p, n_steps, [seed, i - mirror])
+    idx = np.nonzero(basis.pnum == entry.p)[0]
+    row = np.searchsorted(idx[_drawn_rows(cells, n_paths, idx)], i - mirror)
+    path = lo.sample_bridge_ensemble(entry.p, n_steps, [seed, entry.p], row + 1)[row]
     loop = lo.Loop(basis.x[i], entry.species, entry.p, -path if mirror else path)
     assert (basis.charge[i], basis.pnum[i]) == (entry.species.charge, entry.p)
     lam = entry.species.lambda_
@@ -277,6 +305,7 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
     plan, half, ties, seen = basis.plan, 0.5 * basis.h, 0, []
     for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
         i, l = plan.rows[plan.straddling[batch]], plan.cols[plan.straddling[batch]]
+        assert np.all(i <= l)             # the runs hold the canonical pairs only
         assert np.all(basis.group[i] == gr) and np.all(basis.group[l] == gc)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
         assert np.array_equal(s, basis.slot[i])
@@ -289,7 +318,8 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
         ties += np.sum(off == lo[:, :, None]) + np.sum(off == hi[:, :, None])
         seen.append(batch)
     assert ties > 0
-    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plan.straddling.size))
+    head = plan.straddling.size - plan.partner.size
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(head))
 
 
 @pytest.mark.parametrize("batch", [1, 384])
@@ -804,6 +834,53 @@ def test_k0_operator_matches_double_sum_oracle(hbar, nx):
     imag = 2.0 * np.pi * (np.outer(y, hw * p) - np.outer(p, hw * y))
     assert (np.max(np.abs(t0 - (got + 1j * imag)))
             <= 10.0 * corr + 1e-10 * np.max(np.abs(got)))
+
+
+def test_straddling_sums_are_mirrored_over_the_transposed_pairs():
+    # the straddling set is closed under transpose; each transposed pair
+    # takes its partner's k^0 sum (J is even) and the conjugate of its k > 0
+    # sum, bit for bit, and both meet the direct double sums of the
+    # transposed pairs themselves
+    basis, loops = _mixed_basis(0.6, 10)
+    plan = basis.plan
+    assert (plan.band, plan.straddling.size) == (7, 4116)
+    # each pair classified on its own lands in its mirrored class
+    xi_lo, xi_hi = np.empty(basis.size), np.empty(basis.size)
+    for idx, x, _ in basis.groups:
+        xi_lo[idx], xi_hi[idx] = x[:, 0], x[:, -1]
+    r, c, half = plan.rows, plan.cols, 0.5 * basis.h
+    w_lo = (basis.x + xi_lo)[r] - xi_hi[c]
+    w_hi = (basis.x + xi_hi)[r] - xi_lo[c]
+    above = w_lo >= basis.x[c] + half
+    below = w_hi <= basis.x[c] - half
+    inside = (w_lo >= basis.x[c] - half) & (w_hi <= basis.x[c] + half)
+    for got, want in ((plan.above, above), (plan.below, below), (plan.inside, inside),
+                      (np.sort(plan.straddling), ~(above | below | inside))):
+        assert np.array_equal(got, np.nonzero(want)[0])
+    i, l = plan.rows[plan.straddling], plan.cols[plan.straddling]
+    head = plan.straddling.size - plan.partner.size
+    assert np.all(i[:head] <= l[:head]) and np.all(i[head:] > l[head:])
+    assert np.array_equal(i[head:], l[plan.partner])
+    assert np.array_equal(l[head:], i[plan.partner])
+    assert np.count_nonzero(i[:head] == l[:head]) == head - plan.partner.size
+    k0 = scr._straddling_k0(plan, basis)
+    assert np.array_equal(k0[head:], k0[plan.partner])
+    xi = [None] * basis.size
+    for idx, x, _ in basis.groups:
+        for row, n in enumerate(idx):
+            xi[n] = x[row]
+    h = basis.h
+    for q in range(head, plan.straddling.size):
+        z = np.abs(basis.x[i[q]] + xi[i[q]][:, None] - xi[l[q]][None, :] - basis.x[l[q]])
+        ref = basis.ds**2 * np.sum(np.where(z >= h / 2, h * z, z * z + h * h / 4))
+        assert abs(k0[q] - ref) <= 1e-13 * abs(ref)
+    for k in (0.2, 0.2 / 2**5):
+        _, nodes = scr._side_sums(basis, k)
+        vals = scr._straddling_entries(plan, basis, nodes, k, 2.0 * np.sinh(0.5 * k * h) / k)
+        assert np.array_equal(vals[head:], np.conj(vals[plan.partner]))
+        for q in range(head, plan.straddling.size):
+            ref = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, np.array([k, 0.0]), k)
+            assert abs(vals[q] - ref) <= 1e-13 * abs(ref)
 
 
 def _dense_bordered(basis, x_src):
