@@ -17,17 +17,15 @@ _ALLOWED_UNITS = ("reduced", "gaussian-cgs")
 
 _CGS = {"kB": 1.380649e-16, "hbar": 1.054571817e-27, "c": 2.99792458e10}
 
-DEFAULT_NUMERICS = {
-    "n_steps_kernel": 16,     # path resolution inside the screened solve
-    "n_paths_kernel": 8,      # paths per cell carried by the screened solve
-    "nx": 32,                 # cells per slab
-    "k0_factor": 0.2,         # first wavenumber of verify's k -> 0 sweep, in kappa units
-    "n_k": 6,                 # wavenumbers of that sweep
-    "residual_tolerance": 1e-2,
+DEFAULT_NUMERICS = {   # none sets verify's k-sweep: it follows its k = 0 solve
+    "n_steps_kernel": 16,     # path resolution of every screened solve
+    "n_paths_kernel": 8,      # paths per cell of run's plate solves (verify's: 4)
+    "nx": 32,                 # cells per slab of run's solves (verify's plates: 16)
+    "residual_tolerance": 1e-2,   # run's certification gate on |bracket + 1|
 }
 
 # integer knobs and their smallest meaningful value
-_INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 3, "n_k": 2}
+_INTEGER_MIN = {"n_steps_kernel": 2, "n_paths_kernel": 1, "nx": 3}
 
 _SPECIES_KEYS = ("name", "charge", "mass", "density", "p_weights")
 _TOP_KEYS = ("units", "thermo", "slabs", "sweep", "seed", "numerics", "output")
@@ -167,11 +165,6 @@ def load_config(path_or_dict) -> RunConfig:
     if not finite:
         raise ConfigError("the species charge and density give a plasma whose "
                           "kappa^2 or charge density is not finite")
-    kappa, n_k = math.sqrt(profile.kappa2()), numerics["n_k"]
-    if n_k > 1024 or not (kappa == 0.0
-                          or math.ldexp(numerics["k0_factor"] * kappa, 1 - n_k) > 0.0):
-        raise ConfigError(f"k0_factor {numerics['k0_factor']!r} with n_k {n_k!r} "
-                          f"underflows the wavenumber sequence (n_k at most 1024)")
     if neutral and profile.charge_imbalance() != 0.0:
         raise ConfigError("neutrality flag set but sum(e * density) != 0")
 

@@ -37,13 +37,6 @@ def _jsonable(obj):
     return obj
 
 
-def _k_sequence(kappa: float, numerics: dict) -> list:
-    """verify's halving wavenumbers k0 / 2^n, n < n_k (load_config has checked
-    that n_k <= 1024 and the last one is above 0)."""
-    k0 = numerics["k0_factor"] * kappa
-    return [math.ldexp(k0, -n) for n in range(numerics["n_k"])]
-
-
 def _plates(config: RunConfig, nx: int, n_paths: int, solve) -> dict:
     """solve(basis) of each plate's basis: the slab [-width, 0] with the unit
     border charge at x = 0 on its inner face, on nx cells with n_paths paths
@@ -90,19 +83,40 @@ def _plate_brackets(config: RunConfig, nx: int, n_paths: int) -> dict:
     return {"brackets": brackets, "screening": screening}
 
 
-def _k0_deviation(basis: scr.LoopBasis, sweep: dict, k_seq: list):
-    """The larger relative deviation of the bordered k = 0 solve from the
-    k-sweep's Richardson limits, of Phi_0 from the limit of Phi (over its
-    largest entry) and of -mu from the limit of (bracket + 1) / k, and the
-    larger relative Richardson correction of those two limits."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k0 = scr.perfect_screening_k0(basis, 0.0)
+def _k0_sweep(basis: scr.LoopBasis, kappa: float) -> dict:
+    """The bordered k = 0 solve of basis, then check_perfect_screening's sweep
+    on k0 / 2^n, n < 6, k0 = 0.2 min(kappa, 1/|mu|) (the bracket -1 - mu k
+    leaves -1 over 1/|mu|: << 1/kappa on a thin slab), with "k0", the relative
+    "deviation" of Phi_0 and -mu from the limits of Phi (over its largest
+    entry) and (bracket + 1) / k, and their relative Richardson "correction".
+    A k = 0 solve whose bracket is not finite is returned as it is."""
+    k0 = scr.perfect_screening_k0(basis, 0.0)
+    if not math.isfinite(k0["bracket"]):
+        return k0
+    k_seq = [0.2 * kappa / max(1.0, kappa * abs(k0["mu"])) / 2**n for n in range(6)]
+    sweep = scr.check_perfect_screening(basis, 0.0, k_seq)
     slope, slope_correction = scr.richardson_extrapolate(
         [(v + 1.0) / k for v, k in zip(sweep["per_k"], k_seq)])
     scale = np.max(np.abs(sweep["phi"]))
-    return (np.max([np.max(np.abs(k0["phi"] - sweep["phi"])) / scale,
-                    abs(-k0["mu"] - slope) / abs(slope)]),
-            np.max([sweep["phi_correction"] / scale, slope_correction / abs(slope)]))
+    return {**sweep, "k0": k_seq[0],
+            "deviation": np.max([np.max(np.abs(k0["phi"] - sweep["phi"])) / scale,
+                                 abs(-k0["mu"] - slope) / abs(slope)]),
+            "correction": np.max([sweep["phi_correction"] / scale,
+                                  slope_correction / abs(slope)])}
+
+
+def _wide_path_sweep() -> dict:
+    """_k0_sweep of a fixed basis whose paths straddle cell faces (band 2,
+    408 straddling pairs): the slab [-2, 0] at hbar 0.25, 4 cells, 3 paths."""
+    thermo = loops_mod.ThermoState(beta=1.0, hbar=0.25, c=100.0)
+    plasma = scr.DensityProfile(1.0, tuple(
+        scr.SpeciesDensity(loops_mod.SpeciesParams.from_thermo(name, e, mass, thermo),
+                           p, share / (8.0 * np.pi))
+        for name, e, mass, p, share in (("plus", 1.0, 1.0, 1, 1.0),
+                                        ("minus", -1.0, 2.0, 1, 1.0),
+                                        ("plus", 1.0, 1.0, 2, 0.1))))
+    return _k0_sweep(scr.build_loop_basis(plasma, 2.0, 4, 3, 8, 9),
+                     math.sqrt(plasma.kappa2()))
 
 
 _HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
@@ -433,7 +447,6 @@ def verify_suite(config: RunConfig) -> dict:
     kappa2 = config.profile.kappa2()
     if kappa2 > 0.0:
         kappa = float(np.sqrt(kappa2))
-        k_seq = _k_sequence(kappa, config.numerics)
         span = 30.0 / kappa
         bulk = _point_basis(kappa2, span, 1200)
         phi = _screened_column(bulk, -span / 2, 0.7 * kappa)
@@ -442,18 +455,21 @@ def verify_suite(config: RunConfig) -> dict:
         rel = float(np.max(np.abs(phi[mask] - exact) / exact))
         checks.append(_check("bulk_phi_analytic", rel, 2e-4))
 
-        oracle = scr.bulk_sum_rule_oracle(kappa, k_seq)
-        checks.append(_check("perfect_screening_bulk", oracle["residual_rel"],
-                             1e-3))
-        sweeps = _plates(config, 16, 4, lambda basis: scr.check_perfect_screening(
-            basis, 0.0, k_seq)).values()
+        oracle = scr.bulk_sum_rule_oracle(kappa, [0.2 * kappa / 2**n for n in range(6)])
+        checks.append(_check("perfect_screening_bulk", oracle["residual_rel"], 1e-3))
+        sweeps = {f"slab {slab}": res for slab, (_, res) in _plates(
+            config, 16, 4, lambda basis: _k0_sweep(basis, kappa)).items()}
+        note = "n_k 6 halving wavenumbers from k0 = 0.2 min(kappa, 1/|mu|): " + ", ".join(
+            f"{name} k0 {res['k0']!r}" for name, res in sweeps.items())
         checks.append(_check("perfect_screening_slab",     # the worse plate
-                             np.max([res["residual_rel"] for _, res in sweeps]), 1e-2))
-        dev = np.array([_k0_deviation(basis, res, k_seq) for basis, res in sweeps])
-        checks.append(_check("k0_matches_sweep", np.max(dev[:, 0]),
-                             1e-6 + 10.0 * np.max(dev[:, 1]),
-                             note="1e-6 plus 10 times the sweep's relative "
-                                  "Richardson correction"))
+                             np.max([res["residual_rel"] for res in sweeps.values()]),
+                             1e-2, note=note))
+        sweeps["probe"] = probe = _wide_path_sweep()
+        checks.append(_check(
+            "k0_matches_sweep", np.max([res["deviation"] for res in sweeps.values()]),
+            1e-6 + 10.0 * np.max([res["correction"] for res in sweeps.values()]),
+            note="1e-6 plus 10 times the sweep's relative Richardson correction; "
+                 f"{note}, wide-path probe k0 {probe['k0']!r}"))
     else:
         checks.append(_check("perfect_screening_slab", 1.0, 1e-2, passed=False,
                              expected_fail=True,

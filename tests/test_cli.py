@@ -24,7 +24,8 @@ from thermocasimir.config import DEFAULT_NUMERICS, load_config
 from thermocasimir.errors import (ConfigError, ContractViolationError,
                                   SingularArgumentError, SolverError)
 from thermocasimir.pipeline import run_pipeline, verify_suite
-from thermocasimir.screening import build_loop_basis, check_perfect_screening
+from thermocasimir.screening import (build_loop_basis, check_perfect_screening,
+                                     perfect_screening_k0)
 
 BASE_CONFIG = {
     "units": "reduced",
@@ -40,7 +41,7 @@ BASE_CONFIG = {
     },
     "sweep": {"d_values": [50.0, 100.0, 200.0, 400.0]},
     "seed": 11,
-    "numerics": {"nx": 8, "n_paths_kernel": 2, "n_k": 4},
+    "numerics": {"nx": 8, "n_paths_kernel": 2},
 }
 
 
@@ -401,7 +402,7 @@ def test_pipeline_in_physical_units():
         },
         "sweep": {"d_values": [8.0e-3, 1.6e-2]},
         "seed": 4,
-        "numerics": {"nx": 10, "n_paths_kernel": 2, "n_k": 4},
+        "numerics": {"nx": 10, "n_paths_kernel": 2},
     }
     report = run_pipeline(load_config(cfg), magnetic_check=False)["report"]
     assert report["certified_all"]
@@ -628,7 +629,7 @@ def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
                                               verb, where, key, value):
     bad = copy.deepcopy(fast_config)
     bad[where][key] = value
-    bad["numerics"] = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
+    bad["numerics"] = {"nx": 4, "n_paths_kernel": 1}
     path = _write(tmp_path, bad)
     assert cli.main([verb, path, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -636,7 +637,7 @@ def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
     assert "Traceback" not in err
 
 
-TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
+TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1}
 
 
 @pytest.mark.parametrize("where, key, value, d_values", [
@@ -646,22 +647,22 @@ TINY_NUMERICS = {"nx": 4, "n_paths_kernel": 1, "n_k": 3}
     ("slabs", "a", 5e-324, None),         # the cell width underflows to 0
     ("slabs", "b", 1e300, None),          # only the second plate's sweep
     ("species", "mass", 1e-300, None),
-    ("numerics", "k0_factor", 1e300, None),
-    ("numerics", "k0_factor", 1e-300, None),
+    # subnormal cells: mu is not finite, so verify has no k-sweep to start
+    ("slabs", "a", 1e-310, None),
+    ("slabs", "b", 1e-310, None),
 ])
 def test_cli_non_finite_screening_bracket_is_a_config_error(
         tmp_path, fast_config, capsys, where, key, value, d_values):
     # the overflowing plate solve exits 2 without a NumPy warning on every
-    # verb: run's bordered k = 0 solve and verify's k-sweep, which covers
-    # both plates too, name the slab that overflows; k0_factor sets only
-    # verify's sweep
+    # verb: run's bordered k = 0 solve and verify's, which is followed by the
+    # k-sweep and covers both plates too, name the slab that overflows
     bad = copy.deepcopy(fast_config)
     bad["numerics"] = dict(TINY_NUMERICS)
     bad["sweep"]["d_values"] = d_values or bad["sweep"]["d_values"]
     {"thermo": bad["thermo"], "slabs": bad["slabs"],
      "species": bad["slabs"]["species"][0], "numerics": bad["numerics"]}[where][key] = value
     out = tmp_path / "out"
-    for verb in ("verify",) if key == "k0_factor" else ("run", "verify"):
+    for verb in ("run", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
@@ -673,17 +674,17 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])
-def test_cli_underflowing_k_sequence_is_a_config_error(tmp_path, fast_config,
-                                                       capsys, verb):
-    # a subnormal k0_factor: the halving wavenumbers reach 0.0; n_k past 1024:
-    # the halving factor 2**n overflows
-    for knobs in ({"k0_factor": 5e-324}, {"n_k": 1030}, {"n_k": 10**12}):
+def test_cli_sweep_knobs_are_unknown(tmp_path, fast_config, capsys, verb):
+    # verify takes its k-sweep from the bordered k = 0 solve, so k0_factor and
+    # n_k are no numerics knobs: any value of either exits 2 naming the key
+    for key, value in (("k0_factor", 0.2), ("n_k", 6), ("k0_factor", 5e-324),
+                       ("n_k", 1030)):
         bad = copy.deepcopy(fast_config)
-        bad["numerics"] = dict(TINY_NUMERICS, **knobs)
+        bad["numerics"] = dict(TINY_NUMERICS, **{key: value})
         out = tmp_path / "out"
         assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "k0_factor" in err, knobs
+        assert err.startswith(f"config error: unknown numerics knob '{key}'"), key
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
@@ -727,13 +728,33 @@ def test_cli_very_thin_slabs_run_at_the_k0_limit(tmp_path, fast_config):
     assert not report["hierarchy"]["satisfied"]["screen_over_a"]
 
 
+@pytest.mark.parametrize("width, code", [(1e-3, 0), (1e-300, 4)])
+def test_cli_verify_thin_slabs(tmp_path, fast_config, capsys, width, code):
+    # verify sweeps from k0 = 0.2 min(kappa, 1/|mu|), so on slabs 1e-3 thick
+    # (|mu| ~ 1.8e3, far above 1/kappa) its sweep reaches the k = 0 limit and
+    # every row passes; on slabs 1e-300 thick the sweep's wavenumbers of
+    # ~1e-301 lose its digits, and the two rows that compare it fail
+    cfg = copy.deepcopy(fast_config)
+    cfg["numerics"] = dict(TINY_NUMERICS)
+    cfg["slabs"].update(a=width, b=width)
+    json_out = tmp_path / "verdicts.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", _write(tmp_path, cfg),
+                         "--json-out", str(json_out)]) == code
+    assert capsys.readouterr().err == ""
+    failed = {c["name"] for c in json.loads(json_out.read_text())["checks"]
+              if not c["passed"]}
+    assert failed == (set() if code == 0 else
+                      {"perfect_screening_slab", "k0_matches_sweep"})
+
+
 def test_cli_overflowing_grid_doubling_record_is_a_config_error(tmp_path, fast_config,
                                                                capsys):
-    # the bordered plate solve stays finite (k0_factor 1e-3 kept verify's
-    # sweep finite too), but the grid-doubling record's point-basis solve at
-    # k = 0.1 kappa overflows sinh(k h / 2)
+    # the bordered plate solve stays finite, but the grid-doubling record's
+    # point-basis solve at k = 0.1 kappa overflows sinh(k h / 2)
     cfg = copy.deepcopy(fast_config)
-    cfg["numerics"] = dict(TINY_NUMERICS, k0_factor=1e-3)
+    cfg["numerics"] = dict(TINY_NUMERICS)
     cfg["slabs"]["a"] = 1e5
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -845,7 +866,7 @@ def test_cli_run_fuzz_single_key(case):
 @example((("slabs", "neutral"), ("slabs", "species", 0, "charge")), False, 1e300)
 @example((("slabs", "species", 0, "charge"), ("slabs", "species", 0, "density")),
          1e300, 1e300)
-@example((("slabs", "a"), ("numerics", "k0_factor")), 1e5, 1e-3)
+@example((("slabs", "a"), ("numerics", "residual_tolerance")), 1e5, 1e-3)
 def test_cli_run_fuzz_two_keys(keys, first, second):
     _fuzz_run(list(zip(keys, (first, second))))
 
@@ -1047,21 +1068,42 @@ def test_run_capacitor_term_is_exactly_zero_for_neutral_plates(fast_config):
 
 def test_verify_slab_row_reports_the_worse_plate(fast_config):
     # unequal plates: verify sweeps both plates' bases at 16 cells with 4
-    # paths, slab b as the slab [-b, 0] on the substream seed + 1, and its
-    # row holds the larger of the two sweep residuals
+    # paths, slab b as the slab [-b, 0] on the substream seed + 1, each on
+    # six halving wavenumbers from 0.2 min(kappa, 1/|mu|) with mu from its
+    # bordered k = 0 solve; its row holds the larger of the two sweep
+    # residuals and its note each plate's first wavenumber
     cfg = copy.deepcopy(fast_config)
     cfg["slabs"]["b"] = 4.0
     config = load_config(cfg)
-    k_seq = pipeline._k_sequence(float(np.sqrt(config.profile.kappa2())), config.numerics)
-    residuals = [check_perfect_screening(
-        build_loop_basis(config.profile, width, 16, 4, config.numerics["n_steps_kernel"],
-                         seed), 0.0, k_seq)["residual_rel"]
-        for width, seed in ((6.0, config.seed), (4.0, config.seed + 1))]
+    kappa = float(np.sqrt(config.profile.kappa2()))
+    residuals, notes = [], []
+    for slab, width, seed in (("a", 6.0, config.seed), ("b", 4.0, config.seed + 1)):
+        basis = build_loop_basis(config.profile, width, 16, 4,
+                                 config.numerics["n_steps_kernel"], seed)
+        mu = perfect_screening_k0(basis, 0.0)["mu"]
+        k0 = 0.2 * kappa / max(1.0, kappa * abs(mu))
+        residuals.append(check_perfect_screening(
+            basis, 0.0, [k0 / 2**n for n in range(6)])["residual_rel"])
+        notes.append(f"slab {slab} k0 {k0!r}")
     assert residuals[0] != residuals[1]
     row = [c for c in verify_suite(config)["checks"]
            if c["name"] == "perfect_screening_slab"][0]
     assert row["value"] == max(residuals)
     assert row["passed"]
+    assert row["note"].startswith("n_k 6 ") and row["note"].endswith(", ".join(notes))
+
+
+def test_verify_k0_row_sees_the_straddling_sums(monkeypatch, fast_config):
+    # the plates' bases have no straddling pairs, so the row's wide-path probe
+    # basis (band 2, 408 straddling pairs) is the one that checks their k^0
+    # sums: zeroed, they fail that row and no other
+    config = load_config(copy.deepcopy(fast_config))
+    assert verify_suite(config)["all_passed"]
+    monkeypatch.setattr("thermocasimir.screening._straddling_k0",
+                        lambda plan, basis: np.zeros(plan.straddling.size))
+    table = verify_suite(config)
+    assert [c["name"] for c in table["checks"] if not c["passed"]] == ["k0_matches_sweep"]
+    assert not table["all_passed"]
 
 
 # A NaN after a finite value must not be skipped by a worst-case check: each

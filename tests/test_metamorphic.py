@@ -12,6 +12,11 @@ that does not read the configuration.
 
 Charge conjugation: charges enter the screened solve only squared, so
 flipping every sign gives the same solution.
+
+Species split and species order: a point species at density rho is two
+copies at rho / 2, and the order of the species is a labelling, so neither
+moves the bordered k = 0 solve beyond rounding (checked to 1e-13 relative,
+not bit for bit: the sums run over other entries in another order).
 """
 import copy
 
@@ -37,7 +42,7 @@ CONFIG = {
     },
     "sweep": {"d_values": [50.0, 100.0, 200.0]},
     "seed": 5,
-    "numerics": {"nx": 8, "n_paths_kernel": 2, "n_steps_kernel": 8, "n_k": 4},
+    "numerics": {"nx": 8, "n_paths_kernel": 2, "n_steps_kernel": 8},
 }
 
 
@@ -84,3 +89,27 @@ def test_charge_conjugation_is_exact_on_point_basis(point_profile, d):
     else:
         phis = [scr.coupled_two_slab_solve(b, d, 0.3) for b in bases]
         assert np.array_equal(phis[0], phis[1])
+
+
+def _split_first(cells):
+    first = cells[0]
+    half = scr.SpeciesDensity(first.species, first.p, 0.5 * first.loop_density)
+    return (half, half) + tuple(cells[1:])
+
+
+@pytest.mark.parametrize("change", [_split_first, lambda cells: cells[::-1]],
+                         ids=["split", "swap"])
+def test_species_split_and_order_leave_the_k0_solve_alone(point_profile, change):
+    # the entries of a cell change in number or order, so phi is compared as
+    # each cell's screening charge, the matrix-weighted sum of its entries
+    changed = scr.DensityProfile(point_profile.beta, change(point_profile.cells))
+    bases = [scr.build_loop_basis(prof, 4.0, 12, n_paths=1, n_steps=2, seed=0)
+             for prof in (point_profile, changed)]
+    assert bases[0].size != bases[1].size or not np.array_equal(bases[0].charge,
+                                                                bases[1].charge)
+    results = [scr.perfect_screening_k0(b, 0.0) for b in bases]
+    per_cell = [np.bincount(b.cell, weights=b.matrix_weight * res["phi"])
+                for b, res in zip(bases, results)]
+    assert np.max(np.abs(per_cell[1] - per_cell[0])) <= 1e-13 * np.max(np.abs(per_cell[0]))
+    for key in ("mu", "bracket"):
+        assert abs(results[1][key] - results[0][key]) <= 1e-13 * abs(results[0][key]), key

@@ -6,7 +6,8 @@
 - names in each module's ``__all__`` and their total;
 - the size of the package root's ``__all__`` (0 when it has none);
 - public parameters of every callable in a module ``__all__`` (a class counts
-  as its constructor, ``self`` excluded) and how many of them are defaulted.
+  as its constructor, ``self`` excluded) and how many of them are defaulted;
+- the numerics knobs a configuration may set (``config.DEFAULT_NUMERICS``).
 
 The package is imported from the src/ directory beside this script.
 """
@@ -54,6 +55,8 @@ def main():
     print(f"package __all__: {len(getattr(root, '__all__', []))}")
     print(f"public parameters: {public}")
     print(f"defaulted parameters: {defaulted}")
+    config = importlib.import_module("thermocasimir.config")
+    print(f"numerics knobs: {len(config.DEFAULT_NUMERICS)}")
 
 
 if __name__ == "__main__":
