@@ -2,6 +2,12 @@
 with repeated averaging for oscillating integrands, and the Bessel functions
 J0 and J1 with the zeros of J0.  No rule is built at import: each is built
 on first use and cached.
+
+An oscillating integral is taken in its oscillator's own variable u, where
+the zeros of the oscillator w(u) are fixed numbers.  So the tail panels
+between them, their Gauss nodes and w at those nodes are the same in every
+call: each oscillator (J0, cos, sin) has one read-only tail table per
+process, built on first use, and a call evaluates w only on its head panels.
 """
 from __future__ import annotations
 
@@ -50,17 +56,52 @@ def gauss_panels(f, edges) -> np.ndarray:
     return h * (f((edges[:-1] + h)[:, None] + h[:, None] * x) @ w)
 
 
-def oscillating_integral(f, scale: float, zeros) -> float:
-    """int_0^inf f(y) dy for f a peak of width `scale` at y = 0 times a
-    factor oscillating with the given ascending zeros.
+def _tail(w, zeros):
+    """The tail table of the oscillator w with the given ascending zeros:
+    (w, zeros, the Gauss nodes of the panels between consecutive zeros, the
+    Gauss weights times w at those nodes), each array read-only."""
+    x, gw = gauss_legendre(_PANEL_NODES)
+    h = 0.5 * np.diff(zeros)[:, None]
+    nodes = zeros[:-1, None] + h + h * x
+    weights = h * gw * w(nodes)
+    for arr in (zeros, nodes, weights):
+        arr.flags.writeable = False
+    return w, zeros, nodes, weights
+
+
+@cache
+def j0_tail():
+    """The tail table of J0 between its first 81 zeros."""
+    return _tail(bessel_j0, j0_zeros())
+
+
+@cache
+def cos_tail():
+    """The tail table of cos between its zeros (m + 1/2) pi, m < 81."""
+    return _tail(np.cos, (np.arange(81) + 0.5) * np.pi)
+
+
+@cache
+def sin_tail():
+    """The tail table of sin between its zeros (m + 1) pi, m < 81."""
+    return _tail(np.sin, (np.arange(81) + 1.0) * np.pi)
+
+
+def oscillating_integral(g, scale: float, tail) -> float:
+    """int_0^inf g(u) w(u) du for g a peak of width `scale` at u = 0 and w the
+    oscillator of the tail table `tail` (j0_tail, cos_tail or sin_tail).
 
     The head [0, zeros[0]] is split geometrically (the peak may be much
-    narrower than the head); the partial sums at the zeros alternate and are
+    narrower than the head) and w is evaluated on its nodes; the tail panels
+    take w from the table.  The partial sums at the zeros alternate and are
     accelerated by repeated averaging.
     """
+    w, zeros, nodes, weights = tail
     top = zeros[0]
     head = np.geomspace(min(scale, top) / 64.0, top, _HEAD_PANELS)
-    panels = gauss_panels(f, np.concatenate(([0.0], head[:-1], zeros)))
+    edges = np.concatenate(([0.0], head))
+    panels = np.concatenate((gauss_panels(lambda u: g(u) * w(u), edges),
+                             np.sum(g(nodes) * weights, axis=1)))
     s = np.cumsum(panels)[_HEAD_PANELS - 1:]      # the integrals up to each zero
     for _ in range(_AVERAGING_ROUNDS):
         s = 0.5 * (s[:-1] + s[1:])

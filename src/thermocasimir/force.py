@@ -46,18 +46,17 @@ def zeta3_quadrature() -> float:
 
 
 def zeta3_series_oracle() -> float:
-    """Independent series value: sum_{n>=1} 1/(2 n^3), the first N = 10^6 terms
-    summed ascending from the tail, the remainder 1/(4 N^2) - 1/(4 N^3) added."""
-    n_terms = 1_000_000
+    """Independent series value: sum_{n>=1} 1/(2 n^3), the first N = 10^3 terms
+    summed ascending from the tail, plus the Euler-Maclaurin remainder
+    1/(4 N^2) - 1/(4 N^3) + 1/(8 N^4) (the next term, 1/(24 N^6), is 4e-20)."""
+    n_terms = 1000
     n = np.arange(n_terms, 0, -1, dtype=float)
-    np.power(n, 3, out=n)                 # the terms in place: one 10^6 array
-    np.divide(0.5, n, out=n)
-    partial = float(np.sum(n))
-    tail = 0.25 / n_terms**2 - 0.25 / n_terms**3
+    partial = float(np.sum(0.5 / n**3))
+    tail = 0.25 / n_terms**2 - 0.25 / n_terms**3 + 0.125 / n_terms**4
     return partial + tail
 
 
-ZETA3 = 1.2020569031595938          # Apery's constant, = 2 * zeta3_series_oracle()
+ZETA3 = 1.2020569031595942          # Apery's constant rounded, = 2 * zeta3_series_oracle()
 
 
 def _finite_nonzero(value: float, what: str) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import (bessel_j0, gauss_legendre, gauss_panels, j0_zeros,
-                          oscillating_integral)
+from ._quadrature import (cos_tail, gauss_legendre, gauss_panels, j0_tail,
+                          oscillating_integral, sin_tail)
 from .errors import ContractViolationError, ParameterError, SingularArgumentError
 from .loops import Loop, ThermoState
 
@@ -213,18 +213,21 @@ def coulomb_force_kernel(x1, x2, q, d):
 
 def coulomb_force_kernel_oracle(x1, x2, q, d):
     """Hankel-transform oracle: radial quadrature of the in-plane transform of
-    d/dx1 1/|r|, on Gauss panels split at the first 81 zeros of J0, with 12
-    rounds of repeated-averaging acceleration of the alternating tail."""
+    d/dx1 1/|r|, int_0^inf y |X| (X^2 + y^2)^-3/2 J0(k y) dy, taken in the
+    Bessel variable u = k y, where it reads int_0^inf u a (a^2 + u^2)^-3/2
+    J0(u) du with a = k |X|: on Gauss panels split at the first 81 zeros of
+    J0, with 12 rounds of repeated-averaging acceleration of the alternating
+    tail."""
     k = q / d
     X = x1 - x2 - d
     if k == 0.0:
         return 2.0 * np.pi
-    aX = abs(X)
+    a = k * abs(X)
 
-    def f(y):
-        return y * aX * (X * X + y * y) ** -1.5 * bessel_j0(k * y)
+    def g(u):
+        return u * a * (a * a + u * u) ** -1.5
 
-    return 2.0 * np.pi * oscillating_integral(f, aX, j0_zeros() / k)
+    return 2.0 * np.pi * oscillating_integral(g, a, j0_tail())
 
 
 def v_transverse_partial(x, qvec, mu, nu):
@@ -245,11 +248,12 @@ def v_transverse_partial(x, qvec, mu, nu):
 
 
 def v_transverse_partial_oracle(x, qvec, mu, nu):
-    """Quadrature oracle for v_transverse_partial: 1D Fourier integral of the
-    rational transverse kernel, split into its even (cosine) and odd (sine)
-    parts, each on Gauss panels between the zeros of its trigonometric
-    factor with repeated averaging of the alternating tail; at |x| <= 1e-12
-    the plain integral of the even part, mapped by k1 = q tan t."""
+    """Quadrature oracle for v_transverse_partial: 1D Fourier integral over k1
+    of the rational transverse kernel, split into its even (cosine) and odd
+    (sine) parts, each taken in u = k1 |x| on Gauss panels between the zeros
+    (m + 1/2) pi of cos u and (m + 1) pi of sin u with repeated averaging of
+    the alternating tail; at |x| <= 1e-12 the plain integral over k1 of the
+    even part, mapped by k1 = q tan t."""
     qvec = np.asarray(qvec, dtype=float)
     qx, qy = float(qvec[0]), float(qvec[1])
     q = np.hypot(qx, qy)
@@ -273,11 +277,9 @@ def v_transverse_partial_oracle(x, qvec, mu, nu):
         re = gauss_panels(lambda t: even(q * np.tan(t)) * q / np.cos(t) ** 2,
                           [0.0, 0.5 * np.pi]).sum()
         return complex(re / np.pi)
-    m = np.arange(81)
-    re = oscillating_integral(lambda k1: even(k1) * np.cos(k1 * x), q,
-                              (m + 0.5) * np.pi / ax)
-    im = oscillating_integral(lambda k1: odd(k1) * np.sin(k1 * x), q,
-                              (m + 1.0) * np.pi / ax)
+    # dk1 = du / |x| and sin(k1 x) = sign(x) sin u: the sine part is over x
+    re = oscillating_integral(lambda u: even(u / ax), q * ax, cos_tail()) / ax
+    im = oscillating_integral(lambda u: odd(u / ax), q * ax, sin_tail()) / x
     return (re + 1j * im) / np.pi
 
 

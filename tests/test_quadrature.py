@@ -46,6 +46,54 @@ def test_bessel_functions_and_zeros_match_scipy():
     assert np.max(np.abs(qd.j0_zeros() - ref) / ref) < 1e-15
 
 
+@pytest.mark.parametrize("tail, w, zeros", [
+    ("j0_tail", j0, jn_zeros(0, 81)),
+    ("cos_tail", np.cos, (np.arange(81) + 0.5) * np.pi),
+    ("sin_tail", np.sin, (np.arange(81) + 1.0) * np.pi)])
+def test_tail_tables_are_gauss_panels_between_the_zeros(tail, w, zeros):
+    table = getattr(qd, tail)()
+    assert getattr(qd, tail)() is table
+    _, got_zeros, nodes, weights = table
+    for arr in table[1:]:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    xs, ws = roots_legendre(16)
+    h = 0.5 * np.diff(zeros)[:, None]
+    assert np.max(np.abs(got_zeros - zeros) / zeros) < 1e-15
+    assert np.max(np.abs(nodes - (zeros[:-1, None] + h * (1.0 + xs))) / nodes) < 1e-14
+    assert np.max(np.abs(weights - h * ws * w(nodes))) < 1e-12
+
+
+def test_hankel_oracle_evaluates_j0_on_its_head_panels_only(monkeypatch):
+    """After the caches are cleared, the J0 tail table is built once (80
+    panels of 16 nodes); each oracle call then evaluates J0 on its 8 head
+    panels only."""
+    qd.j0_zeros()             # polished by Newton steps of their own, once
+    caches = [f for f in vars(qd).values()
+              if hasattr(f, "cache_clear") and f is not qd.j0_zeros]
+    points = []
+    j0_rule = qd.bessel_j0
+
+    def counted(z):
+        points.append(np.size(z))
+        return j0_rule(z)
+
+    for module in (qd, pot):           # wherever an oracle looks J0 up
+        if hasattr(module, "bessel_j0"):
+            monkeypatch.setattr(module, "bessel_j0", counted)
+    n = 10
+    rng = np.random.default_rng(7)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        for q, d in zip(rng.uniform(0.05, 4.0, n), rng.uniform(5.0, 50.0, n)):
+            assert np.isfinite(pot.coulomb_force_kernel_oracle(-0.1 * d, 0.2 * d, q, d))
+    finally:
+        for cache in caches:  # a table built here holds the counting wrapper
+            cache.cache_clear()
+    assert sum(points) <= 1280 + 128 * n
+
+
 # ------------------------------------------- oracles vs scipy.integrate
 
 def _hankel_reference(x1, x2, q, d):
@@ -70,7 +118,12 @@ def _hankel_reference(x1, x2, q, d):
                                           (-3.0, 0.5, 0.05, 50.0),
                                           (-0.2, 1.1, 4.0, 5.0),
                                           (-9.0, 12.0, 4.0, 40.0),
-                                          (-0.5, 0.5, 1.0, 10.0)])
+                                          (-0.5, 0.5, 1.0, 10.0),
+                                          # k = 1e-3: a peak of width 0.011 in u = k y
+                                          (-0.5, 0.25, 0.01, 10.0),
+                                          # k |X| = 12, five times the first zero of J0:
+                                          # the geometric head is capped at that zero
+                                          (-4.0, 6.0, 8.0, 20.0)])
 def test_coulomb_oracle_matches_scipy_reference(x1, x2, q, d):
     ref = _hankel_reference(x1, x2, q, d)
     assert abs(pot.coulomb_force_kernel_oracle(x1, x2, q, d) - ref) < 1e-9 * abs(ref)

@@ -158,7 +158,7 @@ def test_single_path_report_is_the_unpaired_one(pinned_reference):
                            pinned_reference)
     report = run_pipeline(config, magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "e1c79b86154340908b6493870076a83f91f0954591c17e6bc23d5092e1d0d7dd")
+        "e9e49a187c629ec9a840e3886e2ed92e9e66d123087c7164dced5928b591a491")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
