@@ -130,7 +130,8 @@ class _PairPlan:
     [x_l - h/2, x_l + h/2], entirely below it, inside it or across a face
     (straddling), canonical pairs (row <= column) first in straddling, then the
     j-th other the transpose of straddling[partner[j]].  band: the largest
-    cell offset kept; runs: _straddling_runs of the canonical pairs."""
+    cell offset kept.  Its memory is per pair: _straddling_runs finds the
+    straddling run ends per batch while they are used."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -139,7 +140,6 @@ class _PairPlan:
     inside: np.ndarray
     straddling: np.ndarray
     partner: np.ndarray
-    runs: tuple
     band: int = 0
 
 
@@ -175,33 +175,41 @@ def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
     above, below, inside = (np.nonzero(kind == c)[0] for c in (_ABOVE, _BELOW, _INSIDE))
     return _PairPlan(rows=i, cols=l, above=above, below=below, inside=inside,
                      straddling=np.concatenate([head, tail]), band=band,
-                     partner=np.searchsorted(head, tr[tail]),
-                     runs=_straddling_runs(basis, i[head], l[head]))
+                     partner=np.searchsorted(head, tr[tail]))
 
 
-def _straddling_runs(basis: LoopBasis, ii, ll) -> tuple:
-    """k-independent part of the straddling pairs (ii, ll): column nodes are
-    sorted by xi, so per row node s those with w above, inside and below the
-    cell form three runs.  Per batch of one path-group pair: groups, positions
-    in ii, row slots, gap = x_i - x_l + xi_i(s) and the run ends as rows of
-    the column prefix table (n_t + 1 rows per path): the counts of column
-    nodes < gap - h/2 and <= gap + h/2, found by sorting (_nodes_before)."""
-    out, half, n_groups = [], 0.5 * basis.h, len(basis.groups)
+def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
+    """The canonical straddling pairs of the plan, batch by batch: column
+    nodes are sorted by xi, so per row node s those with w above, inside and
+    below the cell form three runs.  terms(gc) gives three node terms of
+    column group gc, shape (3, n_g, N), whose prefix sums over t (one table
+    of n_t + 1 rows per path) are built once per call.  Per batch of one
+    path-group pair it yields the row group, the positions in straddling, the
+    row slots, gap = x_i - x_l + xi_i(s) and the tables read at the run ends,
+    shape (3, pairs, N): the counts of column nodes < gap - h/2 and <= gap +
+    h/2, found by sorting (_nodes_before), and n_t (shape (3, pairs, 1)).
+    Nothing is kept between calls."""
+    head = plan.straddling[:plan.straddling.size - plan.partner.size]
+    ii, ll = plan.rows[head], plan.cols[head]
+    half, n_groups, tables = 0.5 * basis.h, len(basis.groups), {}
     key = basis.group[ii] * n_groups + basis.group[ll]
     for g in np.flatnonzero(np.bincount(key)):    # distinct keys, ascending
         gr, gc = divmod(int(g), n_groups)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
+        if gc not in tables:
+            sums = np.cumsum(terms(gc), axis=2)
+            tables[gc] = np.pad(sums, [(0, 0), (0, 0), (1, 0)]).reshape(3, -1)
+        table = tables[gc]
         sel = np.nonzero(key == g)[0]
         step = max(1, _ROW_NODES // xi_r.shape[1])
         for batch in np.split(sel, np.arange(step, sel.size, step)):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
             gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
             off, base = xi_c[t], t[:, None] * (xi_c.shape[1] + 1)
-            out.append((gr, gc, batch, s, gap,
-                        base + _nodes_before(off, gap - half, strict=True),
-                        base + _nodes_before(off, gap + half, strict=False),
-                        base + xi_c.shape[1]))
-    return tuple(out)
+            yield (gr, batch, s, gap,
+                   table.take(base + _nodes_before(off, gap - half, strict=True), axis=1),
+                   table.take(base + _nodes_before(off, gap + half, strict=False), axis=1),
+                   table.take(base + xi_c.shape[1], axis=1))
 
 
 def _nodes_before(nodes, q, strict):
@@ -229,7 +237,8 @@ class LoopBasis:
     ds = 1 / n_steps; group[n] and slot[n] locate entry n in them.  Within
     each path the nodes are sorted by xi (every kernel here is a sum over all
     nodes, so their time order does not enter).  The k-independent pair plan
-    and solve layout are kept here on first use, for every wavenumber.
+    (index arrays per pair) and solve layout are kept here on first use, for
+    every wavenumber.
     """
 
     x_cells: np.ndarray      # cell centers, ascending
@@ -360,47 +369,27 @@ def _side_sums(basis: LoopBasis, k):
 def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
     """Exact double time sums of the plan's straddling pairs: on each run of
     column nodes the kernel is a row-node factor times a column-node factor,
-    so a run contributes a difference of the prefix sums over t of b e^{k xi},
-    b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column phase.  The
-    three prefix tables are separate planes, so each run-end gather is
-    contiguous and the terms accumulate in place; a transpose is its partner's
+    so a run contributes a difference of the prefix sums U, D and B over t of
+    b e^{k xi}, b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column
+    phase, read at its ends (_straddling_runs); a transpose is its partner's
     conjugate."""
     vals, half = np.empty(plan.straddling.size, dtype=complex), 0.5 * basis.h
-    tables = {}
-    for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
-        if gc not in tables:
-            a_c, em_c, ep_c = nodes[gc]
-            b = np.conj(a_c)
-            planes = np.zeros((3, b.shape[0], b.shape[1] + 1), dtype=complex)
-            for plane, term in zip(planes, (b + b * ep_c, b + b * em_c, b * (ep_c + em_c))):
-                np.cumsum(term, axis=1, out=plane[:, 1:])
-            tables[gc] = planes.reshape(3, -1)
-        up, down, both = tables[gc]
+
+    def terms(gc):
+        a_c, em_c, ep_c = nodes[gc]
+        b = np.conj(a_c)
+        return np.stack([b + b * ep_c, b + b * em_c, b * (ep_c + em_c)])
+
+    for gr, batch, s, gap, (u_a, d_a, b_a), (u_b, d_b, b_b), (_, d_e, _) in \
+            _straddling_runs(basis, plan, terms):
         decay = np.exp(-k * gap)
         with np.errstate(divide="ignore"):       # inf where e^{k gap} overflows
             rise = cell / decay                  # cell e^{k gap}
-        decay *= cell
-        e_lo = np.expm1(-k * (gap + half))
-        e_hi = np.expm1(-k * (half - gap))
-        # inside run: (e_lo U + e_hi D + B) / k, U, D, B its sums of up, down, both
-        total = up.take(at_above)
-        inner = up.take(at_below)
-        inner -= total
-        inner *= e_lo
-        below = down.take(at_below)
-        part = below - down.take(at_above)
-        part *= e_hi
-        inner += part
-        np.subtract(both.take(at_below), both.take(at_above), out=part)
-        inner += part
-        inner /= k
-        # above run: cell e^{-k gap} up; below run: cell e^{k gap} down
-        total *= decay
-        np.subtract(down.take(at_end), below, out=part)
-        part *= rise
-        total += part
-        total -= inner
-        total *= nodes[gr][0][s]
+        # inside run: U and D times expm1 at the lower and upper face, plus B, over k
+        inner = ((u_b - u_a) * np.expm1(-k * (gap + half))
+                 + (d_b - d_a) * np.expm1(-k * (half - gap)) + (b_b - b_a)) / k
+        # above run: cell e^{-k gap} U; below run: cell e^{k gap} D
+        total = (u_a * (decay * cell) + (d_e - d_b) * rise - inner) * nodes[gr][0][s]
         vals[batch] = basis.ds * basis.ds * np.sum(total, axis=1)
     vals[vals.size - plan.partner.size:] = np.conj(vals[plan.partner])
     return vals
@@ -624,20 +613,17 @@ def _straddling_k0(plan, basis: LoopBasis):
     the above run, (gap^2 + h^2/4) C0 - 2 gap C1 + C2 on the inside run and
     h (C1 - gap C0) on the below run; real, no exp.  J is even: a transpose
     is its partner's sum."""
-    vals, h, tables = np.empty(plan.straddling.size), basis.h, {}
-    for _, gc, batch, _, gap, at_above, at_below, at_end in plan.runs:
-        if gc not in tables:
-            xi = basis.groups[gc][1]
-            planes = np.zeros((3, xi.shape[0], xi.shape[1] + 1))
-            for plane, term in zip(planes, (np.ones_like(xi), xi, xi * xi)):
-                np.cumsum(basis.ds * term, axis=1, out=plane[:, 1:])
-            tables[gc] = planes.reshape(3, -1)
-        c0, c1, c2 = tables[gc]
-        a0, a1 = c0.take(at_above), c1.take(at_above)
-        b0, b1 = c0.take(at_below), c1.take(at_below)
-        total = h * (gap * (a0 + b0 - c0.take(at_end)) + c1.take(at_end) - a1 - b1)
+    vals, h = np.empty(plan.straddling.size), basis.h
+
+    def terms(gc):
+        xi = basis.groups[gc][1]
+        return basis.ds * np.stack([np.ones_like(xi), xi, xi * xi])
+
+    for _, batch, _, gap, (a0, a1, a2), (b0, b1, b2), (e0, e1, _) in \
+            _straddling_runs(basis, plan, terms):
+        total = h * (gap * (a0 + b0 - e0) + e1 - a1 - b1)
         total += (gap * gap + 0.25 * h * h) * (b0 - a0) - 2.0 * gap * (b1 - a1)
-        total += c2.take(at_below) - c2.take(at_above)
+        total += b2 - a2
         vals[batch] = basis.ds * np.sum(total, axis=1)
     vals[vals.size - plan.partner.size:] = vals[plan.partner]
     return vals

@@ -299,22 +299,29 @@ def _face_basis(n_steps):
 
 @pytest.mark.parametrize("n_steps", [8, 64])
 def test_straddling_run_ends_are_the_exact_counts(n_steps):
-    # each run end is the brute-force count over the column nodes: < for the
-    # end of the above run, <= for the end of the below run, ties included
+    # read from prefix sums of ones (times 1, 2 and 4, one per table), each
+    # run end is the brute-force count over the column nodes: < for the end of
+    # the above run, <= for the end of the below run, ties included
     basis = _face_basis(n_steps)
     plan, half, ties, seen = basis.plan, 0.5 * basis.h, 0, []
-    for gr, gc, batch, s, gap, at_above, at_below, at_end in plan.runs:
+    scale = np.array([1.0, 2.0, 4.0])[:, None, None]
+
+    def terms(gc):
+        return scale * np.ones_like(basis.groups[gc][1])
+
+    for gr, batch, s, gap, at_above, at_below, at_end in scr._straddling_runs(
+            basis, plan, terms):
         i, l = plan.rows[plan.straddling[batch]], plan.cols[plan.straddling[batch]]
         assert np.all(i <= l)             # the runs hold the canonical pairs only
+        gc = basis.group[l[0]]
         assert np.all(basis.group[i] == gr) and np.all(basis.group[l] == gc)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
         assert np.array_equal(s, basis.slot[i])
         assert np.array_equal(gap, (basis.x[i] - basis.x[l])[:, None] + xi_r[s])
         off, lo, hi = xi_c[basis.slot[l]][:, None, :], gap - half, gap + half
-        base = basis.slot[l][:, None] * (xi_c.shape[1] + 1)
-        assert np.array_equal(at_above, base + np.sum(off < lo[:, :, None], axis=2))
-        assert np.array_equal(at_below, base + np.sum(off <= hi[:, :, None], axis=2))
-        assert np.array_equal(at_end, base + xi_c.shape[1])
+        assert np.array_equal(at_above, scale * np.sum(off < lo[:, :, None], axis=2))
+        assert np.array_equal(at_below, scale * np.sum(off <= hi[:, :, None], axis=2))
+        assert np.array_equal(at_end, scale * np.full((batch.size, 1), xi_c.shape[1]))
         ties += np.sum(off == lo[:, :, None]) + np.sum(off == hi[:, :, None])
         seen.append(batch)
     assert ties > 0
@@ -326,13 +333,39 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
 def test_straddling_entries_do_not_depend_on_the_batching(monkeypatch, batch):
     # 1: one straddling pair per batch; 384 row nodes: 48 or 24 pairs per
     # batch, by the row path groups' node counts (8 and 16), so batches end
-    # mid-group
+    # mid-group; the k > 0 and the k^0 operator both stream the run ends
     basis, _ = _mixed_basis(0.6, 10)
-    ref = scr.assemble_kernel_matrix(basis, 0.05).entries[2]
+
+    def batches():
+        return sum(1 for _ in scr._straddling_runs(
+            basis, basis.plan, lambda gc: np.zeros((3,) + basis.groups[gc][1].shape)))
+
+    def entries():
+        return (scr.assemble_kernel_matrix(basis, 0.05).entries[2],
+                scr._k0_operator(basis, scr._moments(basis)).entries[2])
+
+    ref, n_batches = entries(), batches()
     monkeypatch.setattr(scr, "_ROW_NODES", batch)
-    small = dataclasses.replace(basis)          # a new basis plans anew
-    assert len(small.plan.runs) > len(basis.plan.runs)
-    assert np.array_equal(scr.assemble_kernel_matrix(small, 0.05).entries[2], ref)
+    assert batches() > n_batches
+    for got, want in zip(entries(), ref):
+        assert np.array_equal(got, want)
+
+
+def test_pair_plan_memory_is_per_pair():
+    # the plan holds, per pair, its row, column and class position, and a
+    # partner per transposed straddling pair: 32 bytes at most, nothing per
+    # row node (the straddling run ends are streamed per batch)
+    basis, _ = _mixed_basis(0.6, 10)
+    plan = basis.plan
+
+    def nbytes(value):
+        if isinstance(value, tuple):
+            return sum(nbytes(v) for v in value)
+        return value.nbytes if isinstance(value, np.ndarray) else 0
+
+    assert plan.straddling.size == 4116
+    assert nbytes(tuple(getattr(plan, f.name) for f in dataclasses.fields(plan))) \
+        <= 32 * plan.rows.size
 
 
 def _dense(op):
