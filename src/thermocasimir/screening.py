@@ -8,13 +8,13 @@ width differs.  This module discretizes that integral equation (midpoint
 cells along the slab normal, the kernel integrated exactly over each cell,
 internal degrees of freedom summed over species and charge number with Monte
 Carlo path cells of antithetic bridge pairs, one draw per charge number) and
-solves it in O(n): in cell order the operator is a band of near-cell pairs
-plus a semiseparable far field (rank 1 at k > 0, rank 2 at the k = 0 order),
-which running sums per cell turn into one block-tridiagonal system, solved
-by block LU on a layout built once per basis and rank.  The basis pairs are
-classified once per basis (above or below the source cell, inside it, or
-straddling a face; the kernel is even, so a transposed pair mirrors its
-partner) and each class is summed exactly without a pair loop; the source
+solves it in O(n): in cell order the operator is a semiseparable far field
+on every cross-cell pair (rank 1 at k > 0, rank 2 at the k = 0 order) plus
+entries on the near pairs, which running sums per cell turn into one
+block-tridiagonal system, solved by block LU on a layout built once per basis
+and rank.  The near pairs (inside the source cell or straddling a face; the
+kernel is even, so a transposed pair takes its partner's class) are found
+once per basis and each class is summed exactly without a pair loop; the source
 column of one or more unit point charges is a direct node sum.  A classical
 plasma is a basis of point charges, species with lambda_ = 0.  The
 perfect-screening rule at k = 0 comes from one bordered solve of the
@@ -125,57 +125,21 @@ _BLOCK_MIN = 24      # least unknowns per superblock: fewer Python steps, flops 
 
 @dataclass(frozen=True)
 class _PairPlan:
-    """Classified (row, column) pairs of the operator, as positions in rows
-    and cols: w = x_i + xi_i(s) - xi_l(t) lies entirely above the source cell
-    [x_l - h/2, x_l + h/2], entirely below it, inside it or across a face
-    (straddling), canonical pairs (row <= column) first in straddling, then the
-    j-th other the transpose of straddling[partner[j]].  band: the largest
-    cell offset kept.  Its memory is per pair: _straddling_runs finds the
+    """The near (row, column) pairs of the operator, as positions in rows and
+    cols: w = x_i + xi_i(s) - xi_l(t) lies inside the source cell [x_l - h/2,
+    x_l + h/2] or across a face (straddling), canonical pairs (row <= column)
+    first in straddling, then the j-th other the transpose of
+    straddling[partner[j]].  Every other pair is cross-cell and wholly above
+    or below the source cell: the far field's.  band: the largest cell offset
+    of a near pair.  Its memory is per pair: _straddling_runs finds the
     straddling run ends per batch while they are used."""
 
     rows: np.ndarray
     cols: np.ndarray
-    above: np.ndarray
-    below: np.ndarray
     inside: np.ndarray
     straddling: np.ndarray
     partner: np.ndarray
-    band: int = 0
-
-
-_BELOW, _ABOVE, _STRADDLING, _INSIDE = range(4)          # pair classes, as stored
-_MIRRORED = np.array([_ABOVE, _BELOW, _STRADDLING, _INSIDE])   # the transpose's class
-
-
-def _pair_plan(basis: LoopBasis, i, l, offset=None) -> _PairPlan:
-    """Plan of the pairs (i, l), closed under transpose, rows ascending, each
-    row's columns one ascending run; the kernel is even in w, so a transpose
-    takes the mirrored class (above <-> below) of its canonical pair (i <= l).
-    Given the cell offsets, only the band is kept: offsets up to the largest
-    of a near (not above or below) pair."""
-    half, xi_lo, xi_hi = 0.5 * basis.h, np.empty(basis.size), np.empty(basis.size)
-    for idx, xi, _ in basis.groups:       # nodes sorted by xi: each path's range
-        xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
-    canon = i <= l
-    ci, cl = i[canon], l[canon]
-    w_lo = (basis.x + xi_lo)[ci] - xi_hi[cl]
-    w_hi = (basis.x + xi_hi)[ci] - xi_lo[cl]
-    above = w_lo >= basis.x[cl] + half
-    near = ~above & (w_hi > basis.x[cl] - half)
-    within = near & (w_lo >= basis.x[cl] - half) & (w_hi <= basis.x[cl] + half)
-    kind = np.zeros(i.size, dtype=np.intp)
-    kind[canon] = above + 2 * near + within       # the class codes above
-    band = 0 if offset is None else int(np.max(offset[kind >= _STRADDLING], initial=0))
-    if offset is not None:
-        i, l, canon, kind = (a[offset <= band] for a in (i, l, canon, kind))
-    first = np.searchsorted(i, np.arange(basis.size))       # each row's first pair
-    tr = first[l] + i - l[first[l]]                         # the position of (l, i)
-    kind[~canon] = _MIRRORED[kind[tr[~canon]]]
-    head, tail = (np.nonzero((kind == _STRADDLING) & c)[0] for c in (canon, ~canon))
-    above, below, inside = (np.nonzero(kind == c)[0] for c in (_ABOVE, _BELOW, _INSIDE))
-    return _PairPlan(rows=i, cols=l, above=above, below=below, inside=inside,
-                     straddling=np.concatenate([head, tail]), band=band,
-                     partner=np.searchsorted(head, tr[tail]))
+    band: int
 
 
 def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
@@ -187,8 +151,10 @@ def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
     path-group pair it yields the row group, the positions in straddling, the
     row slots, gap = x_i - x_l + xi_i(s) and the tables read at the run ends,
     shape (3, pairs, N): the counts of column nodes < gap - h/2 and <= gap +
-    h/2, found by sorting (_nodes_before), and n_t (shape (3, pairs, 1)).
-    Nothing is kept between calls."""
+    h/2, found by sorting (_nodes_before), and n_t (shape (3, pairs, 1)) on a
+    same-cell pair, 0 on a cross-cell one, whose whole lower side (its below
+    run's formula over every t) the far field carries.  Nothing is kept
+    between calls."""
     head = plan.straddling[:plan.straddling.size - plan.partner.size]
     ii, ll = plan.rows[head], plan.cols[head]
     half, n_groups, tables = 0.5 * basis.h, len(basis.groups), {}
@@ -206,10 +172,11 @@ def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
             gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
             off, base = xi_c[t], t[:, None] * (xi_c.shape[1] + 1)
+            same = (basis.cell[ii[batch]] == basis.cell[ll[batch]])[:, None]
             yield (gr, batch, s, gap,
                    table.take(base + _nodes_before(off, gap - half, strict=True), axis=1),
                    table.take(base + _nodes_before(off, gap + half, strict=False), axis=1),
-                   table.take(base + xi_c.shape[1], axis=1))
+                   table.take(base + xi_c.shape[1], axis=1) * same)
 
 
 def _nodes_before(nodes, q, strict):
@@ -266,21 +233,42 @@ class LoopBasis:
         """kappa^2(1)/(4 pi) measure without the cell width: beta e^2 rho / n_paths."""
         return self.beta * self.charge**2 * self.measure / self.h
 
+    @property
+    def spread(self) -> float:
+        """Range of the normal excursions xi over all paths."""
+        return (max(xi[:, -1].max() for _, xi, _ in self.groups)
+                - min(xi[:, 0].min() for _, xi, _ in self.groups))
+
     @cached_property
     def plan(self) -> _PairPlan:
-        """Pair plan of the cell-integrated operator over its band: at cell
-        offset m, w - x_l lies within m h -/+ the excursion spread, so only
-        offsets below spread / h + 1/2 (contiguous columns per row) can hold
-        near pairs."""
-        spread = (max(xi[:, -1].max() for _, xi, _ in self.groups)
-                  - min(xi[:, 0].min() for _, xi, _ in self.groups))
-        reach = int(np.fmin(np.ceil(spread / self.h + 0.5), self.x_cells.size))
+        """Pair plan of the cell-integrated operator: at cell offset m, w - x_l
+        lies within m h -/+ the excursion spread, so only offsets below spread
+        / h + 1/2 can hold near pairs.  Only the canonical candidates (i, l), i
+        <= l, contiguous columns from the diagonal per row, are classified;
+        the transposes of the near ones take their class (the kernel is even
+        in w).  Paths are pinned, so 0 lies in each xi range: a same-cell pair
+        is always near, and a cross-cell one never inside its source cell nor
+        beyond it on the side opposite to its cell order."""
+        reach = int(np.fmin(np.ceil(self.spread / self.h + 0.5), self.x_cells.size))
         start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
-        lo = start[np.maximum(self.cell - reach, 0)]
-        count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - lo
-        i = np.repeat(np.arange(self.size), count)
-        l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - lo, count)
-        return _pair_plan(self, i, l, np.abs(self.cell[i] - self.cell[l]))
+        first, half, x = np.arange(self.size), 0.5 * self.h, self.x
+        count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - first
+        i = np.repeat(first, count)
+        l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - first, count)
+        xi_lo, xi_hi = np.empty(self.size), np.empty(self.size)
+        for idx, xi, _ in self.groups:       # nodes sorted by xi: each path's range
+            xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
+        w_lo, w_hi = (x + xi_lo)[i] - xi_hi[l], (x + xi_hi)[i] - xi_lo[l]
+        near = w_hi > x[l] - half
+        within = ((w_lo >= x[l] - half) & (w_hi <= x[l] + half))[near]
+        i, l = i[near], l[near]
+        off = np.nonzero(i < l)[0]
+        head, tail = np.nonzero(~within)[0], np.nonzero(~within[off])[0]
+        return _PairPlan(rows=np.concatenate([i, l[off]]), cols=np.concatenate([l, i[off]]),
+                         inside=np.nonzero(np.concatenate([within, within[off]]))[0],
+                         straddling=np.concatenate([head, i.size + tail]),
+                         partner=np.searchsorted(head, off[tail]),
+                         band=int(np.max(self.cell[l] - self.cell[i], initial=0)))
 
     @cached_property
     def layout(self) -> _SolveLayout:
@@ -404,8 +392,7 @@ class _SolveLayout:
     the identity is folded into the diagonal entries diag), pad the unit
     diagonal that pads short blocks, up (dn) the slots of the next (previous)
     block that an upper (lower) block reads, and below (above) the unknowns
-    coupled to the running sums band + 1 cells before (after) theirs, reach
-    away."""
+    coupled to the running sums of the cell before (after) theirs."""
 
     shape: tuple
     at: np.ndarray
@@ -416,11 +403,9 @@ class _SolveLayout:
     dn: np.ndarray
     below: np.ndarray
     above: np.ndarray
-    reach_below: np.ndarray
-    reach_above: np.ndarray
 
 
-def _extended_pairs(n_cells, cell, band, rows, cols, rank):
+def _extended_pairs(n_cells, cell, rows, cols, rank):
     """(rows, cols) of the extended system (Phi, sigma, tau), rank running sums
     of each kind per cell, in the order of KernelOperator._extended_values, and
     the unknowns below and above."""
@@ -428,7 +413,7 @@ def _extended_pairs(n_cells, cell, band, rows, cols, rank):
     phi = np.broadcast_to(np.arange(n), (rank, n))
     sig = n + np.arange(rank * m).reshape(rank, m)
     tau = sig + rank * m
-    lo, hi = cell - band - 1, cell + band + 1
+    lo, hi = cell - 1, cell + 1
     below, above = np.nonzero(lo >= 0)[0], np.nonzero(hi < m)[0]
     return (np.concatenate([rows, np.tile(below, rank), np.tile(above, rank),
                             np.hstack([sig, sig[:, 1:], sig[:, cell]]).ravel(),
@@ -440,12 +425,12 @@ def _extended_pairs(n_cells, cell, band, rows, cols, rank):
 
 def _solve_layout(x_cells, cell, band, rows, cols, rank) -> _SolveLayout:
     """Layout of the block solve of an operator whose unknowns lie in the
-    cells cell, whose entries (rows, cols) hold every pair at most band cells
-    apart, the diagonal among them, and whose far field has rank terms: per
-    cell [Phi_c, sigma_c, tau_c], in superblocks of at least band + 1 cells
-    and _BLOCK_MIN unknowns; short blocks are padded by I."""
+    cells cell, whose entries (rows, cols) lie at most band cells apart, the
+    diagonal among them, and whose far field has rank terms: per cell [Phi_c,
+    sigma_c, tau_c], in superblocks of at least band + 1 cells and _BLOCK_MIN
+    unknowns; short blocks are padded by I."""
     n, m, extra = cell.size, x_cells.size, 2 * rank
-    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, band, rows, cols, rank)
+    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, rows, cols, rank)
     end = np.cumsum(np.bincount(cell, minlength=m) + extra)
     per = min(m, max(band + 1, -(-_BLOCK_MIN * m // end[-1])))
     edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
@@ -460,27 +445,25 @@ def _solve_layout(x_cells, cell, band, rows, cols, rank) -> _SolveLayout:
     return _SolveLayout(
         shape=(nb, 3, b, b), at=at + block * b, diag=np.nonzero(rows == cols)[0],
         flat=((3 * block[ext_rows] + side + 1) * b + at[ext_rows]) * b + at[ext_cols],
-        pad=((3 * j + 1) * b + slot) * b + slot, up=up, dn=dn, below=below, above=above,
-        reach_below=x_cells[cell[below]] - x_cells[cell[below] - band - 1],
-        reach_above=x_cells[cell[above] + band + 1] - x_cells[cell[above]])
+        pad=((3 * j + 1) * b + slot) * b + slot, up=up, dn=dn, below=below, above=above)
 
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """T of (I + T) Phi = V in cell order: a band plus a semiseparable far field
-    of rank r (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34, 1999).  Unknown
-    i lies at X_i = x_cells[cell[i]] (ascending); entries = (rows, cols,
-    values) is T on every pair at most band cells apart; beyond, with far =
-    (u, v, s, t) of shape (r, n), T[i, l] = sum_q u_qi v_ql e^{-k(X_i - X_l)}
-    above the diagonal and sum_q s_qi t_ql e^{-k(X_l - X_i)} below it: rank 1
-    at k > 0, rank 2 for the k = 0 order, where the decay is 1.  layout:
-    _solve_layout of cell, band, the entries' pairs and r, shared by every
-    operator of one basis and rank."""
+    """T of (I + T) Phi = V in cell order: sparse entries plus a semiseparable
+    far field of rank r (Eidelman & Gohberg, Integr. Equ. Oper. Theory 34,
+    1999).  Unknown i lies at X_i = x_cells[cell[i]] (ascending); with far =
+    (u, v, s, t) of shape (r, n), the far field is sum_q u_qi v_ql e^{-k(X_i -
+    X_l)} on every pair with X_i > X_l, sum_q s_qi t_ql e^{-k(X_l - X_i)} on
+    every pair with X_i < X_l and 0 within a cell: rank 1 at k > 0, rank 2
+    for the k = 0 order, where the decay is 1.  entries = (rows, cols,
+    values) is T minus the far field on the pairs where they differ.  layout:
+    _solve_layout of cell, the entries' pairs and r, shared by every operator
+    of one basis and rank."""
 
     k: float
     x_cells: np.ndarray
     cell: np.ndarray
-    band: int
     entries: tuple
     far: tuple
     layout: _SolveLayout
@@ -491,9 +474,10 @@ class KernelOperator:
         (u, v, s, t), lay, k = self.far, self.layout, self.k
         decay = np.exp(-k * np.diff(self.x_cells)) * np.ones((len(u), 1))
         ones = np.ones((len(u), self.x_cells.size))
+        below, above = self.cell[lay.below], self.cell[lay.above]
         vals = np.concatenate([self.entries[2],
-                               (u[:, lay.below] * np.exp(-k * lay.reach_below)).ravel(),
-                               (s[:, lay.above] * np.exp(-k * lay.reach_above)).ravel(),
+                               (u[:, lay.below] * decay[:, below - 1]).ravel(),
+                               (s[:, lay.above] * decay[:, above]).ravel(),
                                np.hstack([ones, -decay, -v]).ravel(),
                                np.hstack([ones, -decay, -t]).ravel()])
         vals[lay.diag] += 1.0
@@ -503,11 +487,10 @@ class KernelOperator:
         """Solve (I + T) Phi = rhs, one column or several, on the system
         extended by running sums per cell, sigma_c = e^{-k(X_c - X_{c-1})}
         sigma_{c-1} + sum_{l in c} v_l Phi_l and its mirror tau_c over t (one
-        of each per far-field term): row i reads both band + 1 cells away.
-        Ordered per cell as [Phi_c, sigma_c, tau_c] in superblocks of at least
-        band + 1 cells, it is block tridiagonal: block LU (Golub & Van Loan
-        4.5.1), LAPACK's partial pivoting inside each diagonal block.  NaN for
-        an overflowed operator."""
+        of each per far-field term): row i reads both one cell away.  Ordered
+        per cell as [Phi_c, sigma_c, tau_c] in the layout's superblocks, it is
+        block tridiagonal: block LU (Golub & Van Loan 4.5.1), LAPACK's partial
+        pivoting inside each diagonal block.  NaN for an overflowed operator."""
         return self._extended_solve(rhs)[:self.cell.size]
 
     def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -543,13 +526,14 @@ class KernelOperator:
 def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     """Operator of the discretized screened equation at wavevector (k, 0),
     T[i, l] = beta e_l^2 rho_l / n_paths * int_cell dx' V^el(i, (x', chi_l), k).
-    A band pair whose separation w = x_i + lam_i X_i(s) - lam_l X_l(t) stays
-    above or below the source cell is row(-/+) col(+/-) e^{-k|x_i - x_l|}
-    times the cell factor; one inside it is (2 P_i Q_l - e^{-k(x_i - lo)}
-    row- col+ - e^{-k(hi - x_i)} row+ col-) / k in expm1 sums; one straddling
-    a face is the exact double time sum.  Beyond the band, u = P + R-,
-    v = (Q + C+) w, s = P + R+, t = (Q + C-) w (sums of _side_sums and their
-    conjugates), w the cell factor times 2 pi / k times matrix_weight."""
+    A cross-cell pair whose separation w = x_i + lam_i X_i(s) - lam_l X_l(t)
+    stays above or below the source cell is row(-/+) col(+/-) e^{-k|x_i -
+    x_l|} times the cell factor: the far field, u = P + R-, v = (Q + C+) w,
+    s = P + R+, t = (Q + C-) w (sums of _side_sums and their conjugates), w
+    the cell factor times 2 pi / k times matrix_weight.  A pair inside the
+    source cell (same-cell) is (2 P_i Q_l - e^{-k(x_i - lo)} row- col+ -
+    e^{-k(hi - x_i)} row+ col-) / k in expm1 sums; one straddling a face is
+    the exact double time sum, less the far field if cross-cell."""
     k = _wavenumber(k)
     plan, half = basis.plan, 0.5 * basis.h
     sums, nodes = _side_sums(basis, k)
@@ -557,11 +541,6 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     cell = 2.0 * np.sinh(k * half) / k
     u, s, qp, qm = p + rm, p + rp, q + cp, q + cm    # the far field's factors
     vals = np.empty(plan.rows.size, dtype=complex)
-    for at, row, col in ((plan.above, u, qp), (plan.below, s, qm)):
-        i, l = plan.rows[at], plan.cols[at]
-        term = row[i] * col[l]
-        term *= cell * np.exp(-k * np.abs(basis.x[i] - basis.x[l]))
-        vals[at] = term
     i, l = plan.rows[plan.inside], plan.cols[plan.inside]
     gap_lo = basis.x[i] - (basis.x[l] - half)
     gap_hi = (basis.x[l] + half) - basis.x[i]
@@ -572,7 +551,7 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     vals[plan.straddling] = _straddling_entries(plan, basis, nodes, k, cell)
     weight = (2.0 * np.pi / k) * basis.matrix_weight
     w = cell * weight
-    return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
+    return KernelOperator(k=k, x_cells=basis.x_cells, cell=basis.cell,
                           entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
                           far=(u[None], (qp * w)[None], s[None], (qm * w)[None]),
                           layout=basis.layout)
@@ -633,29 +612,24 @@ def _k0_operator(basis: LoopBasis, moments) -> KernelOperator:
     """Real part of T_0 in T(k) = T_{-1}/k + T_0 + O(k): with e^{-k|z|}/k ->
     1/k - |z| and the phase's first order, T_0[i, l] = 2 pi w_l sum_{s,t} ds^2
     [i h (y_i(s) - y_l(t)) - J(z)], z = x_i + xi_i(s) - xi_l(t) - x_l, w the
-    matrix_weight and J as in _straddling_k0.  The band sums J per pair class
-    in moments P, Xi, Q; beyond it Re T_0[i, l] = -2 pi h w_l sgn(X_i - X_l)
-    (P_l alpha_i - P_i alpha_l), alpha = P x + Xi: a rank-2 far field of
-    decay 1, its terms made dimensionless (alpha / h, h^2 w) so that a length
-    scaling by a power of two leaves the solve's pivots alone."""
+    matrix_weight and J as in _straddling_k0.  A same-cell pair inside its
+    cell sums J in moments P, Xi, Q; a cross-cell pair wholly above or below
+    its source cell is Re T_0[i, l] = -2 pi h w_l sgn(X_i - X_l) (P_l alpha_i
+    - P_i alpha_l), alpha = P x + Xi: a rank-2 far field of decay 1, its terms
+    made dimensionless (alpha / L, h L w, L = max(h, spread)) so that a length
+    scaling by a power of two leaves the solve's pivots alone and h^2 w does
+    not underflow on a thin slab."""
     plan, h, x = basis.plan, basis.h, basis.x
     p, xi_sum, q = moments[:3]
     vals = np.empty(plan.rows.size)
-    for at, sign in ((plan.above, 1.0), (plan.below, -1.0)):
-        i, l = plan.rows[at], plan.cols[at]
-        vals[at] = sign * h * (p[i] * p[l] * (x[i] - x[l]) + p[l] * xi_sum[i]
-                               - p[i] * xi_sum[l])
     i, l = plan.rows[plan.inside], plan.cols[plan.inside]
-    dx = x[i] - x[l]
-    vals[plan.inside] = (p[i] * p[l] * (dx * dx + 0.25 * h * h)
-                         + p[l] * q[i] + p[i] * q[l]
-                         + 2.0 * dx * (p[l] * xi_sum[i] - p[i] * xi_sum[l])
+    vals[plan.inside] = (p[i] * p[l] * (0.25 * h * h) + p[l] * q[i] + p[i] * q[l]
                          - 2.0 * xi_sum[i] * xi_sum[l])
     vals[plan.straddling] = _straddling_k0(plan, basis)
-    weight = -2.0 * np.pi * basis.matrix_weight
-    u = np.stack([(p * x + xi_sum) / h, p])     # alpha / h and P: no length unit
-    v = 2.0 * np.pi * h * h * basis.matrix_weight * np.stack([-p, u[0]])
-    return KernelOperator(k=0.0, x_cells=basis.x_cells, cell=basis.cell, band=plan.band,
+    weight, scale = -2.0 * np.pi * basis.matrix_weight, max(h, basis.spread)
+    u = np.stack([(p * x + xi_sum) / scale, p])     # alpha / L and P: no length unit
+    v = 2.0 * np.pi * h * scale * basis.matrix_weight * np.stack([-p, u[0]])
+    return KernelOperator(k=0.0, x_cells=basis.x_cells, cell=basis.cell,
                           entries=(plan.rows, plan.cols, vals * weight[plan.cols]),
                           far=(u, v, u, -v),
                           layout=_solve_layout(basis.x_cells, basis.cell, plan.band,

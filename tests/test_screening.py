@@ -186,9 +186,10 @@ def _exp_cell_integral(u, c, h, k):
     return np.where(inside, inner, outer)
 
 
-def _oracle_pair_entry(loop_i, loop_l, h, kvec, k):
+def _oracle_pair_entry(loop_i, loop_l, h, kvec, k, far=False):
     """Exact double time sum of one cell-integrated wire-kernel entry, node
-    pair by node pair."""
+    pair by node pair; far: the far field's value instead, every node pair
+    taken as if above (x_i > x_l) or below (x_i < x_l) the source cell."""
     lam_i = loop_i.species.lambda_
     lam_l = loop_l.species.lambda_
     u = loop_i.x + lam_i * loop_i.path[:-1, 0]
@@ -197,6 +198,9 @@ def _oracle_pair_entry(loop_i, loop_l, h, kvec, k):
     yl = loop_l.y[None, :] + lam_l * loop_l.path[:-1, 1:]
     ph = np.exp(1j * (yi @ kvec))[:, None] * np.exp(-1j * (yl @ kvec))[None, :]
     core = _exp_cell_integral(u[:, None] - off[None, :], loop_l.x, h, k)
+    if far:
+        core = (2.0 * np.sinh(0.5 * k * h) / k) * np.exp(
+            -k * np.sign(loop_i.x - loop_l.x) * (u[:, None] - off[None, :] - loop_l.x))
     return loop_i.ds * loop_l.ds * np.sum(ph * core)
 
 
@@ -263,28 +267,34 @@ def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k):
 
 
 def _all_pair_offsets(basis):
-    """Cell offset (row minus column), above mask and near (inside or
-    straddling) mask of every operator pair, classified over all n x n."""
-    i, l = (a.ravel() for a in np.indices((basis.size, basis.size)))
-    plan = scr._pair_plan(basis, i, l)
-    above, near = np.zeros(i.size, dtype=bool), np.zeros(i.size, dtype=bool)
-    above[plan.above] = near[plan.inside] = near[plan.straddling] = True
-    assert np.array_equal(np.sort(np.concatenate(
-        [plan.above, plan.below, plan.inside, plan.straddling])), np.arange(i.size))
-    return basis.cell[i] - basis.cell[l], above, near
+    """Cell offset (row minus column), above and below masks of every pair
+    (i, l), classified by brute force over all n x n by the range of w =
+    x_i + xi_i(s) - xi_l(t) against the source cell [x_l - h/2, x_l + h/2]."""
+    xi_lo, xi_hi = np.empty(basis.size), np.empty(basis.size)
+    for idx, x, _ in basis.groups:
+        xi_lo[idx], xi_hi[idx] = x.min(axis=1), x.max(axis=1)
+    x, half = basis.x, 0.5 * basis.h
+    above = (x + xi_lo)[:, None] - xi_hi >= x + half
+    below = (x + xi_hi)[:, None] - xi_lo <= x - half
+    return basis.cell[:, None] - basis.cell, above, below
 
 
 @pytest.mark.parametrize("hbar, nx", [(0.25, 4), (0.6, 10), (0.02, 12)])
 def test_band_is_the_largest_near_pair_offset(hbar, nx):
     basis, _ = _mixed_basis(hbar, nx)
-    offset, above, near = _all_pair_offsets(basis)
-    band = basis.plan.band
-    assert band == np.max(np.abs(offset[near]))
-    # beyond the band a row above its column is above it, one below is below
-    far = np.abs(offset) > band
-    assert np.array_equal(above[far], offset[far] > 0)
-    assert not np.any(near[far])
-    assert near.sum() == basis.plan.inside.size + basis.plan.straddling.size
+    offset, above, below = _all_pair_offsets(basis)
+    plan, near = basis.plan, ~(above | below)
+    assert plan.band == np.max(np.abs(offset[near]))
+    # pinned paths: a same-cell pair is near, and a cross-cell pair that is
+    # not lies on the side of its cell order, so it is the far field's value
+    assert np.all(near[offset == 0])
+    assert np.array_equal(above[~near], offset[~near] > 0)
+    assert np.array_equal(below[~near], offset[~near] < 0)
+    # the plan holds exactly the near pairs, each once
+    got = np.zeros(near.shape, dtype=int)
+    np.add.at(got, (plan.rows, plan.cols), 1)
+    assert np.array_equal(got, near)
+    assert near.sum() == plan.rows.size == plan.inside.size + plan.straddling.size
 
 
 def _face_basis(n_steps):
@@ -321,7 +331,10 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
         off, lo, hi = xi_c[basis.slot[l]][:, None, :], gap - half, gap + half
         assert np.array_equal(at_above, scale * np.sum(off < lo[:, :, None], axis=2))
         assert np.array_equal(at_below, scale * np.sum(off <= hi[:, :, None], axis=2))
-        assert np.array_equal(at_end, scale * np.full((batch.size, 1), xi_c.shape[1]))
+        # the end of the below run only on a same-cell pair: the far field
+        # carries a cross-cell pair's whole lower side
+        same = (basis.cell[i] == basis.cell[l])[:, None]
+        assert np.array_equal(at_end, scale * np.full((batch.size, 1), xi_c.shape[1]) * same)
         ties += np.sum(off == lo[:, :, None]) + np.sum(off == hi[:, :, None])
         seen.append(batch)
     assert ties > 0
@@ -369,13 +382,14 @@ def test_pair_plan_memory_is_per_pair():
 
 
 def _dense(op):
-    """T of the operator as an n x n array, from its band entries and far field."""
+    """T of the operator as an n x n array: its entries added to the far
+    field, which is zero on same-cell pairs."""
     u, v, s, t = op.far
     x, offset = op.x_cells[op.cell], op.cell[:, None] - op.cell
     out = np.where(offset > 0, u.T @ v, s.T @ t)
     out *= np.exp(-op.k * np.abs(x[:, None] - x))
-    out[np.abs(offset) <= op.band] = 0.0
-    out[op.entries[0], op.entries[1]] = op.entries[2]
+    out[offset == 0] = 0.0
+    out[op.entries[0], op.entries[1]] += op.entries[2]
     return out
 
 
@@ -389,7 +403,7 @@ def test_structured_solve_matches_dense_solve(hbar, nx, k):
     basis, _ = _mixed_basis(hbar, nx)
     op = scr.assemble_kernel_matrix(basis, k)
     if hbar == 0.6:
-        assert op.band > 0        # the wide-path basis has cross-cell pairs
+        assert basis.plan.band > 0        # the wide-path basis has cross-cell near pairs
     rhs = np.column_stack([scr.source_column(basis, x, k)
                            for x in (basis.x[0], basis.x[-1])])
     got = op.solve(rhs)
@@ -402,12 +416,10 @@ def test_wider_band_gives_the_same_solution():
     k = 0.05
     rhs = scr.source_column(basis, basis.x[0], k)
     tight = scr.assemble_kernel_matrix(basis, k).solve(rhs)
-    narrow, band = basis.layout, basis.plan.band + 2
-    i, l = np.nonzero(np.abs(basis.cell[:, None] - basis.cell) <= band)
+    narrow, plan = basis.layout, basis.plan
     basis = dataclasses.replace(basis)      # a new basis, its layout not yet built
-    basis.plan = dataclasses.replace(scr._pair_plan(basis, i, l), band=band)
+    basis.plan = dataclasses.replace(plan, band=plan.band + 2)
     wide = scr.assemble_kernel_matrix(basis, k).solve(rhs)
-    assert scr.assemble_kernel_matrix(basis, k).band == band
     assert basis.layout.shape[2] > narrow.shape[2]
     assert np.max(np.abs(wide - tight)) <= 1e-13 * np.max(np.abs(tight))
 
@@ -448,7 +460,7 @@ def test_loop_resolved_two_slab_solve_matches_dense_solve(neutral_profile, d):
         assert np.all(both.group[idx2] == g)
         assert np.array_equal(both.slot[idx2], np.arange(idx2.size))
     op = scr.assemble_kernel_matrix(both, k)
-    assert op.band > 0
+    assert both.plan.band > 0
     rhs = np.column_stack([scr.source_column(both, x, k) for x in both.x_cells[24:]])
     ref = np.linalg.solve(np.eye(both.size) + _dense(op), rhs)[:basis.size]
     got = scr.coupled_two_slab_solve(basis, d, k)
@@ -479,8 +491,8 @@ def _acceptance_basis(name, nx, n_paths):
 def _extended(op):
     """(rows, cols, values) of the operator's extended solve system: Phi,
     sigma, tau."""
-    rows, cols, _, _ = scr._extended_pairs(op.x_cells.size, op.cell, op.band,
-                                           *op.entries[:2], len(op.far[0]))
+    rows, cols, _, _ = scr._extended_pairs(op.x_cells.size, op.cell, *op.entries[:2],
+                                           len(op.far[0]))
     return rows, cols, op._extended_values()
 
 
@@ -500,7 +512,7 @@ def test_extended_system_backward_error(name, nx, n_paths, band):
     basis, kappa = _acceptance_basis(name, nx, n_paths)
     for k in (0.2 * kappa, 0.2 * kappa / 2**5):
         op = scr.assemble_kernel_matrix(basis, k)
-        assert op.band >= band
+        assert basis.plan.band >= band
         rhs = scr.source_column(basis, 0.0, k)
         rows, cols, vals = _extended(op)
         x = op._extended_solve(rhs)
@@ -545,11 +557,11 @@ def test_sweep_operators_share_one_layout(monkeypatch):
 
     monkeypatch.setattr(scr, "assemble_kernel_matrix", recording)
     scr.check_perfect_screening(basis, 0.0, _kseq(1.0))
-    assert len(ops) == 6 and ops[0].band > 0
+    assert len(ops) == 6 and basis.plan.band > 0
     for op in ops:
         assert op.layout is basis.layout
         fresh = dataclasses.replace(op, layout=scr._solve_layout(
-            op.x_cells, op.cell, op.band, *op.entries[:2], 1))
+            op.x_cells, op.cell, basis.plan.band, *op.entries[:2], 1))
         assert fresh.layout is not basis.layout
         rhs = scr.source_column(basis, np.array([0.0, -1.3]), op.k)
         assert np.array_equal(fresh.solve(rhs), op.solve(rhs))
@@ -584,8 +596,9 @@ def test_source_columns_of_several_positions_are_the_single_columns(monkeypatch)
             assert np.array_equal(cols[:, j], scr.source_column(basis, x, 0.3))
 
 
-def _subsystem(op, keep):
-    """The operator restricted to the unknowns keep (cell order kept)."""
+def _subsystem(op, keep, band):
+    """The operator restricted to the unknowns keep (cell order kept), its
+    entries at most band cells apart."""
     new = np.full(op.cell.size, -1)
     new[keep] = np.arange(keep.size)
     i, l, vals = op.entries
@@ -593,7 +606,7 @@ def _subsystem(op, keep):
     return dataclasses.replace(op, cell=op.cell[keep],
                                entries=(new[i[ok]], new[l[ok]], vals[ok]),
                                far=tuple(g[:, keep] for g in op.far),
-                               layout=scr._solve_layout(op.x_cells, op.cell[keep], op.band,
+                               layout=scr._solve_layout(op.x_cells, op.cell[keep], band,
                                                         new[i[ok]], new[l[ok]], 1))
 
 
@@ -612,8 +625,8 @@ def test_solve_with_uneven_superblocks():
     op = scr.assemble_kernel_matrix(basis, 0.1)
     keep = np.flatnonzero((basis.cell != 4) & ((np.arange(basis.size) % 7 != 3)
                                                | (basis.cell < 2)))
-    sub = _subsystem(op, keep)
-    assert sub.band > 0 and np.unique(np.bincount(sub.cell)).size > 2
+    sub = _subsystem(op, keep, basis.plan.band)
+    assert basis.plan.band > 0 and np.unique(np.bincount(sub.cell)).size > 2
     rhs = scr.source_column(basis, -1.3, 0.1)[keep]
     ref = _dense_solve(sub, rhs)
     assert np.max(np.abs(sub.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -622,7 +635,7 @@ def test_solve_with_uneven_superblocks():
 def _diagonal_operator(basis, diag, v):
     """T = diag on the diagonal, far field u = s = t = 0 and v."""
     idx, zero = np.arange(basis.size), np.zeros((1, basis.size))
-    return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell, band=0,
+    return scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell,
                               entries=(idx, idx, diag), far=(zero, v[None], zero, zero),
                               layout=scr._solve_layout(basis.x_cells, basis.cell, 0,
                                                        idx, idx, 1))
@@ -842,15 +855,13 @@ def _k0_oracle(basis):
     """Re T_0 by the brute-force double sum over node pairs: -2 pi w_l ds^2
     sum_{s,t} J(z), J(z) = h |z| for |z| >= h/2 and z^2 + h^2/4 inside the
     source cell, z = x_i + xi_i(s) - xi_l(t) - x_l."""
-    xi = [None] * basis.size
-    for idx, x, _ in basis.groups:
-        for row, i in enumerate(idx):
-            xi[i] = x[row]
     h, out = basis.h, np.empty((basis.size, basis.size))
     for i in range(basis.size):
-        for l in range(basis.size):
-            z = np.abs(basis.x[i] + xi[i][:, None] - xi[l][None, :] - basis.x[l])
-            out[i, l] = np.sum(np.where(z >= h / 2, h * z, z * z + h * h / 4))
+        xi_i = basis.groups[basis.group[i]][1][basis.slot[i]]
+        for idx, xi, _ in basis.groups:      # z[s, l, t], all columns of a group
+            z = np.abs((basis.x[i] + xi_i)[:, None, None] - xi[None]
+                       - basis.x[idx][None, :, None])
+            out[i, idx] = np.sum(np.where(z >= h / 2, h * z, z * z + h * h / 4), axis=(0, 2))
     return -2.0 * np.pi * basis.ds**2 * out * basis.matrix_weight
 
 
@@ -862,7 +873,7 @@ def test_k0_operator_matches_double_sum_oracle(hbar, nx):
     op = scr._k0_operator(basis, moments)
     assert op.k == 0.0 and op.far[0].shape == (2, basis.size)
     got, ref = _dense(op), _k0_oracle(basis)
-    far = np.abs(basis.cell[:, None] - basis.cell) > op.band
+    far = np.abs(basis.cell[:, None] - basis.cell) > basis.plan.band
     assert np.any(far) and np.all(ref < 0.0)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
     # T(k) = T_{-1}/k + T_0 + O(k): the pole 2 pi P m^T off the k-sweep's
@@ -877,33 +888,50 @@ def test_k0_operator_matches_double_sum_oracle(hbar, nx):
             <= 10.0 * corr + 1e-10 * np.max(np.abs(got)))
 
 
+@pytest.mark.parametrize("width", [1e-200, 1e-300])
+@pytest.mark.parametrize("nx, n_paths", [(4, 1), (16, 4)])
+def test_k0_operator_on_thin_slabs(width, nx, n_paths):
+    # cells far thinner than the paths' excursions (run's and verify's sizes
+    # on the TWO_SPECIES plasma): every cross-cell pair is the far field plus
+    # its straddling correction, and the far field's generators stay clear of
+    # underflow (h^2 w is 0 below h ~ 1e-154)
+    import test_acceptance
+    config = load_config(copy.deepcopy(test_acceptance.TWO_SPECIES))
+    basis = scr.build_loop_basis(config.profile, width, nx, n_paths,
+                                 config.numerics["n_steps_kernel"], config.seed)
+    got = _dense(scr._k0_operator(basis, scr._moments(basis)))
+    ref, cross = _k0_oracle(basis), basis.cell[:, None] != basis.cell
+    assert np.all(np.abs(got - ref)[cross] <= 1e-13 * np.abs(ref)[cross])
+
+
 def test_straddling_sums_are_mirrored_over_the_transposed_pairs():
     # the straddling set is closed under transpose; each transposed pair
     # takes its partner's k^0 sum (J is even) and the conjugate of its k > 0
     # sum, bit for bit, and both meet the direct double sums of the
-    # transposed pairs themselves
+    # transposed pairs themselves, less the far field's value on a
+    # cross-cell pair (within 1e-13 of the double sum: a pair that barely
+    # straddles keeps ~1e-11 of it)
     basis, loops = _mixed_basis(0.6, 10)
     plan = basis.plan
     assert (plan.band, plan.straddling.size) == (7, 4116)
-    # each pair classified on its own lands in its mirrored class
+    # each pair classified on its own lands in its class
     xi_lo, xi_hi = np.empty(basis.size), np.empty(basis.size)
     for idx, x, _ in basis.groups:
         xi_lo[idx], xi_hi[idx] = x[:, 0], x[:, -1]
     r, c, half = plan.rows, plan.cols, 0.5 * basis.h
     w_lo = (basis.x + xi_lo)[r] - xi_hi[c]
     w_hi = (basis.x + xi_hi)[r] - xi_lo[c]
-    above = w_lo >= basis.x[c] + half
-    below = w_hi <= basis.x[c] - half
     inside = (w_lo >= basis.x[c] - half) & (w_hi <= basis.x[c] + half)
-    for got, want in ((plan.above, above), (plan.below, below), (plan.inside, inside),
-                      (np.sort(plan.straddling), ~(above | below | inside))):
-        assert np.array_equal(got, np.nonzero(want)[0])
+    assert np.array_equal(plan.inside, np.nonzero(inside)[0])
+    assert np.array_equal(np.sort(plan.straddling), np.nonzero(~inside)[0])
     i, l = plan.rows[plan.straddling], plan.cols[plan.straddling]
     head = plan.straddling.size - plan.partner.size
     assert np.all(i[:head] <= l[:head]) and np.all(i[head:] > l[head:])
     assert np.array_equal(i[head:], l[plan.partner])
     assert np.array_equal(l[head:], i[plan.partner])
     assert np.count_nonzero(i[:head] == l[:head]) == head - plan.partner.size
+    cross = basis.cell[i] != basis.cell[l]
+    assert np.any(cross[head:]) and not np.all(cross[head:])
     k0 = scr._straddling_k0(plan, basis)
     assert np.array_equal(k0[head:], k0[plan.partner])
     xi = [None] * basis.size
@@ -912,16 +940,20 @@ def test_straddling_sums_are_mirrored_over_the_transposed_pairs():
             xi[n] = x[row]
     h = basis.h
     for q in range(head, plan.straddling.size):
-        z = np.abs(basis.x[i[q]] + xi[i[q]][:, None] - xi[l[q]][None, :] - basis.x[l[q]])
-        ref = basis.ds**2 * np.sum(np.where(z >= h / 2, h * z, z * z + h * h / 4))
-        assert abs(k0[q] - ref) <= 1e-13 * abs(ref)
+        z = basis.x[i[q]] + xi[i[q]][:, None] - xi[l[q]][None, :] - basis.x[l[q]]
+        ref = basis.ds**2 * np.sum(np.where(np.abs(z) >= h / 2, h * np.abs(z),
+                                            z * z + h * h / 4))
+        far = basis.ds**2 * np.sum(h * z)        # x_i > x_l: every z taken as above
+        assert abs(k0[q] - (ref - cross[q] * far)) <= 1e-13 * abs(ref)
     for k in (0.2, 0.2 / 2**5):
         _, nodes = scr._side_sums(basis, k)
         vals = scr._straddling_entries(plan, basis, nodes, k, 2.0 * np.sinh(0.5 * k * h) / k)
         assert np.array_equal(vals[head:], np.conj(vals[plan.partner]))
+        kvec = np.array([k, 0.0])
         for q in range(head, plan.straddling.size):
-            ref = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, np.array([k, 0.0]), k)
-            assert abs(vals[q] - ref) <= 1e-13 * abs(ref)
+            ref = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, kvec, k)
+            far = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, kvec, k, far=True)
+            assert abs(vals[q] - (ref - cross[q] * far)) <= 1e-13 * abs(ref)
 
 
 def _dense_bordered(basis, x_src):
