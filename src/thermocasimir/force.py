@@ -125,38 +125,29 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
 
 
 def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
-                   bracket_b: float, wab_scale: float = 0.0) -> list:
+                   bracket_b: float) -> list:
     """Assemble the fluctuation force from the factorized leading correlation,
     one report row per separation in d_values, holding only what depends on d.
 
     The scaled-wavenumber integral of the monopole force kernel against the
     single-traversing-bond correlation factorizes into the two charge-weighted
-    plate brackets; with exact perfect screening both brackets are -1 and the
-    assembly reproduces the universal law exactly.  The magnetic contribution
-    enters only as the order d^-5 remainder bound |wab_scale|/d^5, never as an
-    addend.  The amplitude is zeta(3)/2, the value of the q-integral that
-    zeta3_quadrature checks.
+    plate brackets, so the assembled force is the universal law times both
+    brackets; with exact perfect screening both brackets are -1 and the
+    assembly reproduces the universal law exactly.
     """
-    beta = thermo.beta
-    amplitude = 0.5 * ZETA3
     rows = []
     for d in d_values:
         f_lead = leading_force(thermo, d)
-        denom = 4.0 * np.pi * beta * d**3
         alpha = thermo.lambda_ph / d
         low_t = _regime(alpha) == "low-T/small-d"
         rows.append({
             "d": d,
             "f_leading": f_lead,
-            "f_assembled": _finite_nonzero(
-                float(-(amplitude / denom) * bracket_a * bracket_b),
-                f"the assembled force at d = {d!r}"),
-            "capacitor_mag_bound_at_d": abs(wab_scale) / _power(d, 5),
+            "f_assembled": _finite_nonzero(float(f_lead * bracket_a * bracket_b),
+                                           f"the assembled force at d = {d!r}"),
             "lifshitz": {
                 "eq2": lifshitz_reference(thermo, d, "rTE1") if low_t else None,
                 "eq3": lifshitz_reference(thermo, d, "rTE0") if low_t else None,
-                "eq4": 2.0 * f_lead,
-                "eq5": f_lead,
                 "alpha": alpha,
             },
         })

@@ -63,13 +63,15 @@ def _plates(config: RunConfig, nx: int, n_paths: int, solve) -> dict:
 def _plate_brackets(config: RunConfig, nx: int, n_paths: int) -> dict:
     """The report's "brackets" and "screening" blocks: one bordered k = 0
     solve per plate (screening.perfect_screening_k0, see _plates).
-    "screening" holds, per solved slab, the basis size, the operator's pair
-    counts per assembly class, its band half-width in cells and the bracket's
-    slope at k = 0 ("bracket_slope", -mu: the bracket is -1 + slope k +
-    O(k^2))."""
+    "screening" holds, per solved slab, the basis size, the operator's stored
+    pair counts per class ("inside" and "straddling", read from the pair
+    plan), its band half-width in cells and the bracket's slope at k = 0
+    ("bracket_slope", -mu: the bracket is -1 + slope k + O(k^2))."""
     plates = _plates(config, nx, n_paths,
                      lambda basis: scr.perfect_screening_k0(basis, 0.0))
-    screening = {slab: {"basis_size": basis.size, "pairs": basis.pair_class_counts(),
+    screening = {slab: {"basis_size": basis.size,
+                        "pairs": {"inside": basis.plan.inside.size,
+                                  "straddling": basis.plan.straddling.size},
                         "band_cells": basis.plan.band, "bracket_slope": -res["mu"]}
                  for slab, (basis, res) in plates.items()}
     res_a, res_b = plates["a"][1], plates.get("b", plates["a"])[1]
@@ -208,7 +210,10 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
 
     The plate brackets, the capacitor terms and the certification are
     separation-independent and are set once; each separation then gets its
-    assembled force, the magnetic remainder bound and the regime references.
+    assembled force and the regime references.  With magnetic_check the
+    probe's magnetic remainder coefficient is stored once, in
+    "capacitor.magnetic_bound": the bound at d is coefficient_estimate *
+    d**exponent.
     The results are certified when both sum-rule residuals are below
     residual_tolerance (a NaN residual never is).
     Without a screening medium (kappa = 0) it raises ConfigError, and with
@@ -227,9 +232,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     plates = _plate_brackets(config, config.numerics["nx"],
                              config.numerics["n_paths_kernel"])
     brackets = plates["brackets"]
-    mag_exponent = None
-    mag_fit = None
-    wab_scale = 0.0
+    mag_exponent, mag_fit, mag_coefficient = None, None, 0.0
     if magnetic_check:
         probe = standard_magnetic_probe(seed=config.seed + 17)
         mag_exponent, n_points = force_mod.magnetic_decay_fit(probe)
@@ -237,12 +240,12 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                    "floor_max": max(probe["m_floor"]),
                    "points_fitted": n_points}
         l1, l2 = probe["loops"]
-        wab_scale = abs(pot.wab_pair_finite_d(l1, l2, np.array([1.0, 0.0]), 1.0,
-                                              probe["thermo"]))
+        mag_coefficient = abs(pot.wab_pair_finite_d(l1, l2, np.array([1.0, 0.0]), 1.0,
+                                                    probe["thermo"]))
 
     results = force_mod.assemble_force(
         config.thermo, sorted(config.d_values), brackets["bracket_a"],
-        brackets["bracket_b"], wab_scale=wab_scale)
+        brackets["bracket_b"])
 
     fit = (force_mod.fit_loglog_slope([r["d"] for r in results],
                                       [r["f_assembled"] for r in results])
@@ -262,7 +265,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
                       "magnetic_exponent": mag_exponent,
                       "magnetic_fit": mag_fit,
                       "magnetic_bound": {"exponent": -5,
-                                         "coefficient_estimate": wab_scale}},
+                                         "coefficient_estimate": mag_coefficient}},
         "results": results,
         "sweep_fit": fit and {"slope": fit[0], "stderr": fit[1]},
         "convergence": convergence,

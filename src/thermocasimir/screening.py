@@ -276,12 +276,6 @@ class LoopBasis:
         return _solve_layout(self.x_cells, self.cell, self.plan.band,
                              self.plan.rows, self.plan.cols, 1)
 
-    def pair_class_counts(self) -> dict:
-        """Number of operator pairs per class (see assemble_kernel_matrix)."""
-        inside, straddling = self.plan.inside.size, self.plan.straddling.size
-        return {"above_below": self.size**2 - inside - straddling,
-                "inside": inside, "straddling": straddling}
-
 
 def build_loop_basis(profile: DensityProfile, width: float, nx: int,
                      n_paths: int, n_steps: int, seed: int) -> LoopBasis:

@@ -7,8 +7,11 @@ photon) by s and leaves every dimensionless quantity alone.  With s a power
 of two every product and quotient of the chain scales without rounding, so
 the plate brackets, the hierarchy ratios, the screening record and the
 grid-doubling record are bit-identical, except the brackets' slope at k = 0,
-a length, which scales as s; kappa scales as 1/s and the force as 1/s^3.  The magnetic capacitor block is left out: it comes from a fixed probe
-that does not read the configuration.
+a length, which scales as s; kappa scales as 1/s, the screening length and
+the separations as s, the forces as 1/s^3, and the regime references and
+the capacitor block (the magnetic probe off: it does not read the
+configuration) are bit-identical.  Only the sweep's log-log slope is
+compared to 1e-12: its fit is not bit-exact under the shift of log d.
 
 Charge conjugation: charges enter the screened solve only squared, so
 flipping every sign gives the same solution.
@@ -17,8 +20,15 @@ Species split and species order: a point species at density rho is two
 copies at rho / 2, and the order of the species is a labelling, so neither
 moves the bordered k = 0 solve beyond rounding (checked to 1e-13 relative,
 not bit for bit: the sums run over other entries in another order).
+
+hbar -> 0: the bridges are drawn by the seed and scale with lambda, so the
+gap Re mu(hbar) - Re mu of the lambda = 0 twin (every species a point
+charge) is a deterministic function of hbar.  Where no pair straddles a
+cell face it is O(hbar^2) to three digits; where many do, the straddling
+sums keep it positive and the halving ratio between 2.8 and 4.1.
 """
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,6 +37,7 @@ from thermocasimir import loops as lo
 from thermocasimir import screening as scr
 from thermocasimir.config import load_config
 from thermocasimir.pipeline import run_pipeline
+from test_acceptance import THREE_SPECIES, TWO_SPECIES
 
 CONFIG = {
     "units": "reduced",
@@ -67,8 +78,14 @@ def test_length_scaling_is_exact():
     for block in ("brackets", "hierarchy", "screening", "convergence"):
         assert scaled[block] == base[block], block
     assert scaled["kappa"] * s == base["kappa"]
-    assert [r["f_assembled"] * s**3 for r in scaled["results"]] == [
-        r["f_assembled"] for r in base["results"]]
+    assert scaled["lambda_screen"] == s * base["lambda_screen"]
+    assert scaled["capacitor"] == base["capacitor"]
+    for row, base_row in zip(scaled["results"], base["results"], strict=True):
+        assert row["d"] == s * base_row["d"]
+        for key in ("f_leading", "f_assembled"):
+            assert row[key] * s**3 == base_row[key], key
+        assert row["lifshitz"] == base_row["lifshitz"]
+    assert abs(scaled["sweep_fit"]["slope"] - base["sweep_fit"]["slope"]) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [None, 3.0])    # one slab, and two slabs 3 apart
@@ -113,3 +130,45 @@ def test_species_split_and_order_leave_the_k0_solve_alone(point_profile, change)
     assert np.max(np.abs(per_cell[1] - per_cell[0])) <= 1e-13 * np.max(np.abs(per_cell[0]))
     for key in ("mu", "bracket"):
         assert abs(results[1][key] - results[0][key]) <= 1e-13 * abs(results[0][key]), key
+
+
+def _loop_bases_and_twin_mu(raw, hbars, nx):
+    """raw's loop basis at each hbar (seed 2024, 6 paths, nx cells) and Re mu
+    of the bordered k = 0 solve of its lambda = 0 twin, which no hbar moves."""
+    bases = []
+    for hbar in hbars:
+        cfg = copy.deepcopy(raw)
+        cfg["thermo"]["hbar"] = hbar
+        config = load_config(cfg)
+        bases.append(scr.build_loop_basis(config.profile, config.a, nx, 6,
+                                          config.numerics["n_steps_kernel"], 2024))
+    twin = dataclasses.replace(config.profile, cells=tuple(
+        dataclasses.replace(c, species=dataclasses.replace(c.species, lambda_=0.0))
+        for c in config.profile.cells))
+    return bases, _re_mu(scr.build_loop_basis(twin, config.a, nx, 6,
+                                              config.numerics["n_steps_kernel"], 2024))
+
+
+def _re_mu(basis):
+    return scr.perfect_screening_k0(basis, 0.0)["mu"].real
+
+
+@pytest.mark.parametrize("raw", [TWO_SPECIES, THREE_SPECIES], ids=["two", "three"])
+def test_hbar_to_zero_gap_is_quadratic_without_straddling_pairs(raw):
+    bases, mu_point = _loop_bases_and_twin_mu(raw, (0.04, 0.02, 0.01), 24)
+    gap = [_re_mu(b) - mu_point for b in bases]
+    for coarse, fine in zip(gap, gap[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.02)
+
+
+def test_hbar_to_zero_gap_stays_positive_with_straddling_pairs(monkeypatch):
+    bases, mu_point = _loop_bases_and_twin_mu(TWO_SPECIES, (0.08, 0.04, 0.02), 96)
+    assert all(b.plan.straddling.size > 0 for b in bases)
+    gap = [_re_mu(b) - mu_point for b in bases]
+    assert all(g > 0.0 for g in gap)
+    for coarse, fine in zip(gap, gap[1:]):
+        assert 2.8 <= coarse / fine <= 4.1
+    # without its straddling sums the loop basis falls below its twin
+    monkeypatch.setattr(scr, "_straddling_k0",
+                        lambda plan, basis: np.zeros(plan.straddling.size))
+    assert all(_re_mu(b) - mu_point < 0.0 for b in bases)

@@ -158,7 +158,7 @@ def test_single_path_report_is_the_unpaired_one(pinned_reference):
                            pinned_reference)
     report = run_pipeline(config, magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "e9e49a187c629ec9a840e3886e2ed92e9e66d123087c7164dced5928b591a491")
+        "b5e748226cbe3c91e3ffc3f13a51c9daf62f1a4a0e20dbb12b0f7ca23e6084b6")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -248,16 +248,18 @@ def _mixed_basis(hbar, nx, n_steps=8):
     return basis, [_entry_loop(basis, i, cells, n_steps, 9) for i in range(basis.size)]
 
 
-# (0.25, 4) has pairs of every class; (0.6, 10) has wide paths in fine
-# cells, so most near pairs straddle and none stays inside a cell
+# (0.25, 4) stores pairs of both classes; (0.6, 10) has wide paths in fine
+# cells, so most near pairs straddle and none stays inside a cell; in both
+# the far field carries the pairs not stored
 @pytest.mark.parametrize("hbar, nx, classes", [
-    (0.25, 4, ("above_below", "inside", "straddling")),
-    (0.6, 10, ("above_below", "straddling"))])
+    (0.25, 4, ("inside", "straddling")),
+    (0.6, 10, ("straddling",))])
 @pytest.mark.parametrize("k", [0.2, 0.2 / 2**5])
 def test_pair_matrix_matches_double_sum_oracle(hbar, nx, classes, k):
     basis, loops = _mixed_basis(hbar, nx)
-    counts = basis.pair_class_counts()
-    assert sum(counts.values()) == basis.size**2
+    counts = {"inside": basis.plan.inside.size,
+              "straddling": basis.plan.straddling.size}
+    assert sum(counts.values()) < basis.size**2
     assert {name for name, n in counts.items() if n > 0} == set(classes)
     # the structured operator's dense expansion: band entries and the
     # far-field generator products
@@ -662,8 +664,7 @@ def test_pair_classes_of_point_basis(point_profile):
     # degenerate paths: same-cell pairs are inside, all others far
     basis = scr.build_loop_basis(point_profile, 6.0, 6, n_paths=1, n_steps=4,
                                  seed=0)
-    assert basis.pair_class_counts() == {"above_below": 144 - 24,
-                                         "inside": 24, "straddling": 0}
+    assert basis.plan.inside.size == 24 and basis.plan.straddling.size == 0
 
 
 # the border, two interior positions (one a cell center, where path nodes
