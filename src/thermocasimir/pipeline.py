@@ -211,9 +211,11 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     The plate brackets, the capacitor terms and the certification are
     separation-independent and are set once; each separation then gets its
     assembled force and the regime references.  With magnetic_check the
-    probe's magnetic remainder coefficient is stored once, in
-    "capacitor.magnetic_bound": the bound at d is coefficient_estimate *
-    d**exponent.
+    probe's decay exponent and fit record are stored in "capacitor", and
+    "capacitor.magnetic_bound.coefficient_estimate" is |wab_pair_finite_d|
+    of the probe's loops at q = (1, 0) and d = 1 in the probe's units.  That
+    kernel decays as 1/d, so coefficient_estimate * d**exponent (exponent
+    -5) is not a bound of anything the run computes.
     The results are certified when both sum-rule residuals are below
     residual_tolerance (a NaN residual never is).
     Without a screening medium (kappa = 0) it raises ConfigError, and with

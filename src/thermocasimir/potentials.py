@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 COINCIDENCE_EPS = 1e-8  # fraction of the de Broglie length, caps 1/r at grid collisions
-_STACK_ENTRIES = 1 << 18  # (wavevector, time pair) entries of Q held at a time
+_STACK_ENTRIES = 1 << 18  # (wavevector, time node) entries of the currents held at a time
 # Gauss nodes of the magnetic transform.  On probe seeds 100-119 the values
 # agree with a 3000-node rule to <= 2e-11 max|m| and keep the same points
 # above the floor.
@@ -126,9 +126,17 @@ def vel_fourier(loop_i: Loop, loop_j: Loop, kvec) -> complex:
 def _increments_and_midpoints(loop: Loop):
     dX = np.diff(loop.path, axis=0)
     mid = 0.5 * (loop.path[:-1] + loop.path[1:])
-    n = loop.path.shape[0] - 1
-    t_mid = loop.p * ((np.arange(n) + 0.5) / n)
-    return dX, mid, t_mid
+    return dX, mid
+
+
+def _folded_current(loop: Loop, Kc, e, sign: float):
+    """e^{sign i lam K.mid} times the increments projected on e (m, 2, 3), the
+    p windings summed onto the n_steps lag nodes: shape (m, 2, n_steps)."""
+    dX, mid = _increments_and_midpoints(loop)
+    m = Kc.shape[0]
+    phase = np.exp(sign * 1j * loop.species.lambda_ * (Kc @ mid.T))
+    cur = phase[:, None, :] * (e.reshape(2 * m, 3) @ dX.T).reshape(m, 2, -1)
+    return cur.reshape(m, 2, loop.p, loop.n_steps).sum(axis=2)
 
 
 def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
@@ -138,7 +146,8 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     Parameters
     ----------
     loop_i, loop_j : Loop
-        Only the internal degrees of freedom (species, p, shape) enter.
+        Only the internal degrees of freedom (species, p, shape) enter.  Both
+        must have the same n_steps (ContractViolationError otherwise).
     K : array of shape (3,) or (m, 3)
         One 3-wavevector or a stack of them.  Each may have a vanishing
         in-plane part; only |K| = 0 exactly is singular, anywhere in a stack.
@@ -155,10 +164,14 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
 
     Two stochastic line integrals (midpoint convention) of Fourier phases,
     contracted with 4 pi g^2(|K|)/|K|^2 times the transverse projector and the
-    photon factor Q(|K|, s_i - s_j).  Q is evaluated once per distinct time
-    lag (s_i - s_j) mod 1 and gathered into the time-pair matrix; a stack is
-    contracted in chunks of at most _STACK_ENTRIES (wavevector, time pair)
-    entries.
+    photon factor Q(|K|, s_i - s_j).  On the common time grid node a sits at
+    ((a mod n) + 1/2)/n, n = n_steps, so the lag is l/n with l = (a - b) mod n
+    and Q, of period 1, is circulant in the time lag: each loop's p windings
+    fold onto the n lag nodes.  The projector is summed over two unit vectors
+    orthogonal to K, and the circulant contraction sum_ab A_a q_(a-b) B_b is
+    (1/n) sum_f A^(-f) q^(f) B^(f) with FFTs along the time axis (q is even in
+    l, so q^ is real).  A stack is contracted in chunks of at most
+    _STACK_ENTRIES (wavevector, time node) entries.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim not in (1, 2) or K.shape[-1] != 3:
@@ -169,34 +182,29 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
         raise SingularArgumentError("wm_pair_fourier undefined at K = 0 exactly")
     if photon not in ("quantum", "classical"):
         raise ParameterError("photon must be 'quantum' or 'classical'")
-    dXi, mid_i, ti = _increments_and_midpoints(loop_i)
-    dXj, mid_j, tj = _increments_and_midpoints(loop_j)
-    lag = np.mod(ti[:, None] - tj[None, :], 1.0)
-    order = np.argsort(lag, axis=None)      # np.unique would import numpy.ma
-    first = np.diff(lag.flat[order], prepend=-1.0) != 0.0
-    lags, lag_index = lag.flat[order[first]], np.empty(lag.shape, dtype=int)
-    lag_index.flat[order] = np.cumsum(first) - 1
-    lam_i = loop_i.species.lambda_
-    lam_j = loop_j.species.lambda_
+    if loop_i.n_steps != loop_j.n_steps:
+        raise ContractViolationError("wm_pair_fourier needs a common n_steps")
+    n = loop_i.n_steps
+    lam_ph = thermo.lambda_ph if photon == "quantum" else 0.0   # Q = 1 at 0
     g = form_factor(kmag)
     pref = 1.0 / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
                   * thermo.c**2)
     out = np.empty(stack.shape[0], dtype=complex)
-    step = max(1, _STACK_ENTRIES // lag_index.size)
+    step = max(1, _STACK_ENTRIES // (loop_i.p * n + loop_j.p * n))
     for r0 in range(0, stack.shape[0], step):
         rows = slice(r0, r0 + step)
         Kc, kc, gc = stack[rows], kmag[rows], g[rows]
-        if photon == "quantum":
-            q_lag = eval_Q(kc[:, None], lags, thermo.lambda_ph)
-        else:
-            q_lag = np.ones((kc.size, lags.size))
-        pi = np.exp(1j * lam_i * (Kc @ mid_i.T))[:, :, None] * dXi
-        pj = np.exp(-1j * lam_j * (Kc @ mid_j.T))[:, :, None] * dXj
-        # real Q times complex pj as one real product on (re, im) pairs
-        qpj = (q_lag[:, lag_index] @ pj.view(float)).view(complex)
-        m = np.swapaxes(pi, 1, 2) @ qpj
+        # e1 = K^ x (the axis of K^'s smallest |component|), normalised; e2 = K^ x e1
+        khat = Kc / kc[:, None]
+        e1 = np.cross(khat, np.eye(3)[np.argmin(np.abs(khat), axis=1)])
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e = np.stack([e1, np.cross(khat, e1)], axis=1)           # (m, 2, 3)
+        # ifft(A)(f) = A^(-f)/n, so the sum over f below carries the 1/n
+        a = np.fft.ifft(_folded_current(loop_i, Kc, e, 1.0))
+        b = np.fft.fft(_folded_current(loop_j, Kc, e, -1.0))
+        q = np.fft.fft(eval_Q(kc[:, None], np.arange(n) / n, lam_ph)).real
         out[rows] = (pref * 4.0 * np.pi * gc * gc / kc**2
-                     * np.sum(transverse_delta(Kc) * m, axis=(1, 2)))
+                     * np.einsum("mcf,mcf,mf->m", a, b, q))
     return out if K.ndim == 2 else complex(out[0])
 
 
@@ -317,7 +325,7 @@ def _loop_current_moments(loop: Loop, qvec):
     rounding: only area-like (current-loop) moments survive.
     """
     qvec = np.asarray(qvec, dtype=float)
-    dX, mid, _ = _increments_and_midpoints(loop)
+    dX, mid = _increments_and_midpoints(loop)
     a = np.sum(dX * mid[:, 0:1], axis=0)
     b = np.sum(dX * (mid[:, 1:] @ qvec)[:, None], axis=0)
     return a, b

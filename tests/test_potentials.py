@@ -305,8 +305,10 @@ def _wm_pair_oracle(loop_i, loop_j, K, thermo, form_factor, photon):
     # stacked evaluation
     K = np.asarray(K, dtype=float)
     kmag = float(np.linalg.norm(K))
-    dXi, mid_i, ti = pot._increments_and_midpoints(loop_i)
-    dXj, mid_j, tj = pot._increments_and_midpoints(loop_j)
+    dXi, mid_i = pot._increments_and_midpoints(loop_i)
+    dXj, mid_j = pot._increments_and_midpoints(loop_j)
+    ti = loop_i.p * (np.arange(len(dXi)) + 0.5) / len(dXi)
+    tj = loop_j.p * (np.arange(len(dXj)) + 0.5) / len(dXj)
     phase_i = np.exp(1j * loop_i.species.lambda_ * (mid_i @ K))
     phase_j = np.exp(-1j * loop_j.species.lambda_ * (mid_j @ K))
     if photon == "quantum":
@@ -375,8 +377,8 @@ def test_wm_stack_with_zero_wavevector_raises(big_thermo, probe_loops,
 def test_wm_stack_longer_than_chunk(big_thermo, probe_loops):
     l1, l2 = probe_loops
     ff = pot.FormFactor(k_cut=3.0)
-    n_pairs = (l1.path.shape[0] - 1) * (l2.path.shape[0] - 1)
-    chunk = pot._STACK_ENTRIES // n_pairs
+    n_nodes = (l1.path.shape[0] - 1) + (l2.path.shape[0] - 1)
+    chunk = pot._STACK_ENTRIES // n_nodes
     m = 2 * chunk + 7
     stack = np.column_stack([np.linspace(0.1, 8.0, m),
                              np.linspace(-0.5, 0.5, m),
@@ -387,6 +389,54 @@ def test_wm_stack_longer_than_chunk(big_thermo, probe_loops):
                             for r0 in range(0, m, 50)])
     assert np.all(np.abs(whole - parts) <= 1e-13 * np.abs(parts))
 
+
+
+def test_wm_needs_one_time_grid(big_thermo):
+    sp = lo.SpeciesParams.from_thermo("p1", +1.0, 1.0, big_thermo)
+    l24 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 24, [3, 0]))
+    l32 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 32, [3, 1]))
+    with pytest.raises(ContractViolationError):
+        pot.wm_pair_fourier(l24, l32, np.array([0.7, 0.4, -0.2]), big_thermo,
+                            pot.FormFactor(k_cut=3.0))
+
+
+def test_wm_probe_stack_matches_per_k_oracle():
+    # the magnetic probe's own stack: MAGNETIC_N_QUAD Gauss nodes on
+    # [0, 4 k_cut] = [0, 10], K along x.  Below k1 = 0.1 the closed-loop
+    # sums cancel and both summation orders keep only ~1e-8 relative
+    from thermocasimir.pipeline import standard_magnetic_probe
+
+    probe = standard_magnetic_probe(seed=2041)
+    thermo, ff = probe["thermo"], probe["form_factor"]
+    nodes, _ = roots_legendre(probe["n_quad"])
+    k1 = 2.0 * ff.k_cut * (nodes + 1.0)
+    stack = np.zeros((k1.size, 3))
+    stack[:, 0] = k1
+    kept = k1 >= 0.1
+    l1, l2 = probe["loops"]
+    p1_p3 = (lo.Loop(0.0, l1.species, 1, lo.sample_bridge(1, 48, [2041, 5])),
+             lo.Loop(0.0, l2.species, 3, lo.sample_bridge(3, 48, [2041, 6])))
+    for li, lj in [(l1, l2), p1_p3]:
+        got = pot.wm_pair_fourier(li, lj, stack, thermo, ff)
+        ref = np.array([_wm_pair_oracle(li, lj, K, thermo, ff, "quantum")
+                        for K in stack[kept]])
+        assert np.all(np.abs(got[kept] - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                       (0.0, 0.0, -1.0), (1.0, 1.0, 1.0)])
+def test_wm_axis_and_diagonal_wavevectors_match_oracle(big_thermo, probe_loops,
+                                                       direction):
+    # the transverse basis is built from the axis of K's smallest |component|;
+    # along an axis two components tie, along (1, 1, 1) all three do
+    l1, l2 = probe_loops
+    ff = pot.FormFactor(k_cut=3.0)
+    unit = np.asarray(direction) / np.linalg.norm(direction)
+    stack = np.outer([0.3, 0.9, 2.5], unit)
+    got = pot.wm_pair_fourier(l1, l2, stack, big_thermo, ff)
+    ref = np.array([_wm_pair_oracle(l1, l2, K, big_thermo, ff, "quantum")
+                    for K in stack])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 # ----------------------------------------------------- slab Coulomb force
 
