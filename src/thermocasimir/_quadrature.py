@@ -18,6 +18,7 @@ import numpy as np
 _PANEL_NODES = 16         # Gauss nodes per panel
 _HEAD_PANELS = 8          # geometric panels before the first zero
 _AVERAGING_ROUNDS = 12    # rounds of repeated averaging of the partial sums
+_NEWTON_PASSES = 8        # cap on gauss_legendre's Newton passes (it needs 3 or 4)
 # sin theta at the midpoint nodes of the Bessel integrals: the rule is exact
 # to rounding for |z| <~ 260 (J0 is needed up to its 81st zero, 253.7)
 _SIN_THETA = np.sin((np.arange(80) + 0.5) * (np.pi / 160))
@@ -29,19 +30,23 @@ def gauss_legendre(n: int):
     [-1, 1], as read-only arrays.
 
     Newton iteration on P_n from the three-term recurrence, started at
-    Tricomi's approximation: the third step starts within 3e-13 of the root
-    for every n and ends at rounding.  The weights are
-    2 / ((1 - x)(1 + x) P_n'(x)^2) with P_n' evaluated at the final nodes.
+    Tricomi's approximation (the third step starts within 3e-13 of the root
+    for every n), until a step is at rounding, at most 2 eps: three passes of
+    the recurrence for large n (400 or 3000), four for small ones.  The
+    weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) with P_n' evaluated on the
+    last pass, at nodes that step moved by rounding only.
     """
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(
         np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for newton_step in (True, True, True, False):
+    for _ in range(_NEWTON_PASSES):
         p0, p1 = np.ones(n), x
         for j in range(2, n + 1):
             p0, p1 = p1, ((2 * j - 1) / j) * x * p1 - ((j - 1) / j) * p0
         dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-        if newton_step:
-            x = x - p1 / dp
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 2.0 * np.finfo(float).eps:
+            break
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x.flags.writeable = w.flags.writeable = False
     return x, w

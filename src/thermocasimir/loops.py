@@ -150,6 +150,9 @@ def sample_bridge_ensemble(p: int, n_steps: int, seed, count: int) -> np.ndarray
     """Vectorized sampler; returns (count, N+1, 3), sample i the i-th path of
     the one stream default_rng(seed): the same for every count above i, but
     it follows all draws before it, so it cannot be regenerated without them.
+    A numpy Generator as seed is used as it is, so consecutive calls on one
+    Generator continue its stream: calls of a and b paths draw the paths of
+    one call of a + b.
 
     The increments are drawn in blocks of whole paths of at most 2^17 values
     (at least one path) and pinned in place in the output, so memory stays at

@@ -159,8 +159,8 @@ def _point_basis(kappa2: float, width: float, nx: int) -> scr.LoopBasis:
 
 
 def _screened_column(basis: scr.LoopBasis, x_src: float, k: float) -> np.ndarray:
-    """The screened solve against a unit point charge at x_src (real on a point basis)."""
-    return scr.assemble_kernel_matrix(basis, k).solve(scr.source_column(basis, x_src, k)).real
+    """The screened solve against a unit point charge at x_src (real: a point basis)."""
+    return scr.assemble_kernel_matrix(basis, k).solve(scr.source_column(basis, x_src, k))
 
 
 def _grid_doubling_table(config: RunConfig) -> dict:
@@ -317,18 +317,30 @@ def write_report(report: dict, out_dir: str) -> str:
 # caller with its own sizes and seeds.  Oracles are looked up as pot.<name> so
 # that wrappers installed on the module (perfbench's spans) see every call.
 
+_BRIDGE_BLOCK = 2048      # bridges per draw of bridge_statistics (0.8 MiB at 16 steps)
+
+
 def bridge_statistics(n_samples: int, ensemble_seed, pair_seed):
     """Worst covariance z-score of n_samples 16-step unit bridges over 10
-    random time pairs, and the line integral of a constant along path 0."""
-    paths = loops_mod.sample_bridge_ensemble(1, 16, ensemble_seed, n_samples)
+    random time pairs, and the line integral of a constant along path 0.
+    The bridges are drawn from the one stream default_rng(ensemble_seed) in
+    blocks of _BRIDGE_BLOCK paths, each block keeping only the products of
+    the x coordinate that the z-scores read (and path 0), so memory is one
+    block plus 10 products per bridge and every statistic is that of one
+    draw of all n_samples bridges."""
     rng = np.random.default_rng(pair_seed)
-    z = []
-    for _ in range(10):
-        i, j = sorted(rng.integers(1, 16, size=2))
-        prod = paths[:, i, 0] * paths[:, j, 0]
-        target = loops_mod.bridge_covariance(1, i / 16.0, j / 16.0)
-        z.append(abs(prod.mean() - target) / (prod.std(ddof=1) / np.sqrt(n_samples)))
-    ito = loops_mod.line_integral(paths[0], lambda s, x: np.array([1.0, -2.0, 0.5]))
+    i, j = np.array([sorted(rng.integers(1, 16, size=2)) for _ in range(10)]).T
+    stream = np.random.default_rng(ensemble_seed)
+    prod = np.empty((10, n_samples))
+    for a in range(0, n_samples, _BRIDGE_BLOCK):
+        paths = loops_mod.sample_bridge_ensemble(
+            1, 16, stream, min(_BRIDGE_BLOCK, n_samples - a))
+        prod[:, a:a + len(paths)] = (paths[:, i, 0] * paths[:, j, 0]).T
+        if a == 0:
+            path0 = paths[0].copy()
+    z = [abs(row.mean() - loops_mod.bridge_covariance(1, ii / 16.0, jj / 16.0))
+         / (row.std(ddof=1) / np.sqrt(n_samples)) for row, ii, jj in zip(prod, i, j)]
+    ito = loops_mod.line_integral(path0, lambda s, x: np.array([1.0, -2.0, 0.5]))
     return float(np.max(z)), ito
 
 
@@ -399,11 +411,16 @@ def verify_suite(config: RunConfig) -> dict:
     checks.append(_check("sampler_determinism", float(np.max(np.abs(again - first))),
                          0.0, np.array_equal(again, first)))
 
-    # --- projector and photon factor ---------------------------------------
+    # --- the magnetic kernel's transverse frame and photon factor ----------
     rng = np.random.default_rng([rng_seed, 103])
-    ks = rng.normal(size=(1000, 3))
-    p = pot.transverse_delta(ks)
-    worst = np.maximum(np.max(np.abs(p @ p - p)), np.max(np.abs(p @ ks[:, :, None])))
+    ks = np.vstack([rng.normal(size=(1000, 3)), np.eye(3)])
+    khat = ks / np.linalg.norm(ks, axis=1)[:, None]
+    e = pot._transverse_frame(khat)
+    # orthonormal, orthogonal to K, and summing to the projector delta - K^K^T
+    worst = np.max([np.max(np.abs(e @ e.transpose(0, 2, 1) - np.eye(2))),
+                    np.max(np.abs(e @ khat[:, :, None])),
+                    np.max(np.abs(np.einsum("mci,mcj->mij", e, e) - np.eye(3)
+                                  + khat[:, :, None] * khat[:, None, :]))])
     checks.append(_check("transverse_projector", worst, 1e-12))
 
     qper = abs(pot.eval_Q(1.3, 0.375 + 1.0, 2.0) - pot.eval_Q(1.3, 0.375, 2.0))

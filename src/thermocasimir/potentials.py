@@ -21,7 +21,6 @@ from .loops import Loop, ThermoState
 
 __all__ = [
     "FormFactor",
-    "transverse_delta",
     "eval_Q",
     "vel_fourier",
     "wm_pair_fourier",
@@ -60,18 +59,6 @@ class FormFactor:
 
     def __call__(self, k):
         return np.exp(-((np.asarray(k) / self.k_cut) ** 2))
-
-
-def transverse_delta(K) -> np.ndarray:
-    """Projector onto the plane orthogonal to K: delta_{mu nu} - K_mu K_nu / |K|^2.
-
-    K of shape (3,) gives one 3x3 matrix; a stack of shape (m, 3) gives (m, 3, 3).
-    """
-    K = np.asarray(K, dtype=float)
-    k2 = np.sum(K * K, axis=-1)
-    if np.any(k2 == 0.0):
-        raise SingularArgumentError("transverse projector undefined at K = 0")
-    return np.eye(3) - K[..., :, None] * K[..., None, :] / k2[..., None, None]
 
 
 def eval_Q(kmag, ds, lambda_ph: float):
@@ -127,6 +114,16 @@ def _increments_and_midpoints(loop: Loop):
     dX = np.diff(loop.path, axis=0)
     mid = 0.5 * (loop.path[:-1] + loop.path[1:])
     return dX, mid
+
+
+def _transverse_frame(khat) -> np.ndarray:
+    """Two orthonormal vectors orthogonal to each unit vector of the (m, 3)
+    stack khat, shape (m, 2, 3): e1 = khat x (the axis of khat's smallest
+    |component|), normalised, and e2 = khat x e1.  e1 e1^T + e2 e2^T is the
+    transverse projector delta - khat khat^T."""
+    e1 = np.cross(khat, np.eye(3)[np.argmin(np.abs(khat), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, np.cross(khat, e1)], axis=1)
 
 
 def _folded_current(loop: Loop, Kc, e, sign: float):
@@ -194,11 +191,7 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     for r0 in range(0, stack.shape[0], step):
         rows = slice(r0, r0 + step)
         Kc, kc, gc = stack[rows], kmag[rows], g[rows]
-        # e1 = K^ x (the axis of K^'s smallest |component|), normalised; e2 = K^ x e1
-        khat = Kc / kc[:, None]
-        e1 = np.cross(khat, np.eye(3)[np.argmin(np.abs(khat), axis=1)])
-        e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        e = np.stack([e1, np.cross(khat, e1)], axis=1)           # (m, 2, 3)
+        e = _transverse_frame(Kc / kc[:, None])
         # ifft(A)(f) = A^(-f)/n, so the sum over f below carries the 1/n
         a = np.fft.ifft(_folded_current(loop_i, Kc, e, 1.0))
         b = np.fft.fft(_folded_current(loop_j, Kc, e, -1.0))

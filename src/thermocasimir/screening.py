@@ -16,11 +16,12 @@ and rank.  The near pairs (inside the source cell or straddling a face; the
 kernel is even, so a transposed pair takes its partner's class) are found
 once per basis and each class is summed exactly without a pair loop; the source
 column of one or more unit point charges is a direct node sum.  A classical
-plasma is a basis of point charges, species with lambda_ = 0.  The
-perfect-screening rule at k = 0 comes from one bordered solve of the
-operator's expansion T_{-1}/k + T_0, whose pole is rank 1; the k-sweep
-(solves along the wavenumber sequence, Richardson-extrapolated to zero) is
-its oracle.  The module also provides the two-slab solve of any slab basis
+plasma is a basis of point charges, species with lambda_ = 0: with no
+in-plane excursion every phase is 1, so it is assembled and solved in real
+arithmetic.  The perfect-screening rule at k = 0 comes from one bordered
+solve of the operator's expansion T_{-1}/k + T_0, whose pole is rank 1; the
+k-sweep (solves along the wavenumber sequence, Richardson-extrapolated to
+zero) is its oracle.  The module also provides the two-slab solve of any slab basis
 joined with its moved copy and the factorized closed form of the interplate
 screened potential.
 """
@@ -118,7 +119,7 @@ class DensityProfile:
 # kernel-matrix assembly over a loop basis
 # ----------------------------------------------------------------------------
 
-_BATCH = 1 << 18     # source terms per batch
+_BATCH = 1 << 18     # entries per batch: pair-plan candidates, source-column terms
 _ROW_NODES = 1 << 14  # row nodes of straddling pairs per batch
 _BLOCK_MIN = 24      # least unknowns per superblock: fewer Python steps, flops n B^2
 
@@ -248,20 +249,30 @@ class LoopBasis:
         the transposes of the near ones take their class (the kernel is even
         in w).  Paths are pinned, so 0 lies in each xi range: a same-cell pair
         is always near, and a cross-cell one never inside its source cell nor
-        beyond it on the side opposite to its cell order."""
+        beyond it on the side opposite to its cell order.  The candidates are
+        classified in row batches of at most _BATCH (at least one row), and
+        the near ones are kept in row order."""
         reach = int(np.fmin(np.ceil(self.spread / self.h + 0.5), self.x_cells.size))
         start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
         first, half, x = np.arange(self.size), 0.5 * self.h, self.x
         count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - first
-        i = np.repeat(first, count)
-        l = np.arange(i.size) - np.repeat(np.cumsum(count) - count - first, count)
+        end = np.cumsum(count)
         xi_lo, xi_hi = np.empty(self.size), np.empty(self.size)
         for idx, xi, _ in self.groups:       # nodes sorted by xi: each path's range
             xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
-        w_lo, w_hi = (x + xi_lo)[i] - xi_hi[l], (x + xi_hi)[i] - xi_lo[l]
-        near = w_hi > x[l] - half
-        within = ((w_lo >= x[l] - half) & (w_hi <= x[l] + half))[near]
-        i, l = i[near], l[near]
+        kept, r0 = [], 0
+        while r0 < self.size:
+            r1 = max(r0 + 1, int(np.searchsorted(end, end[r0] - count[r0] + _BATCH,
+                                                 side="right")))
+            c = count[r0:r1]
+            i = np.repeat(first[r0:r1], c)
+            l = i + np.arange(i.size) - np.repeat(np.cumsum(c) - c, c)
+            w_lo, w_hi = (x + xi_lo)[i] - xi_hi[l], (x + xi_hi)[i] - xi_lo[l]
+            near = w_hi > x[l] - half
+            kept.append((i[near], l[near],
+                         ((w_lo >= x[l] - half) & (w_hi <= x[l] + half))[near]))
+            r0 = r1
+        i, l, within = (np.concatenate(a) for a in zip(*kept))
         off = np.nonzero(i < l)[0]
         head, tail = np.nonzero(~within)[0], np.nonzero(~within[off])[0]
         return _PairPlan(rows=np.concatenate([i, l[off]]), cols=np.concatenate([l, i[off]]),
@@ -269,6 +280,13 @@ class LoopBasis:
                          straddling=np.concatenate([head, i.size + tail]),
                          partner=np.searchsorted(head, off[tail]),
                          band=int(np.max(self.cell[l] - self.cell[i], initial=0)))
+
+    @cached_property
+    def dtype(self) -> type:
+        """complex, or float when no path has an in-plane excursion (a basis of
+        point charges): every phase e^{i k y} is then 1, so the operator,
+        the source column and the screened solve are real."""
+        return complex if any(y.any() for _, _, y in self.groups) else float
 
     @cached_property
     def layout(self) -> _SolveLayout:
@@ -321,6 +339,12 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
                      beta=profile.beta)
 
 
+def _phase(k, y):
+    """The phase e^{i k y} of in-plane node excursions y; 1.0 in float64 for a
+    group without any (point charges), so a basis of such groups is real."""
+    return np.exp(1j * k * y) if y.any() else np.ones_like(y)
+
+
 def _wavenumber(k) -> float:
     if k <= 0.0:
         raise SingularArgumentError("kernel assembly needs k > 0")
@@ -331,15 +355,15 @@ def _side_sums(basis: LoopBasis, k):
     """Per-path time sums of the transverse-Fourier wire kernel at wavenumber k.
 
     Returns (sums, nodes): sums[:, n] = ds sum_s a(s) (1, expm1(-k xi(s)),
-    expm1(k xi(s))) with the row phase a = e^{i k y}, and per group
+    expm1(k xi(s))) with the row phase a = e^{i k y} (_phase), and per group
     nodes[g] = (a, expm1(-k xi), expm1(k xi)).  Column sums are the complex
     conjugates.  Exponents are taken relative to each path's own position,
     so nothing overflows at large k times the slab width.
     """
-    sums = np.empty((3, basis.size), dtype=complex)
+    sums = np.empty((3, basis.size), dtype=basis.dtype)
     nodes = []
     for idx, xi, y in basis.groups:
-        a = np.exp(1j * k * y)
+        a = _phase(k, y)
         em, ep = np.expm1(-k * xi), np.expm1(k * xi)
         sums[0, idx] = basis.ds * np.sum(a, axis=1)
         sums[1, idx] = basis.ds * np.sum(a * em, axis=1)
@@ -355,7 +379,7 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
     b e^{k xi}, b e^{-k xi} and b (expm1(k xi) + expm1(-k xi)), b the column
     phase, read at its ends (_straddling_runs); a transpose is its partner's
     conjugate."""
-    vals, half = np.empty(plan.straddling.size, dtype=complex), 0.5 * basis.h
+    vals, half = np.empty(plan.straddling.size, dtype=basis.dtype), 0.5 * basis.h
 
     def terms(gc):
         a_c, em_c, ep_c = nodes[gc]
@@ -484,7 +508,8 @@ class KernelOperator:
         of each per far-field term): row i reads both one cell away.  Ordered
         per cell as [Phi_c, sigma_c, tau_c] in the layout's superblocks, it is
         block tridiagonal: block LU (Golub & Van Loan 4.5.1), LAPACK's partial
-        pivoting inside each diagonal block.  NaN for an overflowed operator."""
+        pivoting inside each diagonal block, in real arithmetic when the
+        operator and rhs are real.  NaN for an overflowed operator."""
         return self._extended_solve(rhs)[:self.cell.size]
 
     def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -534,7 +559,7 @@ def assemble_kernel_matrix(basis: LoopBasis, k) -> KernelOperator:
     (p, rm, rp), (q, cm, cp) = sums, np.conj(sums)
     cell = 2.0 * np.sinh(k * half) / k
     u, s, qp, qm = p + rm, p + rp, q + cp, q + cm    # the far field's factors
-    vals = np.empty(plan.rows.size, dtype=complex)
+    vals = np.empty(plan.rows.size, dtype=sums.dtype)
     i, l = plan.rows[plan.inside], plan.cols[plan.inside]
     gap_lo = basis.x[i] - (basis.x[l] - half)
     gap_hi = (basis.x[l] + half) - basis.x[i]
@@ -557,9 +582,9 @@ def source_column(basis: LoopBasis, x_src, k) -> np.ndarray:
     per position of a 1-D array x_src: the pointwise wire kernel as a direct
     node sum, ds_i sum_s a_i(s) e^{-k |x_i + xi_i(s) - x_src|} times 2 pi / k."""
     k, x_src = _wavenumber(k), np.asarray(x_src, dtype=float)
-    out = np.empty((basis.size, x_src.size), dtype=complex)
+    out = np.empty((basis.size, x_src.size), dtype=basis.dtype)
     for idx, xi, y in basis.groups:
-        node, a = (basis.x[idx, None] + xi)[:, None], np.exp(1j * k * y)[:, None]
+        node, a = (basis.x[idx, None] + xi)[:, None], _phase(k, y)[:, None]
         step = max(1, _BATCH // xi.size)
         for j in range(0, x_src.size, step):
             w = node - x_src.reshape(-1, 1)[j:j + step]

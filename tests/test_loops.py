@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from thermocasimir import loops as lo
 from thermocasimir.errors import ContractViolationError, ParameterError
+from thermocasimir.pipeline import _BRIDGE_BLOCK, bridge_statistics
 
 
 def test_bridge_pinning_exact():
@@ -71,6 +72,39 @@ def test_streamed_ensemble_is_the_one_shot_draw(p, blocks, pinned_reference):
     dw = np.random.default_rng(5).normal(0.0, np.sqrt(p / n), (count, n, 3))
     reference = pinned_reference(dw)
     assert np.array_equal(lo.sample_bridge_ensemble(p, 16, 5, count), reference)
+
+
+def test_ensemble_calls_on_one_generator_continue_its_stream():
+    # a Generator seed is used as it is, so calls of 3 and 5 paths on one
+    # Generator draw the paths of one call of 8
+    gen = np.random.default_rng([4, 2])
+    parts = [lo.sample_bridge_ensemble(2, 16, gen, count) for count in (3, 5)]
+    assert np.array_equal(np.concatenate(parts),
+                          lo.sample_bridge_ensemble(2, 16, [4, 2], 8))
+
+
+def _one_draw_bridge_statistics(n_samples, ensemble_seed, pair_seed):
+    """bridge_statistics from one draw of all n_samples bridges."""
+    paths = lo.sample_bridge_ensemble(1, 16, ensemble_seed, n_samples)
+    rng = np.random.default_rng(pair_seed)
+    z = []
+    for _ in range(10):
+        i, j = sorted(rng.integers(1, 16, size=2))
+        prod = paths[:, i, 0] * paths[:, j, 0]
+        target = lo.bridge_covariance(1, i / 16.0, j / 16.0)
+        z.append(abs(prod.mean() - target) / (prod.std(ddof=1) / np.sqrt(n_samples)))
+    ito = lo.line_integral(paths[0], lambda s, x: np.array([1.0, -2.0, 0.5]))
+    return float(np.max(z)), ito
+
+
+@pytest.mark.parametrize("ensemble_seed", [11, [5, 101]])
+def test_bridge_statistics_stream_is_the_one_draw(ensemble_seed):
+    # drawn in blocks of _BRIDGE_BLOCK bridges, keeping only the products the
+    # z-scores read: bit for bit the statistic of one draw, also when the
+    # last block is partial
+    n_samples = 2 * _BRIDGE_BLOCK + 37
+    assert bridge_statistics(n_samples, ensemble_seed, [3, 102]) == \
+        _one_draw_bridge_statistics(n_samples, ensemble_seed, [3, 102])
 
 
 def test_ensemble_memory_is_the_output_plus_one_block(peak_mib):

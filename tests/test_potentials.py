@@ -14,34 +14,41 @@ from thermocasimir.pipeline import (coulomb_kernel_error, dipolar_slopes,
                                     v_transverse_error)
 
 
-# ---------------------------------------------------------------- projector
+# ------------------------------------------------------- transverse frame
 
-def test_transverse_delta_axis():
-    assert np.allclose(pot.transverse_delta([1.0, 0.0, 0.0]),
-                       np.diag([0.0, 1.0, 1.0]))
+def _frame_defects(K):
+    """The frame's worst deviations from orthonormality, from orthogonality
+    to K and of e1 e1^T + e2 e2^T from delta - K K^T / |K|^2."""
+    K = np.asarray(K, dtype=float).reshape(-1, 3)
+    khat = K / np.linalg.norm(K, axis=1)[:, None]
+    e = pot._transverse_frame(khat)
+    projector = np.eye(3) - K[:, :, None] * K[:, None, :] / np.sum(K * K, axis=1)[:, None, None]
+    return (np.max(np.abs(e @ e.transpose(0, 2, 1) - np.eye(2))),
+            np.max(np.abs(e @ khat[:, :, None])),
+            np.max(np.abs(np.einsum("mci,mcj->mij", e, e) - projector)))
+
+
+def test_transverse_frame_on_the_axes():
+    # K along x (the probe's wavevectors): the frame spans y and z exactly
+    e = pot._transverse_frame(np.eye(3))
+    assert e.shape == (3, 2, 3)
+    assert np.allclose(np.einsum("ci,cj->ij", e[0], e[0]), np.diag([0.0, 1.0, 1.0]),
+                       atol=1e-15)
+    assert max(_frame_defects(np.eye(3))) <= 1e-15
+    assert max(_frame_defects(-7.0 * np.eye(3))) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3).filter(
     lambda v: np.linalg.norm(v) > 1e-3))
-def test_transverse_delta_projector_property(kvec):
-    p = pot.transverse_delta(kvec)
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.allclose(p @ np.asarray(kvec), 0.0, atol=1e-12)
-    assert np.trace(p) == pytest.approx(2.0, abs=1e-12)
+def test_transverse_frame_is_the_projector(kvec):
+    assert max(_frame_defects(kvec)) < 1e-12
 
 
-def test_transverse_delta_inplane_zero_rule():
-    # at vanishing in-plane wavevector the projector is diag(0, 1, 1)
-    # independently of the normal wavenumber
-    for k1 in (0.3, 2.0, -7.0):
-        assert np.allclose(pot.transverse_delta([k1, 0.0, 0.0]),
-                           np.diag([0.0, 1.0, 1.0]), atol=1e-15)
-
-
-def test_transverse_delta_singular():
-    with pytest.raises(SingularArgumentError):
-        pot.transverse_delta([0.0, 0.0, 0.0])
+def test_transverse_frame_on_a_random_stack():
+    # verify's sizes: 1000 random wavevectors, one frame per row
+    ks = np.random.default_rng(5).normal(size=(1000, 3))
+    assert max(_frame_defects(ks)) < 1e-12
 
 
 # ------------------------------------------------------------ photon factor
@@ -555,7 +562,8 @@ def _wab_quadrature_oracle(loop_i, loop_j, qvec, d, thermo):
     tail = 4.0 * np.pi * (ai[1] * aj[1] + ai[2] * aj[2])   # lim q1 -> inf
 
     def t_of(k1):
-        dtr = pot.transverse_delta([k1, qvec[0], qvec[1]])
+        kv = np.array([k1, qvec[0], qvec[1]])
+        dtr = np.eye(3) - np.outer(kv, kv) / (kv @ kv)
         return 4.0 * np.pi * ((k1 * ai + bi) @ dtr @ (k1 * aj + bj)) / (k1 * k1 + q * q)
 
     def even(k1):

@@ -30,6 +30,33 @@ def test_gauss_rule_matches_scipy_nodes(n):
     assert abs(w.sum() - 2.0) < 1e-14
 
 
+def _four_pass_gauss_legendre(n):
+    """The rule with three Newton steps and a fourth pass for P_n' always."""
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(
+        np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for newton_step in (True, True, True, False):
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) / j) * x * p1 - ((j - 1) / j) * p0
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        if newton_step:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [16, 400, 3000])
+def test_gauss_rule_stops_newton_at_rounding(n):
+    # Newton stops once its step is at rounding (three passes at n = 400 and
+    # 3000): the nodes stay within 2 ulp of the four-pass rule's, and the
+    # weights, whose 1 - x^2 factor near +-1 amplifies a 1-ulp node shift,
+    # within 1e-10 relative
+    x, w = qd.gauss_legendre(n)
+    x4, w4 = _four_pass_gauss_legendre(n)
+    assert np.all(np.abs(x - x4) <= 2.0 * np.spacing(np.abs(x4)))
+    assert np.max(np.abs(w - w4) / w4) <= 1e-10
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
 def test_gauss_rule_is_cached_read_only():
     x, w = qd.gauss_legendre(24)
     assert qd.gauss_legendre(24)[0] is x

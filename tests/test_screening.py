@@ -158,7 +158,7 @@ def test_single_path_report_is_the_unpaired_one(pinned_reference):
                            pinned_reference)
     report = run_pipeline(config, magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "b5e748226cbe3c91e3ffc3f13a51c9daf62f1a4a0e20dbb12b0f7ca23e6084b6")
+        "d33dfb2344430419d11a0ae4d3ecc70edf87e8ede6a680bac8a14bb3d5f09d74")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
@@ -381,6 +381,20 @@ def test_pair_plan_memory_is_per_pair():
     assert plan.straddling.size == 4116
     assert nbytes(tuple(getattr(plan, f.name) for f in dataclasses.fields(plan))) \
         <= 32 * plan.rows.size
+
+
+@pytest.mark.parametrize("batch", [5, 300])
+def test_pair_plan_does_not_depend_on_the_batching(monkeypatch, batch):
+    # the candidates are classified in row batches of at most _BATCH (at
+    # least one row): 5 is below one row's candidates, 300 ends batches
+    # mid-cell; either gives the one-batch plan array for array
+    basis, _ = _mixed_basis(0.6, 10)
+    ref = basis.plan
+    assert ref.band >= 2 and ref.rows.size > 10 * 300
+    monkeypatch.setattr(scr, "_BATCH", batch)
+    got = dataclasses.replace(basis).plan
+    for field in dataclasses.fields(ref):
+        assert np.array_equal(getattr(got, field.name), getattr(ref, field.name)), field.name
 
 
 def _dense(op):
@@ -665,6 +679,42 @@ def test_pair_classes_of_point_basis(point_profile):
     basis = scr.build_loop_basis(point_profile, 6.0, 6, n_paths=1, n_steps=4,
                                  seed=0)
     assert basis.plan.inside.size == 24 and basis.plan.straddling.size == 0
+
+
+def _point_and_mixed_basis(kind, point_profile):
+    """A point basis, or point charges (p = 1) beside wide wires (p = 2, band 2)."""
+    if kind == "point":
+        return scr.build_loop_basis(point_profile, 6.0, 24, n_paths=1, n_steps=4, seed=0)
+    th = lo.ThermoState(beta=1.0, hbar=0.6, c=100.0)
+    wire = lo.SpeciesParams.from_thermo("wire", -1.0, 1.0, th)
+    cells = point_profile.cells + (scr.SpeciesDensity(wire, 2, 0.02),)
+    return scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 10, n_paths=3,
+                                n_steps=8, seed=9)
+
+
+@pytest.mark.parametrize("kind", ["point", "mixed"])
+def test_point_charges_are_assembled_in_real_arithmetic(monkeypatch, point_profile, kind):
+    # a group without in-plane excursions has phase 1: a basis of such groups
+    # is float64 throughout (entries, far factors, source column, solve), and
+    # every value matches the complex-phase assembly
+    basis = _point_and_mixed_basis(kind, point_profile)
+    k, x_src = 0.37, np.array([0.0, -1.3])
+
+    def assembled(b):
+        op = scr.assemble_kernel_matrix(b, k)
+        rhs = scr.source_column(b, x_src, k)
+        return [op.entries[2], *op.far, rhs, op.solve(rhs)]
+
+    got = assembled(basis)
+    monkeypatch.setattr(scr.LoopBasis, "dtype", property(lambda self: complex))
+    monkeypatch.setattr(scr, "_phase", lambda k, y: np.exp(1j * k * y))
+    ref = assembled(dataclasses.replace(basis))
+    real = kind == "point"
+    if not real:
+        assert basis.plan.band >= 2 and basis.plan.straddling.size > 0
+    for a, b in zip(got, ref):
+        assert np.isrealobj(a) == real and np.iscomplexobj(b)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 # the border, two interior positions (one a cell center, where path nodes
