@@ -3,7 +3,6 @@ with explicit units (the dominant user error in this domain is a Gaussian/SI
 mix-up, so the units tag is mandatory)."""
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -46,7 +45,10 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        """Hash of the raw document without its output block."""
+        """Hash of the raw document without its output block (hashlib, and
+        with it OpenSSL, is imported here, so importing the CLI or loading a
+        config does not load it)."""
+        import hashlib
         blob = json.dumps({k: v for k, v in self.raw.items() if k != "output"},
                           sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

@@ -130,39 +130,55 @@ class _PairPlan:
     cols: w = x_i + xi_i(s) - xi_l(t) lies inside the source cell [x_l - h/2,
     x_l + h/2] or across a face (straddling), canonical pairs (row <= column)
     first in straddling, then the j-th other the transpose of
-    straddling[partner[j]].  Every other pair is cross-cell and wholly above
-    or below the source cell: the far field's.  band: the largest cell offset
-    of a near pair.  Its memory is per pair: _straddling_runs finds the
-    straddling run ends per batch while they are used."""
+    straddling[partner[j]].  The canonical pair straddling[twin[0, j]] is a
+    twin: its antithetic mirror is the earlier pair straddling[twin[1, j]],
+    which is no twin (_twins).  Every other pair is cross-cell and wholly
+    above or below the source cell: the far field's.  band: the largest cell
+    offset of a near pair.  Its memory is per pair: _straddling_runs finds
+    the straddling run ends per batch while they are used."""
 
     rows: np.ndarray
     cols: np.ndarray
     inside: np.ndarray
     straddling: np.ndarray
+    twin: np.ndarray
     partner: np.ndarray
     band: int
 
 
 def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
-    """The canonical straddling pairs of the plan, batch by batch: column
-    nodes are sorted by xi, so per row node s those with w above, inside and
-    below the cell form three runs.  terms(gc) gives three node terms of
-    column group gc, shape (3, n_g, N), whose prefix sums over t (one table
-    of n_t + 1 rows per path) are built once per call.  Per batch of one
-    path-group pair it yields the row group, the positions in straddling, the
-    row slots, gap = x_i - x_l + xi_i(s) and the tables read at the run ends,
-    shape (3, pairs, N): the counts of column nodes < gap - h/2 and <= gap +
-    h/2, found by sorting (_nodes_before), and n_t (shape (3, pairs, 1)) on a
+    """The canonical straddling pairs of the plan but its twins, batch by
+    batch: column nodes are sorted by xi, so per row node s those with w
+    above, inside and below the cell form three runs.  terms(gc) gives three
+    node terms of column group gc, shape (3, n_g, N), whose prefix sums over
+    t (one table of n_t + 1 rows per path) are built once per call.  Per
+    batch of one path-group pair and face class it yields the row group, the
+    positions in straddling, the row slots, gap = x_i - x_l + xi_i(s) and the
+    tables read at the run ends, shape (3, pairs, N) or (3, pairs, 1): the
+    counts of column nodes < gap - h/2 and <= gap + h/2, and n_t on a
     same-cell pair, 0 on a cross-cell one, whose whole lower side (its below
-    run's formula over every t) the far field carries.  Nothing is kept
-    between calls."""
-    head = plan.straddling[:plan.straddling.size - plan.partner.size]
-    ii, ll = plan.rows[head], plan.cols[head]
+    run's formula over every t) the far field carries.  A count is found by
+    sorting (_nodes_before) only where some node pair lies beyond its face:
+    above the cell when the column's first node lies below the largest gap -
+    h/2, below it when its last node lies above the smallest gap + h/2, both
+    tested in the counts' own float expressions; the other counts are 0 and
+    n_t.  Nothing is kept between calls."""
+    at = np.delete(np.arange(plan.straddling.size - plan.partner.size), plan.twin[0])
+    if not at.size:
+        return
+    ii, ll = plan.rows[plan.straddling[at]], plan.cols[plan.straddling[at]]
     half, n_groups, tables = 0.5 * basis.h, len(basis.groups), {}
-    key = basis.group[ii] * n_groups + basis.group[ll]
+    first, last = np.empty(basis.size), np.empty(basis.size)
+    for idx, xi, _ in basis.groups:
+        first[idx], last[idx] = xi[:, 0], xi[:, -1]
+    shift = basis.x[ii] - basis.x[ll]
+    above = first[ll] < (shift + last[ii]) - half
+    below = last[ll] > (shift + first[ii]) + half
+    key = ((basis.group[ii] * n_groups + basis.group[ll]) * 2 + above) * 2 + below
     for g in np.flatnonzero(np.bincount(key)):    # distinct keys, ascending
-        gr, gc = divmod(int(g), n_groups)
+        gr, gc = divmod(int(g) >> 2, n_groups)
         xi_r, xi_c = basis.groups[gr][1], basis.groups[gc][1]
+        n_t = xi_c.shape[1]
         if gc not in tables:
             sums = np.cumsum(terms(gc), axis=2)
             tables[gc] = np.pad(sums, [(0, 0), (0, 0), (1, 0)]).reshape(3, -1)
@@ -171,13 +187,15 @@ def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
         step = max(1, _ROW_NODES // xi_r.shape[1])
         for batch in np.split(sel, np.arange(step, sel.size, step)):
             s, t = basis.slot[ii[batch]], basis.slot[ll[batch]]
-            gap = (basis.x[ii[batch]] - basis.x[ll[batch]])[:, None] + xi_r[s]
-            off, base = xi_c[t], t[:, None] * (xi_c.shape[1] + 1)
-            same = (basis.cell[ii[batch]] == basis.cell[ll[batch]])[:, None]
-            yield (gr, batch, s, gap,
-                   table.take(base + _nodes_before(off, gap - half, strict=True), axis=1),
-                   table.take(base + _nodes_before(off, gap + half, strict=False), axis=1),
-                   table.take(base + xi_c.shape[1], axis=1) * same)
+            gap = shift[batch, None] + xi_r[s]
+            off, base = xi_c[t], t[:, None] * (n_t + 1)
+            total = table.take(base + n_t, axis=1)
+            yield (gr, at[batch], s, gap,
+                   table.take(base + _nodes_before(off, gap - half, strict=True), axis=1)
+                   if g & 2 else np.zeros_like(total),
+                   table.take(base + _nodes_before(off, gap + half, strict=False), axis=1)
+                   if g & 1 else total,
+                   total * (basis.cell[ii[batch]] == basis.cell[ll[batch]])[:, None])
 
 
 def _nodes_before(nodes, q, strict):
@@ -278,8 +296,37 @@ class LoopBasis:
         return _PairPlan(rows=np.concatenate([i, l[off]]), cols=np.concatenate([l, i[off]]),
                          inside=np.nonzero(np.concatenate([within, within[off]]))[0],
                          straddling=np.concatenate([head, i.size + tail]),
+                         twin=self._twins(i[head], l[head]),
                          partner=np.searchsorted(head, off[tail]),
                          band=int(np.max(self.cell[l] - self.cell[i], initial=0)))
+
+    def _twins(self, rows, cols):
+        """Of the canonical straddling pairs (rows, cols), in row order (their
+        keys ascend): the twins' positions over their partners'.  A
+        same-cell pair is a twin when the pair of its entries' antithetic
+        mirrors is an earlier one.  An entry's mirror is the adjacent entry of
+        its group and cell whose xi and y rows are the exact negated reversal
+        of its own (build_loop_basis draws every odd path so), matched in
+        pairs from the left along a run of such neighbours (point charges)."""
+        same = np.flatnonzero(self.cell[rows] == self.cell[cols])
+        if not same.size:
+            return np.zeros((2, 0), dtype=int)
+        mirror = np.full(self.size, -1)
+        for idx, xi, y in self.groups:
+            j = 1 + np.flatnonzero((self.cell[idx[1:]] == self.cell[idx[:-1]])
+                                   & (xi[1:, 0] == -xi[:-1, -1]))
+            j = j[np.all(xi[j] == -xi[j - 1, ::-1], axis=1)
+                  & np.all(y[j] == -y[j - 1, ::-1], axis=1)]
+            new = np.diff(j, prepend=-2) > 1            # row j mirrors row j - 1
+            j = j[(j - j[new][np.cumsum(new) - 1]) % 2 == 0]
+            mirror[idx[j]], mirror[idx[j - 1]] = idx[j - 1], idx[j]
+        rows, cols = rows[same], cols[same]       # a mirror pair is same-cell too
+        mi, ml = mirror[rows], mirror[cols]
+        key, at_key = rows * self.size + cols, mi * self.size + ml
+        cand = np.flatnonzero((mi >= 0) & (mi <= ml) & (at_key < key))
+        at = np.searchsorted(key, at_key[cand])
+        found = key[at] == at_key[cand]
+        return np.stack([same[cand[found]], same[at[found]]])
 
     @cached_property
     def dtype(self) -> type:
@@ -397,6 +444,7 @@ def _straddling_entries(plan, basis: LoopBasis, nodes, k, cell):
         # above run: cell e^{-k gap} U; below run: cell e^{k gap} D
         total = (u_a * (decay * cell) + (d_e - d_b) * rise - inner) * nodes[gr][0][s]
         vals[batch] = basis.ds * basis.ds * np.sum(total, axis=1)
+    vals[plan.twin[0]] = np.conj(vals[plan.twin[1]])
     vals[vals.size - plan.partner.size:] = np.conj(vals[plan.partner])
     return vals
 
@@ -623,6 +671,7 @@ def _straddling_k0(plan, basis: LoopBasis):
         total += (gap * gap + 0.25 * h * h) * (b0 - a0) - 2.0 * gap * (b1 - a1)
         total += b2 - a2
         vals[batch] = basis.ds * np.sum(total, axis=1)
+    vals[plan.twin[0]] = vals[plan.twin[1]]
     vals[vals.size - plan.partner.size:] = vals[plan.partner]
     return vals
 

@@ -370,6 +370,35 @@ def test_import_loads_no_numpy_random():
     assert loaded("thermocasimir") == ["thermocasimir"]
 
 
+_HASHLIB = """
+import json, sys
+import thermocasimir.cli
+from thermocasimir.config import load_config
+
+def loaded():
+    return sorted(m for m in sys.modules if m.endswith("hashlib"))
+
+stages = {"import": loaded()}
+config = load_config(json.loads(sys.argv[1]))
+stages["load_config"] = loaded()
+config.config_hash()
+stages["config_hash"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_import_and_config_load_no_hashlib(fast_config):
+    # hashlib, and with it OpenSSL's _hashlib (~3 MiB resident), loads when a
+    # config is hashed, not when the CLI is imported or a config loaded (a
+    # basis's first draw still loads it: numpy.random imports secrets)
+    src_dir = os.path.dirname(os.path.dirname(thermocasimir.__file__))
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB, json.dumps(fast_config)],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=600, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "load_config": [], "config_hash": ["_hashlib", "hashlib"]}
+
+
 def test_pipeline_reproducibility(fast_config):
     cfg = load_config(copy.deepcopy(fast_config))
     a = run_pipeline(cfg, magnetic_check=False)

@@ -313,13 +313,17 @@ def _face_basis(n_steps):
 def test_straddling_run_ends_are_the_exact_counts(n_steps):
     # read from prefix sums of ones (times 1, 2 and 4, one per table), each
     # run end is the brute-force count over the column nodes: < for the end of
-    # the above run, <= for the end of the below run, ties included
+    # the above run, <= for the end of the below run, ties included; a side
+    # not searched (its table read once per pair) is that count too
     basis = _face_basis(n_steps)
-    plan, half, ties, seen = basis.plan, 0.5 * basis.h, 0, []
+    plan, half, ties, seen, searched = basis.plan, 0.5 * basis.h, 0, [], set()
     scale = np.array([1.0, 2.0, 4.0])[:, None, None]
 
     def terms(gc):
         return scale * np.ones_like(basis.groups[gc][1])
+
+    def equal(got, want):
+        return np.array_equal(np.broadcast_to(got, want.shape), want)
 
     for gr, batch, s, gap, at_above, at_below, at_end in scr._straddling_runs(
             basis, plan, terms):
@@ -331,17 +335,23 @@ def test_straddling_run_ends_are_the_exact_counts(n_steps):
         assert np.array_equal(s, basis.slot[i])
         assert np.array_equal(gap, (basis.x[i] - basis.x[l])[:, None] + xi_r[s])
         off, lo, hi = xi_c[basis.slot[l]][:, None, :], gap - half, gap + half
-        assert np.array_equal(at_above, scale * np.sum(off < lo[:, :, None], axis=2))
-        assert np.array_equal(at_below, scale * np.sum(off <= hi[:, :, None], axis=2))
+        assert equal(at_above, scale * np.sum(off < lo[:, :, None], axis=2))
+        assert equal(at_below, scale * np.sum(off <= hi[:, :, None], axis=2))
         # the end of the below run only on a same-cell pair: the far field
         # carries a cross-cell pair's whole lower side
         same = (basis.cell[i] == basis.cell[l])[:, None]
-        assert np.array_equal(at_end, scale * np.full((batch.size, 1), xi_c.shape[1]) * same)
+        assert equal(at_end, scale * np.full((batch.size, 1), xi_c.shape[1]) * same)
         ties += np.sum(off == lo[:, :, None]) + np.sum(off == hi[:, :, None])
         seen.append(batch)
+        searched.add((at_above.shape[2] > 1, at_below.shape[2] > 1))
     assert ties > 0
+    # batches search both run ends, the above run's alone and the below run's alone
+    assert {(True, True), (True, False), (False, True)} <= searched
+    # every canonical pair but the twins, once
     head = plan.straddling.size - plan.partner.size
-    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(head))
+    assert plan.twin.size > 0
+    assert np.array_equal(np.sort(np.concatenate(seen)),
+                          np.delete(np.arange(head), plan.twin[0]))
 
 
 @pytest.mark.parametrize("batch", [1, 384])
@@ -1005,6 +1015,171 @@ def test_straddling_sums_are_mirrored_over_the_transposed_pairs():
             ref = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, kvec, k)
             far = _oracle_pair_entry(loops[i[q]], loops[l[q]], h, kvec, k, far=True)
             assert abs(vals[q] - (ref - cross[q] * far)) <= 1e-13 * abs(ref)
+
+
+# ------------------------------- straddling sums: face classes and twins
+
+def _fine_grid_basis():
+    """Slab a's basis of the fine-grid run: THREE_SPECIES at nx 96, 2 paths."""
+    from test_acceptance import THREE_SPECIES
+    config = load_config({**copy.deepcopy(THREE_SPECIES),
+                          "numerics": {"nx": 96, "n_paths_kernel": 2}})
+    return scr.build_loop_basis(config.profile, config.a, 96, 2,
+                                config.numerics["n_steps_kernel"], config.seed)
+
+
+def _both_ends_runs(basis, plan, terms):
+    """Reference of scr._straddling_runs: every canonical straddling pair,
+    twins included, one batch per path-group pair, and both run ends of every
+    pair counted by brute force over the column nodes."""
+    head = plan.straddling.size - plan.partner.size
+    i, l = plan.rows[plan.straddling[:head]], plan.cols[plan.straddling[:head]]
+    half = 0.5 * basis.h
+    for gr, gc in sorted(set(zip(basis.group[i].tolist(), basis.group[l].tolist()))):
+        batch = np.flatnonzero((basis.group[i] == gr) & (basis.group[l] == gc))
+        xi_c = basis.groups[gc][1]
+        s, t = basis.slot[i[batch]], basis.slot[l[batch]]
+        gap = (basis.x[i[batch]] - basis.x[l[batch]])[:, None] + basis.groups[gr][1][s]
+        off = xi_c[t][:, None, :]
+        table = np.pad(np.cumsum(terms(gc), axis=2), [(0, 0), (0, 0), (1, 0)])[:, t]
+
+        def at(count):
+            return np.take_along_axis(table, count[None], axis=2)
+
+        same = (basis.cell[i[batch]] == basis.cell[l[batch]])[:, None]
+        yield (gr, batch, s, gap, at(np.sum(off < (gap - half)[:, :, None], axis=2)),
+               at(np.sum(off <= (gap + half)[:, :, None], axis=2)),
+               at(np.full((batch.size, 1), xi_c.shape[1])) * same)
+
+
+def _straddling_sums(basis, plan, k):
+    """The plan's straddling sums: of the k^0 order at k = 0, else at k."""
+    if k == 0.0:
+        return scr._straddling_k0(plan, basis)
+    _, nodes = scr._side_sums(basis, k)
+    return scr._straddling_entries(plan, basis, nodes, k,
+                                   2.0 * np.sinh(0.5 * k * basis.h) / k)
+
+
+def _reference_sums(monkeypatch, basis, k):
+    """_straddling_sums with both run ends of every canonical pair searched
+    and no twin copied."""
+    plan = dataclasses.replace(basis.plan, twin=basis.plan.twin[:, :0])
+    with monkeypatch.context() as m:
+        m.setattr(scr, "_straddling_runs", _both_ends_runs)
+        return _straddling_sums(basis, plan, k)
+
+
+def _direct_sums(basis, rows, cols, k):
+    """Direct double time sums of same-cell pairs, node pair by node pair:
+    ds^2 sum J(z) at k = 0, ds^2 sum a_i(s) conj(a_l(t)) times the cell
+    integral of e^{-k |w - x'|} at k > 0."""
+    nodes = {}
+    for idx, xi, y in basis.groups:
+        nodes.update(zip(idx.tolist(), zip(xi, y)))
+    h, out = basis.h, []
+    for i, l in zip(rows.tolist(), cols.tolist()):
+        (xi_i, y_i), (xi_l, y_l) = nodes[i], nodes[l]
+        z = basis.x[i] + xi_i[:, None] - xi_l[None, :] - basis.x[l]
+        if k == 0.0:
+            term = np.where(np.abs(z) >= h / 2, h * np.abs(z), z * z + h * h / 4)
+        else:
+            term = (np.exp(1j * k * y_i)[:, None] * np.exp(-1j * k * y_l)[None, :]
+                    * _exp_cell_integral(z + basis.x[l], basis.x[l], h, k))
+        out.append(basis.ds**2 * np.sum(term))
+    return np.array(out)
+
+
+def _assert_face_classes_and_twins(monkeypatch, basis):
+    """Every sum the runs compute is bit-equal to the both-ends reference;
+    each twin is its partner's sum (k^0) or its conjugate (k > 0) and within
+    1e-13 of the direct double sum, and so are the transposes that copy it."""
+    plan = basis.plan
+    twins, partners = plan.twin
+    assert twins.size > 0 and not np.any(np.isin(partners, twins))   # no partner is a twin
+    copied = np.zeros(plan.straddling.size, dtype=bool)
+    copied[twins] = True
+    copied[plan.straddling.size - plan.partner.size:] = copied[plan.partner]
+    i, l = plan.rows[plan.straddling], plan.cols[plan.straddling]
+    assert np.all(basis.cell[i[twins]] == basis.cell[l[twins]])
+    for k in (0.0, 0.2):
+        got, ref = _straddling_sums(basis, plan, k), _reference_sums(monkeypatch, basis, k)
+        assert np.array_equal(got[~copied], ref[~copied])
+        assert np.array_equal(got[twins], got[partners] if k == 0.0
+                              else np.conj(got[partners]))
+        direct = _direct_sums(basis, i[twins], l[twins], k)
+        assert np.all(np.abs(got[twins] - direct) <= 1e-13 * np.abs(direct))
+        assert np.all(np.abs(got[copied] - ref[copied]) <= 1e-13 * np.abs(ref[copied]))
+
+
+# the fine-grid run's basis (band 1), the wide-path basis (band 7: pairs
+# across both faces) and its nodes rounded onto the faces (ties at a face)
+@pytest.mark.parametrize("name", ["fine", "mixed", "face"])
+def test_face_classes_and_twins_match_the_both_ends_reference(monkeypatch, name):
+    basis = {"fine": _fine_grid_basis, "mixed": lambda: _mixed_basis(0.6, 10)[0],
+             "face": lambda: _face_basis(8)}[name]()
+    _assert_face_classes_and_twins(monkeypatch, basis)
+
+
+def test_twins_need_mirrored_in_plane_rows(monkeypatch):
+    # negated reversed xi rows alone make no mirror: with the in-plane
+    # excursions replaced by |y| no pair is a twin, and every sum is the
+    # both-ends reference's
+    basis, _ = _mixed_basis(0.6, 10)
+    basis = dataclasses.replace(basis, groups=tuple(
+        (idx, xi, np.abs(y)) for idx, xi, y in basis.groups))
+    assert basis.plan.twin.size == 0
+    for k in (0.0, 0.2):
+        assert np.array_equal(_straddling_sums(basis, basis.plan, k),
+                              _reference_sums(monkeypatch, basis, k))
+
+
+def test_runs_search_only_the_faces_their_nodes_cross(monkeypatch):
+    # on the fine-grid basis 696 of the 3,153 canonical straddling pairs are
+    # twins; searching both run ends of every canonical pair would take
+    # 6,306 searches, the others' face classes take 2,538
+    basis, rows = _fine_grid_basis(), []
+    plan, nodes_before = basis.plan, scr._nodes_before
+
+    def counting(nodes, q, strict):
+        rows.append(q.shape[0])
+        return nodes_before(nodes, q, strict)
+
+    monkeypatch.setattr(scr, "_nodes_before", counting)
+    scr._straddling_k0(plan, basis)
+    assert (plan.straddling.size - plan.partner.size, plan.twin.shape[1]) == (3153, 696)
+    assert sum(rows) == 2538
+
+
+def test_twins_skip_no_needed_pair(monkeypatch, point_profile):
+    # three paths per set (path 2 is drawn, unpaired) and two point species
+    # (lambda_ = 0) between the wires of one charge number: the mirrors pair
+    # paths 0 and 1 of a wire and the point charges' zero rows from the left,
+    # across sets; the twins are exactly the same-cell pairs whose mirror pair
+    # is an earlier canonical one (so none has an unpaired entry), each copying
+    # that pair
+    th = lo.ThermoState(beta=1.0, hbar=0.6, c=100.0)
+    wire = lo.SpeciesParams.from_thermo("wire", -1.0, 1.0, th)
+    cells = ((scr.SpeciesDensity(wire, 1, 0.02),) + point_profile.cells
+             + (scr.SpeciesDensity(wire, 2, 0.02),))
+    basis = scr.build_loop_basis(scr.DensityProfile(1.0, cells), 2.0, 10, n_paths=3,
+                                 n_steps=8, seed=9)
+    per_cell = np.array([1, 0, -1, 4, 3, 6, 5, 8, 7, 10, 9, -1])
+    mirror = np.where(np.tile(per_cell, 10) < 0, -1, np.tile(per_cell, 10) + basis.cell * 12)
+    plan = basis.plan
+    head = plan.straddling.size - plan.partner.size
+    canonical = list(zip(plan.rows[plan.straddling[:head]].tolist(),
+                         plan.cols[plan.straddling[:head]].tolist()))
+    pairs = set(canonical)
+    twins = {(i, l) for i, l in canonical
+             if basis.cell[i] == basis.cell[l] and min(mirror[i], mirror[l]) >= 0
+             and (mirror[i], mirror[l]) < (i, l) and (mirror[i], mirror[l]) in pairs}
+    assert {canonical[q] for q in plan.twin[0]} == twins
+    for q, partner in plan.twin.T:
+        assert canonical[partner] == (mirror[canonical[q][0]], mirror[canonical[q][1]])
+    point = np.isin(np.arange(basis.size) % 12, np.arange(3, 9))     # entries 3-8 of a cell
+    assert any(point[i] or point[l] for i, l in twins)
+    _assert_face_classes_and_twins(monkeypatch, basis)
 
 
 def _dense_bordered(basis, x_src):

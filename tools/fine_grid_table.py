@@ -7,6 +7,9 @@ Each row is the ``THREE_SPECIES`` configuration of ``perfbench/workloads.py``
 thread:
 
 - ``band`` and ``straddling``: the pair plan of slab a's basis;
+- ``searches``: the run-end searches of one operator's straddling sums
+  (rows of ``_nodes_before``, counted on the k^0 operator's; the k > 0
+  operators search the same run ends);
 - ``plan ms``: the first build of that plan (``LoopBasis.plan``);
 - ``plan MiB``: the plan's traced transient (tracemalloc peak over its start,
   on a second basis of the same draws, after everything else is measured);
@@ -26,7 +29,8 @@ import time
 import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-COLUMNS = ("nx", "band", "straddling", "plan ms", "plan MiB", "run s", "RSS MiB")
+COLUMNS = ("nx", "band", "straddling", "searches", "plan ms", "plan MiB", "run s",
+           "RSS MiB")
 
 
 def row(nx: int) -> dict:
@@ -53,6 +57,15 @@ def row(nx: int) -> dict:
     run_pipeline(config, magnetic_check=False)
     run_s = time.perf_counter() - start
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    searches, nodes_before = [], scr._nodes_before
+
+    def counting(nodes, q, strict):
+        searches.append(q.shape[0])
+        return nodes_before(nodes, q, strict)
+
+    scr._nodes_before = counting
+    scr._straddling_k0(plan, first)
+    scr._nodes_before = nodes_before
     second = basis()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
@@ -60,6 +73,7 @@ def row(nx: int) -> dict:
     transient = (tracemalloc.get_traced_memory()[1] - base) / 2**20
     tracemalloc.stop()
     return {"nx": nx, "band": plan.band, "straddling": int(plan.straddling.size),
+            "searches": sum(searches),
             "plan ms": round(1e3 * plan_s, 1), "plan MiB": round(transient, 1),
             "run s": round(run_s, 3), "RSS MiB": round(rss, 1)}
 
@@ -76,8 +90,8 @@ def main(argv) -> None:
         out = subprocess.run([sys.executable, __file__, "--row", str(nx)], env=env,
                              capture_output=True, text=True, check=True).stdout
         values = json.loads(out.splitlines()[-1])
-        print("| " + " | ".join(f"{values[c]:,}" if c == "straddling" else str(values[c])
-                                 for c in COLUMNS) + " |")
+        print("| " + " | ".join(f"{values[c]:,}" if c in ("straddling", "searches")
+                                 else str(values[c]) for c in COLUMNS) + " |")
 
 
 if __name__ == "__main__":
