@@ -52,10 +52,6 @@ def _cmd_run(args) -> int:
     for row in report["report"]["results"]:
         print(f"d = {row['d']:10.4g}   f = {row['f_assembled']:+.6e}   "
               f"f_universal = {row['f_leading']:+.6e}   [{tag}]")
-    fit = report["report"]["sweep_fit"]
-    if fit is not None:
-        print(f"log-log slope of f(d): {fit['slope']:+.4f} "
-              f"(stderr {fit['stderr']:.2g})")
     print(f"report written to {path}")
     return EXIT_OK if ok else EXIT_CERTIFICATION
 

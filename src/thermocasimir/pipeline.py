@@ -66,7 +66,9 @@ def _plate_brackets(config: RunConfig, nx: int, n_paths: int) -> dict:
     "screening" holds, per solved slab, the basis size, the operator's stored
     pair counts per class ("inside" and "straddling", read from the pair
     plan), its band half-width in cells and the bracket's slope at k = 0
-    ("bracket_slope", -mu: the bracket is -1 + slope k + O(k^2))."""
+    ("bracket_slope", -mu: the bracket is -1 + slope k + O(k^2)).  A
+    mirrored plate has no "b" entry there, and "brackets" repeats slab a's
+    bracket and residual as bracket_b and residual_b."""
     plates = _plates(config, nx, n_paths,
                      lambda basis: scr.perfect_screening_k0(basis, 0.0))
     screening = {slab: {"basis_size": basis.size,
@@ -80,7 +82,6 @@ def _plate_brackets(config: RunConfig, nx: int, n_paths: int) -> dict:
         "bracket_b": res_b["bracket"],
         "residual_a": res_a["residual_rel"],
         "residual_b": res_b["residual_rel"],
-        "mirror_reused": "b" not in plates,
     }
     return {"brackets": brackets, "screening": screening}
 
@@ -211,11 +212,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     The plate brackets, the capacitor terms and the certification are
     separation-independent and are set once; each separation then gets its
     assembled force and the regime references.  With magnetic_check the
-    probe's decay exponent and fit record are stored in "capacitor", and
-    "capacitor.magnetic_bound.coefficient_estimate" is |wab_pair_finite_d|
-    of the probe's loops at q = (1, 0) and d = 1 in the probe's units.  That
-    kernel decays as 1/d, so coefficient_estimate * d**exponent (exponent
-    -5) is not a bound of anything the run computes.
+    probe's decay exponent and fit record are stored in "capacitor".
     The results are certified when both sum-rule residuals are below
     residual_tolerance (a NaN residual never is).
     Without a screening medium (kappa = 0) it raises ConfigError, and with
@@ -226,7 +223,6 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     if kappa == 0.0:
         raise ConfigError("no screening medium: every species has density 0, "
                           "so kappa = 0 and nothing screens the border charge")
-    lam_s = 1.0 / kappa
     sigma = config.profile.charge_imbalance()      # load_config's neutrality test
     capacitor_el = force_mod.capacitor_force(sigma * config.a, sigma * config.b)
     if not math.isfinite(capacitor_el):
@@ -234,24 +230,17 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
     plates = _plate_brackets(config, config.numerics["nx"],
                              config.numerics["n_paths_kernel"])
     brackets = plates["brackets"]
-    mag_exponent, mag_fit, mag_coefficient = None, None, 0.0
+    mag_exponent, mag_fit = None, None
     if magnetic_check:
         probe = standard_magnetic_probe(seed=config.seed + 17)
         mag_exponent, n_points = force_mod.magnetic_decay_fit(probe)
         mag_fit = {"n_quad": probe["n_quad"],
                    "floor_max": max(probe["m_floor"]),
                    "points_fitted": n_points}
-        l1, l2 = probe["loops"]
-        mag_coefficient = abs(pot.wab_pair_finite_d(l1, l2, np.array([1.0, 0.0]), 1.0,
-                                                    probe["thermo"]))
 
     results = force_mod.assemble_force(
         config.thermo, sorted(config.d_values), brackets["bracket_a"],
         brackets["bracket_b"])
-
-    fit = (force_mod.fit_loglog_slope([r["d"] for r in results],
-                                      [r["f_assembled"] for r in results])
-           if len({r["d"] for r in results}) > 1 else None)   # two separations
     convergence = _grid_doubling_table(config)
     # np.max, not max: a NaN residual must propagate instead of being skipped
     residual_max = np.max([brackets["residual_a"], brackets["residual_b"]])
@@ -260,16 +249,12 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
         "seed": config.seed,
         "units": config.units,
         "kappa": float(kappa),
-        "lambda_screen": float(lam_s),
-        "hierarchy": _hierarchy(config, lam_s),
+        "hierarchy": _hierarchy(config, 1.0 / kappa),
         **plates,
         "capacitor": {"electrostatic": capacitor_el,
                       "magnetic_exponent": mag_exponent,
-                      "magnetic_fit": mag_fit,
-                      "magnetic_bound": {"exponent": -5,
-                                         "coefficient_estimate": mag_coefficient}},
+                      "magnetic_fit": mag_fit},
         "results": results,
-        "sweep_fit": fit and {"slope": fit[0], "stderr": fit[1]},
         "convergence": convergence,
         "certified_all": bool(residual_max < config.numerics["residual_tolerance"]),
     }

@@ -163,11 +163,6 @@ def test_pipeline_produces_row_per_separation(fast_report, fast_config):
     assert fast_report["report"]["certified_all"] is True
 
 
-def test_pipeline_sweep_slope(fast_report):
-    fit = fast_report["report"]["sweep_fit"]
-    assert abs(fit["slope"] + 3.0) < 0.05
-
-
 def test_pipeline_deviation_dominated_by_inverse_d(fast_report):
     # convergence to the universal law is at least 1/d relative: the observed
     # deviation must fit under a 1/d envelope anchored at the 2% gate
@@ -180,22 +175,23 @@ def test_pipeline_deviation_dominated_by_inverse_d(fast_report):
 
 def test_pipeline_report_keys(fast_report):
     # each value is stored once: rows hold what depends on d, the report the
-    # plate brackets, the capacitor constants and the certification
+    # plate brackets, the capacitor constants and the certification, and no
+    # key restates another (1 / kappa, "b" in screening) or a constant (the
+    # d^-3 slope of f_leading times d-independent brackets)
     report = fast_report["report"]
+    assert set(report) == {"config_hash", "seed", "units", "kappa", "hierarchy",
+                           "brackets", "screening", "capacitor", "results",
+                           "convergence", "certified_all"}
     for row in report["results"]:
         assert set(row) == {"d", "f_leading", "f_assembled", "lifshitz"}
-    assert "config_hash" in report
     # the bordered k = 0 solve has no k-sequence and no Richardson step
     assert set(report["brackets"]) == {
-        "bracket_a", "bracket_b", "residual_a", "residual_b", "mirror_reused"}
-    assert "k_sequence" not in report
+        "bracket_a", "bracket_b", "residual_a", "residual_b"}
     assert set(report["screening"]["a"]) == {"basis_size", "pairs", "band_cells",
                                              "bracket_slope"}
     capacitor = report["capacitor"]
+    assert set(capacitor) == {"electrostatic", "magnetic_exponent", "magnetic_fit"}
     assert capacitor["electrostatic"] == 0.0
-    bound = capacitor["magnetic_bound"]
-    assert set(bound) == {"exponent", "coefficient_estimate"}
-    assert bound["exponent"] == -5 and bound["coefficient_estimate"] > 0.0
     fit = capacitor["magnetic_fit"]
     assert fit["n_quad"] == 400 and 3 <= fit["points_fitted"] <= 12
     assert 0.0 < fit["floor_max"] < 1e-9
@@ -249,8 +245,7 @@ def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
     config = load_config(cfg)
     report = run_pipeline(config, magnetic_check=False)["report"]
     brackets = report["brackets"]
-    assert brackets["mirror_reused"] is False
-    assert sorted(report["screening"]) == ["a", "b"]
+    assert sorted(report["screening"]) == ["a", "b"]     # both plates solved
     # both brackets are -1 to rounding; their slopes at k = 0 tell the plates apart
     assert (report["screening"]["b"]["bracket_slope"]
             != report["screening"]["a"]["bracket_slope"])
@@ -262,8 +257,8 @@ def test_pipeline_unequal_slabs_solve_both_plates(fast_config):
     d_min = min(cfg["sweep"]["d_values"])
     ratios = report["hierarchy"]["ratios"]
     assert ratios["a_over_d"] == 6.0 / d_min and ratios["b_over_d"] == 4.5 / d_min
-    assert ratios["screen_over_a"] == report["lambda_screen"] / 6.0
-    assert ratios["screen_over_b"] == report["lambda_screen"] / 4.5
+    assert ratios["screen_over_a"] == 1 / report["kappa"] / 6.0
+    assert ratios["screen_over_b"] == 1 / report["kappa"] / 4.5
 
 
 def test_pipeline_slab_b_is_the_mirror_image_of_slab_a(fast_config):
@@ -483,7 +478,8 @@ def test_cli_sweep_with_d_list(tmp_path, fast_config, capsys):
                      "--d-list", "60", "120", "240"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "log-log slope of f(d):" in out
+    assert "slope" not in out
+    assert out.count("d = ") == 3
     report = json.loads((tmp_path / "out2" / "report.json").read_text())["report"]
     assert [row["d"] for row in report["results"]] == [60.0, 120.0, 240.0]
     sweep = (tmp_path / "out2" / "sweep.csv").read_text().splitlines()
@@ -912,7 +908,7 @@ def test_cli_run_fuzz_two_keys(keys, first, second):
 
 
 @pytest.mark.parametrize("d_values", [[50.0], [50.0, 50.0]])
-def test_sweep_fit_is_null_without_two_distinct_separations(tmp_path, d_values):
+def test_run_at_a_single_separation(tmp_path, d_values):
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["numerics"] = dict(TINY_NUMERICS)
     cfg["sweep"]["d_values"] = d_values
@@ -920,7 +916,8 @@ def test_sweep_fit_is_null_without_two_distinct_separations(tmp_path, d_values):
     assert cli.main(["run", _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
     with open(out / "report.json") as fh:
         report = json.load(fh, parse_constant=_reject_constant)["report"]
-    assert report["sweep_fit"] is None
+    assert [row["d"] for row in report["results"]] == d_values
+    assert report["certified_all"] is True
 
 
 def test_config_top_level_must_be_an_object(tmp_path, capsys):

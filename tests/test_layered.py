@@ -46,11 +46,12 @@ def test_transfer_recursion_composes_and_meets_the_half_space():
                                                                 rel=1e-15)
 
 
-# kappa = 1 on [-6, 0]; the layered slab has kappa^2 / 4 on [-1, 0], whose
-# edge lies on a cell face at every nx here
+# kappa = 1 on [-6, 0]; the layered slabs have kappa^2 / 4 or kappa^2 * 2 on
+# [-1, 0], whose edge lies on a cell face at every nx here
 @pytest.mark.parametrize("layers, surface", [([(1.0, 6.0)], None),
-                                             ([(1.0, 5.0), (0.25, 1.0)], 0.25)],
-                         ids=["homogeneous", "depleted-surface"])
+                                             ([(1.0, 5.0), (0.25, 1.0)], 0.25),
+                                             ([(1.0, 5.0), (2.0, 1.0)], 2.0)],
+                         ids=["homogeneous", "depleted-surface", "enriched-surface"])
 def test_reflection_error_falls_as_h_squared(layers, surface):
     k = 0.1
     exact = _exact_reflection(k, layers)

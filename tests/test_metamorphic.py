@@ -72,20 +72,18 @@ def test_length_scaling_is_exact():
     s = 4.0
     base, scaled = (run_pipeline(load_config(cfg), magnetic_check=False)["report"]
                     for cfg in (copy.deepcopy(CONFIG), _scaled(CONFIG, s)))
-    assert not base["brackets"]["mirror_reused"]      # both plates solved
+    assert "b" in base["screening"]                    # both plates solved
     for slab in base["screening"].values():
         slab["bracket_slope"] = {part: s * v for part, v in slab["bracket_slope"].items()}
     for block in ("brackets", "hierarchy", "screening", "convergence"):
         assert scaled[block] == base[block], block
     assert scaled["kappa"] * s == base["kappa"]
-    assert scaled["lambda_screen"] == s * base["lambda_screen"]
     assert scaled["capacitor"] == base["capacitor"]
     for row, base_row in zip(scaled["results"], base["results"], strict=True):
         assert row["d"] == s * base_row["d"]
         for key in ("f_leading", "f_assembled"):
             assert row[key] * s**3 == base_row[key], key
         assert row["lifshitz"] == base_row["lifshitz"]
-    assert abs(scaled["sweep_fit"]["slope"] - base["sweep_fit"]["slope"]) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [None, 3.0])    # one slab, and two slabs 3 apart
