@@ -89,20 +89,12 @@ def leading_force(thermo: ThermoState, d: float) -> float:
 _ALPHA_HIGH, _ALPHA_LOW = 10.0, 0.1
 
 
-def _regime(alpha: float) -> str:
-    """Regime of alpha = photon thermal length / separation."""
-    if alpha > _ALPHA_HIGH:
-        return "low-T/small-d"
-    if alpha < _ALPHA_LOW:
-        return "high-T/large-d"
-    return "crossover"
-
-
 def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
     """Reference force laws of the fluctuation theory for the two limiting
     regimes, keyed by whether the zero-frequency transverse-electric
     reflection is unity ("rTE1") or vanishes ("rTE0").  The regime is that of
-    alpha = lambda_ph / d (_regime); in the crossover ParameterError.
+    alpha = lambda_ph / d: low-T/small-d above 10, high-T/large-d below 0.1,
+    and in the crossover between them ParameterError.
 
     low-T/small-d:  -pi^2 hbar c / 240 d^4  (minus leading_force for rTE0)
     high-T/large-d: twice leading_force (rTE1) or leading_force (rTE0).
@@ -112,22 +104,24 @@ def lifshitz_reference(thermo: ThermoState, d: float, mode: str) -> float:
     if not d > 0.0:
         raise ParameterError("d must be positive")
     alpha = thermo.lambda_ph / d
-    regime = _regime(alpha)
-    if regime == "crossover":
-        raise ParameterError(f"alpha = {alpha:.3g} lies in the crossover")
-    if regime == "high-T/large-d":
+    if alpha < _ALPHA_LOW:
+        regime = "high-T/large-d"
         force = (2.0 if mode == "rTE1" else 1.0) * leading_force(thermo, d)
-    else:
+    elif alpha > _ALPHA_HIGH:
+        regime = "low-T/small-d"
         force = -np.pi**2 * thermo.hbar * thermo.c / (240.0 * _power(d, 4))
         if mode == "rTE0":
             force = force - leading_force(thermo, d)
+    else:
+        raise ParameterError(f"alpha = {alpha:.3g} lies in the crossover")
     return _finite_nonzero(force, f"the {mode} {regime} force at d = {d!r}")
 
 
 def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
                    bracket_b: float) -> list:
     """Assemble the fluctuation force from the factorized leading correlation,
-    one report row per separation in d_values, holding only what depends on d.
+    one report row per separation in d_values: d, the universal law
+    f_leading and the assembled force f_assembled.
 
     The scaled-wavenumber integral of the monopole force kernel against the
     single-traversing-bond correlation factorizes into the two charge-weighted
@@ -138,18 +132,11 @@ def assemble_force(thermo: ThermoState, d_values, bracket_a: float,
     rows = []
     for d in d_values:
         f_lead = leading_force(thermo, d)
-        alpha = thermo.lambda_ph / d
-        low_t = _regime(alpha) == "low-T/small-d"
         rows.append({
             "d": d,
             "f_leading": f_lead,
             "f_assembled": _finite_nonzero(float(f_lead * bracket_a * bracket_b),
                                            f"the assembled force at d = {d!r}"),
-            "lifshitz": {
-                "eq2": lifshitz_reference(thermo, d, "rTE1") if low_t else None,
-                "eq3": lifshitz_reference(thermo, d, "rTE0") if low_t else None,
-                "alpha": alpha,
-            },
         })
     return rows
 

@@ -211,7 +211,7 @@ def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
 
     The plate brackets, the capacitor terms and the certification are
     separation-independent and are set once; each separation then gets its
-    assembled force and the regime references.  With magnetic_check the
+    universal and assembled forces.  With magnetic_check the
     probe's decay exponent and fit record are stored in "capacitor".
     The results are certified when both sum-rule residuals are below
     residual_tolerance (a NaN residual never is).

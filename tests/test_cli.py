@@ -183,7 +183,7 @@ def test_pipeline_report_keys(fast_report):
                            "brackets", "screening", "capacitor", "results",
                            "convergence", "certified_all"}
     for row in report["results"]:
-        assert set(row) == {"d", "f_leading", "f_assembled", "lifshitz"}
+        assert set(row) == {"d", "f_leading", "f_assembled"}
     # the bordered k = 0 solve has no k-sequence and no Richardson step
     assert set(report["brackets"]) == {
         "bracket_a", "bracket_b", "residual_a", "residual_b"}

@@ -64,13 +64,6 @@ def test_leading_force_parameter_errors():
         fc.leading_force(lo.ThermoState(beta=1.0), -1.0)
 
 
-def test_regime_classification():
-    # alpha = photon thermal length / separation
-    assert fc._regime(1.0 / 100.0) == "high-T/large-d"
-    assert fc._regime(1.0 / 0.01) == "low-T/small-d"
-    assert fc._regime(1.0) == "crossover"
-
-
 def test_lifshitz_high_temperature_values():
     th = lo.ThermoState(beta=2.0, hbar=0.01, c=1.0)
     d = 500.0
@@ -122,8 +115,7 @@ def test_assemble_force_json_keys():
     # certification and capacitor constants are stored once per report
     th = lo.ThermoState(beta=1.0, hbar=0.02, c=100.0)
     [row] = fc.assemble_force(th, [100.0], -1.0, -1.0)
-    assert set(row) == {"d", "f_leading", "f_assembled", "lifshitz"}
-    assert set(row["lifshitz"]) == {"eq2", "eq3", "alpha"}
+    assert set(row) == {"d", "f_leading", "f_assembled"}
 
 
 def test_assemble_force_takes_the_amplitude_from_zeta3(monkeypatch):

@@ -5,13 +5,13 @@ Length scaling: multiplying hbar, the slab widths and the separations by s
 and the densities by 1/s^2 multiplies every length (de Broglie, screening,
 photon) by s and leaves every dimensionless quantity alone.  With s a power
 of two every product and quotient of the chain scales without rounding, so
-the plate brackets, the hierarchy ratios, the screening record and the
-grid-doubling record are bit-identical, except the brackets' slope at k = 0,
-a length, which scales as s; kappa scales as 1/s, the screening length and
-the separations as s, the forces as 1/s^3, and the regime references and
-the capacitor block (the magnetic probe off: it does not read the
-configuration) are bit-identical.  Only the sweep's log-log slope is
-compared to 1e-12: its fit is not bit-exact under the shift of log d.
+every report value is checked bit for bit: the plate brackets, the
+hierarchy ratios, the screening record and the grid-doubling record are
+identical, except the brackets' slope at k = 0, a length, which scales as
+s; kappa scales as 1/s, the separations as s and the forces as 1/s^3; the
+capacitor block (the magnetic probe off: it does not read the
+configuration), the seed, the units and the certification are identical.
+Only config_hash differs, as it hashes the scaled document.
 
 Charge conjugation: charges enter the screened solve only squared, so
 flipping every sign gives the same solution.
@@ -75,15 +75,18 @@ def test_length_scaling_is_exact():
     assert "b" in base["screening"]                    # both plates solved
     for slab in base["screening"].values():
         slab["bracket_slope"] = {part: s * v for part, v in slab["bracket_slope"].items()}
-    for block in ("brackets", "hierarchy", "screening", "convergence"):
-        assert scaled[block] == base[block], block
+    same = ("brackets", "hierarchy", "screening", "convergence", "capacitor",
+            "seed", "units", "certified_all")
+    assert set(base) == set(scaled) == {*same, "kappa", "results", "config_hash"}
+    for key in same:
+        assert scaled[key] == base[key], key
+    assert scaled["config_hash"] != base["config_hash"]
     assert scaled["kappa"] * s == base["kappa"]
-    assert scaled["capacitor"] == base["capacitor"]
     for row, base_row in zip(scaled["results"], base["results"], strict=True):
+        assert set(row) == set(base_row) == {"d", "f_leading", "f_assembled"}
         assert row["d"] == s * base_row["d"]
         for key in ("f_leading", "f_assembled"):
             assert row[key] * s**3 == base_row[key], key
-        assert row["lifshitz"] == base_row["lifshitz"]
 
 
 @pytest.mark.parametrize("d", [None, 3.0])    # one slab, and two slabs 3 apart

@@ -158,7 +158,7 @@ def test_single_path_report_is_the_unpaired_one(pinned_reference):
                            pinned_reference)
     report = run_pipeline(config, magnetic_check=False)["report"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
-        "530dc938bf6a05c6e2a40fda242a811d15f70d086df9c10a44f5c7ec36e2970d")
+        "7fea3561efd552fb49bc078c00fae5d0f1bfb5a451970651917d69740ef07f47")
 
 
 def test_density_profile_neutrality_and_kappa(thermo, species_pair):
