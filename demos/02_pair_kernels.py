@@ -11,8 +11,7 @@
 import numpy as np
 
 from thermocasimir.loops import Loop, SpeciesParams, ThermoState, sample_bridge
-from thermocasimir.potentials import (FormFactor, coulomb_force_full,
-                                      coulomb_force_kernel,
+from thermocasimir.potentials import (coulomb_force_full, coulomb_force_kernel,
                                       coulomb_force_kernel_oracle,
                                       coulomb_force_monopole_shifted,
                                       v_transverse_partial,
@@ -39,12 +38,12 @@ print("coprime charge numbers: the orbit covers every equal-time node pair and "
       "gap shrinks fast with the offset")
 
 print("\n=== magnetic kernel with the photon occupation factor ===")
-ff = FormFactor(k_cut=3.0)
+k_cut = 3.0   # cut-off of the kernel's regulator exp(-(k/k_cut)^2)
 l2 = Loop(0.5, sp, 1, sample_bridge(1, 24, [1, 2]))
 for kmag in (0.3, 1.0, 3.0):
     kvec = np.array([kmag, 0.2, 0.0])
-    wq = wm_pair_fourier(l1, l2, kvec, thermo, ff)
-    wcl = wm_pair_fourier(l1, l2, kvec, thermo, ff, photon="classical")
+    wq = wm_pair_fourier(l1, l2, kvec, thermo, k_cut)
+    wcl = wm_pair_fourier(l1, l2, kvec, thermo, k_cut, photon="classical")
     print(f"  |K| ~ {kmag:4.1f}:  quantum {wq:+.4e}   classical-field {wcl:+.4e}")
 
 print("\n=== closed forms vs quadrature oracles ===")

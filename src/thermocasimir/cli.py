@@ -124,8 +124,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
-        print(f"solver error: {exc} "
-              f"(condition number {exc.condition_number})", file=sys.stderr)
+        print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -14,11 +14,7 @@ class ContractViolationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed; carries a condition-number report."""
-
-    def __init__(self, message, condition_number=None):
-        super().__init__(message)
-        self.condition_number = condition_number
+    """A linear solve failed; the message names the failing step."""
 
 
 class ConfigError(ValueError):

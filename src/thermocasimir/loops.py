@@ -30,13 +30,14 @@ __all__ = [
 class ThermoState:
     """Inverse temperature and the physical constants of the Gaussian-unit system.
 
-    Reduced units set kB = 1 so that beta = 1/T; hbar and c are free knobs.
+    Reduced units set kB = 1 so that beta = 1/T; hbar and c are free knobs
+    without a default (load_config alone sets hbar = c = 1 in reduced units).
     lambda_ph = beta*hbar*c is the photon thermal length.
     """
 
     beta: float
-    hbar: float = 1.0
-    c: float = 1.0
+    hbar: float
+    c: float
 
     def __post_init__(self):
         for name in ("beta", "hbar", "c"):

@@ -189,21 +189,21 @@ def standard_magnetic_probe(seed: int):
     length units chosen to keep the transform resolvable in double precision
     over the fitted window (photon length 12, de Broglie lengths ~0.5).
     The kernel is tabulated at 12 separations X in [5, 50] on the
-    MAGNETIC_N_QUAD-node Gauss rule ("n_quad").  "m_floor" is the per-X
-    rounding floor of that rule; the decay fit (force.magnetic_decay_fit)
-    uses only the points above it.
+    MAGNETIC_N_QUAD-node Gauss rule ("n_quad") with the regulator cut-off
+    "k_cut" = 2.5.  "m_floor" is the per-X rounding floor of that rule; the
+    decay fit (force.magnetic_decay_fit) uses only the points above it.
     """
     thermo = loops_mod.ThermoState(beta=1.0, hbar=0.5, c=12.0)
     sp1 = loops_mod.SpeciesParams.from_thermo("probe1", 1.0, 1.0, thermo)
     sp2 = loops_mod.SpeciesParams.from_thermo("probe2", -1.0, 0.6, thermo)
     l1 = loops_mod.Loop(0.0, sp1, 1, loops_mod.sample_bridge(1, 48, [seed, 0]))
     l2 = loops_mod.Loop(0.0, sp2, 1, loops_mod.sample_bridge(1, 48, [seed, 1]))
-    ff = pot.FormFactor(k_cut=2.5)
+    k_cut = 2.5
     xv = np.geomspace(5.0, 50.0, 12)
-    mv, floor = pot.magnetic_capacitor_integrand(l1, l2, thermo, ff, xv)
+    mv, floor = pot.magnetic_capacitor_integrand(l1, l2, thermo, k_cut, xv)
     return {"x_values": xv.tolist(), "m_values": mv.tolist(),
             "m_floor": floor.tolist(), "n_quad": pot.MAGNETIC_N_QUAD,
-            "loops": (l1, l2), "thermo": thermo, "form_factor": ff}
+            "loops": (l1, l2), "thermo": thermo, "k_cut": k_cut}
 
 
 def run_pipeline(config: RunConfig, magnetic_check: bool = True) -> dict:
@@ -421,13 +421,12 @@ def verify_suite(config: RunConfig) -> dict:
     # --- magnetic kernel: classical limit and resolution scaling ----------
     probe_th = loops_mod.ThermoState(beta=1.0, hbar=0.4, c=1.0)
     sp = loops_mod.SpeciesParams.from_thermo("probe", 1.0, 1.0, probe_th)
-    ff = pot.FormFactor(k_cut=3.0)
     l1 = loops_mod.Loop(0.0, sp, 1, loops_mod.sample_bridge(1, 32, [rng_seed, 105]))
     l2 = loops_mod.Loop(0.5, sp, 1, loops_mod.sample_bridge(1, 32, [rng_seed, 106]))
     kvec3 = np.array([0.7, 0.4, 0.0])
     tiny = loops_mod.ThermoState(beta=1.0, hbar=1e-6, c=1e-3)
-    wq = pot.wm_pair_fourier(l1, l2, kvec3, tiny, ff)
-    wc = pot.wm_pair_fourier(l1, l2, kvec3, tiny, ff, photon="classical")
+    wq = pot.wm_pair_fourier(l1, l2, kvec3, tiny, 3.0)
+    wc = pot.wm_pair_fourier(l1, l2, kvec3, tiny, 3.0, photon="classical")
     rel = abs(wq - wc) / abs(wc)
     checks.append(_check("wm_classical_limit", rel, 1e-8))
 
@@ -440,15 +439,13 @@ def verify_suite(config: RunConfig) -> dict:
         path[-1] = 0.0
         return loops_mod.Loop(0.3, sp, 1, path)
 
-    w_ref, w1, w2 = (pot.wm_pair_fourier(circle_loop(m * n_steps_kernel),
-                                         circle_loop(m * n_steps_kernel), kvec3,
-                                         probe_th, ff) for m in (8, 1, 2))
+    w_ref, w1, w2 = (pot.wm_pair_fourier(circle_loop(n), circle_loop(n), kvec3,
+                                         probe_th, 3.0) for n in (128, 16, 32))
     drift, drift2 = abs(w1 - w_ref) / abs(w_ref), abs(w2 - w_ref) / abs(w_ref)
     order = np.log2(drift / drift2) if drift2 > 0 else np.inf
     checks.append(_check("wm_resolution_scaling", order, "> 1.5", 1.5 < order,
                          note="midpoint bias shrinks as n_steps^-2 on smooth "
-                              "loops; tolerance widens accordingly at low "
-                              "n_steps"))
+                              "loops: 16 and 32 steps against 128"))
 
     # --- screening ---------------------------------------------------------
     kappa2 = config.profile.kappa2()

@@ -10,8 +10,6 @@ interplate one lives in the tests).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._quadrature import (cos_tail, gauss_legendre, gauss_panels, j0_tail,
@@ -20,7 +18,6 @@ from .errors import ContractViolationError, ParameterError, SingularArgumentErro
 from .loops import Loop, ThermoState
 
 __all__ = [
-    "FormFactor",
     "eval_Q",
     "vel_fourier",
     "wm_pair_fourier",
@@ -45,20 +42,6 @@ MAGNETIC_N_QUAD = 400
 # On those seeds the dropped values sit at <= 0.15 of it and the kept ones at
 # >= 1.18 (400 nodes; 0.33 and 1.34 at 3000).
 _FLOOR_EPS = 1e3 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class FormFactor:
-    """Smooth ultraviolet regulator g(k) = exp(-(k/k_cut)^2); g(0) = 1."""
-
-    k_cut: float
-
-    def __post_init__(self):
-        if self.k_cut <= 0.0:
-            raise ParameterError("k_cut must be positive")
-
-    def __call__(self, k):
-        return np.exp(-((np.asarray(k) / self.k_cut) ** 2))
 
 
 def eval_Q(kmag, ds, lambda_ph: float):
@@ -137,7 +120,7 @@ def _folded_current(loop: Loop, Kc, e, sign: float):
 
 
 def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
-                    form_factor: FormFactor, photon="quantum"):
+                    k_cut: float, photon="quantum"):
     """Magnetic (current-current) kernel of two loop shapes at 3-wavevector K.
 
     Parameters
@@ -151,6 +134,9 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     thermo : ThermoState
         Supplies beta, the masses' coupling 1/(beta sqrt(m_i m_j) c^2) and
         the photon thermal length inside the occupation factor.
+    k_cut : float
+        Ultraviolet cut-off of the smooth regulator g(k) = exp(-(k/k_cut)^2);
+        ParameterError unless 0 < k_cut < inf.
     photon : {"quantum", "classical"}
         "classical" freezes the occupation factor at 1 (the lambda_ph -> 0
         limit of the quantum kernel).
@@ -170,6 +156,8 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     l, so q^ is real).  A stack is contracted in chunks of at most
     _STACK_ENTRIES (wavevector, time node) entries.
     """
+    if not 0.0 < k_cut < np.inf:
+        raise ParameterError("k_cut must be positive and finite")
     K = np.asarray(K, dtype=float)
     if K.ndim not in (1, 2) or K.shape[-1] != 3:
         raise ParameterError("K must have shape (3,) or (m, 3)")
@@ -183,7 +171,7 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
         raise ContractViolationError("wm_pair_fourier needs a common n_steps")
     n = loop_i.n_steps
     lam_ph = thermo.lambda_ph if photon == "quantum" else 0.0   # Q = 1 at 0
-    g = form_factor(kmag)
+    g = np.exp(-((kmag / k_cut) ** 2))
     pref = 1.0 / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
                   * thermo.c**2)
     out = np.empty(stack.shape[0], dtype=complex)
@@ -409,32 +397,37 @@ def coulomb_force_monopole_shifted(loop_i: Loop, loop_j: Loop, offset_x: float) 
 
 
 def magnetic_capacitor_integrand(loop_i: Loop, loop_j: Loop, thermo: ThermoState,
-                                 form_factor: FormFactor, x_values):
+                                 k_cut: float, x_values):
     """In-plane-integrated magnetic force kernel as a function of the normal
     separation X:  (1/2pi) int dk1 e^{i k1 X} i k1 W^m(chi_1, chi_2, k1, 0).
 
     At vanishing in-plane wavevector the transverse projector decouples from
     k1, the integrand is analytic at k1 = 0 (closed-path telescoping removes
     the would-be Coulomb singularity), and the transform decays faster than
-    any inverse power of X.  Evaluated on a MAGNETIC_N_QUAD-node
-    Gauss-Legendre rule on [0, 4 k_cut] (the size read at call time, the rule
-    cached) resolving the oscillation at the largest requested X: one stacked
-    wm_pair_fourier call on the (k1, 0, 0) nodes, then the transform to every
-    X as one matrix product with the node weights.
+    any inverse power of X.  k_cut is wm_pair_fourier's regulator cut-off
+    (ParameterError unless 0 < k_cut < inf).  Evaluated on a
+    MAGNETIC_N_QUAD-node Gauss-Legendre rule on [0, 4 k_cut] (the size read
+    at call time, the rule cached) resolving the oscillation at the largest
+    requested X: one stacked wm_pair_fourier call on the (k1, 0, 0) nodes,
+    then the transform to every X as one matrix product with the node
+    weights.
 
     Returns (m, floor), two arrays over x_values.  floor is the rounding
     floor of the weighted node sum, 1e3 eps sum_j |term_j|: once the kernel
     has decayed, m is the cancellation of terms far larger than itself, and
     values with |m| <= floor carry no digits of the kernel.
     """
+    # checked before wm_pair_fourier does: 1j * k1 warns on an infinite k1
+    if not 0.0 < k_cut < np.inf:
+        raise ParameterError("k_cut must be positive and finite")
     x_values = np.asarray(x_values, dtype=float)
-    k_max = 4.0 * form_factor.k_cut
+    k_max = 4.0 * k_cut
     nodes, weights = gauss_legendre(MAGNETIC_N_QUAD)
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights / np.pi
     K = np.zeros((k1.size, 3))
     K[:, 0] = k1
-    t = 1j * k1 * wm_pair_fourier(loop_i, loop_j, K, thermo, form_factor)
+    t = 1j * k1 * wm_pair_fourier(loop_i, loop_j, K, thermo, k_cut)
     # T(-k1) = conj(T(k1)): the transform is real
     phase = np.outer(x_values, k1)
     terms = np.cos(phase) * t.real - np.sin(phase) * t.imag

@@ -582,8 +582,7 @@ class KernelOperator:
                 work[j] = np.linalg.solve(a[j, 1], work[j])
         except np.linalg.LinAlgError as exc:
             if np.max(np.abs(vals)) * np.finfo(float).eps < 1.0:
-                raise SolverError(f"screened solve failed: {exc}",
-                                  condition_number=np.inf) from exc
+                raise SolverError(f"screened solve failed: {exc}") from exc
             return nan    # entries dwarf the identity beyond rounding
         for j in range(nb - 2, -1, -1):
             work[j, :, up.size:] -= work[j, :, :up.size] @ work[j + 1, up, up.size:]
@@ -827,7 +826,7 @@ def perfect_screening_k0(basis: LoopBasis, x_src: float) -> dict:
     if abs(pivot) <= 1e-8 * (np.abs(m) @ np.abs(x1)):     # half its digits lost
         if np.max(np.abs(op.entries[2])) * np.finfo(float).eps < 1.0:
             raise SolverError(f"bordered k = 0 solve: border pivot {pivot!r} is lost "
-                              "in rounding", condition_number=np.inf)
+                              "in rounding")
         pivot = np.nan      # as in solve: entries dwarf the identity beyond rounding
     mu = (m @ x0 - 1.0) / pivot
     phi = x0 - mu * x1

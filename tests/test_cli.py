@@ -964,14 +964,15 @@ def test_cli_d_list_replaces_d_values_before_validation(tmp_path, fast_config,
     assert err.startswith("config error:") and "--d-list" in err
 
 
-def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch):
+def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch, capsys):
     path = _write(tmp_path, fast_config)
 
     def boom(*args, **kwargs):
-        raise SolverError("synthetic failure", condition_number=1e18)
+        raise SolverError("synthetic failure")
 
     monkeypatch.setattr("thermocasimir.cli.run_pipeline", boom)
     assert cli.main(["run", path]) == 3
+    assert capsys.readouterr().err == "solver error: synthetic failure\n"
 
 
 @pytest.mark.parametrize("error", [SingularArgumentError, ContractViolationError])
@@ -1189,3 +1190,17 @@ def test_cli_verify_exit_and_json(tmp_path, fast_config):
     assert code == 0
     table = json.loads(out_json.read_text())
     assert table["all_passed"]
+
+
+@pytest.mark.parametrize("n_steps", [2, 3])
+def test_cli_verify_passes_at_coarse_kernel_paths(tmp_path, fast_config, n_steps):
+    # n_steps_kernel is the path resolution of the screened solves; the
+    # magnetic resolution row builds its circle loops at fixed sizes, so the
+    # smallest valid values still pass every row
+    path = _write(tmp_path, fast_config)
+    out_json = tmp_path / "verify.json"
+    overrides = json.dumps({"n_steps_kernel": n_steps})
+    code = cli.main(["verify", path, "--tol-overrides", overrides,
+                     "--json-out", str(out_json)])
+    assert code == 0
+    assert json.loads(out_json.read_text())["all_passed"]

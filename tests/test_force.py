@@ -38,14 +38,14 @@ def test_force_integrand_regular_at_origin():
 
 
 def test_leading_force_reference_value():
-    th = lo.ThermoState(beta=1.0)
+    th = lo.ThermoState(beta=1.0, hbar=1.0, c=1.0)
     val = fc.leading_force(th, 10.0)
     assert val == pytest.approx(-4.7830e-5, rel=5e-4)
     assert val == -fc.ZETA3 / (8.0 * np.pi * 1000.0)
 
 
 def test_leading_force_pure_cubic_scaling():
-    th = lo.ThermoState(beta=0.7)
+    th = lo.ThermoState(beta=0.7, hbar=1.0, c=1.0)
     assert fc.leading_force(th, 20.0) / fc.leading_force(th, 10.0) == 0.125
 
 
@@ -54,14 +54,14 @@ def test_leading_force_pure_cubic_scaling():
 def test_leading_force_universality(hbar, c):
     # hbar and c never enter: bit-identical output across microscopic knobs
     d = 37.0
-    ref = fc.leading_force(lo.ThermoState(beta=2.0), d)
+    ref = fc.leading_force(lo.ThermoState(beta=2.0, hbar=1.0, c=1.0), d)
     val = fc.leading_force(lo.ThermoState(beta=2.0, hbar=hbar, c=c), d)
     assert val == ref
 
 
 def test_leading_force_parameter_errors():
     with pytest.raises(ParameterError):
-        fc.leading_force(lo.ThermoState(beta=1.0), -1.0)
+        fc.leading_force(lo.ThermoState(beta=1.0, hbar=1.0, c=1.0), -1.0)
 
 
 def test_lifshitz_high_temperature_values():

@@ -179,7 +179,9 @@ def test_line_integral_requires_closed_path():
 def test_thermo_and_species_invariants(thermo):
     assert thermo.lambda_ph == pytest.approx(thermo.beta * thermo.hbar * thermo.c)
     with pytest.raises(ParameterError):
-        lo.ThermoState(beta=-1.0)
+        lo.ThermoState(beta=-1.0, hbar=1.0, c=1.0)
+    with pytest.raises(TypeError):      # hbar and c have no default
+        lo.ThermoState(beta=1.0)
     with pytest.raises(ParameterError):
         lo.SpeciesParams("x", 1.0, 0.0)
     sp = lo.SpeciesParams.from_thermo("e", -1.0, 2.0, thermo)

@@ -240,22 +240,22 @@ def test_vel_fourier_inplane_shift_phase(thermo):
 
 def test_wm_exchange_symmetry(big_thermo, probe_loops):
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     kvec = np.array([0.7, 0.4, -0.2])
-    a = pot.wm_pair_fourier(l1, l2, kvec, big_thermo, ff)
-    b = pot.wm_pair_fourier(l2, l1, -kvec, big_thermo, ff)
+    a = pot.wm_pair_fourier(l1, l2, kvec, big_thermo, k_cut)
+    b = pot.wm_pair_fourier(l2, l1, -kvec, big_thermo, k_cut)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_wm_classical_limit(big_thermo, probe_loops):
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     kvec = np.array([0.7, 0.4, 0.0])
     tiny = lo.ThermoState(beta=big_thermo.beta, hbar=1e-9 / big_thermo.c,
                           c=big_thermo.c)
     assert tiny.lambda_ph == pytest.approx(1e-9)
-    wq = pot.wm_pair_fourier(l1, l2, kvec, tiny, ff)
-    wc = pot.wm_pair_fourier(l1, l2, kvec, tiny, ff, photon="classical")
+    wq = pot.wm_pair_fourier(l1, l2, kvec, tiny, k_cut)
+    wc = pot.wm_pair_fourier(l1, l2, kvec, tiny, k_cut, photon="classical")
     assert abs(wq - wc) / abs(wc) < 1e-8
 
 
@@ -263,10 +263,10 @@ def test_wm_inplane_zero_uses_only_transverse_components(big_thermo, probe_loops
     # at zero in-plane wavevector only the two in-plane increment channels
     # survive the projector contraction
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     k1 = 0.9
     kvec = np.array([k1, 0.0, 0.0])
-    val = pot.wm_pair_fourier(l1, l2, kvec, big_thermo, ff)
+    val = pot.wm_pair_fourier(l1, l2, kvec, big_thermo, k_cut)
 
     def manual(li, lj):
         dxi = np.diff(li.path, axis=0)
@@ -286,7 +286,8 @@ def test_wm_inplane_zero_uses_only_transverse_components(big_thermo, probe_loops
         acc = 0.0
         for mu in (1, 2):   # in-plane channels only
             acc += np.einsum("a,b,ab->", dxi[:, mu] * phi, dxj[:, mu] * phj, qm)
-        return pref * 4.0 * np.pi * ff(k1) ** 2 / k1**2 * acc
+        g = np.exp(-((k1 / k_cut) ** 2))
+        return pref * 4.0 * np.pi * g * g / k1**2 * acc
 
     assert val == pytest.approx(manual(l1, l2), rel=1e-12)
 
@@ -294,22 +295,20 @@ def test_wm_inplane_zero_uses_only_transverse_components(big_thermo, probe_loops
 def test_wm_singular_at_zero(big_thermo, probe_loops):
     l1, l2 = probe_loops
     with pytest.raises(SingularArgumentError):
-        pot.wm_pair_fourier(l1, l2, np.zeros(3), big_thermo,
-                            pot.FormFactor(k_cut=3.0))
+        pot.wm_pair_fourier(l1, l2, np.zeros(3), big_thermo, 3.0)
 
 
 def test_wm_point_loops_carry_no_current(big_thermo):
     sp = lo.SpeciesParams.from_thermo("e", 1.0, 1.0, big_thermo)
     p1 = lo.point_loop(-0.2, sp, n_steps=6)
     p2 = lo.point_loop(0.5, sp, n_steps=6)
-    val = pot.wm_pair_fourier(p1, p2, np.array([0.4, 0.7, 0.0]), big_thermo,
-                              pot.FormFactor(k_cut=3.0))
+    val = pot.wm_pair_fourier(p1, p2, np.array([0.4, 0.7, 0.0]), big_thermo, 3.0)
     assert val == 0.0
 
 
-def _wm_pair_oracle(loop_i, loop_j, K, thermo, form_factor, photon):
+def _wm_pair_oracle(loop_i, loop_j, K, thermo, k_cut, photon):
     # per-wavevector einsum body of the kernel, kept as the reference for the
-    # stacked evaluation
+    # stacked evaluation; it evaluates its own regulator exp(-(k/k_cut)^2)
     K = np.asarray(K, dtype=float)
     kmag = float(np.linalg.norm(K))
     dXi, mid_i = pot._increments_and_midpoints(loop_i)
@@ -325,7 +324,7 @@ def _wm_pair_oracle(loop_i, loop_j, K, thermo, form_factor, photon):
     m = np.einsum("am,ab,bn->mn", dXi * phase_i[:, None], qmat,
                   dXj * phase_j[:, None])
     dtr = np.eye(3) - np.outer(K, K) / kmag**2
-    g = form_factor(kmag)
+    g = np.exp(-((kmag / k_cut) ** 2))
     pref = 1.0 / (thermo.beta * np.sqrt(loop_i.species.mass * loop_j.species.mass)
                   * thermo.c**2)
     return complex(pref * 4.0 * np.pi * g * g / kmag**2 * np.sum(dtr * m))
@@ -348,26 +347,26 @@ def test_wm_stack_matches_per_k_oracle(big_thermo, oblique_stack, photon,
     sp2 = lo.SpeciesParams.from_thermo("p2", -1.0, 0.6, big_thermo)
     li = lo.Loop(-0.4, sp1, p_i, lo.sample_bridge(p_i, 24, [8, p_i]))
     lj = lo.Loop(0.6, sp2, p_j, lo.sample_bridge(p_j, 24, [9, p_j]))
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     stack = oblique_stack
     if photon == "classical":
         # with Q = 1 the kernel factorises into two closed-loop sums that
         # both vanish as |K| lambda -> 0: below |K| ~ 0.3 the two summation
         # orders agree only to a few 1e-12 relative
         stack = stack[np.linalg.norm(stack, axis=1) >= 0.5]
-    got = pot.wm_pair_fourier(li, lj, stack, big_thermo, ff, photon=photon)
+    got = pot.wm_pair_fourier(li, lj, stack, big_thermo, k_cut, photon=photon)
     assert got.shape == (len(stack),)
-    ref = np.array([_wm_pair_oracle(li, lj, K, big_thermo, ff, photon)
+    ref = np.array([_wm_pair_oracle(li, lj, K, big_thermo, k_cut, photon)
                     for K in stack])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_wm_single_k_is_stack_entry(big_thermo, probe_loops, oblique_stack):
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
-    stacked = pot.wm_pair_fourier(l1, l2, oblique_stack, big_thermo, ff)
+    k_cut = 3.0
+    stacked = pot.wm_pair_fourier(l1, l2, oblique_stack, big_thermo, k_cut)
     for idx in (0, 17, 39):
-        one = pot.wm_pair_fourier(l1, l2, oblique_stack[idx], big_thermo, ff)
+        one = pot.wm_pair_fourier(l1, l2, oblique_stack[idx], big_thermo, k_cut)
         assert isinstance(one, complex)
         assert abs(one - stacked[idx]) <= 1e-13 * abs(stacked[idx])
 
@@ -378,21 +377,21 @@ def test_wm_stack_with_zero_wavevector_raises(big_thermo, probe_loops,
     stack = oblique_stack.copy()
     stack[5] = 0.0
     with pytest.raises(SingularArgumentError):
-        pot.wm_pair_fourier(l1, l2, stack, big_thermo, pot.FormFactor(k_cut=3.0))
+        pot.wm_pair_fourier(l1, l2, stack, big_thermo, 3.0)
 
 
 def test_wm_stack_longer_than_chunk(big_thermo, probe_loops):
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     n_nodes = (l1.path.shape[0] - 1) + (l2.path.shape[0] - 1)
     chunk = pot._STACK_ENTRIES // n_nodes
     m = 2 * chunk + 7
     stack = np.column_stack([np.linspace(0.1, 8.0, m),
                              np.linspace(-0.5, 0.5, m),
                              np.full(m, 0.3)])
-    whole = pot.wm_pair_fourier(l1, l2, stack, big_thermo, ff)
+    whole = pot.wm_pair_fourier(l1, l2, stack, big_thermo, k_cut)
     parts = np.concatenate([pot.wm_pair_fourier(l1, l2, stack[r0:r0 + 50],
-                                                big_thermo, ff)
+                                                big_thermo, k_cut)
                             for r0 in range(0, m, 50)])
     assert np.all(np.abs(whole - parts) <= 1e-13 * np.abs(parts))
 
@@ -404,7 +403,18 @@ def test_wm_needs_one_time_grid(big_thermo):
     l32 = lo.Loop(0.0, sp, 1, lo.sample_bridge(1, 32, [3, 1]))
     with pytest.raises(ContractViolationError):
         pot.wm_pair_fourier(l24, l32, np.array([0.7, 0.4, -0.2]), big_thermo,
-                            pot.FormFactor(k_cut=3.0))
+                            3.0)
+
+
+@pytest.mark.parametrize("k_cut", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_k_cut_must_be_positive_and_finite(big_thermo, probe_loops, k_cut):
+    # unchecked, NaN gives a (nan+nanj) kernel and inf a NaN capacitor table
+    l1, l2 = probe_loops
+    with pytest.raises(ParameterError, match="k_cut"):
+        pot.wm_pair_fourier(l1, l2, np.array([0.7, 0.4, -0.2]), big_thermo,
+                            k_cut)
+    with pytest.raises(ParameterError, match="k_cut"):
+        pot.magnetic_capacitor_integrand(l1, l2, big_thermo, k_cut, [5.0, 10.0])
 
 
 def test_wm_probe_stack_matches_per_k_oracle():
@@ -414,9 +424,9 @@ def test_wm_probe_stack_matches_per_k_oracle():
     from thermocasimir.pipeline import standard_magnetic_probe
 
     probe = standard_magnetic_probe(seed=2041)
-    thermo, ff = probe["thermo"], probe["form_factor"]
+    thermo, k_cut = probe["thermo"], probe["k_cut"]
     nodes, _ = roots_legendre(probe["n_quad"])
-    k1 = 2.0 * ff.k_cut * (nodes + 1.0)
+    k1 = 2.0 * k_cut * (nodes + 1.0)
     stack = np.zeros((k1.size, 3))
     stack[:, 0] = k1
     kept = k1 >= 0.1
@@ -424,8 +434,8 @@ def test_wm_probe_stack_matches_per_k_oracle():
     p1_p3 = (lo.Loop(0.0, l1.species, 1, lo.sample_bridge(1, 48, [2041, 5])),
              lo.Loop(0.0, l2.species, 3, lo.sample_bridge(3, 48, [2041, 6])))
     for li, lj in [(l1, l2), p1_p3]:
-        got = pot.wm_pair_fourier(li, lj, stack, thermo, ff)
-        ref = np.array([_wm_pair_oracle(li, lj, K, thermo, ff, "quantum")
+        got = pot.wm_pair_fourier(li, lj, stack, thermo, k_cut)
+        ref = np.array([_wm_pair_oracle(li, lj, K, thermo, k_cut, "quantum")
                         for K in stack[kept]])
         assert np.all(np.abs(got[kept] - ref) <= 1e-12 * np.abs(ref))
 
@@ -437,11 +447,11 @@ def test_wm_axis_and_diagonal_wavevectors_match_oracle(big_thermo, probe_loops,
     # the transverse basis is built from the axis of K's smallest |component|;
     # along an axis two components tie, along (1, 1, 1) all three do
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=3.0)
+    k_cut = 3.0
     unit = np.asarray(direction) / np.linalg.norm(direction)
     stack = np.outer([0.3, 0.9, 2.5], unit)
-    got = pot.wm_pair_fourier(l1, l2, stack, big_thermo, ff)
-    ref = np.array([_wm_pair_oracle(l1, l2, K, big_thermo, ff, "quantum")
+    got = pot.wm_pair_fourier(l1, l2, stack, big_thermo, k_cut)
+    ref = np.array([_wm_pair_oracle(l1, l2, K, big_thermo, k_cut, "quantum")
                     for K in stack])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -628,10 +638,10 @@ def test_current_moments_telescoping(big_thermo, probe_loops):
 def test_magnetic_capacitor_integrand_fast_decay(big_thermo, probe_loops,
                                                   monkeypatch):
     l1, l2 = probe_loops
-    ff = pot.FormFactor(k_cut=2.5)
+    k_cut = 2.5
     xv = np.geomspace(5.0, 50.0, 10)
     monkeypatch.setattr(pot, "MAGNETIC_N_QUAD", 2500)
-    mv, _ = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, ff, xv)
+    mv, _ = pot.magnetic_capacitor_integrand(l1, l2, big_thermo, k_cut, xv)
     slope, _ = fit_loglog_slope(xv, mv)
     assert slope < -4.0
 
@@ -641,15 +651,15 @@ def test_magnetic_capacitor_integrand_matches_per_node_loop():
 
     probe = standard_magnetic_probe(seed=2041)
     l1, l2 = probe["loops"]
-    thermo, ff = probe["thermo"], probe["form_factor"]
+    thermo, k_cut = probe["thermo"], probe["k_cut"]
     xv = np.asarray(probe["x_values"])
     # reference: the per-node kernel and the per-X weighted sum
-    k_max = 4.0 * ff.k_cut
+    k_max = 4.0 * k_cut
     nodes, weights = roots_legendre(probe["n_quad"])
     k1 = 0.5 * k_max * (nodes + 1.0)
     wk = 0.5 * k_max * weights
-    wm = np.array([_wm_pair_oracle(l1, l2, np.array([k, 0.0, 0.0]), thermo, ff,
-                                   "quantum") for k in k1])
+    wm = np.array([_wm_pair_oracle(l1, l2, np.array([k, 0.0, 0.0]), thermo,
+                                   k_cut, "quantum") for k in k1])
     t = 1j * k1 * wm
     terms = np.array([wk * (np.cos(k1 * X) * t.real - np.sin(k1 * X) * t.imag)
                       / np.pi for X in xv])
@@ -674,7 +684,7 @@ def test_magnetic_fit_points_stable_across_gauss_rules(seed, monkeypatch):
     for n_quad in (200, 400, 3000):
         monkeypatch.setattr(pot, "MAGNETIC_N_QUAD", n_quad)
         mv, floor = pot.magnetic_capacitor_integrand(
-            l1, l2, probe["thermo"], probe["form_factor"], probe["x_values"])
+            l1, l2, probe["thermo"], probe["k_cut"], probe["x_values"])
         kept.append(np.abs(mv) > floor)
         exponent, n_points = magnetic_decay_fit(
             {"x_values": probe["x_values"], "m_values": mv, "m_floor": floor})
