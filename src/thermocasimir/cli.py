@@ -10,8 +10,7 @@ import json
 import sys
 
 from .config import load_config, optional_block
-from .errors import (ConfigError, ContractViolationError, ParameterError,
-                     SingularArgumentError, SolverError)
+from .errors import ConfigError, ParameterError, SolverError
 from .force import zeta3_quadrature, zeta3_series_oracle
 from .pipeline import run_pipeline, verify_suite, write_report
 
@@ -61,8 +60,7 @@ def _cmd_verify(args) -> int:
     table = verify_suite(config)
     width = max(len(c["name"]) for c in table["checks"])
     for c in table["checks"]:
-        status = "PASS" if c["passed"] else (
-            "XFAIL" if c["expected_fail"] else "FAIL")
+        status = "PASS" if c["passed"] else "FAIL"
         print(f"{c['name']:<{width}}  {status:<5}  value={c['value']}  "
               f"tol={c['tolerance']}")
     if args.json_out:
@@ -118,8 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, SingularArgumentError,
-            ContractViolationError, OSError, UnicodeDecodeError,
+    except (ConfigError, ParameterError, OSError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -161,12 +161,16 @@ def load_config(path_or_dict) -> RunConfig:
 
     profile = DensityProfile(beta=thermo.beta, cells=tuple(cells))
     try:    # math.fsum raises on an intermediate overflow and on inf - inf
-        finite = all(map(math.isfinite, (profile.kappa2(), profile.charge_density())))
+        kappa2 = profile.kappa2()
+        finite = all(map(math.isfinite, (kappa2, profile.charge_density())))
     except (OverflowError, ValueError):
         finite = False
     if not finite:
         raise ConfigError("the species charge and density give a plasma whose "
                           "kappa^2 or charge density is not finite")
+    if kappa2 == 0.0:
+        raise ConfigError("no screening medium: every species has charge or density "
+                          "0, so kappa = 0 and nothing screens the border charge")
     if neutral and profile.charge_imbalance() != 0.0:
         raise ConfigError("neutrality flag set but sum(e * density) != 0")
 

@@ -2,15 +2,8 @@
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition."""
-
-
-class SingularArgumentError(ValueError):
-    """An argument sits exactly on a singular point of a kernel (e.g. K = 0)."""
-
-
-class ContractViolationError(ValueError):
-    """Input data breaks a structural contract (e.g. a non-closed path)."""
+    """An argument violates a documented precondition: it sits on a kernel's
+    singular point (e.g. K = 0) or breaks a structural contract (e.g. a non-closed path)."""
 
 
 class SolverError(RuntimeError):

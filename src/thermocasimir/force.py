@@ -80,8 +80,8 @@ def leading_force(thermo: ThermoState, d: float) -> float:
     Depends on the inverse temperature and the separation only; every species
     parameter and both hbar and c drop out.
     """
-    if thermo.beta <= 0.0 or d <= 0.0:
-        raise ParameterError("beta and d must be positive")
+    if not d > 0.0:
+        raise ParameterError("d must be positive")
     return _finite_nonzero(-ZETA3 / (8.0 * np.pi * thermo.beta * _power(d, 3)),
                            f"the leading force at d = {d!r}")
 

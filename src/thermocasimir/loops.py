@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "ThermoState",
@@ -79,11 +79,11 @@ class SpeciesParams:
 def _validate_path(path: np.ndarray, p: int):
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 3:
-        raise ContractViolationError("path must be an (N+1, 3) array")
+        raise ParameterError("path must be an (N+1, 3) array")
     if (path.shape[0] - 1) < 2 * p or (path.shape[0] - 1) % p:
-        raise ContractViolationError("path needs n_steps * p steps, n_steps >= 2")
+        raise ParameterError("path needs n_steps * p steps, n_steps >= 2")
     if not (np.all(path[0] == 0.0) and np.all(path[-1] == 0.0)):
-        raise ContractViolationError("path must be a pinned bridge: X(0) = X(p) = 0")
+        raise ParameterError("path must be a pinned bridge: X(0) = X(p) = 0")
     return path
 
 
@@ -195,7 +195,7 @@ def line_integral(path: np.ndarray, integrand) -> float:
     """
     path = np.asarray(path, dtype=float)
     if not (np.all(path[0] == 0.0) and np.all(path[-1] == 0.0)):
-        raise ContractViolationError("line_integral requires a closed (pinned) path")
+        raise ParameterError("line_integral requires a closed (pinned) path")
     n = path.shape[0] - 1
     times = np.arange(n + 1) / n
     s_mid = 0.5 * (times[:-1] + times[1:])

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._quadrature import (cos_tail, gauss_legendre, gauss_panels, j0_tail,
                           oscillating_integral, sin_tail)
-from .errors import ContractViolationError, ParameterError, SingularArgumentError
+from .errors import ParameterError
 from .loops import Loop, ThermoState
 
 __all__ = [
@@ -79,7 +79,7 @@ def vel_fourier(loop_i: Loop, loop_j: Loop, kvec) -> complex:
     kvec = np.asarray(kvec, dtype=float)
     k = float(np.hypot(kvec[0], kvec[1]))
     if k == 0.0:
-        raise SingularArgumentError("vel_fourier diverges at k = 0")
+        raise ParameterError("vel_fourier diverges at k = 0")
     lam_i = loop_i.species.lambda_
     lam_j = loop_j.species.lambda_
     xi = loop_i.x + lam_i * loop_i.path[:-1, 0]
@@ -127,7 +127,7 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     ----------
     loop_i, loop_j : Loop
         Only the internal degrees of freedom (species, p, shape) enter.  Both
-        must have the same n_steps (ContractViolationError otherwise).
+        must have the same n_steps (ParameterError otherwise).
     K : array of shape (3,) or (m, 3)
         One 3-wavevector or a stack of them.  Each may have a vanishing
         in-plane part; only |K| = 0 exactly is singular, anywhere in a stack.
@@ -164,11 +164,11 @@ def wm_pair_fourier(loop_i: Loop, loop_j: Loop, K, thermo: ThermoState,
     stack = K.reshape(-1, 3)
     kmag = np.linalg.norm(stack, axis=1)
     if np.any(kmag == 0.0):
-        raise SingularArgumentError("wm_pair_fourier undefined at K = 0 exactly")
+        raise ParameterError("wm_pair_fourier undefined at K = 0 exactly")
     if photon not in ("quantum", "classical"):
         raise ParameterError("photon must be 'quantum' or 'classical'")
     if loop_i.n_steps != loop_j.n_steps:
-        raise ContractViolationError("wm_pair_fourier needs a common n_steps")
+        raise ParameterError("wm_pair_fourier needs a common n_steps")
     n = loop_i.n_steps
     lam_ph = thermo.lambda_ph if photon == "quantum" else 0.0   # Q = 1 at 0
     g = np.exp(-((kmag / k_cut) ** 2))
@@ -247,7 +247,7 @@ def v_transverse_partial_oracle(x, qvec, mu, nu):
     qx, qy = float(qvec[0]), float(qvec[1])
     q = np.hypot(qx, qy)
     if q == 0.0:
-        raise SingularArgumentError("oracle undefined at q = 0")
+        raise ParameterError("oracle undefined at q = 0")
 
     def entry(k1):
         # 4 pi / K^2 times the transverse projector entry, K = (k1, qx, qy)
@@ -286,7 +286,7 @@ def _vtilde_derivs(x, qvec, order_max=3):
     qvec = np.asarray(qvec, dtype=float)
     q = float(np.hypot(qvec[0], qvec[1]))
     if q == 0.0:
-        raise SingularArgumentError("undefined at q = 0")
+        raise ParameterError("undefined at q = 0")
     n = np.arange(order_max + 1)[:, None]
     alpha, beta = np.array([np.pi / q, 0.0, np.pi / q]), np.array([np.pi, 1.0, 0.0])
     f, g, h = ((-q) ** n * np.exp(-q * x) * (alpha + beta * (x - n / q))).T
@@ -352,7 +352,7 @@ def wm_gradient_ab(loop_i: Loop, loop_j: Loop, qvec, d, thermo: ThermoState) -> 
 
 def _equal_time_orbit(loop_i: Loop, loop_j: Loop):
     if loop_i.n_steps != loop_j.n_steps:
-        raise ContractViolationError("equal-time pairing needs a common n_steps")
+        raise ParameterError("equal-time pairing needs a common n_steps")
     n = loop_i.n_steps
     ni = loop_i.p * n
     nj = loop_j.p * n

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import loops
 from ._quadrature import gauss_panels
-from .errors import ParameterError, SingularArgumentError, SolverError
+from .errors import ParameterError, SolverError
 
 __all__ = [
     "SpeciesDensity",
@@ -394,7 +394,7 @@ def _phase(k, y):
 
 def _wavenumber(k) -> float:
     if k <= 0.0:
-        raise SingularArgumentError("kernel assembly needs k > 0")
+        raise ParameterError("kernel assembly needs k > 0")
     return float(k)
 
 

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import thermocasimir
 from thermocasimir import cli, pipeline
 from thermocasimir.config import DEFAULT_NUMERICS, load_config
-from thermocasimir.errors import (ConfigError, ContractViolationError,
-                                  SingularArgumentError, SolverError)
+from thermocasimir.errors import ConfigError, ParameterError, SolverError
 from thermocasimir.pipeline import run_pipeline, verify_suite
 from thermocasimir.screening import (build_loop_basis, check_perfect_screening,
                                      perfect_screening_k0)
@@ -94,6 +93,8 @@ def test_config_roundtrip(fast_config):
     lambda c: c.update(units="gaussian-cgs",
                        thermo={"temperature_K": 300.0, "beta": 1.0}),
     lambda c: c.update(output={"dir": None}),
+    # no screening medium: kappa = 0
+    lambda c: [sp.update(charge=0.0) for sp in c["slabs"]["species"]],
 ])
 def test_config_schema_violations(fast_config, mutate):
     cfg = copy.deepcopy(fast_config)
@@ -610,15 +611,31 @@ def test_cli_rejects_huge_integer(tmp_path, fast_config, capsys, where, key):
     assert "Traceback" not in err
 
 
+NO_MEDIUM = ("config error: no screening medium: every species has charge or "
+             "density 0, so kappa = 0 and nothing screens the border charge\n")
+
+
 def test_cli_run_without_screening_medium(tmp_path, fast_config, capsys):
     bad = copy.deepcopy(fast_config)
     for sp in bad["slabs"]["species"]:
         sp["density"] = 0.0
     path = _write(tmp_path, bad)
     assert cli.main(["run", path, "--out-dir", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: no screening medium")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == NO_MEDIUM
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+@pytest.mark.parametrize("key", ["density", "charge"])
+def test_no_screening_medium_is_a_config_error(tmp_path, fast_config, capsys,
+                                               key, verb):
+    # load_config rejects kappa = 0 for every verb, with one message
+    bad = copy.deepcopy(fast_config)
+    for sp in bad["slabs"]["species"]:
+        sp[key] = 0.0
+    path, out = _write(tmp_path, bad), tmp_path / "out"
+    assert cli.main([verb, path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == NO_MEDIUM
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d", [float("inf"), float("nan")])
@@ -642,9 +659,7 @@ def test_cli_rejects_non_finite_separation(tmp_path, fast_config, capsys, d):
     ("run", "sweep", "d_values", [1e120]),     # d**3 overflows
     ("run", "sweep", "d_values", [1e300]),
     ("run", "thermo", "beta", 1e300),          # the leading force underflows
-    ("verify", "thermo", "beta", 1e300),       # the Lifshitz check's d**3
-    ("verify", "thermo", "beta", 1e-300),
-    ("verify", "thermo", "c", 1e-300),
+    ("verify", "thermo", "beta", 1e300),       # the plate bracket is NaN
 ])
 def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
                                               verb, where, key, value):
@@ -656,6 +671,18 @@ def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "not a finite nonzero" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta", 1e-300), ("hbar", 1e-300), ("c", 1e300), ("c", 1e-300)])
+def test_cli_verify_runs_at_extreme_scales(tmp_path, fast_config, capsys, key, value):
+    # verify's Lifshitz row runs in unit beta, hbar and c at d = 1e4, so no
+    # d**3 of the config's own units underflows or overflows there
+    cfg = copy.deepcopy(fast_config)
+    cfg["thermo"][key] = value
+    cfg["numerics"] = {"nx": 4, "n_paths_kernel": 1}
+    assert cli.main(["verify", _write(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_runs_at_a_huge_separation_with_a_finite_force(tmp_path, fast_config,
@@ -975,13 +1002,11 @@ def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch, capsys):
     assert capsys.readouterr().err == "solver error: synthetic failure\n"
 
 
-@pytest.mark.parametrize("error", [SingularArgumentError, ContractViolationError])
-def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys,
-                                      error):
+def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys):
     path = _write(tmp_path, fast_config)
 
     def boom(*args, **kwargs):
-        raise error("synthetic failure")
+        raise ParameterError("synthetic failure")
 
     monkeypatch.setattr("thermocasimir.cli.run_pipeline", boom)
     assert cli.main(["run", path]) == 2
@@ -1020,8 +1045,7 @@ def verify_table(fast_config):
 
 
 def test_verify_suite_all_pass(verify_table):
-    failures = [c for c in verify_table["checks"]
-                if not c["passed"] and not c["expected_fail"]]
+    failures = [c for c in verify_table["checks"] if not c["passed"]]
     assert failures == []
     assert verify_table["all_passed"]
 
@@ -1051,23 +1075,7 @@ def test_verify_suite_machine_readable(verify_table):
         "capacitor_magnetic_decay", "capacitor_neutral_zero",
         "wab_scaling_slope", "wm_gradient_slope"]
     for c in verify_table["checks"]:
-        assert set(c) >= {"name", "passed", "value", "tolerance", "expected_fail"}
-
-
-def test_verify_suite_expected_fail_without_medium(tmp_path, fast_config, capsys):
-    cfg = copy.deepcopy(fast_config)
-    for sp in cfg["slabs"]["species"]:
-        sp["density"] = 0.0
-    out_json = tmp_path / "verify.json"
-    assert cli.main(["verify", _write(tmp_path, cfg), "--json-out", str(out_json)]) == 0
-    table = json.loads(out_json.read_text())
-    slab = [c for c in table["checks"]
-            if c["name"] == "perfect_screening_slab"][0]
-    assert slab["expected_fail"] and not slab["passed"]
-    assert table["all_passed"]
-    [line] = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("perfect_screening_slab")]
-    assert line.split()[1] == "XFAIL"
+        assert set(c) >= {"name", "passed", "value", "tolerance"}
 
 
 def test_verify_capacitor_row_shares_the_neutrality_test(tmp_path, fast_config,
@@ -1178,7 +1186,7 @@ def test_verify_fails_magnetic_decay_below_three_points(fast_config, monkeypatch
                         flat_kernel)
     table = verify_suite(load_config(copy.deepcopy(fast_config)))
     row = [c for c in table["checks"] if c["name"] == "capacitor_magnetic_decay"][0]
-    assert not row["passed"] and not row["expected_fail"]
+    assert not row["passed"]
     assert row["value"] is None and row["note"].startswith("2 of 12 points")
     assert not table["all_passed"]
 

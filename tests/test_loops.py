@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermocasimir import loops as lo
-from thermocasimir.errors import ContractViolationError, ParameterError
+from thermocasimir.errors import ParameterError
 from thermocasimir.pipeline import _BRIDGE_BLOCK, bridge_statistics
 
 
@@ -172,7 +172,7 @@ def test_line_integral_linear_integrand_averages_to_zero():
 def test_line_integral_requires_closed_path():
     path = lo.sample_bridge(1, 8, 3).copy()
     path[-1, 0] = 0.1
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ParameterError):
         lo.line_integral(path, lambda s, x: x)
 
 
