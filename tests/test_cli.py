@@ -19,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermocasimir
-from thermocasimir import cli, pipeline
+from thermocasimir import cli, pipeline, potentials
 from thermocasimir.config import DEFAULT_NUMERICS, load_config
 from thermocasimir.errors import ConfigError, ParameterError, SolverError
+from thermocasimir.loops import line_integral, point_loop
 from thermocasimir.pipeline import run_pipeline, verify_suite
 from thermocasimir.screening import (build_loop_basis, check_perfect_screening,
                                      perfect_screening_k0)
@@ -1002,11 +1003,33 @@ def test_cli_solver_error_exit_code(tmp_path, fast_config, monkeypatch, capsys):
     assert capsys.readouterr().err == "solver error: synthetic failure\n"
 
 
-def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys):
+def _singular_argument(cfg):
+    # a kernel evaluated where it diverges
+    sp = cfg.profile.cells[0].species
+    loop = point_loop(0.0, sp, cfg.numerics["n_steps_kernel"])
+    potentials.vel_fourier(loop, loop, [0.0, 0.0])
+
+
+def _contract_violation(cfg):
+    # a path that breaks the pinned-bridge contract
+    line_integral(np.ones((5, 3)), lambda s, x: np.ones(3))
+
+
+# the two ids name the argument errors that ParameterError took over: a
+# singular argument and a broken input contract, raised by the library itself
+@pytest.mark.parametrize("failure", [
+    pytest.param(_singular_argument, id="SingularArgumentError"),
+    pytest.param(_contract_violation, id="ContractViolationError"),
+])
+def test_cli_argument_error_exit_code(tmp_path, fast_config, monkeypatch, capsys,
+                                      failure):
     path = _write(tmp_path, fast_config)
+    cfg = load_config(copy.deepcopy(fast_config))
+    with pytest.raises(ParameterError):
+        failure(cfg)
 
     def boom(*args, **kwargs):
-        raise ParameterError("synthetic failure")
+        failure(cfg)
 
     monkeypatch.setattr("thermocasimir.cli.run_pipeline", boom)
     assert cli.main(["run", path]) == 2
