@@ -32,7 +32,7 @@ print(f"plasma: kappa^2 = {profile.kappa2():.3f}, "
 
 print("\n=== solver sanity: wide slab against the homogeneous closed form ===")
 # the same kappa^2 = 1 carried by one unit-charge point species
-point = SpeciesParams("point", 1.0, 1.0)              # lambda_ = 0
+point = SpeciesParams("point", 1.0, 1.0, 0.0)
 classical = DensityProfile(beta=1.0, cells=(
     SpeciesDensity(point, 1, 1.0 / (4.0 * np.pi)),))
 span, k = 30.0, 0.7

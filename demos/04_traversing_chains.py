@@ -21,7 +21,7 @@ from thermocasimir.screening import (DensityProfile, SpeciesDensity,
 
 kappa, a, q = 1.0, 6.0, 1.0
 nx = 300
-point = SpeciesParams("point", 1.0, 1.0)              # lambda_ = 0
+point = SpeciesParams("point", 1.0, 1.0, 0.0)
 plasma = DensityProfile(beta=1.0, cells=(
     SpeciesDensity(point, 1, kappa**2 / (4.0 * np.pi)),))
 basis = build_loop_basis(plasma, a, nx, n_paths=1, n_steps=2, seed=0)

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Verbs: run <config> [--d-list ...], verify <config>, zeta3.
+Verbs: run <config> [--out-dir ...] [--d-list ...], verify <config>, zeta3.
 Exit codes: 0 ok, 2 config or I/O error, 3 solver error, 4 certification failure.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ def _load(args):
     if isinstance(raw, dict):       # load_config rejects anything else
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.out_dir is not None:
+        if getattr(args, "out_dir", None) is not None:     # run only
             raw["output"] = {**optional_block(raw, "output"), "dir": args.out_dir}
         if args.tol_overrides:
             try:
@@ -89,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default=None)
         p.add_argument("--tol-overrides", default=None,
                        help='JSON object merged into numerics, e.g. '
                             '\'{"residual_tolerance": 1e-3}\'')
 
     p_run = sub.add_parser("run", help="full pipeline for the configured sweep")
     common(p_run)
+    p_run.add_argument("--out-dir", default=None)
     p_run.add_argument("--d-list", nargs="*", type=float, default=None,
                        help="override the sweep separations")
     p_run.set_defaults(func=_cmd_run)

@@ -56,13 +56,13 @@ class ThermoState:
 class SpeciesParams:
     """Charge and mass of one mobile species.
 
-    lambda_ is the de Broglie thermal length hbar*sqrt(beta/m).
+    lambda_ is the de Broglie thermal length hbar*sqrt(beta/m), 0 for a point charge.
     """
 
     name: str
     charge: float
     mass: float
-    lambda_: float = 0.0
+    lambda_: float
 
     def __post_init__(self):
         if self.mass <= 0.0:

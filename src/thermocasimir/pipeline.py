@@ -127,11 +127,12 @@ _HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
 
 def _hierarchy(config: RunConfig, lam_s: float) -> dict:
     """Ratios of the length hierarchy the asymptotics relies on, at the
-    smallest separation, with flags; a ratio that is not finite (e.g. c so
-    small that the cut-off length overflows) raises ParameterError."""
+    smallest separation, with flags (the mean mass over distinct (charge,
+    mass)); a ratio that is not finite (e.g. c so small that the cut-off
+    length overflows) raises ParameterError."""
     thermo, d = config.thermo, min(config.d_values)
-    species = dict.fromkeys(c.species for c in config.profile.cells)
-    mean_mass = float(np.mean([sp.mass for sp in species]))
+    species = dict.fromkeys((c.species.charge, c.species.mass) for c in config.profile.cells)
+    mean_mass = float(np.mean([mass for _, mass in species]))
     lam_mat = thermo.de_broglie(mean_mass)
     # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf
     with np.errstate(divide="ignore"):
@@ -154,7 +155,7 @@ def _hierarchy(config: RunConfig, lam_s: float) -> dict:
 def _point_basis(kappa2: float, width: float, nx: int) -> scr.LoopBasis:
     """The classical plasma of this kappa^2 on the slab [-width, 0]: one unit-charge
     point species (lambda_ = 0, density kappa^2 / 4 pi, beta = 1), one entry per cell."""
-    point = loops_mod.SpeciesParams("point", 1.0, 1.0)
+    point = loops_mod.SpeciesParams("point", 1.0, 1.0, 0.0)
     plasma = scr.DensityProfile(1.0, (scr.SpeciesDensity(point, 1, kappa2 / (4.0 * np.pi)),))
     return scr.build_loop_basis(plasma, width, nx, 1, 2, 0)
 

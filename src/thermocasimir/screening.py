@@ -168,9 +168,7 @@ def _straddling_runs(basis: LoopBasis, plan: _PairPlan, terms):
         return
     ii, ll = plan.rows[plan.straddling[at]], plan.cols[plan.straddling[at]]
     half, n_groups, tables = 0.5 * basis.h, len(basis.groups), {}
-    first, last = np.empty(basis.size), np.empty(basis.size)
-    for idx, xi, _ in basis.groups:
-        first[idx], last[idx] = xi[:, 0], xi[:, -1]
+    first, last = basis._paths[1]
     shift = basis.x[ii] - basis.x[ll]
     above = first[ll] < (shift + last[ii]) - half
     below = last[ll] > (shift + first[ii]) + half
@@ -220,22 +218,19 @@ class LoopBasis:
     p: groups[g] = (entry indices, xi (n_g, N), y (n_g, N)), xi = lambda X_1
     the normal excursion (0 lies in its range: paths are pinned) and y the
     in-plane excursion along the wavevector (k, 0), each node weighted by
-    ds = 1 / n_steps; group[n] and slot[n] locate entry n in them.  Within
-    each path the nodes are sorted by xi (every kernel here is a sum over all
-    nodes, so their time order does not enter).  The k-independent pair plan
-    (index arrays per pair) and solve layout are kept here on first use, for
-    every wavenumber.
+    ds = 1 / n_steps.  Within each path the nodes are sorted by xi (every
+    kernel here is a sum over all nodes, so their time order does not enter).
+    On first use group[n] and slot[n] (entry n's place in them), pnum[n] (its
+    charge number) and its path's xi range are read off groups once, and the
+    k-independent pair plan and solve layout are kept, for every wavenumber.
     """
 
     x_cells: np.ndarray      # cell centers, ascending
     cell: np.ndarray         # index into x_cells
     groups: tuple
-    group: np.ndarray
-    slot: np.ndarray
     h: float                 # cell width
     ds: float                # node weight
     charge: np.ndarray
-    pnum: np.ndarray
     measure: np.ndarray      # rho * h / n_paths  (plain phase-space weight)
     beta: float
 
@@ -252,11 +247,21 @@ class LoopBasis:
         """kappa^2(1)/(4 pi) measure without the cell width: beta e^2 rho / n_paths."""
         return self.beta * self.charge**2 * self.measure / self.h
 
-    @property
-    def spread(self) -> float:
-        """Range of the normal excursions xi over all paths."""
-        return (max(xi[:, -1].max() for _, xi, _ in self.groups)
-                - min(xi[:, 0].min() for _, xi, _ in self.groups))
+    @cached_property
+    def _paths(self):
+        """One pass over groups: per entry its group, its slot in it, its charge
+        number p (node count times ds: p n_steps nodes) and its path's lowest
+        and highest xi (the nodes are sorted), rows of an int and a float array."""
+        index, ends = np.empty((3, self.size), dtype=int), np.empty((2, self.size))
+        group, slot, pnum = index
+        for g, (idx, xi, _) in enumerate(self.groups):
+            group[idx], slot[idx] = g, np.arange(idx.size)
+            pnum[idx], ends[:, idx] = round(xi.shape[1] * self.ds), (xi[:, 0], xi[:, -1])
+        return index, ends
+
+    group = property(lambda self: self._paths[0][0])   # each entry's index into groups
+    slot = property(lambda self: self._paths[0][1])    # its row in that group's arrays
+    pnum = property(lambda self: self._paths[0][2])    # its charge number p
 
     @cached_property
     def plan(self) -> _PairPlan:
@@ -270,14 +275,12 @@ class LoopBasis:
         beyond it on the side opposite to its cell order.  The candidates are
         classified in row batches of at most _BATCH (at least one row), and
         the near ones are kept in row order."""
-        reach = int(np.fmin(np.ceil(self.spread / self.h + 0.5), self.x_cells.size))
-        start = np.searchsorted(self.cell, np.arange(self.x_cells.size + 1))
+        (xi_lo, xi_hi), n_cells = self._paths[1], self.x_cells.size
+        reach = int(np.fmin(np.ceil((xi_hi.max() - xi_lo.min()) / self.h + 0.5), n_cells))
+        start = np.searchsorted(self.cell, np.arange(n_cells + 1))
         first, half, x = np.arange(self.size), 0.5 * self.h, self.x
-        count = start[np.minimum(self.cell + reach + 1, self.x_cells.size)] - first
+        count = start[np.minimum(self.cell + reach + 1, n_cells)] - first
         end = np.cumsum(count)
-        xi_lo, xi_hi = np.empty(self.size), np.empty(self.size)
-        for idx, xi, _ in self.groups:       # nodes sorted by xi: each path's range
-            xi_lo[idx], xi_hi[idx] = xi[:, 0], xi[:, -1]
         kept, r0 = [], 0
         while r0 < self.size:
             r1 = max(r0 + 1, int(np.searchsorted(end, end[r0] - count[r0] + _BATCH,
@@ -364,9 +367,8 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
     columns = zip(*((c.species.charge, c.p, c.loop_density, c.species.lambda_)
                     for c in profile.cells))
     charge, pnum, density, lam = (np.array(col)[entry] for col in columns)
-    group, slot = np.empty(entry.size, dtype=int), np.empty(entry.size, dtype=int)
     groups = []
-    for g, p in enumerate(sorted(set(pnum.tolist()))):
+    for p in sorted(set(pnum.tolist())):
         idx = np.nonzero(pnum == p)[0]
         path = np.zeros((idx.size, p * n_steps + 1, 3))    # a point charge's nodes are 0
         wire, odd = lam[idx] > 0.0, idx % n_paths % 2 == 1
@@ -378,12 +380,10 @@ def build_loop_basis(profile: DensityProfile, width: float, nx: int,
         xi, y = (lam[idx, None] * path[:, :-1, axis] for axis in (0, 1))
         order = np.argsort(xi, axis=1, kind="stable")
         xi, y = (np.take_along_axis(a, order, axis=1) for a in (xi, y))
-        group[idx], slot[idx] = g, np.arange(idx.size)
         groups.append((idx, xi, y))
     return LoopBasis(x_cells=x_cells, cell=np.repeat(np.arange(nx), entry.size // nx),
-                     groups=tuple(groups), group=group, slot=slot, h=h, ds=1.0 / n_steps,
-                     charge=charge, pnum=pnum, measure=density * h / n_paths,
-                     beta=profile.beta)
+                     groups=tuple(groups), h=h, ds=1.0 / n_steps, charge=charge,
+                     measure=density * h / n_paths, beta=profile.beta)
 
 
 def _phase(k, y):
@@ -683,9 +683,9 @@ def _k0_operator(basis: LoopBasis, moments) -> KernelOperator:
     cell sums J in moments P, Xi, Q; a cross-cell pair wholly above or below
     its source cell is Re T_0[i, l] = -2 pi h w_l sgn(X_i - X_l) (P_l alpha_i
     - P_i alpha_l), alpha = P x + Xi: a rank-2 far field of decay 1, its terms
-    made dimensionless (alpha / L, h L w, L = max(h, spread)) so that a length
-    scaling by a power of two leaves the solve's pivots alone and h^2 w does
-    not underflow on a thin slab."""
+    made dimensionless (alpha / L, h L w, L = max(h, excursion spread)) so that
+    a length scaling by a power of two leaves the solve's pivots alone and h^2
+    w does not underflow on a thin slab."""
     plan, h, x = basis.plan, basis.h, basis.x
     p, xi_sum, q = moments[:3]
     vals = np.empty(plan.rows.size)
@@ -693,7 +693,7 @@ def _k0_operator(basis: LoopBasis, moments) -> KernelOperator:
     vals[plan.inside] = (p[i] * p[l] * (0.25 * h * h) + p[l] * q[i] + p[i] * q[l]
                          - 2.0 * xi_sum[i] * xi_sum[l])
     vals[plan.straddling] = _straddling_k0(plan, basis)
-    weight, scale = -2.0 * np.pi * basis.matrix_weight, max(h, basis.spread)
+    weight, scale = -2.0 * np.pi * basis.matrix_weight, max(h, np.ptp(basis._paths[1]))
     u = np.stack([(p * x + xi_sum) / scale, p])     # alpha / L and P: no length unit
     v = 2.0 * np.pi * h * scale * basis.matrix_weight * np.stack([-p, u[0]])
     return KernelOperator(k=0.0, x_cells=basis.x_cells, cell=basis.cell,
@@ -720,13 +720,11 @@ def _source_k0(basis: LoopBasis, x_src: float) -> np.ndarray:
 def _joined(basis: LoopBasis, d: float) -> LoopBasis:
     """The basis's slab [-width, 0] joined with its copy moved by width + d to
     [d, d + width], in cell order: the copy reuses every draw, its path
-    groups appended per charge number with slots offset by the group sizes."""
-    n, nx, sizes = basis.size, basis.x_cells.size, [g[0].size for g in basis.groups]
-    both = {name: np.tile(getattr(basis, name), 2) for name in ("charge", "pnum", "measure")}
-    return replace(basis, **both, group=np.tile(basis.group, 2),
+    groups appended per charge number."""
+    n, nx = basis.size, basis.x_cells.size
+    return replace(basis, charge=np.tile(basis.charge, 2), measure=np.tile(basis.measure, 2),
                    x_cells=np.append(basis.x_cells, basis.x_cells + (nx * basis.h + d)),
                    cell=np.append(basis.cell, basis.cell + nx),
-                   slot=np.append(basis.slot, basis.slot + np.take(sizes, basis.group)),
                    groups=tuple((np.append(idx, idx + n), np.vstack([xi, xi]),
                                  np.vstack([y, y])) for idx, xi, y in basis.groups))
 

@@ -33,8 +33,8 @@ def neutral_profile(thermo, species_pair):
 def point_profile(thermo):
     # neutral_profile's plasma with lambda = 0: classical point charges
     rho = 1.0 / (8.0 * np.pi)
-    cells = (scr.SpeciesDensity(lo.SpeciesParams("plus", +1.0, 1.0), 1, rho),
-             scr.SpeciesDensity(lo.SpeciesParams("minus", -1.0, 2.0), 1, rho))
+    cells = (scr.SpeciesDensity(lo.SpeciesParams("plus", +1.0, 1.0, 0.0), 1, rho),
+             scr.SpeciesDensity(lo.SpeciesParams("minus", -1.0, 2.0, 0.0), 1, rho))
     return scr.DensityProfile(beta=thermo.beta, cells=cells)
 
 

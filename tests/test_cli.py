@@ -51,6 +51,11 @@ def _write(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def _out_dir(verb, out):
+    """--out-dir for run, the one verb that writes files; verify takes none."""
+    return ["--out-dir", str(out)] if verb == "run" else []
+
+
 @pytest.fixture(scope="module")
 def fast_config():
     return copy.deepcopy(BASE_CONFIG)
@@ -634,7 +639,7 @@ def test_no_screening_medium_is_a_config_error(tmp_path, fast_config, capsys,
     for sp in bad["slabs"]["species"]:
         sp[key] = 0.0
     path, out = _write(tmp_path, bad), tmp_path / "out"
-    assert cli.main([verb, path, "--out-dir", str(out)]) == 2
+    assert cli.main([verb, path, *_out_dir(verb, out)]) == 2
     assert capsys.readouterr().err == NO_MEDIUM
     assert not out.exists()
 
@@ -668,7 +673,7 @@ def test_cli_force_overflow_is_a_config_error(tmp_path, fast_config, capsys,
     bad[where][key] = value
     bad["numerics"] = {"nx": 4, "n_paths_kernel": 1}
     path = _write(tmp_path, bad)
-    assert cli.main([verb, path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert cli.main([verb, path, *_out_dir(verb, tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "not a finite nonzero" in err
     assert "Traceback" not in err
@@ -729,7 +734,7 @@ def test_cli_non_finite_screening_bracket_is_a_config_error(
     for verb in ("run", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+            assert cli.main([verb, _write(tmp_path, bad), *_out_dir(verb, out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "screening bracket" in err, verb
         assert ("slab-b" if key == "b" else "slab-a") in err
@@ -746,7 +751,7 @@ def test_cli_sweep_knobs_are_unknown(tmp_path, fast_config, capsys, verb):
         bad = copy.deepcopy(fast_config)
         bad["numerics"] = dict(TINY_NUMERICS, **{key: value})
         out = tmp_path / "out"
-        assert cli.main([verb, _write(tmp_path, bad), "--out-dir", str(out)]) == 2
+        assert cli.main([verb, _write(tmp_path, bad), *_out_dir(verb, out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: unknown numerics knob '{key}'"), key
         assert "Traceback" not in err
@@ -962,6 +967,15 @@ def test_cli_rejects_non_numeric_d_list(tmp_path, fast_config):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", _write(tmp_path, fast_config), "--d-list", "far"])
     assert exc.value.code == 2
+
+
+def test_verify_takes_no_out_dir(tmp_path, fast_config):
+    # only run writes files, so --out-dir is a usage error on verify
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", _write(tmp_path, fast_config), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_config_hash_ignores_the_output_directory(tmp_path, fast_config):

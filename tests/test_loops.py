@@ -183,7 +183,9 @@ def test_thermo_and_species_invariants(thermo):
     with pytest.raises(TypeError):      # hbar and c have no default
         lo.ThermoState(beta=1.0)
     with pytest.raises(ParameterError):
-        lo.SpeciesParams("x", 1.0, 0.0)
+        lo.SpeciesParams("x", 1.0, 0.0, 0.0)
+    with pytest.raises(TypeError):      # lambda_ has no default
+        lo.SpeciesParams("x", 1.0, 1.0)
     sp = lo.SpeciesParams.from_thermo("e", -1.0, 2.0, thermo)
     assert sp.lambda_ == pytest.approx(thermo.hbar * np.sqrt(thermo.beta / 2.0),
                                        rel=1e-15)

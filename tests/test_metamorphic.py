@@ -19,7 +19,9 @@ flipping every sign gives the same solution.
 Species split and species order: a point species at density rho is two
 copies at rho / 2, and the order of the species is a labelling, so neither
 moves the bordered k = 0 solve beyond rounding (checked to 1e-13 relative,
-not bit for bit: the sums run over other entries in another order).
+not bit for bit: the sums run over other entries in another order).  A
+species written as two halves under two names leaves kappa and the length
+hierarchy identical.
 
 hbar -> 0: the bridges are drawn by the seed and scale with lambda, so the
 gap Re mu(hbar) - Re mu of the lambda = 0 twin (every species a point
@@ -93,7 +95,8 @@ def test_length_scaling_is_exact():
 def test_charge_conjugation_is_exact_on_point_basis(point_profile, d):
     conjugate = scr.DensityProfile(point_profile.beta, tuple(
         scr.SpeciesDensity(lo.SpeciesParams(c.species.name, -c.species.charge,
-                                            c.species.mass), c.p, c.loop_density)
+                                            c.species.mass, c.species.lambda_),
+                           c.p, c.loop_density)
         for c in point_profile.cells))
     bases = [scr.build_loop_basis(prof, 4.0, 12, n_paths=1, n_steps=2, seed=0)
              for prof in (point_profile, conjugate)]
@@ -131,6 +134,25 @@ def test_species_split_and_order_leave_the_k0_solve_alone(point_profile, change)
     assert np.max(np.abs(per_cell[1] - per_cell[0])) <= 1e-13 * np.max(np.abs(per_cell[0]))
     for key in ("mu", "bracket"):
         assert abs(results[1][key] - results[0][key]) <= 1e-13 * abs(results[0][key]), key
+
+
+def _halved(raw, name):
+    """raw with its species `name` written as two halves, name_a and name_b."""
+    out = copy.deepcopy(raw)
+    species = out["slabs"]["species"]
+    i = [sp["name"] for sp in species].index(name)
+    species[i:i + 1] = [{**species[i], "name": f"{name}_{tag}",
+                         "density": 0.5 * species[i]["density"]} for tag in "ab"]
+    return out
+
+
+def test_species_split_leaves_the_hierarchy_alone():
+    # two halves of one species are the same charge and mass, so neither kappa
+    # nor the mean mass of the length hierarchy moves
+    base, split = (run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+                   for cfg in (copy.deepcopy(THREE_SPECIES), _halved(THREE_SPECIES, "light")))
+    assert split["kappa"] == base["kappa"]
+    assert split["hierarchy"] == base["hierarchy"]
 
 
 def _loop_bases_and_twin_mu(raw, hbars, nx):

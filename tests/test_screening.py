@@ -58,7 +58,7 @@ def test_basis_draws_paths_only_for_wires(thermo, species_pair, monkeypatch):
     # charge number, so their nodes are those of a basis without the point
     # charges in between; each odd path is the mirror image of the one before
     plus, minus = species_pair
-    point = lo.SpeciesParams("point", 1.0, 1.0)
+    point = lo.SpeciesParams("point", 1.0, 1.0, 0.0)
     cells = (scr.SpeciesDensity(plus, 1, 0.1), scr.SpeciesDensity(point, 1, 0.1),
              scr.SpeciesDensity(minus, 2, 0.1))
     basis, drawn = _recorded_basis(monkeypatch, scr.DensityProfile(1.0, cells), 2, 4, 7)
@@ -492,6 +492,28 @@ def test_loop_resolved_two_slab_solve_matches_dense_solve(neutral_profile, d):
     got = scr.coupled_two_slab_solve(basis, d, k)
     assert got.shape == (basis.size, 24)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_entry_index_is_read_off_the_path_groups():
+    # the wide-path basis of verify's k0 row (2 path groups, 408 straddling
+    # pairs, 22 twins) with its groups in reverse order: group, slot and pnum
+    # follow the new groups, so every solve gives the same numbers bit for bit
+    basis, loops = _mixed_basis(0.25, 4)
+    assert len(basis.groups) == 2
+    assert basis.plan.straddling.size == 408
+    assert basis.plan.twin.shape[1] == 22
+    flipped = dataclasses.replace(basis, groups=tuple(reversed(basis.groups)))
+    located = [flipped.groups[g][0][t] for g, t in zip(flipped.group, flipped.slot)]
+    assert located == list(range(flipped.size))
+    assert flipped.pnum.tolist() == basis.pnum.tolist() == [loop.p for loop in loops]
+    k0 = [scr.perfect_screening_k0(b, 0.0) for b in (flipped, basis)]
+    for key in ("phi", "mu"):
+        assert np.array_equal(k0[0][key], k0[1][key]), key
+    assert np.array_equal(scr.assemble_kernel_matrix(flipped, 0.3).entries[2],
+                          scr.assemble_kernel_matrix(basis, 0.3).entries[2])
+    assert np.array_equal(scr.check_perfect_screening(flipped, 0.0, [0.2, 0.1])["phi"],
+                          scr.check_perfect_screening(basis, 0.0, [0.2, 0.1])["phi"])
+    assert np.array_equal(scr._joined(basis, 3.0).pnum, np.tile(basis.pnum, 2))
 
 
 @pytest.mark.parametrize("d", [0.0, -1.0, np.inf, np.nan])
