@@ -127,11 +127,13 @@ _HIERARCHY_FACTOR = 0.25      # a length ratio below this counts as small
 
 def _hierarchy(config: RunConfig, lam_s: float) -> dict:
     """Ratios of the length hierarchy the asymptotics relies on, at the
-    smallest separation, with flags (the mean mass over distinct (charge,
-    mass)); a ratio that is not finite (e.g. c so small that the cut-off
-    length overflows) raises ParameterError."""
+    smallest separation, with flags (the mean mass over the distinct (charge,
+    mass) of the cells with loops: a species of density 0 is absent); a ratio
+    that is not finite (e.g. c so small that the cut-off length overflows)
+    raises ParameterError."""
     thermo, d = config.thermo, min(config.d_values)
-    species = dict.fromkeys((c.species.charge, c.species.mass) for c in config.profile.cells)
+    species = dict.fromkeys((c.species.charge, c.species.mass)
+                            for c in config.profile.cells if c.loop_density > 0)
     mean_mass = float(np.mean([mass for _, mass in species]))
     lam_mat = thermo.de_broglie(mean_mass)
     # c * c, not c**2 (OverflowError at c ~ 1e154); c * c = 0 gives lam_cut = inf

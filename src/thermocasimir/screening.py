@@ -454,27 +454,22 @@ class _SolveLayout:
     """k-independent layout of KernelOperator.solve's extended system, one per
     basis and far-field rank: shape (nb, 3, b, b) holds each superblock's
     lower, diagonal and upper block, at each unknown's row in them (block * b
-    + slot), flat the position of each value of _extended_values (none twice:
-    the identity is folded into the diagonal entries diag), pad the unit
-    diagonal that pads short blocks, up (dn) the slots of the next (previous)
-    block that an upper (lower) block reads, and below (above) the unknowns
-    coupled to the running sums of the cell before (after) theirs."""
+    + slot), flat the position of each value of _extended_values (none
+    twice), and up (dn) the slots of the next (previous) block that an upper
+    (lower) block reads.  The solve adds I on every diagonal block, which
+    also pads short blocks."""
 
     shape: tuple
     at: np.ndarray
     flat: np.ndarray
-    diag: np.ndarray
-    pad: np.ndarray
     up: np.ndarray
     dn: np.ndarray
-    below: np.ndarray
-    above: np.ndarray
 
 
 def _extended_pairs(n_cells, cell, rows, cols, rank):
-    """(rows, cols) of the extended system (Phi, sigma, tau), rank running sums
-    of each kind per cell, in the order of KernelOperator._extended_values, and
-    the unknowns below and above."""
+    """(rows, cols) of the extended system (Phi, sigma, tau) less its identity,
+    rank running sums of each kind per cell, in the order of
+    KernelOperator._extended_values."""
     n, m = cell.size, n_cells
     phi = np.broadcast_to(np.arange(n), (rank, n))
     sig = n + np.arange(rank * m).reshape(rank, m)
@@ -482,21 +477,21 @@ def _extended_pairs(n_cells, cell, rows, cols, rank):
     lo, hi = cell - 1, cell + 1
     below, above = np.nonzero(lo >= 0)[0], np.nonzero(hi < m)[0]
     return (np.concatenate([rows, np.tile(below, rank), np.tile(above, rank),
-                            np.hstack([sig, sig[:, 1:], sig[:, cell]]).ravel(),
-                            np.hstack([tau, tau[:, :-1], tau[:, cell]]).ravel()]),
+                            np.hstack([sig[:, 1:], sig[:, cell]]).ravel(),
+                            np.hstack([tau[:, :-1], tau[:, cell]]).ravel()]),
             np.concatenate([cols, sig[:, lo[below]].ravel(), tau[:, hi[above]].ravel(),
-                            np.hstack([sig, sig[:, :-1], phi]).ravel(),
-                            np.hstack([tau, tau[:, 1:], phi]).ravel()]), below, above)
+                            np.hstack([sig[:, :-1], phi]).ravel(),
+                            np.hstack([tau[:, 1:], phi]).ravel()]))
 
 
 def _solve_layout(x_cells, cell, band, rows, cols, rank) -> _SolveLayout:
     """Layout of the block solve of an operator whose unknowns lie in the
-    cells cell, whose entries (rows, cols) lie at most band cells apart, the
-    diagonal among them, and whose far field has rank terms: per cell [Phi_c,
-    sigma_c, tau_c], in superblocks of at least band + 1 cells and _BLOCK_MIN
-    unknowns; short blocks are padded by I."""
+    cells cell, whose entries (rows, cols) lie at most band cells apart and
+    whose far field has rank terms: per cell [Phi_c, sigma_c, tau_c], in
+    superblocks of at least band + 1 cells and _BLOCK_MIN unknowns; short
+    blocks are padded by I."""
     n, m, extra = cell.size, x_cells.size, 2 * rank
-    ext_rows, ext_cols, below, above = _extended_pairs(m, cell, rows, cols, rank)
+    ext_rows, ext_cols = _extended_pairs(m, cell, rows, cols, rank)
     end = np.cumsum(np.bincount(cell, minlength=m) + extra)
     per = min(m, max(band + 1, -(-_BLOCK_MIN * m // end[-1])))
     edge = np.append(0, end)[np.append(np.arange(0, m, per), m)]
@@ -505,13 +500,12 @@ def _solve_layout(x_cells, cell, band, rows, cols, rank) -> _SolveLayout:
                          (end - extra + np.arange(extra)[:, None]).ravel()]) - edge[block]
     nb, b = edge.size - 1, int(np.max(np.diff(edge)))
     side = block[ext_cols] - block[ext_rows]      # -1, 0, 1: lower, diagonal, upper block
-    j, slot = np.nonzero(np.arange(b) >= np.diff(edge)[:, None])
     up, dn = (np.flatnonzero(np.bincount(at[ext_cols[side == d]], minlength=b))
               for d in (1, -1))
     return _SolveLayout(
-        shape=(nb, 3, b, b), at=at + block * b, diag=np.nonzero(rows == cols)[0],
+        shape=(nb, 3, b, b), at=at + block * b,
         flat=((3 * block[ext_rows] + side + 1) * b + at[ext_rows]) * b + at[ext_cols],
-        pad=((3 * j + 1) * b + slot) * b + slot, up=up, dn=dn, below=below, above=above)
+        up=up, dn=dn)
 
 
 @dataclass(frozen=True)
@@ -535,19 +529,16 @@ class KernelOperator:
     layout: _SolveLayout
 
     def _extended_values(self) -> np.ndarray:
-        """Values of solve's extended system in the order of _extended_pairs,
-        I + T on Phi and the running sums' recursions on sigma and tau."""
-        (u, v, s, t), lay, k = self.far, self.layout, self.k
+        """_extended_pairs' values: T on Phi and the running sums' recursions
+        on sigma and tau; the solve adds I."""
+        (u, v, s, t), k, m = self.far, self.k, self.x_cells.size
         decay = np.exp(-k * np.diff(self.x_cells)) * np.ones((len(u), 1))
-        ones = np.ones((len(u), self.x_cells.size))
-        below, above = self.cell[lay.below], self.cell[lay.above]
-        vals = np.concatenate([self.entries[2],
-                               (u[:, lay.below] * decay[:, below - 1]).ravel(),
-                               (s[:, lay.above] * decay[:, above]).ravel(),
-                               np.hstack([ones, -decay, -v]).ravel(),
-                               np.hstack([ones, -decay, -t]).ravel()])
-        vals[lay.diag] += 1.0
-        return vals
+        below, above = np.nonzero(self.cell > 0)[0], np.nonzero(self.cell < m - 1)[0]
+        return np.concatenate([self.entries[2],
+                               (u[:, below] * decay[:, self.cell[below] - 1]).ravel(),
+                               (s[:, above] * decay[:, self.cell[above]]).ravel(),
+                               np.hstack([-decay, -v]).ravel(),
+                               np.hstack([-decay, -t]).ravel()])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I + T) Phi = rhs, one column or several, on the system
@@ -562,7 +553,7 @@ class KernelOperator:
 
     def _extended_solve(self, rhs: np.ndarray) -> np.ndarray:
         """solve's Phi, sigma and tau (the rhs of the sigma and tau rows is 0):
-        the values written into the layout's blocks, then eliminated."""
+        the values written into the layout's blocks plus I, then eliminated."""
         lay, vals, n = self.layout, self._extended_values(), self.cell.size
         nan = np.full((lay.at.size,) + rhs.shape[1:], np.nan, np.result_type(vals, rhs))
         if not np.all(np.isfinite(vals)):
@@ -570,7 +561,7 @@ class KernelOperator:
         (nb, _, b, _), up, dn = lay.shape, lay.up, lay.dn
         a = np.zeros(lay.shape, nan.dtype)
         a.reshape(-1)[lay.flat] = vals
-        a.reshape(-1)[lay.pad] = 1.0
+        a[:, 1, np.arange(b), np.arange(b)] += 1.0
         work = np.concatenate([a[:, 2][:, :, up], np.zeros((nb, b, nan[0].size), a.dtype)], 2)
         work.reshape(nb * b, -1)[lay.at[:n], up.size:] = rhs.reshape(n, -1)
         try:

@@ -20,8 +20,8 @@ Species split and species order: a point species at density rho is two
 copies at rho / 2, and the order of the species is a labelling, so neither
 moves the bordered k = 0 solve beyond rounding (checked to 1e-13 relative,
 not bit for bit: the sums run over other entries in another order).  A
-species written as two halves under two names leaves kappa and the length
-hierarchy identical.
+species written as two halves under two names, or a species of density 0
+added, leaves kappa and the length hierarchy identical.
 
 hbar -> 0: the bridges are drawn by the seed and scale with lambda, so the
 gap Re mu(hbar) - Re mu of the lambda = 0 twin (every species a point
@@ -146,13 +146,25 @@ def _halved(raw, name):
     return out
 
 
+def _with_ghost(raw):
+    """raw with one more species of density 0, of its own charge and mass."""
+    out = copy.deepcopy(raw)
+    out["slabs"]["species"].append({"name": "ghost", "charge": 1.0, "mass": 50.0,
+                                    "density": 0.0})
+    return out
+
+
 def test_species_split_leaves_the_hierarchy_alone():
-    # two halves of one species are the same charge and mass, so neither kappa
-    # nor the mean mass of the length hierarchy moves
-    base, split = (run_pipeline(load_config(cfg), magnetic_check=False)["report"]
-                   for cfg in (copy.deepcopy(THREE_SPECIES), _halved(THREE_SPECIES, "light")))
-    assert split["kappa"] == base["kappa"]
-    assert split["hierarchy"] == base["hierarchy"]
+    # two halves of one species are the same charge and mass, and a species of
+    # density 0 is no medium, so neither kappa nor the mean mass of the length
+    # hierarchy moves
+    base, split, ghost = (
+        run_pipeline(load_config(cfg), magnetic_check=False)["report"]
+        for cfg in (copy.deepcopy(THREE_SPECIES), _halved(THREE_SPECIES, "light"),
+                    _with_ghost(THREE_SPECIES)))
+    for other in (split, ghost):
+        assert other["kappa"] == base["kappa"]
+        assert other["hierarchy"] == base["hierarchy"]
 
 
 def _loop_bases_and_twin_mu(raw, hbars, nx):

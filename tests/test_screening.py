@@ -538,10 +538,12 @@ def _acceptance_basis(name, nx, n_paths):
 
 def _extended(op):
     """(rows, cols, values) of the operator's extended solve system: Phi,
-    sigma, tau."""
-    rows, cols, _, _ = scr._extended_pairs(op.x_cells.size, op.cell, *op.entries[:2],
-                                           len(op.far[0]))
-    return rows, cols, op._extended_values()
+    sigma, tau; its identity is one unit entry per unknown."""
+    rows, cols = scr._extended_pairs(op.x_cells.size, op.cell, *op.entries[:2],
+                                     len(op.far[0]))
+    eye = np.arange(op.layout.at.size)
+    return (np.concatenate([rows, eye]), np.concatenate([cols, eye]),
+            np.concatenate([op._extended_values(), np.ones(eye.size)]))
 
 
 def _extended_product(rows, cols, vals, x):
@@ -606,6 +608,8 @@ def test_sweep_operators_share_one_layout(monkeypatch):
     monkeypatch.setattr(scr, "assemble_kernel_matrix", recording)
     scr.check_perfect_screening(basis, 0.0, _kseq(1.0))
     assert len(ops) == 6 and basis.plan.band > 0
+    assert [f.name for f in dataclasses.fields(scr._SolveLayout)] == [
+        "shape", "at", "flat", "up", "dn"]
     for op in ops:
         assert op.layout is basis.layout
         fresh = dataclasses.replace(op, layout=scr._solve_layout(
@@ -704,6 +708,15 @@ def test_singular_solve_raises_and_overflowed_operator_gives_nan():
         assert got.shape == rhs.shape and np.all(np.isnan(got))
     got = _diagonal_operator(basis, np.full(basis.size, 0.5), zero).solve(rhs)
     assert np.allclose(got, rhs / 1.5, rtol=1e-15, atol=0.0)
+    # no entries and no far field: T = 0, so the solve returns rhs bit for bit
+    # (the solve adds the identity itself, not on listed diagonal entries)
+    none, zeros = np.array([], dtype=int), np.zeros((1, basis.size))
+    empty = scr.KernelOperator(k=1.0, x_cells=basis.x_cells, cell=basis.cell,
+                               entries=(none, none, np.array([])), far=(zeros,) * 4,
+                               layout=scr._solve_layout(basis.x_cells, basis.cell, 0,
+                                                        none, none, 1))
+    rhs = np.arange(2.0 * basis.size).reshape(basis.size, 2) - 7.5
+    assert np.array_equal(empty.solve(rhs), rhs)
 
 
 def test_pair_classes_of_point_basis(point_profile):
